@@ -14,6 +14,11 @@
 // The -chaos flag injects deterministic faults (loss, duplication, latency,
 // SERVFAIL bursts, blackouts) for resilience testing of downstreams.
 //
+// There is one serve loop (worker.go): a worker goroutine per SO_REUSEPORT
+// socket, allocation-free in steady state. Checkpointing (-checkpoint-dir),
+// crash injection (-crash) and chaos (-chaos) all run on it, so the
+// crash-safe configuration serves at the speed of the bare one.
+//
 // Usage:
 //
 //	vantage -listen 127.0.0.1:5353 -zone registered.txt -observed obs.jsonl
@@ -24,25 +29,22 @@ package main
 import (
 	"bufio"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
 	"botmeter/internal/core"
 	"botmeter/internal/dga"
-	"botmeter/internal/dnswire"
 	"botmeter/internal/faults"
 	"botmeter/internal/netx"
 	"botmeter/internal/obs"
 	"botmeter/internal/obs/series"
-	"botmeter/internal/sim"
 	"botmeter/internal/stream"
 	"botmeter/internal/trace"
 )
@@ -53,16 +55,18 @@ const (
 	metricObserved    = "vantage_observed_records_total"
 	metricWriteErrors = "vantage_observed_write_errors_total"
 	metricStickyError = "vantage_observed_sticky_error"
+	metricObserveErrs = "vantage_engine_observe_errors_total"
 	metricZoneSize    = "vantage_zone_domains"
 )
 
 // sinkMetrics carries the vantage point's pre-resolved instruments; zero
 // value = disabled (obs instruments are nil-safe).
 type sinkMetrics struct {
-	queries     *obs.Counter
-	observed    *obs.Counter
-	writeErrors *obs.Counter
-	stickyError *obs.Gauge
+	queries       *obs.Counter
+	observed      *obs.Counter
+	writeErrors   *obs.Counter
+	stickyError   *obs.Gauge
+	observeErrors *obs.Counter
 }
 
 func newSinkMetrics(reg *obs.Registry) sinkMetrics {
@@ -70,12 +74,14 @@ func newSinkMetrics(reg *obs.Registry) sinkMetrics {
 	reg.Help(metricObserved, "Observations appended to the observable dataset.")
 	reg.Help(metricWriteErrors, "Observation appends that failed to persist.")
 	reg.Help(metricStickyError, "1 while the observed-dataset writer holds a sticky error (healthz degrades).")
+	reg.Help(metricObserveErrs, "Observations the live engine refused.")
 	reg.Help(metricZoneSize, "Registered domains loaded from the zone file.")
 	return sinkMetrics{
-		queries:     reg.Counter(metricQueries),
-		observed:    reg.Counter(metricObserved),
-		writeErrors: reg.Counter(metricWriteErrors),
-		stickyError: reg.Gauge(metricStickyError),
+		queries:       reg.Counter(metricQueries),
+		observed:      reg.Counter(metricObserved),
+		writeErrors:   reg.Counter(metricWriteErrors),
+		stickyError:   reg.Gauge(metricStickyError),
+		observeErrors: reg.Counter(metricObserveErrs),
 	}
 }
 
@@ -105,7 +111,7 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 	vantageID := fs.String("vantage-id", "", "with -live-estimate: name this vantage point; exported state carries the identity so a landscape-server can federate it via /state")
 	checkpointDir := fs.String("checkpoint-dir", "", "with -live-estimate: checkpoint the engine state here and recover it (checkpoint restore + replay of the observed dataset) on startup")
 	checkpointInterval := fs.Duration("checkpoint-interval", 30*time.Second, "with -checkpoint-dir: wall-clock checkpoint cadence (0 disables the time trigger)")
-	checkpointEvery := fs.Uint64("checkpoint-every", 0, "with -checkpoint-dir: also checkpoint every N observed records (0 disables the count trigger)")
+	checkpointEvery := fs.Uint64("checkpoint-every", 0, "with -checkpoint-dir: also checkpoint at least every N observed records; each of L listeners trips at N/L of its own (0 disables the count trigger)")
 	crashSpec := fs.String("crash", "", "deterministic crash injection for recovery testing, e.g. records=500 or point=checkpoint-write:1")
 	sloFreshness := fs.Duration("slo-freshness", 0, "with -live-estimate: degrade /healthz when any shard's watermark lags the wall clock by more than this (0 disables)")
 	sloLoss := fs.Float64("slo-loss", 0, "with -live-estimate: degrade /healthz when the lossy-ingest ratio (late drops + reorder evictions over ingested) exceeds this (0 disables)")
@@ -113,8 +119,7 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 	historyInterval := fs.Duration("history-interval", 10*time.Second, "with -live-estimate: landscape history sampling cadence")
 	historyPoints := fs.Int("history-points", 512, "with -live-estimate: points kept per series and in /landscape/history")
 	historyStep := fs.Duration("history-step", time.Second, "with -live-estimate: time-series downsampling step for /debug/series")
-	wireFast := fs.Bool("wire-fast", true, "serve with the zero-copy arena decoder and per-socket pipelines (demoted to the classic loop when -chaos, -checkpoint-dir or -crash is set)")
-	listeners := fs.Int("listeners", 0, "fast-path SO_REUSEPORT listener sockets (0 = one per CPU, capped at 8; ignored on the classic loop)")
+	listeners := fs.Int("listeners", 0, "SO_REUSEPORT listener sockets, one serve worker each (0 = one per CPU, capped at 8)")
 	logLevel := fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
 	logFormat := fs.String("log-format", "logfmt", "log encoding: logfmt or json")
 	if err := fs.Parse(args); err != nil {
@@ -236,85 +241,33 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 	}
 	defer out.Close()
 
-	// The fast path's per-socket workers append and count durable records
-	// concurrently, which is incompatible with the modes that need one
-	// ordered consumer: the checkpoint cut (-checkpoint-dir) and crash
-	// injection (-crash) key exactly-once semantics to a single serve
-	// goroutine's record sequence, and chaos wraps one PacketConn around a
-	// deterministic RNG. Those modes demote to the classic loop.
-	useFast := *wireFast
-	demote := ""
-	switch {
-	case rates.Enabled():
-		demote = "-chaos"
-	case *checkpointDir != "":
-		demote = "-checkpoint-dir"
-	case crasher != nil:
-		demote = "-crash"
-	}
-	if useFast && demote != "" {
-		useFast = false
-		logger.Info("wire fast path demoted to classic loop", "reason", demote)
-	}
-
-	var conns []net.PacketConn
-	var reuseport bool
-	var inj *faults.Injector
-	if useFast {
-		conns, reuseport, err = netx.ListenUDP(ctx, *listen, resolveListeners(*listeners))
-		if err != nil {
-			return err
-		}
-	} else {
-		conn, err := net.ListenPacket("udp", *listen)
-		if err != nil {
-			return err
-		}
-		if rates.Enabled() {
-			inj = faults.New(*chaosSeed, rates)
-			inj.Instrument(reg)
-			conn = faults.WrapPacketConn(conn, inj)
-			logger.Warn("chaos enabled", "rates", rates.String(), "seed", *chaosSeed)
-		}
-		conns = []net.PacketConn{conn}
+	conns, reuseport, err := netx.ListenUDP(ctx, *listen, resolveListeners(*listeners))
+	if err != nil {
+		return err
 	}
 	defer func() {
 		for _, c := range conns {
 			c.Close()
 		}
 	}()
-	if useFast {
-		logger.Info("serving (wire fast path)",
-			"listen", conns[0].LocalAddr().String(),
-			"listeners", len(conns),
-			"reuseport", reuseport,
-			"zone_domains", len(zone),
-			"observed", *observedPath)
-	} else {
-		logger.Info("serving",
-			"listen", conns[0].LocalAddr().String(),
-			"zone_domains", len(zone),
-			"observed", *observedPath)
+	if rates.Enabled() {
+		conns = faults.WrapPacketConns(conns, *chaosSeed, rates, reg)
+		logger.Warn("chaos enabled", "rates", rates.String(), "seed", *chaosSeed)
 	}
+	logger.Info("serving",
+		"listen", conns[0].LocalAddr().String(),
+		"listeners", len(conns),
+		"reuseport", reuseport,
+		"zone_domains", len(zone),
+		"observed", *observedPath)
 
-	swCfg := trace.SafeWriterConfig{
-		FlushInterval: *flushInterval,
-		FlushEvery:    *flushEvery,
-		FsyncInterval: *fsyncInterval,
-	}
 	srv := &sink{
-		zone:     zone,
-		zone4:    buildZoneAnswers(zone),
+		zone:     buildZoneAnswers(zone),
 		ttl:      uint32(*ttl),
-		started:  time.Now(),
-		inj:      inj,
 		est:      est,
 		crash:    crasher,
 		consumed: consumed,
 		log:      logger,
-		file:     out,
-		swCfg:    swCfg,
-		out:      trace.NewSafeWriter(out, swCfg),
 	}
 	if reg != nil {
 		srv.m = newSinkMetrics(reg)
@@ -326,17 +279,12 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 			EveryRecords: *checkpointEvery,
 			Registry:     reg,
 			Crash:        crasher,
-			// Flush the observed-dataset writer before the state export, so
-			// the durable file prefix covers the cut and a later replay
-			// finds every record the checkpoint claims to have consumed. A
-			// sticky write error blocks checkpointing: a checkpoint ahead
-			// of the durable file would double-apply records on resume.
-			PreSync: func() error {
-				if err := srv.out.Flush(); err != nil {
-					return err
-				}
-				return srv.out.Err()
-			},
+			// Flush every worker's batch before the state export, so the
+			// durable file prefix covers the cut and a later replay finds
+			// every record the checkpoint claims to have consumed. A sticky
+			// write error blocks checkpointing: a checkpoint ahead of the
+			// durable file would double-apply records on resume.
+			PreSync: srv.flush,
 			SourceMeta: func() (string, int64) {
 				fi, statErr := os.Stat(*observedPath)
 				if statErr != nil {
@@ -351,6 +299,11 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 		logger.Info("checkpointing enabled",
 			"dir", *checkpointDir, "interval", checkpointInterval.String(), "every_records", *checkpointEvery)
 	}
+	srv.attach(conns, out, trace.SafeWriterConfig{
+		FlushInterval: *flushInterval,
+		FlushEvery:    *flushEvery,
+		FsyncInterval: *fsyncInterval,
+	})
 	// The Landscape Observatory samples the live engine into a bounded
 	// time-series store, keeps the /landscape/history ring and evaluates the
 	// SLO rules that degrade /healthz (DESIGN.md §16).
@@ -426,25 +379,22 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 		logger.Info("diagnostics listening", "obs_addr", diag.Addr())
 	}
 	done := make(chan error, 1)
-	if useFast {
-		go func() { done <- srv.wireServe(conns) }()
-	} else {
-		go func() { done <- srv.serve(conns[0]) }()
-	}
+	go func() { done <- srv.serve() }()
 	select {
 	case <-ctx.Done():
 		for _, c := range conns {
 			c.Close()
 		}
-		<-done
-	case err := <-done:
+		err = <-done
+	case err = <-done:
 		if err != nil && ctx.Err() == nil {
-			srv.out.Close()
 			return err
 		}
 	}
-	if inj != nil {
-		logger.Info("chaos counters", "counters", inj.Counters().String())
+	for i, w := range srv.workers {
+		if w.inj != nil {
+			logger.Info("chaos counters", "socket", i, "counters", w.inj.Counters().String())
+		}
 	}
 	if srv.ck != nil {
 		// Final checkpoint at the clean-shutdown cut, so the next start
@@ -455,7 +405,7 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 		}
 	}
 	if est != nil {
-		// The serve loop has returned, so no Observe is in flight.
+		// The workers have returned, so no Observe is in flight.
 		land, err := est.Close()
 		if err != nil {
 			logger.Error("closing live estimation", "err", err)
@@ -466,173 +416,99 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 				"matched", stats.Matched, "late_dropped", stats.DroppedLate)
 		}
 	}
-	return srv.out.Close()
+	return err
 }
 
-// sink answers queries and records observations.
+// sink is what the socket workers share: the zone, the live engine, the
+// checkpointer and the failure tallies.
 type sink struct {
-	zone    map[string]net.IP
-	zone4   map[string]zoneAnswer // precomputed wire answers (fast path)
+	zone    map[string]zoneAnswer // precomputed wire answers
 	ttl     uint32
-	started time.Time
-	out     *trace.SafeWriter
-	file    *os.File               // the O_APPEND dataset file behind out
-	swCfg   trace.SafeWriterConfig // config for per-worker fast-path writers
-	inj     *faults.Injector
 	est     *stream.Engine
 	ck      *stream.Checkpointer
 	crash   *faults.Crasher
 	log     *obs.Logger
 	m       sinkMetrics
+	workers []*vantageWorker
 
-	// consumed counts well-formed records durably appended to the observed
-	// dataset (seeded with the records found at startup). It is the source
-	// position checkpoints cut at — only touched by the serve goroutine (the
-	// fast path folds its per-worker counts in after the workers exit).
+	// consumed counts well-formed records durably in the observed dataset:
+	// those found at start-up, plus each worker's own once serve has seen it
+	// exit. While the workers run, a cut adds their live counts to it.
 	consumed uint64
 
-	mu        sync.Mutex
-	writers   []*trace.SafeWriter // fast-path per-worker writers, for health
-	writeErrs int
-	ckErrs    int
+	cutting     atomic.Bool // a worker is taking the checkpoint cut
+	writeErrs   atomic.Uint64
+	observeErrs atomic.Uint64
+	ckErrs      atomic.Uint64
 }
 
-// health implements the /healthz probe: unhealthy while any observed-
-// dataset writer holds a sticky error — the DNS plane still answers, but
-// the vantage point is no longer recording, which is this daemon's job.
+// health implements the /healthz probe: unhealthy while any worker's
+// observed-dataset writer holds a sticky error — the DNS plane still answers,
+// but the vantage point is no longer recording, which is this daemon's job.
 func (s *sink) health() error {
-	if err := s.out.Err(); err != nil {
-		return fmt.Errorf("observed dataset writer: %w", err)
-	}
-	s.mu.Lock()
-	writers := s.writers
-	s.mu.Unlock()
-	for i, w := range writers {
-		if err := w.Err(); err != nil {
+	for i, w := range s.workers {
+		if err := w.out.Err(); err != nil {
 			return fmt.Errorf("observed dataset writer %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-// recordWriteError accounts one failed observation append: a failing disk
-// must not take the DNS plane down, but it must be loud — log the first few
-// occurrences, keep counting, and flip the sticky-error gauge so /metrics
-// and /healthz surface the outage instead of it only appearing at exit.
-func (s *sink) recordWriteError(err error) {
-	s.mu.Lock()
-	s.writeErrs++
-	n := s.writeErrs
-	s.mu.Unlock()
-	s.m.writeErrors.Inc()
-	s.m.stickyError.Set(1)
-	if n <= 3 {
-		s.log.Error("observation write error", "count", n, "err", err)
-	}
-}
-
-func (s *sink) serve(conn net.PacketConn) error {
-	buf := make([]byte, 65535)
-	for {
-		n, addr, err := conn.ReadFrom(buf)
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
+// flush pushes every worker's batch to the dataset file and reports the
+// first writer that cannot (its sticky error included).
+func (s *sink) flush() error {
+	for _, w := range s.workers {
+		if err := w.out.Flush(); err != nil {
 			return err
 		}
-		resp := s.handle(buf[:n], addr)
-		if resp != nil {
-			if _, err := conn.WriteTo(resp, addr); err != nil {
-				return err
-			}
-		}
+	}
+	return nil
+}
+
+// report accounts one occurrence of a recurring failure: a failing disk or
+// engine must not take the DNS plane down, but it must be loud — log the
+// first few, keep counting.
+func (s *sink) report(n *atomic.Uint64, msg string, err error) {
+	if c := n.Add(1); c <= 3 {
+		s.log.Error(msg, "count", c, "err", err)
 	}
 }
 
-// handle parses one datagram, records the observation and builds the
-// response (nil for unparseable input).
-func (s *sink) handle(pkt []byte, from net.Addr) []byte {
-	msg, err := dnswire.Decode(pkt)
-	if err != nil || msg.Header.QR || len(msg.Questions) == 0 {
-		return nil
+// checkpoint takes the consistent cut (DESIGN.md §15) for worker w, whose
+// trigger tripped at now. Holding every worker's mutex means no record is
+// between its dataset append and its Engine.Observe, and none can start; the
+// checkpointer then flushes the writers (PreSync) and exports the state, and
+// what it stamps as Source.Records — start-up records plus every worker's
+// count — is the dataset's line count. Only one worker coordinates at a
+// time: the loser of the CAS goes back to serving and blocks on its own
+// mutex at its next record until the cut is done. Encoding and disk I/O
+// happen after the workers are released.
+func (s *sink) checkpoint(w *vantageWorker, now time.Time) {
+	if !s.cutting.CompareAndSwap(false, true) {
+		return
 	}
-	domain := dnswire.CanonicalLower(msg.Questions[0].Name)
-	s.m.queries.Inc()
-
-	// Application-level chaos: a SERVFAIL burst means the query was
-	// received but resolution failed — nothing is recorded, mirroring a
-	// border server whose recursion is broken.
-	if s.inj != nil && s.inj.ServFail() {
-		servfail := &dnswire.Message{
-			Header:    dnswire.Header{ID: msg.Header.ID, QR: true, RD: msg.Header.RD, Rcode: dnswire.RcodeServFail},
-			Questions: msg.Questions,
+	defer s.cutting.Store(false)
+	for _, o := range s.workers {
+		o.mu.Lock()
+	}
+	defer func() {
+		for _, o := range s.workers {
+			o.mu.Unlock()
 		}
-		wire, err := servfail.Encode()
-		if err != nil {
-			return nil
-		}
-		return wire
+	}()
+	// A cut that finished while this worker was on its way here re-armed its
+	// trigger; taking another right behind it would only double the I/O.
+	if !w.trig.Due(now) {
+		return
 	}
-
-	// The forwarding server's identity is its source address (ports vary
-	// per query; the host is the stable identity).
-	server := from.String()
-	if host, _, err := net.SplitHostPort(server); err == nil {
-		server = host
+	records := s.consumed
+	for _, o := range s.workers {
+		records += o.consumed
+		o.trig.Rearm(now)
 	}
-	rec := trace.ObservedRecord{
-		T:      sim.Time(time.Now().UnixMilli()),
-		Server: server,
-		Domain: domain,
+	if err := s.ck.Try(s.est, records); err != nil {
+		s.report(&s.ckErrs, "checkpoint error", err)
 	}
-	durable := false
-	if err := s.out.Append(rec); err != nil {
-		s.recordWriteError(err)
-	} else {
-		s.m.observed.Inc()
-		s.consumed++
-		durable = true
-	}
-	if s.est != nil {
-		// Backpressure from the engine's shard channels bounds queuing;
-		// the only possible error is "engine closed" during shutdown.
-		s.est.Observe(rec) //nolint:errcheck
-		// Checkpoint on cadence, keyed to the durable record count — a
-		// record that failed to persist must not advance the cut, or a
-		// later replay would miss it. The state export is a brief in-memory
-		// barrier; file I/O happens off this goroutine.
-		if s.ck != nil && durable {
-			if err := s.ck.Maybe(s.est, s.consumed); err != nil {
-				s.mu.Lock()
-				s.ckErrs++
-				n := s.ckErrs
-				s.mu.Unlock()
-				if n <= 3 {
-					s.log.Error("checkpoint error", "count", n, "err", err)
-				}
-			}
-		}
-	}
-	// Deterministic crash injection ("die after N records") sits at the end
-	// of the observation path, so the Nth record's full effect — durable
-	// append, engine state, any due checkpoint — precedes the crash.
-	s.crash.Record()
-
-	ip := s.zone[domain]
-	resp := dnswire.NewResponse(msg, ip, s.ttl)
-	wire, err := resp.Encode()
-	if err != nil {
-		return nil
-	}
-	return wire
-}
-
-// writeErrors reports how many observations failed to persist.
-func (s *sink) writeErrors() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.writeErrs
 }
 
 // parseCrash builds the crash injector from the -crash flag (nil when

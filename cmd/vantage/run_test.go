@@ -1,19 +1,50 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
+	"os/exec"
+	"os/signal"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
+	"botmeter/internal/core"
+	"botmeter/internal/dga"
 	"botmeter/internal/dnswire"
+	"botmeter/internal/sim"
+	"botmeter/internal/trace"
 )
+
+// asVantage, as the test binary's first argument, makes it run the daemon
+// with the remaining arguments instead of the tests: the crash tests need a
+// real process for an injected crash (exit status 137) to kill.
+const asVantage = "-as-vantage"
+
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == asVantage {
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		err := run(ctx, os.Args[2:], os.Stderr)
+		stop()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "vantage:", err)
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // freeAddr reserves an ephemeral localhost port of the given network and
 // returns it as host:port. The listener is closed before returning, so
@@ -230,6 +261,238 @@ func TestRunFlagValidation(t *testing.T) {
 	for name, args := range cases {
 		if err := run(context.Background(), args, os.Stderr); err == nil {
 			t.Errorf("%s: run(%v) should fail", name, args)
+		}
+	}
+}
+
+// vantageProc is a vantage daemon running as a child process.
+type vantageProc struct {
+	cmd    *exec.Cmd
+	exited chan struct{} // closed once the process is gone
+	err    error         // its Wait error, valid after exited
+}
+
+func startVantage(t *testing.T, logPath string, args ...string) *vantageProc {
+	t.Helper()
+	logf, err := os.OpenFile(logPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &vantageProc{cmd: exec.Command(os.Args[0], append([]string{asVantage}, args...)...), exited: make(chan struct{})}
+	p.cmd.Stderr = logf
+	if err := p.cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		p.err = p.cmd.Wait()
+		logf.Close()
+		close(p.exited)
+	}()
+	t.Cleanup(func() {
+		p.cmd.Process.Kill()
+		<-p.exited
+	})
+	return p
+}
+
+// exitCode waits for the process and returns its exit status.
+func (p *vantageProc) exitCode(t *testing.T) int {
+	t.Helper()
+	select {
+	case <-p.exited:
+	case <-time.After(60 * time.Second):
+		t.Fatal("vantage did not exit")
+	}
+	var ee *exec.ExitError
+	if errors.As(p.err, &ee) {
+		return ee.ExitCode()
+	}
+	if p.err != nil {
+		t.Fatalf("waiting for vantage: %v", p.err)
+	}
+	return 0
+}
+
+// driveSources plays one forwarding server per source address against the
+// vantage, each on its own socket and goroutine, query after answer, until
+// its names run out or the vantage is gone. Loopback source addresses other
+// than 127.0.0.1 need no set-up on Linux; elsewhere the test is skipped.
+func driveSources(t *testing.T, dnsAddr string, names [][]string, gone <-chan struct{}) {
+	t.Helper()
+	raddr, err := net.ResolveUDPAddr("udp", dnsAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i, mine := range names {
+		conn, err := net.DialUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, byte(i+1))}, raddr)
+		if err != nil {
+			t.Skipf("cannot send from 127.0.0.%d: %v", i+1, err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer conn.Close()
+			buf := make([]byte, 4096)
+			for q, name := range mine {
+				wire, err := dnswire.NewQuery(uint16(q+1), name).Encode()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := conn.Write(wire); err != nil {
+					return // ICMP port unreachable: the vantage is gone
+				}
+				conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+				if _, err := conn.Read(buf); err != nil {
+					select {
+					case <-gone:
+						return
+					default: // a dropped datagram; move on like a stub resolver
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// batchLandscape charts the dataset the way cmd/botmeter does.
+func batchLandscape(t *testing.T, spec dga.Spec, seed uint64, dataset string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(dataset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := trace.ReadObservedJSONL(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("surviving dataset: %v", err)
+	}
+	recs.Sort()
+	bm, err := core.New(core.Config{Family: spec, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	land, err := bm.Analyze(recs, sim.Window{
+		Start: (recs[0].T / sim.Day) * sim.Day,
+		End:   (recs[len(recs)-1].T/sim.Day + 1) * sim.Day,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := land.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// landscapeFields parses a landscape document, number literals kept as
+// written, without the stream-only ingest block.
+func landscapeFields(t *testing.T, doc []byte) map[string]any {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(doc))
+	dec.UseNumber()
+	var fields map[string]any
+	if err := dec.Decode(&fields); err != nil {
+		t.Fatalf("landscape: %v\n%s", err, doc)
+	}
+	delete(fields, "ingest")
+	return fields
+}
+
+// TestCrashResume is the kill–resume contract on the serve loop itself
+// (DESIGN.md §15): four forwarding servers query a vantage that checkpoints
+// across its socket workers until an injected crash kills it — mid-way
+// through writing a checkpoint, or after an exact number of records. The
+// restarted vantage must chart exactly what a batch analysis of the surviving
+// dataset charts, and every checkpoint generation, before and after, must be
+// stamped with the dataset's line count at its cut.
+func TestCrashResume(t *testing.T) {
+	const seed = 7
+	spec, err := dga.Lookup("newgoz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each source alternates today's pool with benign names, as at a border.
+	pool := spec.Pool.PoolFor(seed, int(time.Now().UnixMilli()/int64(sim.Day))).Domains
+	names := make([][]string, 4)
+	for i := range names {
+		for q := 0; q < 300; q++ {
+			names[i] = append(names[i], pool[(q*len(names)+i)%len(pool)], fmt.Sprintf("benign-%d-%d.example", i, q))
+		}
+	}
+	for _, listeners := range []int{1, 4} {
+		for _, crash := range []string{"point=checkpoint-write:2", "records=777"} {
+			t.Run(fmt.Sprintf("listeners=%d/%s", listeners, crash), func(t *testing.T) {
+				dir := t.TempDir()
+				dataset := filepath.Join(dir, "observed.jsonl")
+				ckDir := filepath.Join(dir, "ckpt")
+				logPath := filepath.Join(dir, "vantage.log")
+				dnsAddr, obsAddr := freeAddr(t, "udp"), freeAddr(t, "tcp")
+				args := []string{
+					"-listen", dnsAddr, "-obs-addr", obsAddr, "-observed", dataset,
+					"-flush-interval", "20ms", "-flush-every", "16",
+					"-live-estimate", "newgoz", "-live-seed", fmt.Sprint(seed),
+					"-listeners", fmt.Sprint(listeners),
+					"-checkpoint-dir", ckDir, "-checkpoint-every", "200", "-checkpoint-interval", "0",
+					"-log-level", "warn",
+				}
+				logTail := func() string {
+					data, _ := os.ReadFile(logPath)
+					return string(data)
+				}
+
+				doomed := startVantage(t, logPath, append(args, "-crash", crash)...)
+				waitHealthz(t, obsAddr)
+				driveSources(t, dnsAddr, names, doomed.exited)
+				if code := doomed.exitCode(t); code != 137 {
+					t.Fatalf("vantage exited %d, want the injected crash's 137\n%s", code, logTail())
+				}
+				if cuts := checkCuts(t, ckDir, dataset); len(cuts) == 0 {
+					t.Fatal("no checkpoint generation survived the crash")
+				}
+
+				resumed := startVantage(t, logPath, args...)
+				if body := waitHealthz(t, obsAddr); !strings.Contains(body, "recovered from checkpoint generation") {
+					t.Fatalf("recovery status missing from /healthz: %q\n%s", body, logTail())
+				}
+				resp, err := http.Get("http://" + obsAddr + "/landscape")
+				if err != nil {
+					t.Fatal(err)
+				}
+				live, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Fatalf("/landscape: %d, %v", resp.StatusCode, err)
+				}
+				batch := batchLandscape(t, spec, seed, dataset)
+				want, got := landscapeFields(t, batch), landscapeFields(t, live)
+				if servers, _ := want["servers"].([]any); len(servers) != len(names) {
+					t.Fatalf("batch charts %d servers, %d sent matching names\n%s", len(servers), len(names), batch)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("recovered /landscape differs from the batch analysis of the surviving dataset\nlive:  %s\nbatch: %s", live, batch)
+				}
+
+				// Traffic after recovery, then a clean stop: the cuts taken on
+				// the way and the final one obey the same invariant.
+				driveSources(t, dnsAddr, names, resumed.exited)
+				if err := resumed.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+					t.Fatal(err)
+				}
+				if code := resumed.exitCode(t); code != 0 {
+					t.Fatalf("clean stop exited %d\n%s", code, logTail())
+				}
+				cuts := checkCuts(t, ckDir, dataset)
+				data, err := os.ReadFile(dataset)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if total := uint64(bytes.Count(data, []byte{'\n'})); len(cuts) == 0 || cuts[len(cuts)-1] != total {
+					t.Fatalf("final checkpoint cut at %v, the dataset has %d records", cuts, total)
+				}
+			})
 		}
 	}
 }

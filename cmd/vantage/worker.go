@@ -1,17 +1,17 @@
-// The wire fast path (DESIGN.md §19): one worker goroutine per
-// SO_REUSEPORT socket. Each worker owns a dnswire.Arena, an intern table
-// stabilising domain strings for the live engine, a private SafeWriter
-// batch buffer over the shared O_APPEND dataset file, a source-address
-// string cache and reused encode buffers — so the steady-state
-// observe-and-answer path performs no heap allocations and the only
-// cross-worker synchronisation is each writer's own flush mutex plus the
-// engine's sharded channels. Modes that need an ordered single consumer
-// (-checkpoint-dir, -crash) or the single wrapped chaos socket demote the
-// daemon to the classic serve loop.
+// The serve loop (DESIGN.md §19): one worker goroutine per SO_REUSEPORT
+// socket. Each worker owns a dnswire.Arena, an intern table stabilising
+// domain strings for the live engine, a private SafeWriter batch buffer over
+// the shared O_APPEND dataset file, a source-address string cache and reused
+// encode buffers — so the steady-state observe-and-answer path performs no
+// heap allocations. Cross-worker synchronisation is each writer's flush
+// mutex, the engine's sharded channels and, once per checkpoint, the cut
+// (sink.checkpoint), which reaches a worker through the mutex it holds
+// around each record's append and observe.
 package main
 
 import (
 	"errors"
+	"io"
 	"net"
 	"net/netip"
 	"runtime"
@@ -20,7 +20,9 @@ import (
 	"time"
 
 	"botmeter/internal/dnswire"
+	"botmeter/internal/faults"
 	"botmeter/internal/sim"
+	"botmeter/internal/stream"
 	"botmeter/internal/symtab"
 	"botmeter/internal/trace"
 )
@@ -45,26 +47,23 @@ func buildZoneAnswers(zone map[string]net.IP) map[string]zoneAnswer {
 	return za
 }
 
-// wireServe runs one fast-path worker per socket and blocks until all
-// return, then closes the per-worker writers (flushing their tails) and
-// folds the workers' durable-record counts into the sink. A closed socket
-// is a clean shutdown; the first real error wins.
-func (s *sink) wireServe(conns []net.PacketConn) error {
-	workers := make([]*vantageWorker, len(conns))
-	for i, c := range conns {
-		workers[i] = newVantageWorker(s, c)
+// attach creates one worker per socket, each batching into its own
+// SafeWriter over the shared dataset file. /healthz covers every worker's
+// sticky error from here on.
+func (s *sink) attach(conns []net.PacketConn, file io.Writer, cfg trace.SafeWriterConfig) {
+	for _, c := range conns {
+		s.workers = append(s.workers, newVantageWorker(s, c, trace.NewSafeWriter(file, cfg), len(conns)))
 	}
-	// Register the batch writers before serving so /healthz covers every
-	// worker's sticky error from the first datagram on.
-	s.mu.Lock()
-	for _, w := range workers {
-		s.writers = append(s.writers, w.out)
-	}
-	s.mu.Unlock()
+}
 
-	errs := make([]error, len(workers)+1)
+// serve runs the workers and blocks until all return, then closes their
+// writers (flushing the tails) and folds their durable-record counts into
+// the sink. A closed socket is a clean shutdown; every real error is
+// reported.
+func (s *sink) serve() error {
+	errs := make([]error, len(s.workers))
 	var wg sync.WaitGroup
-	for i, w := range workers {
+	for i, w := range s.workers {
 		wg.Add(1)
 		go func(i int, w *vantageWorker) {
 			defer wg.Done()
@@ -72,14 +71,10 @@ func (s *sink) wireServe(conns []net.PacketConn) error {
 		}(i, w)
 	}
 	wg.Wait()
-	var closeErrs []error
-	for _, w := range workers {
-		if err := w.out.Close(); err != nil {
-			closeErrs = append(closeErrs, err)
-		}
+	for _, w := range s.workers {
+		errs = append(errs, w.out.Close())
 		s.consumed += w.consumed
 	}
-	errs[len(workers)] = errors.Join(closeErrs...)
 	return errors.Join(errs...)
 }
 
@@ -87,7 +82,8 @@ func (s *sink) wireServe(conns []net.PacketConn) error {
 type vantageWorker struct {
 	s     *sink
 	conn  net.PacketConn
-	uconn *net.UDPConn // non-nil: the alloc-free netip.AddrPort read/write path
+	uconn *net.UDPConn     // non-nil: the alloc-free netip.AddrPort read/write path
+	inj   *faults.Injector // non-nil under -chaos: this socket's SERVFAIL draw
 
 	arena   dnswire.Arena
 	msg     dnswire.Message
@@ -99,26 +95,38 @@ type vantageWorker struct {
 	resp    dnswire.Message
 	ans     [1]dnswire.ResourceRecord
 
-	consumed uint64 // durable records; merged into the sink at shutdown
+	// mu is held around each record's append and observe, so whoever holds
+	// every worker's mu sees a dataset and an engine that agree (the
+	// checkpoint cut). It is uncontended outside a cut, shares a cache line
+	// with nothing another worker writes, and a worker blocked in recv holds
+	// nothing. It guards consumed and trig, which the cut reads and re-arms.
+	mu       sync.Mutex
+	consumed uint64 // records this worker appended; merged into the sink at shutdown
+	trig     stream.Trigger
 }
 
 // maxServerCache bounds the per-worker source-address string cache; a border
 // vantage sees a small stable set of forwarders, so eviction is a non-event.
 const maxServerCache = 4096
 
-func newVantageWorker(s *sink, conn net.PacketConn) *vantageWorker {
+// newVantageWorker builds the worker for conn, one of n, appending to out.
+func newVantageWorker(s *sink, conn net.PacketConn, out *trace.SafeWriter, n int) *vantageWorker {
 	w := &vantageWorker{
 		s:       s,
 		conn:    conn,
 		tab:     symtab.New(),
-		out:     trace.NewSafeWriter(s.file, s.swCfg),
+		out:     out,
 		servers: make(map[netip.Addr]string),
 		rbuf:    make([]byte, 65535),
 		enc:     make([]byte, 0, 512),
+		trig:    s.ck.NewTrigger(n),
 	}
 	w.uconn, _ = conn.(*net.UDPConn)
+	if fc, ok := conn.(*faults.PacketConn); ok {
+		w.inj = fc.Injector()
+	}
 	// Canonicalise during decode: label bytes are lowercased as they are
-	// copied into the arena, matching the slow path's ToLower.
+	// copied into the arena, so the dataset and the engine see one spelling.
 	w.arena.LowerASCII = true
 	return w
 }
@@ -166,9 +174,9 @@ func (w *vantageWorker) serve() error {
 	}
 }
 
-// serverFor resolves the forwarding server's stable identity (the host, as
-// in the slow path's SplitHostPort) with a per-worker cache, so steady state
-// pays one map probe instead of an Addr.String allocation per datagram.
+// serverFor resolves the forwarding server's stable identity (the host; ports
+// vary per query) with a per-worker cache, so steady state pays one map probe
+// instead of an Addr.String allocation per datagram.
 func (w *vantageWorker) serverFor(ap netip.AddrPort) string {
 	a := ap.Addr()
 	if s, ok := w.servers[a]; ok {
@@ -182,8 +190,8 @@ func (w *vantageWorker) serverFor(ap netip.AddrPort) string {
 	return s
 }
 
-// hostOf strips the port from a "host:port" address string (generic-conn
-// fallback; the UDPConn path uses serverFor).
+// hostOf strips the port from a "host:port" address string (the fallback for
+// a wrapped conn, as under -chaos; the UDPConn path uses serverFor).
 func hostOf(addr string) string {
 	if host, _, err := net.SplitHostPort(addr); err == nil {
 		return host
@@ -200,8 +208,15 @@ func (w *vantageWorker) handle(pkt []byte, server string) []byte {
 	}
 	s := w.s
 	s.m.queries.Inc()
+	// Application-level chaos: a SERVFAIL burst means the query was received
+	// but resolution failed — nothing is recorded, mirroring a border server
+	// whose recursion is broken.
+	if w.inj != nil && w.inj.ServFail() {
+		return w.appendResponse(dnswire.RcodeServFail, 0, nil)
+	}
 	name := w.msg.Questions[0].Name // arena-backed, already lowercase
-	t := sim.Time(time.Now().UnixMilli())
+	now := time.Now()
+	t := sim.Time(now.UnixMilli())
 	domain := name
 	if s.est != nil {
 		// Records handed to the engine outlive this packet (sharded channel
@@ -213,37 +228,60 @@ func (w *vantageWorker) handle(pkt []byte, server string) []byte {
 		}
 		domain = w.tab.Resolve(id)
 	}
+	w.mu.Lock()
 	// AppendObserved copies into the writer's buffer before returning, so an
 	// arena-backed domain is safe here even without the engine's intern.
-	if err := w.out.AppendObserved(t, server, domain); err != nil {
-		s.recordWriteError(err)
-	} else {
-		s.m.observed.Inc()
+	werr := w.out.AppendObserved(t, server, domain)
+	due := false
+	if werr == nil {
+		// Only a record that reached the writer advances the cut: counting
+		// one that did not would make a later replay miss it.
 		w.consumed++
+		due = w.trig.Tick(now)
 	}
+	var oerr error
 	if s.est != nil {
 		// Backpressure from the engine's shard channels bounds queuing; the
 		// only possible error is "engine closed" during shutdown.
-		s.est.Observe(trace.ObservedRecord{T: t, Server: server, Domain: domain}) //nolint:errcheck
+		oerr = s.est.Observe(trace.ObservedRecord{T: t, Server: server, Domain: domain})
 	}
-	za, ok := s.zone4[name]
-	if !ok {
-		return w.appendResponse(0, nil)
+	w.mu.Unlock()
+	if werr != nil {
+		s.m.writeErrors.Inc()
+		s.m.stickyError.Set(1)
+		s.report(&s.writeErrs, "observation write error", werr)
+	} else {
+		s.m.observed.Inc()
 	}
-	return w.appendResponse(za.typ, za.data)
+	if oerr != nil {
+		s.m.observeErrors.Inc()
+		s.report(&s.observeErrs, "engine observe error", oerr)
+	}
+	if due {
+		s.checkpoint(w, now)
+	}
+	// Deterministic crash injection ("die after N records") sits at the end
+	// of the observation path, so the Nth record's full effect — append,
+	// engine state, any due checkpoint — precedes the crash.
+	s.crash.Record()
+	if za, ok := s.zone[name]; ok {
+		return w.appendResponse(dnswire.RcodeNoError, za.typ, za.data)
+	}
+	return w.appendResponse(dnswire.RcodeNXDomain, 0, nil)
 }
 
 // appendResponse builds the answer into the worker's reused encode buffer —
-// the alloc-free twin of dnswire.NewResponse + Encode (nil data = NXDOMAIN).
-func (w *vantageWorker) appendResponse(typ uint16, data []byte) []byte {
+// the alloc-free twin of dnswire.NewResponse + Encode. data is the address
+// of a positive answer; SERVFAIL is a relayed failure, so it is neither
+// authoritative nor a recursion offer.
+func (w *vantageWorker) appendResponse(rcode uint8, typ uint16, data []byte) []byte {
+	auth := rcode != dnswire.RcodeServFail
 	w.resp.Header = dnswire.Header{
-		ID: w.msg.Header.ID, QR: true, RD: w.msg.Header.RD, RA: true, AA: true,
+		ID: w.msg.Header.ID, QR: true, RD: w.msg.Header.RD, RA: auth, AA: auth, Rcode: rcode,
 	}
 	w.resp.Questions = w.msg.Questions
 	w.resp.Answers = nil
-	if data == nil {
-		w.resp.Header.Rcode = dnswire.RcodeNXDomain
-	} else {
+	if data != nil {
 		w.ans[0] = dnswire.ResourceRecord{
 			Name: w.msg.Questions[0].Name, Type: typ, Class: dnswire.ClassIN,
 			TTL: w.s.ttl, Data: data,

@@ -4,6 +4,7 @@ import (
 	"net"
 	"time"
 
+	"botmeter/internal/obs"
 	"botmeter/internal/sim"
 )
 
@@ -35,7 +36,28 @@ func WrapPacketConn(c net.PacketConn, inj *Injector) net.PacketConn {
 	return &PacketConn{PacketConn: c, inj: inj}
 }
 
-// Injector exposes the wrapped injector (for counters).
+// WrapPacketConns gives each socket of a listener group its own Injector, so
+// every socket's worker draws from a private decision stream and a replay
+// stays deterministic per socket however the kernel spreads the flows.
+// Socket 0 is seeded with seed itself — a single socket replays exactly what
+// WrapPacketConn(c, New(seed, rates)) does — and socket i with seed advanced
+// by i golden-ratio strides. The injectors share reg's counters, so the
+// exported tallies are the group's. Disabled rates return conns unchanged.
+func WrapPacketConns(conns []net.PacketConn, seed uint64, rates Rates, reg *obs.Registry) []net.PacketConn {
+	if !rates.Enabled() {
+		return conns
+	}
+	wrapped := make([]net.PacketConn, len(conns))
+	for i, c := range conns {
+		inj := New(seed+uint64(i)*0x9e3779b97f4a7c15, rates)
+		inj.Instrument(reg)
+		wrapped[i] = WrapPacketConn(c, inj)
+	}
+	return wrapped
+}
+
+// Injector exposes the wrapped injector (for counters and the daemons'
+// application-level SERVFAIL draw).
 func (p *PacketConn) Injector() *Injector { return p.inj }
 
 // ReadFrom reads the next surviving datagram.

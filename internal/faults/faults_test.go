@@ -309,3 +309,40 @@ func TestPacketConnDelaySleeps(t *testing.T) {
 		t.Errorf("slept %v, exceeds the configured maximum", slept)
 	}
 }
+
+// TestWrapPacketConnsSeeds: socket 0 of a group draws the stream a lone
+// wrapped socket with the same seed draws, every other socket a different
+// one, and disabled rates wrap nothing.
+func TestWrapPacketConnsSeeds(t *testing.T) {
+	rates := Rates{Loss: 0.3, ServFail: 0.2}
+	draw := func(inj *Injector) string {
+		s := ""
+		for i := 0; i < 200; i++ {
+			if inj.Drop() {
+				s += "L"
+			}
+			if inj.ServFail() {
+				s += "S"
+			}
+			s += "."
+		}
+		return s
+	}
+	conns := make([]net.PacketConn, 3)
+	wrapped := WrapPacketConns(conns, 42, rates, nil)
+	alone := draw(New(42, rates))
+	seen := map[string]int{}
+	for i, c := range wrapped {
+		s := draw(c.(*PacketConn).Injector())
+		if (s == alone) != (i == 0) {
+			t.Errorf("socket %d: matches the lone seed-42 stream = %v", i, s == alone)
+		}
+		if j, dup := seen[s]; dup {
+			t.Errorf("sockets %d and %d draw the same stream", j, i)
+		}
+		seen[s] = i
+	}
+	if same := WrapPacketConns(conns, 42, Rates{}, nil); len(same) != len(conns) || same[0] != conns[0] {
+		t.Error("disabled rates wrapped the sockets")
+	}
+}

@@ -207,8 +207,9 @@ type CheckpointConfig struct {
 	// fallback the corrupt-recovery path needs).
 	Keep int
 	// PreSync, when non-nil, runs before the state is exported — the hook
-	// cmd/vantage uses to flush its SafeWriter so the durable trace prefix
-	// covers the cut, keeping replay-from-offset exactly-once.
+	// cmd/vantage uses to flush every socket worker's SafeWriter so the
+	// durable trace prefix covers the cut, keeping replay-from-offset
+	// exactly-once.
 	PreSync func() error
 	// SourceMeta, when non-nil, describes the input file at cut time
 	// (called after PreSync); stored in SourcePos for staleness detection.
@@ -244,23 +245,24 @@ type CheckpointStats struct {
 }
 
 // Checkpointer writes generation-numbered checkpoints of one engine on a
-// record-count and/or wall-clock cadence. Maybe is called by the feeding
-// goroutine after each record; the state export is a brief synchronous
-// barrier (microseconds — it copies in-memory state), while file encoding
-// and I/O happen on a background goroutine so ingest never waits on disk.
-// A checkpoint that comes due while the previous write is still in flight
-// is skipped and counted, not queued.
+// record-count and/or wall-clock cadence. A single feeding goroutine calls
+// Maybe after each record; several feeders (cmd/vantage's socket workers)
+// each keep a Trigger and the one that trips calls Try once it has stopped
+// the others. Either way the state export is a brief synchronous barrier
+// (it copies in-memory state), while file encoding and I/O happen on a
+// background goroutine so ingest never waits on disk. A checkpoint that
+// comes due while the previous write is still in flight is skipped and
+// counted, not queued.
 type Checkpointer struct {
 	cfg CheckpointConfig
 
-	mu          sync.Mutex
-	nextGen     uint64
-	lastAt      time.Time
-	lastRecords uint64
-	writing     bool
-	lastErr     error
-	stats       CheckpointStats
-	wg          sync.WaitGroup
+	mu      sync.Mutex
+	nextGen uint64
+	trig    Trigger // Maybe's single-feeder cadence
+	writing bool
+	lastErr error
+	stats   CheckpointStats
+	wg      sync.WaitGroup
 	// created/lastDone feed AgeSeconds: lastDone is the completion time of
 	// the last successful checkpoint (zero before the first).
 	created  time.Time
@@ -293,7 +295,8 @@ func NewCheckpointer(cfg CheckpointConfig) (*Checkpointer, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	c := &Checkpointer{cfg: cfg, lastAt: time.Now(), created: cfg.Clock()}
+	c := &Checkpointer{cfg: cfg, created: cfg.Clock()}
+	c.trig = c.NewTrigger(1)
 	entries, err := os.ReadDir(cfg.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("stream: reading checkpoint dir: %w", err)
@@ -324,37 +327,87 @@ func NewCheckpointer(cfg CheckpointConfig) (*Checkpointer, error) {
 	return c, nil
 }
 
+// Trigger is one feeder's private share of a Checkpointer's cadence: the
+// records it has consumed since the last cut and the next wall-clock due
+// instant. The per-record check is an increment and two compares against a
+// timestamp the feeder already holds — no shared lock, no clock read. Not
+// safe for concurrent use: the owner guards it (in cmd/vantage the socket
+// worker's mutex, which the cut coordinator also holds to Rearm it). The
+// zero value never fires.
+type Trigger struct {
+	every    uint64
+	interval time.Duration
+	since    uint64
+	next     time.Time
+}
+
+// NewTrigger returns the trigger for one of n feeders that share c's
+// cadence. Each trips after EveryRecords/n (rounded up) records of its own,
+// so however the traffic spreads over the feeders a cut is never more than
+// EveryRecords records behind; with one feeder the count is exact. A nil
+// Checkpointer yields the zero Trigger.
+func (c *Checkpointer) NewTrigger(n int) Trigger {
+	if c == nil {
+		return Trigger{}
+	}
+	t := Trigger{interval: c.cfg.Interval}
+	if c.cfg.EveryRecords > 0 {
+		t.every = (c.cfg.EveryRecords + uint64(n) - 1) / uint64(n)
+	}
+	t.Rearm(time.Now())
+	return t
+}
+
+// Tick counts one record consumed at now and reports whether a checkpoint
+// is due.
+func (t *Trigger) Tick(now time.Time) bool {
+	t.since++
+	return t.Due(now)
+}
+
+// Due reports whether a checkpoint is due at now, without counting a record.
+func (t *Trigger) Due(now time.Time) bool {
+	return (t.every > 0 && t.since >= t.every) || (t.interval > 0 && !now.Before(t.next))
+}
+
+// Rearm starts a new period at now. Call it when a checkpoint is attempted,
+// not when it completes, so a failing checkpoint retries on the configured
+// cadence instead of on every record.
+func (t *Trigger) Rearm(now time.Time) {
+	t.since = 0
+	t.next = now.Add(t.interval)
+}
+
 // Maybe checkpoints e if a trigger is due. records is the absolute source
 // position (well-formed records consumed, including any skipped during
 // resume replay) — it becomes SourcePos.Records, the offset a later resume
-// replays from. Call it from the feeding goroutine after each record; it
+// replays from. Call it from the one feeding goroutine after each record; it
 // returns nil when nothing is due.
 func (c *Checkpointer) Maybe(e *Engine, records uint64) error {
+	now := time.Now()
 	c.mu.Lock()
-	due := (c.cfg.EveryRecords > 0 && records-c.lastRecords >= c.cfg.EveryRecords) ||
-		(c.cfg.Interval > 0 && time.Since(c.lastAt) >= c.cfg.Interval)
+	due := c.trig.Tick(now)
+	c.mu.Unlock()
 	if !due {
-		c.mu.Unlock()
 		return nil
 	}
+	return c.Try(e, records)
+}
+
+// Try checkpoints e now unless the previous write is still in flight — the
+// due half of Maybe, for feeders that keep their own Triggers. A skipped
+// attempt is counted once and waits a full period, instead of busy-polling
+// the in-flight write.
+func (c *Checkpointer) Try(e *Engine, records uint64) error {
+	c.mu.Lock()
+	c.trig.Rearm(time.Now())
 	if c.writing {
-		// One skip per missed opportunity, not per record: re-arm the
-		// cadence so the counter reads "checkpoints not taken", and the
-		// next attempt waits a full period instead of busy-polling the
-		// in-flight write.
 		c.stats.Skipped++
-		c.m.skipped.Inc()
-		c.lastAt = time.Now()
-		c.lastRecords = records
 		c.mu.Unlock()
+		c.m.skipped.Inc()
 		return nil
 	}
 	c.writing = true
-	// Re-arm the triggers at attempt time, not completion time, so a
-	// failing checkpoint retries on the configured cadence instead of on
-	// every record.
-	c.lastAt = time.Now()
-	c.lastRecords = records
 	c.mu.Unlock()
 	return c.run(e, records)
 }
@@ -431,9 +484,7 @@ func (c *Checkpointer) write(gen uint64, st *EngineState, records uint64, start 
 		return
 	}
 	c.lastErr = nil
-	c.lastAt = time.Now()
 	c.lastDone = c.cfg.Clock()
-	c.lastRecords = records
 	c.stats.Written++
 	c.stats.Gen = gen
 	c.stats.LastRecords = records

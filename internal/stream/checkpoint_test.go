@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"botmeter/internal/core"
 	"botmeter/internal/faults"
@@ -367,23 +368,26 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 			if err != nil {
 				t.Fatalf("stream.New: %v", err)
 			}
-			ck, err := stream.NewCheckpointer(stream.CheckpointConfig{Dir: dir, EveryRecords: checkpointEvery})
+			ck, err := stream.NewCheckpointer(stream.CheckpointConfig{Dir: dir})
 			if err != nil {
 				t.Fatalf("NewCheckpointer: %v", err)
 			}
+			// Synchronous checkpoints: Maybe skips a trigger that comes due
+			// while the previous write is in flight, so how many generations
+			// it leaves behind depends on the scheduler, and this test needs
+			// two.
 			killAt := len(delivered) * 3 / 4
 			for i := 0; i < killAt; i++ {
 				if err := eng.Observe(delivered[i]); err != nil {
 					t.Fatalf("Observe: %v", err)
 				}
-				if err := ck.Maybe(eng, uint64(i+1)); err != nil {
-					t.Fatalf("Maybe: %v", err)
+				if n := uint64(i + 1); n%checkpointEvery == 0 {
+					if err := ck.Checkpoint(eng, n); err != nil {
+						t.Fatalf("Checkpoint: %v", err)
+					}
 				}
 			}
 			eng.Kill()
-			if err := ck.Close(); err != nil {
-				t.Fatalf("checkpointer close: %v", err)
-			}
 			st := ck.Stats()
 			if st.Written < 2 {
 				t.Fatalf("need at least 2 generations to test fallback, wrote %d", st.Written)
@@ -684,5 +688,45 @@ func TestCheckpointerGenerations(t *testing.T) {
 	}
 	if got := ck2.Stats().Gen; got != st.Gen+1 {
 		t.Fatalf("restarted checkpointer wrote generation %d, want %d", got, st.Gen+1)
+	}
+}
+
+// TestTrigger pins the due rule the feeders share: a feeder's share of the
+// record cadence is rounded up, so n feeders between them never let more
+// than EveryRecords pass; the clock trigger compares against the instant the
+// last Rearm fixed; and without a checkpointer nothing ever fires.
+func TestTrigger(t *testing.T) {
+	var none *stream.Checkpointer
+	idle := none.NewTrigger(4)
+	now := time.Now()
+	for i := 0; i < 100; i++ {
+		if idle.Tick(now.Add(time.Duration(i) * time.Hour)) {
+			t.Fatal("a trigger without a checkpointer fired")
+		}
+	}
+
+	ck, err := stream.NewCheckpointer(stream.CheckpointConfig{Dir: t.TempDir(), EveryRecords: 10, Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for feeders, want := range map[int]int{1: 10, 3: 4, 4: 3, 16: 1} {
+		trig := ck.NewTrigger(feeders)
+		n := 1
+		for !trig.Tick(now) {
+			n++
+		}
+		if n != want {
+			t.Errorf("%d feeders: tripped after %d records, want %d", feeders, n, want)
+		}
+		if !trig.Due(now) {
+			t.Errorf("%d feeders: no longer due before Rearm", feeders)
+		}
+		trig.Rearm(now)
+		if trig.Due(now) || trig.Due(now.Add(59*time.Minute)) {
+			t.Errorf("%d feeders: due right after Rearm", feeders)
+		}
+		if !trig.Due(now.Add(time.Hour)) {
+			t.Errorf("%d feeders: not due an interval after Rearm", feeders)
+		}
 	}
 }

@@ -4,7 +4,8 @@
 # traffic at it with dgasim, kill -9 it mid-flight, restart it, and assert
 # that the recovered /landscape is exactly what a batch botmeter run
 # computes over the durable observed dataset. Then verify a clean shutdown
-# writes a final checkpoint generation.
+# writes a final checkpoint generation. The vantage runs two listeners, so
+# every checkpoint is a cut across more than one socket worker.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -33,6 +34,7 @@ start_vantage() {
     -flush-interval 100ms -flush-every 16 \
     -live-estimate "$FAMILY" -live-seed "$SEED" \
     -checkpoint-dir "$WORK/ckpt" -checkpoint-every 500 -checkpoint-interval 5s \
+    -listeners 2 \
     -obs-addr "$OBS_ADDR" \
     >>"$WORK/vantage.log" 2>&1 &
   VPID=$!

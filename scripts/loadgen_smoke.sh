@@ -1,10 +1,15 @@
 #!/usr/bin/env bash
-# Wire fast-path smoke (DESIGN.md §19): stand up the production pipeline —
+# Wire-path smoke (DESIGN.md §19): stand up the production pipeline —
 # vantage with live estimation behind resolver, both on their zero-copy
 # SO_REUSEPORT serve loops — and drive it with cmd/loadgen at a modest
 # fixed open-loop rate for 5 seconds. The run must finish with zero drops
 # and zero decode errors, and both daemons' /healthz must answer 200 the
 # whole time (polled concurrently with the load).
+#
+# A second pass restarts the vantage with -checkpoint-dir and loads it
+# directly, so every query is observed and the count trigger fires: same
+# assertions, plus at least one checkpoint written mid-load and no sign in
+# the log of the vantage having swapped serve loops (DESIGN.md §15).
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -32,15 +37,19 @@ DURATION=5s
 mkdir -p "$BIN"
 go build -o "$BIN" ./cmd/vantage ./cmd/resolver ./cmd/loadgen
 
-"$BIN/vantage" \
-  -listen "$VANTAGE_DNS" \
-  -observed "$WORK/observed.jsonl" \
-  -flush-interval 200ms -flush-every 64 \
-  -live-estimate newgoz -live-seed 7 \
-  -obs-addr "$VANTAGE_OBS" \
-  >>"$WORK/vantage.log" 2>&1 &
-VPID=$!
-disown
+start_vantage() { # extra vantage flags as arguments
+  "$BIN/vantage" \
+    -listen "$VANTAGE_DNS" \
+    -observed "$WORK/observed.jsonl" \
+    -flush-interval 200ms -flush-every 64 \
+    -live-estimate newgoz -live-seed 7 \
+    -obs-addr "$VANTAGE_OBS" \
+    "$@" \
+    >>"$WORK/vantage.log" 2>&1 &
+  VPID=$!
+  disown
+}
+start_vantage
 
 "$BIN/resolver" \
   -listen "$RESOLVER_DNS" \
@@ -68,39 +77,40 @@ wait_healthz "$RESOLVER_OBS" resolver
 # Health watcher: any non-200 during the load is a failure. It polls both
 # daemons every 200ms and records misses; the main flow asserts the file
 # stays empty.
-(
-  while :; do
-    for pair in "vantage=$VANTAGE_OBS" "resolver=$RESOLVER_OBS"; do
-      name="${pair%%=*}"
-      addr="${pair#*=}"
-      if ! curl -fsS "http://$addr/healthz" >/dev/null 2>&1; then
-        echo "$(date -u +%T) $name /healthz not 200" >>"$WORK/health_failures"
-      fi
+watch_health() {
+  (
+    while :; do
+      for pair in "vantage=$VANTAGE_OBS" "resolver=$RESOLVER_OBS"; do
+        name="${pair%%=*}"
+        addr="${pair#*=}"
+        if ! curl -fsS "http://$addr/healthz" >/dev/null 2>&1; then
+          echo "$(date -u +%T) $name /healthz not 200" >>"$WORK/health_failures"
+        fi
+      done
+      sleep 0.2
     done
-    sleep 0.2
-  done
-) &
-WATCH=$!
+  ) &
+  WATCH=$!
+}
+watch_health
 
-"$BIN/loadgen" \
-  -target "$RESOLVER_DNS" \
-  -rate "$RATE" -duration "$DURATION" -drain 2s \
-  -sockets 2 -domains 256 \
-  -json "$WORK/summary.json" \
-  -pipeline-pids "$RPID,$VPID" \
-  | tee "$WORK/loadgen.out"
+load() { # target address as argument
+  "$BIN/loadgen" \
+    -target "$1" \
+    -rate "$RATE" -duration "$DURATION" -drain 2s \
+    -sockets 2 -domains 256 \
+    -json "$WORK/summary.json" \
+    -pipeline-pids "$RPID,$VPID" \
+    | tee "$WORK/loadgen.out"
 
-kill "$WATCH" 2>/dev/null || true
-WATCH=""
+  if [ -s "$WORK/health_failures" ]; then
+    echo "healthz degraded during the load:" >&2
+    cat "$WORK/health_failures" >&2
+    cat "$WORK/vantage.log" "$WORK/resolver.log" >&2
+    exit 1
+  fi
 
-if [ -s "$WORK/health_failures" ]; then
-  echo "healthz degraded during the load:" >&2
-  cat "$WORK/health_failures" >&2
-  cat "$WORK/vantage.log" "$WORK/resolver.log" >&2
-  exit 1
-fi
-
-python3 - "$WORK/summary.json" <<'PY'
+  python3 - "$WORK/summary.json" <<'PY'
 import json, sys
 with open(sys.argv[1]) as f:
     s = json.load(f)
@@ -118,6 +128,41 @@ if problems:
 print(f"OK: {s['sent']} queries, 0 drops, 0 decode errors, "
       f"p99={s['p99_sec']*1e6:.0f}us, qps/core={s.get('qps_per_core', 0):.0f}")
 PY
+}
+
+load "$RESOLVER_DNS"
+
+# Second pass: the crash-safe configuration. The health watcher is paused
+# across the restart.
+kill "$WATCH" 2>/dev/null || true
+wait "$WATCH" 2>/dev/null || true
+WATCH=""
+kill "$VPID"
+while kill -0 "$VPID" 2>/dev/null; do sleep 0.1; done
+rm -f "$WORK/observed.jsonl"
+start_vantage -checkpoint-dir "$WORK/ckpt" -checkpoint-every 2000
+wait_healthz "$VANTAGE_OBS" vantage
+watch_health
+
+load "$VANTAGE_DNS"
+
+# Read the counter while the vantage still runs: the clean-shutdown
+# checkpoint must not be what satisfies the assertion.
+written="$(curl -fsS "http://$VANTAGE_OBS/metrics" | awk '$1 == "stream_checkpoints_total" {print $2}')"
+if [ "${written:-0}" -lt 1 ]; then
+  echo "no checkpoint was written under load (stream_checkpoints_total=${written:-absent})" >&2
+  cat "$WORK/vantage.log" >&2
+  exit 1
+fi
+if grep -qi "demoted" "$WORK/vantage.log"; then
+  echo "the vantage log mentions a demoted serve loop:" >&2
+  grep -i "demoted" "$WORK/vantage.log" >&2
+  exit 1
+fi
+echo "OK: $written checkpoint(s) written under load on the one serve loop"
+
+kill "$WATCH" 2>/dev/null || true
+WATCH=""
 
 # Final explicit 200s after the load has drained.
 curl -fsS "http://$VANTAGE_OBS/healthz" >/dev/null
