@@ -34,7 +34,11 @@ func liveRun(spec dga.Spec, seed uint64, bots int, resolverAddr string, timeout 
 	defer conn.Close()
 
 	buf := make([]byte, 65535)
-	var sent, contacts int
+	var (
+		resp           dnswire.Message
+		arena          dnswire.Arena
+		sent, contacts int
+	)
 	for b := 0; b < bots; b++ {
 		rng := sim.SplitFrom(seed, uint64(epoch)*31+uint64(b))
 		barrel := spec.Barrel.Barrel(pool, spec.ThetaQ, rng)
@@ -59,8 +63,7 @@ func liveRun(spec dga.Spec, seed uint64, bots int, resolverAddr string, timeout 
 				// real stub resolver under timeout.
 				continue
 			}
-			resp, err := dnswire.Decode(buf[:n])
-			if err != nil {
+			if err := dnswire.DecodeInto(buf[:n], &resp, &arena); err != nil {
 				continue
 			}
 			if resp.Header.Rcode == dnswire.RcodeNoError && len(resp.Answers) > 0 {

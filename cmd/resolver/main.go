@@ -10,13 +10,21 @@
 //	# point clients (or dgasim -live) at 127.0.0.1:5301, then:
 //	botmeter -family newgoz -in obs.jsonl -format jsonl
 //
+// It has one serve loop (DESIGN.md §19): a worker per SO_REUSEPORT socket
+// with its own cache shard and its own connected upstream socket. A miss is
+// written upstream and the worker goes back to its clients; a reader on the
+// upstream socket matches each response to the in-flight table, caches it
+// and answers everyone who asked meanwhile, so no query waits behind
+// another's round trip and one name is forwarded once.
+//
 // The forwarder degrades gracefully when the upstream misbehaves: failed
 // attempts are retried with exponential backoff and jitter under a
 // per-query deadline, responses are validated against the outstanding
-// query (header ID and question) before being cached or relayed, and when
-// every attempt fails the resolver answers from expired cache entries
-// (RFC 8767 serve-stale) before resorting to SERVFAIL. The -chaos flag
-// injects deterministic faults on the client-facing socket for testing.
+// query (a random per-attempt header ID and the question) before being
+// cached or relayed, and when every attempt fails the resolver answers from
+// expired cache entries (RFC 8767 serve-stale) before resorting to
+// SERVFAIL. The -chaos flag injects deterministic faults on the
+// client-facing sockets for testing; it runs on the same workers.
 package main
 
 import (
@@ -28,13 +36,11 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
-	"botmeter/internal/dnssim"
-	"botmeter/internal/dnswire"
 	"botmeter/internal/faults"
 	"botmeter/internal/netx"
 	"botmeter/internal/obs"
@@ -71,10 +77,9 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 	backoff := fs.Duration("backoff", 50*time.Millisecond, "initial retry backoff (doubles per attempt, jittered)")
 	deadline := fs.Duration("deadline", 5*time.Second, "overall per-query deadline across all attempts")
 	serveStale := fs.Duration("serve-stale", time.Hour, "how long past expiry cached answers may be served when the upstream is unreachable (0 disables)")
-	chaosSpec := fs.String("chaos", "", "inject faults on the client socket, e.g. loss=0.2,dup=0.01,delay=5ms,blackout=10s+2s")
-	chaosSeed := fs.Uint64("chaos-seed", 1, "seed for deterministic fault injection")
-	wireFast := fs.Bool("wire-fast", true, "zero-copy sharded wire path (arena decode, per-socket cache shards); false selects the single-socket slow path")
-	listeners := fs.Int("listeners", 0, "with the wire fast path: SO_REUSEPORT listener sockets (0 = GOMAXPROCS, capped at 8)")
+	chaosSpec := fs.String("chaos", "", "inject faults on the client sockets, e.g. loss=0.2,dup=0.01,delay=5ms,blackout=10s+2s")
+	chaosSeed := fs.Uint64("chaos-seed", 1, "seed for deterministic fault injection (socket 0 draws from it directly)")
+	listeners := fs.Int("listeners", 0, "SO_REUSEPORT listener sockets, each with its own worker, cache shard and upstream socket (0 = GOMAXPROCS, capped at 8)")
 	obsAddr := fs.String("obs-addr", "", "HTTP diagnostics address serving /metrics, /healthz, /debug/vars, /debug/spans and /debug/pprof (empty disables)")
 	logLevel := fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
 	logFormat := fs.String("log-format", "logfmt", "log encoding: logfmt or json")
@@ -107,56 +112,19 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 		}
 	}
 
-	// The wire fast path is the default; chaos injection demotes to the
-	// single-socket slow path, whose PacketConn wrapper and deterministic
-	// single-stream RNG the fault model is defined against.
-	useFast := *wireFast
-	if rates.Enabled() && useFast {
-		useFast = false
-		logger.Info("chaos enabled: using the single-socket slow path")
-	}
-	var conns []net.PacketConn
-	var inj *faults.Injector
-	if useFast {
-		var reuse bool
-		conns, reuse, err = netx.ListenUDP(ctx, *listen, resolveListeners(*listeners))
-		if err != nil {
-			return err
-		}
-		if tracer != nil {
-			logger.Info("wire fast path skips per-query spans (use -wire-fast=false to trace)")
-		}
-		logger.Info("serving (wire fast path)",
-			"listen", conns[0].LocalAddr().String(),
-			"listeners", len(conns),
-			"reuseport", reuse,
-			"upstream", *upstream,
-			"retries", *retries,
-			"serve_stale", serveStale.String())
-	} else {
-		conn, err := net.ListenPacket("udp", *listen)
-		if err != nil {
-			return err
-		}
-		if rates.Enabled() {
-			inj = faults.New(*chaosSeed, rates)
-			inj.Instrument(reg)
-			conn = faults.WrapPacketConn(conn, inj)
-			logger.Warn("chaos enabled on client socket", "rates", rates.String(), "seed", *chaosSeed)
-		}
-		conns = []net.PacketConn{conn}
-		logger.Info("serving",
-			"listen", conn.LocalAddr().String(),
-			"upstream", *upstream,
-			"retries", *retries,
-			"serve_stale", serveStale.String())
+	conns, reuse, err := netx.ListenUDP(ctx, *listen, resolveListeners(*listeners))
+	if err != nil {
+		return err
 	}
 	defer func() {
 		for _, c := range conns {
 			c.Close()
 		}
 	}()
-
+	if rates.Enabled() {
+		conns = faults.WrapPacketConns(conns, *chaosSeed, rates, reg)
+		logger.Warn("chaos enabled on client sockets", "rates", rates.String(), "seed", *chaosSeed)
+	}
 	fwd := newForwarder(forwarderConfig{
 		upstream:   *upstream,
 		timeout:    *timeout,
@@ -169,7 +137,18 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 		seed:       *chaosSeed ^ 0xf0f0,
 		reg:        reg,
 		tracer:     tracer,
+		log:        logger,
 	})
+	if err := fwd.attach(conns); err != nil {
+		return err
+	}
+	logger.Info("serving",
+		"listen", conns[0].LocalAddr().String(),
+		"listeners", len(conns),
+		"reuseport", reuse,
+		"upstream", *upstream,
+		"retries", *retries,
+		"serve_stale", serveStale.String())
 	if *obsAddr != "" {
 		diag, err := obs.StartHTTP(*obsAddr, obs.NewMux(obs.MuxConfig{
 			Registry: reg,
@@ -177,24 +156,20 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 			Health:   fwd.health,
 		}))
 		if err != nil {
+			fwd.close()
 			return err
 		}
 		defer diag.Close()
 		logger.Info("diagnostics listening", "obs_addr", diag.Addr())
 	}
 	done := make(chan error, 1)
-	if useFast {
-		go func() { done <- fwd.wireServe(conns) }()
-	} else {
-		go func() { done <- fwd.serve(conns[0]) }()
-	}
+	go func() { done <- fwd.serve() }()
 	defer func() {
-		c := fwd.counters()
-		logger.Info("final counters",
-			"queries", c.queries, "forwarded", c.forwarded, "retried", c.retried,
-			"mismatched", c.mismatched, "stale_served", c.staleServed, "servfails", c.servfails)
-		if inj != nil {
-			logger.Info("chaos counters", "counters", inj.Counters().String())
+		logger.Info("final counters", "counters", fwd.counters().String())
+		for i, c := range conns {
+			if fc, ok := c.(*faults.PacketConn); ok {
+				logger.Info("chaos counters", "socket", i, "counters", fc.Injector().Counters().String())
+			}
 		}
 	}()
 	select {
@@ -230,24 +205,27 @@ func resolveListeners(n int) int {
 type forwarderConfig struct {
 	upstream string
 	// timeout bounds one upstream attempt; deadline bounds the whole
-	// query including retries and backoff sleeps.
+	// query including retries and backoff waits.
 	timeout  time.Duration
 	deadline time.Duration
 	// retries is how many retransmissions follow a failed first attempt.
 	retries int
 	// backoff is the initial inter-attempt backoff; each retry doubles it
-	// and draws a jittered sleep from [backoff/2, backoff).
+	// and draws a jittered wait from [backoff/2, backoff).
 	backoff time.Duration
 	// serveStale, when positive, answers from cache entries up to this
 	// long past expiry when every upstream attempt fails.
 	serveStale sim.Time
 	posTTL     sim.Time
 	negTTL     sim.Time
-	seed       uint64
-	// reg and tracer enable metrics and query-lifecycle spans; both may be
-	// nil (the default in tests), which disables instrumentation.
+	// seed seeds the backoff jitter: worker 0 draws from it directly, so a
+	// single listener replays one schedule.
+	seed uint64
+	// reg, tracer and log enable metrics, query-lifecycle spans and error
+	// logs; all may be nil (the default in tests), which disables them.
 	reg    *obs.Registry
 	tracer *obs.Tracer
+	log    *obs.Logger
 }
 
 func (c forwarderConfig) withDefaults() forwarderConfig {
@@ -263,79 +241,92 @@ func (c forwarderConfig) withDefaults() forwarderConfig {
 	return c
 }
 
-// forwarder answers from cache and forwards misses upstream with
-// retry/backoff and serve-stale degradation.
+// forwarder is what the socket workers share: the policy, the instruments
+// and the upstream-health streak. Everything a query touches on its way
+// through — cache shard, in-flight table, tallies — is its worker's own.
 type forwarder struct {
 	cfg     forwarderConfig
 	started time.Time
-	tracer  *obs.Tracer
+	workers []*worker // set by attach, not changed afterwards
 
-	mu    sync.Mutex
-	cache *dnssim.Cache
-	rng   *sim.RNG // jitter source (seeded: backoff schedules replay deterministically)
+	// failStreak counts consecutive upstream exchanges that exhausted their
+	// retries, across all workers; /healthz degrades at unhealthyFailStreak.
+	failStreak atomic.Int64
+	sendErrs   atomic.Uint64
 
-	// failStreak counts consecutive queries whose upstream attempts all
-	// failed; /healthz degrades at unhealthyFailStreak. Guarded by mu.
-	failStreak int
-
-	forwarderCounters
 	m resolverMetrics
 }
 
 // Metric families exported by the resolver daemon.
 const (
-	metricQueries     = "resolver_queries_total"
-	metricForwarded   = "resolver_forwarded_total"
-	metricRetries     = "resolver_retries_total"
-	metricMismatched  = "resolver_mismatched_total"
-	metricStaleServed = "resolver_stale_served_total"
-	metricServFails   = "resolver_servfails_total"
-	metricQuerySecs   = "resolver_query_seconds"
-	metricAttemptSecs = "resolver_upstream_attempt_seconds"
-	metricFailStreak  = "resolver_upstream_consecutive_failures"
+	metricQueries      = "resolver_queries_total"
+	metricForwarded    = "resolver_forwarded_total"
+	metricRetries      = "resolver_retries_total"
+	metricMismatched   = "resolver_mismatched_total"
+	metricStaleServed  = "resolver_stale_served_total"
+	metricServFails    = "resolver_servfails_total"
+	metricCoalesced    = "resolver_coalesced_total"
+	metricInflightFull = "resolver_inflight_full_total"
+	metricSendErrors   = "resolver_send_errors_total"
+	metricInflight     = "resolver_inflight"
+	metricQuerySecs    = "resolver_query_seconds"
+	metricAttemptSecs  = "resolver_upstream_attempt_seconds"
+	metricFailStreak   = "resolver_upstream_consecutive_failures"
 )
 
 // resolverMetrics carries the forwarder's pre-resolved instruments; zero
 // value = disabled (obs instruments are nil-safe).
 type resolverMetrics struct {
-	queries     *obs.Counter
-	forwarded   *obs.Counter
-	retried     *obs.Counter
-	mismatched  *obs.Counter
-	staleServed *obs.Counter
-	servfails   *obs.Counter
-	querySecs   *obs.Histogram
-	attemptSecs *obs.Histogram
-	failStreak  *obs.Gauge
+	queries      *obs.Counter
+	forwarded    *obs.Counter
+	retried      *obs.Counter
+	mismatched   *obs.Counter
+	staleServed  *obs.Counter
+	servfails    *obs.Counter
+	coalesced    *obs.Counter
+	inflightFull *obs.Counter
+	sendErrors   *obs.Counter
+	querySecs    *obs.Histogram
+	attemptSecs  *obs.Histogram
+	failStreak   *obs.Gauge
 }
 
 func newResolverMetrics(reg *obs.Registry) resolverMetrics {
 	reg.Help(metricQueries, "Client datagrams parsed as queries.")
-	reg.Help(metricForwarded, "Queries answered via the upstream.")
+	reg.Help(metricForwarded, "Upstream exchanges that answered (coalesced waiters do not count).")
 	reg.Help(metricRetries, "Upstream retransmissions.")
 	reg.Help(metricMismatched, "Upstream datagrams rejected by ID/question validation.")
 	reg.Help(metricStaleServed, "Answers served past their TTL (RFC 8767 serve-stale).")
 	reg.Help(metricServFails, "Client-visible SERVFAILs after retry exhaustion.")
-	reg.Help(metricQuerySecs, "Wall-clock seconds handling one client query.")
+	reg.Help(metricCoalesced, "Misses that joined an upstream exchange already in flight for their name.")
+	reg.Help(metricInflightFull, "Times a worker stopped reading its client socket because its in-flight table was full.")
+	reg.Help(metricSendErrors, "Responses the client socket refused to send.")
+	reg.Help(metricInflight, "Names with an upstream exchange in flight, over all workers.")
+	reg.Help(metricQuerySecs, "Wall-clock seconds from a client query's arrival to its answer.")
 	reg.Help(metricAttemptSecs, "Wall-clock seconds per upstream exchange attempt.")
-	reg.Help(metricFailStreak, "Consecutive queries whose upstream attempts all failed (0 = healthy).")
+	reg.Help(metricFailStreak, "Consecutive upstream exchanges whose attempts all failed (0 = healthy).")
 	return resolverMetrics{
-		queries:     reg.Counter(metricQueries),
-		forwarded:   reg.Counter(metricForwarded),
-		retried:     reg.Counter(metricRetries),
-		mismatched:  reg.Counter(metricMismatched),
-		staleServed: reg.Counter(metricStaleServed),
-		servfails:   reg.Counter(metricServFails),
-		querySecs:   reg.Histogram(metricQuerySecs, obs.LatencyBuckets),
-		attemptSecs: reg.Histogram(metricAttemptSecs, obs.LatencyBuckets),
-		failStreak:  reg.Gauge(metricFailStreak),
+		queries:      reg.Counter(metricQueries),
+		forwarded:    reg.Counter(metricForwarded),
+		retried:      reg.Counter(metricRetries),
+		mismatched:   reg.Counter(metricMismatched),
+		staleServed:  reg.Counter(metricStaleServed),
+		servfails:    reg.Counter(metricServFails),
+		coalesced:    reg.Counter(metricCoalesced),
+		inflightFull: reg.Counter(metricInflightFull),
+		sendErrors:   reg.Counter(metricSendErrors),
+		querySecs:    reg.Histogram(metricQuerySecs, obs.LatencyBuckets),
+		attemptSecs:  reg.Histogram(metricAttemptSecs, obs.LatencyBuckets),
+		failStreak:   reg.Gauge(metricFailStreak),
 	}
 }
 
-// forwarderCounters tallies the forwarder's traffic and degradation events.
+// forwarderCounters tallies traffic and degradation events. Each worker
+// keeps its own under its mutex; forwarder.counters sums them.
 type forwarderCounters struct {
 	queries     int // client datagrams parsed as queries
-	forwarded   int // queries answered via the upstream
+	forwarded   int // upstream exchanges that answered
+	coalesced   int // misses that joined an exchange already in flight
 	retried     int // upstream retransmissions
 	mismatched  int // upstream datagrams rejected by ID/question validation
 	staleServed int // answers served past their TTL (RFC 8767)
@@ -343,35 +334,63 @@ type forwarderCounters struct {
 }
 
 func (c forwarderCounters) String() string {
-	return fmt.Sprintf("queries=%d forwarded=%d retried=%d mismatched=%d stale-served=%d servfails=%d",
-		c.queries, c.forwarded, c.retried, c.mismatched, c.staleServed, c.servfails)
+	return fmt.Sprintf("queries=%d forwarded=%d coalesced=%d retried=%d mismatched=%d stale-served=%d servfails=%d",
+		c.queries, c.forwarded, c.coalesced, c.retried, c.mismatched, c.staleServed, c.servfails)
 }
 
 func newForwarder(cfg forwarderConfig) *forwarder {
-	cfg = cfg.withDefaults()
-	cache := dnssim.NewCache(cfg.posTTL, cfg.negTTL)
-	cache.StaleTTL = cfg.serveStale
-	f := &forwarder{
-		cfg:     cfg,
-		cache:   cache,
-		rng:     sim.NewRNG(cfg.seed),
-		started: time.Now(),
-		tracer:  cfg.tracer,
-	}
+	f := &forwarder{cfg: cfg.withDefaults(), started: time.Now()}
 	if cfg.reg != nil {
 		f.m = newResolverMetrics(cfg.reg)
-		cache.Instrument(cfg.reg, "level", "resolver")
+		cfg.reg.GaugeFunc(metricInflight, func() float64 { return float64(f.inflight()) })
 	}
 	return f
 }
 
+// attach gives every client socket a worker with a connected upstream
+// socket of its own. Call it once, before serve and before anything reads
+// the counters.
+func (f *forwarder) attach(conns []net.PacketConn) error {
+	for i, c := range conns {
+		up, err := net.Dial("udp", f.cfg.upstream)
+		if err != nil {
+			f.close()
+			return fmt.Errorf("upstream socket: %w", err)
+		}
+		// Worker i's jitter stream is the seed advanced by i golden-ratio
+		// strides, like its chaos injector's (faults.WrapPacketConns).
+		f.workers = append(f.workers, newWorker(f, c, up, f.cfg.seed+uint64(i)*0x9e3779b97f4a7c15))
+	}
+	return nil
+}
+
+// close releases the upstream sockets of workers that will not be served.
+func (f *forwarder) close() {
+	for _, w := range f.workers {
+		w.up.Close()
+	}
+}
+
+// serve runs the workers and blocks until all of them return. A closed
+// client socket (shutdown) is a clean exit; every real error is reported.
+func (f *forwarder) serve() error {
+	errs := make([]error, len(f.workers))
+	var wg sync.WaitGroup
+	for i, w := range f.workers {
+		wg.Add(1)
+		go func(i int, w *worker) {
+			defer wg.Done()
+			errs[i] = w.serve()
+		}(i, w)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
 // health implements the /healthz probe: unhealthy while a streak of
-// queries has exhausted upstream retries (the upstream is dark).
+// upstream exchanges has exhausted its retries (the upstream is dark).
 func (f *forwarder) health() error {
-	f.mu.Lock()
-	streak := f.failStreak
-	f.mu.Unlock()
-	if streak >= unhealthyFailStreak {
+	if streak := f.failStreak.Load(); streak >= unhealthyFailStreak {
 		return fmt.Errorf("upstream %s unreachable: %d consecutive queries exhausted retries", f.cfg.upstream, streak)
 	}
 	return nil
@@ -382,106 +401,7 @@ func (f *forwarder) now() sim.Time {
 	return sim.FromDuration(time.Since(f.started))
 }
 
-func (f *forwarder) serve(conn net.PacketConn) error {
-	buf := make([]byte, 65535)
-	for {
-		n, addr, err := conn.ReadFrom(buf)
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		pkt := append([]byte(nil), buf[:n]...)
-		resp := f.handle(pkt)
-		if resp != nil {
-			if _, err := conn.WriteTo(resp, addr); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// handle serves one client datagram: cache first, upstream on miss, stale
-// cache as the last resort before SERVFAIL. A sampled query carries a
-// lifecycle span from client arrival through cache, upstream attempts and
-// degradation to the final answer.
-func (f *forwarder) handle(pkt []byte) []byte {
-	msg, err := dnswire.Decode(pkt)
-	if err != nil || msg.Header.QR || len(msg.Questions) == 0 {
-		return nil
-	}
-	domain := dnswire.CanonicalLower(msg.Questions[0].Name)
-	now := f.now()
-	var t0 time.Time
-	if f.m.querySecs != nil {
-		t0 = time.Now()
-	}
-	span := f.tracer.Start("resolver.query", "domain", domain)
-	defer span.End()
-
-	f.mu.Lock()
-	f.queries++
-	ans, hit := f.cache.Lookup(now, domain)
-	f.mu.Unlock()
-	f.m.queries.Inc()
-	if hit {
-		span.Event("cache_hit", "nx", fmt.Sprint(ans.NX))
-		span.SetAttr("outcome", "cache_hit")
-		f.observeQuery(t0)
-		return encodeAnswer(msg, ans.NX, 60)
-	}
-	span.Event("cache_miss")
-
-	upstreamResp, parsed, err := f.forward(pkt, msg, span)
-	if err != nil {
-		span.Event("upstream_failed", "err", err.Error())
-		// Graceful degradation: an expired answer beats no answer while
-		// the upstream is dark (RFC 8767).
-		f.mu.Lock()
-		stale, ok := f.cache.LookupStale(now, domain)
-		if ok {
-			f.staleServed++
-		} else {
-			f.servfails++
-		}
-		f.failStreak++
-		streak := f.failStreak
-		f.mu.Unlock()
-		f.m.failStreak.Set(float64(streak))
-		if ok {
-			f.m.staleServed.Inc()
-			span.SetAttr("outcome", "stale")
-			f.observeQuery(t0)
-			return encodeAnswer(msg, stale.NX, staleAnswerTTL)
-		}
-		f.m.servfails.Inc()
-		span.SetAttr("outcome", "servfail")
-		f.observeQuery(t0)
-		servfail := &dnswire.Message{
-			Header:    dnswire.Header{ID: msg.Header.ID, QR: true, RD: msg.Header.RD, Rcode: dnswire.RcodeServFail},
-			Questions: msg.Questions,
-		}
-		wire, encErr := servfail.Encode()
-		if encErr != nil {
-			return nil
-		}
-		return wire
-	}
-	f.mu.Lock()
-	f.forwarded++
-	f.failStreak = 0
-	f.cache.Store(now, domain, parsed.Header.Rcode == dnswire.RcodeNXDomain)
-	f.mu.Unlock()
-	f.m.forwarded.Inc()
-	f.m.failStreak.Set(0)
-	span.Event("upstream_ok", "rcode", fmt.Sprint(parsed.Header.Rcode))
-	span.SetAttr("outcome", "forwarded")
-	f.observeQuery(t0)
-	return upstreamResp
-}
-
-// observeQuery records the wall latency of one handled query when metrics
+// observeQuery records the wall latency of one answered query when metrics
 // are enabled (t0 is zero otherwise).
 func (f *forwarder) observeQuery(t0 time.Time) {
 	if f.m.querySecs != nil && !t0.IsZero() {
@@ -489,138 +409,40 @@ func (f *forwarder) observeQuery(t0 time.Time) {
 	}
 }
 
-// encodeAnswer builds a cached/stale response. Cached positives return the
-// sinkhole address; a production resolver would cache the full RRset.
-func encodeAnswer(q *dnswire.Message, nx bool, ttl uint32) []byte {
-	var resp *dnswire.Message
-	if nx {
-		resp = dnswire.NewResponse(q, nil, 0)
-	} else {
-		resp = dnswire.NewResponse(q, net.ParseIP("192.0.2.1"), ttl)
-	}
-	wire, err := resp.Encode()
-	if err != nil {
-		return nil
-	}
-	return wire
-}
-
-// forward relays the raw query upstream with retries, exponential backoff
-// with jitter, and a per-query deadline. Only responses whose header ID and
-// question match the query are accepted (off-path datagrams, late answers
-// to earlier queries and chaos-duplicated packets are counted and
-// dropped); upstream SERVFAILs count as failed attempts so they are
-// retried rather than cached.
-func (f *forwarder) forward(pkt []byte, q *dnswire.Message, span *obs.Span) ([]byte, *dnswire.Message, error) {
-	overall := time.Now().Add(f.cfg.deadline)
-	backoff := f.cfg.backoff
-	var lastErr error
-	for attempt := 0; attempt <= f.cfg.retries; attempt++ {
-		if attempt > 0 {
-			f.mu.Lock()
-			f.retried++
-			// Full-ish jitter: uniform in [backoff/2, backoff).
-			sleep := backoff/2 + time.Duration(f.rng.Int64N(int64(backoff/2)+1))
-			f.mu.Unlock()
-			f.m.retried.Inc()
-			span.Event("retry", "attempt", fmt.Sprint(attempt), "backoff", sleep.String())
-			if remaining := time.Until(overall); sleep > remaining {
-				sleep = remaining
-			}
-			if sleep > 0 {
-				time.Sleep(sleep)
-			}
-			backoff *= 2
-		}
-		if time.Now().After(overall) {
-			break
-		}
-		span.Event("upstream_attempt", "attempt", fmt.Sprint(attempt))
-		wire, parsed, err := f.attempt(pkt, q, overall)
-		if err == nil {
-			return wire, parsed, nil
-		}
-		span.Event("attempt_failed", "attempt", fmt.Sprint(attempt), "err", err.Error())
-		lastErr = err
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("query deadline %s exhausted", f.cfg.deadline)
-	}
-	return nil, nil, lastErr
-}
-
-// upstreamBufPool recycles the datagram-sized read buffer of one upstream
-// attempt; at high miss rates the per-attempt 64 KiB make was measurable.
-var upstreamBufPool = sync.Pool{
-	New: func() any { b := make([]byte, 65535); return &b },
-}
-
-// attempt performs one upstream exchange, reading until a validated
-// response arrives or the attempt deadline passes.
-func (f *forwarder) attempt(pkt []byte, q *dnswire.Message, overall time.Time) ([]byte, *dnswire.Message, error) {
-	if f.m.attemptSecs != nil {
-		defer func(t0 time.Time) { f.m.attemptSecs.Observe(time.Since(t0).Seconds()) }(time.Now())
-	}
-	c, err := net.Dial("udp", f.cfg.upstream)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer c.Close()
-	deadline := time.Now().Add(f.cfg.timeout)
-	if deadline.After(overall) {
-		deadline = overall
-	}
-	if err := c.SetDeadline(deadline); err != nil {
-		return nil, nil, err
-	}
-	if _, err := c.Write(pkt); err != nil {
-		return nil, nil, err
-	}
-	bufp := upstreamBufPool.Get().(*[]byte)
-	defer upstreamBufPool.Put(bufp)
-	buf := *bufp
-	for {
-		n, err := c.Read(buf)
-		if err != nil {
-			return nil, nil, err
-		}
-		parsed, err := dnswire.Decode(buf[:n])
-		if err != nil || !f.matches(parsed, q) {
-			// Not the answer to our question: keep listening until the
-			// attempt deadline rather than poisoning the cache.
-			f.mu.Lock()
-			f.mismatched++
-			f.mu.Unlock()
-			f.m.mismatched.Inc()
-			continue
-		}
-		if parsed.Header.Rcode == dnswire.RcodeServFail {
-			return nil, nil, fmt.Errorf("upstream answered SERVFAIL")
-		}
-		return append([]byte(nil), buf[:n]...), parsed, nil
+// sendFailed accounts a response the client socket refused. The worker must
+// outlive it — its socket would otherwise never be read again while
+// /healthz stays 200 — but loudly, so the first few are logged.
+func (f *forwarder) sendFailed(err error) {
+	f.m.sendErrors.Inc()
+	if n := f.sendErrs.Add(1); n <= 3 {
+		f.cfg.log.Error("client send failed", "count", n, "err", err)
 	}
 }
 
-// matches validates an upstream datagram against the outstanding query:
-// it must be a response carrying the same header ID and the same question
-// name (case-insensitively, per RFC 1035 §2.3.3).
-func (f *forwarder) matches(resp, q *dnswire.Message) bool {
-	if !resp.Header.QR || resp.Header.ID != q.Header.ID || len(resp.Questions) == 0 {
-		return false
-	}
-	return strings.EqualFold(resp.Questions[0].Name, q.Questions[0].Name)
-}
-
-// stats reports the basic counters (for tests).
-func (f *forwarder) stats() (queries, forwarded int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.queries, f.forwarded
-}
-
-// counters snapshots all counters.
+// counters sums the workers' tallies.
 func (f *forwarder) counters() forwarderCounters {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.forwarderCounters
+	var c forwarderCounters
+	for _, w := range f.workers {
+		w.mu.Lock()
+		c.queries += w.c.queries
+		c.forwarded += w.c.forwarded
+		c.coalesced += w.c.coalesced
+		c.retried += w.c.retried
+		c.mismatched += w.c.mismatched
+		c.staleServed += w.c.staleServed
+		c.servfails += w.c.servfails
+		w.mu.Unlock()
+	}
+	return c
+}
+
+// inflight is how many names have an upstream exchange in flight.
+func (f *forwarder) inflight() int {
+	n := 0
+	for _, w := range f.workers {
+		w.mu.Lock()
+		n += len(w.byName)
+		w.mu.Unlock()
+	}
+	return n
 }

@@ -1,0 +1,259 @@
+// The serve loop (DESIGN.md §19): one worker per SO_REUSEPORT socket, each
+// owning a dnswire.Arena, a symtab intern table, a cache shard, an in-flight
+// table and a connected upstream socket. The steady-state cache-hit path —
+// decode, canonicalise, intern, cache lookup, encode, send — performs zero
+// heap allocations and takes one lock, the worker's own. A miss is handed to
+// the pipeline in miss.go and the loop goes straight back to its socket.
+package main
+
+import (
+	"errors"
+	"net"
+	"net/netip"
+	"strconv"
+	"strings"
+	"sync"
+	"time"
+
+	"botmeter/internal/dnssim"
+	"botmeter/internal/dnswire"
+	"botmeter/internal/sim"
+	"botmeter/internal/symtab"
+)
+
+// cachedAnswerTTL is the TTL on answers built from the cache shard.
+const cachedAnswerTTL = 60
+
+// sinkhole is the address of every positive answer the resolver builds
+// itself; a production resolver would cache the full RRset.
+var sinkhole = [4]byte{192, 0, 2, 1}
+
+// peer is a client's return address: ap on the *net.UDPConn path, addr on a
+// wrapped socket (-chaos).
+type peer struct {
+	ap   netip.AddrPort
+	addr net.Addr
+}
+
+func (p peer) equal(o peer) bool {
+	if p.addr != nil && o.addr != nil {
+		return p.addr.String() == o.addr.String()
+	}
+	return p.ap == o.ap && p.addr == o.addr
+}
+
+// worker is one socket's pipeline: the client loop, the upstream reader and
+// the in-flight entries' timers.
+type worker struct {
+	f     *forwarder
+	conn  net.PacketConn
+	uconn *net.UDPConn // non-nil: the alloc-free netip.AddrPort read/write path
+	// up is connected: one flow for the kernel to match, so datagrams from
+	// any other source are dropped before they reach validation, and the
+	// upstream's SO_REUSEPORT hash lands this worker on one socket there.
+	up net.Conn
+
+	// The client loop's own; no other goroutine touches these.
+	arena dnswire.Arena
+	msg   dnswire.Message
+	tab   *symtab.Table // arena name → stable ID for the cache shard
+	rbuf  []byte
+	hit   answerer
+
+	// mu orders the client loop, the upstream reader and the timers on
+	// everything below. It is this worker's alone: a hit takes it once,
+	// uncontended unless a response for this very socket is being handled.
+	mu       sync.Mutex
+	cache    *dnssim.Cache        // private shard
+	byName   map[symtab.ID]*entry // exchanges in flight; a second miss for the name joins
+	byID     map[uint16]*entry    // upstream ID of each outstanding attempt
+	pending  int                  // waiters over all entries, at most maxInflight
+	slotFree *sync.Cond           // signalled when pending drops
+	free     *entry               // recycled entries
+	rng      *sim.RNG             // backoff jitter (seeded: schedules replay)
+	ids      [256]byte            // crypto/rand bytes, two per upstream ID
+	idsLeft  int                  // unread bytes at the end of ids
+	done     answerer             // answers built for waiters
+	c        forwarderCounters    // this worker's share of forwarder.counters
+	closed   bool                 // serve is returning: timers stand down
+}
+
+func newWorker(f *forwarder, conn net.PacketConn, up net.Conn, seed uint64) *worker {
+	cache := dnssim.NewCache(f.cfg.posTTL, f.cfg.negTTL)
+	cache.StaleTTL = f.cfg.serveStale
+	if f.cfg.reg != nil {
+		// The obs counters are atomics shared by name, so the shards
+		// aggregate into one level="resolver" series.
+		cache.Instrument(f.cfg.reg, "level", "resolver")
+	}
+	w := &worker{
+		f:      f,
+		conn:   conn,
+		up:     up,
+		tab:    symtab.New(),
+		cache:  cache,
+		rbuf:   make([]byte, 65535),
+		byName: make(map[symtab.ID]*entry),
+		byID:   make(map[uint16]*entry),
+		rng:    sim.NewRNG(seed),
+	}
+	w.slotFree = sync.NewCond(&w.mu)
+	w.uconn, _ = conn.(*net.UDPConn)
+	// Canonicalise during decode: label bytes are lowercased as they are
+	// copied into the arena, so cache keys need no per-query ToLower pass.
+	w.arena.LowerASCII = true
+	return w
+}
+
+// serve runs the client loop and the upstream reader until the client
+// socket closes, then closes the upstream socket and stands the timers down.
+// Exchanges still in flight are abandoned, as their clients are.
+func (w *worker) serve() error {
+	upstreamDone := make(chan struct{})
+	go func() {
+		defer close(upstreamDone)
+		w.serveUpstream()
+	}()
+	err := w.serveClients()
+	w.mu.Lock()
+	w.closed = true
+	for _, e := range w.byName {
+		e.timer.Stop()
+	}
+	w.mu.Unlock()
+	w.up.Close()
+	<-upstreamDone
+	return err
+}
+
+func (w *worker) serveClients() error {
+	for {
+		var (
+			n    int
+			from peer
+			err  error
+		)
+		if w.uconn != nil {
+			n, from.ap, err = w.uconn.ReadFromUDPAddrPort(w.rbuf)
+		} else {
+			n, from.addr, err = w.conn.ReadFrom(w.rbuf)
+		}
+		if err != nil {
+			if errors.Is(err, net.ErrClosed) {
+				return nil
+			}
+			return err
+		}
+		if resp := w.handle(w.rbuf[:n], from); resp != nil {
+			w.send(resp, from)
+		}
+	}
+}
+
+// send writes one response to a client. A closed socket is shutdown, which
+// the client loop sees at its next read; any other failure is counted and
+// the worker carries on.
+func (w *worker) send(resp []byte, to peer) {
+	var err error
+	if w.uconn != nil {
+		_, err = w.uconn.WriteToUDPAddrPort(resp, to.ap)
+	} else {
+		_, err = w.conn.WriteTo(resp, to.addr)
+	}
+	if err != nil && !errors.Is(err, net.ErrClosed) {
+		w.f.sendFailed(err)
+	}
+}
+
+// handle serves one client datagram. A cache hit is answered in place (the
+// returned bytes are valid until the next call); a miss joins or starts an
+// upstream exchange and is answered when that completes, so handle returns
+// nil for it, as it does for anything that is not a query.
+func (w *worker) handle(pkt []byte, from peer) []byte {
+	if err := dnswire.DecodeInto(pkt, &w.msg, &w.arena); err != nil ||
+		w.msg.Header.QR || len(w.msg.Questions) == 0 {
+		return nil
+	}
+	f := w.f
+	f.m.queries.Inc()
+	var t0 time.Time
+	if f.m.querySecs != nil {
+		t0 = time.Now()
+	}
+	// The arena decoded the name already lowercased; Lookup works with the
+	// arena-backed string directly, and only a first sight pays for the
+	// stable copy the intern table keeps.
+	q := w.msg.Questions[0]
+	id, ok := w.tab.Lookup(q.Name)
+	if !ok {
+		id = w.tab.Intern(strings.Clone(q.Name))
+	}
+	// A sampled query is followed from here to its answer, across the
+	// hand-off to the upstream reader if it misses. Only a sampled one pays
+	// for the span and reads the name's stable copy.
+	span := f.cfg.tracer.Start("resolver.query")
+	if span != nil {
+		span.SetAttr("domain", w.tab.Resolve(id))
+	}
+	hdr := w.msg.Header
+
+	w.mu.Lock()
+	w.c.queries++
+	ans, hit := w.cache.LookupID(f.now(), id)
+	if !hit {
+		// The entry outlives this packet's arena: it gets the table's copy.
+		w.miss(pkt, id, w.tab.Resolve(id), waiter{from: from, id: hdr.ID, rd: hdr.RD, qtype: q.Type, qclass: q.Class, t0: t0, span: span})
+		w.mu.Unlock()
+		return nil
+	}
+	w.mu.Unlock()
+	if span != nil {
+		span.Event("cache_hit", "nx", strconv.FormatBool(ans.NX))
+		span.SetAttr("outcome", "cache_hit")
+		span.End()
+	}
+	f.observeQuery(t0)
+	return w.hit.build(hdr.ID, hdr.RD, q, rcodeOf(ans.NX), cachedAnswerTTL)
+}
+
+func rcodeOf(nx bool) uint8 {
+	if nx {
+		return dnswire.RcodeNXDomain
+	}
+	return dnswire.RcodeNoError
+}
+
+// answerer builds the resolver's own responses — from the cache, stale, or
+// SERVFAIL — into a buffer it reuses, so building one allocates nothing. The
+// client loop has one for hits and the pipeline one, under the worker's
+// mutex, for waiters.
+type answerer struct {
+	resp dnswire.Message
+	q    [1]dnswire.Question
+	rr   [1]dnswire.ResourceRecord
+	enc  []byte
+}
+
+// build encodes the answer to q for the query with the given header ID and
+// RD bit: the sinkhole address with ttl for NOERROR, an empty authoritative
+// answer for NXDOMAIN; SERVFAIL is a relayed failure, so it is neither
+// authoritative nor a recursion offer. The bytes are valid until the next
+// build.
+func (a *answerer) build(id uint16, rd bool, q dnswire.Question, rcode uint8, ttl uint32) []byte {
+	auth := rcode != dnswire.RcodeServFail
+	a.resp.Header = dnswire.Header{ID: id, QR: true, RD: rd, RA: auth, AA: auth, Rcode: rcode}
+	a.q[0] = q
+	a.resp.Questions = a.q[:]
+	a.resp.Answers = nil
+	if rcode == dnswire.RcodeNoError {
+		a.rr[0] = dnswire.ResourceRecord{
+			Name: q.Name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: ttl, Data: sinkhole[:],
+		}
+		a.resp.Answers = a.rr[:]
+	}
+	var err error
+	if a.enc, err = a.resp.AppendEncode(a.enc[:0]); err != nil {
+		return nil
+	}
+	return a.enc
+}

@@ -56,6 +56,7 @@ const (
 	metricWriteErrors = "vantage_observed_write_errors_total"
 	metricStickyError = "vantage_observed_sticky_error"
 	metricObserveErrs = "vantage_engine_observe_errors_total"
+	metricSendErrors  = "vantage_send_errors_total"
 	metricZoneSize    = "vantage_zone_domains"
 )
 
@@ -67,6 +68,7 @@ type sinkMetrics struct {
 	writeErrors   *obs.Counter
 	stickyError   *obs.Gauge
 	observeErrors *obs.Counter
+	sendErrors    *obs.Counter
 }
 
 func newSinkMetrics(reg *obs.Registry) sinkMetrics {
@@ -75,6 +77,7 @@ func newSinkMetrics(reg *obs.Registry) sinkMetrics {
 	reg.Help(metricWriteErrors, "Observation appends that failed to persist.")
 	reg.Help(metricStickyError, "1 while the observed-dataset writer holds a sticky error (healthz degrades).")
 	reg.Help(metricObserveErrs, "Observations the live engine refused.")
+	reg.Help(metricSendErrors, "Responses the client socket refused to send.")
 	reg.Help(metricZoneSize, "Registered domains loaded from the zone file.")
 	return sinkMetrics{
 		queries:       reg.Counter(metricQueries),
@@ -82,6 +85,7 @@ func newSinkMetrics(reg *obs.Registry) sinkMetrics {
 		writeErrors:   reg.Counter(metricWriteErrors),
 		stickyError:   reg.Gauge(metricStickyError),
 		observeErrors: reg.Counter(metricObserveErrs),
+		sendErrors:    reg.Counter(metricSendErrors),
 	}
 }
 
@@ -439,6 +443,7 @@ type sink struct {
 	cutting     atomic.Bool // a worker is taking the checkpoint cut
 	writeErrs   atomic.Uint64
 	observeErrs atomic.Uint64
+	sendErrs    atomic.Uint64
 	ckErrs      atomic.Uint64
 }
 

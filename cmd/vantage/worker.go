@@ -169,7 +169,10 @@ func (w *vantageWorker) serve() error {
 			if errors.Is(err, net.ErrClosed) {
 				return nil
 			}
-			return err
+			// The observation is recorded; only its answer is lost. Returning
+			// would leave this socket unread while /healthz stays 200.
+			w.s.m.sendErrors.Inc()
+			w.s.report(&w.s.sendErrs, "client send failed", err)
 		}
 	}
 }

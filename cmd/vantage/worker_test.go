@@ -17,6 +17,7 @@ import (
 	"botmeter/internal/dnswire"
 	"botmeter/internal/faults"
 	"botmeter/internal/netx"
+	"botmeter/internal/obs"
 	"botmeter/internal/sim"
 	"botmeter/internal/stream"
 	"botmeter/internal/trace"
@@ -367,6 +368,7 @@ type scriptConn struct {
 	in     [][]byte
 	from   net.Addr
 	writes int
+	failAt int // this write is refused (1-based; 0 = none)
 }
 
 func (c *scriptConn) ReadFrom(b []byte) (int, net.Addr, error) {
@@ -377,12 +379,18 @@ func (c *scriptConn) ReadFrom(b []byte) (int, net.Addr, error) {
 	c.in = c.in[1:]
 	return n, c.from, nil
 }
-func (c *scriptConn) WriteTo(b []byte, _ net.Addr) (int, error) { c.writes++; return len(b), nil }
-func (c *scriptConn) Close() error                              { return nil }
-func (c *scriptConn) LocalAddr() net.Addr                       { return c.from }
-func (c *scriptConn) SetDeadline(time.Time) error               { return nil }
-func (c *scriptConn) SetReadDeadline(time.Time) error           { return nil }
-func (c *scriptConn) SetWriteDeadline(time.Time) error          { return nil }
+func (c *scriptConn) WriteTo(b []byte, _ net.Addr) (int, error) {
+	c.writes++
+	if c.writes == c.failAt {
+		return 0, errors.New("sendto: no buffer space available")
+	}
+	return len(b), nil
+}
+func (c *scriptConn) Close() error                     { return nil }
+func (c *scriptConn) LocalAddr() net.Addr              { return c.from }
+func (c *scriptConn) SetDeadline(time.Time) error      { return nil }
+func (c *scriptConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *scriptConn) SetWriteDeadline(time.Time) error { return nil }
 
 // TestChaosReplay: one listener under a fixed -chaos-seed makes exactly the
 // fault decisions the classic single-socket loop made. The expected tallies
@@ -416,6 +424,28 @@ func TestChaosReplay(t *testing.T) {
 	// SERVFAIL'd and lost queries are not recorded; everything else is.
 	if recs := readDataset(t, f); uint64(len(recs)) != s.consumed || len(recs) == 0 || len(recs) >= 400 {
 		t.Errorf("dataset has %d records, the sink counted %d", len(recs), s.consumed)
+	}
+}
+
+// TestSendErrorKeepsServing: a response the socket refuses is counted, and
+// the worker goes on reading that socket.
+func TestSendErrorKeepsServing(t *testing.T) {
+	sc := &scriptConn{from: &net.UDPAddr{IP: net.IPv4(10, 0, 0, 5), Port: 4242}, failAt: 1}
+	for i := 0; i < 3; i++ {
+		sc.in = append(sc.in, encodeQuery(t, uint16(i+1), "q.example"))
+	}
+	s, f := newTestSink(t, "")
+	reg := obs.NewRegistry()
+	s.m = newSinkMetrics(reg)
+	s.attach([]net.PacketConn{sc}, f, unbatched)
+	if err := s.serve(); err != nil {
+		t.Fatal(err)
+	}
+	if sc.writes != 3 || s.consumed != 3 {
+		t.Errorf("%d sends and %d records after a refused send, want 3 and 3", sc.writes, s.consumed)
+	}
+	if got := reg.CounterValue(metricSendErrors); got != 1 {
+		t.Errorf("%s = %d, want 1", metricSendErrors, got)
 	}
 }
 

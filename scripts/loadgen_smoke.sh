@@ -6,7 +6,13 @@
 # and zero decode errors, and both daemons' /healthz must answer 200 the
 # whole time (polled concurrently with the load).
 #
-# A second pass restarts the vantage with -checkpoint-dir and loads it
+# A second pass restarts both daemons and sends more distinct names than
+# queries, so every query takes the resolver's miss pipeline (DESIGN.md
+# §19): same assertions, plus every query forwarded exactly once — the
+# resolver's count equals the lines the vantage wrote — and nothing left in
+# flight after the drain.
+#
+# A third pass restarts the vantage with -checkpoint-dir and loads it
 # directly, so every query is observed and the count trigger fires: same
 # assertions, plus at least one checkpoint written mid-load and no sign in
 # the log of the vantage having swapped serve loops (DESIGN.md §15).
@@ -51,13 +57,25 @@ start_vantage() { # extra vantage flags as arguments
 }
 start_vantage
 
-"$BIN/resolver" \
-  -listen "$RESOLVER_DNS" \
-  -upstream "$VANTAGE_DNS" \
-  -obs-addr "$RESOLVER_OBS" \
-  >>"$WORK/resolver.log" 2>&1 &
-RPID=$!
-disown
+start_resolver() {
+  "$BIN/resolver" \
+    -listen "$RESOLVER_DNS" \
+    -upstream "$VANTAGE_DNS" \
+    -obs-addr "$RESOLVER_OBS" \
+    >>"$WORK/resolver.log" 2>&1 &
+  RPID=$!
+  disown
+}
+start_resolver
+
+stop_daemon() { # pid as argument: SIGTERM, so the vantage flushes its dataset
+  kill "$1"
+  while kill -0 "$1" 2>/dev/null; do sleep 0.1; done
+}
+
+metric() { # obs address and series name as arguments
+  curl -fsS "http://$1/metrics" | awk -v name="$2" '$1 == name {print $2}'
+}
 
 wait_healthz() {
   local addr="$1" name="$2"
@@ -94,13 +112,22 @@ watch_health() {
 }
 watch_health
 
-load() { # target address as argument
+pause_watch() {
+  kill "$WATCH" 2>/dev/null || true
+  wait "$WATCH" 2>/dev/null || true
+  WATCH=""
+}
+
+load() { # target address, then any loadgen flags that override the defaults
+  local target="$1"
+  shift
   "$BIN/loadgen" \
-    -target "$1" \
+    -target "$target" \
     -rate "$RATE" -duration "$DURATION" -drain 2s \
     -sockets 2 -domains 256 \
     -json "$WORK/summary.json" \
     -pipeline-pids "$RPID,$VPID" \
+    "$@" \
     | tee "$WORK/loadgen.out"
 
   if [ -s "$WORK/health_failures" ]; then
@@ -132,13 +159,44 @@ PY
 
 load "$RESOLVER_DNS"
 
-# Second pass: the crash-safe configuration. The health watcher is paused
-# across the restart.
-kill "$WATCH" 2>/dev/null || true
-wait "$WATCH" 2>/dev/null || true
-WATCH=""
-kill "$VPID"
-while kill -0 "$VPID" 2>/dev/null; do sleep 0.1; done
+# Second pass: the miss pipeline. Fresh daemons, so the counters and the
+# dataset start at zero, and one sender socket, so no name is asked twice.
+# The health watcher is paused across each restart.
+pause_watch
+stop_daemon "$RPID"
+stop_daemon "$VPID"
+rm -f "$WORK/observed.jsonl"
+start_vantage
+start_resolver
+wait_healthz "$VANTAGE_OBS" vantage
+wait_healthz "$RESOLVER_OBS" resolver
+watch_health
+
+load "$RESOLVER_DNS" -sockets 1 -rate 2000 -domains 20000
+
+pause_watch
+sent="$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["sent"])' "$WORK/summary.json")"
+forwarded="$(metric "$RESOLVER_OBS" resolver_forwarded_total)"
+inflight="$(metric "$RESOLVER_OBS" resolver_inflight)"
+if [ "$((forwarded * 100))" -lt "$((sent * 99))" ]; then
+  echo "resolver forwarded $forwarded of $sent never-seen names, want at least 99%" >&2
+  cat "$WORK/resolver.log" >&2
+  exit 1
+fi
+if [ "$inflight" != "0" ]; then
+  echo "resolver_inflight is $inflight after the drain, want 0" >&2
+  exit 1
+fi
+stop_daemon "$VPID"
+observed="$(wc -l <"$WORK/observed.jsonl")"
+if [ "$observed" -ne "$forwarded" ]; then
+  echo "the vantage observed $observed lookups, the resolver forwarded $forwarded: a name went upstream twice" >&2
+  cat "$WORK/resolver.log" >&2
+  exit 1
+fi
+echo "OK: $forwarded of $sent misses forwarded, each observed once; nothing left in flight"
+
+# Third pass: the crash-safe configuration.
 rm -f "$WORK/observed.jsonl"
 start_vantage -checkpoint-dir "$WORK/ckpt" -checkpoint-every 2000
 wait_healthz "$VANTAGE_OBS" vantage
@@ -148,7 +206,7 @@ load "$VANTAGE_DNS"
 
 # Read the counter while the vantage still runs: the clean-shutdown
 # checkpoint must not be what satisfies the assertion.
-written="$(curl -fsS "http://$VANTAGE_OBS/metrics" | awk '$1 == "stream_checkpoints_total" {print $2}')"
+written="$(metric "$VANTAGE_OBS" stream_checkpoints_total)"
 if [ "${written:-0}" -lt 1 ]; then
   echo "no checkpoint was written under load (stream_checkpoints_total=${written:-absent})" >&2
   cat "$WORK/vantage.log" >&2
