@@ -33,7 +33,7 @@ func main() {
 	// Benign background: the registry resolves a popular zone, and office
 	// clients query it all day (cache-absorbed almost entirely).
 	for i := 0; i < 500; i++ {
-		net.Registry.Register(fmt.Sprintf("corp-app-%03d.example.com", i))
+		net.Register(fmt.Sprintf("corp-app-%03d.example.com", i))
 	}
 	rng := sim.NewRNG(99)
 	for c := 0; c < 400; c++ {

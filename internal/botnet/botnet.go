@@ -40,12 +40,13 @@ type Config struct {
 	// MaxActivations bounds the per-epoch attempts when ReactivateEvery is
 	// set (default 4).
 	MaxActivations int
-	// Pools, when non-nil, supplies the trial-shared (typically symbolized)
-	// pool cache, letting the simulator, the matcher and the estimators all
-	// reuse one pool object per epoch and letting bot queries carry interned
-	// domain IDs end-to-end. It must wrap the same (Spec.Pool, Seed) pair as
-	// this config; nil makes the runner build a private cache over a fresh
-	// pooled intern table (released on Close).
+	// Pools, when non-nil, supplies the trial-shared pool cache, letting the
+	// simulator, the matcher and the estimators all reuse one pool object per
+	// epoch. It must wrap the same (Spec.Pool, Seed) pair as this config and
+	// be built over an intern table, which NewRunner binds to the network
+	// (Network.BindTable): a network already bound to another table is an
+	// error. Nil makes the runner build a private cache over the network's
+	// own table.
 	Pools *dga.PoolCache
 }
 
@@ -78,19 +79,10 @@ type Runner struct {
 	net *dnssim.Network
 
 	pools *dga.PoolCache
-	// ownTable is the intern table the runner created when no shared pool
-	// cache was supplied; Close returns it to the symtab pool.
-	ownTable *symtab.Table
-	// ids reports whether this runner's traffic may carry interned IDs:
-	// true only when the pool cache is symbolized AND the network's ID
-	// space is bound to the same table (Network.BindTable — first runner
-	// wins). A runner whose table lost the bind is demoted to the string
-	// paths wholesale, because its IDs would collide with the bound
-	// table's in the shared registry bitset and caches.
-	ids bool
 
-	poolValid    map[int][]string
-	poolValidIDs map[int][]symtab.ID
+	// validIDs holds each materialised epoch's C2 domain IDs, which is what
+	// the registry roll-over (un)registers.
+	validIDs map[int][]symtab.ID
 	// uniformBarrels caches the one barrel a Uniform model produces per
 	// epoch. Uniform bots all query the identical generation-order prefix
 	// and the model ignores its RNG, so sharing one positions slice across
@@ -130,30 +122,15 @@ func NewRunner(cfg Config, net *dnssim.Network) (*Runner, error) {
 		cfg:            cfg,
 		net:            net,
 		pools:          cfg.Pools,
-		poolValid:      make(map[int][]string),
-		poolValidIDs:   make(map[int][]symtab.ID),
+		validIDs:       make(map[int][]symtab.ID),
 		uniformBarrels: make(map[int][]int),
 	}
 	if r.pools == nil {
-		r.ownTable = symtab.Get()
-		r.pools = dga.NewPoolCache(cfg.Spec.Pool, cfg.Seed, r.ownTable)
+		r.pools = dga.NewPoolCache(cfg.Spec.Pool, cfg.Seed, net.Table())
+	} else if err := net.BindTable(r.pools.Table()); err != nil {
+		return nil, fmt.Errorf("botnet: Config.Pools: %w", err)
 	}
-	// The network's ID space admits exactly one intern table (IDs are only
-	// unique per table); if another runner already bound a different table,
-	// this runner is demoted to the string paths end-to-end.
-	r.ids = net.BindTable(r.pools.Table())
 	return r, nil
-}
-
-// Close releases the runner's privately-owned intern table back to the
-// symtab pool (no-op when a shared pool cache was supplied via Config.Pools
-// — its owner releases the table). The runner must not be used afterwards.
-func (r *Runner) Close() {
-	if r.ownTable != nil {
-		r.ownTable.Release()
-		r.ownTable = nil
-		r.pools = nil
-	}
 }
 
 // barrelFor draws one activation's intended positions, sharing the
@@ -174,19 +151,12 @@ func (r *Runner) barrelFor(epoch int, pool *dga.Pool, rng *sim.RNG) []int {
 // Pool returns the (cached) pool for an epoch index.
 func (r *Runner) Pool(epoch int) *dga.Pool {
 	p := r.pools.For(epoch)
-	if _, ok := r.poolValid[epoch]; !ok {
-		valid := make([]string, 0, len(p.ValidPositions))
-		validIDs := make([]symtab.ID, 0, len(p.ValidPositions))
+	if _, ok := r.validIDs[epoch]; !ok {
+		ids := make([]symtab.ID, 0, len(p.ValidPositions))
 		for _, pos := range p.ValidPositions {
-			valid = append(valid, p.Domains[pos])
-			if p.IDs != nil {
-				validIDs = append(validIDs, p.IDs[pos])
-			} else {
-				validIDs = append(validIDs, symtab.None)
-			}
+			ids = append(ids, p.IDs[pos])
 		}
-		r.poolValid[epoch] = valid
-		r.poolValidIDs[epoch] = validIDs
+		r.validIDs[epoch] = ids
 	}
 	return p
 }
@@ -273,15 +243,11 @@ func (r *Runner) Run(w sim.Window) (*Result, error) {
 
 // rollRegistry replaces the registered C2 set with the given epoch's.
 func (r *Runner) rollRegistry(epoch int) {
-	if prev, ok := r.poolValid[epoch-1]; ok {
-		r.net.Registry.Unregister(prev...)
+	if prev, ok := r.validIDs[epoch-1]; ok {
+		r.net.Registry.UnregisterIDs(prev)
 	}
-	r.Pool(epoch) // ensures poolValid[epoch] is materialised
-	if r.ids {
-		r.net.Registry.RegisterIDs(r.poolValidIDs[epoch], r.poolValid[epoch])
-	} else {
-		r.net.Registry.Register(r.poolValid[epoch]...)
-	}
+	r.Pool(epoch) // ensures validIDs[epoch] is materialised
+	r.net.Registry.RegisterIDs(r.validIDs[epoch])
 }
 
 // botRun drives one bot's activation(s) through the DNS hierarchy.
@@ -331,14 +297,8 @@ func (b *botRun) query(e *sim.Engine) {
 		b.maybeReactivate(e) // aborted after θq attempts without C2 contact
 		return
 	}
-	pool := b.pool
 	pos := b.positions[b.step]
-	domain := pool.Domains[pos]
-	var id symtab.ID
-	if b.runner.ids && pool.IDs != nil {
-		id = pool.IDs[pos]
-	}
-	ans, err := b.runner.net.ClientQueryID(e.Now(), b.client, domain, id)
+	ans, err := b.runner.net.ClientQueryID(e.Now(), b.client, b.pool.Domains[pos], b.pool.IDs[pos])
 	if err != nil {
 		return
 	}

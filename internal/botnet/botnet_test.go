@@ -1,6 +1,7 @@
 package botnet
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -270,15 +271,13 @@ func TestEmptyWindowRejected(t *testing.T) {
 	}
 }
 
-// TestSecondTableDemotedToStrings is the regression for the multi-family
-// ID-collision bug: two runners with private intern tables sharing one
-// network must not both use the ID fast paths — dense symtab IDs are only
-// unique per table, so the second runner's IDs would collide with the
-// first's in the shared registry bitset and caches (false C2 contacts,
-// false cache hits). The network binds to the first table; the second
-// runner is demoted to the string paths and its observed records carry
-// ID == symtab.None.
-func TestSecondTableDemotedToStrings(t *testing.T) {
+// TestTwoFamiliesOneNetwork is the regression for the multi-family
+// ID-collision bug: dense symtab IDs are only unique per table, so two
+// families whose IDs came from two tables would share registry bits and cache
+// entries (false C2 contacts, false cache hits). Runners built without a pool
+// cache intern into the network's one table, so both families keep their IDs
+// and stay apart.
+func TestTwoFamiliesOneNetwork(t *testing.T) {
 	net := testNetwork()
 	specA := smallSpec()
 	specB := smallSpec()
@@ -289,47 +288,66 @@ func TestSecondTableDemotedToStrings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := NewRunner(Config{Spec: specB, Seed: 32, BotsPerServer: map[string]int{"local-00": 5}}, net)
+	rb, err := NewRunner(Config{Spec: specB, Seed: 32, BotsPerServer: map[string]int{"local-01": 5}}, net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ra.ids {
-		t.Fatal("first runner should own the network's ID space")
-	}
-	if rb.ids {
-		t.Fatal("second runner (different intern table) must be demoted to string paths")
-	}
-	if net.Table() != ra.pools.Table() {
-		t.Fatal("network bound to the wrong table")
-	}
-	if _, err := ra.Run(sim.Window{Start: 0, End: sim.Day}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rb.Run(sim.Window{Start: 0, End: sim.Day}); err != nil {
-		t.Fatal(err)
-	}
-	// Every observed record's ID, when set, must resolve (in the bound
-	// table) to exactly the domain string on the record: the demoted
-	// runner's traffic therefore carries symtab.None.
-	tab := net.Table()
-	var withID, withoutID int
-	for _, rec := range net.Border.Observed() {
-		if rec.ID == 0 {
-			withoutID++
-			continue
+	w := sim.Window{Start: 0, End: sim.Day}
+	for name, r := range map[string]*Runner{"A": ra, "B": rb} {
+		res, err := r.Run(w)
+		if err != nil {
+			t.Fatal(err)
 		}
-		withID++
+		if res.C2Contacts == 0 {
+			t.Errorf("family %s made no C2 contact", name)
+		}
+	}
+	tab := net.Table()
+	poolA, poolB := ra.Pool(0), rb.Pool(0)
+	if min := len(poolA.Domains) + len(poolB.Domains); tab.Len() < min {
+		t.Errorf("network table holds %d names, want at least both pools (%d)", tab.Len(), min)
+	}
+	// Each family ran behind its own server, so the forwarder tells whose
+	// pool a record's domain must lie in.
+	poolOf := map[string]*dga.Pool{"local-00": poolA, "local-01": poolB}
+	for _, rec := range net.Border.Observed() {
+		if rec.ID == symtab.None {
+			t.Fatalf("record %+v carries no ID", rec)
+		}
 		if got := tab.Resolve(rec.ID); got != rec.Domain {
 			t.Fatalf("record ID %d resolves to %q, record says %q", rec.ID, got, rec.Domain)
 		}
+		if _, ok := poolOf[rec.Server].PositionID(rec.ID); !ok {
+			t.Fatalf("record %+v lies outside the pool of the family behind %s", rec, rec.Server)
+		}
 	}
-	if withID == 0 || withoutID == 0 {
-		t.Fatalf("expected both ID-carrying and demoted records, got %d/%d", withID, withoutID)
+}
+
+// TestSecondTableRefused: a pool cache over a table other than the one the
+// network is bound to is an error, not a slower path.
+func TestSecondTableRefused(t *testing.T) {
+	net := testNetwork()
+	spec := smallSpec()
+	first, second := symtab.New(), symtab.New()
+	if _, err := NewRunner(Config{Spec: spec, Seed: 1, Pools: dga.NewPoolCache(spec.Pool, 1, first)}, net); err != nil {
+		t.Fatal(err)
+	}
+	_, err := NewRunner(Config{Spec: spec, Seed: 2, Pools: dga.NewPoolCache(spec.Pool, 2, second)}, net)
+	if err == nil {
+		t.Fatal("a pool cache over a second table should be refused")
+	}
+	for _, tab := range []*symtab.Table{first, second} {
+		if want := fmt.Sprintf("%p", tab); !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name table %s", err, want)
+		}
+	}
+	if _, err := NewRunner(Config{Spec: spec, Seed: 3, Pools: dga.NewPoolCache(spec.Pool, 3, nil)}, net); err == nil {
+		t.Error("a pool cache without a table should be refused")
 	}
 }
 
 // TestSharedTableKeepsIDs: two runners sharing one pool-cache table both
-// keep the ID fast path.
+// bind, and their traffic carries that table's IDs.
 func TestSharedTableKeepsIDs(t *testing.T) {
 	net := testNetwork()
 	tab := symtab.Get()
@@ -337,21 +355,25 @@ func TestSharedTableKeepsIDs(t *testing.T) {
 	specA := smallSpec()
 	specB := smallSpec()
 	specB.Name = "TestDGA-B"
-	ra, err := NewRunner(Config{
-		Spec: specA, Seed: 41, BotsPerServer: map[string]int{"local-00": 3},
-		Pools: dga.NewPoolCache(specA.Pool, 41, tab),
-	}, net)
-	if err != nil {
-		t.Fatal(err)
+	for i, spec := range []dga.Spec{specA, specB} {
+		seed := uint64(41 + i)
+		r, err := NewRunner(Config{
+			Spec: spec, Seed: seed, BotsPerServer: map[string]int{"local-00": 3},
+			Pools: dga.NewPoolCache(spec.Pool, seed, tab),
+		}, net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Run(sim.Window{Start: 0, End: sim.Day}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	rb, err := NewRunner(Config{
-		Spec: specB, Seed: 42, BotsPerServer: map[string]int{"local-00": 3},
-		Pools: dga.NewPoolCache(specB.Pool, 42, tab),
-	}, net)
-	if err != nil {
-		t.Fatal(err)
+	if net.Table() != tab {
+		t.Fatal("network bound to the wrong table")
 	}
-	if !ra.ids || !rb.ids {
-		t.Fatalf("runners sharing one table should both keep IDs (got %v, %v)", ra.ids, rb.ids)
+	for _, rec := range net.Border.Observed() {
+		if rec.ID == symtab.None || tab.Resolve(rec.ID) != rec.Domain {
+			t.Fatalf("record %+v does not carry its domain's ID in the shared table", rec)
+		}
 	}
 }

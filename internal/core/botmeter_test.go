@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"botmeter/internal/estimators"
 	"botmeter/internal/sim"
 	"botmeter/internal/stats"
+	"botmeter/internal/symtab"
 	"botmeter/internal/trace"
 )
 
@@ -265,6 +267,65 @@ func TestAnalyzeWithCollisionNoise(t *testing.T) {
 	truth := float64(res.ActiveBots["local-00"][0])
 	if are := stats.ARE(land.Estimate("local-00"), truth); are > 0.4 {
 		t.Errorf("collision noise perturbed MB: estimate %v vs truth %v", land.Estimate("local-00"), truth)
+	}
+}
+
+// TestCollisionLookupsMatchWithOrWithoutIDs: records off a simulated border
+// all carry IDs, benign ones included, so a benign lookup of a collision name
+// (a non-pool name D³ wrongly reports) must match by ID exactly as the same
+// record read back from a trace file matches by string.
+func TestCollisionLookupsMatchWithOrWithoutIDs(t *testing.T) {
+	const seed, collisions = 66, 10
+	spec := smallAR()
+	w := sim.Window{Start: 0, End: sim.Day}
+	tab := symtab.New()
+	pools := dga.NewPoolCache(spec.Pool, seed, tab)
+	net := dnssim.NewNetwork(dnssim.NetworkConfig{LocalServers: 1, PositiveTTL: sim.Day, NegativeTTL: 2 * sim.Hour})
+	r, err := botnet.NewRunner(botnet.Config{Spec: spec, Seed: seed, BotsPerServer: map[string]int{"local-00": 32}, Pools: pools}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(w); err != nil {
+		t.Fatal(err)
+	}
+	obs := net.Border.Observed()
+
+	analyze := func(withIDs bool) *Landscape {
+		t.Helper()
+		noisy := append(trace.Observed{}, obs...)
+		for i := 0; i < collisions; i++ {
+			rec := trace.ObservedRecord{
+				T:      sim.Time(i) * sim.Hour,
+				Server: "local-00",
+				Domain: fmt.Sprintf("benign-collision-0-%d.com", i),
+			}
+			if withIDs {
+				rec.ID = tab.Intern(rec.Domain)
+			}
+			noisy = append(noisy, rec)
+		}
+		bm, err := New(Config{
+			Family:    spec,
+			Seed:      seed,
+			Pools:     pools,
+			Detection: &d3.Window{Collisions: collisions, Seed: 3},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		land, err := bm.Analyze(noisy, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return land
+	}
+	byString, byID := analyze(false), analyze(true)
+	if want := len(obs) + collisions; byString.MatchedLookups != want || byID.MatchedLookups != want {
+		t.Errorf("matched lookups: %d without IDs, %d with; want %d (every pool record plus the collisions)",
+			byString.MatchedLookups, byID.MatchedLookups, want)
+	}
+	if !reflect.DeepEqual(byString, byID) {
+		t.Errorf("landscapes differ:\nwithout IDs: %v\nwith IDs:    %v", byString, byID)
 	}
 }
 

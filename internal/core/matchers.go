@@ -95,13 +95,18 @@ func (em *EpochMatchers) For(epoch int) *EpochMatcher {
 	if em.detection != nil {
 		rep := em.detection.Detect(epoch, pool)
 		if pool.IDs != nil {
-			// The bitset covers the detected pool positions; collision
-			// domains are synthetic non-pool names that never carry IDs, so
-			// they are handled (identically to the string path) by the lazy
-			// set below.
-			ids := make([]symtab.ID, len(rep.DetectedPositions))
-			for i, pos := range rep.DetectedPositions {
-				ids[i] = pool.IDs[pos]
+			// The bitset covers what the string set below covers: the
+			// detected pool positions plus the collision names. Those are
+			// non-pool names, so they are interned here — a record of one
+			// (a benign lookup the detector misattributes) carries that ID
+			// when it comes from a simulated border, and none off a trace.
+			tab := em.pools.Table()
+			ids := make([]symtab.ID, 0, len(rep.DetectedPositions)+len(rep.Collisions))
+			for _, pos := range rep.DetectedPositions {
+				ids = append(ids, pool.IDs[pos])
+			}
+			for _, d := range rep.Collisions {
+				ids = append(ids, tab.Intern(d))
 			}
 			m.ids = matcher.NewIDMatcher(em.family.Name, ids)
 		}

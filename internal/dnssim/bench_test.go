@@ -7,22 +7,11 @@ import (
 	"botmeter/internal/sim"
 )
 
-func BenchmarkCacheLookupHit(b *testing.B) {
-	c := NewCache(sim.Day, 2*sim.Hour)
-	for i := 0; i < 1000; i++ {
-		c.Store(0, fmt.Sprintf("d%04d.com", i), true)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Lookup(sim.Hour, fmt.Sprintf("d%04d.com", i%1000))
-	}
-}
-
 func BenchmarkCacheLookupMiss(b *testing.B) {
 	c := NewCache(sim.Day, 2*sim.Hour)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Lookup(sim.Hour, "absent.com")
+		c.LookupID(sim.Hour, 1)
 	}
 }
 

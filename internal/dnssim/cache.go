@@ -31,59 +31,40 @@ type Answer struct {
 	Stale bool
 }
 
-// Cache is a DNS answer cache with separate positive and negative TTLs.
-// The zero value is unusable; construct with NewCache. Entries are expired
-// lazily on lookup, with an occasional sweep to bound memory.
+// Cache is a DNS answer cache with separate positive and negative TTLs,
+// keyed by interned domain ID (symtab.ID): one flat open-addressed table.
+// The zero value is unusable; construct with NewCache. Expired entries miss
+// on lookup and are dropped for good the next time the table rehashes (see
+// idTable.grow), which is what bounds memory. A key of symtab.None misses on
+// lookup and is ignored on store.
 type Cache struct {
 	positiveTTL sim.Time
 	negativeTTL sim.Time
-	entries     map[string]cacheEntry
 
-	// ids is the flat open-addressed fast path for domains that carry an
-	// interned symtab ID (in-process simulated traffic). Externally-injected
-	// names (ID == symtab.None) use the string map above. A given domain is
-	// always queried via the same path within one hierarchy because IDs come
-	// from the single per-trial intern table.
 	ids idTable
 
-	// pooled records whether entries/ids slots came from the shared pools;
+	// pooled records whether the slot array came from the shared pool;
 	// after Release the cache keeps working with fresh unpooled storage.
 	pooled bool
 
-	// StaleTTL, when positive, keeps expired entries around for that long
-	// past their expiry so LookupStale can serve them while the upstream
-	// is unreachable (RFC 8767 serve-stale). Zero disables retention.
+	// StaleTTL, when positive, keeps expired entries servable for that long
+	// past their expiry so LookupStaleID can answer from them while the
+	// upstream is unreachable (RFC 8767 serve-stale). Zero disables it.
 	StaleTTL sim.Time
 
-	lookups    int
-	hits       int
-	staleHits  int
-	sweepEvery int
-	opsSince   int
-	lastSweep  sim.Time
+	lookups   int
+	hits      int
+	staleHits int
 
 	// m holds the optional obs instruments (see Instrument); the zero
 	// value is disabled and costs one branch per event.
 	m cacheMetrics
 }
 
-type cacheEntry struct {
-	expires sim.Time
-	nx      bool
-}
-
-// entryMaps recycles the cache's entry maps across simulations. Experiment
-// sweeps build thousands of short-lived hierarchies, and re-growing each
-// cache map from scratch dominated the allocator profile; maps returned
-// via Release keep their buckets and are handed to the next NewCache
-// already sized for a day of traffic.
-var entryMaps = sync.Pool{
-	New: func() any { return make(map[string]cacheEntry, 1024) },
-}
-
-// idSlots recycles the ID fast path's slot arrays across simulations, for
-// the same reason entryMaps exists: slot arrays grown for a day of traffic
-// are handed to the next NewCache instead of being re-grown from scratch.
+// idSlots recycles slot arrays across simulations. Experiment sweeps build
+// thousands of short-lived hierarchies, and re-growing each cache from
+// scratch dominated the allocator profile; arrays returned via Release are
+// handed to the next NewCache already sized for a day of traffic.
 var idSlots = sync.Pool{
 	New: func() any { return make([]idEntry, 1024) },
 }
@@ -94,111 +75,34 @@ func NewCache(positiveTTL, negativeTTL sim.Time) *Cache {
 	c := &Cache{
 		positiveTTL: positiveTTL,
 		negativeTTL: negativeTTL,
-		entries:     entryMaps.Get().(map[string]cacheEntry),
-		sweepEvery:  1 << 14,
 		pooled:      true,
 	}
 	c.ids.adopt(idSlots.Get().([]idEntry))
 	return c
 }
 
-// Release returns the cache's pooled storage (entry map and ID slots) to the
-// shared pools. Release is idempotent: the first call donates the storage,
-// later calls are no-ops. The cache stays usable after Release — lookups
-// miss and stores lazily allocate fresh (unpooled) storage — so a stray
-// query after Network.ReleaseCaches is safe and never pollutes the pools
-// with small replacement maps.
+// Release returns the cache's pooled slot array to the shared pool. Release
+// is idempotent: the first call donates the storage, later calls are no-ops.
+// The cache stays usable after Release — lookups miss and stores lazily
+// allocate fresh (unpooled) storage — so a stray query after
+// Network.ReleaseCaches is safe and never pollutes the pool with small
+// replacement arrays.
 func (c *Cache) Release() {
 	if !c.pooled {
 		return
 	}
 	c.pooled = false
-	if c.entries != nil {
-		m := c.entries
-		clear(m)
-		entryMaps.Put(m)
-		c.entries = nil
-	}
 	if slots := c.ids.surrender(); slots != nil {
 		idSlots.Put(slots)
 	}
 }
 
-// Lookup consults the cache at virtual time now. On a hit it returns the
-// cached answer. Expired entries miss; when StaleTTL is positive they are
-// retained (for LookupStale) until the stale horizon passes.
-func (c *Cache) Lookup(now sim.Time, domain string) (Answer, bool) {
-	c.lookups++
-	c.m.lookups.Inc()
-	c.maybeSweep(now)
-	e, ok := c.entries[domain]
-	if !ok {
-		c.m.misses.Inc()
-		return Answer{}, false
-	}
-	if now >= e.expires {
-		if c.StaleTTL <= 0 || now >= e.expires+c.StaleTTL {
-			delete(c.entries, domain)
-			c.m.evictions.Inc()
-		}
-		c.m.misses.Inc()
-		return Answer{}, false
-	}
-	c.hits++
-	c.m.hits.Inc()
-	return Answer{NX: e.nx, CacheHit: true}, true
-}
-
-// LookupStale serves an expired-but-retained entry — the graceful
-// degradation path taken when the upstream is unreachable (RFC 8767). It
-// returns ok only for entries past their TTL but within StaleTTL of it;
-// fresh entries are Lookup's job.
-func (c *Cache) LookupStale(now sim.Time, domain string) (Answer, bool) {
-	if c.StaleTTL <= 0 {
-		return Answer{}, false
-	}
-	e, ok := c.entries[domain]
-	if !ok || now < e.expires || now >= e.expires+c.StaleTTL {
-		return Answer{}, false
-	}
-	c.staleHits++
-	c.m.staleHits.Inc()
-	return Answer{NX: e.nx, CacheHit: true, Stale: true}, true
-}
-
-// StaleHits returns the number of answers served past their TTL.
-func (c *Cache) StaleHits() int { return c.staleHits }
-
-// Store records an answer at virtual time now, using the TTL matching its
-// class. Answers whose class has caching disabled are not stored.
-func (c *Cache) Store(now sim.Time, domain string, nx bool) {
-	ttl := c.positiveTTL
-	if nx {
-		ttl = c.negativeTTL
-	}
-	if ttl <= 0 {
-		return
-	}
-	if c.entries == nil {
-		// Post-Release use: re-allocate unpooled storage (never returned to
-		// the pool, see Release).
-		c.entries = make(map[string]cacheEntry, 64)
-	}
-	c.entries[domain] = cacheEntry{expires: now + ttl, nx: nx}
-	if c.m.stores != nil {
-		c.m.stores.Inc()
-		c.m.entries.Set(float64(len(c.entries)))
-	}
-}
-
-// LookupID is the ID fast path of Lookup for domains carrying an interned
-// symtab ID. Answer semantics are identical to Lookup (same expiry formula,
-// same stale horizon); expired entries are simply skipped rather than
-// deleted, since the ID key space is bounded by the trial's intern table.
+// LookupID consults the cache at virtual time now. On a hit it returns the
+// cached answer. Expired entries miss; they stay in the table (LookupStaleID
+// may still serve them) until a rehash finds them past the stale horizon.
 func (c *Cache) LookupID(now sim.Time, id symtab.ID) (Answer, bool) {
 	c.lookups++
 	c.m.lookups.Inc()
-	c.maybeSweep(now)
 	e, ok := c.ids.get(id)
 	if !ok || now >= e.expires {
 		c.m.misses.Inc()
@@ -209,7 +113,10 @@ func (c *Cache) LookupID(now sim.Time, id symtab.ID) (Answer, bool) {
 	return Answer{NX: e.nx, CacheHit: true}, true
 }
 
-// LookupStaleID is the ID fast path of LookupStale.
+// LookupStaleID serves an expired-but-retained entry — the graceful
+// degradation path taken when the upstream is unreachable (RFC 8767). It
+// returns ok only for entries past their TTL but within StaleTTL of it;
+// fresh entries are LookupID's job.
 func (c *Cache) LookupStaleID(now sim.Time, id symtab.ID) (Answer, bool) {
 	if c.StaleTTL <= 0 {
 		return Answer{}, false
@@ -223,7 +130,11 @@ func (c *Cache) LookupStaleID(now sim.Time, id symtab.ID) (Answer, bool) {
 	return Answer{NX: e.nx, CacheHit: true, Stale: true}, true
 }
 
-// StoreID is the ID fast path of Store.
+// StaleHits returns the number of answers served past their TTL.
+func (c *Cache) StaleHits() int { return c.staleHits }
+
+// StoreID records an answer at virtual time now, using the TTL matching its
+// class. Answers whose class has caching disabled are not stored.
 func (c *Cache) StoreID(now sim.Time, id symtab.ID, nx bool) {
 	ttl := c.positiveTTL
 	if nx {
@@ -232,16 +143,18 @@ func (c *Cache) StoreID(now sim.Time, id symtab.ID, nx bool) {
 	if ttl <= 0 {
 		return
 	}
-	c.ids.put(id, idEntry{id: id, nx: nx, expires: now + ttl})
+	if dropped := c.ids.put(idEntry{id: id, nx: nx, expires: now + ttl}, now-c.StaleTTL); dropped > 0 {
+		c.m.evictions.Add(uint64(dropped))
+	}
 	if c.m.stores != nil {
 		c.m.stores.Inc()
 		c.m.entries.Set(float64(c.Len()))
 	}
 }
 
-// Len returns the number of cached entries including not-yet-swept expired
-// ones, across both the string map and the ID fast path.
-func (c *Cache) Len() int { return len(c.entries) + c.ids.used }
+// Len returns the number of cached entries, including expired ones no
+// rehash has dropped yet.
+func (c *Cache) Len() int { return c.ids.used }
 
 // HitRate returns the fraction of lookups served from cache.
 func (c *Cache) HitRate() float64 {
@@ -251,31 +164,8 @@ func (c *Cache) HitRate() float64 {
 	return float64(c.hits) / float64(c.lookups)
 }
 
-// maybeSweep drops expired entries periodically so long simulations do not
-// accumulate unbounded state.
-func (c *Cache) maybeSweep(now sim.Time) {
-	c.opsSince++
-	if c.opsSince < c.sweepEvery {
-		return
-	}
-	c.opsSince = 0
-	if now == c.lastSweep {
-		return
-	}
-	c.lastSweep = now
-	for d, e := range c.entries {
-		if now >= e.expires+c.StaleTTL {
-			delete(c.entries, d)
-			c.m.evictions.Inc()
-		}
-	}
-	if c.m.entries != nil {
-		c.m.entries.Set(float64(len(c.entries)))
-	}
-}
-
-// idEntry is one slot of the ID fast path: a cached answer keyed by interned
-// domain ID. id == symtab.None marks an empty slot.
+// idEntry is one slot of the table: a cached answer keyed by interned domain
+// ID. id == symtab.None marks an empty slot.
 type idEntry struct {
 	id      symtab.ID
 	nx      bool
@@ -283,9 +173,9 @@ type idEntry struct {
 }
 
 // idTable is a flat open-addressed (linear probing, power-of-two sized)
-// answer table keyed by symtab.ID. It never deletes: overwrites reuse the
-// slot, expired entries are skipped on read, and the key space is bounded by
-// the trial's intern table, so memory stays bounded without tombstones.
+// answer table keyed by symtab.ID. It has no tombstones: overwrites reuse the
+// slot, expired entries are skipped on read and left behind when the table
+// rehashes.
 type idTable struct {
 	slots []idEntry
 	mask  uint32
@@ -329,39 +219,57 @@ func (t *idTable) get(id symtab.ID) (idEntry, bool) {
 	}
 }
 
-func (t *idTable) put(id symtab.ID, e idEntry) {
-	if id == symtab.None {
-		return
+// put stores e under e.id. When the insert fills the table past three
+// quarters it rehashes, leaving behind every entry with expires <= horizon,
+// and reports how many it left.
+func (t *idTable) put(e idEntry, horizon sim.Time) (dropped int) {
+	if e.id == symtab.None {
+		return 0
 	}
 	if t.slots == nil {
 		// Post-Release use: fresh unpooled storage (see Cache.Release).
 		t.adopt(make([]idEntry, 1024))
 	}
-	slot := idHash(id) & t.mask
+	slot := idHash(e.id) & t.mask
 	for {
 		cur := &t.slots[slot]
 		if cur.id == symtab.None {
 			*cur = e
 			t.used++
 			if t.used*4 > len(t.slots)*3 {
-				t.grow()
+				return t.grow(horizon)
 			}
-			return
+			return 0
 		}
-		if cur.id == id {
+		if cur.id == e.id {
 			*cur = e
-			return
+			return 0
 		}
 		slot = (slot + 1) & t.mask
 	}
 }
 
-func (t *idTable) grow() {
+// grow rehashes into a fresh slot array, keeping only entries that can still
+// be served (expires > horizon; the caller passes now - StaleTTL). The array
+// doubles only if the survivors fill more than half of the old one, so a
+// long-running cache whose entries expire settles at a size that fits its
+// live set. Returns the number of entries left behind.
+func (t *idTable) grow(horizon sim.Time) (dropped int) {
 	old := t.slots
-	t.slots = make([]idEntry, len(old)*2)
-	t.mask = uint32(len(t.slots) - 1)
+	live := 0
+	for i := range old {
+		if old[i].id != symtab.None && old[i].expires > horizon {
+			live++
+		}
+	}
+	size := len(old)
+	if live*2 > size {
+		size *= 2
+	}
+	t.slots = make([]idEntry, size)
+	t.mask = uint32(size - 1)
 	for _, e := range old {
-		if e.id == symtab.None {
+		if e.id == symtab.None || e.expires <= horizon {
 			continue
 		}
 		slot := idHash(e.id) & t.mask
@@ -370,4 +278,7 @@ func (t *idTable) grow() {
 		}
 		t.slots[slot] = e
 	}
+	dropped = t.used - live
+	t.used = live
+	return dropped
 }

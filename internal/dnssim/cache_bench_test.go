@@ -1,27 +1,16 @@
 package dnssim
 
 import (
-	"fmt"
 	"testing"
 
 	"botmeter/internal/sim"
 	"botmeter/internal/symtab"
 )
 
-// BenchmarkCacheLookupHitID vs BenchmarkCacheLookupHitString isolate what
-// the ID kernel buys on the cache hot path: a steady-state hit via the flat
-// open-addressed ID table against the same hit through the string map
-// (per-lookup FNV over ~20-byte domain names plus map probing).
+// The cache hot path in isolation: a steady-state hit and an overwriting
+// store on the flat ID table.
 
 const benchCacheEntries = 4096
-
-func benchDomains() []string {
-	ds := make([]string, benchCacheEntries)
-	for i := range ds {
-		ds[i] = fmt.Sprintf("d%05x.dga.example.com", i)
-	}
-	return ds
-}
 
 func BenchmarkCacheLookupHitID(b *testing.B) {
 	c := NewCache(1<<30, 1<<30)
@@ -40,41 +29,12 @@ func BenchmarkCacheLookupHitID(b *testing.B) {
 	c.Release()
 }
 
-func BenchmarkCacheLookupHitString(b *testing.B) {
-	c := NewCache(1<<30, 1<<30)
-	ds := benchDomains()
-	for i, d := range ds {
-		c.Store(0, d, i%2 == 0)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := c.Lookup(1, ds[i%len(ds)]); !ok {
-			b.Fatal("unexpected miss")
-		}
-	}
-	b.StopTimer()
-	c.Release()
-}
-
 func BenchmarkCacheStoreID(b *testing.B) {
 	c := NewCache(1<<30, 1<<30)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.StoreID(sim.Time(i), symtab.ID(i%benchCacheEntries+1), false)
-	}
-	b.StopTimer()
-	c.Release()
-}
-
-func BenchmarkCacheStoreString(b *testing.B) {
-	c := NewCache(1<<30, 1<<30)
-	ds := benchDomains()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Store(sim.Time(i), ds[i%len(ds)], false)
 	}
 	b.StopTimer()
 	c.Release()

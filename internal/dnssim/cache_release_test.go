@@ -3,18 +3,16 @@ package dnssim
 import (
 	"testing"
 
-	"botmeter/internal/sim"
 	"botmeter/internal/symtab"
 )
 
 // Regression tests for the Release path: Release used to replace the pooled
-// entry map with a fresh unpooled one, so every Release/Store cycle churned
-// the shared pool with small maps. Release is now idempotent and leaves the
+// storage with a fresh unpooled one, so every Release/Store cycle churned the
+// shared pool with small arrays. Release is now idempotent and leaves the
 // cache usable-but-unpooled.
 
 func TestCacheDoubleRelease(t *testing.T) {
 	c := NewCache(100, 10)
-	c.Store(0, "a.example", false)
 	c.StoreID(0, 7, false)
 	c.Release()
 	if c.Len() != 0 {
@@ -30,103 +28,42 @@ func TestCacheDoubleRelease(t *testing.T) {
 
 func TestCacheUseAfterRelease(t *testing.T) {
 	c := NewCache(100, 10)
-	c.Store(0, "a.example", false)
 	c.StoreID(0, symtab.ID(9), true)
 	c.Release()
 
-	// Lookups after Release miss safely on both paths.
-	if _, ok := c.Lookup(1, "a.example"); ok {
-		t.Fatal("string lookup hit after Release")
-	}
+	// Lookups after Release miss safely.
 	if _, ok := c.LookupID(1, 9); ok {
-		t.Fatal("ID lookup hit after Release")
+		t.Fatal("lookup hit after Release")
 	}
 
 	// Stores after Release lazily re-allocate unpooled storage and the
 	// cache behaves normally again.
-	c.Store(2, "b.example", false)
-	if ans, ok := c.Lookup(3, "b.example"); !ok || ans.NX {
-		t.Fatalf("string path unusable after Release: ok=%v ans=%+v", ok, ans)
-	}
 	c.StoreID(2, 11, true)
 	if ans, ok := c.LookupID(3, 11); !ok || !ans.NX {
-		t.Fatalf("ID path unusable after Release: ok=%v ans=%+v", ok, ans)
+		t.Fatalf("cache unusable after Release: ok=%v ans=%+v", ok, ans)
 	}
 
-	// Releasing again keeps the unpooled storage out of the shared pools
+	// Releasing again keeps the unpooled storage out of the shared pool
 	// and stays safe.
 	c.Release()
-	if ans, ok := c.Lookup(4, "b.example"); !ok || ans.NX {
+	if ans, ok := c.LookupID(4, 11); !ok || !ans.NX {
 		t.Fatalf("post-Release storage dropped by second Release: ok=%v ans=%+v", ok, ans)
 	}
 }
 
 func TestCacheReleaseReturnsCleanStorage(t *testing.T) {
-	// A released map handed to the next cache must not leak entries.
+	// A released slot array handed to the next cache must not leak entries.
 	c1 := NewCache(100, 10)
 	for i := 0; i < 100; i++ {
-		c1.Store(0, "leak.example", false)
 		c1.StoreID(0, symtab.ID(i+1), false)
 	}
 	c1.Release()
 
 	c2 := NewCache(100, 10)
-	if _, ok := c2.Lookup(1, "leak.example"); ok {
-		t.Fatal("recycled map leaked a string entry")
-	}
 	if _, ok := c2.LookupID(1, 5); ok {
-		t.Fatal("recycled slots leaked an ID entry")
+		t.Fatal("recycled slots leaked an entry")
 	}
 	c2.Release()
-}
-
-// TestCacheIDStringParity drives both key paths through the same
-// store/expiry/stale schedule and asserts identical answers.
-func TestCacheIDStringParity(t *testing.T) {
-	cs := NewCache(100, 10)
-	ci := NewCache(100, 10)
-	cs.StaleTTL = 50
-	ci.StaleTTL = 50
-	const d = "parity.example"
-	const id = symtab.ID(3)
-
-	type step struct {
-		at    int64
-		store bool
-		nx    bool
-		stale bool
-	}
-	steps := []step{
-		{at: 0, store: true, nx: false},
-		{at: 10},               // hit
-		{at: 99},               // hit, about to expire
-		{at: 100},              // expired -> miss
-		{at: 120, stale: true}, // within StaleTTL -> stale hit
-		{at: 151, stale: true}, // past stale horizon -> miss
-		{at: 200, store: true, nx: true},
-		{at: 205}, // negative hit
-		{at: 211}, // negative expired -> miss
-	}
-	for i, st := range steps {
-		now := sim.Time(st.at)
-		if st.store {
-			cs.Store(now, d, st.nx)
-			ci.StoreID(now, id, st.nx)
-			continue
-		}
-		var as, ai Answer
-		var oks, oki bool
-		if st.stale {
-			as, oks = cs.LookupStale(now, d)
-			ai, oki = ci.LookupStaleID(now, id)
-		} else {
-			as, oks = cs.Lookup(now, d)
-			ai, oki = ci.LookupID(now, id)
-		}
-		if oks != oki || as != ai {
-			t.Fatalf("step %d (t=%d): string path (%+v,%v) != ID path (%+v,%v)", i, st.at, as, oks, ai, oki)
-		}
-	}
 }
 
 func TestIDTableGrowth(t *testing.T) {

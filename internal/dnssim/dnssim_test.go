@@ -3,68 +3,125 @@ package dnssim
 import (
 	"testing"
 
+	"botmeter/internal/obs"
 	"botmeter/internal/sim"
+	"botmeter/internal/symtab"
 )
 
+// nameCache drives a Cache by domain string: names are interned into a
+// private table first, as Network.ClientQuery does at the boundary.
+type nameCache struct {
+	*Cache
+	tab *symtab.Table
+}
+
+func newNameCache(positiveTTL, negativeTTL sim.Time) nameCache {
+	return nameCache{Cache: NewCache(positiveTTL, negativeTTL), tab: symtab.New()}
+}
+
+func (c nameCache) lookup(now sim.Time, domain string) (Answer, bool) {
+	return c.LookupID(now, c.tab.Intern(domain))
+}
+
+func (c nameCache) lookupStale(now sim.Time, domain string) (Answer, bool) {
+	return c.LookupStaleID(now, c.tab.Intern(domain))
+}
+
+func (c nameCache) store(now sim.Time, domain string, nx bool) {
+	c.StoreID(now, c.tab.Intern(domain), nx)
+}
+
+// newSlotCache builds an unpooled cache over a slot array of the given
+// (power-of-two) size, so a test decides when the table rehashes instead of
+// inheriting whatever array the shared pool hands out.
+func newSlotCache(positiveTTL, negativeTTL sim.Time, slots int) *Cache {
+	c := &Cache{positiveTTL: positiveTTL, negativeTTL: negativeTTL}
+	c.ids.adopt(make([]idEntry, slots))
+	return c
+}
+
 func TestCacheMissHitExpiry(t *testing.T) {
-	c := NewCache(sim.Day, 2*sim.Hour)
-	if _, ok := c.Lookup(0, "a.com"); ok {
+	c := newNameCache(sim.Day, 2*sim.Hour)
+	if _, ok := c.lookup(0, "a.com"); ok {
 		t.Fatal("empty cache should miss")
 	}
-	c.Store(0, "a.com", true) // negative answer
-	ans, ok := c.Lookup(sim.Hour, "a.com")
+	c.store(0, "a.com", true) // negative answer
+	ans, ok := c.lookup(sim.Hour, "a.com")
 	if !ok || !ans.NX || !ans.CacheHit {
 		t.Fatalf("expected negative hit, got %+v ok=%v", ans, ok)
 	}
-	if _, ok := c.Lookup(2*sim.Hour, "a.com"); ok {
+	if _, ok := c.lookup(2*sim.Hour, "a.com"); ok {
 		t.Fatal("negative entry should expire at TTL boundary")
 	}
-	c.Store(0, "b.com", false) // positive answer
-	if _, ok := c.Lookup(23*sim.Hour, "b.com"); !ok {
+	c.store(0, "b.com", false) // positive answer
+	if _, ok := c.lookup(23*sim.Hour, "b.com"); !ok {
 		t.Fatal("positive entry should live for a day")
 	}
-	if _, ok := c.Lookup(sim.Day, "b.com"); ok {
+	if _, ok := c.lookup(sim.Day, "b.com"); ok {
 		t.Fatal("positive entry should expire after a day")
 	}
 }
 
 func TestCacheDisabledTTL(t *testing.T) {
-	c := NewCache(0, sim.Hour)
-	c.Store(0, "a.com", false)
-	if _, ok := c.Lookup(1, "a.com"); ok {
+	c := newNameCache(0, sim.Hour)
+	c.store(0, "a.com", false)
+	if _, ok := c.lookup(1, "a.com"); ok {
 		t.Error("positive caching disabled: should miss")
 	}
-	c.Store(0, "nx.com", true)
-	if _, ok := c.Lookup(1, "nx.com"); !ok {
+	c.store(0, "nx.com", true)
+	if _, ok := c.lookup(1, "nx.com"); !ok {
 		t.Error("negative caching still enabled: should hit")
 	}
 }
 
 func TestCacheHitRate(t *testing.T) {
-	c := NewCache(sim.Day, sim.Day)
-	c.Store(0, "a.com", false)
-	c.Lookup(1, "a.com")
-	c.Lookup(1, "b.com")
+	c := newNameCache(sim.Day, sim.Day)
+	c.store(0, "a.com", false)
+	c.lookup(1, "a.com")
+	c.lookup(1, "b.com")
 	if got := c.HitRate(); got != 0.5 {
 		t.Errorf("hit rate = %v, want 0.5", got)
 	}
 }
 
-func TestCacheSweep(t *testing.T) {
-	c := NewCache(sim.Second, sim.Second)
-	c.sweepEvery = 4
-	for i := 0; i < 3; i++ {
-		c.Store(0, string(rune('a'+i))+".com", true)
+// TestCacheGrowEvicts: the table is the cache's only storage, so its rehash
+// is what bounds memory — entries past expires+StaleTTL are left behind,
+// counted as evictions, and the array does not double on their account.
+func TestCacheGrowEvicts(t *testing.T) {
+	const n = 3000
+	c := newSlotCache(sim.Second, sim.Second, 1024)
+	c.StaleTTL = sim.Minute
+	reg := obs.NewRegistry()
+	c.Instrument(reg, "level", "test")
+	evictions := reg.Counter(MetricCacheEvictions, "level", "test")
+
+	for i := 1; i <= n; i++ {
+		c.StoreID(0, symtab.ID(i), true)
 	}
-	if c.Len() != 3 {
-		t.Fatalf("len = %d", c.Len())
+	slots := len(c.ids.slots)
+	if c.Len() != n || evictions.Value() != 0 {
+		t.Fatalf("first batch: Len %d, evictions %d; want %d, 0 (nothing has expired)", c.Len(), evictions.Value(), n)
 	}
-	// Advance past expiry and trigger the sweep with lookups.
-	for i := 0; i < 10; i++ {
-		c.Lookup(10*sim.Second, "zz.com")
+	later := 10 * sim.Minute // past expiry and the stale horizon
+	for i := n + 1; i <= 2*n; i++ {
+		c.StoreID(later, symtab.ID(i), true)
 	}
-	if c.Len() != 0 {
-		t.Errorf("sweep left %d entries", c.Len())
+	if got := c.Len(); got != n {
+		t.Errorf("Len = %d after the second batch, want %d (the first batch evicted)", got, n)
+	}
+	if got := evictions.Value(); got != n {
+		t.Errorf("evictions = %d, want %d", got, n)
+	}
+	if got := len(c.ids.slots); got != slots {
+		t.Errorf("slot array went %d -> %d; the survivors fit the old one", slots, got)
+	}
+	for _, id := range []symtab.ID{n + 1, 2 * n} {
+		if ans, ok := c.LookupID(later, id); !ok || !ans.NX {
+			t.Errorf("id %d lost in the evicting rehash: %+v %v", id, ans, ok)
+		}
+	}
+	if _, ok := c.LookupID(later, 1); ok {
+		t.Error("evicted entry still served")
 	}
 }
 
@@ -79,7 +136,7 @@ func newTestNetwork(locals int) *Network {
 
 func TestCachingMasksRepeatLookups(t *testing.T) {
 	n := newTestNetwork(1)
-	n.Registry.Register("valid.com")
+	n.Register("valid.com")
 	if err := n.AssignClient("c1", "local-00"); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +164,7 @@ func TestCachingMasksRepeatLookups(t *testing.T) {
 
 func TestAnswerCorrectness(t *testing.T) {
 	n := newTestNetwork(1)
-	n.Registry.Register("valid.com")
+	n.Register("valid.com")
 	ans, err := n.ClientQuery(0, "c1", "valid.com")
 	if err != nil || ans.NX {
 		t.Fatalf("valid domain should resolve: %+v, %v", ans, err)
@@ -145,7 +202,7 @@ func TestDistinctNXDsAlwaysReachBorder(t *testing.T) {
 
 func TestObservedIsCacheFilteredSubsetOfRaw(t *testing.T) {
 	n := newTestNetwork(2)
-	n.Registry.Register("good.com")
+	n.Register("good.com")
 	domains := []string{"good.com", "bad1.com", "bad2.com", "bad1.com", "good.com"}
 	clients := []string{"c1", "c2", "c3", "c1", "c2"}
 	for i := range domains {
@@ -268,14 +325,52 @@ func TestBorderGranularity(t *testing.T) {
 }
 
 func TestRegistryUnregister(t *testing.T) {
+	const a, b = symtab.ID(1), symtab.ID(200)
 	r := NewRegistry()
-	r.Register("a.com", "b.com")
-	if r.Size() != 2 || !r.Resolves("a.com") {
+	r.RegisterIDs([]symtab.ID{a, b, a, symtab.None})
+	if r.Size() != 2 || !r.ResolvesID(a) || r.ResolvesID(symtab.None) {
 		t.Fatal("register failed")
 	}
-	r.Unregister("a.com")
-	if r.Resolves("a.com") || !r.Resolves("b.com") {
+	r.UnregisterIDs([]symtab.ID{a, a, 999})
+	if r.ResolvesID(a) || !r.ResolvesID(b) || r.Size() != 1 {
 		t.Error("unregister failed")
+	}
+}
+
+// TestBindTable pins the single-table contract: a network adopts the first
+// table, accepts it again, and refuses any other — including after an ad-hoc
+// ClientQuery made it create its own.
+func TestBindTable(t *testing.T) {
+	a, b := symtab.New(), symtab.New()
+	n := newTestNetwork(1)
+	if err := n.BindTable(nil); err == nil {
+		t.Error("binding a nil table should fail")
+	}
+	if err := n.BindTable(a); err != nil {
+		t.Fatalf("first bind: %v", err)
+	}
+	if err := n.BindTable(a); err != nil {
+		t.Errorf("re-binding the bound table: %v", err)
+	}
+	if err := n.BindTable(b); err == nil {
+		t.Error("binding a second table should fail")
+	}
+	if n.Table() != a {
+		t.Error("Table() is not the bound table")
+	}
+
+	n = newTestNetwork(1)
+	if _, err := n.ClientQuery(0, "c1", "nx.com"); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.BindTable(a); err == nil {
+		t.Error("a string ClientQuery gave the network its own table; binding another should fail")
+	}
+	if rec := n.Border.Observed()[0]; rec.ID == symtab.None || n.Table().Resolve(rec.ID) != "nx.com" {
+		t.Errorf("observed record %+v does not carry nx.com's ID in the network's table", rec)
+	}
+	if _, err := n.ClientQueryID(1, "c1", "other.com", symtab.None); err == nil {
+		t.Error("a query without an interned ID should be refused")
 	}
 }
 

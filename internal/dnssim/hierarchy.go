@@ -12,136 +12,62 @@ import (
 )
 
 // Registry is the authoritative name space: the set of domains that
-// currently resolve (registered C2 domains plus the benign zone). Everything
-// else returns NXDomain.
-//
-// Domains registered with an interned symtab ID (RegisterIDs) are
-// additionally tracked in a bitset so the hierarchy's ID fast path answers
-// ResolvesID without hashing the domain string. String-only registrations
-// (benign zones, external test names) keep full string-map semantics; the ID
-// path falls back to the map only while such entries exist.
+// currently resolve (registered C2 domains plus the benign zone), held as a
+// bitset over the interned IDs of the network's table. Everything else
+// returns NXDomain. Callers holding strings register through
+// Network.Register, which interns them first.
 type Registry struct {
-	// valid maps each registered domain to its interned ID (symtab.None for
-	// string-only registrations).
-	valid map[string]symtab.ID
 	// bits is a growable bitset indexed by symtab ID.
 	bits []uint64
-	// stringOnly counts registrations without an ID; while zero, a bitset
-	// miss on the ID path is authoritative.
-	stringOnly int
+	size int
 }
 
 // NewRegistry builds an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{valid: make(map[string]symtab.ID)}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
-// Register marks domains as resolving (string-only path).
-func (r *Registry) Register(domains ...string) {
-	for _, d := range domains {
-		if _, ok := r.valid[d]; ok {
-			continue // keep an existing (possibly ID-carrying) entry
-		}
-		r.valid[d] = symtab.None
-		r.stringOnly++
-	}
-}
-
-// RegisterIDs marks domains as resolving with their interned IDs. ids and
-// domains are parallel; the string map is kept in sync so string-path
-// lookups (Resolves) see the same zone.
-func (r *Registry) RegisterIDs(ids []symtab.ID, domains []string) {
-	for i, d := range domains {
-		id := ids[i]
-		if id == symtab.None {
-			r.Register(d)
+// RegisterIDs marks the domains behind ids as resolving. symtab.None is
+// ignored.
+func (r *Registry) RegisterIDs(ids []symtab.ID) {
+	for _, id := range ids {
+		if id == symtab.None || r.ResolvesID(id) {
 			continue
 		}
-		if prev, ok := r.valid[d]; ok && prev == symtab.None {
-			r.stringOnly--
+		w := int(id >> 6)
+		for len(r.bits) <= w {
+			r.bits = append(r.bits, 0)
 		}
-		r.valid[d] = id
-		r.setBit(id)
+		r.bits[w] |= 1 << (id & 63)
+		r.size++
 	}
 }
 
-// Unregister removes domains (a takedown or expiry).
-func (r *Registry) Unregister(domains ...string) {
-	for _, d := range domains {
-		id, ok := r.valid[d]
-		if !ok {
-			continue
-		}
-		if id == symtab.None {
-			r.stringOnly--
-		} else {
-			r.clearBit(id)
-		}
-		delete(r.valid, d)
-	}
-}
-
-// Resolves reports whether domain currently resolves.
-func (r *Registry) Resolves(domain string) bool {
-	_, ok := r.valid[domain]
-	return ok
-}
-
-// ResolvesID is the ID fast path of Resolves. id == symtab.None (an
-// external / uninterned name) always defers to the string map; otherwise a
-// bitset hit is authoritative, and a miss only consults the map while
-// string-only registrations exist.
-func (r *Registry) ResolvesID(id symtab.ID, domain string) bool {
-	if id != symtab.None {
-		if r.bit(id) {
-			return true
-		}
-		if r.stringOnly == 0 {
-			return false
+// UnregisterIDs removes domains (a takedown or expiry).
+func (r *Registry) UnregisterIDs(ids []symtab.ID) {
+	for _, id := range ids {
+		if r.ResolvesID(id) {
+			r.bits[id>>6] &^= 1 << (id & 63)
+			r.size--
 		}
 	}
-	return r.Resolves(domain)
 }
 
-func (r *Registry) setBit(id symtab.ID) {
-	w := int(id >> 6)
-	for len(r.bits) <= w {
-		r.bits = append(r.bits, 0)
-	}
-	r.bits[w] |= 1 << (id & 63)
-}
-
-func (r *Registry) clearBit(id symtab.ID) {
-	w := int(id >> 6)
-	if w < len(r.bits) {
-		r.bits[w] &^= 1 << (id & 63)
-	}
-}
-
-func (r *Registry) bit(id symtab.ID) bool {
+// ResolvesID reports whether the domain behind id currently resolves.
+func (r *Registry) ResolvesID(id symtab.ID) bool {
 	w := int(id >> 6)
 	return w < len(r.bits) && r.bits[w]&(1<<(id&63)) != 0
 }
 
 // Size returns the number of registered domains.
-func (r *Registry) Size() int { return len(r.valid) }
+func (r *Registry) Size() int { return r.size }
 
 // Upstream resolves queries forwarded by a downstream server. The forwarder
 // argument names the immediate child doing the forwarding, which is what a
-// vantage point records.
+// vantage point records. A query is the pair (domain, id): id is the
+// domain's interned ID in the network's table and keys every cache and the
+// registry; the string rides along only so the vantage point can record the
+// real name without resolving it back per record.
 type Upstream interface {
-	Resolve(now sim.Time, forwarder, domain string) Answer
-}
-
-// UpstreamID is the ID fast path of Upstream: the query carries both the
-// domain string (for trace emission — the vantage point always records real
-// names) and its interned symtab ID (for O(1) registry/cache work).
-// id == symtab.None must behave exactly like Resolve. Border, Server and
-// faults.FaultyUpstream all implement it; a wrapper that doesn't simply
-// drops the fast path back to strings.
-type UpstreamID interface {
-	Upstream
-	ResolveID(now sim.Time, forwarder, domain string, id symtab.ID) Answer
+	Resolve(now sim.Time, forwarder, domain string, id symtab.ID) Answer
 }
 
 // Border is the border DNS server and vantage point: it answers from the
@@ -167,15 +93,10 @@ func NewBorder(id string, registry *Registry) *Border {
 	return &Border{ID: id, registry: registry}
 }
 
-// Resolve implements Upstream: record, then answer authoritatively.
-func (b *Border) Resolve(now sim.Time, forwarder, domain string) Answer {
-	return b.ResolveID(now, forwarder, domain, symtab.None)
-}
-
-// ResolveID implements UpstreamID: the observed record keeps the real domain
-// string (traces and artifacts are byte-identical with or without IDs) and
-// additionally carries the ID for in-process consumers.
-func (b *Border) ResolveID(now sim.Time, forwarder, domain string, id symtab.ID) Answer {
+// Resolve implements Upstream: record, then answer authoritatively. The
+// observed record keeps the real domain string (what a trace file holds) and
+// carries the ID for in-process consumers.
+func (b *Border) Resolve(now sim.Time, forwarder, domain string, id symtab.ID) Answer {
 	b.observedCtr.Inc()
 	b.observed.Append(trace.ObservedRecord{
 		T:      now.Truncate(b.Granularity),
@@ -184,7 +105,7 @@ func (b *Border) ResolveID(now sim.Time, forwarder, domain string, id symtab.ID)
 		ID:     id,
 	})
 	b.observedFlat = nil
-	return Answer{NX: !b.registry.ResolvesID(id, domain)}
+	return Answer{NX: !b.registry.ResolvesID(id)}
 }
 
 // Observed returns the vantage-point dataset collected so far as one
@@ -220,9 +141,6 @@ type Server struct {
 
 	cache    *Cache
 	upstream Upstream
-	// upID is upstream's ID fast path when it offers one (cached type
-	// assertion; nil otherwise).
-	upID UpstreamID
 
 	queries     int
 	forwarded   int
@@ -237,27 +155,17 @@ type Server struct {
 
 // NewServer builds a caching server with the given TTLs and upstream.
 func NewServer(id string, positiveTTL, negativeTTL sim.Time, upstream Upstream) *Server {
-	s := &Server{ID: id, cache: NewCache(positiveTTL, negativeTTL), upstream: upstream}
-	s.upID, _ = upstream.(UpstreamID)
-	return s
+	return &Server{ID: id, cache: NewCache(positiveTTL, negativeTTL), upstream: upstream}
 }
 
 // Cache exposes the server's cache (to configure StaleTTL, inspect hit
 // rates, …).
 func (s *Server) Cache() *Cache { return s.cache }
 
-// Query handles a client lookup at virtual time now and returns the answer
-// the client sees.
-func (s *Server) Query(now sim.Time, domain string) Answer {
-	return s.QueryID(now, domain, symtab.None)
-}
-
-// QueryID is the ID fast path of Query: when id carries an interned symtab
-// ID the cache consults its flat ID table and the upstream (when it
-// implements UpstreamID) receives the (domain, id) pair, so the whole
-// simulate→cache path does no string hashing. id == symtab.None takes
-// exactly the string paths of Query.
-func (s *Server) QueryID(now sim.Time, domain string, id symtab.ID) Answer {
+// Query handles a client lookup of (domain, id) at virtual time now and
+// returns the answer the client sees. The cache is keyed by id; the domain
+// string is only forwarded.
+func (s *Server) Query(now sim.Time, domain string, id symtab.ID) Answer {
 	s.queries++
 	s.m.queries.Inc()
 	// The latency histogram is the one instrument that would make the
@@ -265,32 +173,20 @@ func (s *Server) QueryID(now sim.Time, domain string, id symtab.ID) Answer {
 	if s.m.latency != nil {
 		defer s.m.observeLatency(time.Now())
 	}
-	useID := id != symtab.None
-	if useID {
-		if ans, ok := s.cache.LookupID(now, id); ok {
-			return ans
-		}
-	} else if ans, ok := s.cache.Lookup(now, domain); ok {
+	if ans, ok := s.cache.LookupID(now, id); ok {
 		return ans
 	}
 	s.forwarded++
 	s.m.forwarded.Inc()
-	ans := s.resolveUpstream(now, domain, id)
+	ans := s.upstream.Resolve(now, s.ID, domain, id)
 	for attempt := 0; ans.ServFail && attempt < s.MaxRetries; attempt++ {
 		s.retried++
 		s.m.retried.Inc()
-		ans = s.resolveUpstream(now, domain, id)
+		ans = s.upstream.Resolve(now, s.ID, domain, id)
 	}
 	if ans.ServFail {
 		if s.ServeStale {
-			var stale Answer
-			var ok bool
-			if useID {
-				stale, ok = s.cache.LookupStaleID(now, id)
-			} else {
-				stale, ok = s.cache.LookupStale(now, domain)
-			}
-			if ok {
+			if stale, ok := s.cache.LookupStaleID(now, id); ok {
 				s.staleServed++
 				s.m.staleServed.Inc()
 				return stale
@@ -300,35 +196,14 @@ func (s *Server) QueryID(now sim.Time, domain string, id symtab.ID) Answer {
 		s.m.servfails.Inc()
 		return Answer{ServFail: true}
 	}
-	if useID {
-		s.cache.StoreID(now, id, ans.NX)
-	} else {
-		s.cache.Store(now, domain, ans.NX)
-	}
+	s.cache.StoreID(now, id, ans.NX)
 	return Answer{NX: ans.NX}
-}
-
-// resolveUpstream forwards one attempt, preferring the upstream's ID fast
-// path when both sides can use it.
-func (s *Server) resolveUpstream(now sim.Time, domain string, id symtab.ID) Answer {
-	if id != symtab.None && s.upID != nil {
-		return s.upID.ResolveID(now, s.ID, domain, id)
-	}
-	return s.upstream.Resolve(now, s.ID, domain)
 }
 
 // Resolve implements Upstream so a Server can act as a mid-tier: a miss is
 // forwarded upward under this server's own identity.
-func (s *Server) Resolve(now sim.Time, _ string, domain string) Answer {
-	ans := s.Query(now, domain)
-	ans.CacheHit = false
-	return ans
-}
-
-// ResolveID implements UpstreamID for mid-tier servers: the (domain, id)
-// pair is forwarded upward under this server's own identity.
-func (s *Server) ResolveID(now sim.Time, _ string, domain string, id symtab.ID) Answer {
-	ans := s.QueryID(now, domain, id)
+func (s *Server) Resolve(now sim.Time, _ string, domain string, id symtab.ID) Answer {
+	ans := s.Query(now, domain, id)
 	ans.CacheHit = false
 	return ans
 }
@@ -359,11 +234,10 @@ type Network struct {
 	rawRecorder trace.Raw
 	recordRaw   bool
 
-	// idTable is the intern table this network's ID space is bound to (see
-	// BindTable). symtab IDs are only unique within one table, so the
-	// registry bitset and every tier's ID-keyed cache are coherent only for
-	// IDs drawn from a single table.
-	idTable *symtab.Table
+	// tab is the one intern table every ID in this network comes from (see
+	// BindTable): symtab IDs are only unique within one table, and the
+	// registry bitset and every tier's cache are keyed by them.
+	tab *symtab.Table
 }
 
 // NetworkConfig sizes a simulated network.
@@ -453,29 +327,46 @@ func NewNetwork(cfg NetworkConfig) *Network {
 	return n
 }
 
-// BindTable claims the network's ID space for tab. Dense symtab IDs are
-// only unique within one intern table, so all ID-carrying traffic into one
-// hierarchy (registry registrations, cache keys, client queries) must come
-// from a single table — otherwise two families' unrelated domains could
-// collide on the same uint32 and falsely share cache entries or registry
-// bits. The first bound table wins: BindTable reports true when tab is now
-// (or already was) the network's table, false when a different table is
-// already bound, in which case the caller must take the string paths
-// (pass symtab.None) for all its traffic on this network.
-func (n *Network) BindTable(tab *symtab.Table) bool {
-	if tab == nil {
-		return false
+// BindTable makes tab the network's intern table. Dense symtab IDs are only
+// unique within one table, so everything that carries IDs into one hierarchy
+// (registrations, client queries) must draw them from a single table —
+// otherwise two families' unrelated domains could share a uint32 and with it
+// cache entries and registry bits. BindTable adopts tab when the network has
+// no table yet, is a no-op for the table already bound, and returns an error
+// for any other.
+func (n *Network) BindTable(tab *symtab.Table) error {
+	switch {
+	case tab == nil:
+		return fmt.Errorf("dnssim: BindTable: nil intern table")
+	case n.tab == nil:
+		n.tab = tab
+	case n.tab != tab:
+		return fmt.Errorf("dnssim: network is bound to intern table %p, cannot bind %p: all IDs in one network must come from one table", n.tab, tab)
 	}
-	if n.idTable == nil {
-		n.idTable = tab
-		return true
-	}
-	return n.idTable == tab
+	return nil
 }
 
-// Table returns the intern table the network's ID space is bound to (nil
-// until the first successful BindTable).
-func (n *Network) Table() *symtab.Table { return n.idTable }
+// Table returns the network's intern table. A network nothing was bound to
+// gets a private table on first use (and from then on refuses any other).
+func (n *Network) Table() *symtab.Table {
+	if n.tab == nil {
+		n.tab = symtab.New()
+	}
+	return n.tab
+}
+
+// Register interns domains into the network's table and marks them as
+// resolving. It returns their IDs, parallel to domains, for callers that go
+// on to query them with ClientQueryID.
+func (n *Network) Register(domains ...string) []symtab.ID {
+	tab := n.Table()
+	ids := make([]symtab.ID, len(domains))
+	for i, d := range domains {
+		ids[i] = tab.Intern(d)
+	}
+	n.Registry.RegisterIDs(ids)
+	return ids
+}
 
 // LocalIDs returns the local server names in creation order.
 func (n *Network) LocalIDs() []string {
@@ -506,24 +397,28 @@ func (n *Network) HomeOf(client string) (string, bool) {
 	return id, ok
 }
 
-// ClientQuery issues a lookup from a client through its home local server.
-// Unassigned clients are homed deterministically by hash.
+// ClientQuery issues a lookup of an ad-hoc name from a client through its
+// home local server: the name is interned into the network's table here, at
+// the boundary, and travels as a (domain, id) pair from then on. Callers that
+// already hold the ID (pool domains, Register's result) use ClientQueryID.
 func (n *Network) ClientQuery(now sim.Time, client, domain string) (Answer, error) {
-	return n.ClientQueryID(now, client, domain, symtab.None)
+	return n.ClientQueryID(now, client, domain, n.Table().Intern(domain))
 }
 
-// ClientQueryID is the ID fast path of ClientQuery: the (domain, id) pair
-// fans out through the home local server so every tier can use its ID-keyed
-// cache and the border's registry bitset. id == symtab.None behaves exactly
-// like ClientQuery.
+// ClientQueryID issues a lookup of (domain, id) from a client through its
+// home local server; id must be domain's ID in the network's table.
+// Unassigned clients are homed deterministically by hash.
 func (n *Network) ClientQueryID(now sim.Time, client, domain string, id symtab.ID) (Answer, error) {
+	if id == symtab.None {
+		return Answer{}, fmt.Errorf("dnssim: query for %q carries no interned ID", domain)
+	}
 	home, ok := n.clientHome[client]
 	if !ok {
 		home = n.localOrder[fnv32(client)%uint32(len(n.localOrder))]
 		n.clientHome[client] = home
 	}
 	srv := n.locals[home]
-	ans := srv.QueryID(now, domain, id)
+	ans := srv.Query(now, domain, id)
 	if n.recordRaw {
 		n.rawRecorder = append(n.rawRecorder, trace.RawRecord{
 			T: now, Client: client, Server: home, Domain: domain, NX: ans.NX,
@@ -541,11 +436,11 @@ func (n *Network) ResetTraces() {
 	n.Border.ResetObserved()
 }
 
-// ReleaseCaches returns every tier's cache-entry map to the shared pool.
+// ReleaseCaches returns every tier's cache storage to the shared pool.
 // Call it once a simulation is done and the hierarchy will not answer
 // further queries (the servers stay usable, but their caches start cold).
 // Experiment trials call this after capturing Border.Observed() so the
-// next trial's hierarchy reuses the grown maps instead of reallocating.
+// next trial's hierarchy reuses the grown tables instead of reallocating.
 func (n *Network) ReleaseCaches() {
 	for _, id := range n.localOrder {
 		n.locals[id].cache.Release()

@@ -51,8 +51,8 @@ func (c *Cache) Instrument(reg *obs.Registry, labels ...string) {
 	reg.Help(MetricCacheMisses, "Cache misses, including expired entries.")
 	reg.Help(MetricCacheStaleHits, "Answers served from expired entries (RFC 8767 serve-stale).")
 	reg.Help(MetricCacheStores, "Answers written to the cache.")
-	reg.Help(MetricCacheEvictions, "Entries removed by expiry or sweep.")
-	reg.Help(MetricCacheEntries, "Current cached entries, including not-yet-swept expired ones.")
+	reg.Help(MetricCacheEvictions, "Expired entries left behind when the cache table rehashed.")
+	reg.Help(MetricCacheEntries, "Current cached entries, including expired ones no rehash has dropped yet.")
 	c.m = cacheMetrics{
 		lookups:   reg.Counter(MetricCacheLookups, labels...),
 		hits:      reg.Counter(MetricCacheHits, labels...),

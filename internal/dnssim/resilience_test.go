@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"botmeter/internal/sim"
+	"botmeter/internal/symtab"
 )
 
 // flakyUpstream fails (ServFail) while failing is true, otherwise answers
@@ -15,7 +16,7 @@ type flakyUpstream struct {
 	resolves   int
 }
 
-func (u *flakyUpstream) Resolve(now sim.Time, forwarder, domain string) Answer {
+func (u *flakyUpstream) Resolve(now sim.Time, forwarder, domain string, _ symtab.ID) Answer {
 	u.resolves++
 	if u.failsLeft > 0 {
 		u.failsLeft--
@@ -27,12 +28,18 @@ func (u *flakyUpstream) Resolve(now sim.Time, forwarder, domain string) Answer {
 	return Answer{NX: !u.registered[domain]}
 }
 
+// The servers under test are keyed by ID; flakyUpstream answers by name.
+const (
+	c2ID   symtab.ID = 1
+	goneID symtab.ID = 2
+)
+
 func TestServerRetriesAbsorbTransientFailure(t *testing.T) {
 	up := &flakyUpstream{failsLeft: 2, registered: map[string]bool{"c2.example": true}}
 	s := NewServer("local-00", sim.Day, sim.Hour, up)
 	s.MaxRetries = 3
 
-	ans := s.Query(0, "c2.example")
+	ans := s.Query(0, "c2.example", c2ID)
 	if ans.ServFail || ans.NX {
 		t.Fatalf("answer = %+v, want recovered positive", ans)
 	}
@@ -44,7 +51,7 @@ func TestServerRetriesAbsorbTransientFailure(t *testing.T) {
 		t.Errorf("retried=%d servfails=%d, want 2, 0", retried, servfails)
 	}
 	// The recovered answer must have been cached.
-	if ans := s.Query(1, "c2.example"); !ans.CacheHit {
+	if ans := s.Query(1, "c2.example", c2ID); !ans.CacheHit {
 		t.Errorf("recovered answer not cached: %+v", ans)
 	}
 }
@@ -54,7 +61,7 @@ func TestServerExhaustedRetriesServFailUncached(t *testing.T) {
 	s := NewServer("local-00", sim.Day, sim.Hour, up)
 	s.MaxRetries = 2
 
-	if ans := s.Query(0, "gone.example"); !ans.ServFail {
+	if ans := s.Query(0, "gone.example", goneID); !ans.ServFail {
 		t.Fatalf("answer = %+v, want ServFail", ans)
 	}
 	if up.resolves != 3 {
@@ -66,7 +73,7 @@ func TestServerExhaustedRetriesServFailUncached(t *testing.T) {
 	}
 	// A ServFail must never be cached: the next query forwards again.
 	up.failing = false
-	if ans := s.Query(1, "gone.example"); ans.ServFail || ans.CacheHit {
+	if ans := s.Query(1, "gone.example", goneID); ans.ServFail || ans.CacheHit {
 		t.Errorf("post-recovery answer = %+v, want fresh resolve", ans)
 	}
 }
@@ -78,11 +85,11 @@ func TestServerServeStale(t *testing.T) {
 	s.cache.StaleTTL = sim.Hour
 
 	// Prime, then let the entry expire and kill the upstream.
-	if ans := s.Query(0, "c2.example"); ans.ServFail {
+	if ans := s.Query(0, "c2.example", c2ID); ans.ServFail {
 		t.Fatalf("priming failed: %+v", ans)
 	}
 	up.failing = true
-	ans := s.Query(2*sim.Second, "c2.example")
+	ans := s.Query(2*sim.Second, "c2.example", c2ID)
 	if ans.ServFail || !ans.Stale || !ans.CacheHit || ans.NX {
 		t.Fatalf("stale answer = %+v, want Stale positive CacheHit", ans)
 	}
@@ -92,47 +99,47 @@ func TestServerServeStale(t *testing.T) {
 	}
 
 	// Beyond the stale horizon even RFC 8767 gives up.
-	if ans := s.Query(2*sim.Second+2*sim.Hour, "c2.example"); !ans.ServFail {
+	if ans := s.Query(2*sim.Second+2*sim.Hour, "c2.example", c2ID); !ans.ServFail {
 		t.Errorf("past StaleTTL: %+v, want ServFail", ans)
 	}
 
 	// With serve-stale off, the same expiry surfaces the failure at once.
 	s2 := NewServer("local-01", sim.Second, sim.Second, up)
 	up.failing = false
-	s2.Query(0, "c2.example")
+	s2.Query(0, "c2.example", c2ID)
 	up.failing = true
-	if ans := s2.Query(2*sim.Second, "c2.example"); !ans.ServFail {
+	if ans := s2.Query(2*sim.Second, "c2.example", c2ID); !ans.ServFail {
 		t.Errorf("without serve-stale: %+v, want ServFail", ans)
 	}
 }
 
 func TestCacheLookupStale(t *testing.T) {
-	c := NewCache(sim.Second, sim.Second)
+	c := newNameCache(sim.Second, sim.Second)
 	c.StaleTTL = sim.Minute
-	c.Store(0, "a.example", false)
-	c.Store(0, "nx.example", true)
+	c.store(0, "a.example", false)
+	c.store(0, "nx.example", true)
 
 	// Fresh: normal lookup wins, not stale.
-	if ans, ok := c.Lookup(500*sim.Millisecond, "a.example"); !ok || ans.Stale {
+	if ans, ok := c.lookup(500*sim.Millisecond, "a.example"); !ok || ans.Stale {
 		t.Errorf("fresh lookup = %+v, %v", ans, ok)
 	}
 	// Expired but within StaleTTL: Lookup misses, LookupStale hits.
-	if _, ok := c.Lookup(2*sim.Second, "a.example"); ok {
+	if _, ok := c.lookup(2*sim.Second, "a.example"); ok {
 		t.Error("expired entry served as fresh")
 	}
-	ans, ok := c.LookupStale(2*sim.Second, "a.example")
+	ans, ok := c.lookupStale(2*sim.Second, "a.example")
 	if !ok || !ans.Stale || !ans.CacheHit || ans.NX {
 		t.Errorf("stale positive = %+v, %v", ans, ok)
 	}
-	if ans, ok := c.LookupStale(2*sim.Second, "nx.example"); !ok || !ans.NX {
+	if ans, ok := c.lookupStale(2*sim.Second, "nx.example"); !ok || !ans.NX {
 		t.Errorf("stale negative = %+v, %v", ans, ok)
 	}
 	// Beyond the stale horizon: gone.
-	if _, ok := c.LookupStale(2*sim.Minute, "a.example"); ok {
+	if _, ok := c.lookupStale(2*sim.Minute, "a.example"); ok {
 		t.Error("entry served beyond StaleTTL")
 	}
 	// Unknown domain: no stale answer.
-	if _, ok := c.LookupStale(0, "never.example"); ok {
+	if _, ok := c.lookupStale(0, "never.example"); ok {
 		t.Error("stale answer for a domain never stored")
 	}
 }

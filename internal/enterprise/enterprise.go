@@ -125,8 +125,8 @@ type Trace struct {
 	Days int
 	// LocalServer is the single forwarding server's identifier.
 	LocalServer string
-	// Pools maps family name to the symbolized pool cache its runners used
-	// while generating the trace. Analysis passes the same cache to
+	// Pools maps family name to the pool cache its runners used while
+	// generating the trace. Analysis passes the same cache to
 	// core.Config.Pools so matched records take the domain-ID fast paths;
 	// nil-safe (analysing without it just falls back to string matching).
 	Pools map[string]*dga.PoolCache
@@ -157,10 +157,22 @@ func Generate(cfg Config) (*Trace, error) {
 	})
 	const local = "local-00"
 
-	// Benign zone: all registered, popularity Zipf-ranked.
+	// One trace-wide intern table, bound before the first query: the benign
+	// zone and every family's pools intern into it, so each record of the
+	// trace carries an ID of this table (a name two families — or a family
+	// and the benign zone — share gets one ID, keeping the per-family
+	// matchers exact).
+	tab := symtab.Get()
+	if err := net.BindTable(tab); err != nil {
+		tab.Release()
+		return nil, fmt.Errorf("enterprise: %w", err)
+	}
+
+	// Benign zone: all registered (and interned, once), popularity
+	// Zipf-ranked.
 	benignRNG := sim.SplitFrom(cfg.Seed, 0xbe9)
 	benign := benignDomains(cfg.BenignZoneSize)
-	net.Registry.Register(benign...)
+	benignIDs := net.Register(benign...)
 
 	// Benign lookups. Zipf s=1.1, v=1 over the zone.
 	zipf := newZipf(benignRNG, 1.1, uint64(cfg.BenignZoneSize))
@@ -178,8 +190,9 @@ func Generate(cfg Config) (*Trace, error) {
 			n := poissonCount(benignRNG, cfg.BenignLookupsPerClient)
 			for q := 0; q < n; q++ {
 				at := dayStart + sim.Time(benignRNG.Int64N(int64(sim.Day)))
-				domain := benign[zipf.Uint64()]
-				if _, err := net.ClientQuery(at, client, domain); err != nil {
+				k := zipf.Uint64()
+				if _, err := net.ClientQueryID(at, client, benign[k], benignIDs[k]); err != nil {
+					tab.Release()
 					return nil, fmt.Errorf("enterprise: benign query: %w", err)
 				}
 			}
@@ -192,12 +205,8 @@ func Generate(cfg Config) (*Trace, error) {
 
 	// Infections: one botnet runner per family over the full window, with
 	// per-day populations following a log-normal random walk around the
-	// mean. All families intern their pool domains into one trace-wide
-	// table (cross-family string collisions then share one ID, keeping the
-	// per-family matchers exact), and every family's per-day runners share
-	// one pool cache, so each epoch's pool is generated once per family
-	// rather than once per day.
-	tab := symtab.Get()
+	// mean. Every family's per-day runners share one pool cache, so each
+	// epoch's pool is generated once per family rather than once per day.
 	pools := make(map[string]*dga.PoolCache, len(cfg.Infections))
 	truth := make(map[string][]int, len(cfg.Infections))
 	w := sim.Window{Start: 0, End: sim.Time(cfg.Days) * sim.Day}

@@ -7,6 +7,7 @@ import (
 
 	"botmeter/internal/dga"
 	"botmeter/internal/sim"
+	"botmeter/internal/symtab"
 )
 
 func tinyConfig() Config {
@@ -94,6 +95,11 @@ func TestGenerateContainsBenignAndDGA(t *testing.T) {
 	}
 	benign, dgaCount := 0, 0
 	for _, rec := range tr.Observed {
+		// One name space: benign and DGA records alike carry their ID in the
+		// trace's table.
+		if rec.ID == symtab.None || tr.tab.Resolve(rec.ID) != rec.Domain {
+			t.Fatalf("record %+v does not carry its domain's ID", rec)
+		}
 		if strings.HasSuffix(rec.Domain, ".example.com") {
 			benign++
 		} else {

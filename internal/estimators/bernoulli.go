@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"botmeter/internal/dga"
-	"botmeter/internal/sim"
 	"botmeter/internal/stats"
 	"botmeter/internal/trace"
 )
@@ -174,20 +173,14 @@ func (mb *Bernoulli) EstimateEpoch(obs trace.Observed, epoch int, cfg Config) (f
 	}
 
 	// Partition the epoch's records into TTL-aligned (bucket, position)
-	// pairs — the same sufficient statistic the streaming path accumulates
-	// on ingest, so batch and stream run the identical kernel below.
-	numBuckets := ttlBuckets(cfg, !mb.DisableTTLPartition)
-	epochStart := sim.Time(epoch) * cfg.EpochLen
-	ps := getPairSet()
-	defer putPairSet(ps)
+	// pairs — the same fold the streaming path runs on ingest, so batch and
+	// stream hand the identical statistic to the kernel below.
+	fold := newPairFold(pool, epoch, cfg, !mb.DisableTTLPartition)
+	defer putPairSet(fold.ps)
 	for _, rec := range obs {
-		pos, ok := position(pool, rec)
-		if !ok || pool.ValidAt(pos) {
-			continue
-		}
-		ps.add(ttlBucketOf(rec.T, epochStart, cfg, numBuckets), pos)
+		fold.observe(rec)
 	}
-	return mb.estimatePairs(view, ps.sorted(), thetaQ), nil
+	return mb.estimatePairs(view, fold.ps.sorted(), thetaQ), nil
 }
 
 // estimatePairs runs the segment pipeline over the sorted pair log — the

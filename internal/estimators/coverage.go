@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"botmeter/internal/dga"
-	"botmeter/internal/sim"
 	"botmeter/internal/trace"
 )
 
@@ -58,26 +57,16 @@ func (ce *Coverage) EstimateEpoch(obs trace.Observed, epoch int, cfg Config) (fl
 		return 0, nil
 	}
 
-	// Partition the epoch into TTL-aligned buckets of distinct positions,
-	// deduplicated through the pooled pair set instead of per-bucket map
-	// churn. (Within one pool, domain ↔ position is a bijection, so
-	// deduplicating by position is exactly deduplicating by domain — without
-	// hashing the string when the record carries an interned ID.)
-	numBuckets := ttlBuckets(cfg, true)
-	epochStart := sim.Time(epoch) * cfg.EpochLen
-	ps := getPairSet()
-	defer putPairSet(ps)
+	// Partition the epoch into TTL-aligned buckets of distinct positions.
+	fold := newPairFold(pool, epoch, cfg, true)
+	defer putPairSet(fold.ps)
 	for _, rec := range obs {
-		pos, ok := position(pool, rec)
-		if !ok || pool.ValidAt(pos) {
-			continue
-		}
-		ps.add(ttlBucketOf(rec.T, epochStart, cfg, numBuckets), pos)
+		fold.observe(rec)
 	}
 	// Only the per-bucket distinct counts matter; the sorted pair log walks
 	// as contiguous bucket groups.
 	var total float64
-	pairs := ps.sorted()
+	pairs := fold.ps.sorted()
 	for i := 0; i < len(pairs); {
 		b := pairBucket(pairs[i])
 		j := i

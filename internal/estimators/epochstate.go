@@ -4,7 +4,9 @@ import (
 	"slices"
 	"sync"
 
+	"botmeter/internal/dga"
 	"botmeter/internal/sim"
+	"botmeter/internal/trace"
 )
 
 // This file holds the structure-of-arrays epoch state behind the MB and
@@ -119,6 +121,43 @@ func putPairSet(ps *pairSet) {
 	}
 	ps.items = ps.items[:0]
 	pairSetPool.Put(ps)
+}
+
+// pairFold folds matched records into one epoch's distinct (TTL-bucket,
+// pool-position) set — the sufficient statistic MB and Coverage estimate
+// from, built by this one loop body in their batch forms and in MB's stream.
+// The set comes from the pool; whoever made the fold hands it back
+// (putPairSet).
+type pairFold struct {
+	pool       *dga.Pool
+	cfg        Config
+	epochStart sim.Time
+	numBuckets int
+	ps         *pairSet
+}
+
+func newPairFold(pool *dga.Pool, epoch int, cfg Config, partition bool) pairFold {
+	return pairFold{
+		pool:       pool,
+		cfg:        cfg,
+		epochStart: sim.Time(epoch) * cfg.EpochLen,
+		numBuckets: ttlBuckets(cfg, partition),
+		ps:         getPairSet(),
+	}
+}
+
+// observe resolves the record's pool position and adds its pair; records
+// outside the pool or on a registered position say nothing about NXDs.
+// Duplicates — the common case once a position has been seen in a TTL
+// window — cost one probe. (Within one pool, domain ↔ position is a
+// bijection, so deduplicating by position is deduplicating by domain,
+// without hashing the string when the record carries an interned ID.)
+func (f *pairFold) observe(rec trace.ObservedRecord) {
+	pos, ok := position(f.pool, rec)
+	if !ok || f.pool.ValidAt(pos) {
+		return
+	}
+	f.ps.add(ttlBucketOf(rec.T, f.epochStart, f.cfg, f.numBuckets), pos)
 }
 
 // segScratch is the per-close extraction scratch: the current bucket's

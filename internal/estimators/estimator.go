@@ -75,6 +75,21 @@ func position(pool *dga.Pool, rec trace.ObservedRecord) (int, bool) {
 	return pool.Position(rec.Domain)
 }
 
+// timeOrdered returns obs in non-decreasing timestamp order: obs itself when
+// it already is (every windowed view of a sorted trace), otherwise a stably
+// sorted copy — the batch forms of the order-dependent estimators (MT, MP,
+// NC) feed their streams from it. A stable sort's output is determined by
+// its input, so which stable sort runs cannot show in an estimate.
+func timeOrdered(obs trace.Observed) trace.Observed {
+	if obs.IsSorted() {
+		return obs
+	}
+	s := make(trace.Observed, len(obs))
+	copy(s, obs)
+	s.Sort()
+	return s
+}
+
 // withDefaults normalises zero fields and marks the config normalized.
 func (c Config) withDefaults() Config {
 	if c.EpochLen <= 0 {
@@ -187,9 +202,7 @@ func ForModel(spec dga.Spec) Estimator {
 
 // Naive counts visible activation clusters without correcting for caching —
 // the uncorrected baseline MP improves upon. Its name in reports is NC.
-type Naive struct {
-	clusterer clusterer
-}
+type Naive struct{}
 
 // NewNaive builds the baseline estimator.
 func NewNaive() *Naive { return &Naive{} }
@@ -202,7 +215,6 @@ func (n *Naive) EstimateEpoch(obs trace.Observed, _ int, cfg Config) (float64, e
 	if !cfg.normalized {
 		cfg = cfg.withDefaults()
 	}
-	clusters := n.clusterer.clusters(obs, cfg)
-	defer putClusterScratch(clusters)
-	return float64(len(clusters)), nil
+	cs := foldClusters(obs, cfg)
+	return float64(cs.count()), nil
 }

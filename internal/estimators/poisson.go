@@ -1,9 +1,6 @@
 package estimators
 
 import (
-	"sort"
-	"sync"
-
 	"botmeter/internal/sim"
 	"botmeter/internal/trace"
 )
@@ -22,9 +19,7 @@ import (
 //
 // where n is the number of visible activations and Δ₁ is measured from the
 // start of the observation window.
-type Poisson struct {
-	clusterer clusterer
-}
+type Poisson struct{}
 
 // NewPoisson builds MP.
 func NewPoisson() *Poisson { return &Poisson{} }
@@ -40,22 +35,13 @@ func (mp *Poisson) EstimateEpoch(obs trace.Observed, epoch int, cfg Config) (flo
 			return 0, err
 		}
 	}
-	if len(obs) == 0 {
-		return 0, nil
-	}
-	windowStart := sim.Time(epoch) * cfg.EpochLen
-	clusters := mp.clusterer.clusters(obs, cfg)
-	if len(clusters) == 0 {
-		return 0, nil
-	}
-	est := poissonEquation1(clusters, windowStart, cfg.NegativeTTL, cfg.EpochLen)
-	putClusterScratch(clusters)
-	return est, nil
+	cs := foldClusters(obs, cfg)
+	return poissonEquation1(&cs, sim.Time(epoch)*cfg.EpochLen, cfg.NegativeTTL, cfg.EpochLen), nil
 }
 
-// poissonEquation1 evaluates Equation 1 over time-ordered visible clusters.
-// It never mutates its input, so the streaming path can hand it a snapshot
-// of live state for provisional estimates.
+// poissonEquation1 evaluates Equation 1 over a stream's time-ordered visible
+// clusters (none: 0). It never mutates its input, so the streaming path
+// hands it live state for provisional estimates.
 //
 // TTL folding happens inline: Equation 1's own premise is that a second
 // activation becoming visible requires the previous one's negative-cache
@@ -64,12 +50,17 @@ func (mp *Poisson) EstimateEpoch(obs trace.Observed, epoch int, cfg Config) (flo
 // the same wave (staggered per-domain expiry, detector holes) — fold them
 // into the wave rather than letting them shrink ΣΔ towards zero and blow up
 // the n²·δl/ΣΔ correction.
-func poissonEquation1(clusters []cluster, windowStart, deltaL, epochLen sim.Time) float64 {
+func poissonEquation1(cs *clusterStream, windowStart, deltaL, epochLen sim.Time) float64 {
+	clusters := cs.count()
+	if clusters == 0 {
+		return 0
+	}
 	n := 0
 	var sumGaps sim.Time
 	prevTTLEnd := windowStart // Δ₁ counts from the window start
 	var lastStart sim.Time
-	for _, c := range clusters {
+	for i := 0; i < clusters; i++ {
+		c := cs.at(i)
 		if n > 0 && c.start < lastStart+deltaL {
 			continue // folded into the previous visible wave
 		}
@@ -99,7 +90,8 @@ type cluster struct {
 	count int
 }
 
-// clusterer groups a forwarded-lookup stream into visible activations.
+// mergeWindowFor derives the clustering merge window from the family spec
+// and DNS parameters.
 //
 // For uniform-barrel DGAs, distinct visible activations are separated by at
 // least the negative-cache TTL (everything in between is absorbed by the
@@ -110,11 +102,6 @@ type cluster struct {
 // cached sweeps, which would otherwise shatter one activation into many
 // bogus clusters and blow up Equation 1's n²/ΣΔ correction. The merge
 // window is capped at half the TTL so adjacent TTL waves can never fuse.
-type clusterer struct{}
-
-// mergeWindowFor derives the clustering merge window from the family spec
-// and DNS parameters — shared by the batch clusterer and the incremental
-// cluster stream.
 func mergeWindowFor(cfg Config) sim.Time {
 	step := cfg.Spec.QueryInterval
 	if step == 0 {
@@ -136,74 +123,19 @@ func mergeWindowFor(cfg Config) sim.Time {
 	return mergeWindow
 }
 
-// Pools recycling the clusterer's per-call scratch: the timestamp-sorted
-// record copy and the output cluster slice. Before pooling, MP's epoch
-// close allocated both per (server, epoch).
-var (
-	recScratchPool     = sync.Pool{New: func() any { return new([]trace.ObservedRecord) }}
-	clusterScratchPool = sync.Pool{New: func() any { return new([]cluster) }}
-)
-
-// putClusterScratch returns a cluster slice obtained from clusters() to the
-// pool. nil (the empty-observation result) is ignored.
-func putClusterScratch(cs []cluster) {
-	if cs == nil {
-		return
+// foldClusters is the batch form of MP's and NC's state builder: the
+// time-ordered epoch fed through a clusterStream.
+func foldClusters(obs trace.Observed, cfg Config) clusterStream {
+	cs := clusterStream{mergeWindow: mergeWindowFor(cfg)}
+	s := timeOrdered(obs)
+	if len(s) > 0 {
+		// Two cluster starts lie more than mergeWindow apart, which bounds
+		// the cluster count by the epoch's span: one exact-enough allocation
+		// instead of append growth.
+		cs.done = make([]cluster, 0, min(len(s), int((s[len(s)-1].T-s[0].T)/cs.mergeWindow)+1))
 	}
-	cs = cs[:0]
-	clusterScratchPool.Put(&cs)
-}
-
-func (clusterer) clusters(obs trace.Observed, cfg Config) []cluster {
-	if len(obs) == 0 {
-		return nil
+	for _, rec := range s {
+		cs.observe(rec.T)
 	}
-	s := obs
-	sorted := true
-	for i := 1; i < len(obs); i++ {
-		if obs[i].T < obs[i-1].T {
-			sorted = false
-			break
-		}
-	}
-	// Already-ordered input — every engine-emitted or Sort-normalised trace
-	// — skips the copy entirely: clustering only reads timestamps, and a
-	// stable sort of a sorted slice is the identity.
-	var buf *[]trace.ObservedRecord
-	if !sorted {
-		buf = recScratchPool.Get().(*[]trace.ObservedRecord)
-		if cap(*buf) < len(obs) {
-			*buf = make([]trace.ObservedRecord, len(obs))
-		}
-		*buf = (*buf)[:len(obs)]
-		copy(*buf, obs)
-		sort.SliceStable(*buf, func(i, j int) bool { return (*buf)[i].T < (*buf)[j].T })
-		s = *buf
-	}
-
-	mergeWindow := mergeWindowFor(cfg)
-	outp := clusterScratchPool.Get().(*[]cluster)
-	out := (*outp)[:0]
-	cur := cluster{start: s[0].T, end: s[0].T, count: 1}
-	for _, rec := range s[1:] {
-		if rec.T-cur.start <= mergeWindow {
-			cur.end = rec.T
-			cur.count++
-			continue
-		}
-		out = append(out, cur)
-		cur = cluster{start: rec.T, end: rec.T, count: 1}
-	}
-	out = append(out, cur)
-	if buf != nil {
-		// Drop the record copies' string references before pooling.
-		clear(*buf)
-		recScratchPool.Put(buf)
-	}
-	// Ownership of the backing array moves to the caller, who hands it back
-	// through putClusterScratch; the Get'd box is not re-used (re-pooling it
-	// here would alias the returned slice with a future Get).
-	*outp = nil
-	clusterScratchPool.Put(outp)
-	return out
+	return cs
 }

@@ -1,7 +1,6 @@
 package estimators
 
 import (
-	"botmeter/internal/dga"
 	"botmeter/internal/sim"
 	"botmeter/internal/trace"
 )
@@ -16,9 +15,9 @@ import (
 // batch↔stream byte-identical at any shard count.
 
 // clusterStream folds a non-decreasing timestamp stream into visible
-// activation clusters — the incremental form of clusterer.clusters, whose
-// batch loop it reproduces exactly because clustering decisions depend only
-// on timestamps (never on tie order).
+// activation clusters (see mergeWindowFor). Clustering decisions depend only
+// on timestamps, never on tie order, so any time-ordered feed of the same
+// records builds the same clusters.
 type clusterStream struct {
 	mergeWindow sim.Time
 	done        []cluster
@@ -41,13 +40,13 @@ func (cs *clusterStream) observe(t sim.Time) {
 	cs.cur = cluster{start: t, end: t, count: 1}
 }
 
-// snapshot appends the live clusters (done plus the open one) to buf.
-func (cs *clusterStream) snapshot(buf []cluster) []cluster {
-	buf = append(buf, cs.done...)
-	if cs.started {
-		buf = append(buf, cs.cur)
+// at returns the i-th live cluster in time order: the closed ones, then the
+// open one.
+func (cs *clusterStream) at(i int) cluster {
+	if i < len(cs.done) {
+		return cs.done[i]
 	}
-	return buf
+	return cs.cur
 }
 
 func (cs *clusterStream) count() int {
@@ -131,15 +130,11 @@ func (s *PoissonStream) Observe(rec trace.ObservedRecord) { s.cs.observe(rec.T) 
 // number of visible activations; nothing expires early.
 func (s *PoissonStream) Advance(sim.Time) {}
 
-// Estimate implements EpochStream: Equation 1 over a snapshot of the live
-// clusters. Valid mid-epoch (provisional) and at close (final, identical
-// to the batch path on the same records).
+// Estimate implements EpochStream: Equation 1 over the live clusters. Valid
+// mid-epoch (provisional) and at close (final, identical to the batch path
+// on the same records).
 func (s *PoissonStream) Estimate() float64 {
-	if s.cs.count() == 0 {
-		return 0
-	}
-	buf := s.cs.snapshot(make([]cluster, 0, s.cs.count()))
-	return poissonEquation1(buf, s.windowStart, s.deltaL, s.epochLen)
+	return poissonEquation1(&s.cs, s.windowStart, s.deltaL, s.epochLen)
 }
 
 // ExportState / RestoreState are the checkpoint codec.
@@ -177,13 +172,9 @@ func (s *NaiveStream) RestoreState(st ClusterStreamState) { s.cs.restoreState(st
 // record on ingest. Epoch close sorts the pair log and runs the same
 // segment pipeline as the batch path — O(changed positions), not O(pool).
 type BernoulliStream struct {
-	mb         *Bernoulli
-	cfg        Config
-	epoch      int
-	epochStart sim.Time
-	numBuckets int
-	pool       *dga.Pool
-	ps         *pairSet
+	mb    *Bernoulli
+	epoch int
+	pairFold
 }
 
 // OpenEpoch implements StreamCapable.
@@ -192,26 +183,14 @@ func (mb *Bernoulli) OpenEpoch(epoch int, cfg Config) EpochStream {
 		cfg = cfg.withDefaults()
 	}
 	return &BernoulliStream{
-		mb:         mb,
-		cfg:        cfg,
-		epoch:      epoch,
-		epochStart: sim.Time(epoch) * cfg.EpochLen,
-		numBuckets: ttlBuckets(cfg, !mb.DisableTTLPartition),
-		pool:       cfg.poolFor(epoch),
-		ps:         getPairSet(),
+		mb:       mb,
+		epoch:    epoch,
+		pairFold: newPairFold(cfg.poolFor(epoch), epoch, cfg, !mb.DisableTTLPartition),
 	}
 }
 
-// Observe implements EpochStream: resolve the record's pool position and
-// fold the (bucket, position) pair into the set. Duplicates — the common
-// case once a position has been seen in a TTL window — cost one probe.
-func (s *BernoulliStream) Observe(rec trace.ObservedRecord) {
-	pos, ok := position(s.pool, rec)
-	if !ok || s.pool.ValidAt(pos) {
-		return
-	}
-	s.ps.add(ttlBucketOf(rec.T, s.epochStart, s.cfg, s.numBuckets), pos)
-}
+// Observe implements EpochStream.
+func (s *BernoulliStream) Observe(rec trace.ObservedRecord) { s.observe(rec) }
 
 // Advance implements EpochStream. The pair set is already a sufficient
 // statistic; nothing expires.

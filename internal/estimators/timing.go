@@ -1,8 +1,6 @@
 package estimators
 
 import (
-	"slices"
-
 	"botmeter/internal/sim"
 	"botmeter/internal/symtab"
 	"botmeter/internal/trace"
@@ -58,28 +56,8 @@ func (mt *Timing) EstimateEpoch(obs trace.Observed, epoch int, cfg Config) (floa
 	if len(obs) == 0 {
 		return 0, nil
 	}
-	// Epoch slices from the analysis pipeline arrive already time-sorted
-	// (windowed views of a sorted trace), so the defensive copy+stable-sort
-	// only runs when a caller hands over genuinely unordered records. A
-	// stable sort's output is input-determined, so the generic sort is
-	// order-identical to the reflect-based sort.SliceStable it replaced.
-	s := obs
-	if !obs.IsSorted() {
-		s = make(trace.Observed, len(obs))
-		copy(s, obs)
-		slices.SortStableFunc(s, func(a, b trace.ObservedRecord) int {
-			switch {
-			case a.T < b.T:
-				return -1
-			case a.T > b.T:
-				return 1
-			}
-			return 0
-		})
-	}
-
 	stream := mt.OpenEpoch(epoch, cfg)
-	for _, rec := range s {
+	for _, rec := range timeOrdered(obs) {
 		stream.Observe(rec)
 	}
 	v := stream.Estimate()

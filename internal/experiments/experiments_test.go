@@ -5,8 +5,14 @@ import (
 	"strings"
 	"testing"
 
+	"botmeter/internal/botnet"
 	"botmeter/internal/dga"
+	"botmeter/internal/dnssim"
+	"botmeter/internal/enterprise"
+	"botmeter/internal/sim"
 	"botmeter/internal/stats"
+	"botmeter/internal/symtab"
+	"botmeter/internal/trace"
 )
 
 // quickCfg keeps test runtime low: small pools, few trials.
@@ -293,5 +299,70 @@ func TestReactivationExperiment(t *testing.T) {
 		if r.Estimator == "MT" && r.MeanBias <= 0 {
 			t.Errorf("MT bias = %v, expected positive (overcounting replays)", r.MeanBias)
 		}
+	}
+}
+
+// TestBorderRecordsCarryIDs is the instrumented check behind the simulator's
+// single name space: across the Figure 7 trace (three families over a benign
+// zone, one network) and a Figure 6(a) trial of every model, each record the
+// border took carries its domain's ID in the trial's table.
+func TestBorderRecordsCarryIDs(t *testing.T) {
+	check := func(what string, observed trace.Observed, tab *symtab.Table) {
+		t.Helper()
+		if len(observed) == 0 {
+			t.Errorf("%s: the border saw nothing", what)
+		}
+		for _, rec := range observed {
+			if rec.ID == symtab.None || tab.Resolve(rec.ID) != rec.Domain {
+				t.Fatalf("%s: record %+v does not carry its domain's ID", what, rec)
+			}
+		}
+	}
+
+	cfg7 := Fig7Config{Days: 2, Seed: 3, Scale: 0.05, BenignClients: 30, BenignLookupsPerClient: 5}
+	infections := fig7Infections(cfg7)
+	tr, err := enterprise.Generate(enterprise.Config{
+		Days:                   cfg7.Days,
+		Seed:                   cfg7.Seed,
+		BenignClients:          cfg7.BenignClients,
+		BenignLookupsPerClient: cfg7.BenignLookupsPerClient,
+		Granularity:            sim.Second,
+		Infections:             infections,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("figure 7 trace", tr.Observed, tr.Pools[infections[0].Spec.Name].Table())
+	tr.Close()
+
+	cfg6 := quickCfg()
+	for _, model := range []string{"AU", "AS", "AR", "AP"} {
+		spec, err := modelSpec(model, cfg6.Scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The trial as runTrial simulates it.
+		p := defaultTrialParams(spec, cfg6.Population, trialSeed(cfg6, "a", model, 0))
+		tab := symtab.New()
+		net := dnssim.NewNetwork(dnssim.NetworkConfig{
+			LocalServers: 1,
+			PositiveTTL:  sim.Day,
+			NegativeTTL:  p.negTTL,
+			Granularity:  p.granularity,
+		})
+		runner, err := botnet.NewRunner(botnet.Config{
+			Spec:          p.spec,
+			Seed:          p.seed,
+			Activation:    sim.ActivationModel{Sigma: p.sigma},
+			BotsPerServer: map[string]int{"local-00": p.population},
+			Pools:         dga.NewPoolCache(p.spec.Pool, p.seed, tab),
+		}, net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := runner.Run(sim.Window{Start: 0, End: sim.Time(p.windowEpochs) * sim.Day}); err != nil {
+			t.Fatal(err)
+		}
+		check("figure 6(a) "+model, net.Border.Observed(), tab)
 	}
 }

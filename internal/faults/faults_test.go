@@ -7,6 +7,7 @@ import (
 
 	"botmeter/internal/dnssim"
 	"botmeter/internal/sim"
+	"botmeter/internal/symtab"
 )
 
 func TestParseSpec(t *testing.T) {
@@ -129,12 +130,14 @@ type recordingUpstream struct {
 	resolves  int
 	lastT     sim.Time
 	lastQuery string
+	lastID    symtab.ID
 }
 
-func (u *recordingUpstream) Resolve(now sim.Time, forwarder, domain string) dnssim.Answer {
+func (u *recordingUpstream) Resolve(now sim.Time, forwarder, domain string, id symtab.ID) dnssim.Answer {
 	u.resolves++
 	u.lastT = now
 	u.lastQuery = domain
+	u.lastID = id
 	return dnssim.Answer{NX: true}
 }
 
@@ -157,7 +160,7 @@ func TestFaultyUpstreamLossSemantics(t *testing.T) {
 		inj := New(seed, Rates{Loss: 1})
 		u := NewFaultyUpstream(inner, inj)
 		for i := 0; i < 100; i++ {
-			if ans := u.Resolve(sim.Time(i), "local0", "x.example"); !ans.ServFail {
+			if ans := u.Resolve(sim.Time(i), "local0", "x.example", 1); !ans.ServFail {
 				t.Fatal("loss=1 must ServFail every resolve")
 			}
 		}
@@ -179,7 +182,7 @@ func TestFaultyUpstreamLossSemantics(t *testing.T) {
 func TestFaultyUpstreamServFailRecords(t *testing.T) {
 	inner := &recordingUpstream{}
 	u := NewFaultyUpstream(inner, New(1, Rates{ServFail: 1}))
-	if ans := u.Resolve(5, "local0", "y.example"); !ans.ServFail {
+	if ans := u.Resolve(5, "local0", "y.example", 1); !ans.ServFail {
 		t.Error("servfail=1 must ServFail")
 	}
 	// Unlike loss-of-query, an injected SERVFAIL means the border saw the
@@ -192,13 +195,13 @@ func TestFaultyUpstreamServFailRecords(t *testing.T) {
 func TestFaultyUpstreamBlackout(t *testing.T) {
 	inner := &recordingUpstream{}
 	u := NewFaultyUpstream(inner, New(1, Rates{Blackouts: []sim.Window{{Start: 0, End: sim.Minute}}}))
-	if ans := u.Resolve(30*sim.Second, "local0", "z.example"); !ans.ServFail {
+	if ans := u.Resolve(30*sim.Second, "local0", "z.example", 1); !ans.ServFail {
 		t.Error("blackout must ServFail")
 	}
 	if inner.resolves != 0 {
 		t.Error("blackout must record nothing at the vantage point")
 	}
-	if ans := u.Resolve(2*sim.Minute, "local0", "z.example"); ans.ServFail {
+	if ans := u.Resolve(2*sim.Minute, "local0", "z.example", 1); ans.ServFail {
 		t.Error("after the window the upstream must answer")
 	}
 }
@@ -207,9 +210,12 @@ func TestFaultyUpstreamDelayAndDuplicate(t *testing.T) {
 	inner := &recordingUpstream{}
 	inj := New(3, Rates{Delay: sim.Second, Duplicate: 1})
 	u := NewFaultyUpstream(inner, inj)
-	ans := u.Resolve(1000, "local0", "d.example")
+	ans := u.Resolve(1000, "local0", "d.example", 7)
 	if ans.ServFail || !ans.NX {
 		t.Errorf("answer = %+v", ans)
+	}
+	if inner.lastQuery != "d.example" || inner.lastID != 7 {
+		t.Errorf("inner saw (%q, %d), want the pair (d.example, 7) passed through", inner.lastQuery, inner.lastID)
 	}
 	if inner.resolves != 2 {
 		t.Errorf("duplicate=1: inner resolves = %d, want 2", inner.resolves)

@@ -24,37 +24,24 @@ import (
 // dnssim.NetworkConfig.WrapUpstream.
 type FaultyUpstream struct {
 	inner dnssim.Upstream
-	// innerID is inner's ID fast path when it offers one (cached type
-	// assertion; nil otherwise).
-	innerID dnssim.UpstreamID
-	inj     *Injector
+	inj   *Injector
 }
 
 // NewFaultyUpstream wraps inner with the injector's faults. A nil injector
-// or all-zero rates returns inner unchanged. The wrapper preserves inner's
-// ID fast path: it implements dnssim.UpstreamID, forwarding the (domain, id)
-// pair when inner does too.
+// or all-zero rates returns inner unchanged.
 func NewFaultyUpstream(inner dnssim.Upstream, inj *Injector) dnssim.Upstream {
 	if inj == nil || !inj.rates.Enabled() {
 		return inner
 	}
-	f := &FaultyUpstream{inner: inner, inj: inj}
-	f.innerID, _ = inner.(dnssim.UpstreamID)
-	return f
+	return &FaultyUpstream{inner: inner, inj: inj}
 }
 
 // Injector exposes the wrapped injector (for counters).
 func (f *FaultyUpstream) Injector() *Injector { return f.inj }
 
-// Resolve implements dnssim.Upstream.
-func (f *FaultyUpstream) Resolve(now sim.Time, forwarder, domain string) dnssim.Answer {
-	return f.ResolveID(now, forwarder, domain, symtab.None)
-}
-
-// ResolveID implements dnssim.UpstreamID. The injector draw sequence is
-// shared with Resolve (single implementation), so fault decisions — and
-// hence chaos artifacts — are identical whether or not queries carry IDs.
-func (f *FaultyUpstream) ResolveID(now sim.Time, forwarder, domain string, id symtab.ID) dnssim.Answer {
+// Resolve implements dnssim.Upstream; the (domain, id) pair passes through
+// to inner untouched.
+func (f *FaultyUpstream) Resolve(now sim.Time, forwarder, domain string, id symtab.ID) dnssim.Answer {
 	if f.inj.Blackout(now) {
 		return dnssim.Answer{ServFail: true}
 	}
@@ -62,30 +49,21 @@ func (f *FaultyUpstream) ResolveID(now sim.Time, forwarder, domain string, id sy
 		if f.inj.LossIsResponse() {
 			// Query reached the border (recorded) but the answer was lost:
 			// the downstream server times out all the same.
-			f.resolveInner(now, forwarder, domain, id)
+			f.inner.Resolve(now, forwarder, domain, id)
 		}
 		return dnssim.Answer{ServFail: true}
 	}
 	if f.inj.ServFail() {
 		// The upstream processed (and its vantage point recorded) the
 		// query but failed to resolve it.
-		f.resolveInner(now, forwarder, domain, id)
+		f.inner.Resolve(now, forwarder, domain, id)
 		return dnssim.Answer{ServFail: true}
 	}
 	at := now + f.inj.Delay()
-	ans := f.resolveInner(at, forwarder, domain, id)
+	ans := f.inner.Resolve(at, forwarder, domain, id)
 	if f.inj.Duplicate() {
-		f.resolveInner(at, forwarder, domain, id)
+		f.inner.Resolve(at, forwarder, domain, id)
 	}
 	f.inj.countPassed()
 	return ans
-}
-
-// resolveInner forwards one attempt to the wrapped upstream, keeping the ID
-// on the fast path when both sides support it.
-func (f *FaultyUpstream) resolveInner(now sim.Time, forwarder, domain string, id symtab.ID) dnssim.Answer {
-	if id != symtab.None && f.innerID != nil {
-		return f.innerID.ResolveID(now, forwarder, domain, id)
-	}
-	return f.inner.Resolve(now, forwarder, domain)
 }

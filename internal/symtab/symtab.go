@@ -6,20 +6,21 @@
 // path (simulate → cache → match → estimate) can operate on compact integer
 // IDs and keep heap-allocated strings at the I/O boundary (trace emission,
 // artifact rendering). A Table interns every domain a trial can produce
-// (pool domains, C2 names) exactly once; all downstream structures — pool
-// position arrays, the DNS cache's open-addressed fast path, the matcher
-// bitset — index by ID.
+// (pool domains, C2 names, the benign zone, ad-hoc query names) exactly once,
+// where the name enters the simulator; all downstream structures — pool
+// position arrays, the DNS cache's open-addressed table, the registry and
+// matcher bitsets — index by ID.
 //
 // IDs are dense and allocation-ordered: the first interned string gets ID 1,
 // the second ID 2, and so on. ID 0 is the reserved sentinel None meaning
-// "unknown / external": records read back from disk traces, benign
-// enterprise lookups and externally-injected cache names all carry ID 0 and
-// take the pre-existing string paths, so behaviour is unchanged for anything
-// the table has not seen.
+// "no ID". Inside the simulator (dnssim, botnet, faults) every name carries
+// a real ID and None is refused; on the analysis side, records read back
+// from disk traces carry None and are matched and estimated by their
+// strings.
 //
 // Tables are recycled across trials via a package-level sync.Pool (Get /
-// Release), mirroring dnssim's entry-map pool, so steady-state allocations do
-// not grow with trial count.
+// Release), mirroring dnssim's slot-array pool, so steady-state allocations
+// do not grow with trial count.
 //
 // The table is internally mutex-guarded: interning happens at pool
 // construction time (dga.PoolCache funnels every PoolFor through one table)
@@ -35,8 +36,8 @@ import (
 // ID is a dense interned-domain identifier. The zero value is None.
 type ID uint32
 
-// None is the reserved "unknown / external" sentinel. Strings are never
-// assigned ID 0; a record carrying None falls back to string-keyed paths.
+// None is the reserved "no ID" sentinel. Strings are never assigned ID 0; a
+// trace record carrying None is handled by its domain string.
 const None ID = 0
 
 const (

@@ -31,12 +31,11 @@ type ObservedRecord struct {
 	Server string   `json:"server"`
 	Domain string   `json:"domain"`
 
-	// ID is the interned symtab ID of Domain for records that originated
-	// in-process (the border sets it when the query carried one). It is an
-	// in-memory fast-path hint only: never serialised (traces on disk are
-	// strings; readers leave it symtab.None) and never required — ID ==
-	// symtab.None simply routes matching/estimation through the string
-	// paths.
+	// ID is Domain's interned symtab ID in the table of the network that
+	// emitted the record: a simulated border sets it on every record. It is
+	// in-memory only — never serialised (traces on disk are strings; readers
+	// leave it symtab.None) — and the analysis side does not require it: a
+	// record with ID == symtab.None is matched and estimated by its string.
 	ID symtab.ID `json:"-"`
 }
 
