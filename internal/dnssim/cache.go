@@ -43,10 +43,6 @@ type Cache struct {
 
 	ids idTable
 
-	// pooled records whether the slot array came from the shared pool;
-	// after Release the cache keeps working with fresh unpooled storage.
-	pooled bool
-
 	// StaleTTL, when positive, keeps expired entries servable for that long
 	// past their expiry so LookupStaleID can answer from them while the
 	// upstream is unreachable (RFC 8767 serve-stale). Zero disables it.
@@ -61,23 +57,38 @@ type Cache struct {
 	m cacheMetrics
 }
 
-// idSlots recycles slot arrays across simulations. Experiment sweeps build
-// thousands of short-lived hierarchies, and re-growing each cache from
-// scratch dominated the allocator profile; arrays returned via Release are
-// handed to the next NewCache already sized for a day of traffic.
-var idSlots = sync.Pool{
-	New: func() any { return make([]idEntry, 1024) },
+// idSlots recycles slot arrays across simulations and across one cache's
+// rehashes. Experiment sweeps build thousands of short-lived hierarchies, and
+// allocating each cache's growth steps from scratch dominated the allocator
+// profile. Arrays in the pool are zero over their whole capacity; a table
+// uses a prefix of the one it holds, so its size — and with it the point at
+// which it rehashes and evicts — follows from its own stores alone, never
+// from which array the pool happened to hand out.
+var idSlots sync.Pool
+
+// minSlots is the size every table starts at.
+const minSlots = 1024
+
+// takeSlots returns a zeroed slot array of the given length, recycled when
+// the pool has one large enough.
+func takeSlots(size int) []idEntry {
+	if s, _ := idSlots.Get().([]idEntry); cap(s) >= size {
+		return s[:size]
+	}
+	return make([]idEntry, size)
+}
+
+// giveSlots clears the used prefix of a pooled array and returns it.
+func giveSlots(s []idEntry) {
+	clear(s)
+	idSlots.Put(s[:cap(s)])
 }
 
 // NewCache builds a cache with the given TTLs. Non-positive TTLs disable
 // caching for that answer class.
 func NewCache(positiveTTL, negativeTTL sim.Time) *Cache {
-	c := &Cache{
-		positiveTTL: positiveTTL,
-		negativeTTL: negativeTTL,
-		pooled:      true,
-	}
-	c.ids.adopt(idSlots.Get().([]idEntry))
+	c := &Cache{positiveTTL: positiveTTL, negativeTTL: negativeTTL}
+	c.ids.adopt(takeSlots(minSlots), true)
 	return c
 }
 
@@ -88,12 +99,9 @@ func NewCache(positiveTTL, negativeTTL sim.Time) *Cache {
 // Network.ReleaseCaches is safe and never pollutes the pool with small
 // replacement arrays.
 func (c *Cache) Release() {
-	if !c.pooled {
-		return
-	}
-	c.pooled = false
-	if slots := c.ids.surrender(); slots != nil {
-		idSlots.Put(slots)
+	if c.ids.pooled {
+		giveSlots(c.ids.slots)
+		c.ids = idTable{}
 	}
 }
 
@@ -143,7 +151,7 @@ func (c *Cache) StoreID(now sim.Time, id symtab.ID, nx bool) {
 	if ttl <= 0 {
 		return
 	}
-	if dropped := c.ids.put(idEntry{id: id, nx: nx, expires: now + ttl}, now-c.StaleTTL); dropped > 0 {
+	if dropped := c.ids.put(idEntry{id: id, nx: nx, expires: now + ttl}, now-max(c.StaleTTL, 0)); dropped > 0 {
 		c.m.evictions.Add(uint64(dropped))
 	}
 	if c.m.stores != nil {
@@ -180,23 +188,15 @@ type idTable struct {
 	slots []idEntry
 	mask  uint32
 	used  int
+	// pooled records that slots came from idSlots and go back there when
+	// the table leaves them; after Cache.Release the table works on fresh
+	// unpooled storage.
+	pooled bool
 }
 
 // adopt installs a (zeroed, power-of-two sized) slot array.
-func (t *idTable) adopt(slots []idEntry) {
-	t.slots = slots
-	t.mask = uint32(len(slots) - 1)
-	t.used = 0
-}
-
-// surrender clears and detaches the slot array for return to a pool.
-func (t *idTable) surrender() []idEntry {
-	s := t.slots
-	for i := range s {
-		s[i] = idEntry{}
-	}
-	t.slots, t.mask, t.used = nil, 0, 0
-	return s
+func (t *idTable) adopt(slots []idEntry, pooled bool) {
+	*t = idTable{slots: slots, mask: uint32(len(slots) - 1), pooled: pooled}
 }
 
 // idHash spreads sequential dense IDs across slots (Fibonacci hashing).
@@ -228,7 +228,7 @@ func (t *idTable) put(e idEntry, horizon sim.Time) (dropped int) {
 	}
 	if t.slots == nil {
 		// Post-Release use: fresh unpooled storage (see Cache.Release).
-		t.adopt(make([]idEntry, 1024))
+		t.adopt(make([]idEntry, minSlots), false)
 	}
 	slot := idHash(e.id) & t.mask
 	for {
@@ -249,8 +249,8 @@ func (t *idTable) put(e idEntry, horizon sim.Time) (dropped int) {
 	}
 }
 
-// grow rehashes into a fresh slot array, keeping only entries that can still
-// be served (expires > horizon; the caller passes now - StaleTTL). The array
+// grow rehashes into another slot array, keeping only entries that can still
+// be served (expires > horizon; the caller passes now - StaleTTL). The table
 // doubles only if the survivors fill more than half of the old one, so a
 // long-running cache whose entries expire settles at a size that fits its
 // live set. Returns the number of entries left behind.
@@ -266,7 +266,12 @@ func (t *idTable) grow(horizon sim.Time) (dropped int) {
 	if live*2 > size {
 		size *= 2
 	}
-	t.slots = make([]idEntry, size)
+	if t.pooled {
+		t.slots = takeSlots(size)
+		defer giveSlots(old)
+	} else {
+		t.slots = make([]idEntry, size)
+	}
 	t.mask = uint32(size - 1)
 	for _, e := range old {
 		if e.id == symtab.None || e.expires <= horizon {

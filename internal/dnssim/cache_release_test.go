@@ -3,6 +3,7 @@ package dnssim
 import (
 	"testing"
 
+	"botmeter/internal/sim"
 	"botmeter/internal/symtab"
 )
 
@@ -64,6 +65,34 @@ func TestCacheReleaseReturnsCleanStorage(t *testing.T) {
 		t.Fatal("recycled slots leaked an entry")
 	}
 	c2.Release()
+}
+
+// TestCacheSizeIgnoresPooledArray: a table starts at minSlots and rehashes at
+// three quarters of its own size whatever the capacity of the array the pool
+// handed out — when a cache evicts must not depend on process history.
+func TestCacheSizeIgnoresPooledArray(t *testing.T) {
+	big := NewCache(sim.Day, sim.Day)
+	for id := symtab.ID(1); id <= 1<<14; id++ {
+		big.StoreID(0, id, true)
+	}
+	big.Release() // leaves a 32 Ki-slot array in the pool
+
+	c := NewCache(sim.Second, sim.Second)
+	defer c.Release()
+	if got := len(c.ids.slots); got != minSlots {
+		t.Fatalf("new table has %d slots, want %d", got, minSlots)
+	}
+	const fill = minSlots * 3 / 4
+	for id := symtab.ID(1); id <= fill; id++ {
+		c.StoreID(0, id, true)
+	}
+	if c.Len() != fill {
+		t.Fatalf("Len = %d before the table is three quarters full, want %d", c.Len(), fill)
+	}
+	c.StoreID(sim.Minute, fill+1, true) // crosses 3/4: the expired entries go
+	if c.Len() != 1 || len(c.ids.slots) != minSlots {
+		t.Fatalf("after the rehash: Len %d on %d slots, want 1 on %d", c.Len(), len(c.ids.slots), minSlots)
+	}
 }
 
 func TestIDTableGrowth(t *testing.T) {

@@ -32,11 +32,11 @@ func (c nameCache) store(now sim.Time, domain string, nx bool) {
 }
 
 // newSlotCache builds an unpooled cache over a slot array of the given
-// (power-of-two) size, so a test decides when the table rehashes instead of
-// inheriting whatever array the shared pool hands out.
+// (power-of-two) size, so a test can make the table rehash after a handful
+// of stores instead of the 768 a NewCache table takes.
 func newSlotCache(positiveTTL, negativeTTL sim.Time, slots int) *Cache {
 	c := &Cache{positiveTTL: positiveTTL, negativeTTL: negativeTTL}
-	c.ids.adopt(make([]idEntry, slots))
+	c.ids.adopt(make([]idEntry, slots), false)
 	return c
 }
 
@@ -89,7 +89,8 @@ func TestCacheHitRate(t *testing.T) {
 // counted as evictions, and the array does not double on their account.
 func TestCacheGrowEvicts(t *testing.T) {
 	const n = 3000
-	c := newSlotCache(sim.Second, sim.Second, 1024)
+	c := NewCache(sim.Second, sim.Second)
+	defer c.Release()
 	c.StaleTTL = sim.Minute
 	reg := obs.NewRegistry()
 	c.Instrument(reg, "level", "test")
@@ -122,6 +123,25 @@ func TestCacheGrowEvicts(t *testing.T) {
 	}
 	if _, ok := c.LookupID(later, 1); ok {
 		t.Error("evicted entry still served")
+	}
+}
+
+// TestCacheNegativeStaleTTL: a negative StaleTTL (cmd/resolver passes its
+// -serve-stale flag through unchecked) means "no stale window", not an
+// eviction horizon in the future that would take live entries with it.
+func TestCacheNegativeStaleTTL(t *testing.T) {
+	c := newSlotCache(sim.Hour, sim.Hour, 8)
+	c.StaleTTL = -2 * sim.Hour
+	for id := symtab.ID(1); id <= 100; id++ {
+		c.StoreID(0, id, true)
+	}
+	if c.Len() != 100 {
+		t.Fatalf("Len = %d, want 100: live entries evicted", c.Len())
+	}
+	for id := symtab.ID(1); id <= 100; id++ {
+		if _, ok := c.LookupID(1, id); !ok {
+			t.Fatalf("id %d evicted while live", id)
+		}
 	}
 }
 

@@ -163,10 +163,7 @@ func Generate(cfg Config) (*Trace, error) {
 	// and the benign zone — share gets one ID, keeping the per-family
 	// matchers exact).
 	tab := symtab.Get()
-	if err := net.BindTable(tab); err != nil {
-		tab.Release()
-		return nil, fmt.Errorf("enterprise: %w", err)
-	}
+	_ = net.BindTable(tab) // nothing is bound yet: a new network adopts any table
 
 	// Benign zone: all registered (and interned, once), popularity
 	// Zipf-ranked.
@@ -200,8 +197,11 @@ func Generate(cfg Config) (*Trace, error) {
 	}
 	// NOTE: benign lookups are issued day-by-day but not globally sorted;
 	// per-domain cache behaviour only depends on per-domain ordering, and
-	// within a domain queries are near-sorted. The merged observable
-	// dataset is sorted before return.
+	// within a domain queries are near-sorted. (An evicting cache rehash at
+	// a late time can turn an out-of-order earlier query into a miss; the
+	// rehash points follow from the cache's own stores, so the trace is
+	// still a function of the config alone.) The merged observable dataset
+	// is sorted before return.
 
 	// Infections: one botnet runner per family over the full window, with
 	// per-day populations following a log-normal random walk around the

@@ -2,10 +2,12 @@ package enterprise
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"botmeter/internal/dga"
+	"botmeter/internal/dnssim"
 	"botmeter/internal/sim"
 	"botmeter/internal/symtab"
 )
@@ -85,6 +87,32 @@ func TestGenerateDeterministic(t *testing.T) {
 		if a.GroundTruth["mini-AR"][i] != b.GroundTruth["mini-AR"][i] {
 			t.Fatal("nondeterministic ground truth")
 		}
+	}
+}
+
+// TestGenerateIgnoresPoolHistory: the benign pass issues unsorted times, so
+// when a cache evicts decides later answers. That point must follow from the
+// trace's own stores, not from the size of whatever slot array an earlier
+// simulation left in dnssim's pool.
+func TestGenerateIgnoresPoolHistory(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Days, cfg.BenignClients, cfg.BenignLookupsPerClient, cfg.BenignZoneSize = 4, 200, 10, 3000
+	a, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Leave a slot array far larger than this trace needs in the pool.
+	big := dnssim.NewCache(sim.Day, sim.Day)
+	for id := symtab.ID(1); id <= 1<<16; id++ {
+		big.StoreID(0, id, true)
+	}
+	big.Release()
+	b, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(a.Observed, b.Observed) {
+		t.Fatalf("same config, different traces: %d records, then %d with a primed pool", len(a.Observed), len(b.Observed))
 	}
 }
 

@@ -178,7 +178,7 @@ func (mb *Bernoulli) EstimateEpoch(obs trace.Observed, epoch int, cfg Config) (f
 	fold := newPairFold(pool, epoch, cfg, !mb.DisableTTLPartition)
 	defer putPairSet(fold.ps)
 	for _, rec := range obs {
-		fold.observe(rec)
+		fold.Observe(rec)
 	}
 	return mb.estimatePairs(view, fold.ps.sorted(), thetaQ), nil
 }

@@ -61,7 +61,7 @@ func (ce *Coverage) EstimateEpoch(obs trace.Observed, epoch int, cfg Config) (fl
 	fold := newPairFold(pool, epoch, cfg, true)
 	defer putPairSet(fold.ps)
 	for _, rec := range obs {
-		fold.observe(rec)
+		fold.Observe(rec)
 	}
 	// Only the per-bucket distinct counts matter; the sorted pair log walks
 	// as contiguous bucket groups.

@@ -146,13 +146,13 @@ func newPairFold(pool *dga.Pool, epoch int, cfg Config, partition bool) pairFold
 	}
 }
 
-// observe resolves the record's pool position and adds its pair; records
+// Observe resolves the record's pool position and adds its pair; records
 // outside the pool or on a registered position say nothing about NXDs.
 // Duplicates — the common case once a position has been seen in a TTL
 // window — cost one probe. (Within one pool, domain ↔ position is a
 // bijection, so deduplicating by position is deduplicating by domain,
 // without hashing the string when the record carries an interned ID.)
-func (f *pairFold) observe(rec trace.ObservedRecord) {
+func (f *pairFold) Observe(rec trace.ObservedRecord) {
 	pos, ok := position(f.pool, rec)
 	if !ok || f.pool.ValidAt(pos) {
 		return

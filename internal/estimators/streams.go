@@ -189,9 +189,6 @@ func (mb *Bernoulli) OpenEpoch(epoch int, cfg Config) EpochStream {
 	}
 }
 
-// Observe implements EpochStream.
-func (s *BernoulliStream) Observe(rec trace.ObservedRecord) { s.observe(rec) }
-
 // Advance implements EpochStream. The pair set is already a sufficient
 // statistic; nothing expires.
 func (s *BernoulliStream) Advance(sim.Time) {}
