@@ -31,12 +31,12 @@ type Config struct {
 	Family dga.Spec
 	// Seed reconstructs the family's pools.
 	Seed uint64
-	// Pools, when non-nil, supplies the shared per-trial pool cache
-	// (typically symbolized against a symtab intern table). The matcher and
-	// the estimators then reuse one pool object per epoch — and take the
-	// domain-ID fast paths for records that originated in-process — instead
-	// of each regenerating pools from (Family, Seed). Nil keeps the
-	// string-only behaviour; results are identical either way.
+	// Pools is the per-epoch pool cache the matcher and the estimators
+	// share: one pool object per epoch, generated once. A caller holding a
+	// per-trial cache (typically symbolized against a symtab intern table)
+	// passes it here, and records that originated in-process then take the
+	// domain-ID fast paths. Nil gets a private, unsymbolized cache over
+	// (Family, Seed) — string paths only; results are identical either way.
 	Pools *dga.PoolCache
 	// EpochLen is δe (default one day).
 	EpochLen sim.Time
@@ -68,6 +68,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NegativeTTL <= 0 {
 		c.NegativeTTL = 2 * sim.Hour
+	}
+	if c.Pools == nil {
+		c.Pools = dga.NewPoolCache(c.Family.Pool, c.Seed, nil)
 	}
 	if c.Estimator == nil {
 		c.Estimator = estimators.ForModel(c.Family)
@@ -108,7 +111,7 @@ func New(cfg Config) (*BotMeter, error) {
 	cfg = cfg.withDefaults()
 	return &BotMeter{
 		cfg:      cfg,
-		matchers: NewEpochMatchers(cfg.Family, cfg.Seed, cfg.Detection, cfg.Pools),
+		matchers: NewEpochMatchers(cfg.Family, cfg.Detection, cfg.Pools),
 	}, nil
 }
 

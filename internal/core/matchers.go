@@ -25,7 +25,6 @@ import (
 // actually arrives.
 type EpochMatchers struct {
 	family    dga.Spec
-	seed      uint64
 	detection *d3.Window
 	pools     *dga.PoolCache
 
@@ -34,14 +33,13 @@ type EpochMatchers struct {
 }
 
 // NewEpochMatchers builds the matcher cache. A nil detection window means
-// perfect pool knowledge. pools, when non-nil, supplies shared (and, when
-// its table is set, symbolized) pools so the matcher, the estimators and
-// the simulator all reuse one pool object per epoch; nil falls back to
-// regenerating pools from the family spec.
-func NewEpochMatchers(family dga.Spec, seed uint64, detection *d3.Window, pools *dga.PoolCache) *EpochMatchers {
+// perfect pool knowledge. pools supplies the (when its table is set,
+// symbolized) pools, so the matcher, the estimators and the simulator all
+// reuse one pool object per epoch; it lives as long as the matchers, which
+// pin the same strings.
+func NewEpochMatchers(family dga.Spec, detection *d3.Window, pools *dga.PoolCache) *EpochMatchers {
 	return &EpochMatchers{
 		family:    family,
-		seed:      seed,
 		detection: detection,
 		pools:     pools,
 		byEpoch:   make(map[int]*EpochMatcher),
@@ -85,12 +83,7 @@ func (em *EpochMatchers) For(epoch int) *EpochMatcher {
 	if m, ok := em.byEpoch[epoch]; ok {
 		return m
 	}
-	var pool *dga.Pool
-	if em.pools != nil {
-		pool = em.pools.For(epoch)
-	} else {
-		pool = em.family.Pool.PoolFor(em.seed, epoch)
-	}
+	pool := em.pools.For(epoch)
 	m := &EpochMatcher{}
 	if em.detection != nil {
 		rep := em.detection.Detect(epoch, pool)

@@ -166,7 +166,7 @@ func (mb *Bernoulli) EstimateEpoch(obs trace.Observed, epoch int, cfg Config) (f
 	if len(obs) == 0 {
 		return 0, nil
 	}
-	pool := cfg.poolFor(epoch)
+	pool := cfg.Pools.For(epoch)
 	view, thetaQ := mb.viewFor(pool, epoch, cfg)
 	if view.size() == 0 {
 		return 0, nil

@@ -51,7 +51,7 @@ func (ce *Coverage) EstimateEpoch(obs trace.Observed, epoch int, cfg Config) (fl
 	if len(obs) == 0 {
 		return 0, nil
 	}
-	pool := cfg.poolFor(epoch)
+	pool := cfg.Pools.For(epoch)
 	probs := ce.coverProbabilities(pool, cfg.Spec)
 	if len(probs) == 0 {
 		return 0, nil

@@ -11,7 +11,7 @@ import (
 // (the first `distinct` of the epoch-0 pool), repeating each record
 // 1+dups times, and returns how many distinct positions were fed.
 func observeNXPositions(es EpochStream, cfg Config, distinct, dups int) int {
-	pool := cfg.poolFor(0)
+	pool := cfg.Spec.Pool.PoolFor(cfg.Seed, 0)
 	fed := 0
 	for pos := 0; pos < pool.Size() && fed < distinct; pos++ {
 		if pool.ValidAt(pos) {
@@ -96,7 +96,7 @@ func benchEpochClose(b *testing.B, sc StreamCapable, cfg Config, recs trace.Obse
 // cfg's epoch-0 pool, each repeated 1+dups times.
 func nxRecords(b *testing.B, cfg Config, distinct, dups int) trace.Observed {
 	b.Helper()
-	pool := cfg.poolFor(0)
+	pool := cfg.Spec.Pool.PoolFor(cfg.Seed, 0)
 	var recs trace.Observed
 	fed := 0
 	for pos := 0; pos < pool.Size() && fed < distinct; pos++ {

@@ -41,12 +41,14 @@ type Config struct {
 	// (undetectable positions must not split segments) and to scale θq by
 	// the realised coverage. Nil means the full pool is detectable.
 	Detection *d3.Window
-	// Pools, when non-nil, supplies the shared (typically symbolized)
-	// per-trial pool cache. Position-aware estimators (MB, Coverage) then
-	// reuse one pool object per epoch instead of regenerating it from
-	// (Spec, Seed) per call, and resolve pool positions of ID-carrying
-	// records with an O(1) array read instead of a string map lookup.
-	// Results are identical with or without it.
+	// Pools is the per-epoch pool cache the position-aware estimators (MB,
+	// Coverage) read: one pool object per epoch, however many (server,
+	// epoch) cells ask for it. A caller sharing a (typically symbolized)
+	// per-trial cache passes it here, and ID-carrying records then resolve
+	// their pool position with an O(1) array read instead of a string map
+	// lookup. Nil gets a private, unsymbolized cache over (Spec, Seed) when
+	// the config is normalised — so normalise once and fan the result out.
+	// Results are identical either way.
 	Pools *dga.PoolCache
 
 	// normalized records that withDefaults (and the caller's Validate) has
@@ -55,15 +57,6 @@ type Config struct {
 	// window- and engine-level callers normalise once and fan the flagged
 	// config out.
 	normalized bool
-}
-
-// poolFor materialises the pool for one epoch, through the shared cache
-// when available.
-func (c Config) poolFor(epoch int) *dga.Pool {
-	if c.Pools != nil {
-		return c.Pools.For(epoch)
-	}
-	return c.Spec.Pool.PoolFor(c.Seed, epoch)
 }
 
 // position resolves one record's pool position: ID-carrying records use the
@@ -97,6 +90,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NegativeTTL <= 0 {
 		c.NegativeTTL = 2 * sim.Hour
+	}
+	if c.Pools == nil {
+		c.Pools = dga.NewPoolCache(c.Spec.Pool, c.Seed, nil)
 	}
 	c.normalized = true
 	return c

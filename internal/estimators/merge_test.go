@@ -30,7 +30,7 @@ func stateJSON(tb testing.TB, v any) string {
 // non-decreasing timestamps inside epoch 0) against cfg's pool.
 func nxdRecords(tb testing.TB, cfg Config, rng *sim.RNG, n int) trace.Observed {
 	tb.Helper()
-	pool := cfg.poolFor(0)
+	pool := cfg.Spec.Pool.PoolFor(cfg.Seed, 0)
 	nxd := make([]int, 0, len(pool.Domains))
 	for pos := range pool.Domains {
 		if !pool.ValidAt(pos) {

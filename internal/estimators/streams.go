@@ -126,10 +126,6 @@ func (*Poisson) OpenEpoch(epoch int, cfg Config) EpochStream {
 // Observe implements EpochStream.
 func (s *PoissonStream) Observe(rec trace.ObservedRecord) { s.cs.observe(rec.T) }
 
-// Advance implements EpochStream. Cluster state is already bounded by the
-// number of visible activations; nothing expires early.
-func (s *PoissonStream) Advance(sim.Time) {}
-
 // Estimate implements EpochStream: Equation 1 over the live clusters. Valid
 // mid-epoch (provisional) and at close (final, identical to the batch path
 // on the same records).
@@ -157,9 +153,6 @@ func (*Naive) OpenEpoch(_ int, cfg Config) EpochStream {
 // Observe implements EpochStream.
 func (s *NaiveStream) Observe(rec trace.ObservedRecord) { s.cs.observe(rec.T) }
 
-// Advance implements EpochStream.
-func (s *NaiveStream) Advance(sim.Time) {}
-
 // Estimate implements EpochStream.
 func (s *NaiveStream) Estimate() float64 { return float64(s.cs.count()) }
 
@@ -185,13 +178,9 @@ func (mb *Bernoulli) OpenEpoch(epoch int, cfg Config) EpochStream {
 	return &BernoulliStream{
 		mb:       mb,
 		epoch:    epoch,
-		pairFold: newPairFold(cfg.poolFor(epoch), epoch, cfg, !mb.DisableTTLPartition),
+		pairFold: newPairFold(cfg.Pools.For(epoch), epoch, cfg, !mb.DisableTTLPartition),
 	}
 }
-
-// Advance implements EpochStream. The pair set is already a sufficient
-// statistic; nothing expires.
-func (s *BernoulliStream) Advance(sim.Time) {}
 
 // Estimate implements EpochStream: the batch segment pipeline over the
 // sorted pair log. Sorting in place is safe — the set's semantics are

@@ -56,13 +56,25 @@ type EpochStream interface {
 	// non-decreasing timestamp order (the engine's reorder buffer
 	// guarantees this).
 	Observe(rec trace.ObservedRecord)
+	// Estimate returns the estimate over everything observed so far. It
+	// is valid mid-epoch (provisional) and after the last record (final).
+	Estimate() float64
+}
+
+// Expiring is implemented by the EpochStreams that hold state a watermark
+// can retire (MT's candidates). The other streams' state is already a
+// bounded sufficient statistic and they have nothing to advance.
+type Expiring interface {
 	// Advance tells the stream that no future record will carry a
 	// timestamp below watermark, letting it expire state that can no
 	// longer influence the estimate.
 	Advance(watermark sim.Time)
-	// Estimate returns the estimate over everything observed so far. It
-	// is valid mid-epoch (provisional) and after the last record (final).
-	Estimate() float64
+	// NextExpiry reports the lowest watermark at which Advance has
+	// something to expire, and false while the stream holds nothing that
+	// can. The time never moves backwards while the stream holds state, so
+	// a caller may sleep on it: the engine queues a stream's cell by this
+	// time instead of advancing every stream on every record.
+	NextExpiry() (sim.Time, bool)
 }
 
 // TimingStream is Algorithm 1 in online form: the batch loop of
@@ -195,7 +207,7 @@ func (s *TimingStream) demote() {
 	s.tab = nil
 }
 
-// Advance implements EpochStream: candidates whose absorption window ends
+// Advance implements Expiring: candidates whose absorption window ends
 // at or before watermark are folded into the expired count and their
 // domain sets freed.
 func (s *TimingStream) Advance(watermark sim.Time) {
@@ -209,6 +221,15 @@ func (s *TimingStream) Advance(watermark sim.Time) {
 		s.expired += n
 		s.active = s.active[n:]
 	}
+}
+
+// NextExpiry implements Expiring: candidates are held in creation order, so
+// the oldest is the first to go.
+func (s *TimingStream) NextExpiry() (sim.Time, bool) {
+	if len(s.active) == 0 {
+		return 0, false
+	}
+	return s.active[0].first + s.maxDuration, true
 }
 
 // Estimate implements EpochStream: the candidate count so far.

@@ -2,6 +2,7 @@ package stream_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -547,6 +548,72 @@ func TestExportStateStableBytes(t *testing.T) {
 	}
 	if !bytes.Equal(a, c) {
 		t.Fatal("restore→export round trip changed the state bytes")
+	}
+}
+
+// TestCheckpointBytesPinned: a vantage upgraded in place resumes from the
+// generations its predecessor wrote, so the bytes of a checkpoint — format
+// v2, candidate order, domain order — are part of the contract. The hashes
+// were recorded at 8277555, the last commit whose export re-sorted every
+// domain set and whose shards walked every cell per record; the incremental
+// export and the due-time expiry must reproduce them at every cut.
+func TestCheckpointBytesPinned(t *testing.T) {
+	want := map[string][3]string{
+		"MP-murofet": {
+			"fb04ded7074de19468d733856289e18392fe8d9a95ca7c63724b737fb6a9b750",
+			"71b6ce1b5d38ff7f9ffb3d819c66a9703f04457993378be0b393caba4d5971a0",
+			"3436652c672daac3f3916bc46b7aaa12e9ac533c4e70df3594a3725e51694dd5",
+		},
+		"MB-newgoz": {
+			"bf0676046fa10498689b2889afd383541da50fe2728d5f709cfbcdff969870fe",
+			"4df6e36b6270561c4cdde6a464beadbc77622b971aa8374cc005d463b6cf63c0",
+			"69af7ac6ef398011be3c5d9b8395dd514a3861c6da7bd47e308a0fb905ce27d7",
+		},
+		"MT-murofet": {
+			"1a5ce28a2d53ae109a3278601488b80311382b666ac7a8763eea70e2e5a8ffa7",
+			"89513d0740aeeac6d53445742c479d8290d94eb77ad01378f965e60a36f9d968",
+			"152a3324cedef51b40691ae50084fd8887153c00b4b90ffa4be7604390837fe2",
+		},
+	}
+	for _, tc := range diffCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			base := synthTrace(t, tc.spec, 23, 12, 3, tc.activations)
+			delivered := chunkShuffle(base, 5*sim.Second, sim.NewRNG(24))
+			cfg := stream.Config{
+				Core:          core.Config{Family: tc.spec, Seed: 23, EpochLen: testEpochLen, SecondOpinion: true},
+				Shards:        2,
+				ReorderWindow: 5 * sim.Second,
+			}
+			if tc.estimator != nil {
+				cfg.Core.Estimator = tc.estimator()
+			}
+			eng, err := stream.New(cfg)
+			if err != nil {
+				t.Fatalf("stream.New: %v", err)
+			}
+			defer eng.Kill()
+			var got [3]string
+			fed := 0
+			for cut := range got {
+				for end := (cut + 1) * len(delivered) / 4; fed < end; fed++ {
+					if err := eng.Observe(delivered[fed]); err != nil {
+						t.Fatalf("Observe: %v", err)
+					}
+				}
+				st, err := eng.ExportState()
+				if err != nil {
+					t.Fatalf("ExportState: %v", err)
+				}
+				data, err := stream.EncodeCheckpoint(st)
+				if err != nil {
+					t.Fatalf("EncodeCheckpoint: %v", err)
+				}
+				got[cut] = fmt.Sprintf("%x", sha256.Sum256(data))
+			}
+			if got != want[tc.name] {
+				t.Fatalf("checkpoint bytes moved:\n got  %q\n want %q", got, want[tc.name])
+			}
+		})
 	}
 }
 

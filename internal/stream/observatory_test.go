@@ -2,6 +2,7 @@ package stream_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -344,14 +345,39 @@ func TestConcurrentScrape(t *testing.T) {
 	for err := range errs {
 		t.Fatalf("concurrent scrape: %v", err)
 	}
+	// The state the ingest path holds without walking it is counted at
+	// scrape time: with every record taken in (the export is the barrier)
+	// the last epoch's cells are open and their MT streams hold candidates.
+	stateGauges := func() (cells, queued float64) {
+		for shard := 0; shard < 4; shard++ {
+			cells += reg.GaugeValue(stream.MetricOpenCells, "shard", fmt.Sprint(shard))
+			queued += reg.GaugeValue(stream.MetricExpiryQueue, "shard", fmt.Sprint(shard))
+		}
+		return cells, queued
+	}
+	if _, err := eng.ExportState(); err != nil {
+		t.Fatalf("ExportState: %v", err)
+	}
+	if cells, queued := stateGauges(); cells == 0 || queued == 0 {
+		t.Fatalf("mid-stream: %v open cells, %v queued for expiry, want both > 0", cells, queued)
+	}
 	if _, err := eng.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+	if cells, queued := stateGauges(); cells != 0 || queued != 0 {
+		t.Fatalf("after Close: %v open cells, %v queued for expiry, want none", cells, queued)
 	}
 	// One final full validation after everything settled.
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if err := obs.ValidatePrometheusText(rec.Body); err != nil {
+	body := rec.Body.String()
+	if err := obs.ValidatePrometheusText(strings.NewReader(body)); err != nil {
 		t.Fatalf("final /metrics invalid: %v", err)
+	}
+	for _, name := range []string{stream.MetricOpenCells, stream.MetricExpiryQueue} {
+		if !strings.Contains(body, "# HELP "+name+" ") || !strings.Contains(body, name+`{shard="3"} 0`) {
+			t.Fatalf("final /metrics lacks %s with its help text", name)
+		}
 	}
 	var dump struct {
 		Series []struct {

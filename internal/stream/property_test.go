@@ -1,11 +1,16 @@
 package stream_test
 
 import (
+	"bytes"
+	"fmt"
+	"math"
+	"sort"
 	"strings"
 	"testing"
 
 	"botmeter/internal/core"
 	"botmeter/internal/dga"
+	"botmeter/internal/estimators"
 	"botmeter/internal/experiments"
 	"botmeter/internal/sim"
 	"botmeter/internal/stream"
@@ -245,5 +250,178 @@ func TestLandscapeJSON(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("payload missing %s:\n%s", want, body)
 		}
+	}
+}
+
+// TestExportInvariants holds the engine to what a cut must look like however
+// the shard got there — it no longer walks its cells per record, so nothing
+// else says the walk's results are still there. Random traces (1–64 servers,
+// 2–3 epochs, shuffled inside the reorder window; MP, MB and MT, second
+// opinion on and off) are cut at random points, and at every cut:
+//
+//	(a) no exported candidate, primary or second opinion, has
+//	    First + MaxDuration ≤ its shard's watermark;
+//	(b) no open cell lies in an epoch the watermark has passed entirely;
+//	(c) each server's Domains is strictly ascending and is exactly the set
+//	    of matched domains emitted for it so far;
+//	(d) a Restore of the export exports the same bytes, and still does
+//	    after both engines took the records up to the next cut — the close
+//	    mark and the expiry queue are rebuilt, not assumed.
+func TestExportInvariants(t *testing.T) {
+	const reorderWindow = 5 * sim.Second
+	for i, tc := range diffCases() {
+		for _, second := range []bool{false, true} {
+			label := uint64(2 * i)
+			if second {
+				label++
+			}
+			rng := sim.SplitFrom(0x1417, label)
+			t.Run(fmt.Sprintf("%s/second=%v", tc.name, second), func(t *testing.T) {
+				servers, epochs := 1+rng.IntN(64), 2+rng.IntN(2)
+				seed := rng.Uint64()
+				base := synthTrace(t, tc.spec, seed, servers, epochs, tc.activations)
+				delivered := chunkShuffle(base, reorderWindow, rng)
+				cfg := stream.Config{
+					Core:          core.Config{Family: tc.spec, Seed: seed, EpochLen: testEpochLen, SecondOpinion: second},
+					Shards:        1 + rng.IntN(3),
+					ReorderWindow: reorderWindow,
+				}
+				if tc.estimator != nil {
+					cfg.Core.Estimator = tc.estimator()
+				}
+				matchers := core.NewEpochMatchers(tc.spec, nil, dga.NewPoolCache(tc.spec.Pool, seed, nil))
+
+				live, err := stream.New(cfg)
+				if err != nil {
+					t.Fatalf("stream.New: %v", err)
+				}
+				defer live.Kill()
+				var twin *stream.Engine // restored from the previous cut, fed in step
+				defer func() {
+					if twin != nil {
+						twin.Kill()
+					}
+				}()
+				cuts := make([]int, 3+rng.IntN(3))
+				for c := range cuts {
+					cuts[c] = 1 + rng.IntN(len(delivered))
+				}
+				sort.Ints(cuts)
+				fed := 0
+				for _, cut := range cuts {
+					for ; fed < cut; fed++ {
+						if err := live.Observe(delivered[fed]); err != nil {
+							t.Fatalf("Observe: %v", err)
+						}
+						if twin != nil {
+							if err := twin.Observe(delivered[fed]); err != nil {
+								t.Fatalf("Observe (restored): %v", err)
+							}
+						}
+					}
+					st, data := exportBytes(t, live)
+					if twin != nil {
+						if _, got := exportBytes(t, twin); !bytes.Equal(got, data) {
+							t.Fatalf("cut %d: the engine restored at the previous cut diverged", cut)
+						}
+						twin.Kill()
+					}
+					checkCut(t, st, delivered[:fed], matchers, tc.spec.MaxDuration())
+					restoreCfg := cfg
+					restoreCfg.Shards = 0
+					if twin, err = stream.Restore(restoreCfg, st); err != nil {
+						t.Fatalf("Restore: %v", err)
+					}
+					if _, got := exportBytes(t, twin); !bytes.Equal(got, data) {
+						t.Fatalf("cut %d: restore→export changed the state bytes", cut)
+					}
+				}
+			})
+		}
+	}
+}
+
+func exportBytes(t *testing.T, eng *stream.Engine) (*stream.EngineState, []byte) {
+	t.Helper()
+	st, err := eng.ExportState()
+	if err != nil {
+		t.Fatalf("ExportState: %v", err)
+	}
+	data, err := stream.EncodeCheckpoint(st)
+	if err != nil {
+		t.Fatalf("EncodeCheckpoint: %v", err)
+	}
+	return st, data
+}
+
+// checkCut asserts invariants (a)–(c) of TestExportInvariants on one export
+// taken after exactly the records in fed.
+func checkCut(t *testing.T, st *stream.EngineState, fed trace.Observed, matchers *core.EpochMatchers, maxDuration sim.Time) {
+	t.Helper()
+	// A matched record is in the reorder buffer or has been emitted: the
+	// traces are loss-free by construction.
+	type key struct {
+		t              sim.Time
+		server, domain string
+	}
+	buffered := map[key]int{}
+	for _, sh := range st.Shards {
+		if sh.Stats.DroppedLate != 0 || sh.Stats.ReorderEvictions != 0 {
+			t.Fatalf("delivery was supposed to be loss-free: %+v", sh.Stats)
+		}
+		for _, en := range sh.Buffer {
+			buffered[key{en.T, en.Server, en.Domain}]++
+		}
+	}
+	emitted := map[string]map[string]struct{}{}
+	for _, rec := range fed {
+		if !matchers.For(int(rec.T / testEpochLen)).MatchRecord(rec) {
+			continue
+		}
+		if k := (key{rec.T, rec.Server, rec.Domain}); buffered[k] > 0 {
+			buffered[k]--
+			continue
+		}
+		if emitted[rec.Server] == nil {
+			emitted[rec.Server] = map[string]struct{}{}
+		}
+		emitted[rec.Server][rec.Domain] = struct{}{}
+	}
+	seen := 0
+	for i, sh := range st.Shards {
+		wm := sim.Time(sh.Watermark)
+		for _, sv := range sh.Servers {
+			seen++
+			if len(sv.Domains) != len(emitted[sv.Name]) {
+				t.Fatalf("%s: %d domains exported, %d emitted", sv.Name, len(sv.Domains), len(emitted[sv.Name]))
+			}
+			for j, d := range sv.Domains {
+				if j > 0 && sv.Domains[j-1] >= d {
+					t.Fatalf("%s: domains not strictly ascending at %d: %q, %q", sv.Name, j, sv.Domains[j-1], d)
+				}
+				if _, ok := emitted[sv.Name][d]; !ok {
+					t.Fatalf("%s: exported domain %q was never emitted", sv.Name, d)
+				}
+			}
+			for _, cell := range sv.Open {
+				if sh.Watermark != math.MinInt64 && wm >= 0 && cell.Epoch <= int(wm/testEpochLen)-1 {
+					t.Fatalf("shard %d %s: epoch %d still open at watermark %v", i, sv.Name, cell.Epoch, wm)
+				}
+				for _, ts := range []*estimators.TimingState{cell.Timing, cell.Second} {
+					if ts == nil {
+						continue
+					}
+					for _, cand := range ts.Active {
+						if cand.First+maxDuration <= wm {
+							t.Fatalf("shard %d %s epoch %d: candidate first=%v outlived watermark %v",
+								i, sv.Name, cell.Epoch, cand.First, wm)
+						}
+					}
+				}
+			}
+		}
+	}
+	if seen != len(emitted) {
+		t.Fatalf("%d servers exported, %d have emitted records", seen, len(emitted))
 	}
 }

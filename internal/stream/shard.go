@@ -3,6 +3,7 @@ package stream
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"time"
 
@@ -37,6 +38,17 @@ type shard struct {
 	// maxEmittedEpoch is the highest epoch that has received an emission;
 	// epochs below it are closed as soon as it advances.
 	maxEmittedEpoch int
+	// closedThrough is the highest epoch closeThroughLocked has walked the
+	// servers for: no cell at or below it is open. Emission is
+	// timestamp-monotone and a record behind the watermark is dropped before
+	// it reaches the heap, so no such cell can open again and the walk runs
+	// once per epoch roll-over instead of once per record. Derived state:
+	// never serialized, importState starts it over.
+	closedThrough int
+	// expiry queues the open cells that hold candidates, by the time the
+	// oldest one expires — what advanceOpenLocked pops instead of visiting
+	// every cell. Derived state as well; importState rebuilds it.
+	expiry expiryHeap
 
 	// lastMatcher memoises the last epoch's matcher: records arrive in
 	// near-epoch-order, so the common case skips EpochMatchers.For's mutex
@@ -66,6 +78,7 @@ func newShard(e *Engine, idx int) *shard {
 		maxT:            math.MinInt64,
 		minT:            math.MaxInt64,
 		maxEmittedEpoch: math.MinInt64,
+		closedThrough:   math.MinInt64,
 		servers:         make(map[string]*serverState),
 	}
 	if reg := e.cfg.Registry; reg != nil {
@@ -83,6 +96,22 @@ func newShard(e *Engine, idx int) *shard {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			return float64(s.buf.len())
+		}, "shard", fmt.Sprint(idx))
+		// The ingest path no longer visits this state record by record, so
+		// it is counted here, when somebody asks.
+		reg.GaugeFunc(MetricOpenCells, func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			n := 0
+			for _, sv := range s.servers {
+				n += len(sv.open)
+			}
+			return float64(n)
+		}, "shard", fmt.Sprint(idx))
+		reg.GaugeFunc(MetricExpiryQueue, func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(len(s.expiry))
 		}, "shard", fmt.Sprint(idx))
 	}
 	return s
@@ -266,15 +295,17 @@ func (s *shard) emitLocked(rec trace.ObservedRecord) {
 		s.servers[rec.Server] = sv
 	}
 	sv.matched++
-	sv.domains[rec.Domain] = struct{}{}
+	sv.addDomain(rec.Domain)
 	cell, ok := sv.open[epoch]
 	if !ok {
 		cell = &epochCell{}
 		if e.streaming != nil {
 			cell.prim = e.streaming.OpenEpoch(epoch, e.estCfg)
+			cell.watch(cell.prim)
 		}
 		if e.secondSrc != nil {
 			cell.second = e.secondSrc.OpenEpoch(epoch, e.estCfg)
+			cell.watch(cell.second)
 		}
 		sv.open[epoch] = cell
 	}
@@ -287,12 +318,30 @@ func (s *shard) emitLocked(rec trace.ObservedRecord) {
 	if cell.second != nil {
 		cell.second.Observe(rec)
 	}
+	s.queueExpiryLocked(cell)
+}
+
+// queueExpiryLocked puts a cell that holds candidates, and is not queued
+// already, on the expiry heap.
+func (s *shard) queueExpiryLocked(cell *epochCell) {
+	if cell.queued {
+		return
+	}
+	if due, ok := cell.nextExpiry(); ok {
+		cell.queued = true
+		s.expiry.push(expiryEntry{due: due, cell: cell})
+	}
 }
 
 // closeThroughLocked finalises every open epoch ≤ ep across the shard's
 // servers: micro-batch estimators run over the retained records, streaming
-// estimators report their running count, and the cell is freed.
+// estimators report their running count, and the cell is freed. Only the
+// first call for a given ep walks the servers (see closedThrough).
 func (s *shard) closeThroughLocked(ep int) {
+	if ep <= s.closedThrough {
+		return
+	}
+	s.closedThrough = ep
 	for _, sv := range s.servers {
 		for e := range sv.open {
 			if e <= ep {
@@ -338,6 +387,7 @@ func (s *shard) closeCellLocked(sv *serverState, epoch int) {
 		r.Release()
 	}
 	s.retainInc(-len(cell.recs))
+	cell.closed = true
 	delete(sv.open, epoch)
 	s.stats.EpochsClosed++
 	s.eng.m.epochs.Inc()
@@ -356,17 +406,23 @@ func (s *shard) estimateCellLocked(cell *epochCell, epoch int) (float64, error) 
 }
 
 // advanceOpenLocked lets streaming estimators expire candidate state up to
-// the watermark (bounded memory for idle-but-open epochs).
+// the watermark (bounded memory for idle-but-open epochs). It visits the
+// cells whose oldest candidate is due and no others. A cell's own Observe
+// may have expired that candidate already — its due time then reads early,
+// never late — in which case the visit finds nothing and re-queues the cell
+// at its real time. So after the call no open cell holds a candidate with
+// first + maxDuration ≤ watermark: what a walk over every cell leaves.
 func (s *shard) advanceOpenLocked(watermark sim.Time) {
-	for _, sv := range s.servers {
-		for _, cell := range sv.open {
-			if cell.prim != nil {
-				cell.prim.Advance(watermark)
-			}
-			if cell.second != nil {
-				cell.second.Advance(watermark)
-			}
+	for len(s.expiry) > 0 && s.expiry[0].due <= watermark {
+		cell := s.expiry.pop().cell
+		cell.queued = false
+		if cell.closed {
+			continue
 		}
+		for _, st := range cell.expiring {
+			st.Advance(watermark)
+		}
+		s.queueExpiryLocked(cell)
 	}
 }
 
@@ -382,6 +438,7 @@ func (s *shard) flushLocked() {
 		s.emitLocked(entry.rec)
 	}
 	s.closeThroughLocked(math.MaxInt64)
+	s.expiry = nil // every queued cell has just closed
 }
 
 // quiesceLocked force-emits every buffered record in timestamp order,
@@ -479,11 +536,49 @@ func hasKey(m map[int]float64, k int) bool {
 
 // serverState is one forwarding server's accumulated landscape state.
 type serverState struct {
-	matched    int
+	matched int
+	// domains is the distinct-domain set. sorted holds, ascending, the
+	// members the last export saw and fresh the ones added since, so an
+	// export sorts what is new and merges instead of sorting the set.
 	domains    map[string]struct{}
+	sorted     []string
+	fresh      []string
 	perEpoch   map[int]float64 // closed epochs → finalised estimate
 	perEpochMT map[int]float64 // closed epochs → MT second opinion
 	open       map[int]*epochCell
+}
+
+func (sv *serverState) addDomain(d string) {
+	n := len(sv.domains)
+	sv.domains[d] = struct{}{}
+	if len(sv.domains) > n {
+		sv.fresh = append(sv.fresh, d)
+	}
+}
+
+// sortedDomains returns the distinct domains ascending, in a slice of the
+// caller's own: sort the additions, merge them into sorted from the back,
+// copy out.
+func (sv *serverState) sortedDomains() []string {
+	if len(sv.fresh) > 0 {
+		sort.Strings(sv.fresh)
+		i, j := len(sv.sorted)-1, len(sv.fresh)-1
+		sv.sorted = append(sv.sorted, sv.fresh...)
+		for k := len(sv.sorted) - 1; j >= 0; k-- {
+			if i >= 0 && sv.sorted[i] > sv.fresh[j] {
+				sv.sorted[k] = sv.sorted[i]
+				i--
+			} else {
+				sv.sorted[k] = sv.fresh[j]
+				j--
+			}
+		}
+		sv.fresh = nil
+	}
+	if len(sv.sorted) == 0 {
+		return nil
+	}
+	return append([]string(nil), sv.sorted...)
 }
 
 // epochCell is one open (server, epoch): either a streaming estimator fed
@@ -492,6 +587,77 @@ type epochCell struct {
 	recs   trace.Observed
 	prim   estimators.EpochStream
 	second estimators.EpochStream
+	// expiring lists those of prim and second that hold state a watermark
+	// retires; queued says the cell sits on its shard's expiry heap, closed
+	// that the entry, when it comes up, is to be dropped.
+	expiring []estimators.Expiring
+	queued   bool
+	closed   bool
+}
+
+// watch notes a stream just opened for the cell if it is one that expires.
+func (c *epochCell) watch(es estimators.EpochStream) {
+	if x, ok := es.(estimators.Expiring); ok {
+		c.expiring = append(c.expiring, x)
+	}
+}
+
+// nextExpiry is the earliest time one of the cell's streams has something
+// to expire.
+func (c *epochCell) nextExpiry() (due sim.Time, ok bool) {
+	for _, st := range c.expiring {
+		if t, has := st.NextExpiry(); has && (!ok || t < due) {
+			due, ok = t, true
+		}
+	}
+	return due, ok
+}
+
+// expiryEntry queues one cell at the time its oldest candidate expires.
+type expiryEntry struct {
+	due  sim.Time
+	cell *epochCell
+}
+
+// expiryHeap is a binary min-heap by due time, value-based like reorderHeap.
+type expiryHeap []expiryEntry
+
+func (h *expiryHeap) push(e expiryEntry) {
+	*h = append(*h, e)
+	a := *h
+	for i := len(a) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if a[parent].due <= a[i].due {
+			break
+		}
+		a[i], a[parent] = a[parent], a[i]
+		i = parent
+	}
+}
+
+func (h *expiryHeap) pop() expiryEntry {
+	a := *h
+	top := a[0]
+	last := len(a) - 1
+	a[0] = a[last]
+	a[last] = expiryEntry{} // release the cell
+	a = a[:last]
+	*h = a
+	for i := 0; ; {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < len(a) && a[l].due < a[smallest].due {
+			smallest = l
+		}
+		if r < len(a) && a[r].due < a[smallest].due {
+			smallest = r
+		}
+		if smallest == i {
+			return top
+		}
+		a[i], a[smallest] = a[smallest], a[i]
+		i = smallest
+	}
 }
 
 // reorderEntry orders buffered records by (timestamp, arrival sequence) so

@@ -399,7 +399,7 @@ func (s *shard) exportLocked() (ShardState, error) {
 		ss := ServerState{
 			Name:     name,
 			Matched:  sv.matched,
-			Domains:  sortedKeys(sv.domains),
+			Domains:  sv.sortedDomains(),
 			Closed:   sortedEpochValues(sv.perEpoch),
 			ClosedMT: sortedEpochValues(sv.perEpochMT),
 		}
@@ -448,6 +448,11 @@ func (s *shard) importState(st ShardState) error {
 	s.maxT = sim.Time(st.MaxT)
 	s.hasData = st.HasData
 	s.maxEmittedEpoch = st.MaxEmittedEpoch
+	// The close mark and the expiry queue are derived from the state, not
+	// part of it: the first close after a restore walks the servers again,
+	// and the queue is rebuilt from the cells below.
+	s.closedThrough = math.MinInt64
+	s.expiry = nil
 	s.stats = Stats{
 		Ingested:         st.Stats.Ingested,
 		Matched:          st.Stats.Matched,
@@ -469,8 +474,10 @@ func (s *shard) importState(st ShardState) error {
 			perEpoch: make(map[int]float64, len(ss.Closed)),
 			open:     make(map[int]*epochCell, len(ss.Open)),
 		}
+		// The order a checkpoint lists domains in is not trusted: they all
+		// count as additions, and the first export sorts them.
 		for _, d := range ss.Domains {
-			sv.domains[d] = struct{}{}
+			sv.addDomain(d)
 		}
 		for _, ev := range ss.Closed {
 			sv.perEpoch[ev.Epoch] = ev.Value
@@ -494,6 +501,7 @@ func (s *shard) importState(st ShardState) error {
 					return fmt.Errorf("server %s epoch %d: %w", ss.Name, cs.Epoch, err)
 				}
 				cell.prim = prim
+				cell.watch(prim)
 			} else {
 				if cs.hasStreamState() {
 					return fmt.Errorf("server %s epoch %d: streaming state for a micro-batch estimator", ss.Name, cs.Epoch)
@@ -515,7 +523,9 @@ func (s *shard) importState(st ShardState) error {
 				}
 				codec.RestoreState(*cs.Second)
 				cell.second = second
+				cell.watch(second)
 			}
+			s.queueExpiryLocked(cell)
 			sv.open[cs.Epoch] = cell
 		}
 		s.servers[ss.Name] = sv

@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"botmeter/internal/core"
+	"botmeter/internal/dga"
 	"botmeter/internal/estimators"
 	"botmeter/internal/obs"
 	"botmeter/internal/sim"
@@ -70,6 +71,11 @@ const (
 	// MetricReorderDepth is a per-shard callback gauge: records currently
 	// held in the shard's reorder heap.
 	MetricReorderDepth = "stream_reorder_depth"
+	// MetricOpenCells and MetricExpiryQueue are per-shard callback gauges of
+	// the state the ingest path holds but does not walk: open (server, epoch)
+	// cells, and cells queued for candidate expiry.
+	MetricOpenCells   = "stream_open_cells"
+	MetricExpiryQueue = "stream_expiry_queue"
 	// MetricEpochClose is a histogram of the wall time spent finalising one
 	// (server, epoch) cell — the estimation cost paid at each epoch close.
 	MetricEpochClose = "stream_epoch_close_seconds"
@@ -135,6 +141,12 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Core.NegativeTTL <= 0 {
 		c.Core.NegativeTTL = 2 * sim.Hour
+	}
+	if c.Core.Pools == nil {
+		// One pool per (engine, epoch): the matcher and every (server,
+		// epoch) cell read it from here. Memoised, not symbolized: without
+		// a caller's table there are no IDs to resolve.
+		c.Core.Pools = dga.NewPoolCache(c.Core.Family.Pool, c.Core.Seed, nil)
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -241,7 +253,7 @@ func newEngine(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:       cfg,
 		estimator: est,
-		matchers:  core.NewEpochMatchers(cfg.Core.Family, cfg.Core.Seed, cfg.Core.Detection, cfg.Core.Pools),
+		matchers:  core.NewEpochMatchers(cfg.Core.Family, cfg.Core.Detection, cfg.Core.Pools),
 		estCfg: estimators.Config{
 			Spec:        cfg.Core.Family,
 			Seed:        cfg.Core.Seed,
@@ -279,6 +291,8 @@ func newEngine(cfg Config) (*Engine, error) {
 		reg.Help(MetricRotations, "Source-file rotations/truncations survived while tailing.")
 		reg.Help(MetricWatermarkLag, "Seconds between the wall clock and the shard watermark (live mode).")
 		reg.Help(MetricReorderDepth, "Records held in the shard's reorder heap.")
+		reg.Help(MetricOpenCells, "Open (server, epoch) cells held by the shard.")
+		reg.Help(MetricExpiryQueue, "Cells queued on the shard's candidate-expiry heap.")
 		reg.Help(MetricEpochClose, "Wall seconds spent finalising one (server, epoch) cell.")
 		e.m = engineMetrics{
 			ingested:   reg.Counter(MetricIngested),

@@ -55,6 +55,10 @@ type Table struct {
 	mu sync.Mutex
 	// strs[i] holds the string for ID i+1 (IDs are 1-based, dense).
 	strs []string
+	// hashes[i] is the low 32 bits of strs[i]'s hash — all a slot index ever
+	// uses — so doubling the index re-places IDs from this array, in order,
+	// without touching a string. Always as long as strs.
+	hashes []uint32
 	// idx is the open-addressed FNV-1a index. Each slot stores an ID
 	// (0 = empty). Size is always a power of two; mask = len(idx)-1.
 	idx  []ID
@@ -115,6 +119,7 @@ func (t *Table) internLocked(s string) ID {
 		slot = (slot + 1) & t.mask
 	}
 	t.strs = append(t.strs, s)
+	t.hashes = append(t.hashes, uint32(h))
 	id := ID(len(t.strs))
 	t.idx[slot] = id
 	if len(t.strs)*maxLoadDen > len(t.idx)*maxLoadNum {
@@ -124,18 +129,13 @@ func (t *Table) internLocked(s string) ID {
 }
 
 func (t *Table) growLocked() {
-	old := t.idx
-	t.init(len(old) * 2)
-	for _, id := range old {
-		if id == 0 {
-			continue
-		}
-		h := fnv1a(t.strs[id-1])
-		slot := uint32(h) & t.mask
+	t.init(len(t.idx) * 2)
+	for i, h := range t.hashes {
+		slot := h & t.mask
 		for t.idx[slot] != 0 {
 			slot = (slot + 1) & t.mask
 		}
-		t.idx[slot] = id
+		t.idx[slot] = ID(i + 1)
 	}
 }
 
@@ -220,6 +220,7 @@ func (t *Table) Reset() {
 
 func (t *Table) resetLocked() {
 	t.strs = t.strs[:0]
+	t.hashes = t.hashes[:0]
 	if t.idx == nil {
 		t.init(initialSlots)
 		return

@@ -67,3 +67,23 @@ func BenchmarkLookup(b *testing.B) {
 		tab.Lookup(keys[i%n])
 	}
 }
+
+// BenchmarkGrow times one doubling of the index at the size where a 16 s
+// chain-miss run crosses it: 393 216 names fill 524 288 slots to the 3/4
+// load and the next insert re-places every ID into 1 048 576. The worker
+// that owns the table answers nothing for that long.
+func BenchmarkGrow(b *testing.B) {
+	const n = 393216
+	b.Run(fmt.Sprint(n), func(b *testing.B) {
+		tab := New()
+		for i := 0; i < n; i++ {
+			tab.Intern(fmt.Sprintf("h%07x.bench.example.com", i))
+		}
+		full, mask := tab.idx, tab.mask
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tab.idx, tab.mask = full, mask
+			tab.growLocked()
+		}
+	})
+}

@@ -115,6 +115,48 @@ func TestResetReuse(t *testing.T) {
 	}
 }
 
+// TestGrowAfterResetAndImport: doubling re-places IDs from the stored
+// hashes, so Reset and Import must leave that array describing exactly the
+// strings the table holds now — a leftover from the previous contents would
+// misplace every ID at the next doubling.
+func TestGrowAfterResetAndImport(t *testing.T) {
+	names := func(prefix string, n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf("%s%d.example", prefix, i)
+		}
+		return out
+	}
+	check := func(tab *Table, want []string) {
+		t.Helper()
+		for i, s := range want {
+			if id, ok := tab.Lookup(s); !ok || int(id) != i+1 {
+				t.Fatalf("Lookup(%q) = %d,%v, want %d,true", s, id, ok, i+1)
+			}
+		}
+	}
+	tab := New()
+	for _, s := range names("x", 5000) { // 1024 → 8192 slots
+		tab.Intern(s)
+	}
+	tab.Reset()
+	second := names("y", 7000) // crosses 6144 = ¾·8192 after the Reset
+	for _, s := range second {
+		tab.Intern(s)
+	}
+	check(tab, second)
+
+	third := names("z", 700)
+	if err := tab.Import(third); err != nil {
+		t.Fatalf("Import: %v", err)
+	}
+	for _, s := range names("w", 13000) { // crosses ¾·16384
+		third = append(third, s)
+		tab.Intern(s)
+	}
+	check(tab, third)
+}
+
 func TestPoolRecycle(t *testing.T) {
 	tab := Get()
 	tab.Intern("a.example")
