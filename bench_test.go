@@ -180,7 +180,21 @@ func arObservations(b *testing.B, seed uint64, n int) (trace.Observed, float64) 
 	if err != nil {
 		b.Fatal(err)
 	}
-	return net.Border.Observed(), float64(res.ActiveBots["local-00"][0])
+	return matched(dga.NewGoZ(), seed, net.Border.Observed()), float64(res.ActiveBots["local-00"][0])
+}
+
+// matched is core.Analyze's match pass for callers that drive an estimator
+// directly: the epoch-0 records of the family, stamped with their pool
+// positions.
+func matched(spec dga.Spec, seed uint64, obs trace.Observed) trace.Observed {
+	names := matcher.NewAttribution(spec.Pool.PoolFor(seed, 0), nil, nil)
+	out := make(trace.Observed, 0, len(obs))
+	for _, rec := range obs {
+		if names.Attribute(&rec) {
+			out = append(out, rec)
+		}
+	}
+	return out
 }
 
 // BenchmarkAblationBernoulliExactVsMC compares MB (Theorem 1) against the
@@ -252,65 +266,48 @@ func BenchmarkAblationGranularity(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMatcher compares exact-set and Bloom matching at
-// Conficker pool scale (50K domains/day).
+// BenchmarkAblationMatcher times the matcher's one boundary function
+// (matcher.Attribution.Resolve) on its two inputs at Conficker pool scale
+// (50K domains/day), 500 in-pool + 500 benign probes: `name` is a record off
+// a trace or the wire (one canonicalising string probe), `id` a record off a
+// simulated border (an array read).
 func BenchmarkAblationMatcher(b *testing.B) {
-	pool := dga.ConfickerC().Pool.PoolFor(1, 0)
-	probe := make([]string, 0, 1000)
-	probe = append(probe, pool.Domains[:500]...)
-	for i := 0; i < 500; i++ {
-		probe = append(probe, fmt.Sprintf("benign-%04d.example.com", i))
-	}
-	set := matcher.NewSet("conficker", pool.Domains)
-	bloom, err := matcher.NewBloom("conficker", pool.Domains, pool.Size(), 0.001)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, m := range []matcher.Matcher{set, bloom} {
-		name := "set"
-		if m == matcher.Matcher(bloom) {
-			name = "bloom"
-		}
-		b.Run(name, func(b *testing.B) {
-			hits := 0
-			for i := 0; i < b.N; i++ {
-				for _, d := range probe {
-					if m.Match(d) {
-						hits++
-					}
-				}
-			}
-			_ = hits
-		})
-	}
-}
-
-// BenchmarkSetMatchID measures the ID kernel's bitset matcher on the same
-// Conficker-scale workload as BenchmarkAblationMatcher (500 in-pool + 500
-// benign probes): compare `set` there (string hashing per probe) against the
-// two-compare-plus-bit-test ID path here.
-func BenchmarkSetMatchID(b *testing.B) {
 	tab := symtab.Get()
 	defer tab.Release()
 	pool := dga.ConfickerC().Pool.PoolFor(1, 0)
 	pool.Intern(tab)
-	probe := make([]symtab.ID, 0, 1000)
-	probe = append(probe, pool.IDs[:500]...)
+	byID := make(trace.Observed, 0, 1000)
 	for i := 0; i < 500; i++ {
-		probe = append(probe, tab.Intern(fmt.Sprintf("benign-%04d.example.com", i)))
+		byID = append(byID, trace.ObservedRecord{Domain: pool.Domains[i], ID: pool.IDs[i]})
 	}
-	m := matcher.NewIDMatcher("conficker", pool.IDs)
-	b.ReportAllocs()
-	b.ResetTimer()
-	hits := 0
-	for i := 0; i < b.N; i++ {
-		for _, id := range probe {
-			if m.MatchID(id) {
-				hits++
+	for i := 0; i < 500; i++ {
+		d := fmt.Sprintf("benign-%04d.example.com", i)
+		byID = append(byID, trace.ObservedRecord{Domain: d, ID: tab.Intern(d)})
+	}
+	byName := append(trace.Observed(nil), byID...)
+	for i := range byName {
+		byName[i].ID = symtab.None
+	}
+	names := matcher.NewAttribution(pool, nil, nil)
+	for _, arm := range []struct {
+		name  string
+		probe trace.Observed
+	}{{"name", byName}, {"id", byID}} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			hits := 0
+			for i := 0; i < b.N; i++ {
+				for _, rec := range arm.probe {
+					if _, ok := names.Resolve(rec); ok {
+						hits++
+					}
+				}
 			}
-		}
+			if hits != 500*b.N {
+				b.Fatalf("%d hits over %d passes, want 500 per pass", hits, b.N)
+			}
+		})
 	}
-	_ = hits
 }
 
 // BenchmarkAblationPoissonClustering compares MP against the naive visible-
@@ -335,7 +332,7 @@ func BenchmarkAblationPoissonClustering(b *testing.B) {
 		b.Fatal(err)
 	}
 	truth := float64(res.ActiveBots["local-00"][0])
-	obs := net.Border.Observed()
+	obs := matched(dga.Murofet(), 1212, net.Border.Observed())
 	cfg := estimators.Config{Spec: dga.Murofet(), Seed: 1212}
 	for _, est := range []estimators.Estimator{estimators.NewPoisson(), estimators.NewNaive()} {
 		b.Run(est.Name(), func(b *testing.B) {

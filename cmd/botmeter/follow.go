@@ -66,21 +66,19 @@ func runFollow(coreCfg core.Config, fc followConfig) error {
 	}
 
 	// Resume path: restore the newest good checkpoint (falling back past
-	// torn/corrupt generations) and replay the input from its offset, so
-	// every record is applied exactly once across the crash.
+	// torn, corrupt or unrestorable generations) and replay the input from
+	// its offset, so every record is applied exactly once across the crash.
 	var eng *stream.Engine
 	var skip uint64
 	var err error
 	if fc.resume {
-		state, info, loadErr := stream.LoadCheckpoint(fc.checkpointDir)
-		if loadErr != nil {
-			return loadErr
+		var state *stream.EngineState
+		var info stream.RecoveryInfo
+		eng, state, info, err = stream.RestoreLatest(streamCfg, fc.checkpointDir)
+		if err != nil {
+			return err
 		}
 		if info.Found {
-			eng, err = stream.Restore(streamCfg, state)
-			if err != nil {
-				return err
-			}
 			skip = state.Source.Records
 			fmt.Fprintf(os.Stderr, "botmeter: %s, replaying input from record %d\n", info, skip)
 		} else {

@@ -9,6 +9,7 @@ import (
 	"botmeter/internal/dga"
 	"botmeter/internal/dnswire"
 	"botmeter/internal/estimators"
+	"botmeter/internal/matcher"
 	"botmeter/internal/sim"
 	"botmeter/internal/stats"
 	"botmeter/internal/trace"
@@ -99,10 +100,12 @@ func TestLiveRunEndToEnd(t *testing.T) {
 	if len(obs) == 0 {
 		t.Fatal("no live observations recorded")
 	}
-	// All queried domains come from today's pool.
-	for _, rec := range obs {
-		if !pool.Contains(rec.Domain) {
-			t.Fatalf("live query outside pool: %q", rec.Domain)
+	// All queried domains come from today's pool; matching stamps the
+	// positions MB estimates from.
+	names := matcher.NewAttribution(pool, nil, nil)
+	for i := range obs {
+		if !names.Attribute(&obs[i]) {
+			t.Fatalf("live query outside pool: %q", obs[i].Domain)
 		}
 	}
 	mb := estimators.NewBernoulli()

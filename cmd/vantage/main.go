@@ -206,14 +206,20 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 					logger.Warn("checkpoint is newer than the observed dataset (rotated or truncated?); starting fresh",
 						"generation", info.Gen)
 				} else {
-					est, err = stream.Restore(streamCfg, state)
+					// This restores an older generation than the one checked
+					// above when that one decodes but does not restore. It
+					// covers a prefix of what that one covers, so it is no
+					// staler.
+					est, state, info, err = stream.RestoreLatest(streamCfg, *checkpointDir)
 					if err != nil {
 						return err
 					}
-					skip = state.Source.Records
-					recovery = info.String()
-					logger.Info("restored checkpoint",
-						"generation", info.Gen, "records", skip, "corrupt_skipped", info.CorruptSkipped)
+					if info.Found {
+						skip = state.Source.Records
+						recovery = info.String()
+						logger.Info("restored checkpoint",
+							"generation", info.Gen, "records", skip, "corrupt_skipped", info.CorruptSkipped)
+					}
 				}
 			}
 		}

@@ -17,6 +17,7 @@ import (
 	"botmeter/internal/d3"
 	"botmeter/internal/dga"
 	"botmeter/internal/estimators"
+	"botmeter/internal/matcher"
 	"botmeter/internal/obs"
 	"botmeter/internal/parallel"
 	"botmeter/internal/sim"
@@ -33,10 +34,10 @@ type Config struct {
 	Seed uint64
 	// Pools is the per-epoch pool cache the matcher and the estimators
 	// share: one pool object per epoch, generated once. A caller holding a
-	// per-trial cache (typically symbolized against a symtab intern table)
-	// passes it here, and records that originated in-process then take the
-	// domain-ID fast paths. Nil gets a private, unsymbolized cache over
-	// (Family, Seed) — string paths only; results are identical either way.
+	// per-trial cache symbolized against the simulator's intern table passes
+	// it here, and the matcher then resolves the simulated border's records
+	// by ID. Nil gets a private, unsymbolized cache over (Family, Seed), and
+	// every record is resolved by name; results are identical either way.
 	Pools *dga.PoolCache
 	// EpochLen is δe (default one day).
 	EpochLen sim.Time
@@ -111,7 +112,7 @@ func New(cfg Config) (*BotMeter, error) {
 	cfg = cfg.withDefaults()
 	return &BotMeter{
 		cfg:      cfg,
-		matchers: NewEpochMatchers(cfg.Family, cfg.Detection, cfg.Pools),
+		matchers: NewEpochMatchers(cfg.Detection, cfg.Pools),
 	}, nil
 }
 
@@ -187,10 +188,11 @@ func (bm *BotMeter) Analyze(obs trace.Observed, w sim.Window) (*Landscape, error
 		return nil, fmt.Errorf("core: %w", err)
 	}
 
-	// Step 3-4: match the stream per epoch (pools rotate across epochs).
-	// Records arrive overwhelmingly in epoch order, so the last epoch's
-	// matcher is memoised locally — the common case skips EpochMatchers.For's
-	// mutex entirely.
+	// Step 3-4: match the stream per epoch (pools rotate across epochs);
+	// a matched record leaves with its pool position stamped on it, which is
+	// all the estimators read. Records arrive overwhelmingly in epoch order,
+	// so the last epoch's matcher is memoised locally — the common case skips
+	// EpochMatchers.For's mutex entirely.
 	matchStage := cfg.Stages.Start("match")
 	firstEpoch := int(w.Start / cfg.EpochLen)
 	lastEpoch := int((w.End - 1) / cfg.EpochLen)
@@ -204,7 +206,7 @@ func (bm *BotMeter) Analyze(obs trace.Observed, w sim.Window) (*Landscape, error
 	var matchedB trace.Builder
 	matchedSorted := true
 	var lastT sim.Time
-	var lastMatcher *EpochMatcher
+	var lastMatcher *matcher.Attribution
 	lastMatcherEpoch := 0
 	for _, rec := range obs {
 		if !w.Contains(rec.T) {
@@ -215,7 +217,7 @@ func (bm *BotMeter) Analyze(obs trace.Observed, w sim.Window) (*Landscape, error
 			lastMatcher = bm.matchers.For(epoch)
 			lastMatcherEpoch = epoch
 		}
-		if lastMatcher.MatchRecord(rec) {
+		if lastMatcher.Attribute(&rec) {
 			if rec.T < lastT {
 				matchedSorted = false
 			}

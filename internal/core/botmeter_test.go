@@ -270,62 +270,76 @@ func TestAnalyzeWithCollisionNoise(t *testing.T) {
 	}
 }
 
-// TestCollisionLookupsMatchWithOrWithoutIDs: records off a simulated border
-// all carry IDs, benign ones included, so a benign lookup of a collision name
-// (a non-pool name D³ wrongly reports) must match by ID exactly as the same
-// record read back from a trace file matches by string.
-func TestCollisionLookupsMatchWithOrWithoutIDs(t *testing.T) {
+// TestAnalyzeNonCanonicalNames: what a lookup resolves to must not depend
+// on how it reached the matcher. One simulated day — a detection window with
+// misses and collisions, benign lookups of the collision names mixed in — is
+// analysed three ways: by the canonical names a trace file holds (the
+// reference), by the same names upper-cased with a trailing dot, as a CSV or
+// JSONL trace from another tap may carry them, and by the simulated border's
+// interned IDs against pools sharing its table. The landscapes — MB and MP
+// primaries, MT second opinion, matched and distinct-domain counts — must
+// be deeply equal. (Before names were canonicalised where they are resolved,
+// the upper-cased trace matched and then estimated to zero.)
+func TestAnalyzeNonCanonicalNames(t *testing.T) {
 	const seed, collisions = 66, 10
-	spec := smallAR()
 	w := sim.Window{Start: 0, End: sim.Day}
-	tab := symtab.New()
-	pools := dga.NewPoolCache(spec.Pool, seed, tab)
-	net := dnssim.NewNetwork(dnssim.NetworkConfig{LocalServers: 1, PositiveTTL: sim.Day, NegativeTTL: 2 * sim.Hour})
-	r, err := botnet.NewRunner(botnet.Config{Spec: spec, Seed: seed, BotsPerServer: map[string]int{"local-00": 32}, Pools: pools}, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Run(w); err != nil {
-		t.Fatal(err)
-	}
-	obs := net.Border.Observed()
+	for _, spec := range []dga.Spec{smallAR(), smallAU()} {
+		t.Run(spec.Name, func(t *testing.T) {
+			tab := symtab.New()
+			pools := dga.NewPoolCache(spec.Pool, seed, tab)
+			net := dnssim.NewNetwork(dnssim.NetworkConfig{LocalServers: 1, PositiveTTL: sim.Day, NegativeTTL: 2 * sim.Hour, Granularity: 100 * sim.Millisecond})
+			r, err := botnet.NewRunner(botnet.Config{Spec: spec, Seed: seed, BotsPerServer: map[string]int{"local-00": 32}, Pools: pools}, net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Run(w); err != nil {
+				t.Fatal(err)
+			}
+			withIDs := append(trace.Observed{}, net.Border.Observed()...)
+			for i := 0; i < collisions; i++ {
+				d := fmt.Sprintf("benign-collision-0-%d.com", i)
+				withIDs = append(withIDs, trace.ObservedRecord{T: sim.Time(i) * sim.Hour, Server: "local-00", Domain: d, ID: tab.Intern(d)})
+			}
+			canonical := append(trace.Observed{}, withIDs...)
+			shouted := append(trace.Observed{}, withIDs...)
+			for i := range canonical {
+				canonical[i].ID = symtab.None
+				shouted[i].ID = symtab.None
+				shouted[i].Domain = strings.ToUpper(shouted[i].Domain) + "."
+			}
 
-	analyze := func(withIDs bool) *Landscape {
-		t.Helper()
-		noisy := append(trace.Observed{}, obs...)
-		for i := 0; i < collisions; i++ {
-			rec := trace.ObservedRecord{
-				T:      sim.Time(i) * sim.Hour,
-				Server: "local-00",
-				Domain: fmt.Sprintf("benign-collision-0-%d.com", i),
+			analyze := func(obs trace.Observed, pools *dga.PoolCache) *Landscape {
+				t.Helper()
+				bm, err := New(Config{
+					Family:        spec,
+					Seed:          seed,
+					Pools:         pools,
+					Granularity:   100 * sim.Millisecond,
+					Detection:     &d3.Window{MissRate: 0.2, Collisions: collisions, Seed: 3},
+					SecondOpinion: true,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				land, err := bm.Analyze(obs, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return land
 			}
-			if withIDs {
-				rec.ID = tab.Intern(rec.Domain)
+			want := analyze(canonical, nil)
+			if want.Total <= 0 || want.Servers[0].SecondOpinion <= 0 || want.MatchedLookups < collisions {
+				t.Fatalf("reference landscape is degenerate: %+v", want)
 			}
-			noisy = append(noisy, rec)
-		}
-		bm, err := New(Config{
-			Family:    spec,
-			Seed:      seed,
-			Pools:     pools,
-			Detection: &d3.Window{Collisions: collisions, Seed: 3},
+			for name, got := range map[string]*Landscape{
+				"upper-cased, trailing dot": analyze(shouted, nil),
+				"interned IDs":              analyze(withIDs, pools),
+			} {
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: landscape differs from the canonical trace's:\n got %+v\nwant %+v", name, got, want)
+				}
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		land, err := bm.Analyze(noisy, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return land
-	}
-	byString, byID := analyze(false), analyze(true)
-	if want := len(obs) + collisions; byString.MatchedLookups != want || byID.MatchedLookups != want {
-		t.Errorf("matched lookups: %d without IDs, %d with; want %d (every pool record plus the collisions)",
-			byString.MatchedLookups, byID.MatchedLookups, want)
-	}
-	if !reflect.DeepEqual(byString, byID) {
-		t.Errorf("landscapes differ:\nwithout IDs: %v\nwith IDs:    %v", byString, byID)
 	}
 }
 

@@ -52,15 +52,6 @@ type Report struct {
 	Missed int
 }
 
-// All returns detected plus collision domains (what an analyst would load
-// into the matcher).
-func (r Report) All() []string {
-	out := make([]string, 0, len(r.Detected)+len(r.Collisions))
-	out = append(out, r.Detected...)
-	out = append(out, r.Collisions...)
-	return out
-}
-
 // Detect produces the epoch report for a pool. The same (Window, epoch,
 // pool) always yields the same report.
 func (w Window) Detect(epoch int, pool *dga.Pool) Report {

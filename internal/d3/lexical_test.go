@@ -112,7 +112,7 @@ func TestLexicalFeedsMatcherPipeline(t *testing.T) {
 	kept := clf.DetectList(mixed)
 	dgaKept := 0
 	for _, d := range kept {
-		if pool.Contains(d) {
+		if _, in := pool.Position(d); in {
 			dgaKept++
 		}
 	}

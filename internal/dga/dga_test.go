@@ -164,11 +164,8 @@ func TestPoolLookupMethods(t *testing.T) {
 	if _, ok := p.Position("zz.com"); ok {
 		t.Error("unknown domain should not resolve")
 	}
-	if !p.IsValidDomain("b.com") || p.IsValidDomain("a.com") {
+	if !p.ValidAt(1) || p.ValidAt(0) || p.ValidAt(3) || p.ValidAt(-1) {
 		t.Error("validity flags wrong")
-	}
-	if !p.Contains("c.com") || p.Contains("zz.com") {
-		t.Error("Contains wrong")
 	}
 }
 

@@ -15,10 +15,10 @@ import (
 // NXD.
 //
 // A pool can additionally be symbolized against a symtab.Table (see Intern):
-// IDs then holds the dense interned ID of each domain, PositionID answers
-// membership in O(1) via an offset array, and ValidAt is an O(1) bool-slice
-// read. The string index map is built lazily, only if a string Position /
-// Contains lookup actually happens — all-ID trials never pay for it.
+// IDs then holds the dense interned ID of each domain and PositionID answers
+// in O(1) via an offset array. Position is the string boundary; its index —
+// the epoch's one name→position map — is built on the first lookup by name,
+// so all-ID trials never pay for it.
 type Pool struct {
 	Domains        []string
 	ValidPositions []int // sorted positions of registered (C2) domains
@@ -53,18 +53,6 @@ func NewPool(domains []string, validPositions []int) *Pool {
 	}
 	sortInts(p.ValidPositions)
 	return p
-}
-
-// ensureIndex lazily builds the string→position map. Pools on the ID fast
-// path never call this, so symbolized trials skip the map entirely.
-func (p *Pool) ensureIndex() {
-	p.indexOnce.Do(func() {
-		idx := make(map[string]int, len(p.Domains))
-		for i, d := range p.Domains {
-			idx[d] = i
-		}
-		p.index = idx
-	})
 }
 
 // Intern symbolizes the pool against tab: every domain is interned (idempotent
@@ -109,13 +97,6 @@ func (p *Pool) PositionID(id symtab.ID) (int, bool) {
 	return int(v) - 1, v != 0
 }
 
-// ContainsID reports whether the domain with interned ID id belongs to the
-// pool. Valid only after Intern.
-func (p *Pool) ContainsID(id symtab.ID) bool {
-	_, ok := p.PositionID(id)
-	return ok
-}
-
 func sortInts(xs []int) {
 	for i := 1; i < len(xs); i++ {
 		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
@@ -130,32 +111,22 @@ func (p *Pool) Size() int { return len(p.Domains) }
 // NXCount returns θ∅, the number of unregistered domains.
 func (p *Pool) NXCount() int { return len(p.Domains) - len(p.ValidPositions) }
 
-// Position returns the pool position of domain d.
+// Position returns the pool position of domain d, spelled as the pool
+// spells it (lower case, no trailing dot).
 func (p *Pool) Position(d string) (int, bool) {
-	p.ensureIndex()
+	p.indexOnce.Do(func() {
+		p.index = make(map[string]int, len(p.Domains))
+		for i, d := range p.Domains {
+			p.index[d] = i
+		}
+	})
 	i, ok := p.index[d]
 	return i, ok
-}
-
-// Contains reports whether d belongs to the pool.
-func (p *Pool) Contains(d string) bool {
-	p.ensureIndex()
-	_, ok := p.index[d]
-	return ok
 }
 
 // ValidAt reports whether position i holds a registered (resolving) domain.
 func (p *Pool) ValidAt(i int) bool {
 	return i >= 0 && i < len(p.valid) && p.valid[i]
-}
-
-// IsValidDomain reports whether d is a registered domain of this pool.
-func (p *Pool) IsValidDomain(d string) bool {
-	i, ok := p.Position(d)
-	if !ok {
-		return false
-	}
-	return p.ValidAt(i)
 }
 
 // PoolModel deterministically produces the pool for a given epoch. The same

@@ -29,7 +29,7 @@ type PoolCache struct {
 }
 
 // NewPoolCache builds a cache over model at seed. tab may be nil, in which
-// case pools are memoized but not symbolized (string paths only).
+// case pools are memoized but not symbolized (lookups by name only).
 func NewPoolCache(model PoolModel, seed uint64, tab *symtab.Table) *PoolCache {
 	return &PoolCache{
 		model:   model,
@@ -54,9 +54,3 @@ func (c *PoolCache) For(epoch int) *Pool {
 
 // Table returns the symtab table pools are interned against (nil if none).
 func (c *PoolCache) Table() *symtab.Table { return c.tab }
-
-// Model returns the underlying pool model.
-func (c *PoolCache) Model() PoolModel { return c.model }
-
-// Seed returns the generation seed.
-func (c *PoolCache) Seed() uint64 { return c.seed }

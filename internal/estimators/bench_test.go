@@ -1,7 +1,6 @@
 package estimators
 
 import (
-	"fmt"
 	"testing"
 
 	"botmeter/internal/sim"
@@ -11,10 +10,7 @@ import (
 func syntheticObservations(n int, spacing sim.Time) trace.Observed {
 	obs := make(trace.Observed, 0, n)
 	for i := 0; i < n; i++ {
-		obs = append(obs, trace.ObservedRecord{
-			T:      sim.Time(i) * spacing,
-			Domain: fmt.Sprintf("bench-%05d.com", i%500),
-		})
+		obs = append(obs, trace.ObservedRecord{T: sim.Time(i) * spacing, Pos: int32(i % 500)})
 	}
 	return obs
 }
@@ -47,10 +43,10 @@ func BenchmarkBernoulliEstimator(b *testing.B) {
 	spec := arSpec(9995, 5, 500)
 	cfg := defaultCfg(spec)
 	pool := spec.Pool.PoolFor(cfg.Seed, 0)
-	domains := simulateAR(pool, 64, spec.ThetaQ, sim.NewRNG(1))
-	obs := make(trace.Observed, 0, len(domains))
-	for i, d := range domains {
-		obs = append(obs, trace.ObservedRecord{T: sim.Time(i) * sim.Minute / 4, Domain: d})
+	positions := simulateAR(pool, 64, spec.ThetaQ, sim.NewRNG(1))
+	obs := make(trace.Observed, 0, len(positions))
+	for i, p := range positions {
+		obs = append(obs, trace.ObservedRecord{T: sim.Time(i) * sim.Minute / 4, Pos: p})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -66,10 +62,10 @@ func BenchmarkBernoulliEstimatorCached(b *testing.B) {
 	spec := arSpec(9995, 5, 500)
 	cfg := defaultCfg(spec)
 	pool := spec.Pool.PoolFor(cfg.Seed, 0)
-	domains := simulateAR(pool, 64, spec.ThetaQ, sim.NewRNG(1))
-	obs := make(trace.Observed, 0, len(domains))
-	for i, d := range domains {
-		obs = append(obs, trace.ObservedRecord{T: sim.Time(i) * sim.Minute / 4, Domain: d})
+	positions := simulateAR(pool, 64, spec.ThetaQ, sim.NewRNG(1))
+	obs := make(trace.Observed, 0, len(positions))
+	for i, p := range positions {
+		obs = append(obs, trace.ObservedRecord{T: sim.Time(i) * sim.Minute / 4, Pos: p})
 	}
 	mb := NewBernoulli()
 	if _, err := mb.EstimateEpoch(obs, 0, cfg); err != nil {
@@ -87,10 +83,10 @@ func BenchmarkCoverageEstimator(b *testing.B) {
 	spec := arSpec(9995, 5, 500)
 	cfg := defaultCfg(spec)
 	pool := spec.Pool.PoolFor(cfg.Seed, 0)
-	domains := simulateAR(pool, 64, spec.ThetaQ, sim.NewRNG(1))
-	obs := make(trace.Observed, 0, len(domains))
-	for i, d := range domains {
-		obs = append(obs, trace.ObservedRecord{T: sim.Time(i) * sim.Minute / 4, Domain: d})
+	positions := simulateAR(pool, 64, spec.ThetaQ, sim.NewRNG(1))
+	obs := make(trace.Observed, 0, len(positions))
+	for i, p := range positions {
+		obs = append(obs, trace.ObservedRecord{T: sim.Time(i) * sim.Minute / 4, Pos: p})
 	}
 	ce := NewCoverage()
 	b.ResetTimer()

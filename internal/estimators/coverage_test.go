@@ -22,19 +22,19 @@ func asSpec(nx, c2, thetaQ int) dga.Spec {
 
 // simulateAS draws the sampling generative model: n bots each sample a θq
 // barrel and query until the first registered domain.
-func simulateAS(pool *dga.Pool, n, thetaQ int, rng *sim.RNG) []string {
-	seen := make(map[string]struct{})
+func simulateAS(pool *dga.Pool, n, thetaQ int, rng *sim.RNG) []int32 {
+	seen := make(map[int32]struct{})
 	for b := 0; b < n; b++ {
 		barrel := (dga.Sampling{}).Barrel(pool, thetaQ, rng)
 		for _, pos := range dga.ExecuteBarrel(pool, barrel) {
 			if !pool.ValidAt(pos) {
-				seen[pool.Domains[pos]] = struct{}{}
+				seen[int32(pos)] = struct{}{}
 			}
 		}
 	}
-	out := make([]string, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
+	out := make([]int32, 0, len(seen))
+	for p := range seen {
+		out = append(out, p)
 	}
 	return out
 }
@@ -67,10 +67,10 @@ func TestCoverageRecoversSamplingPopulation(t *testing.T) {
 	var errs []float64
 	for trial := 0; trial < 15; trial++ {
 		rng := sim.NewRNG(uint64(3000 + trial))
-		domains := simulateAS(pool, trueN, spec.ThetaQ, rng)
-		obs := make(trace.Observed, 0, len(domains))
-		for i, d := range domains {
-			obs = append(obs, trace.ObservedRecord{T: sim.Time(i), Domain: d})
+		positions := simulateAS(pool, trueN, spec.ThetaQ, rng)
+		obs := make(trace.Observed, 0, len(positions))
+		for i, p := range positions {
+			obs = append(obs, trace.ObservedRecord{T: sim.Time(i), Pos: p})
 		}
 		got, err := ce.EstimateEpoch(obs, 0, cfg)
 		if err != nil {
@@ -100,19 +100,19 @@ func TestCoverageRecoversPermutationPopulation(t *testing.T) {
 	var errs []float64
 	for trial := 0; trial < 15; trial++ {
 		rng := sim.NewRNG(uint64(5000 + trial))
-		seen := make(map[string]struct{})
+		seen := make(map[int32]struct{})
 		for b := 0; b < trueN; b++ {
 			barrel := (dga.Permutation{}).Barrel(pool, spec.ThetaQ, rng)
 			for _, pos := range dga.ExecuteBarrel(pool, barrel) {
 				if !pool.ValidAt(pos) {
-					seen[pool.Domains[pos]] = struct{}{}
+					seen[int32(pos)] = struct{}{}
 				}
 			}
 		}
 		obs := make(trace.Observed, 0, len(seen))
 		i := 0
-		for d := range seen {
-			obs = append(obs, trace.ObservedRecord{T: sim.Time(i), Domain: d})
+		for p := range seen {
+			obs = append(obs, trace.ObservedRecord{T: sim.Time(i), Pos: p})
 			i++
 		}
 		got, err := ce.EstimateEpoch(obs, 0, cfg)
@@ -130,7 +130,7 @@ func TestCoverageUnsupportedBarrel(t *testing.T) {
 	// Uniform barrels have no meaningful coverage inversion; the estimator
 	// returns 0 rather than a misleading figure.
 	cfg := defaultCfg(auSpec())
-	got, err := NewCoverage().EstimateEpoch(trace.Observed{{T: 0, Domain: "x.com"}}, 0, cfg)
+	got, err := NewCoverage().EstimateEpoch(trace.Observed{{T: 0, Pos: 23}}, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +146,12 @@ func TestCoverageTTLPartitionSums(t *testing.T) {
 	spec := arSpec(995, 5, 50)
 	cfg := defaultCfg(spec)
 	pool := spec.Pool.PoolFor(cfg.Seed, 0)
-	domains := simulateAR(pool, 10, spec.ThetaQ, sim.NewRNG(8))
+	positions := simulateAR(pool, 10, spec.ThetaQ, sim.NewRNG(8))
 	var oneBucket, twoBuckets trace.Observed
-	for i, d := range domains {
-		oneBucket = append(oneBucket, trace.ObservedRecord{T: sim.Time(i), Domain: d})
-		twoBuckets = append(twoBuckets, trace.ObservedRecord{T: sim.Time(i), Domain: d})
-		twoBuckets = append(twoBuckets, trace.ObservedRecord{T: 3*sim.Hour + sim.Time(i), Domain: d})
+	for i, p := range positions {
+		oneBucket = append(oneBucket, trace.ObservedRecord{T: sim.Time(i), Pos: p})
+		twoBuckets = append(twoBuckets, trace.ObservedRecord{T: sim.Time(i), Pos: p})
+		twoBuckets = append(twoBuckets, trace.ObservedRecord{T: 3*sim.Hour + sim.Time(i), Pos: p})
 	}
 	ce := NewCoverage()
 	a, err := ce.EstimateEpoch(oneBucket, 0, cfg)

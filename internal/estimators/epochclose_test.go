@@ -17,7 +17,7 @@ func observeNXPositions(es EpochStream, cfg Config, distinct, dups int) int {
 		if pool.ValidAt(pos) {
 			continue
 		}
-		rec := trace.ObservedRecord{T: sim.Time(fed) * sim.Second, Domain: pool.Domains[pos]}
+		rec := trace.ObservedRecord{T: sim.Time(fed) * sim.Second, Pos: int32(pos)}
 		for k := 0; k <= dups; k++ {
 			es.Observe(rec)
 		}
@@ -103,7 +103,7 @@ func nxRecords(b *testing.B, cfg Config, distinct, dups int) trace.Observed {
 		if pool.ValidAt(pos) {
 			continue
 		}
-		rec := trace.ObservedRecord{T: sim.Time(fed) * sim.Second, Domain: pool.Domains[pos]}
+		rec := trace.ObservedRecord{T: sim.Time(fed) * sim.Second, Pos: int32(pos)}
 		for k := 0; k <= dups; k++ {
 			recs = append(recs, rec)
 		}

@@ -146,15 +146,14 @@ func newPairFold(pool *dga.Pool, epoch int, cfg Config, partition bool) pairFold
 	}
 }
 
-// Observe resolves the record's pool position and adds its pair; records
-// outside the pool or on a registered position say nothing about NXDs.
+// Observe adds the pair of the record's pool position; a collision name
+// (past the pool's end) or a registered position says nothing about NXDs.
 // Duplicates — the common case once a position has been seen in a TTL
 // window — cost one probe. (Within one pool, domain ↔ position is a
-// bijection, so deduplicating by position is deduplicating by domain,
-// without hashing the string when the record carries an interned ID.)
+// bijection, so deduplicating by position is deduplicating by domain.)
 func (f *pairFold) Observe(rec trace.ObservedRecord) {
-	pos, ok := position(f.pool, rec)
-	if !ok || f.pool.ValidAt(pos) {
+	pos := int(rec.Pos)
+	if pos >= f.pool.Size() || f.pool.ValidAt(pos) {
 		return
 	}
 	f.ps.add(ttlBucketOf(rec.T, f.epochStart, f.cfg, f.numBuckets), pos)

@@ -7,7 +7,9 @@
 //
 // Every estimator consumes the cache-filtered, already-matched DNS lookups
 // of ONE local server and estimates the number of bots of the target DGA
-// active behind that server.
+// active behind that server. "Matched" means the matcher has stamped each
+// record with its pool position (trace.ObservedRecord.Pos): the estimators
+// read a record's time and position and never its name or interned ID.
 package estimators
 
 import (
@@ -16,7 +18,6 @@ import (
 	"botmeter/internal/d3"
 	"botmeter/internal/dga"
 	"botmeter/internal/sim"
-	"botmeter/internal/symtab"
 	"botmeter/internal/trace"
 )
 
@@ -43,12 +44,9 @@ type Config struct {
 	Detection *d3.Window
 	// Pools is the per-epoch pool cache the position-aware estimators (MB,
 	// Coverage) read: one pool object per epoch, however many (server,
-	// epoch) cells ask for it. A caller sharing a (typically symbolized)
-	// per-trial cache passes it here, and ID-carrying records then resolve
-	// their pool position with an O(1) array read instead of a string map
-	// lookup. Nil gets a private, unsymbolized cache over (Spec, Seed) when
-	// the config is normalised — so normalise once and fan the result out.
-	// Results are identical either way.
+	// epoch) cells ask for it — the cache the matcher stamped the records'
+	// positions from. Nil gets a private cache over (Spec, Seed) when the
+	// config is normalised — so normalise once and fan the result out.
 	Pools *dga.PoolCache
 
 	// normalized records that withDefaults (and the caller's Validate) has
@@ -57,15 +55,6 @@ type Config struct {
 	// window- and engine-level callers normalise once and fan the flagged
 	// config out.
 	normalized bool
-}
-
-// position resolves one record's pool position: ID-carrying records use the
-// O(1) array read, everything else falls back to the string index.
-func position(pool *dga.Pool, rec trace.ObservedRecord) (int, bool) {
-	if rec.ID != symtab.None && pool.IDs != nil {
-		return pool.PositionID(rec.ID)
-	}
-	return pool.Position(rec.Domain)
 }
 
 // timeOrdered returns obs in non-decreasing timestamp order: obs itself when

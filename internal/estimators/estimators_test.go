@@ -55,12 +55,12 @@ func TestTimingHandComputed(t *testing.T) {
 	cfg := defaultCfg(spec)
 	obs := trace.Observed{
 		// Bot A: phase 0, domains a, b, c.
-		{T: 0, Domain: "a.com"},
-		{T: 500, Domain: "b.com"},
-		{T: 1000, Domain: "c.com"},
+		{T: 0, Pos: 0},
+		{T: 500, Pos: 1},
+		{T: 1000, Pos: 2},
 		// Bot B: phase 250 — heuristic #3 separates it.
-		{T: 250, Domain: "a.com"},
-		{T: 750, Domain: "b.com"},
+		{T: 250, Pos: 0},
+		{T: 750, Pos: 1},
 	}
 	got, err := NewTiming().EstimateEpoch(obs, 0, cfg)
 	if err != nil {
@@ -78,8 +78,8 @@ func TestTimingHeuristic1SameDomain(t *testing.T) {
 	// Same domain twice within the duration and in phase: heuristic #1
 	// forces a second entry.
 	obs := trace.Observed{
-		{T: 0, Domain: "a.com"},
-		{T: 1000, Domain: "a.com"},
+		{T: 0, Pos: 0},
+		{T: 1000, Pos: 0},
 	}
 	got, err := NewTiming().EstimateEpoch(obs, 0, cfg)
 	if err != nil {
@@ -95,8 +95,8 @@ func TestTimingHeuristic2MaxDuration(t *testing.T) {
 	spec.ThetaQ = 2 // max duration 1 s
 	cfg := defaultCfg(spec)
 	obs := trace.Observed{
-		{T: 0, Domain: "a.com"},
-		{T: 5000, Domain: "b.com"}, // far beyond one activation
+		{T: 0, Pos: 0},
+		{T: 5000, Pos: 1}, // far beyond one activation
 	}
 	got, err := NewTiming().EstimateEpoch(obs, 0, cfg)
 	if err != nil {
@@ -112,8 +112,8 @@ func TestTimingSkipsModuloWhenGranularityCoarse(t *testing.T) {
 	cfg := defaultCfg(spec)
 	cfg.Granularity = sim.Second // coarser than δi: heuristic #3 unusable
 	obs := trace.Observed{
-		{T: 0, Domain: "a.com"},
-		{T: 1000, Domain: "b.com"}, // would be out of phase at 500 ms... but
+		{T: 0, Pos: 0},
+		{T: 1000, Pos: 1}, // would be out of phase at 500 ms... but
 		// timestamps are second-truncated, so phase carries no signal.
 	}
 	got, err := NewTiming().EstimateEpoch(obs, 0, cfg)
@@ -129,8 +129,8 @@ func TestTimingIrregularPacing(t *testing.T) {
 	spec := dga.Ramnit() // no fixed δi
 	cfg := defaultCfg(spec)
 	obs := trace.Observed{
-		{T: 0, Domain: "a.com"},
-		{T: 777, Domain: "b.com"},
+		{T: 0, Pos: 0},
+		{T: 777, Pos: 1},
 	}
 	got, err := NewTiming().EstimateEpoch(obs, 0, cfg)
 	if err != nil {
@@ -154,9 +154,9 @@ func TestPoissonHandComputed(t *testing.T) {
 	cfg := defaultCfg(auSpec()) // δl = 2 h
 	// Three visible activations at 1 h, 4 h, 8 h (single lookups).
 	obs := trace.Observed{
-		{T: 1 * sim.Hour, Domain: "a.com"},
-		{T: 4 * sim.Hour, Domain: "a.com"},
-		{T: 8 * sim.Hour, Domain: "a.com"},
+		{T: 1 * sim.Hour, Pos: 0},
+		{T: 4 * sim.Hour, Pos: 0},
+		{T: 8 * sim.Hour, Pos: 0},
 	}
 	// Δ₁=1h, Δ₂=4h−3h=1h, Δ₃=8h−6h=2h, ΣΔ=4h.
 	// E(N) = 3 + 9·2h/4h = 7.5.
@@ -174,10 +174,7 @@ func TestPoissonClustersBurstsAsOneActivation(t *testing.T) {
 	// One activation: a train of δi-spaced lookups — one cluster.
 	var obs trace.Observed
 	for i := 0; i < 10; i++ {
-		obs = append(obs, trace.ObservedRecord{
-			T:      sim.Hour + sim.Time(i)*500*sim.Millisecond,
-			Domain: fmt.Sprintf("d%d.com", i),
-		})
+		obs = append(obs, trace.ObservedRecord{T: sim.Hour + sim.Time(i)*500*sim.Millisecond, Pos: int32(i)})
 	}
 	got, err := NewPoisson().EstimateEpoch(obs, 0, cfg)
 	if err != nil {
@@ -192,7 +189,7 @@ func TestPoissonClustersBurstsAsOneActivation(t *testing.T) {
 func TestPoissonZeroGapFallback(t *testing.T) {
 	cfg := defaultCfg(auSpec())
 	// A single activation exactly at the window start: ΣΔ = 0.
-	obs := trace.Observed{{T: 0, Domain: "a.com"}}
+	obs := trace.Observed{{T: 0, Pos: 0}}
 	got, err := NewPoisson().EstimateEpoch(obs, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -206,8 +203,8 @@ func TestPoissonZeroGapFallback(t *testing.T) {
 func TestNaiveCountsClusters(t *testing.T) {
 	cfg := defaultCfg(auSpec())
 	obs := trace.Observed{
-		{T: sim.Hour, Domain: "a.com"},
-		{T: 4 * sim.Hour, Domain: "a.com"},
+		{T: sim.Hour, Pos: 0},
+		{T: 4 * sim.Hour, Pos: 0},
 	}
 	got, err := NewNaive().EstimateEpoch(obs, 0, cfg)
 	if err != nil || got != 2 {
@@ -338,14 +335,14 @@ func TestBernoulliGapToleranceUnderRecordLoss(t *testing.T) {
 	pool := spec.Pool.PoolFor(cfg.Seed, 0)
 	const trueN = 16
 	rng := sim.NewRNG(88)
-	domains := simulateAR(pool, trueN, spec.ThetaQ, rng)
+	positions := simulateAR(pool, trueN, spec.ThetaQ, rng)
 	// Drop 20% of the distinct observations.
 	var obs trace.Observed
-	for i, d := range domains {
+	for i, p := range positions {
 		if rng.Float64() < 0.2 {
 			continue
 		}
-		obs = append(obs, trace.ObservedRecord{T: sim.Time(i), Domain: d})
+		obs = append(obs, trace.ObservedRecord{T: sim.Time(i), Pos: p})
 	}
 	strict := NewBernoulli()
 	sGot, err := strict.EstimateEpoch(obs, 0, cfg)
@@ -476,20 +473,20 @@ func TestBernoulliCacheStability(t *testing.T) {
 // simulateAR draws the randomcut generative model directly: n bots with
 // uniform starts on a pool circle, each covering up to θq consecutive
 // positions, stopping at valid positions. Returns the distinct queried NXD
-// domains.
-func simulateAR(pool *dga.Pool, n, thetaQ int, rng *sim.RNG) []string {
-	seen := make(map[string]struct{})
+// positions.
+func simulateAR(pool *dga.Pool, n, thetaQ int, rng *sim.RNG) []int32 {
+	seen := make(map[int32]struct{})
 	for b := 0; b < n; b++ {
 		barrel := (dga.RandomCut{}).Barrel(pool, thetaQ, rng)
 		for _, pos := range dga.ExecuteBarrel(pool, barrel) {
 			if !pool.ValidAt(pos) {
-				seen[pool.Domains[pos]] = struct{}{}
+				seen[int32(pos)] = struct{}{}
 			}
 		}
 	}
-	out := make([]string, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
+	out := make([]int32, 0, len(seen))
+	for p := range seen {
+		out = append(out, p)
 	}
 	return out
 }
@@ -503,10 +500,10 @@ func TestBernoulliRecoversPopulationGeneratively(t *testing.T) {
 	var errs []float64
 	for trial := 0; trial < 20; trial++ {
 		rng := sim.NewRNG(uint64(1000 + trial))
-		domains := simulateAR(pool, trueN, spec.ThetaQ, rng)
-		obs := make(trace.Observed, 0, len(domains))
-		for i, d := range domains {
-			obs = append(obs, trace.ObservedRecord{T: sim.Time(i), Domain: d})
+		positions := simulateAR(pool, trueN, spec.ThetaQ, rng)
+		obs := make(trace.Observed, 0, len(positions))
+		for i, p := range positions {
+			obs = append(obs, trace.ObservedRecord{T: sim.Time(i), Pos: p})
 		}
 		got, err := mb.EstimateEpoch(obs, 0, cfg)
 		if err != nil {
@@ -528,10 +525,10 @@ func TestCoverageRecoversPopulationGeneratively(t *testing.T) {
 	var errs []float64
 	for trial := 0; trial < 20; trial++ {
 		rng := sim.NewRNG(uint64(2000 + trial))
-		domains := simulateAR(pool, trueN, spec.ThetaQ, rng)
-		obs := make(trace.Observed, 0, len(domains))
-		for i, d := range domains {
-			obs = append(obs, trace.ObservedRecord{T: sim.Time(i), Domain: d})
+		positions := simulateAR(pool, trueN, spec.ThetaQ, rng)
+		obs := make(trace.Observed, 0, len(positions))
+		for i, p := range positions {
+			obs = append(obs, trace.ObservedRecord{T: sim.Time(i), Pos: p})
 		}
 		got, err := ce.EstimateEpoch(obs, 0, cfg)
 		if err != nil {
@@ -550,12 +547,12 @@ func TestBernoulliCacheImmunity(t *testing.T) {
 	spec := arSpec(95, 5, 10)
 	cfg := defaultCfg(spec)
 	pool := spec.Pool.PoolFor(cfg.Seed, 0)
-	domains := simulateAR(pool, 8, spec.ThetaQ, sim.NewRNG(7))
+	positions := simulateAR(pool, 8, spec.ThetaQ, sim.NewRNG(7))
 	var once, thrice trace.Observed
-	for i, d := range domains {
-		once = append(once, trace.ObservedRecord{T: sim.Time(i), Domain: d})
+	for i, p := range positions {
+		once = append(once, trace.ObservedRecord{T: sim.Time(i), Pos: p})
 		for rep := 0; rep < 3; rep++ {
-			thrice = append(thrice, trace.ObservedRecord{T: sim.Time(i*10 + rep), Domain: d})
+			thrice = append(thrice, trace.ObservedRecord{T: sim.Time(i*10 + rep), Pos: p})
 		}
 	}
 	mb := NewBernoulli()
@@ -602,9 +599,9 @@ func TestEstimateWindowSplitsEpochs(t *testing.T) {
 		return float64(len(obs)), nil
 	})
 	obs := trace.Observed{
-		{T: sim.Hour, Domain: "a.com"},
-		{T: sim.Day + sim.Hour, Domain: "b.com"},
-		{T: sim.Day + 2*sim.Hour, Domain: "c.com"},
+		{T: sim.Hour, Pos: 0},
+		{T: sim.Day + sim.Hour, Pos: 1},
+		{T: sim.Day + 2*sim.Hour, Pos: 2},
 	}
 	cfg := defaultCfg(auSpec())
 	got, err := EstimateWindow(counter, obs, sim.Window{Start: 0, End: 2 * sim.Day}, cfg)

@@ -24,7 +24,7 @@ func Instrumented(e Estimator, stages *obs.StageSet) Estimator {
 	if sc, ok := e.(StreamCapable); ok {
 		// Preserve the streaming capability: the engine type-asserts the
 		// estimator it is handed, and a wrapper hiding OpenEpoch would
-		// silently demote an incremental estimator to micro-batch.
+		// silently turn an incremental estimator into a micro-batch one.
 		return &instrumentedStream{instrumented: *w, sc: sc}
 	}
 	return w

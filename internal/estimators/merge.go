@@ -32,11 +32,10 @@ import "sort"
 //     accidental re-merge of the same vantage snapshot is the engine
 //     layer's job (stream.MergeStates' vantage identity check).
 //
-// Symtab IDs never appear in any of these states (the PR 5 contract:
-// BernoulliState holds pool positions, TimingState resolves ID-mode
-// candidate sets to sorted domain strings at export), so merging states
-// from processes with different intern tables needs no ID translation —
-// the string keys ARE the demoted, table-independent form.
+// Nothing process-local appears in any of these states: BernoulliState
+// holds pool positions, a function of (family, seed, epoch), and TimingState
+// the sorted domain names its positions stand for. Merging states from
+// different processes therefore needs no translation.
 
 // Merge returns the canonical union of two MB pair sets: the distinct
 // (TTL-bucket, pool-position) pairs of both states, sorted and regrouped

@@ -5,17 +5,17 @@ import (
 	"testing"
 	"testing/quick"
 
-	"botmeter/internal/dga"
 	"botmeter/internal/sim"
-	"botmeter/internal/symtab"
 	"botmeter/internal/trace"
 )
 
 // The merge-algebra property suite (DESIGN.md §18): states built by real
 // streams over random record partitions must combine associatively,
 // commutatively, with the empty state as identity — and MB exactly, under
-// ANY partition. Each family runs with and without the symtab ID kernel;
-// the two modes must export and merge to identical bytes.
+// ANY partition. The streams see pool positions only; how a record came by
+// its position (interned ID or name) is the matcher's business and is
+// tested there (matcher.TestResolve) and at the engine
+// (stream.TestAttributionInputsDifferential).
 
 func stateJSON(tb testing.TB, v any) string {
 	tb.Helper()
@@ -44,19 +44,19 @@ func nxdRecords(tb testing.TB, cfg Config, rng *sim.RNG, n int) trace.Observed {
 	t := sim.Time(0)
 	for i := 0; i < n; i++ {
 		t += sim.Time(rng.Int64N(int64(sim.Minute)))
-		obs = append(obs, trace.ObservedRecord{T: t, Domain: pool.Domains[nxd[rng.IntN(len(nxd))]]})
+		obs = append(obs, trace.ObservedRecord{T: t, Pos: int32(nxd[rng.IntN(len(nxd))])})
 	}
 	return obs
 }
 
-// mtRecords draws n lookups over a small domain alphabet in non-decreasing
-// time order (the EpochStream contract).
+// mtRecords draws n lookups over a small domain alphabet (letterNames'
+// pool) in non-decreasing time order (the EpochStream contract).
 func mtRecords(rng *sim.RNG, n int) trace.Observed {
 	obs := make(trace.Observed, 0, n)
 	t := sim.Time(0)
 	for i := 0; i < n; i++ {
 		t += sim.Time(rng.Int64N(int64(2 * sim.Second)))
-		obs = append(obs, trace.ObservedRecord{T: t, Domain: string(rune('a'+rng.IntN(26))) + ".com"})
+		obs = append(obs, trace.ObservedRecord{T: t, Pos: int32(rng.IntN(26))})
 	}
 	return obs
 }
@@ -97,27 +97,14 @@ func naiveStateOf(cfg Config, obs trace.Observed) ClusterStreamState {
 
 func mtStateOf(cfg Config, obs trace.Observed) TimingState {
 	s := runEpochStream(NewTiming(), cfg, obs).(*TimingStream)
-	st := s.ExportState()
+	st := s.ExportState(letterNames())
 	s.Release()
 	return st
 }
 
-// withIDs returns cfg in symtab ID mode (pools interned into tab) and a
-// copy of obs with every record carrying its interned ID.
-func withIDs(cfg Config, tab *symtab.Table, obs trace.Observed) (Config, trace.Observed) {
-	cfg.Pools = dga.NewPoolCache(cfg.Spec.Pool, cfg.Seed, tab)
-	out := make(trace.Observed, len(obs))
-	for i, rec := range obs {
-		rec.ID = tab.Intern(rec.Domain)
-		out[i] = rec
-	}
-	return cfg, out
-}
-
 // TestMergeBernoulliPartitionExact: MB's pair-set state merged over ANY
 // random partition of the records is byte-identical to the state of one
-// stream that saw them all — in string mode and in symtab ID mode, whose
-// exported states must themselves be byte-identical.
+// stream that saw them all.
 func TestMergeBernoulliPartitionExact(t *testing.T) {
 	cfg := defaultCfg(arSpec(180, 20, 25)).withDefaults()
 	f := func(seed uint64) bool {
@@ -131,24 +118,7 @@ func TestMergeBernoulliPartitionExact(t *testing.T) {
 		for _, part := range parts {
 			merged = merged.Merge(mbStateOf(cfg, part))
 		}
-		if stateJSON(t, merged) != stateJSON(t, BernoulliState{}.Merge(full)) {
-			t.Logf("seed %d: merged partition state != full state", seed)
-			return false
-		}
-
-		tab := symtab.Get()
-		defer tab.Release()
-		idCfg, idObs := withIDs(cfg, tab, obs)
-		if stateJSON(t, mbStateOf(idCfg, idObs)) != stateJSON(t, full) {
-			t.Logf("seed %d: ID-mode export differs from string mode", seed)
-			return false
-		}
-		idParts := partition(idObs, k, sim.NewRNG(seed))
-		idMerged := BernoulliState{}
-		for _, part := range idParts {
-			idMerged = idMerged.Merge(mbStateOf(idCfg, part))
-		}
-		return stateJSON(t, idMerged) == stateJSON(t, merged)
+		return stateJSON(t, merged) == stateJSON(t, BernoulliState{}.Merge(full))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -159,8 +129,8 @@ func TestMergeBernoulliPartitionExact(t *testing.T) {
 // the algebra checks below run identically across MB/MP/NC/MT.
 type mergeCase struct {
 	name   string
-	states func(t *testing.T, seed uint64, idMode bool) [3]string // canonical JSON of a, b, c
-	merge  func(aJSON, bJSON string) string                       // Merge via the JSON forms
+	states func(t *testing.T, seed uint64) [3]string // canonical JSON of a, b, c
+	merge  func(aJSON, bJSON string) string          // Merge via the JSON forms
 	empty  string
 }
 
@@ -184,24 +154,16 @@ func mergeJSONVia[S any](mergeFn func(S, S) S) func(string, string) string {
 func mergeCases() []mergeCase {
 	mbCfg := defaultCfg(arSpec(180, 20, 25)).withDefaults()
 	mtCfg := defaultCfg(auSpec()).withDefaults()
-	threeStates := func(t *testing.T, seed uint64, idMode bool, stateOf func(Config, trace.Observed) string, cfg Config, recs func(*sim.RNG) trace.Observed) [3]string {
+	threeStates := func(seed uint64, stateOf func(Config, trace.Observed) string, cfg Config, recs func(*sim.RNG) trace.Observed) [3]string {
 		rng := sim.NewRNG(seed)
-		obs := recs(rng)
-		if idMode {
-			tab := symtab.Get()
-			defer tab.Release()
-			cfg, obs = withIDs(cfg, tab, obs)
-			parts := partition(obs, 3, rng)
-			return [3]string{stateOf(cfg, parts[0]), stateOf(cfg, parts[1]), stateOf(cfg, parts[2])}
-		}
-		parts := partition(obs, 3, rng)
+		parts := partition(recs(rng), 3, rng)
 		return [3]string{stateOf(cfg, parts[0]), stateOf(cfg, parts[1]), stateOf(cfg, parts[2])}
 	}
 	return []mergeCase{
 		{
 			name: "MB",
-			states: func(t *testing.T, seed uint64, idMode bool) [3]string {
-				return threeStates(t, seed, idMode, func(cfg Config, obs trace.Observed) string {
+			states: func(t *testing.T, seed uint64) [3]string {
+				return threeStates(seed, func(cfg Config, obs trace.Observed) string {
 					return stateJSON(t, mbStateOf(cfg, obs))
 				}, mbCfg, func(rng *sim.RNG) trace.Observed { return nxdRecords(t, mbCfg, rng, 60+rng.IntN(60)) })
 			},
@@ -210,8 +172,8 @@ func mergeCases() []mergeCase {
 		},
 		{
 			name: "MP",
-			states: func(t *testing.T, seed uint64, idMode bool) [3]string {
-				return threeStates(t, seed, idMode, func(cfg Config, obs trace.Observed) string {
+			states: func(t *testing.T, seed uint64) [3]string {
+				return threeStates(seed, func(cfg Config, obs trace.Observed) string {
 					return stateJSON(t, clusterStateOf(cfg, obs))
 				}, mtCfg, func(rng *sim.RNG) trace.Observed { return mtRecords(rng, 30+rng.IntN(60)) })
 			},
@@ -220,8 +182,8 @@ func mergeCases() []mergeCase {
 		},
 		{
 			name: "NC",
-			states: func(t *testing.T, seed uint64, idMode bool) [3]string {
-				return threeStates(t, seed, idMode, func(cfg Config, obs trace.Observed) string {
+			states: func(t *testing.T, seed uint64) [3]string {
+				return threeStates(seed, func(cfg Config, obs trace.Observed) string {
 					return stateJSON(t, naiveStateOf(cfg, obs))
 				}, mtCfg, func(rng *sim.RNG) trace.Observed { return mtRecords(rng, 30+rng.IntN(60)) })
 			},
@@ -230,8 +192,8 @@ func mergeCases() []mergeCase {
 		},
 		{
 			name: "MT",
-			states: func(t *testing.T, seed uint64, idMode bool) [3]string {
-				return threeStates(t, seed, idMode, func(cfg Config, obs trace.Observed) string {
+			states: func(t *testing.T, seed uint64) [3]string {
+				return threeStates(seed, func(cfg Config, obs trace.Observed) string {
 					return stateJSON(t, mtStateOf(cfg, obs))
 				}, mtCfg, func(rng *sim.RNG) trace.Observed { return mtRecords(rng, 30+rng.IntN(60)) })
 			},
@@ -244,47 +206,40 @@ func mergeCases() []mergeCase {
 // TestMergeAlgebraProperties: for every family, states built from random
 // record partitions obey Merge(a, Merge(b, c)) == Merge(Merge(a, b), c) ==
 // every permutation's fold, and the empty state is an identity on
-// canonicalized states — with and without symtab ID mode.
+// canonicalized states.
 func TestMergeAlgebraProperties(t *testing.T) {
 	perms := [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
 	for _, mc := range mergeCases() {
 		mc := mc
-		for _, idMode := range []bool{false, true} {
-			idMode := idMode
-			name := mc.name + "/string"
-			if idMode {
-				name = mc.name + "/id"
+		t.Run(mc.name, func(t *testing.T) {
+			f := func(seed uint64) bool {
+				s := mc.states(t, seed)
+				a, b, c := s[0], s[1], s[2]
+				left := mc.merge(a, mc.merge(b, c))
+				right := mc.merge(mc.merge(a, b), c)
+				if left != right {
+					t.Logf("seed %d: associativity broken", seed)
+					return false
+				}
+				for _, p := range perms {
+					if got := mc.merge(mc.merge(s[p[0]], s[p[1]]), s[p[2]]); got != left {
+						t.Logf("seed %d: permutation %v gave different state", seed, p)
+						return false
+					}
+				}
+				// Identity on canonical states: exported states are already
+				// canonical, so one empty-merge must be a fixed point.
+				canon := mc.merge(mc.empty, a)
+				if canon != a || mc.merge(canon, mc.empty) != canon {
+					t.Logf("seed %d: empty state is not an identity", seed)
+					return false
+				}
+				return true
 			}
-			t.Run(name, func(t *testing.T) {
-				f := func(seed uint64) bool {
-					s := mc.states(t, seed, idMode)
-					a, b, c := s[0], s[1], s[2]
-					left := mc.merge(a, mc.merge(b, c))
-					right := mc.merge(mc.merge(a, b), c)
-					if left != right {
-						t.Logf("seed %d: associativity broken", seed)
-						return false
-					}
-					for _, p := range perms {
-						if got := mc.merge(mc.merge(s[p[0]], s[p[1]]), s[p[2]]); got != left {
-							t.Logf("seed %d: permutation %v gave different state", seed, p)
-							return false
-						}
-					}
-					// Identity on canonical states: exported states are already
-					// canonical, so one empty-merge must be a fixed point.
-					canon := mc.merge(mc.empty, a)
-					if canon != a || mc.merge(canon, mc.empty) != canon {
-						t.Logf("seed %d: empty state is not an identity", seed)
-						return false
-					}
-					return true
-				}
-				if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-					t.Error(err)
-				}
-			})
-		}
+			if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 
@@ -322,31 +277,4 @@ func clusterStateCount(st ClusterStreamState) int {
 		n++
 	}
 	return n
-}
-
-// TestMergeTimingIDModeMatchesStringMode: merging states exported by
-// ID-mode streams is byte-identical to merging the same partitions run in
-// string mode — the export already demotes IDs to sorted domain strings,
-// so no table translation can leak into the merged bytes.
-func TestMergeTimingIDModeMatchesStringMode(t *testing.T) {
-	cfg := defaultCfg(auSpec()).withDefaults()
-	f := func(seed uint64) bool {
-		rng := sim.NewRNG(seed)
-		obs := mtRecords(rng, 40+rng.IntN(60))
-		parts := partition(obs, 2, rng)
-		strMerged := mtStateOf(cfg, parts[0]).Merge(mtStateOf(cfg, parts[1]))
-
-		tabA, tabB := symtab.Get(), symtab.Get()
-		defer tabA.Release()
-		defer tabB.Release()
-		// Two DIFFERENT intern tables — the vantage reality — whose ID
-		// spaces need not agree.
-		cfgA, obsA := withIDs(cfg, tabA, parts[0])
-		cfgB, obsB := withIDs(cfg, tabB, parts[1])
-		idMerged := mtStateOf(cfgA, obsA).Merge(mtStateOf(cfgB, obsB))
-		return stateJSON(t, idMerged) == stateJSON(t, strMerged)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
 }

@@ -21,13 +21,11 @@ func TestTimingBoundsProperty(t *testing.T) {
 		}
 		obs := make(trace.Observed, 0, len(ts))
 		for i, tv := range ts {
-			d := "x.com"
+			pos := int32(26)
 			if i < len(domIdx) {
-				d = string(rune('a'+domIdx[i]%26)) + ".com"
+				pos = int32(domIdx[i] % 26)
 			}
-			obs = append(obs, trace.ObservedRecord{
-				T: sim.Time(tv) % sim.Day, Domain: d,
-			})
+			obs = append(obs, trace.ObservedRecord{T: sim.Time(tv) % sim.Day, Pos: pos})
 		}
 		got, err := mt.EstimateEpoch(obs, 0, cfg)
 		if err != nil {
@@ -51,8 +49,8 @@ func TestTimingOrderInsensitiveProperty(t *testing.T) {
 		obs := make(trace.Observed, 0, n)
 		for i := 0; i < n; i++ {
 			obs = append(obs, trace.ObservedRecord{
-				T:      sim.Time(rng.Int64N(int64(sim.Hour))),
-				Domain: string(rune('a'+rng.IntN(26))) + ".com",
+				T:   sim.Time(rng.Int64N(int64(sim.Hour))),
+				Pos: int32(rng.IntN(26)),
 			})
 		}
 		a, err := mt.EstimateEpoch(obs, 0, cfg)
@@ -85,10 +83,7 @@ func TestPoissonAtLeastVisibleProperty(t *testing.T) {
 		n := 1 + rng.IntN(20)
 		obs := make(trace.Observed, 0, n)
 		for i := 0; i < n; i++ {
-			obs = append(obs, trace.ObservedRecord{
-				T:      sim.Time(rng.Int64N(int64(sim.Day))),
-				Domain: "d.com",
-			})
+			obs = append(obs, trace.ObservedRecord{T: sim.Time(rng.Int64N(int64(sim.Day)))})
 		}
 		got, err := mp.EstimateEpoch(obs, 0, cfg)
 		if err != nil {
@@ -168,16 +163,17 @@ func TestBernoulliAtLeastOnePerSegmentProperty(t *testing.T) {
 }
 
 // TestEstimatorsRobustToGarbage: streams with out-of-epoch timestamps,
-// duplicates and unknown domains must not error or produce NaN.
+// duplicates and positions past the pool's end (a detector's collision
+// names sit there) must not error or produce NaN.
 func TestEstimatorsRobustToGarbage(t *testing.T) {
 	cfgAU := defaultCfg(auSpec())
 	cfgAR := defaultCfg(arSpec(95, 5, 10))
 	garbage := trace.Observed{
-		{T: -5 * sim.Day, Domain: "??", Server: "s"},
-		{T: 100 * sim.Day, Domain: "", Server: "s"},
-		{T: 0, Domain: "a.com", Server: "s"},
-		{T: 0, Domain: "a.com", Server: "s"},
-		{T: 1, Domain: "not-in-any-pool.io", Server: "s"},
+		{T: -5 * sim.Day, Pos: 100, Server: "s"},
+		{T: 100 * sim.Day, Pos: 99, Server: "s"},
+		{T: 0, Pos: 7, Server: "s"},
+		{T: 0, Pos: 7, Server: "s"},
+		{T: 1, Pos: 1 << 20, Server: "s"},
 	}
 	ests := []struct {
 		e   Estimator
@@ -205,10 +201,10 @@ func TestEstimatorsRobustToGarbage(t *testing.T) {
 func TestEstimateWindowConsistentWithSingleEpoch(t *testing.T) {
 	cfg := defaultCfg(arSpec(95, 5, 10))
 	pool := cfg.Spec.Pool.PoolFor(cfg.Seed, 0)
-	domains := simulateAR(pool, 6, cfg.Spec.ThetaQ, sim.NewRNG(3))
-	obs := make(trace.Observed, 0, len(domains))
-	for i, d := range domains {
-		obs = append(obs, trace.ObservedRecord{T: sim.Time(i), Domain: d})
+	positions := simulateAR(pool, 6, cfg.Spec.ThetaQ, sim.NewRNG(3))
+	obs := make(trace.Observed, 0, len(positions))
+	for i, p := range positions {
+		obs = append(obs, trace.ObservedRecord{T: sim.Time(i), Pos: p})
 	}
 	mb := NewBernoulli()
 	direct, err := mb.EstimateEpoch(obs, 0, cfg)

@@ -220,9 +220,9 @@ type BernoulliBucket struct {
 }
 
 // BernoulliState is the serializable state of an incremental MB epoch. Pool
-// positions — not process-local symtab IDs — make the state stable across
-// processes; buckets and positions are sorted so identical state always
-// serialises to identical bytes.
+// positions are a function of (family, seed, epoch), which makes the state
+// stable across processes; buckets and positions are sorted so identical
+// state always serialises to identical bytes.
 type BernoulliState struct {
 	Buckets []BernoulliBucket `json:"buckets,omitempty"`
 }

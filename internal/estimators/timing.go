@@ -2,7 +2,6 @@ package estimators
 
 import (
 	"botmeter/internal/sim"
-	"botmeter/internal/symtab"
 	"botmeter/internal/trace"
 )
 
@@ -32,14 +31,10 @@ func NewTiming() *Timing { return &Timing{} }
 func (*Timing) Name() string { return "MT" }
 
 // timingEntry is one candidate bot: its first lookup time and the domains
-// attributed to it. While the owning stream runs in ID mode (every record so
-// far carried an interned domain ID) attribution lives in ids and domains is
-// empty; a string-mode stream uses domains only. Exactly one of the two sets
-// is populated at any time.
+// attributed to it, as pool positions.
 type timingEntry struct {
-	first   sim.Time
-	domains map[string]struct{}
-	ids     map[symtab.ID]struct{}
+	first sim.Time
+	seen  map[int32]struct{}
 }
 
 // EstimateEpoch implements Estimator (Algorithm 1). The batch form is the
@@ -56,13 +51,11 @@ func (mt *Timing) EstimateEpoch(obs trace.Observed, epoch int, cfg Config) (floa
 	if len(obs) == 0 {
 		return 0, nil
 	}
-	stream := mt.OpenEpoch(epoch, cfg)
+	stream := mt.OpenEpoch(epoch, cfg).(*TimingStream)
 	for _, rec := range timeOrdered(obs) {
 		stream.Observe(rec)
 	}
 	v := stream.Estimate()
-	if r, ok := stream.(Releasable); ok {
-		r.Release()
-	}
+	stream.Release()
 	return v, nil
 }

@@ -1,27 +1,23 @@
 package estimators
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 
+	"botmeter/internal/matcher"
 	"botmeter/internal/sim"
-	"botmeter/internal/symtab"
 	"botmeter/internal/trace"
 )
 
-// timingEntryPool recycles candidate entries (struct + attribution maps)
+// timingEntryPool recycles candidate entries (struct + attribution map)
 // across streams and epochs. Per-candidate map allocation was the dominant
 // MT allocation site (one map per bot activation per epoch); recycled maps
 // keep their buckets, so a steady-state workload allocates no candidate
 // state at all. Entries are returned on expiry (Advance) and at Release; the
-// maps come back cleared.
+// map comes back cleared.
 var timingEntryPool = sync.Pool{
-	New: func() any {
-		return &timingEntry{
-			domains: make(map[string]struct{}, 8),
-			ids:     make(map[symtab.ID]struct{}, 8),
-		}
-	},
+	New: func() any { return &timingEntry{seen: make(map[int32]struct{}, 8)} },
 }
 
 func getTimingEntry(first sim.Time) *timingEntry {
@@ -31,8 +27,7 @@ func getTimingEntry(first sim.Time) *timingEntry {
 }
 
 func putTimingEntry(e *timingEntry) {
-	clear(e.domains)
-	clear(e.ids)
+	clear(e.seen)
 	timingEntryPool.Put(e)
 }
 
@@ -52,9 +47,9 @@ type StreamCapable interface {
 // EpochStream is the per-(server, epoch) incremental state of a
 // StreamCapable estimator.
 type EpochStream interface {
-	// Observe folds one matched lookup in. Records MUST arrive in
-	// non-decreasing timestamp order (the engine's reorder buffer
-	// guarantees this).
+	// Observe folds one matched lookup in — its time and the pool position
+	// the matcher stamped on it. Records MUST arrive in non-decreasing
+	// timestamp order (the engine's reorder buffer guarantees this).
 	Observe(rec trace.ObservedRecord)
 	// Estimate returns the estimate over everything observed so far. It
 	// is valid mid-epoch (provisional) and after the last record (final).
@@ -101,15 +96,6 @@ type TimingStream struct {
 	useModulo   bool
 	maxDuration sim.Time
 
-	// tab, when non-nil, puts the stream in ID mode: heuristic #1's
-	// domain-membership sets are keyed by interned domain ID (integer
-	// hashing) instead of by string. ID ↔ domain is a bijection within one
-	// intern table, so the absorption decisions — and hence the candidate
-	// count — are identical to string mode. The first record that arrives
-	// WITHOUT an ID demotes the whole stream to string mode (sets resolved
-	// through tab), so mixed traces degrade gracefully rather than wrongly.
-	tab *symtab.Table
-
 	// active candidates in creation order; `first` is non-decreasing, so
 	// expiry always pops a prefix.
 	active []*timingEntry
@@ -124,19 +110,11 @@ func (*Timing) OpenEpoch(_ int, cfg Config) EpochStream {
 		cfg = cfg.withDefaults()
 	}
 	deltaI := cfg.Spec.QueryInterval
-	s := &TimingStream{
+	return &TimingStream{
 		deltaI:      deltaI,
 		useModulo:   deltaI > 0 && (cfg.Granularity == 0 || cfg.Granularity <= deltaI),
 		maxDuration: cfg.Spec.MaxDuration(),
 	}
-	if cfg.Pools != nil {
-		// Records carrying an ID are, by the ObservedRecord contract,
-		// interned in the analysis pools' table (matching already relies on
-		// this), so that table resolves IDs back to strings on demotion and
-		// export.
-		s.tab = cfg.Pools.Table()
-	}
-	return s
 }
 
 // Observe implements EpochStream.
@@ -144,34 +122,9 @@ func (s *TimingStream) Observe(rec trace.ObservedRecord) {
 	// Expire candidates that can no longer absorb rec or anything after
 	// it (timestamps are non-decreasing from here on).
 	s.Advance(rec.T)
-	if s.tab != nil {
-		if rec.ID == symtab.None {
-			s.demote()
-		} else {
-			for _, entry := range s.active {
-				// Heuristic #1: domain already attributed to this bot.
-				if _, seen := entry.ids[rec.ID]; seen {
-					continue
-				}
-				// Heuristics #2 and #3 — see the string path below.
-				if entry.first+s.maxDuration <= rec.T {
-					continue
-				}
-				if s.useModulo && (rec.T-entry.first)%s.deltaI != 0 {
-					continue
-				}
-				entry.ids[rec.ID] = struct{}{}
-				return
-			}
-			entry := getTimingEntry(rec.T)
-			entry.ids[rec.ID] = struct{}{}
-			s.active = append(s.active, entry)
-			return
-		}
-	}
 	for _, entry := range s.active {
 		// Heuristic #1: domain already attributed to this bot.
-		if _, seen := entry.domains[rec.Domain]; seen {
+		if _, seen := entry.seen[rec.Pos]; seen {
 			continue
 		}
 		// Heuristic #2: beyond the maximum activation duration. Active
@@ -184,27 +137,12 @@ func (s *TimingStream) Observe(rec trace.ObservedRecord) {
 		if s.useModulo && (rec.T-entry.first)%s.deltaI != 0 {
 			continue
 		}
-		entry.domains[rec.Domain] = struct{}{}
+		entry.seen[rec.Pos] = struct{}{}
 		return
 	}
 	entry := getTimingEntry(rec.T)
-	entry.domains[rec.Domain] = struct{}{}
+	entry.seen[rec.Pos] = struct{}{}
 	s.active = append(s.active, entry)
-}
-
-// demote switches the stream from ID mode to string mode, resolving every
-// active candidate's ID set into its string set. Candidate order, `first`
-// times and set contents (under the ID ↔ domain bijection) are unchanged, so
-// all subsequent absorption decisions match a stream that ran in string mode
-// from the start.
-func (s *TimingStream) demote() {
-	for _, entry := range s.active {
-		for id := range entry.ids {
-			entry.domains[s.tab.Resolve(id)] = struct{}{}
-		}
-		clear(entry.ids)
-	}
-	s.tab = nil
 }
 
 // Advance implements Expiring: candidates whose absorption window ends
@@ -272,22 +210,18 @@ type TimingCandidate struct {
 }
 
 // ExportState snapshots the stream for checkpointing. The stream remains
-// usable; the returned state shares nothing with it. An ID-mode stream
-// exports the same bytes as a string-mode one: candidate sets are resolved
-// to domain strings and sorted, so checkpoint contents are independent of
-// which attribution representation the stream happened to be running.
-func (s *TimingStream) ExportState() TimingState {
+// usable; the returned state shares nothing with it. Positions leave the
+// process as the names the epoch's matcher gives them, sorted, so the bytes
+// depend on what was observed and on nothing else.
+func (s *TimingStream) ExportState(names *matcher.Attribution) TimingState {
 	st := TimingState{Expired: s.expired}
 	if len(s.active) > 0 {
 		st.Active = make([]TimingCandidate, len(s.active))
 	}
 	for i, entry := range s.active {
-		domains := make([]string, 0, len(entry.domains)+len(entry.ids))
-		for d := range entry.domains {
-			domains = append(domains, d)
-		}
-		for id := range entry.ids {
-			domains = append(domains, s.tab.Resolve(id))
+		domains := make([]string, 0, len(entry.seen))
+		for pos := range entry.seen {
+			domains = append(domains, names.Name(pos))
 		}
 		sort.Strings(domains)
 		st.Active[i] = TimingCandidate{First: entry.first, Domains: domains}
@@ -295,26 +229,27 @@ func (s *TimingStream) ExportState() TimingState {
 	return st
 }
 
-// RestoreState replaces the stream's state with a previously exported one.
-// The stream's configuration (δi, max duration) is NOT part of the state —
-// it is re-derived from the engine config at OpenEpoch, which checkpoint
-// recovery validates via the config fingerprint. Restored candidate sets
-// are strings, so the stream continues in string mode regardless of how it
-// was opened; estimates are unaffected (the two modes are equivalent) and
-// subsequent exports are byte-identical either way.
-func (s *TimingStream) RestoreState(st TimingState) {
-	for i, entry := range s.active {
-		putTimingEntry(entry)
-		s.active[i] = nil
-	}
-	s.tab = nil
-	s.expired = st.Expired
-	s.active = s.active[:0]
+// RestoreState replaces the stream's state with a previously exported one,
+// resolving each candidate's names back to positions through the epoch's
+// matcher. A name the matcher does not hold means the state was taken under
+// another configuration or is damaged: an error, after which the stream is
+// to be discarded. The stream's configuration (δi, max duration) is NOT part
+// of the state — it is re-derived from the engine config at OpenEpoch, which
+// checkpoint recovery validates via the config fingerprint.
+func (s *TimingStream) RestoreState(st TimingState, names *matcher.Attribution) error {
+	s.Release()
 	for _, cand := range st.Active {
 		entry := getTimingEntry(cand.First)
-		for _, d := range cand.Domains {
-			entry.domains[d] = struct{}{}
-		}
 		s.active = append(s.active, entry)
+		for _, d := range cand.Domains {
+			pos, ok := names.Resolve(trace.ObservedRecord{Domain: d})
+			if !ok {
+				s.Release()
+				return fmt.Errorf("candidate domain %q is not one the epoch's matcher holds", d)
+			}
+			entry.seen[pos] = struct{}{}
+		}
 	}
+	s.expired = st.Expired
+	return nil
 }

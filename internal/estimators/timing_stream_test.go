@@ -4,9 +4,21 @@ import (
 	"reflect"
 	"testing"
 
+	"botmeter/internal/dga"
+	"botmeter/internal/matcher"
 	"botmeter/internal/sim"
 	"botmeter/internal/trace"
 )
+
+// letterNames is the matcher of a 26-name pool: position p is the name
+// 'a'+p ".com", what the checkpoint codec below turns positions into.
+func letterNames() *matcher.Attribution {
+	domains := make([]string, 26)
+	for i := range domains {
+		domains[i] = string(rune('a'+i)) + ".com"
+	}
+	return matcher.NewAttribution(dga.NewPool(domains, nil), nil, nil)
+}
 
 // streamOf builds a fresh TimingStream for cfg.
 func streamOf(cfg Config) *TimingStream {
@@ -20,14 +32,14 @@ func TestTimingStreamMatchesBatch(t *testing.T) {
 	spec.ThetaQ = 4
 	cfg := defaultCfg(spec)
 	obs := trace.Observed{
-		{T: 0, Domain: "a.com"},
-		{T: 250, Domain: "a.com"},
-		{T: 500, Domain: "b.com"},
-		{T: 750, Domain: "b.com"},
-		{T: 1000, Domain: "c.com"},
+		{T: 0, Pos: 0},
+		{T: 250, Pos: 0},
+		{T: 500, Pos: 1},
+		{T: 750, Pos: 1},
+		{T: 1000, Pos: 2},
 		// A third bot well past the first two's absorption windows.
-		{T: 10_000, Domain: "a.com"},
-		{T: 10_500, Domain: "b.com"},
+		{T: 10_000, Pos: 0},
+		{T: 10_500, Pos: 1},
 	}
 	want, err := NewTiming().EstimateEpoch(obs, 0, cfg)
 	if err != nil {
@@ -49,8 +61,8 @@ func TestTimingStreamAdvanceExpires(t *testing.T) {
 	spec := auSpec()
 	spec.ThetaQ = 4 // max duration 2 s
 	s := streamOf(defaultCfg(spec))
-	s.Observe(trace.ObservedRecord{T: 0, Domain: "a.com"})
-	s.Observe(trace.ObservedRecord{T: 500, Domain: "b.com"})
+	s.Observe(trace.ObservedRecord{T: 0, Pos: 0})
+	s.Observe(trace.ObservedRecord{T: 500, Pos: 1})
 	if got := s.ActiveCandidates(); got != 1 {
 		t.Fatalf("active = %d, want 1", got)
 	}
@@ -72,27 +84,28 @@ func TestTimingStreamExportRestore(t *testing.T) {
 	spec.ThetaQ = 4
 	cfg := defaultCfg(spec)
 	head := trace.Observed{
-		{T: 0, Domain: "a.com"},
-		{T: 250, Domain: "a.com"},
-		{T: 500, Domain: "b.com"},
-		{T: 10_000, Domain: "c.com"}, // expires the first two candidates
+		{T: 0, Pos: 0},
+		{T: 250, Pos: 0},
+		{T: 500, Pos: 1},
+		{T: 10_000, Pos: 2}, // expires the first two candidates
 	}
 	tail := trace.Observed{
-		{T: 10_500, Domain: "d.com"},
-		{T: 10_750, Domain: "d.com"},
-		{T: 11_000, Domain: "e.com"},
+		{T: 10_500, Pos: 3},
+		{T: 10_750, Pos: 3},
+		{T: 11_000, Pos: 4},
 	}
 	orig := streamOf(cfg)
 	for _, rec := range head {
 		orig.Observe(rec)
 	}
-	st := orig.ExportState()
+	names := letterNames()
+	st := orig.ExportState(names)
 	if st.Expired != 2 || len(st.Active) != 1 {
 		t.Fatalf("exported state = %+v, want 2 expired / 1 active", st)
 	}
 	// Aliasing check: the export is a deep copy.
-	orig.Observe(trace.ObservedRecord{T: 10_100, Domain: "x.com"})
-	if reflect.DeepEqual(st, orig.ExportState()) {
+	orig.Observe(trace.ObservedRecord{T: 10_100, Pos: 23})
+	if reflect.DeepEqual(st, orig.ExportState(names)) {
 		t.Fatal("export should have diverged from the mutated stream")
 	}
 	if got := st.Active[0].Domains; len(got) != 1 || got[0] != "c.com" {
@@ -105,7 +118,9 @@ func TestTimingStreamExportRestore(t *testing.T) {
 		ref.Observe(rec)
 	}
 	twin := streamOf(cfg)
-	twin.RestoreState(st)
+	if err := twin.RestoreState(st, names); err != nil {
+		t.Fatal(err)
+	}
 	if twin.Estimate() != ref.Estimate() || twin.ActiveCandidates() != ref.ActiveCandidates() {
 		t.Fatalf("restored stream diverges immediately: est %v vs %v, active %d vs %d",
 			twin.Estimate(), ref.Estimate(), twin.ActiveCandidates(), ref.ActiveCandidates())
@@ -117,8 +132,15 @@ func TestTimingStreamExportRestore(t *testing.T) {
 	if twin.Estimate() != ref.Estimate() {
 		t.Errorf("restored stream final estimate = %v, reference = %v", twin.Estimate(), ref.Estimate())
 	}
-	if !reflect.DeepEqual(twin.ExportState(), ref.ExportState()) {
-		t.Errorf("restored stream state diverged:\n twin %+v\n ref  %+v", twin.ExportState(), ref.ExportState())
+	if !reflect.DeepEqual(twin.ExportState(names), ref.ExportState(names)) {
+		t.Errorf("restored stream state diverged:\n twin %+v\n ref  %+v", twin.ExportState(names), ref.ExportState(names))
+	}
+
+	// A candidate naming a domain the epoch's matcher does not hold cannot
+	// be turned back into a position: an error, not a guess.
+	st.Active[0].Domains = append(st.Active[0].Domains, "not-in-the-pool.io")
+	if err := streamOf(cfg).RestoreState(st, names); err == nil {
+		t.Error("RestoreState accepted a candidate domain outside the pool")
 	}
 }
 
@@ -126,13 +148,15 @@ func TestTimingStreamExportRestore(t *testing.T) {
 // restoring it into a used stream resets it.
 func TestTimingStreamExportEmpty(t *testing.T) {
 	cfg := defaultCfg(auSpec())
-	empty := streamOf(cfg).ExportState()
+	empty := streamOf(cfg).ExportState(letterNames())
 	if empty.Expired != 0 || empty.Active != nil {
 		t.Fatalf("zero state = %+v", empty)
 	}
 	used := streamOf(cfg)
-	used.Observe(trace.ObservedRecord{T: 0, Domain: "a.com"})
-	used.RestoreState(empty)
+	used.Observe(trace.ObservedRecord{T: 0, Pos: 0})
+	if err := used.RestoreState(empty, letterNames()); err != nil {
+		t.Fatal(err)
+	}
 	if used.Estimate() != 0 || used.ActiveCandidates() != 0 {
 		t.Errorf("restore of the zero state did not reset: est %v, active %d",
 			used.Estimate(), used.ActiveCandidates())

@@ -2,21 +2,14 @@ package matcher
 
 import "botmeter/internal/symtab"
 
-// IDMatcher answers membership for domains that carry interned symtab IDs —
-// the fast path of Set for records that originated in-process. It is a
-// bitset over the (dense, near-contiguous) IDs of one epoch's pool slice,
-// with a [lo, hi] range pre-check so the common out-of-pool ID rejects in
-// two compares.
-//
-// An IDMatcher never sees strings: records with ID == symtab.None (traces
-// read from disk, external injections) must be routed to a string Matcher by
-// the caller (see core.EpochMatcher).
+// IDMatcher answers membership for interned symtab IDs: a bitset over the
+// (dense, near-contiguous) IDs of one epoch's pool slice, with a [lo, hi]
+// range pre-check so the common out-of-pool ID rejects in two compares.
 type IDMatcher struct {
 	name string
 	lo   symtab.ID
 	hi   symtab.ID // inclusive
 	bits []uint64  // bit (id - lo) set ⇔ id matched
-	n    int
 }
 
 // NewIDMatcher builds a bitset matcher over ids. symtab.None entries are
@@ -44,12 +37,7 @@ func NewIDMatcher(name string, ids []symtab.ID) *IDMatcher {
 		if id == symtab.None {
 			continue
 		}
-		w := uint64(id-lo) >> 6
-		b := uint64(1) << ((id - lo) & 63)
-		if m.bits[w]&b == 0 {
-			m.bits[w] |= b
-			m.n++
-		}
+		m.bits[uint64(id-lo)>>6] |= 1 << ((id - lo) & 63)
 	}
 	return m
 }
@@ -65,6 +53,3 @@ func (m *IDMatcher) MatchID(id symtab.ID) bool {
 
 // Name identifies the matcher for reports.
 func (m *IDMatcher) Name() string { return m.name }
-
-// Len returns the number of distinct IDs in the set.
-func (m *IDMatcher) Len() int { return m.n }

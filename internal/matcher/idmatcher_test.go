@@ -38,9 +38,6 @@ func TestIDMatcherAgreesWithSet(t *testing.T) {
 	if idm.Name() != "fam" {
 		t.Fatalf("Name = %q", idm.Name())
 	}
-	if idm.Len() != len(matchedIDs) {
-		t.Fatalf("Len = %d, want %d", idm.Len(), len(matchedIDs))
-	}
 	for i, d := range domains {
 		if got, want := idm.MatchID(ids[i]), set.Match(d); got != want {
 			t.Fatalf("disagreement on %q (id %d): id=%v set=%v", d, ids[i], got, want)
@@ -64,9 +61,6 @@ func TestIDMatcherAgreesWithSet(t *testing.T) {
 
 func TestIDMatcherEmpty(t *testing.T) {
 	idm := NewIDMatcher("empty", nil)
-	if idm.Len() != 0 {
-		t.Fatalf("Len = %d", idm.Len())
-	}
 	for _, id := range []symtab.ID{0, 1, 2, 1 << 20} {
 		if idm.MatchID(id) {
 			t.Fatalf("empty matcher matched %d", id)
@@ -74,16 +68,13 @@ func TestIDMatcherEmpty(t *testing.T) {
 	}
 	// None entries are ignored, not stored.
 	idm = NewIDMatcher("nones", []symtab.ID{symtab.None, symtab.None})
-	if idm.Len() != 0 || idm.MatchID(symtab.None) {
+	if idm.MatchID(symtab.None) {
 		t.Fatal("None entries should be ignored")
 	}
 }
 
 func TestIDMatcherDuplicates(t *testing.T) {
 	idm := NewIDMatcher("dup", []symtab.ID{5, 5, 5, 9})
-	if idm.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (dedup)", idm.Len())
-	}
 	if !idm.MatchID(5) || !idm.MatchID(9) || idm.MatchID(6) {
 		t.Fatal("membership wrong")
 	}

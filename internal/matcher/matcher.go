@@ -1,24 +1,14 @@
 // Package matcher implements BotMeter's DGA-domain matching stage (paper
-// Figure 2, steps 2–4): analysts supply either plain domain lists or
-// algorithmic patterns, and incoming DNS lookups are matched against them.
-// Three implementations cover the practical trade-offs: an exact set, a
-// structural pattern (charset/length/TLD) and a Bloom filter for pools too
-// large to hold exactly at line rate.
+// Figure 2, steps 2–4). Attribution is the matcher the pipeline runs: one
+// per epoch, it resolves a lookup to its pool position. Set and IDMatcher
+// are the bare membership kernels the repository benchmark times beside it;
+// Pattern is the structural (charset/length/TLD) input mode.
 package matcher
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
-
-// Matcher decides whether a domain belongs to a target DGA.
-type Matcher interface {
-	// Match reports whether the domain is attributed to the DGA.
-	Match(domain string) bool
-	// Name identifies the matcher for reports.
-	Name() string
-}
 
 // Set matches against an exact domain list — the "plain list" input mode.
 type Set struct {
@@ -35,24 +25,14 @@ func NewSet(name string, domains []string) *Set {
 	return m
 }
 
-// Match implements Matcher.
+// Match reports whether the domain is in the set.
 func (m *Set) Match(domain string) bool {
 	_, ok := m.domains[normalize(domain)]
 	return ok
 }
 
-// Name implements Matcher.
+// Name identifies the matcher for reports.
 func (m *Set) Name() string { return m.name }
-
-// Len returns the number of domains in the set.
-func (m *Set) Len() int { return len(m.domains) }
-
-// Add extends the set (e.g. as D³ reports new detections).
-func (m *Set) Add(domains ...string) {
-	for _, d := range domains {
-		m.domains[normalize(d)] = struct{}{}
-	}
-}
 
 // Pattern matches on the structural profile of a DGA's output: permitted
 // characters, name-length range and TLDs — the "algorithmic pattern" input
@@ -89,7 +69,7 @@ func NewPattern(name, charset string, minLen, maxLen int, tlds []string) (*Patte
 	return p, nil
 }
 
-// Match implements Matcher.
+// Match reports whether the domain fits the profile.
 func (p *Pattern) Match(domain string) bool {
 	domain = normalize(domain)
 	dot := strings.LastIndexByte(domain, '.')
@@ -113,54 +93,8 @@ func (p *Pattern) Match(domain string) bool {
 	return true
 }
 
-// Name implements Matcher.
+// Name identifies the matcher for reports.
 func (p *Pattern) Name() string { return p.name }
-
-// Multi dispatches a domain across several family matchers.
-type Multi struct {
-	order    []string
-	matchers map[string]Matcher
-}
-
-// NewMulti builds an empty multi-matcher.
-func NewMulti() *Multi {
-	return &Multi{matchers: make(map[string]Matcher)}
-}
-
-// Register adds a family matcher. Later registrations with the same name
-// replace earlier ones.
-func (m *Multi) Register(matcher Matcher) {
-	name := matcher.Name()
-	if _, exists := m.matchers[name]; !exists {
-		m.order = append(m.order, name)
-	}
-	m.matchers[name] = matcher
-}
-
-// MatchAny returns the first registered family that matches, in
-// registration order.
-func (m *Multi) MatchAny(domain string) (string, bool) {
-	for _, name := range m.order {
-		if m.matchers[name].Match(domain) {
-			return name, true
-		}
-	}
-	return "", false
-}
-
-// Families returns the registered family names sorted.
-func (m *Multi) Families() []string {
-	out := make([]string, len(m.order))
-	copy(out, m.order)
-	sort.Strings(out)
-	return out
-}
-
-// Get returns a registered matcher.
-func (m *Multi) Get(name string) (Matcher, bool) {
-	match, ok := m.matchers[name]
-	return match, ok
-}
 
 // normalize canonicalises a domain: strips one trailing dot and lowers
 // ASCII letters. The single scan up front returns already-canonical

@@ -1,10 +1,6 @@
 package matcher
 
-import (
-	"fmt"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestSetMatcher(t *testing.T) {
 	m := NewSet("fam", []string{"Evil.COM", "bad.net."})
@@ -23,13 +19,6 @@ func TestSetMatcher(t *testing.T) {
 		if got := m.Match(tt.domain); got != tt.want {
 			t.Errorf("Match(%q) = %v, want %v", tt.domain, got, tt.want)
 		}
-	}
-	if m.Len() != 2 {
-		t.Errorf("Len = %d, want 2", m.Len())
-	}
-	m.Add("new.org")
-	if !m.Match("new.org") || m.Len() != 3 {
-		t.Error("Add failed")
 	}
 	if m.Name() != "fam" {
 		t.Errorf("Name = %q", m.Name())
@@ -81,122 +70,5 @@ func TestPatternNoTLDRestriction(t *testing.T) {
 	}
 	if !p.Match("abab.unusual") {
 		t.Error("empty TLD list should accept any TLD")
-	}
-}
-
-func TestMultiMatcher(t *testing.T) {
-	m := NewMulti()
-	m.Register(NewSet("alpha", []string{"a.com"}))
-	m.Register(NewSet("beta", []string{"b.com"}))
-	if fam, ok := m.MatchAny("a.com"); !ok || fam != "alpha" {
-		t.Errorf("MatchAny(a.com) = %q, %v", fam, ok)
-	}
-	if fam, ok := m.MatchAny("b.com"); !ok || fam != "beta" {
-		t.Errorf("MatchAny(b.com) = %q, %v", fam, ok)
-	}
-	if _, ok := m.MatchAny("c.com"); ok {
-		t.Error("unmatched domain should return false")
-	}
-	fams := m.Families()
-	if len(fams) != 2 || fams[0] != "alpha" || fams[1] != "beta" {
-		t.Errorf("Families = %v", fams)
-	}
-	if _, ok := m.Get("alpha"); !ok {
-		t.Error("Get(alpha) failed")
-	}
-	// Re-registering replaces without duplicating.
-	m.Register(NewSet("alpha", []string{"a2.com"}))
-	if len(m.Families()) != 2 {
-		t.Error("re-registration duplicated family")
-	}
-	if fam, ok := m.MatchAny("a2.com"); !ok || fam != "alpha" {
-		t.Error("replacement matcher not in effect")
-	}
-}
-
-func TestBloomNoFalseNegatives(t *testing.T) {
-	domains := make([]string, 2000)
-	for i := range domains {
-		domains[i] = fmt.Sprintf("domain-%06d.com", i)
-	}
-	b, err := NewBloom("fam", domains, len(domains), 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range domains {
-		if !b.Match(d) {
-			t.Fatalf("false negative for %q", d)
-		}
-	}
-	if b.Count() != len(domains) {
-		t.Errorf("Count = %d", b.Count())
-	}
-}
-
-func TestBloomFalsePositiveRate(t *testing.T) {
-	domains := make([]string, 5000)
-	for i := range domains {
-		domains[i] = fmt.Sprintf("in-%06d.net", i)
-	}
-	b, err := NewBloom("fam", domains, len(domains), 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := 0
-	const probes = 20000
-	for i := 0; i < probes; i++ {
-		if b.Match(fmt.Sprintf("out-%06d.org", i)) {
-			fp++
-		}
-	}
-	rate := float64(fp) / probes
-	if rate > 0.03 {
-		t.Errorf("false positive rate %v, want ≤ 0.03 for 1%% target", rate)
-	}
-	if est := b.EstimatedFPRate(); est <= 0 || est > 0.05 {
-		t.Errorf("estimated fp rate %v implausible", est)
-	}
-}
-
-func TestBloomValidation(t *testing.T) {
-	if _, err := NewBloom("x", nil, 10, 0); err == nil {
-		t.Error("fp rate 0 should fail")
-	}
-	if _, err := NewBloom("x", nil, 10, 1); err == nil {
-		t.Error("fp rate 1 should fail")
-	}
-	// Zero expected with no domains defaults sanely.
-	b, err := NewBloom("x", nil, 0, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Add("later.com")
-	if !b.Match("later.com") {
-		t.Error("post-construction Add should be matchable")
-	}
-}
-
-func TestBloomMembershipProperty(t *testing.T) {
-	f := func(names []string) bool {
-		domains := make([]string, 0, len(names))
-		for i := range names {
-			domains = append(domains, fmt.Sprintf("p-%d.com", i))
-		}
-		if len(domains) == 0 {
-			return true
-		}
-		b, err := NewBloom("x", domains, len(domains), 0.01)
-		if err != nil {
-			return false
-		}
-		for _, d := range domains {
-			if !b.Match(d) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -157,6 +158,28 @@ func (r RecoveryInfo) String() string {
 // directory) so callers can distinguish "nothing to recover" from "cannot
 // tell".
 func LoadCheckpoint(dir string) (*EngineState, RecoveryInfo, error) {
+	return loadCheckpoint(dir, func(*EngineState) error { return nil })
+}
+
+// RestoreLatest restores an engine from the newest checkpoint in dir that
+// is good under cfg: it decodes (LoadCheckpoint's rule) and Restore takes
+// it. A generation Restore refuses — an estimator state of the wrong family,
+// a name the epoch's matcher does not hold — is skipped and counted like a
+// torn one. The exception is a FingerprintMismatchError: that is the
+// operator's configuration, no older generation would fare better, and it is
+// returned at once. Found false, with a nil engine, means "start fresh".
+func RestoreLatest(cfg Config, dir string) (*Engine, *EngineState, RecoveryInfo, error) {
+	var eng *Engine
+	st, info, err := loadCheckpoint(dir, func(st *EngineState) (err error) {
+		eng, err = Restore(cfg, st)
+		return err
+	})
+	return eng, st, info, err
+}
+
+// loadCheckpoint walks dir's generations newest first and returns the first
+// that decodes and that use accepts.
+func loadCheckpoint(dir string, use func(*EngineState) error) (*EngineState, RecoveryInfo, error) {
 	var info RecoveryInfo
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -181,6 +204,14 @@ func LoadCheckpoint(dir string) (*EngineState, RecoveryInfo, error) {
 		}
 		st, err := DecodeCheckpoint(data)
 		if err != nil {
+			info.CorruptSkipped++
+			continue
+		}
+		if err := use(st); err != nil {
+			var mismatch *FingerprintMismatchError
+			if errors.As(err, &mismatch) {
+				return nil, info, err
+			}
 			info.CorruptSkipped++
 			continue
 		}

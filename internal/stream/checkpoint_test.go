@@ -316,8 +316,8 @@ func hasTmpCheckpoint(tb testing.TB, dir string) bool {
 }
 
 // TestCorruptCheckpointFallback corrupts the newest generation on disk
-// (bit flip, truncation) and verifies recovery falls back to the previous
-// good generation — and still reproduces the uninterrupted landscape. With
+// (bit flip, truncation, a name the matcher cannot attribute) and verifies
+// recovery (RestoreLatest) falls back to the previous good generation — and still reproduces the uninterrupted landscape. With
 // every generation corrupted, recovery reports "nothing to restore"
 // rather than failing.
 func TestCorruptCheckpointFallback(t *testing.T) {
@@ -359,6 +359,34 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 				tb.Fatalf("Truncate: %v", err)
 			}
 		}},
+		// A file that is whole — framing and checksum hold — but whose state
+		// names a domain the restoring engine's matcher cannot attribute: it
+		// decodes, and only the restore can tell.
+		{"unattributable domain", func(tb testing.TB, path string) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				tb.Fatalf("ReadFile: %v", err)
+			}
+			st, err := stream.DecodeCheckpoint(data)
+			if err != nil {
+				tb.Fatalf("DecodeCheckpoint: %v", err)
+			}
+			damaged := false
+			for _, sh := range st.Shards {
+				for i := range sh.Buffer {
+					sh.Buffer[i].Domain, damaged = "not-in-any-pool.example", true
+				}
+			}
+			if !damaged {
+				tb.Fatal("checkpoint holds no buffered record to damage")
+			}
+			if data, err = stream.EncodeCheckpoint(st); err != nil {
+				tb.Fatalf("EncodeCheckpoint: %v", err)
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				tb.Fatalf("WriteFile: %v", err)
+			}
+		}},
 	}
 	for _, c := range corruptions {
 		t.Run(c.name, func(t *testing.T) {
@@ -396,9 +424,12 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 			latest := stream.CheckpointPath(dir, st.Gen)
 			c.corrupt(t, latest)
 
-			state, info, err := stream.LoadCheckpoint(dir)
+			cfg2 := streamCfg
+			cfg2.Shards = 0
+			cfg2.Core.Estimator = tc.estimator()
+			resumed, state, info, err := stream.RestoreLatest(cfg2, dir)
 			if err != nil {
-				t.Fatalf("LoadCheckpoint: %v", err)
+				t.Fatalf("RestoreLatest: %v", err)
 			}
 			if !info.Found {
 				t.Fatal("expected fallback to the previous generation")
@@ -408,13 +439,6 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 			}
 			if info.CorruptSkipped != 1 {
 				t.Fatalf("CorruptSkipped = %d, want 1", info.CorruptSkipped)
-			}
-			cfg2 := streamCfg
-			cfg2.Shards = 0
-			cfg2.Core.Estimator = tc.estimator()
-			resumed, err := stream.Restore(cfg2, state)
-			if err != nil {
-				t.Fatalf("Restore: %v", err)
 			}
 			for i := int(state.Source.Records); i < len(delivered); i++ {
 				if err := resumed.Observe(delivered[i]); err != nil {
@@ -432,11 +456,11 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 			// Corrupt the fallback too: recovery must degrade to "start
 			// fresh", never to an error or a half-loaded state.
 			c.corrupt(t, stream.CheckpointPath(dir, info.Gen))
-			_, info2, err := stream.LoadCheckpoint(dir)
+			fresh, _, info2, err := stream.RestoreLatest(cfg2, dir)
 			if err != nil {
-				t.Fatalf("LoadCheckpoint (all corrupt): %v", err)
+				t.Fatalf("RestoreLatest (all corrupt): %v", err)
 			}
-			if info2.Found {
+			if info2.Found || fresh != nil {
 				t.Fatal("every generation is corrupt, yet recovery found one")
 			}
 			if info2.CorruptSkipped != 2 {

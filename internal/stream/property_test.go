@@ -289,7 +289,7 @@ func TestExportInvariants(t *testing.T) {
 				if tc.estimator != nil {
 					cfg.Core.Estimator = tc.estimator()
 				}
-				matchers := core.NewEpochMatchers(tc.spec, nil, dga.NewPoolCache(tc.spec.Pool, seed, nil))
+				matchers := core.NewEpochMatchers(nil, dga.NewPoolCache(tc.spec.Pool, seed, nil))
 
 				live, err := stream.New(cfg)
 				if err != nil {
@@ -375,7 +375,7 @@ func checkCut(t *testing.T, st *stream.EngineState, fed trace.Observed, matchers
 	}
 	emitted := map[string]map[string]struct{}{}
 	for _, rec := range fed {
-		if !matchers.For(int(rec.T / testEpochLen)).MatchRecord(rec) {
+		if _, ok := matchers.For(int(rec.T / testEpochLen)).Resolve(rec); !ok {
 			continue
 		}
 		if k := (key{rec.T, rec.Server, rec.Domain}); buffered[k] > 0 {

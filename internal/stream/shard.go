@@ -9,6 +9,7 @@ import (
 
 	"botmeter/internal/core"
 	"botmeter/internal/estimators"
+	"botmeter/internal/matcher"
 	"botmeter/internal/obs"
 	"botmeter/internal/sim"
 	"botmeter/internal/trace"
@@ -53,7 +54,7 @@ type shard struct {
 	// lastMatcher memoises the last epoch's matcher: records arrive in
 	// near-epoch-order, so the common case skips EpochMatchers.For's mutex
 	// on every ingest.
-	lastMatcher      *core.EpochMatcher
+	lastMatcher      *matcher.Attribution
 	lastMatcherEpoch int
 
 	servers map[string]*serverState
@@ -83,9 +84,20 @@ func newShard(e *Engine, idx int) *shard {
 	}
 	if reg := e.cfg.Registry; reg != nil {
 		s.wmGauge = reg.Gauge(MetricWatermark, "shard", fmt.Sprint(idx))
-		// Callback gauges: watermark lag and reorder depth age between
-		// samples, so they are computed at scrape time instead of written on
-		// the ingest path.
+	}
+	return s
+}
+
+// startMetrics exports the shard's callback gauges — watermark lag and
+// reorder depth age between samples, so they are computed at scrape time
+// instead of written on the ingest path. The registry keeps the first
+// callback registered under a name, so this waits until the engine starts:
+// an engine whose Restore failed must not leave its shards behind them, nor
+// its records in the retained gauge.
+func (s *shard) startMetrics() {
+	e, idx := s.eng, s.idx
+	e.m.retained.Add(float64(s.retained)) // what a restore put in the shard
+	if reg := e.cfg.Registry; reg != nil {
 		reg.GaugeFunc(MetricWatermarkLag, func() float64 {
 			now := e.cfg.Clock()
 			s.mu.Lock()
@@ -114,7 +126,6 @@ func newShard(e *Engine, idx int) *shard {
 			return float64(len(s.expiry))
 		}, "shard", fmt.Sprint(idx))
 	}
-	return s
 }
 
 // lagSecondsLocked is the wall-clock staleness of the shard's watermark:
@@ -214,12 +225,9 @@ func (s *shard) ingestLocked(rec trace.ObservedRecord) {
 		}
 	}
 
-	epoch := int(rec.T / e.cfg.Core.EpochLen)
-	if s.lastMatcher == nil || epoch != s.lastMatcherEpoch {
-		s.lastMatcher = e.matchers.For(epoch)
-		s.lastMatcherEpoch = epoch
-	}
-	if !s.lastMatcher.MatchRecord(rec) {
+	// The one name→position lookup: from here on the record is its time,
+	// its server and the pool position stamped on it.
+	if !s.matcherLocked(int(rec.T / e.cfg.Core.EpochLen)).Attribute(&rec) {
 		s.stats.Unmatched++
 		e.m.unmatched.Inc()
 		return
@@ -271,6 +279,15 @@ func (s *shard) ingestLocked(rec trace.ObservedRecord) {
 	}
 }
 
+// matcherLocked returns the epoch's matcher, memoising the last one.
+func (s *shard) matcherLocked(epoch int) *matcher.Attribution {
+	if s.lastMatcher == nil || epoch != s.lastMatcherEpoch {
+		s.lastMatcher = s.eng.matchers.For(epoch)
+		s.lastMatcherEpoch = epoch
+	}
+	return s.lastMatcher
+}
+
 // emitLocked hands one matched record, in non-decreasing timestamp order,
 // to its (server, epoch) cell.
 func (s *shard) emitLocked(rec trace.ObservedRecord) {
@@ -304,7 +321,7 @@ func (s *shard) emitLocked(rec trace.ObservedRecord) {
 			cell.watch(cell.prim)
 		}
 		if e.secondSrc != nil {
-			cell.second = e.secondSrc.OpenEpoch(epoch, e.estCfg)
+			cell.second = e.secondSrc.OpenEpoch(epoch, e.estCfg).(*estimators.TimingStream)
 			cell.watch(cell.second)
 		}
 		sv.open[epoch] = cell
@@ -383,8 +400,8 @@ func (s *shard) closeCellLocked(sv *serverState, epoch int) {
 	if r, ok := cell.prim.(estimators.Releasable); ok {
 		r.Release()
 	}
-	if r, ok := cell.second.(estimators.Releasable); ok {
-		r.Release()
+	if cell.second != nil {
+		cell.second.Release()
 	}
 	s.retainInc(-len(cell.recs))
 	cell.closed = true
@@ -586,7 +603,7 @@ func (sv *serverState) sortedDomains() []string {
 type epochCell struct {
 	recs   trace.Observed
 	prim   estimators.EpochStream
-	second estimators.EpochStream
+	second *estimators.TimingStream // the MT second opinion, when enabled
 	// expiring lists those of prim and second that hold state a watermark
 	// retires; queued says the cell sits on its shard's expiry heap, closed
 	// that the entry, when it comes up, is to be dropped.

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"botmeter/internal/estimators"
+	"botmeter/internal/matcher"
 	"botmeter/internal/sim"
 	"botmeter/internal/trace"
 )
@@ -29,9 +30,12 @@ import (
 //   - Order-insensitive state (domain sets, per-epoch maps, server maps) is
 //     exported sorted, so the same engine state always serializes to the
 //     same bytes and checkpoints diff cleanly.
-//   - symtab IDs are process-local and never serialized: buffered records
-//     are stored as strings and restored with ID symtab.None, which routes
-//     through the string paths with identical results (the PR 5 contract).
+//   - What the engine holds in memory as pool positions (MT candidates,
+//     buffered and retained records) is serialized as names, through the
+//     epoch's matcher (matcher.Attribution.Name), and restored through the
+//     same Resolve every ingested record goes through. A name that matcher
+//     does not hold fails the restore: the fingerprint pins family, seed and
+//     detection, so it can only come from a damaged state.
 
 // Fingerprint pins the configuration a checkpoint was taken under. Restore
 // refuses a state whose fingerprint differs from the restoring engine's:
@@ -186,29 +190,22 @@ type EpochCellState struct {
 	Second    *estimators.TimingState        `json:"second,omitempty"`
 }
 
-// timingStateCodec is the serialization hook of the second-opinion MT
-// stream, which is always a TimingStream.
-type timingStateCodec interface {
-	ExportState() estimators.TimingState
-	RestoreState(estimators.TimingState)
-}
-
 // exportEpochStream serialises one primary estimator stream into the cell,
 // dispatching on the stream's state type: MT exports candidate state,
 // MP/NC their activation clusters, MB its distinct (bucket, position) set.
-func exportEpochStream(es estimators.EpochStream, cs *EpochCellState) error {
+// MT's candidates are positions in memory and names in the state; names is
+// the cell's epoch's matcher.
+func exportEpochStream(es estimators.EpochStream, cs *EpochCellState, names *matcher.Attribution) error {
 	switch st := es.(type) {
-	case timingStateCodec:
-		ts := st.ExportState()
+	case *estimators.TimingStream:
+		ts := st.ExportState(names)
 		cs.Timing = &ts
 	case interface {
 		ExportState() estimators.ClusterStreamState
 	}:
 		v := st.ExportState()
 		cs.Clusters = &v
-	case interface {
-		ExportState() estimators.BernoulliState
-	}:
+	case *estimators.BernoulliStream:
 		v := st.ExportState()
 		cs.Bernoulli = &v
 	default:
@@ -219,13 +216,13 @@ func exportEpochStream(es estimators.EpochStream, cs *EpochCellState) error {
 
 // restoreEpochStream loads the cell's serialized state into a freshly
 // opened stream, requiring the state field to match the stream's family.
-func restoreEpochStream(es estimators.EpochStream, cs EpochCellState) error {
+func restoreEpochStream(es estimators.EpochStream, cs EpochCellState, names *matcher.Attribution) error {
 	switch st := es.(type) {
-	case timingStateCodec:
+	case *estimators.TimingStream:
 		if cs.Timing == nil {
 			return fmt.Errorf("missing timing state for stream %T", es)
 		}
-		st.RestoreState(*cs.Timing)
+		return st.RestoreState(*cs.Timing, names)
 	case interface {
 		RestoreState(estimators.ClusterStreamState)
 	}:
@@ -233,9 +230,7 @@ func restoreEpochStream(es estimators.EpochStream, cs EpochCellState) error {
 			return fmt.Errorf("missing cluster state for stream %T", es)
 		}
 		st.RestoreState(*cs.Clusters)
-	case interface {
-		RestoreState(estimators.BernoulliState)
-	}:
+	case *estimators.BernoulliStream:
 		if cs.Bernoulli == nil {
 			return fmt.Errorf("missing Bernoulli state for stream %T", es)
 		}
@@ -284,10 +279,8 @@ func (e *Engine) ExportState() (*EngineState, error) {
 		}
 		st.Shards[i] = req.state
 	}
-	if pools := e.cfg.Core.Pools; pools != nil {
-		if tab := pools.Table(); tab != nil {
-			st.Symtab = tab.Export()
-		}
+	if tab := e.cfg.Core.Pools.Table(); tab != nil {
+		st.Symtab = tab.Export()
 	}
 	if v := e.cfg.Vantage; v != "" {
 		st.Vantages = []string{v}
@@ -344,11 +337,9 @@ func Restore(cfg Config, st *EngineState) (*Engine, error) {
 	if len(st.Shards) != len(e.shards) {
 		return nil, fmt.Errorf("stream: checkpoint has %d shard states for %d shards", len(st.Shards), len(e.shards))
 	}
-	if len(st.Symtab) > 0 && cfg.Core.Pools != nil {
-		if tab := cfg.Core.Pools.Table(); tab != nil {
-			if err := tab.Import(st.Symtab); err != nil {
-				return nil, fmt.Errorf("stream: restoring intern table: %w", err)
-			}
+	if tab := e.cfg.Core.Pools.Table(); tab != nil && len(st.Symtab) > 0 {
+		if err := tab.Import(st.Symtab); err != nil {
+			return nil, fmt.Errorf("stream: restoring intern table: %w", err)
 		}
 	}
 	for i, s := range e.shards {
@@ -411,8 +402,9 @@ func (s *shard) exportLocked() (ShardState, error) {
 		for _, ep := range epochs {
 			cell := sv.open[ep]
 			cs := EpochCellState{Epoch: ep}
+			names := s.matcherLocked(ep)
 			if cell.prim != nil {
-				if err := exportEpochStream(cell.prim, &cs); err != nil {
+				if err := exportEpochStream(cell.prim, &cs, names); err != nil {
 					return ShardState{}, err
 				}
 			} else {
@@ -422,11 +414,7 @@ func (s *shard) exportLocked() (ShardState, error) {
 				}
 			}
 			if cell.second != nil {
-				codec, ok := cell.second.(timingStateCodec)
-				if !ok {
-					return ShardState{}, fmt.Errorf("stream: second-opinion stream %T is not checkpointable", cell.second)
-				}
-				ts := codec.ExportState()
+				ts := cell.second.ExportState(names)
 				cs.Second = &ts
 			}
 			ss.Open = append(ss.Open, cs)
@@ -462,9 +450,12 @@ func (s *shard) importState(st ShardState) error {
 		EpochsClosed:     st.Stats.EpochsClosed,
 	}
 	for _, en := range st.Buffer {
-		s.buf.push(reorderEntry{t: en.T, seq: en.Seq, rec: trace.ObservedRecord{
-			T: en.T, Server: en.Server, Domain: en.Domain,
-		}})
+		epoch := int(en.T / e.cfg.Core.EpochLen)
+		rec, err := restoreRecord(en, en.Server, epoch, s.matcherLocked(epoch))
+		if err != nil {
+			return fmt.Errorf("reorder buffer: %w", err)
+		}
+		s.buf.push(reorderEntry{t: en.T, seq: en.Seq, rec: rec})
 	}
 	retained := s.buf.len()
 	for _, ss := range st.Servers {
@@ -492,12 +483,13 @@ func (s *shard) importState(st ShardState) error {
 		}
 		for _, cs := range ss.Open {
 			cell := &epochCell{}
+			names := s.matcherLocked(cs.Epoch)
 			if e.streaming != nil {
 				if !cs.hasStreamState() {
 					return fmt.Errorf("server %s epoch %d: missing streaming estimator state", ss.Name, cs.Epoch)
 				}
 				prim := e.streaming.OpenEpoch(cs.Epoch, e.estCfg)
-				if err := restoreEpochStream(prim, cs); err != nil {
+				if err := restoreEpochStream(prim, cs, names); err != nil {
 					return fmt.Errorf("server %s epoch %d: %w", ss.Name, cs.Epoch, err)
 				}
 				cell.prim = prim
@@ -508,7 +500,10 @@ func (s *shard) importState(st ShardState) error {
 				}
 				cell.recs = make(trace.Observed, len(cs.Records))
 				for i, en := range cs.Records {
-					cell.recs[i] = trace.ObservedRecord{T: en.T, Server: ss.Name, Domain: en.Domain}
+					var err error
+					if cell.recs[i], err = restoreRecord(en, ss.Name, cs.Epoch, names); err != nil {
+						return err
+					}
 				}
 				retained += len(cell.recs)
 			}
@@ -516,14 +511,11 @@ func (s *shard) importState(st ShardState) error {
 				if cs.Second == nil {
 					return fmt.Errorf("server %s epoch %d: missing second-opinion state", ss.Name, cs.Epoch)
 				}
-				second := e.secondSrc.OpenEpoch(cs.Epoch, e.estCfg)
-				codec, ok := second.(timingStateCodec)
-				if !ok {
-					return fmt.Errorf("second-opinion stream %T is not checkpointable", second)
+				cell.second = e.secondSrc.OpenEpoch(cs.Epoch, e.estCfg).(*estimators.TimingStream)
+				if err := cell.second.RestoreState(*cs.Second, names); err != nil {
+					return fmt.Errorf("server %s epoch %d: second opinion: %w", ss.Name, cs.Epoch, err)
 				}
-				codec.RestoreState(*cs.Second)
-				cell.second = second
-				cell.watch(second)
+				cell.watch(cell.second)
 			}
 			s.queueExpiryLocked(cell)
 			sv.open[cs.Epoch] = cell
@@ -535,14 +527,25 @@ func (s *shard) importState(st ShardState) error {
 	if retained > s.peakRetained {
 		s.peakRetained = retained
 	}
-	// The retained gauge tracks this process's holdings; counters
-	// (ingested, matched, …) are NOT replayed into the registry — metrics
-	// count this process's work, Stats() stays cumulative across restores.
-	e.m.retained.Add(float64(retained))
+	// Counters (ingested, matched, …) are NOT replayed into the registry —
+	// metrics count this process's work, Stats() stays cumulative across
+	// restores. The retained gauge, which tracks this process's holdings,
+	// takes the restored records on when the engine starts.
 	if s.wmGauge != nil && s.watermark != math.MinInt64 {
 		s.wmGauge.Set(float64(s.watermark))
 	}
 	return nil
+}
+
+// restoreRecord turns a serialized record back into a matched one: the name
+// goes through its epoch's matcher like any ingested record's, and a name
+// that matcher does not hold is an error.
+func restoreRecord(en RecordEntry, server string, epoch int, names *matcher.Attribution) (trace.ObservedRecord, error) {
+	rec := trace.ObservedRecord{T: en.T, Server: server, Domain: en.Domain}
+	if !names.Attribute(&rec) {
+		return rec, fmt.Errorf("server %s epoch %d: domain %q is not one the epoch's matcher holds", server, epoch, en.Domain)
+	}
+	return rec, nil
 }
 
 func sortedKeys(m map[string]struct{}) []string {

@@ -145,7 +145,7 @@ func (c Config) withDefaults() Config {
 	if c.Core.Pools == nil {
 		// One pool per (engine, epoch): the matcher and every (server,
 		// epoch) cell read it from here. Memoised, not symbolized: without
-		// a caller's table there are no IDs to resolve.
+		// a caller's table no record carries an ID to resolve by.
 		c.Core.Pools = dga.NewPoolCache(c.Core.Family.Pool, c.Core.Seed, nil)
 	}
 	if c.Clock == nil {
@@ -253,7 +253,7 @@ func newEngine(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:       cfg,
 		estimator: est,
-		matchers:  core.NewEpochMatchers(cfg.Core.Family, cfg.Core.Detection, cfg.Core.Pools),
+		matchers:  core.NewEpochMatchers(cfg.Core.Detection, cfg.Core.Pools),
 		estCfg: estimators.Config{
 			Spec:        cfg.Core.Family,
 			Seed:        cfg.Core.Seed,
@@ -319,6 +319,7 @@ func newEngine(cfg Config) (*Engine, error) {
 func (e *Engine) start() {
 	for _, s := range e.shards {
 		s := s
+		s.startMetrics()
 		e.wg.Add(1)
 		go func() {
 			defer e.wg.Done()

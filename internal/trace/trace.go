@@ -32,11 +32,17 @@ type ObservedRecord struct {
 	Domain string   `json:"domain"`
 
 	// ID is Domain's interned symtab ID in the table of the network that
-	// emitted the record: a simulated border sets it on every record. It is
-	// in-memory only — never serialised (traces on disk are strings; readers
-	// leave it symtab.None) — and the analysis side does not require it: a
-	// record with ID == symtab.None is matched and estimated by its string.
+	// emitted the record: a simulated border sets it on every record, a
+	// trace reader or a wire tap leaves it symtab.None. The matcher is the
+	// only reader: it resolves a record by ID when it has one and by name
+	// otherwise (matcher.Attribution.Resolve). In-memory only.
 	ID symtab.ID `json:"-"`
+	// Pos is the pool position the matcher resolved the record to, within
+	// the pool of the record's epoch (collision names sit past the pool's
+	// end). Only matched records have one; the estimators read it and never
+	// the name or the ID. A position is a function of (family, seed, epoch),
+	// so it needs no table. In-memory only.
+	Pos int32 `json:"-"`
 }
 
 // Raw is an ordered raw dataset.
