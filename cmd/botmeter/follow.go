@@ -82,7 +82,7 @@ func runFollow(coreCfg core.Config, fc followConfig) error {
 			skip = state.Source.Records
 			fmt.Fprintf(os.Stderr, "botmeter: %s, replaying input from record %d\n", info, skip)
 		} else {
-			fmt.Fprintln(os.Stderr, "botmeter: no checkpoint found, starting fresh")
+			fmt.Fprintf(os.Stderr, "botmeter: %s, starting fresh\n", info)
 		}
 	}
 	if eng == nil {

@@ -48,6 +48,7 @@ import (
 	"syscall"
 	"time"
 
+	"botmeter/internal/dga"
 	"botmeter/internal/obs"
 	"botmeter/internal/obs/rules"
 	"botmeter/internal/obs/series"
@@ -67,8 +68,10 @@ const (
 )
 
 // maxFrameBytes bounds a pulled or pushed checkpoint frame (a frame is
-// JSON sufficient statistics, not raw records — far below this in
-// practice).
+// sufficient statistics, not raw records — far below this in practice).
+// The payload decoder allocates in proportion to the bytes it is given and
+// never to a count they claim, so this is also what bounds a hostile
+// frame's cost.
 const maxFrameBytes = 256 << 20
 
 func main() {
@@ -129,6 +132,8 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 		SLOFor:       *sloFor,
 		HTTPTimeout:  *httpTimeout,
 	})
+
+	defer c.close()
 
 	srv, err := obs.StartHTTP(*listen, c.handler())
 	if err != nil {
@@ -204,6 +209,14 @@ type coordinator struct {
 	served atomic.Pointer[servedLandscape]
 	state  atomic.Pointer[stream.EngineState]
 
+	// rebuildMu serialises rebuild (a /push can race the pull loop). eng is
+	// the engine the served landscape was rendered from, kept until the next
+	// rebuild has restored its own: the open epochs' pools stay alive in
+	// between, so a refresh shares them (dga.PoolCache) instead of
+	// regenerating them every -pull-interval.
+	rebuildMu sync.Mutex
+	eng       *stream.Engine
+
 	mu     sync.Mutex
 	status map[string]*vantageStatus
 }
@@ -238,6 +251,7 @@ func newCoordinator(cfg coordinatorConfig) *coordinator {
 	cfg.Registry.Help(metricMergeErrors, "Merged-landscape rebuilds that failed.")
 	cfg.Registry.Help(metricRequests, "/landscape requests served.")
 	cfg.Registry.Help(metricNotModified, "/landscape requests answered 304 via If-None-Match.")
+	dga.ExportPoolMetrics(cfg.Registry)
 	for _, url := range cfg.Vantages {
 		url := url
 		c.status[url] = &vantageStatus{}
@@ -447,10 +461,12 @@ func (c *coordinator) pull(ctx context.Context, url string) {
 }
 
 // rebuild merges every held snapshot and publishes a fresh landscape:
-// restore a throwaway engine from the merged state, quiesce it so every
-// buffered record is reflected, and serialize. The previous snapshot
-// stays served until the swap.
+// restore an engine from the merged state, quiesce it so every buffered
+// record is reflected, and serialize. The previous snapshot stays served
+// until the swap, and the previous engine alive until this one is restored.
 func (c *coordinator) rebuild() error {
+	c.rebuildMu.Lock()
+	defer c.rebuildMu.Unlock()
 	err := func() error {
 		merged, err := c.merger.Merged()
 		if err != nil {
@@ -464,7 +480,11 @@ func (c *coordinator) rebuild() error {
 		if err != nil {
 			return err
 		}
-		defer eng.Kill()
+		prev := c.eng
+		c.eng = eng
+		if prev != nil {
+			prev.Kill()
+		}
 		if err := eng.Quiesce(); err != nil {
 			return err
 		}
@@ -487,6 +507,16 @@ func (c *coordinator) rebuild() error {
 		c.reg.Counter(metricMergeErrors).Inc()
 	}
 	return err
+}
+
+// close stops the engine the last rebuild left running.
+func (c *coordinator) close() {
+	c.rebuildMu.Lock()
+	defer c.rebuildMu.Unlock()
+	if c.eng != nil {
+		c.eng.Kill()
+		c.eng = nil
+	}
 }
 
 // stateFrame serves the merged sufficient statistics (for /state), so

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -117,7 +118,7 @@ func fedConfig(spec dga.Spec, seed uint64, vantage string) stream.Config {
 
 func testCoordinator(t *testing.T, reg *obs.Registry, urls []string, slo time.Duration) *coordinator {
 	t.Helper()
-	return newCoordinator(coordinatorConfig{
+	c := newCoordinator(coordinatorConfig{
 		Registry:     reg,
 		Store:        series.NewStore(series.Config{Capacity: 64, Step: time.Second}),
 		Vantages:     urls,
@@ -125,6 +126,8 @@ func testCoordinator(t *testing.T, reg *obs.Registry, urls []string, slo time.Du
 		SLOFor:       1,
 		HTTPTimeout:  5 * time.Second,
 	})
+	t.Cleanup(c.close)
+	return c
 }
 
 // referenceJSON is the single-engine-over-the-union landscape the merged
@@ -534,6 +537,74 @@ func TestFederationPushValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("pre-merge /state = %d, want 500", resp.StatusCode)
+	}
+}
+
+// TestRebuildSharesPools: the coordinator keeps the last rebuild's engine
+// until the next one is restored, so refreshing an unchanged state generates
+// no pool — with no vantage engine left in the process to hold one for it.
+func TestRebuildSharesPools(t *testing.T) {
+	spec := dga.Murofet()
+	const seed = 4242 // no other test's engines hold this seed's pools
+	frame := func() []byte {
+		eng, err := stream.New(fedConfig(spec, seed, "solo"))
+		if err != nil {
+			t.Fatalf("stream.New: %v", err)
+		}
+		defer eng.Kill()
+		for _, rec := range fedTrace(t, spec, seed, 2, 2, 1) {
+			if err := eng.Observe(rec); err != nil {
+				t.Fatalf("Observe: %v", err)
+			}
+		}
+		st, err := eng.ExportState()
+		if err != nil {
+			t.Fatalf("ExportState: %v", err)
+		}
+		frame, err := stream.EncodeCheckpoint(st)
+		if err != nil {
+			t.Fatalf("EncodeCheckpoint: %v", err)
+		}
+		return frame
+	}()
+	reg := obs.NewRegistry()
+	c := testCoordinator(t, reg, nil, 0)
+	if _, err := c.ingestFrame(frame); err != nil {
+		t.Fatalf("ingestFrame: %v", err)
+	}
+	if err := c.rebuild(); err != nil {
+		t.Fatalf("rebuild: %v", err)
+	}
+	first := c.served.Load().body
+	// Collect the feeding engine: from here only the coordinator's own
+	// engine keeps the pools alive.
+	runtime.GC()
+	runtime.GC()
+	built := dga.PoolsBuilt()
+	if dga.PoolsLive() == 0 {
+		t.Fatal("no pool alive between rebuilds")
+	}
+	for i := 0; i < 2; i++ {
+		if err := c.rebuild(); err != nil {
+			t.Fatalf("rebuild %d: %v", i+2, err)
+		}
+		runtime.GC()
+		runtime.GC()
+	}
+	if n := dga.PoolsBuilt() - built; n != 0 {
+		t.Fatalf("two rebuilds of an unchanged state built %d pools, want 0", n)
+	}
+	if !bytes.Equal(c.served.Load().body, first) {
+		t.Fatal("a rebuild of an unchanged state changed the landscape")
+	}
+	var metrics bytes.Buffer
+	if err := reg.WritePrometheus(&metrics); err != nil {
+		t.Fatalf("WritePrometheus: %v", err)
+	}
+	for _, name := range []string{dga.MetricPoolsLive, dga.MetricPoolsBuilt} {
+		if !strings.Contains(metrics.String(), "# HELP "+name+" ") {
+			t.Errorf("/metrics lacks %s with its help text", name)
+		}
 	}
 }
 

@@ -190,11 +190,16 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 			Vantage:  *vantageID,
 			Registry: reg,
 		}
+		dga.ExportPoolMetrics(reg)
 		var skip uint64
 		if *checkpointDir != "" {
 			state, info, err := stream.LoadCheckpoint(*checkpointDir)
 			if err != nil {
 				return err
+			}
+			if !info.Found && info.CorruptSkipped > 0 {
+				logger.Warn("no loadable checkpoint; replaying the observed dataset from its start",
+					"skipped", info.CorruptSkipped, "newest_err", info.SkipErr)
 			}
 			if info.Found {
 				stale := false

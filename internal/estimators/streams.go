@@ -59,16 +59,16 @@ func (cs *clusterStream) count() int {
 
 // ClusterState is one serialized activation cluster.
 type ClusterState struct {
-	Start sim.Time `json:"start"`
-	End   sim.Time `json:"end"`
-	Count int      `json:"count"`
+	Start sim.Time
+	End   sim.Time
+	Count int
 }
 
 // ClusterStreamState is the serializable state of an incremental MP/NC
 // epoch: the closed clusters in time order plus the still-open one.
 type ClusterStreamState struct {
-	Done []ClusterState `json:"done,omitempty"`
-	Cur  *ClusterState  `json:"cur,omitempty"`
+	Done []ClusterState
+	Cur  *ClusterState
 }
 
 func (cs *clusterStream) exportState() ClusterStreamState {
@@ -215,8 +215,8 @@ func getPairSetReleased() *pairSet {
 // BernoulliBucket is one TTL sub-window's distinct observed pool positions,
 // ascending.
 type BernoulliBucket struct {
-	Bucket    int   `json:"bucket"`
-	Positions []int `json:"positions"`
+	Bucket    int
+	Positions []int
 }
 
 // BernoulliState is the serializable state of an incremental MB epoch. Pool
@@ -224,7 +224,7 @@ type BernoulliBucket struct {
 // stable across processes; buckets and positions are sorted so identical
 // state always serialises to identical bytes.
 type BernoulliState struct {
-	Buckets []BernoulliBucket `json:"buckets,omitempty"`
+	Buckets []BernoulliBucket
 }
 
 // ExportState is the checkpoint codec: the sorted pair log re-grouped per

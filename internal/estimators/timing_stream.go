@@ -199,14 +199,14 @@ func (s *TimingStream) Release() {
 // each candidate are order-insensitive and exported sorted for stable
 // checkpoint bytes.
 type TimingState struct {
-	Expired int               `json:"expired"`
-	Active  []TimingCandidate `json:"active,omitempty"`
+	Expired int
+	Active  []TimingCandidate
 }
 
 // TimingCandidate is one still-absorbing candidate bot.
 type TimingCandidate struct {
-	First   sim.Time `json:"first"`
-	Domains []string `json:"domains"`
+	First   sim.Time
+	Domains []string
 }
 
 // ExportState snapshots the stream for checkpointing. The stream remains

@@ -37,7 +37,8 @@ type MuxConfig struct {
 	// Nil yields 404; an error yields 500.
 	History func() ([]byte, error)
 	// State backs /state: the engine's exported sufficient statistics as a
-	// checkpoint frame (stream.EncodeCheckpoint bytes), pulled by a
+	// checkpoint frame (stream.EncodeCheckpoint bytes — the header and
+	// binary payload a checkpoint file holds, not JSON), pulled by a
 	// landscape-server federating this vantage. Nil yields 404; an error
 	// yields 500.
 	State func() ([]byte, error)

@@ -135,15 +135,12 @@ func TestAttributionInputsDifferential(t *testing.T) {
 					}
 				}
 				// compare exports every engine and checks each arm against the
-				// first. An engine over a table exports it (EngineState.Symtab:
-				// the feeder's name space, not analysis state), so that field
-				// is compared empty; the returned frames keep it.
+				// first.
 				compare := func(step string) [][]byte {
 					t.Helper()
 					var frames, checks, lands [][]byte
 					for i, arm := range arms {
 						st, frame := exportBytes(t, engs[i])
-						st.Symtab = nil
 						check, err := stream.EncodeCheckpoint(st)
 						if err != nil {
 							t.Fatalf("%s: EncodeCheckpoint: %v", arm.name, err)

@@ -3,11 +3,11 @@ package stream
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,56 +35,62 @@ const (
 )
 
 // Checkpoint file format (DESIGN.md §15): a fixed 48-byte header followed
-// by a JSON-encoded EngineState.
+// by the binary encoding of an EngineState (statecodec.go).
 //
 //	offset  size  field
 //	     0     4  magic "BMCP"
 //	     4     4  format version (big-endian uint32)
 //	     8     8  payload length (big-endian uint64)
 //	    16    32  SHA-256 of the payload
-//	    48     …  payload (JSON EngineState)
+//	    48     …  payload (EngineState, format version 3)
 //
 // The checksum plus length makes torn or bit-flipped files detectable
-// without trusting the JSON parser; the version makes format evolution an
-// explicit migration instead of a decode surprise. Files are written to a
-// temp name, fsynced, then renamed into place (with a directory fsync), so
-// a final-name checkpoint is complete on any POSIX filesystem — a crash
-// mid-write leaves only a .tmp- file, which recovery ignores and the next
-// successful checkpoint sweeps away.
+// before the payload decoder sees them; the version makes format evolution
+// an explicit migration instead of a decode surprise. The same frame is what
+// a vantage's /state serves and a landscape-server's /push accepts. Files are
+// written to a temp name, fsynced, then renamed into place (with a directory
+// fsync), so a final-name checkpoint is complete on any POSIX filesystem — a
+// crash mid-write leaves only a .tmp- file, which recovery ignores and the
+// next successful checkpoint sweeps away.
 const (
 	checkpointMagic = "BMCP"
-	// checkpointVersion 2 (PR 8): EpochCellState grew the per-family
-	// streaming states (clusters, bernoulli) and MP/NC/MB became streaming
-	// estimators — a v1 file restored into a v2 engine would misroute their
-	// cells through the micro-batch path, so old checkpoints are rejected
-	// and recovery falls back to a fresh replay.
-	checkpointVersion = 2
+	// checkpointVersion 3: the payload is binary, not JSON, and the intern
+	// table is no longer part of a state. There is one reader: an older
+	// file is rejected by version, recovery reports no loadable checkpoint
+	// and the daemon replays its trace, which is the durable log (the rule
+	// version 2 set when estimator state moved into the cells).
+	checkpointVersion = 3
 	checkpointHeader  = 48
 	checkpointPrefix  = "checkpoint-"
 	checkpointExt     = ".ckpt"
 	checkpointTmpPre  = ".tmp-"
 )
 
-// EncodeCheckpoint frames st in the checkpoint file format.
+// EncodeCheckpoint frames st in the checkpoint file format. The error is
+// always nil: the signature is older than the codec, which cannot fail.
 func EncodeCheckpoint(st *EngineState) ([]byte, error) {
-	payload, err := json.Marshal(st)
-	if err != nil {
-		return nil, fmt.Errorf("stream: encoding checkpoint: %w", err)
-	}
-	buf := make([]byte, checkpointHeader+len(payload))
+	return appendCheckpoint(nil, st), nil
+}
+
+// appendCheckpoint writes st's frame over buf's storage, growing it at most
+// once: the payload is measured first and encoded in place behind the header.
+func appendCheckpoint(buf []byte, st *EngineState) []byte {
+	buf = slices.Grow(buf[:0], checkpointHeader+stateSize(st))[:checkpointHeader]
+	buf = appendState(buf, st)
+	payload := buf[checkpointHeader:]
 	copy(buf[0:4], checkpointMagic)
 	binary.BigEndian.PutUint32(buf[4:8], checkpointVersion)
 	binary.BigEndian.PutUint64(buf[8:16], uint64(len(payload)))
 	sum := sha256.Sum256(payload)
 	copy(buf[16:48], sum[:])
-	copy(buf[checkpointHeader:], payload)
-	return buf, nil
+	return buf
 }
 
-// DecodeCheckpoint verifies the framing and checksum and unmarshals the
+// DecodeCheckpoint verifies the framing and checksum and decodes the
 // state. Any deviation — short file, bad magic, unknown version, length
-// mismatch, checksum mismatch — is an error, which LoadCheckpoint treats
-// as "this generation is torn or corrupt, fall back".
+// mismatch, checksum mismatch, a payload the decoder refuses — is an error,
+// which LoadCheckpoint treats as "this generation is torn or corrupt, fall
+// back".
 func DecodeCheckpoint(data []byte) (*EngineState, error) {
 	if len(data) < checkpointHeader {
 		return nil, fmt.Errorf("stream: checkpoint truncated: %d bytes < %d-byte header", len(data), checkpointHeader)
@@ -103,11 +109,11 @@ func DecodeCheckpoint(data []byte) (*EngineState, error) {
 	if string(sum[:]) != string(data[16:48]) {
 		return nil, fmt.Errorf("stream: checkpoint checksum mismatch")
 	}
-	var st EngineState
-	if err := json.Unmarshal(data[checkpointHeader:], &st); err != nil {
+	st, err := decodeState(data[checkpointHeader:])
+	if err != nil {
 		return nil, fmt.Errorf("stream: decoding checkpoint: %w", err)
 	}
-	return &st, nil
+	return st, nil
 }
 
 // CheckpointPath names generation gen inside dir.
@@ -135,13 +141,18 @@ type RecoveryInfo struct {
 	Gen  uint64
 	Path string
 	// CorruptSkipped counts newer generations that were skipped as torn or
-	// corrupt before a good one decoded.
+	// corrupt before a good one decoded; SkipErr is why the newest of them
+	// was — an older format version reads "unsupported checkpoint version".
 	CorruptSkipped int
+	SkipErr        error
 }
 
 // String renders the info for logs and /healthz.
 func (r RecoveryInfo) String() string {
 	if !r.Found {
+		if r.CorruptSkipped > 0 {
+			return fmt.Sprintf("no loadable checkpoint (%d generation(s) skipped, newest: %v)", r.CorruptSkipped, r.SkipErr)
+		}
 		return "no checkpoint"
 	}
 	s := fmt.Sprintf("recovered from checkpoint generation %d", r.Gen)
@@ -195,16 +206,22 @@ func loadCheckpoint(dir string, use func(*EngineState) error) (*EngineState, Rec
 		}
 	}
 	sort.Slice(gens, func(i, j int) bool { return gens[i] > gens[j] })
+	skip := func(err error) {
+		if info.CorruptSkipped == 0 {
+			info.SkipErr = err
+		}
+		info.CorruptSkipped++
+	}
 	for _, gen := range gens {
 		path := CheckpointPath(dir, gen)
 		data, err := os.ReadFile(path)
 		if err != nil {
-			info.CorruptSkipped++
+			skip(err)
 			continue
 		}
 		st, err := DecodeCheckpoint(data)
 		if err != nil {
-			info.CorruptSkipped++
+			skip(err)
 			continue
 		}
 		if err := use(st); err != nil {
@@ -212,7 +229,7 @@ func loadCheckpoint(dir string, use func(*EngineState) error) (*EngineState, Rec
 			if errors.As(err, &mismatch) {
 				return nil, info, err
 			}
-			info.CorruptSkipped++
+			skip(err)
 			continue
 		}
 		info.Found = true
@@ -291,6 +308,9 @@ type Checkpointer struct {
 	nextGen uint64
 	trig    Trigger // Maybe's single-feeder cadence
 	writing bool
+	// frame is the encode buffer, kept between generations; the one write
+	// in flight (writing) owns it.
+	frame   []byte
 	lastErr error
 	stats   CheckpointStats
 	wg      sync.WaitGroup
@@ -528,10 +548,8 @@ func (c *Checkpointer) write(gen uint64, st *EngineState, records uint64, start 
 }
 
 func (c *Checkpointer) writeFile(gen uint64, st *EngineState) error {
-	data, err := EncodeCheckpoint(st)
-	if err != nil {
-		return err
-	}
+	c.frame = appendCheckpoint(c.frame, st)
+	data := c.frame
 	c.mu.Lock()
 	c.stats.LastBytes = len(data)
 	c.mu.Unlock()

@@ -576,27 +576,28 @@ func TestExportStateStableBytes(t *testing.T) {
 }
 
 // TestCheckpointBytesPinned: a vantage upgraded in place resumes from the
-// generations its predecessor wrote, so the bytes of a checkpoint — format
-// v2, candidate order, domain order — are part of the contract. The hashes
-// were recorded at 8277555, the last commit whose export re-sorted every
-// domain set and whose shards walked every cell per record; the incremental
-// export and the due-time expiry must reproduce them at every cut.
+// generations its predecessor wrote, and a coordinator decodes what vantages
+// of other builds serve, so the bytes of a checkpoint — format v3, field
+// order, candidate order, domain order — are part of the contract. The hashes
+// were recorded at the PR that introduced v3 (stable there over -count 5
+// -cpu 1,2,4); a change that moves them is a format change and takes a new
+// version number.
 func TestCheckpointBytesPinned(t *testing.T) {
 	want := map[string][3]string{
 		"MP-murofet": {
-			"fb04ded7074de19468d733856289e18392fe8d9a95ca7c63724b737fb6a9b750",
-			"71b6ce1b5d38ff7f9ffb3d819c66a9703f04457993378be0b393caba4d5971a0",
-			"3436652c672daac3f3916bc46b7aaa12e9ac533c4e70df3594a3725e51694dd5",
+			"1418ba3982a3a787935507197be1d863f64ea223245efe58c4fa8a6abdba33a9",
+			"1a6f875f81aebadfd6f6c6cefb3ae6fc434a2478d778ffc608e82ac72f6c502e",
+			"4a3cc6903b2f139ddcd3c30b2453fc40ec46fca54bd89fff12a83d87ac20aad8",
 		},
 		"MB-newgoz": {
-			"bf0676046fa10498689b2889afd383541da50fe2728d5f709cfbcdff969870fe",
-			"4df6e36b6270561c4cdde6a464beadbc77622b971aa8374cc005d463b6cf63c0",
-			"69af7ac6ef398011be3c5d9b8395dd514a3861c6da7bd47e308a0fb905ce27d7",
+			"24f1d43ee08af80269a6d920db46dc27935a23b4bd42d89bdf3ac17b869cfd33",
+			"c6298007247d41d88b8efd2b7df48edbe3fac23ac091ff1cb24f9e961dbbbe99",
+			"17e411fbf9c0360087b8a53d2bd2e0e43bd1e592d95620c6d72013750ee9ddd4",
 		},
 		"MT-murofet": {
-			"1a5ce28a2d53ae109a3278601488b80311382b666ac7a8763eea70e2e5a8ffa7",
-			"89513d0740aeeac6d53445742c479d8290d94eb77ad01378f965e60a36f9d968",
-			"152a3324cedef51b40691ae50084fd8887153c00b4b90ffa4be7604390837fe2",
+			"7746c55fd5f1f9697aed8ece8223b5f7928de34cc64f6cbb4c095b571828184d",
+			"fcdb1f2f814714686ab727fef6bf081ae8db21c0ce36b52ea91900642b71dd0a",
+			"19aa994d43e59e5857f3c36ef2405d228dbe0f0a4117160b472fd78cc6be3f6f",
 		},
 	}
 	for _, tc := range diffCases() {
@@ -697,10 +698,11 @@ func TestCheckpointDecodeRejects(t *testing.T) {
 		"short":       func(b []byte) []byte { return b[:20] },
 		"bad-magic":   func(b []byte) []byte { b[0] = 'X'; return b },
 		"bad-version": func(b []byte) []byte { b[7] = 99; return b },
-		// Version 1 frames predate the per-family intern-aware cell layout
-		// (checkpointVersion 2); they must be rejected — not misparsed —
-		// so recovery falls back to a clean cold start.
+		// Frames of an older format version — 1 predates the per-family cell
+		// layout, 2 carried a JSON payload — must be rejected by version,
+		// not misparsed, so recovery falls back to a clean cold start.
 		"old-version-1":   func(b []byte) []byte { b[7] = 1; return b },
+		"old-version-2":   func(b []byte) []byte { b[7] = 2; return b },
 		"length-mismatch": func(b []byte) []byte { return b[:len(b)-1] },
 		"payload-flip":    func(b []byte) []byte { b[len(b)-1] ^= 1; return b },
 		"checksum-flip":   func(b []byte) []byte { b[20] ^= 1; return b },

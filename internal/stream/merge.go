@@ -324,7 +324,6 @@ func MergeStates(states ...*EngineState) (*EngineState, error) {
 
 	seenVantage := make(map[string]struct{})
 	var vantages []string
-	symtab := make(map[string]struct{})
 	for _, st := range states {
 		for _, v := range st.Vantages {
 			if _, dup := seenVantage[v]; dup {
@@ -332,9 +331,6 @@ func MergeStates(states ...*EngineState) (*EngineState, error) {
 			}
 			seenVantage[v] = struct{}{}
 			vantages = append(vantages, v)
-		}
-		for _, s := range st.Symtab {
-			symtab[s] = struct{}{}
 		}
 	}
 	sort.Strings(vantages)
@@ -407,13 +403,6 @@ func MergeStates(states ...*EngineState) (*EngineState, error) {
 
 	out := &EngineState{Fingerprint: fp0, Vantages: vantages}
 	out.Fingerprint.Shards = outShards
-	if len(symtab) > 0 {
-		out.Symtab = make([]string, 0, len(symtab))
-		for s := range symtab {
-			out.Symtab = append(out.Symtab, s)
-		}
-		sort.Strings(out.Symtab)
-	}
 	out.Shards = make([]ShardState, outShards)
 	for idx, acc := range accs {
 		sh := ShardState{

@@ -44,23 +44,23 @@ import (
 // reorder window a different drop pattern, a different shard count a
 // different record partition and tie order).
 type Fingerprint struct {
-	Family           string   `json:"family"`
-	Model            string   `json:"model"`
-	Estimator        string   `json:"estimator"`
-	Seed             uint64   `json:"seed"`
-	EpochLen         sim.Time `json:"epoch_len"`
-	NegativeTTL      sim.Time `json:"negative_ttl"`
-	Granularity      sim.Time `json:"granularity,omitempty"`
-	SecondOpinion    bool     `json:"second_opinion,omitempty"`
-	Detection        bool     `json:"detection,omitempty"`
-	DetectMiss       float64  `json:"detect_miss,omitempty"`
-	DetectCollisions int      `json:"detect_collisions,omitempty"`
-	DetectSeed       uint64   `json:"detect_seed,omitempty"`
-	Shards           int      `json:"shards"`
-	ReorderWindow    sim.Time `json:"reorder_window"`
-	MaxReorder       int      `json:"max_reorder"`
-	WindowStart      sim.Time `json:"window_start,omitempty"`
-	WindowEnd        sim.Time `json:"window_end,omitempty"`
+	Family           string
+	Model            string
+	Estimator        string
+	Seed             uint64
+	EpochLen         sim.Time
+	NegativeTTL      sim.Time
+	Granularity      sim.Time
+	SecondOpinion    bool
+	Detection        bool
+	DetectMiss       float64
+	DetectCollisions int
+	DetectSeed       uint64
+	Shards           int
+	ReorderWindow    sim.Time
+	MaxReorder       int
+	WindowStart      sim.Time
+	WindowEnd        sim.Time
 }
 
 // fingerprint derives the engine's fingerprint from its (defaulted) config.
@@ -99,19 +99,19 @@ type SourcePos struct {
 	// Records is the number of well-formed records consumed from the
 	// source. Malformed lines skipped by lenient parsing are not counted,
 	// so the count is stable across re-parses.
-	Records uint64 `json:"records"`
+	Records uint64
 	// Path and Bytes describe the source file at checkpoint time when
 	// known. A current file smaller than Bytes means the source was
 	// truncated or replaced since the checkpoint — the state is stale and
 	// recovery must fall back to a fresh start.
-	Path  string `json:"path,omitempty"`
-	Bytes int64  `json:"bytes,omitempty"`
+	Path  string
+	Bytes int64
 }
 
 // EngineState is the complete serializable state of a streaming engine.
 type EngineState struct {
-	Fingerprint Fingerprint `json:"fingerprint"`
-	Source      SourcePos   `json:"source"`
+	Fingerprint Fingerprint
+	Source      SourcePos
 	// Vantages names the observation points whose records this state
 	// covers: the engine's own Config.Vantage for a live export, the sorted
 	// union of the inputs' after MergeStates. Vantage identity is NOT part
@@ -119,35 +119,32 @@ type EngineState struct {
 	// analysis config are exactly what a coordinator merges — but
 	// MergeStates refuses to fold two states claiming the same vantage:
 	// a re-merge of the same snapshot would double MP/NC/MT atoms.
-	Vantages []string `json:"vantages,omitempty"`
-	// Symtab is the pool cache's intern table (Config.Core.Pools), exported
-	// so a restored process reproduces the exact domain-ID assignment.
-	Symtab []string     `json:"symtab,omitempty"`
-	Shards []ShardState `json:"shards"`
+	Vantages []string
+	Shards   []ShardState
 }
 
 // ShardState is one ingest shard's state.
 type ShardState struct {
-	Seq             uint64        `json:"seq"`
-	Watermark       int64         `json:"watermark"`
-	MinT            int64         `json:"min_t"`
-	MaxT            int64         `json:"max_t"`
-	HasData         bool          `json:"has_data,omitempty"`
-	MaxEmittedEpoch int           `json:"max_emitted_epoch"`
-	PeakRetained    int           `json:"peak_retained,omitempty"`
-	Stats           ShardStats    `json:"stats"`
-	Buffer          []RecordEntry `json:"buffer,omitempty"`
-	Servers         []ServerState `json:"servers,omitempty"`
+	Seq             uint64
+	Watermark       int64
+	MinT            int64
+	MaxT            int64
+	HasData         bool
+	MaxEmittedEpoch int
+	PeakRetained    int
+	Stats           ShardStats
+	Buffer          []RecordEntry
+	Servers         []ServerState
 }
 
 // ShardStats is the shard's ingest tally (the counter fields of Stats).
 type ShardStats struct {
-	Ingested         uint64 `json:"ingested"`
-	Matched          uint64 `json:"matched"`
-	Unmatched        uint64 `json:"unmatched"`
-	DroppedLate      uint64 `json:"dropped_late,omitempty"`
-	ReorderEvictions uint64 `json:"reorder_evictions,omitempty"`
-	EpochsClosed     uint64 `json:"epochs_closed,omitempty"`
+	Ingested         uint64
+	Matched          uint64
+	Unmatched        uint64
+	DroppedLate      uint64
+	ReorderEvictions uint64
+	EpochsClosed     uint64
 }
 
 // RecordEntry is one retained record. Reorder-buffer entries carry their
@@ -155,26 +152,26 @@ type ShardStats struct {
 // omit both — order is positional and the server is the enclosing
 // ServerState's.
 type RecordEntry struct {
-	T      sim.Time `json:"t"`
-	Seq    uint64   `json:"seq,omitempty"`
-	Server string   `json:"server,omitempty"`
-	Domain string   `json:"domain"`
+	T      sim.Time
+	Seq    uint64
+	Server string
+	Domain string
 }
 
 // ServerState is one forwarding server's accumulated landscape state.
 type ServerState struct {
-	Name     string           `json:"name"`
-	Matched  int              `json:"matched"`
-	Domains  []string         `json:"domains,omitempty"`
-	Closed   []EpochValue     `json:"closed,omitempty"`
-	ClosedMT []EpochValue     `json:"closed_mt,omitempty"`
-	Open     []EpochCellState `json:"open,omitempty"`
+	Name     string
+	Matched  int
+	Domains  []string
+	Closed   []EpochValue
+	ClosedMT []EpochValue
+	Open     []EpochCellState
 }
 
 // EpochValue is one closed epoch's finalised estimate.
 type EpochValue struct {
-	Epoch int     `json:"epoch"`
-	Value float64 `json:"value"`
+	Epoch int
+	Value float64
 }
 
 // EpochCellState is one open (server, epoch) cell: the streaming
@@ -182,12 +179,12 @@ type EpochValue struct {
 // Bernoulli, matching the estimator family) or the retained micro-batch
 // records, plus the second-opinion MT state when enabled.
 type EpochCellState struct {
-	Epoch     int                            `json:"epoch"`
-	Records   []RecordEntry                  `json:"records,omitempty"`
-	Timing    *estimators.TimingState        `json:"timing,omitempty"`
-	Clusters  *estimators.ClusterStreamState `json:"clusters,omitempty"`
-	Bernoulli *estimators.BernoulliState     `json:"bernoulli,omitempty"`
-	Second    *estimators.TimingState        `json:"second,omitempty"`
+	Epoch     int
+	Records   []RecordEntry
+	Timing    *estimators.TimingState
+	Clusters  *estimators.ClusterStreamState
+	Bernoulli *estimators.BernoulliState
+	Second    *estimators.TimingState
 }
 
 // exportEpochStream serialises one primary estimator stream into the cell,
@@ -279,9 +276,6 @@ func (e *Engine) ExportState() (*EngineState, error) {
 		}
 		st.Shards[i] = req.state
 	}
-	if tab := e.cfg.Core.Pools.Table(); tab != nil {
-		st.Symtab = tab.Export()
-	}
 	if v := e.cfg.Vantage; v != "" {
 		st.Vantages = []string{v}
 	}
@@ -336,11 +330,6 @@ func Restore(cfg Config, st *EngineState) (*Engine, error) {
 	}
 	if len(st.Shards) != len(e.shards) {
 		return nil, fmt.Errorf("stream: checkpoint has %d shard states for %d shards", len(st.Shards), len(e.shards))
-	}
-	if tab := e.cfg.Core.Pools.Table(); tab != nil && len(st.Symtab) > 0 {
-		if err := tab.Import(st.Symtab); err != nil {
-			return nil, fmt.Errorf("stream: restoring intern table: %w", err)
-		}
 	}
 	for i, s := range e.shards {
 		if err := s.importState(st.Shards[i]); err != nil {

@@ -143,9 +143,10 @@ func (c Config) withDefaults() Config {
 		c.Core.NegativeTTL = 2 * sim.Hour
 	}
 	if c.Core.Pools == nil {
-		// One pool per (engine, epoch): the matcher and every (server,
-		// epoch) cell read it from here. Memoised, not symbolized: without
-		// a caller's table no record carries an ID to resolve by.
+		// The matcher and every (server, epoch) cell read an epoch's pool
+		// from here. Memoised, not symbolized — without a caller's table
+		// no record carries an ID to resolve by — so the cache shares each
+		// pool with every other such holder in the process.
 		c.Core.Pools = dga.NewPoolCache(c.Core.Family.Pool, c.Core.Seed, nil)
 	}
 	if c.Clock == nil {

@@ -3,6 +3,7 @@ package stream_test
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -382,5 +383,75 @@ func TestBatchStreamEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEnginesSharePools: a pool is a function of (model, seed, epoch), so the
+// holders a process keeps alive side by side — the live engine, the engine
+// restored from its state, the engine restored from the merged state and a
+// batch pass — generate each epoch's pool once between them, and nothing
+// stays alive once they are gone.
+func TestEnginesSharePools(t *testing.T) {
+	tc := diffCases()[0]
+	const seed = 0x9001 // no other test's engines hold this seed's pools
+	delivered := synthTrace(t, tc.spec, seed, 4, 3, tc.activations)
+	cfg := stream.Config{
+		Core:    core.Config{Family: tc.spec, Seed: seed, EpochLen: testEpochLen, SecondOpinion: tc.secondOpinion},
+		Shards:  2,
+		Vantage: "solo",
+	}
+	before := dga.PoolsBuilt()
+	live, err := stream.New(cfg)
+	if err != nil {
+		t.Fatalf("stream.New: %v", err)
+	}
+	for _, rec := range delivered {
+		if err := live.Observe(rec); err != nil {
+			t.Fatalf("Observe: %v", err)
+		}
+	}
+	st, err := live.ExportState()
+	if err != nil {
+		t.Fatalf("ExportState: %v", err)
+	}
+	alone := dga.PoolsBuilt() - before
+	if alone == 0 {
+		t.Fatal("the live engine built no pool")
+	}
+
+	restored, err := stream.Restore(cfg, st)
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	merged, err := stream.MergeStates(st)
+	if err != nil {
+		t.Fatalf("MergeStates: %v", err)
+	}
+	federated, err := stream.Restore(cfg, merged)
+	if err != nil {
+		t.Fatalf("Restore(merged): %v", err)
+	}
+	for _, eng := range []*stream.Engine{restored, federated} {
+		if err := eng.Quiesce(); err != nil {
+			t.Fatalf("Quiesce: %v", err)
+		}
+		if _, err := eng.Snapshot(); err != nil {
+			t.Fatalf("Snapshot: %v", err)
+		}
+	}
+	runBatch(t, cfg.Core, delivered)
+	if together := dga.PoolsBuilt() - before; together != alone {
+		t.Fatalf("four holders built %d pools, the first alone %d", together, alone)
+	}
+
+	for _, eng := range []*stream.Engine{live, restored, federated} {
+		eng.Kill()
+	}
+	live, restored, federated = nil, nil, nil
+	for i := 0; dga.PoolsLive() > 0; i++ {
+		if i == 20 {
+			t.Fatalf("%d pools alive after every engine was killed and 20 collections", dga.PoolsLive())
+		}
+		runtime.GC()
 	}
 }

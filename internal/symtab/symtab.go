@@ -29,7 +29,6 @@
 package symtab
 
 import (
-	"fmt"
 	"sync"
 )
 
@@ -177,37 +176,6 @@ func (t *Table) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.strs)
-}
-
-// Export returns the interned strings in ID order: index i holds the string
-// for ID i+1. The returned slice is an independent copy, so it can be
-// serialized (checkpoint snapshots, federation state transfer) while the
-// table keeps interning. Import on a fresh table reproduces the exact same
-// ID assignment.
-func (t *Table) Export() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]string, len(t.strs))
-	copy(out, t.strs)
-	return out
-}
-
-// Import replaces the table's contents with strs in ID order: strs[i] is
-// assigned ID i+1, exactly reversing Export. Existing contents are
-// discarded (IDs assigned before Import are invalidated). Duplicate strings
-// would make the ID assignment ambiguous, so Import rejects them — Export
-// never produces duplicates, catching corrupted or hand-built state early.
-func (t *Table) Import(strs []string) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.resetLocked()
-	for i, s := range strs {
-		if id := t.internLocked(s); int(id) != i+1 {
-			t.resetLocked()
-			return fmt.Errorf("symtab: import index %d: %q already interned as ID %d", i, s, id)
-		}
-	}
-	return nil
 }
 
 // Reset empties the table for reuse, retaining allocated capacity. IDs

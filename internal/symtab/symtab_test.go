@@ -115,11 +115,11 @@ func TestResetReuse(t *testing.T) {
 	}
 }
 
-// TestGrowAfterResetAndImport: doubling re-places IDs from the stored
-// hashes, so Reset and Import must leave that array describing exactly the
-// strings the table holds now — a leftover from the previous contents would
-// misplace every ID at the next doubling.
-func TestGrowAfterResetAndImport(t *testing.T) {
+// TestGrowAfterReset: doubling re-places IDs from the stored hashes, so Reset
+// must leave that array describing exactly the strings the table holds now —
+// a leftover from the previous contents would misplace every ID at the next
+// doubling.
+func TestGrowAfterReset(t *testing.T) {
 	names := func(prefix string, n int) []string {
 		out := make([]string, n)
 		for i := range out {
@@ -145,16 +145,6 @@ func TestGrowAfterResetAndImport(t *testing.T) {
 		tab.Intern(s)
 	}
 	check(tab, second)
-
-	third := names("z", 700)
-	if err := tab.Import(third); err != nil {
-		t.Fatalf("Import: %v", err)
-	}
-	for _, s := range names("w", 13000) { // crosses ¾·16384
-		third = append(third, s)
-		tab.Intern(s)
-	}
-	check(tab, third)
 }
 
 func TestPoolRecycle(t *testing.T) {
@@ -249,67 +239,4 @@ func FuzzIntern(f *testing.F) {
 			t.Fatalf("Len = %d, want %d", tab.Len(), len(seen))
 		}
 	})
-}
-
-func TestExportImportRoundTrip(t *testing.T) {
-	tab := New()
-	for i := 0; i < 100; i++ {
-		tab.Intern(fmt.Sprintf("d%03d.example", i))
-	}
-	snap := tab.Export()
-	if len(snap) != 100 {
-		t.Fatalf("Export length = %d, want 100", len(snap))
-	}
-	// Export is a copy: interning more must not alias into the snapshot.
-	tab.Intern("later.example")
-	if len(snap) != 100 {
-		t.Fatalf("Export aliased the live table")
-	}
-
-	restored := New()
-	if err := restored.Import(snap); err != nil {
-		t.Fatalf("Import: %v", err)
-	}
-	if restored.Len() != 100 {
-		t.Fatalf("Len after Import = %d, want 100", restored.Len())
-	}
-	// Every string keeps its original dense ID, so interned references in
-	// a restored checkpoint resolve to the same strings.
-	for i, s := range snap {
-		id, ok := restored.Lookup(s)
-		if !ok || int(id) != i+1 {
-			t.Fatalf("Lookup(%q) = %d,%v, want %d", s, id, ok, i+1)
-		}
-		if got := restored.Resolve(id); got != s {
-			t.Fatalf("Resolve(%d) = %q, want %q", id, got, s)
-		}
-	}
-	// Import replaces, not merges.
-	if err := restored.Import([]string{"only.example"}); err != nil {
-		t.Fatalf("re-Import: %v", err)
-	}
-	if restored.Len() != 1 {
-		t.Fatalf("Len after re-Import = %d, want 1", restored.Len())
-	}
-	if _, ok := restored.Lookup("d000.example"); ok {
-		t.Fatal("re-Import kept an entry from the previous snapshot")
-	}
-}
-
-func TestImportRejectsDuplicates(t *testing.T) {
-	tab := New()
-	if err := tab.Import([]string{"a.example", "b.example", "a.example"}); err == nil {
-		t.Fatal("Import accepted a duplicate entry")
-	}
-}
-
-func TestImportEmpty(t *testing.T) {
-	tab := New()
-	tab.Intern("pre.example")
-	if err := tab.Import(nil); err != nil {
-		t.Fatalf("Import(nil): %v", err)
-	}
-	if tab.Len() != 0 {
-		t.Fatalf("Len after Import(nil) = %d, want 0", tab.Len())
-	}
 }
