@@ -37,8 +37,9 @@ type goldenFile struct {
 }
 
 // renderArtifacts produces the text renderings of every pinned artifact at
-// the golden parameters: Table I, the five Figure 6 panels, Figure 7 and
-// Table II. Workers is left at the default deliberately: artifacts are
+// the golden parameters: Table I, the five Figure 6 panels, Figure 7,
+// Table II and the four extension artifacts (missing observations, chaos,
+// taxonomy grid, re-activation). Workers is left at the default deliberately: artifacts are
 // required to be identical at any parallelism, so a scheduling-dependent
 // result shows up here as a hash flake.
 func renderArtifacts(t *testing.T) map[string]string {
@@ -72,6 +73,34 @@ func renderArtifacts(t *testing.T) map[string]string {
 	}
 	out["fig7"] = experiments.RenderFig7(series)
 	out["table2"] = experiments.RenderTableII(experiments.TableII(series))
+
+	// The extension artifacts, as `benchgen -artifact X` runs them at the
+	// golden flags (it does not forward -population or -scale to the
+	// taxonomy grid, which therefore runs at its default N = 32).
+	missing, err := experiments.MissingObservations(experiments.MissingObsConfig{
+		Trials: goldenTrials, Population: goldenPopulation, Seed: goldenSeed, Scale: goldenScale,
+	})
+	if err != nil {
+		t.Fatalf("missing: %v", err)
+	}
+	out["missing"] = experiments.RenderMissingObs(missing)
+	chaos, err := experiments.ChaosSweep(experiments.ChaosConfig{
+		Trials: goldenTrials, Population: goldenPopulation, Seed: goldenSeed, Scale: goldenScale,
+	})
+	if err != nil {
+		t.Fatalf("chaos: %v", err)
+	}
+	out["chaos"] = experiments.RenderChaos(chaos)
+	cells, err := experiments.TaxonomyGrid(experiments.TaxonomyGridConfig{Trials: goldenTrials, Seed: goldenSeed})
+	if err != nil {
+		t.Fatalf("taxonomy: %v", err)
+	}
+	out["taxonomy"] = experiments.RenderTaxonomyGrid(cells)
+	rows, err := experiments.Reactivation(experiments.ReactivationConfig{Days: goldenDays, Seed: goldenSeed})
+	if err != nil {
+		t.Fatalf("reactivation: %v", err)
+	}
+	out["reactivation"] = experiments.RenderReactivation(rows)
 	return out
 }
 
