@@ -39,19 +39,19 @@ type goldenFile struct {
 // renderArtifacts produces the text renderings of every pinned artifact at
 // the golden parameters: Table I, the five Figure 6 panels, Figure 7,
 // Table II and the four extension artifacts (missing observations, chaos,
-// taxonomy grid, re-activation). Workers is left at the default deliberately: artifacts are
-// required to be identical at any parallelism, so a scheduling-dependent
-// result shows up here as a hash flake.
+// taxonomy grid, re-activation). Workers is left at the default
+// deliberately: artifacts are required to be identical at any parallelism,
+// so a scheduling-dependent result shows up here as a hash flake.
 func renderArtifacts(t *testing.T) map[string]string {
 	t.Helper()
-	f6 := experiments.Fig6Config{
+	f6 := experiments.SweepConfig{
 		Trials:     goldenTrials,
 		Population: goldenPopulation,
 		Seed:       goldenSeed,
 		Scale:      goldenScale,
 	}
 	out := map[string]string{"table1": experiments.RenderTableI()}
-	panels := map[string]func(experiments.Fig6Config) ([]experiments.Fig6Point, error){
+	panels := map[string]func(experiments.SweepConfig) ([]experiments.SweepPoint, error){
 		"fig6a": experiments.Figure6a,
 		"fig6b": experiments.Figure6b,
 		"fig6c": experiments.Figure6c,
@@ -75,23 +75,19 @@ func renderArtifacts(t *testing.T) map[string]string {
 	out["table2"] = experiments.RenderTableII(experiments.TableII(series))
 
 	// The extension artifacts, as `benchgen -artifact X` runs them at the
-	// golden flags (it does not forward -population or -scale to the
-	// taxonomy grid, which therefore runs at its default N = 32).
-	missing, err := experiments.MissingObservations(experiments.MissingObsConfig{
-		Trials: goldenTrials, Population: goldenPopulation, Seed: goldenSeed, Scale: goldenScale,
-	})
+	// golden flags (it does not forward -population to the taxonomy grid,
+	// which therefore runs at its default N = 32).
+	missing, err := experiments.MissingObservations(f6)
 	if err != nil {
 		t.Fatalf("missing: %v", err)
 	}
 	out["missing"] = experiments.RenderMissingObs(missing)
-	chaos, err := experiments.ChaosSweep(experiments.ChaosConfig{
-		Trials: goldenTrials, Population: goldenPopulation, Seed: goldenSeed, Scale: goldenScale,
-	})
+	chaos, err := experiments.ChaosSweep(f6)
 	if err != nil {
 		t.Fatalf("chaos: %v", err)
 	}
 	out["chaos"] = experiments.RenderChaos(chaos)
-	cells, err := experiments.TaxonomyGrid(experiments.TaxonomyGridConfig{Trials: goldenTrials, Seed: goldenSeed})
+	cells, err := experiments.TaxonomyGrid(experiments.SweepConfig{Trials: goldenTrials, Seed: goldenSeed})
 	if err != nil {
 		t.Fatalf("taxonomy: %v", err)
 	}

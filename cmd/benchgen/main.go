@@ -66,7 +66,7 @@ func run(args []string) error {
 		reg = obs.NewRegistry()
 	}
 
-	f6 := experiments.Fig6Config{
+	sweep := experiments.SweepConfig{
 		Trials:     *trials,
 		Population: *population,
 		Seed:       *seed,
@@ -76,15 +76,14 @@ func run(args []string) error {
 		Obs:        reg,
 	}
 	if *models != "" {
-		f6.Models = strings.Split(*models, ",")
+		sweep.Models = strings.Split(*models, ",")
 	}
 	f7 := experiments.Fig7Config{Days: *days, Seed: *seed, Scale: *scale, Workers: *workers, Stages: stages, Obs: reg}
 
 	g := genOpts{
-		artifact: *artifact, f6: f6, f7: f7,
-		trials: *trials, population: *population, days: *days,
+		artifact: *artifact, sweep: sweep, f7: f7, days: *days,
 		seed: *seed, scale: *scale, workers: *workers,
-		reg: reg, stages: stages, outdir: *outdir, chart: *chart,
+		reg: reg, outdir: *outdir, chart: *chart,
 	}
 	if *benchJSON == "" {
 		return generate(g)
@@ -100,23 +99,22 @@ func run(args []string) error {
 
 // genOpts carries one artifact invocation's settings.
 type genOpts struct {
-	artifact   string
-	f6         experiments.Fig6Config
-	f7         experiments.Fig7Config
-	trials     int
-	population int
-	days       int
-	seed       uint64
-	scale      float64
-	workers    int
-	reg        *obs.Registry
-	stages     *obs.StageSet
-	outdir     string
-	chart      bool
+	artifact string
+	// sweep configures every synthetic artifact: the Figure 6 panels, the
+	// missing-observations and chaos sweeps and the taxonomy grid.
+	sweep   experiments.SweepConfig
+	f7      experiments.Fig7Config
+	days    int
+	seed    uint64
+	scale   float64
+	workers int
+	reg     *obs.Registry
+	outdir  string
+	chart   bool
 }
 
 func generate(g genOpts) error {
-	panels := map[string]func(experiments.Fig6Config) ([]experiments.Fig6Point, error){
+	panels := map[string]func(experiments.SweepConfig) ([]experiments.SweepPoint, error){
 		"fig6a": experiments.Figure6a,
 		"fig6b": experiments.Figure6b,
 		"fig6c": experiments.Figure6c,
@@ -129,43 +127,38 @@ func generate(g genOpts) error {
 		fmt.Print(experiments.RenderTableI())
 		return nil
 	case "fig6a", "fig6b", "fig6c", "fig6d", "fig6e":
-		pts, err := panels[g.artifact](g.f6)
+		pts, err := panels[g.artifact](g.sweep)
 		if err != nil {
 			return err
 		}
 		fmt.Print(experiments.RenderFig6(pts))
 		return writeFig6CSV(g.outdir, g.artifact, pts)
 	case "fig6":
-		pts, err := experiments.Figure6(g.f6)
+		pts, err := experiments.Figure6(g.sweep)
 		if err != nil {
 			return err
 		}
 		fmt.Print(experiments.RenderFig6(pts))
 		return writeFig6CSV(g.outdir, "fig6", pts)
 	case "missing":
-		pts, err := experiments.MissingObservations(experiments.MissingObsConfig{
-			Trials: g.trials, Population: g.population, Seed: g.seed, Scale: g.scale,
-			Workers: g.workers, Obs: g.reg,
-		})
+		pts, err := experiments.MissingObservations(g.sweep)
 		if err != nil {
 			return err
 		}
 		fmt.Print(experiments.RenderMissingObs(pts))
 		return nil
 	case "chaos":
-		pts, err := experiments.ChaosSweep(experiments.ChaosConfig{
-			Trials: g.trials, Population: g.population, Seed: g.seed, Scale: g.scale,
-			Workers: g.workers, Stages: g.stages, Obs: g.reg,
-		})
+		pts, err := experiments.ChaosSweep(g.sweep)
 		if err != nil {
 			return err
 		}
 		fmt.Print(experiments.RenderChaos(pts))
 		return nil
 	case "taxonomy":
-		cells, err := experiments.TaxonomyGrid(experiments.TaxonomyGridConfig{
-			Trials: g.trials, Seed: g.seed, Workers: g.workers, Obs: g.reg,
-		})
+		// The grid runs at its own N = 32 whatever -population says.
+		grid := g.sweep
+		grid.Population = 0
+		cells, err := experiments.TaxonomyGrid(grid)
 		if err != nil {
 			return err
 		}
@@ -203,7 +196,7 @@ func generate(g genOpts) error {
 	case "all":
 		fmt.Print(experiments.RenderTableI())
 		fmt.Println()
-		pts, err := experiments.Figure6(g.f6)
+		pts, err := experiments.Figure6(g.sweep)
 		if err != nil {
 			return err
 		}
@@ -304,7 +297,7 @@ func appendBenchRecord(path, artifact string, workers int, note string, reg *obs
 	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
-func writeFig6CSV(dir, name string, pts []experiments.Fig6Point) error {
+func writeFig6CSV(dir, name string, pts []experiments.SweepPoint) error {
 	if dir == "" {
 		return nil
 	}

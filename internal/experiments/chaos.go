@@ -4,79 +4,19 @@ import (
 	"fmt"
 	"strings"
 
-	"botmeter/internal/botnet"
-	"botmeter/internal/core"
-	"botmeter/internal/dga"
 	"botmeter/internal/dnssim"
-	"botmeter/internal/estimators"
 	"botmeter/internal/faults"
-	"botmeter/internal/obs"
 	"botmeter/internal/sim"
-	"botmeter/internal/stats"
 )
 
-// ChaosConfig tunes the chaos sweep — the in-process counterpart of the
-// live -chaos pipeline. Where the missing-observations experiment deletes
-// records after a clean simulation, this one degrades the local→border link
-// itself (faults.FaultyUpstream wrapped around the simulated border via
-// dnssim.NetworkConfig.WrapUpstream), so losses, SERVFAIL bursts and
-// duplicated datagrams distort both what the bots experience and what the
-// vantage point records. Every point is measured twice: with the hierarchy
-// hardened (retries + serve-stale) and bare, quantifying how much of the
-// paper's accuracy survives an unreliable network and how much the
-// resilience machinery buys back.
-type ChaosConfig struct {
-	// Trials per point (default 5).
-	Trials int
-	// Population per trial (default 64).
-	Population int
-	// Seed drives the runs; fault decisions derive from it, so a fixed
-	// Seed replays the sweep bit-for-bit.
-	Seed uint64
-	// Scale shrinks pools (1 = Table I).
-	Scale float64
-	// Retries is the hardened hierarchy's MaxRetries (default 3).
-	Retries int
-	// Workers bounds trial-level parallelism (0 = one worker per CPU,
-	// 1 = sequential); the rendered sweep is identical for any value
-	// because per-trial seeds depend only on the trial index and the
-	// fault counters are tallied in trial order.
-	Workers int
-	// Stages, when non-nil, accumulates per-stage wall/alloc timings
-	// (simulate vs estimate) for `benchgen -timings`.
-	Stages *obs.StageSet
-	// Obs, when non-nil, exports experiments_parallel_workers,
-	// experiments_trials_total and per-trial latency histograms.
-	Obs *obs.Registry
-}
-
-func (c ChaosConfig) withDefaults() ChaosConfig {
-	if c.Trials <= 0 {
-		c.Trials = 5
-	}
-	if c.Population <= 0 {
-		c.Population = 64
-	}
-	if c.Scale <= 0 {
-		c.Scale = 1
-	}
-	if c.Retries <= 0 {
-		c.Retries = 3
-	}
-	return c
-}
-
-// ChaosPoint is one (model, estimator, fault-rate, hardened?) cell.
+// ChaosPoint is one (model, estimator, fault-rate, hardened?) cell. X is
+// the per-datagram loss probability; SERVFAIL bursts and duplication ride
+// along at X/4 each.
 type ChaosPoint struct {
-	Model     string
-	Estimator string
-	// FaultRate is the per-datagram loss probability; SERVFAIL bursts and
-	// duplication ride along at FaultRate/4 each.
-	FaultRate float64
+	SweepPoint
 	// Hardened reports whether the hierarchy ran with retries and
 	// serve-stale enabled.
 	Hardened bool
-	ARE      stats.Quartiles
 	// Faults aggregates the injector counters across trials.
 	Faults faults.Counters
 }
@@ -87,10 +27,23 @@ func chaosRates(rate float64) faults.Rates {
 	return faults.Rates{Loss: rate, ServFail: rate / 4, Duplicate: rate / 4}
 }
 
-// ChaosSweep sweeps the fault rate ∈ {0, 10, 20, 30}% on AU (MT, MP) and
-// AR (MT, MB), hardened and bare.
-func ChaosSweep(cfg ChaosConfig) ([]ChaosPoint, error) {
-	cfg = cfg.withDefaults()
+// ChaosSweep is the in-process counterpart of the live -chaos pipeline.
+// Where the missing-observations experiment deletes records after a clean
+// simulation, this one degrades the local→border link itself
+// (faults.FaultyUpstream wrapped around the simulated border via
+// dnssim.NetworkConfig.WrapUpstream), so losses, SERVFAIL bursts and
+// duplicated datagrams distort both what the bots experience and what the
+// vantage point records. It sweeps the fault rate ∈ {0, 10, 20, 30}% on AU
+// (MT, MP) and AR (MT, MB), and measures every point twice — bare, then
+// with the hierarchy hardened (retries + serve-stale) — quantifying how
+// much of the paper's accuracy survives an unreliable network and how much
+// the resilience machinery buys back. Fault decisions derive from the
+// per-trial seed, so a fixed cfg.Seed replays the sweep bit-for-bit.
+func ChaosSweep(cfg SweepConfig) ([]ChaosPoint, error) {
+	cfg = cfg.withDefaults(5, 64)
+	// Every rate is on the axis twice: the even index runs the hierarchy
+	// bare, the odd one after it hardened.
+	rates := []float64{0, 0, 0.1, 0.1, 0.2, 0.2, 0.3, 0.3}
 	var out []ChaosPoint
 	for _, model := range []string{"AU", "AR"} {
 		spec, err := modelSpec(model, cfg.Scale)
@@ -98,120 +51,57 @@ func ChaosSweep(cfg ChaosConfig) ([]ChaosPoint, error) {
 			return nil, err
 		}
 		ests := estimatorsFor(model, "")
-		for _, rate := range []float64{0, 0.1, 0.2, 0.3} {
-			for _, hardened := range []bool{false, true} {
-				hardened := hardened
-				trials, err := runTrials(cfg.Workers, cfg.Obs, "chaos", cfg.Trials, func(trial int) (chaosTrialResult, error) {
-					seed := cfg.Seed ^ hash64("chaos"+model) ^ (uint64(trial)+1)*0x9e3779b97f4a7c15
-					res, c, err := chaosTrial(cfg, spec, ests, rate, hardened, seed)
-					if err != nil {
-						return chaosTrialResult{}, fmt.Errorf("experiments: chaos %s rate %v hardened=%v trial %d: %w", model, rate, hardened, trial, err)
-					}
-					return chaosTrialResult{errs: res, counters: c}, nil
-				})
-				if err != nil {
-					return nil, err
-				}
-				errsByEst := make(map[string][]float64, len(ests))
-				for _, est := range ests {
-					errsByEst[est.Name()] = make([]float64, 0, cfg.Trials)
-				}
-				var tally faults.Counters
-				for _, tr := range trials {
-					for name, are := range tr.errs {
-						errsByEst[name] = append(errsByEst[name], are)
-					}
-					c := tr.counters
-					tally.Passed += c.Passed
-					tally.Lost += c.Lost
-					tally.Duplicated += c.Duplicated
-					tally.ServFails += c.ServFails
-					tally.Delayed += c.Delayed
-					tally.Blackholed += c.Blackholed
-				}
-				for _, est := range ests {
-					out = append(out, ChaosPoint{
-						Model:     model,
-						Estimator: est.Name(),
-						FaultRate: rate,
-						Hardened:  hardened,
-						ARE:       stats.ComputeQuartiles(errsByEst[est.Name()]),
-						Faults:    tally,
-					})
-				}
+		// Each trial's injector is made here and read once the sweep is
+		// back; a trial writes its own element only.
+		injectors := make([][]*faults.Injector, len(rates))
+		for k := range injectors {
+			injectors[k] = make([]*faults.Injector, cfg.Trials)
+		}
+		pts, err := row{
+			cfg: cfg, artifact: "chaos", seedLabel: "chaos" + model,
+			point: SweepPoint{Model: model}, spec: spec, ests: ests,
+		}.sweep(rates, func(p *trialParams, k, trial int) {
+			injectors[k][trial] = faultyLink(p, rates[k], k%2 == 1)
+		})
+		if err != nil {
+			return nil, err
+		}
+		for k := range rates {
+			// The fault counters are tallied in trial order.
+			var tally faults.Counters
+			for _, inj := range injectors[k] {
+				c := inj.Counters()
+				tally.Passed += c.Passed
+				tally.Lost += c.Lost
+				tally.Duplicated += c.Duplicated
+				tally.ServFails += c.ServFails
+				tally.Delayed += c.Delayed
+				tally.Blackholed += c.Blackholed
+			}
+			for _, pt := range pts[k*len(ests) : (k+1)*len(ests)] {
+				out = append(out, ChaosPoint{SweepPoint: pt, Hardened: k%2 == 1, Faults: tally})
 			}
 		}
 	}
 	return out, nil
 }
 
-// chaosTrialResult carries one trial's per-estimator errors plus the
-// injector counters, so parallel trials aggregate in canonical order.
-type chaosTrialResult struct {
-	errs     map[string]float64
-	counters faults.Counters
-}
-
-// chaosTrial runs one simulation behind a faulty local→border link and
-// returns each estimator's ARE against the realised ground truth plus the
-// injector's final counters.
-func chaosTrial(cfg ChaosConfig, spec dga.Spec, ests []estimators.Estimator, rate float64, hardened bool, seed uint64) (map[string]float64, faults.Counters, error) {
-	simStage := cfg.Stages.Start("chaos:simulate")
-	inj := faults.New(seed^0xfa01, chaosRates(rate))
-	netCfg := dnssim.NetworkConfig{
-		LocalServers: 1,
-		PositiveTTL:  sim.Day,
-		NegativeTTL:  2 * sim.Hour,
-		Granularity:  100 * sim.Millisecond,
-		WrapUpstream: func(u dnssim.Upstream) dnssim.Upstream {
+// faultyLink puts the trial's hierarchy behind a faulty local→border link,
+// hardened with retries and serve-stale when asked, and returns the
+// link's injector.
+func faultyLink(p *trialParams, rate float64, hardened bool) *faults.Injector {
+	inj := faults.New(p.seed^0xfa01, chaosRates(rate))
+	p.network = func(cfg *dnssim.NetworkConfig) {
+		cfg.WrapUpstream = func(u dnssim.Upstream) dnssim.Upstream {
 			return faults.NewFaultyUpstream(u, inj)
-		},
-	}
-	if hardened {
-		netCfg.MaxRetries = cfg.Retries
-		netCfg.ServeStale = true
-		netCfg.StaleTTL = sim.Day
-	}
-	net := dnssim.NewNetwork(netCfg)
-	runner, err := botnet.NewRunner(botnet.Config{
-		Spec:          spec,
-		Seed:          seed,
-		BotsPerServer: map[string]int{"local-00": cfg.Population},
-	}, net)
-	if err != nil {
-		simStage.End()
-		return nil, faults.Counters{}, err
-	}
-	w := sim.Window{Start: 0, End: sim.Day}
-	res, err := runner.Run(w)
-	simStage.End()
-	if err != nil {
-		return nil, faults.Counters{}, err
-	}
-	truth := float64(res.ActiveBots["local-00"][0])
-
-	observed := net.Border.Observed()
-	net.ReleaseCaches()
-	estStage := cfg.Stages.Start("chaos:estimate")
-	defer estStage.End()
-	out := make(map[string]float64, len(ests))
-	for _, est := range ests {
-		bm, err := core.New(core.Config{
-			Family:      spec,
-			Seed:        seed,
-			Granularity: 100 * sim.Millisecond,
-			Estimator:   est,
-		})
-		if err != nil {
-			return nil, faults.Counters{}, err
 		}
-		land, err := bm.Analyze(observed, w)
-		if err != nil {
-			return nil, faults.Counters{}, err
+		if hardened {
+			cfg.MaxRetries = 3
+			cfg.ServeStale = true
+			cfg.StaleTTL = sim.Day
 		}
-		out[est.Name()] = stats.ARE(land.Estimate("local-00"), truth)
 	}
-	return out, inj.Counters(), nil
+	return inj
 }
 
 // RenderChaos prints the sweep.
@@ -226,7 +116,7 @@ func RenderChaos(points []ChaosPoint) string {
 			mode = "hardened"
 		}
 		fmt.Fprintf(&b, "%-6s %-5s %5.0f%% %-8s %8.3f %8.3f %8.3f   lost=%d servfail=%d dup=%d\n",
-			p.Model, p.Estimator, p.FaultRate*100, mode,
+			p.Model, p.Estimator, p.X*100, mode,
 			p.ARE.P25, p.ARE.P50, p.ARE.P75,
 			p.Faults.Lost, p.Faults.ServFails, p.Faults.Duplicated)
 	}

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-func smallChaosConfig() ChaosConfig {
-	return ChaosConfig{Trials: 2, Population: 16, Seed: 9, Scale: 0.08}
+func smallChaosConfig() SweepConfig {
+	return SweepConfig{Trials: 2, Population: 16, Seed: 9, Scale: 0.08}
 }
 
 // TestChaosSweepDeterministic: the whole point of seeded fault injection is
@@ -25,7 +25,7 @@ func TestChaosSweepDeterministic(t *testing.T) {
 	if r1 != r2 {
 		t.Errorf("chaos sweep not deterministic:\n%s\nvs\n%s", r1, r2)
 	}
-	if pts3, err := ChaosSweep(ChaosConfig{Trials: 2, Population: 16, Seed: 10, Scale: 0.08}); err != nil {
+	if pts3, err := ChaosSweep(SweepConfig{Trials: 2, Population: 16, Seed: 10, Scale: 0.08}); err != nil {
 		t.Fatal(err)
 	} else if RenderChaos(pts3) == r1 {
 		t.Error("different seed produced an identical sweep")
@@ -46,7 +46,7 @@ func TestChaosSweepShape(t *testing.T) {
 		if p.Model != "AU" && p.Model != "AR" {
 			t.Errorf("unexpected model %q", p.Model)
 		}
-		if p.FaultRate == 0 {
+		if p.X == 0 {
 			if p.Faults.Lost+p.Faults.ServFails+p.Faults.Duplicated != 0 {
 				t.Errorf("rate 0 injected faults: %s", p.Faults)
 			}
@@ -83,7 +83,7 @@ func TestChaosHardeningReducesLoss(t *testing.T) {
 	var bare, hard *ChaosPoint
 	for i := range pts {
 		p := &pts[i]
-		if p.Model == "AU" && p.Estimator == "MT" && p.FaultRate == 0.3 {
+		if p.Model == "AU" && p.Estimator == "MT" && p.X == 0.3 {
 			if p.Hardened {
 				hard = p
 			} else {

@@ -13,53 +13,52 @@ import (
 // them under -race, which also exercises the worker pool for data races on
 // the shared estimator caches and StageSet.
 
-func TestWorkersDeterminismFig6a(t *testing.T) {
-	render := func(workers int) string {
-		cfg := quickCfg()
-		cfg.Workers = workers
-		cfg.Obs = obs.NewRegistry()
-		cfg.Stages = obs.NewStageSet()
-		pts, err := Figure6a(cfg)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return RenderFig6(pts)
+// sameAtAnyWorkers renders an artifact sequentially and again at each of
+// the given worker counts, and requires byte identity.
+func sameAtAnyWorkers(t *testing.T, artifact string, render func(workers int) (string, error), workers ...int) {
+	t.Helper()
+	seq, err := render(1)
+	if err != nil {
+		t.Fatalf("%s workers=1: %v", artifact, err)
 	}
-	seq := render(1)
-	for _, w := range []int{2, 8} {
-		if got := render(w); got != seq {
-			t.Errorf("fig6a render differs between workers=1 and workers=%d:\n--- workers=1\n%s\n--- workers=%d\n%s", w, seq, w, got)
+	for _, w := range workers {
+		got, err := render(w)
+		if err != nil {
+			t.Fatalf("%s workers=%d: %v", artifact, w, err)
+		}
+		if got != seq {
+			t.Errorf("%s render differs between workers=1 and workers=%d:\n--- workers=1\n%s\n--- workers=%d\n%s", artifact, w, seq, w, got)
 		}
 	}
 }
 
+// instrumented is a sweep configuration with every shared sink attached.
+func instrumented(cfg SweepConfig, workers int) SweepConfig {
+	cfg.Workers = workers
+	cfg.Obs = obs.NewRegistry()
+	cfg.Stages = obs.NewStageSet()
+	return cfg
+}
+
+func TestWorkersDeterminismFig6a(t *testing.T) {
+	sameAtAnyWorkers(t, "fig6a", func(workers int) (string, error) {
+		pts, err := Figure6a(instrumented(quickCfg(), workers))
+		return RenderFig6(pts), err
+	}, 2, 8)
+}
+
 func TestWorkersDeterminismChaos(t *testing.T) {
-	render := func(workers int) string {
-		pts, err := ChaosSweep(ChaosConfig{
-			Trials:     2,
-			Population: 16,
-			Seed:       7,
-			Scale:      0.08,
-			Workers:    workers,
-			Obs:        obs.NewRegistry(),
-			Stages:     obs.NewStageSet(),
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return RenderChaos(pts)
-	}
-	seq := render(1)
-	if got := render(8); got != seq {
-		t.Errorf("chaos render differs between workers=1 and workers=8:\n--- workers=1\n%s\n--- workers=8\n%s", seq, got)
-	}
+	sameAtAnyWorkers(t, "chaos", func(workers int) (string, error) {
+		pts, err := ChaosSweep(instrumented(SweepConfig{Trials: 2, Population: 16, Seed: 7, Scale: 0.08}, workers))
+		return RenderChaos(pts), err
+	}, 8)
 }
 
 func TestWorkersDeterminismFig7(t *testing.T) {
 	if testing.Short() {
 		t.Skip("enterprise trace generation is seconds-scale")
 	}
-	render := func(workers int) string {
+	sameAtAnyWorkers(t, "fig7", func(workers int) (string, error) {
 		series, err := Figure7(Fig7Config{
 			Days:                   4,
 			Seed:                   11,
@@ -69,41 +68,22 @@ func TestWorkersDeterminismFig7(t *testing.T) {
 			Workers:                workers,
 			Obs:                    obs.NewRegistry(),
 		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return RenderFig7(series)
-	}
-	seq := render(1)
-	if got := render(8); got != seq {
-		t.Errorf("fig7 render differs between workers=1 and workers=8:\n--- workers=1\n%s\n--- workers=8\n%s", seq, got)
-	}
+		return RenderFig7(series), err
+	}, 8)
 }
 
-// TestWorkersDeterminismTaxonomyAndMissing covers the remaining parallel
-// loops (case-level fan-out in Reactivation is exercised by its own test).
+// TestWorkersDeterminismTaxonomyAndMissing covers the remaining sweeps
+// (the per-day fan-out Reactivation shares with Figure 7 is covered above).
 func TestWorkersDeterminismTaxonomyAndMissing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid sweep is seconds-scale")
 	}
-	grid := func(workers int) string {
-		cells, err := TaxonomyGrid(TaxonomyGridConfig{Trials: 1, Population: 8, Seed: 3, Workers: workers})
-		if err != nil {
-			t.Fatalf("taxonomy workers=%d: %v", workers, err)
-		}
-		return RenderTaxonomyGrid(cells)
-	}
-	if a, b := grid(1), grid(8); a != b {
-		t.Errorf("taxonomy render differs between workers=1 and workers=8")
-	}
-	miss := func(workers int) string {
-		pts, err := MissingObservations(MissingObsConfig{Trials: 2, Population: 12, Seed: 5, Scale: 0.08, Workers: workers})
-		if err != nil {
-			t.Fatalf("missing workers=%d: %v", workers, err)
-		}
-		return RenderMissingObs(pts)
-	}
-	if a, b := miss(1), miss(8); a != b {
-		t.Errorf("missing-obs render differs between workers=1 and workers=8")
-	}
+	sameAtAnyWorkers(t, "taxonomy", func(workers int) (string, error) {
+		cells, err := TaxonomyGrid(SweepConfig{Trials: 1, Population: 8, Seed: 3, Workers: workers})
+		return RenderTaxonomyGrid(cells), err
+	}, 8)
+	sameAtAnyWorkers(t, "missing", func(workers int) (string, error) {
+		pts, err := MissingObservations(SweepConfig{Trials: 2, Population: 12, Seed: 5, Scale: 0.08, Workers: workers})
+		return RenderMissingObs(pts), err
+	}, 8)
 }

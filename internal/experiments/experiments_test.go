@@ -5,9 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"botmeter/internal/botnet"
 	"botmeter/internal/dga"
-	"botmeter/internal/dnssim"
 	"botmeter/internal/enterprise"
 	"botmeter/internal/sim"
 	"botmeter/internal/stats"
@@ -249,7 +247,7 @@ func TestFigure7QuickAndTableII(t *testing.T) {
 }
 
 func TestTaxonomyGridRunsAllCells(t *testing.T) {
-	cells, err := TaxonomyGrid(TaxonomyGridConfig{Trials: 1, Population: 8, Seed: 2})
+	cells, err := TaxonomyGrid(SweepConfig{Trials: 1, Population: 8, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,28 +339,15 @@ func TestBorderRecordsCarryIDs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The trial as runTrial simulates it.
-		p := defaultTrialParams(spec, cfg6.Population, trialSeed(cfg6, "a", model, 0))
+		p := defaultTrialParams(spec, cfg6.Population, trialSeed(cfg6.Seed, "a"+model, 0))
 		tab := symtab.New()
-		net := dnssim.NewNetwork(dnssim.NetworkConfig{
-			LocalServers: 1,
-			PositiveTTL:  sim.Day,
-			NegativeTTL:  p.negTTL,
-			Granularity:  p.granularity,
-		})
-		runner, err := botnet.NewRunner(botnet.Config{
-			Spec:          p.spec,
-			Seed:          p.seed,
-			Activation:    sim.ActivationModel{Sigma: p.sigma},
-			BotsPerServer: map[string]int{"local-00": p.population},
-			Pools:         dga.NewPoolCache(p.spec.Pool, p.seed, tab),
-		}, net)
-		if err != nil {
+		p.pools = dga.NewPoolCache(spec.Pool, p.seed, tab)
+		p.observed = func(observed trace.Observed) trace.Observed {
+			check("figure 6(a) "+model, observed, tab)
+			return observed
+		}
+		if _, err := runTrial(p, estimatorsFor(model, "a")); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := runner.Run(sim.Window{Start: 0, End: sim.Time(p.windowEpochs) * sim.Day}); err != nil {
-			t.Fatal(err)
-		}
-		check("figure 6(a) "+model, net.Border.Observed(), tab)
 	}
 }

@@ -9,72 +9,10 @@ package experiments
 import (
 	"fmt"
 
-	"botmeter/internal/botnet"
-	"botmeter/internal/core"
-	"botmeter/internal/d3"
 	"botmeter/internal/dga"
-	"botmeter/internal/dnssim"
 	"botmeter/internal/estimators"
-	"botmeter/internal/obs"
 	"botmeter/internal/sim"
-	"botmeter/internal/stats"
-	"botmeter/internal/symtab"
 )
-
-// Fig6Config tunes the synthetic evaluation.
-type Fig6Config struct {
-	// Trials is the number of independent runs per point (default 10).
-	Trials int
-	// Population is the default bot count N when not swept (default 64).
-	Population int
-	// Seed derives all per-trial seeds.
-	Seed uint64
-	// Scale shrinks DGA pool sizes and barrel sizes for quick runs
-	// (1 = the paper's Table I parameters; tests use ≈0.1).
-	Scale float64
-	// Models restricts the evaluated DGA models (nil = AU, AS, AR, AP).
-	Models []string
-	// Workers bounds the trial-level parallelism: trials of one grid point
-	// run concurrently on a bounded worker pool (0 = one worker per CPU,
-	// 1 = sequential). Per-trial seeds are derived from the trial index
-	// alone, and aggregation is canonical (trial order), so any worker
-	// count renders byte-identical artifacts.
-	Workers int
-	// Stages, when non-nil, accumulates per-stage wall/alloc timings
-	// (simulate vs estimate) for `benchgen -timings`.
-	Stages *obs.StageSet
-	// Obs, when non-nil, exports experiments_parallel_workers,
-	// experiments_trials_total and per-trial latency histograms.
-	Obs *obs.Registry
-}
-
-func (c Fig6Config) withDefaults() Fig6Config {
-	if c.Trials <= 0 {
-		c.Trials = 10
-	}
-	if c.Population <= 0 {
-		c.Population = 64
-	}
-	if c.Scale <= 0 {
-		c.Scale = 1
-	}
-	if len(c.Models) == 0 {
-		c.Models = []string{"AU", "AS", "AR", "AP"}
-	}
-	return c
-}
-
-// Fig6Point is one cell of a Figure 6 panel: the ARE quartiles of one
-// estimator on one DGA model at one swept parameter value.
-type Fig6Point struct {
-	Panel     string // "a".."e"
-	Sweep     string // human-readable sweep label
-	Model     string // AU/AS/AR/AP
-	Estimator string
-	X         float64
-	ARE       stats.Quartiles
-	Trials    int
-}
 
 // modelSpec returns the Table I prototype for a model shorthand, scaled.
 func modelSpec(model string, scale float64) (dga.Spec, error) {
@@ -163,242 +101,25 @@ func estimatorsFor(model, panel string) []estimators.Estimator {
 	return ests
 }
 
-// trialParams is the full parameter set for one synthetic run.
-type trialParams struct {
-	spec         dga.Spec
-	population   int
-	windowEpochs int
-	negTTL       sim.Time
-	sigma        float64
-	missRate     float64
-	granularity  sim.Time
-	seed         uint64
-	stages       *obs.StageSet
-	// pools, when non-nil, is the shared symbolized pool cache for this
-	// (model, trial) — sweep points of one trial draw identical pools (the
-	// per-trial seed does not depend on the swept x), so the panel driver
-	// generates them once per trial instead of once per grid point. Nil
-	// makes runTrial own a private cache.
-	pools *dga.PoolCache
-}
-
-func defaultTrialParams(spec dga.Spec, population int, seed uint64) trialParams {
-	return trialParams{
-		spec:         spec,
-		population:   population,
-		windowEpochs: 1,
-		negTTL:       2 * sim.Hour,
-		granularity:  100 * sim.Millisecond,
-		seed:         seed,
+// runPanel evaluates one Figure 6 panel: one row per model, swept over xs
+// with the trial edited by mutate.
+func runPanel(cfg SweepConfig, panel, sweep string, xs []float64, mutate func(*trialParams, float64)) ([]SweepPoint, error) {
+	cfg = cfg.withDefaults(10, 64)
+	models := cfg.Models
+	if len(models) == 0 {
+		models = []string{"AU", "AS", "AR", "AP"}
 	}
-}
-
-// runTrial simulates one configuration and returns each estimator's ARE
-// against the realised ground truth.
-func runTrial(p trialParams, ests []estimators.Estimator) (map[string]float64, error) {
-	// One intern table + pool cache per trial: the simulator, the matcher
-	// and every estimator below share the same symbolized pool objects, so
-	// the ID fast paths apply end-to-end and each epoch's pool is generated
-	// exactly once instead of once per estimator (and, when the panel
-	// driver supplies p.pools, once per trial instead of once per point).
-	pools := p.pools
-	if pools == nil {
-		tab := symtab.Get()
-		defer tab.Release()
-		pools = dga.NewPoolCache(p.spec.Pool, p.seed, tab)
-	}
-
-	simStage := p.stages.Start("fig6:simulate")
-	net := dnssim.NewNetwork(dnssim.NetworkConfig{
-		LocalServers: 1,
-		PositiveTTL:  sim.Day,
-		NegativeTTL:  p.negTTL,
-		Granularity:  p.granularity,
-	})
-	runner, err := botnet.NewRunner(botnet.Config{
-		Spec:          p.spec,
-		Seed:          p.seed,
-		Activation:    sim.ActivationModel{Sigma: p.sigma},
-		BotsPerServer: map[string]int{"local-00": p.population},
-		Pools:         pools,
-	}, net)
-	if err != nil {
-		return nil, err
-	}
-	w := sim.Window{Start: 0, End: sim.Time(p.windowEpochs) * sim.Day}
-	res, err := runner.Run(w)
-	simStage.End()
-	if err != nil {
-		return nil, err
-	}
-	var truthSum float64
-	for _, n := range res.ActiveBots["local-00"] {
-		truthSum += float64(n)
-	}
-	truth := truthSum / float64(len(res.ActiveBots["local-00"]))
-
-	var detection *d3.Window
-	if p.missRate > 0 {
-		detection = &d3.Window{MissRate: p.missRate, Seed: p.seed ^ 0xd3}
-	}
-	observed := net.Border.Observed()
-	net.ReleaseCaches()
-	estStage := p.stages.Start("fig6:estimate")
-	defer estStage.End()
-	// MT rides the first model-specific estimator's Analyze through the
-	// SecondOpinion path instead of re-matching and re-grouping the trial's
-	// records in a dedicated run: SecondOpinion evaluates MT per epoch over
-	// the same windowed records in the same order, so its series is
-	// byte-identical to a standalone MT Analyze. When MT is the model's only
-	// estimator (AS/AP), it runs as the primary as before.
-	var primaries []estimators.Estimator
-	var timingEst estimators.Estimator
-	for _, est := range ests {
-		if est.Name() == "MT" && timingEst == nil {
-			timingEst = est
-			continue
-		}
-		primaries = append(primaries, est)
-	}
-	wantTiming := timingEst != nil
-	if len(primaries) == 0 && wantTiming {
-		primaries = []estimators.Estimator{timingEst}
-		wantTiming = false
-	}
-	out := make(map[string]float64, len(ests))
-	for i, est := range primaries {
-		second := wantTiming && i == 0
-		bm, err := core.New(core.Config{
-			Family:        p.spec,
-			Seed:          p.seed,
-			Pools:         pools,
-			NegativeTTL:   p.negTTL,
-			Granularity:   p.granularity,
-			Estimator:     est,
-			Detection:     detection,
-			SecondOpinion: second,
-			Stages:        p.stages,
-		})
+	var out []SweepPoint
+	for _, model := range models {
+		spec, err := modelSpec(model, cfg.Scale)
 		if err != nil {
 			return nil, err
 		}
-		land, err := bm.Analyze(observed, w)
-		if err != nil {
-			return nil, err
-		}
-		out[est.Name()] = stats.ARE(land.Estimate("local-00"), truth)
-		if second {
-			var mt float64
-			for _, s := range land.Servers {
-				if s.Server == "local-00" {
-					mt = s.SecondOpinion
-					break
-				}
-			}
-			out["MT"] = stats.ARE(mt, truth)
-		}
-	}
-	return out, nil
-}
-
-// sweepPoint evaluates one (model, x) grid point across trials. Trials run
-// on the bounded worker pool; every per-trial seed is a function of the
-// trial index only, and the per-estimator error series are rebuilt in trial
-// order afterwards, so the rendered artifact is identical for any Workers.
-func sweepPoint(cfg Fig6Config, panel, sweep, model string, x float64, pools []*dga.PoolCache, mutate func(*trialParams)) ([]Fig6Point, error) {
-	spec, err := modelSpec(model, cfg.Scale)
-	if err != nil {
-		return nil, err
-	}
-	ests := estimatorsFor(model, panel)
-	trials, err := runTrials(cfg.Workers, cfg.Obs, "fig6"+panel, cfg.Trials, func(trial int) (map[string]float64, error) {
-		p := defaultTrialParams(spec, cfg.Population, trialSeed(cfg, panel, model, trial))
-		p.stages = cfg.Stages
-		if pools != nil {
-			p.pools = pools[trial]
-		}
-		mutate(&p)
-		res, err := runTrial(p, ests)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: fig6%s %s trial %d: %w", panel, model, trial, err)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	errsByEst := make(map[string][]float64, len(ests))
-	for _, est := range ests {
-		errsByEst[est.Name()] = make([]float64, 0, cfg.Trials)
-	}
-	for _, res := range trials {
-		for name, are := range res {
-			errsByEst[name] = append(errsByEst[name], are)
-		}
-	}
-	points := make([]Fig6Point, 0, len(ests))
-	for _, est := range ests {
-		points = append(points, Fig6Point{
-			Panel:     panel,
-			Sweep:     sweep,
-			Model:     model,
-			Estimator: est.Name(),
-			X:         x,
-			ARE:       stats.ComputeQuartiles(errsByEst[est.Name()]),
-			Trials:    cfg.Trials,
-		})
-	}
-	return points, nil
-}
-
-// trialSeed derives the per-trial seed. It depends on the trial index (and
-// the grid cell's panel+model) but NOT on the swept x — the property that
-// lets one trial's pool cache serve every sweep point.
-func trialSeed(cfg Fig6Config, panel, model string, trial int) uint64 {
-	return cfg.Seed ^ (uint64(trial)+1)*0x9e3779b97f4a7c15 ^ hash64(panel+model)
-}
-
-func runPanel(cfg Fig6Config, panel, sweep string, xs []float64, mutate func(*trialParams, float64)) ([]Fig6Point, error) {
-	cfg = cfg.withDefaults()
-	var out []Fig6Point
-	for _, model := range cfg.Models {
-		pts, err := runPanelModel(cfg, panel, sweep, model, xs, mutate)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pts...)
-	}
-	return out, nil
-}
-
-// runPanelModel evaluates one model's row of a panel. It builds one
-// symbolized pool cache per trial up front and shares it across the sweep:
-// pool generation is a function of (pool model, seed, epoch) only, and the
-// per-trial seed is x-independent, so every grid point of a trial would
-// regenerate byte-identical pools — at Table I scale that regeneration was
-// ~10% of a panel's wall time. Intern-table IDs now accumulate across sweep
-// points instead of restarting per point, which changes no artifact: IDs are
-// an in-memory fast-path hint, never serialized, and every estimate keys on
-// pool positions or domain strings.
-func runPanelModel(cfg Fig6Config, panel, sweep, model string, xs []float64, mutate func(*trialParams, float64)) ([]Fig6Point, error) {
-	spec, err := modelSpec(model, cfg.Scale)
-	if err != nil {
-		return nil, err
-	}
-	tabs := make([]*symtab.Table, cfg.Trials)
-	pools := make([]*dga.PoolCache, cfg.Trials)
-	for t := range pools {
-		tabs[t] = symtab.Get()
-		pools[t] = dga.NewPoolCache(spec.Pool, trialSeed(cfg, panel, model, t), tabs[t])
-	}
-	defer func() {
-		for _, tab := range tabs {
-			tab.Release()
-		}
-	}()
-	var out []Fig6Point
-	for _, x := range xs {
-		pts, err := sweepPoint(cfg, panel, sweep, model, x, pools, func(p *trialParams) { mutate(p, x) })
+		pts, err := row{
+			cfg: cfg, artifact: "fig6", seedLabel: panel + model,
+			point: SweepPoint{Panel: panel, Sweep: sweep, Model: model},
+			spec:  spec, ests: estimatorsFor(model, panel),
+		}.sweep(xs, func(p *trialParams, i, _ int) { mutate(p, xs[i]) })
 		if err != nil {
 			return nil, err
 		}
@@ -408,44 +129,44 @@ func runPanelModel(cfg Fig6Config, panel, sweep, model string, xs []float64, mut
 }
 
 // Figure6a sweeps the bot population N ∈ {16, 32, 64, 128, 256}.
-func Figure6a(cfg Fig6Config) ([]Fig6Point, error) {
+func Figure6a(cfg SweepConfig) ([]SweepPoint, error) {
 	return runPanel(cfg, "a", "DGA-bot population (N)",
 		[]float64{16, 32, 64, 128, 256},
 		func(p *trialParams, x float64) { p.population = int(x) })
 }
 
 // Figure6b sweeps the observation window length ∈ {1, 2, 4, 8, 16} epochs.
-func Figure6b(cfg Fig6Config) ([]Fig6Point, error) {
+func Figure6b(cfg SweepConfig) ([]SweepPoint, error) {
 	return runPanel(cfg, "b", "Length of observation window (# epoch)",
 		[]float64{1, 2, 4, 8, 16},
 		func(p *trialParams, x float64) { p.windowEpochs = int(x) })
 }
 
 // Figure6c sweeps the negative cache TTL ∈ {20, 40, 80, 160, 320} minutes.
-func Figure6c(cfg Fig6Config) ([]Fig6Point, error) {
+func Figure6c(cfg SweepConfig) ([]SweepPoint, error) {
 	return runPanel(cfg, "c", "Negative cache TTL (min)",
 		[]float64{20, 40, 80, 160, 320},
 		func(p *trialParams, x float64) { p.negTTL = sim.Time(x) * sim.Minute })
 }
 
 // Figure6d sweeps the activation-rate dynamics σ ∈ {0.5 … 2.5}.
-func Figure6d(cfg Fig6Config) ([]Fig6Point, error) {
+func Figure6d(cfg SweepConfig) ([]SweepPoint, error) {
 	return runPanel(cfg, "d", "Dynamics of bot activation rate (σ)",
 		[]float64{0.5, 1, 1.5, 2, 2.5},
 		func(p *trialParams, x float64) { p.sigma = x })
 }
 
 // Figure6e sweeps the D³ miss rate ∈ {10 … 50}%.
-func Figure6e(cfg Fig6Config) ([]Fig6Point, error) {
+func Figure6e(cfg SweepConfig) ([]SweepPoint, error) {
 	return runPanel(cfg, "e", "Missing rate of D3 algorithm (%)",
 		[]float64{10, 20, 30, 40, 50},
 		func(p *trialParams, x float64) { p.missRate = x / 100 })
 }
 
 // Figure6 runs all five panels.
-func Figure6(cfg Fig6Config) ([]Fig6Point, error) {
-	var out []Fig6Point
-	for _, f := range []func(Fig6Config) ([]Fig6Point, error){
+func Figure6(cfg SweepConfig) ([]SweepPoint, error) {
+	var out []SweepPoint
+	for _, f := range []func(SweepConfig) ([]SweepPoint, error){
 		Figure6a, Figure6b, Figure6c, Figure6d, Figure6e,
 	} {
 		pts, err := f(cfg)
@@ -455,17 +176,4 @@ func Figure6(cfg Fig6Config) ([]Fig6Point, error) {
 		out = append(out, pts...)
 	}
 	return out, nil
-}
-
-func hash64(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
 }

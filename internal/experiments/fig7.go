@@ -10,6 +10,7 @@ import (
 	"botmeter/internal/obs"
 	"botmeter/internal/sim"
 	"botmeter/internal/stats"
+	"botmeter/internal/trace"
 )
 
 // Fig7Config tunes the enterprise-trace evaluation (Figure 7 + Table II).
@@ -108,64 +109,19 @@ func Figure7(cfg Fig7Config) ([]Fig7Series, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig7: %w", err)
 	}
-	// The trace carries each family's symbolized pool cache; per-day
-	// analysis below reuses it so matched records resolve by domain ID and
-	// no day regenerates pools. The intern table is recycled once every
-	// series is built.
-	defer tr.Close()
-
-	// The trace leaves Generate time-sorted, so per-day windows are sliced
-	// with the binary-search fast path — the full-trace sortedness scan
-	// inside Window ran once per (family, estimator, day) before, which at a
-	// season-long horizon dominated the analysis loop.
-	observed := tr.Observed
-	if !observed.IsSorted() {
-		observed.Sort()
-	}
+	days := openDaily(tr, "fig7", cfg.Workers, cfg.Obs, cfg.Stages)
+	defer days.close()
 
 	var series []Fig7Series
 	for _, inf := range infections {
-		inf := inf
-		primaryName := estimators.ForModel(inf.Spec).Name()
-		// Each day is analysed on its own BotMeter instance so the per-day
-		// loop can fan out across the worker pool without sharing lazily
-		// built matcher state; every day maps to a distinct epoch, so no
-		// cross-day matcher reuse is lost. One Analyze per day produces BOTH
-		// of the family's series: the model-specific estimator as primary
-		// and MT through the SecondOpinion path — matching and grouping the
-		// day's records once instead of once per estimator. SecondOpinion
-		// evaluates MT per epoch over the same windowed records in the same
-		// order, so the MT series is byte-identical to a dedicated MT run.
-		type dayEstimates struct{ Primary, Timing float64 }
+		// One Analyze per day produces BOTH of the family's series: the
+		// model-specific estimator as primary and MT through the
+		// SecondOpinion path — matching and grouping the day's records once
+		// instead of once per estimator. SecondOpinion evaluates MT per
+		// epoch over the same windowed records in the same order, so the MT
+		// series is byte-identical to a dedicated MT run.
 		famStage := cfg.Stages.Start("fig7:analyze:" + inf.Spec.Name)
-		estimates, err := runTrials(cfg.Workers, cfg.Obs, "fig7", tr.Days, func(day int) (dayEstimates, error) {
-			bm, err := core.New(core.Config{
-				Family:        inf.Spec,
-				Seed:          inf.Seed,
-				Pools:         tr.Pools[inf.Spec.Name],
-				Granularity:   sim.Second,
-				Estimator:     estimators.ForModel(inf.Spec),
-				SecondOpinion: true,
-				Stages:        cfg.Stages,
-			})
-			if err != nil {
-				return dayEstimates{}, err
-			}
-			w := sim.Window{Start: sim.Time(day) * sim.Day, End: sim.Time(day+1) * sim.Day}
-			land, err := bm.Analyze(observed.WindowSorted(w), w)
-			if err != nil {
-				return dayEstimates{}, fmt.Errorf("experiments: fig7 %s/%s day %d: %w",
-					inf.Spec.Name, primaryName, day, err)
-			}
-			out := dayEstimates{Primary: land.Estimate(tr.LocalServer)}
-			for _, s := range land.Servers {
-				if s.Server == tr.LocalServer {
-					out.Timing = s.SecondOpinion
-					break
-				}
-			}
-			return out, nil
-		})
+		estimates, err := days.estimates(inf, nil, true)
 		famStage.End()
 		if err != nil {
 			return nil, err
@@ -173,15 +129,11 @@ func Figure7(cfg Fig7Config) ([]Fig7Series, error) {
 		primary := Fig7Series{
 			Family:    inf.Spec.Name,
 			Model:     inf.Spec.ModelName(),
-			Estimator: primaryName,
+			Estimator: estimators.ForModel(inf.Spec).Name(),
 			Truth:     tr.GroundTruth[inf.Spec.Name],
 		}
-		timing := Fig7Series{
-			Family:    inf.Spec.Name,
-			Model:     inf.Spec.ModelName(),
-			Estimator: "MT",
-			Truth:     tr.GroundTruth[inf.Spec.Name],
-		}
+		timing := primary
+		timing.Estimator = "MT"
 		for _, est := range estimates {
 			primary.Estimates = append(primary.Estimates, est.Primary)
 			timing.Estimates = append(timing.Estimates, est.Timing)
@@ -189,6 +141,75 @@ func Figure7(cfg Fig7Config) ([]Fig7Series, error) {
 		series = append(series, primary, timing)
 	}
 	return series, nil
+}
+
+// dailyTrace is an enterprise trace opened for the one per-day analysis
+// loop Figure 7 and the re-activation experiment share.
+type dailyTrace struct {
+	tr *enterprise.Trace
+	// observed is the trace time-sorted once, so per-day windows are sliced
+	// with the binary-search fast path — the full-trace sortedness scan
+	// inside Window ran once per (family, estimator, day) before, which at a
+	// season-long horizon dominated the analysis loop.
+	observed trace.Observed
+	artifact string
+	workers  int
+	reg      *obs.Registry
+	stages   *obs.StageSet
+}
+
+func openDaily(tr *enterprise.Trace, artifact string, workers int, reg *obs.Registry, stages *obs.StageSet) *dailyTrace {
+	observed := tr.Observed
+	if !observed.IsSorted() {
+		observed.Sort()
+	}
+	return &dailyTrace{tr: tr, observed: observed, artifact: artifact, workers: workers, reg: reg, stages: stages}
+}
+
+// close recycles the trace's intern table, once every series is built.
+func (d *dailyTrace) close() { d.tr.Close() }
+
+// dayEstimates is one day's population behind the trace's local server:
+// the given estimator's figure and, when asked for, MT's second opinion.
+type dayEstimates struct{ Primary, Timing float64 }
+
+// estimates analyses one infection day by day with est, or with the
+// taxonomy's choice for the family when est is nil. The days fan out across
+// the worker pool, each on its own BotMeter instance so no lazily built
+// matcher state is shared; every day maps to a distinct epoch, so no
+// cross-day matcher reuse is lost, and a daily estimate is a pure function
+// of the trace and the day index, so any worker count yields identical
+// series. The trace carries each family's symbolized pool cache: matched
+// records resolve by domain ID and no day regenerates pools.
+func (d *dailyTrace) estimates(inf enterprise.Infection, est estimators.Estimator, secondOpinion bool) ([]dayEstimates, error) {
+	return runTrials(d.workers, d.reg, d.artifact, d.tr.Days, func(day int) (dayEstimates, error) {
+		bm, err := core.New(core.Config{
+			Family:        inf.Spec,
+			Seed:          inf.Seed,
+			Pools:         d.tr.Pools[inf.Spec.Name],
+			Granularity:   sim.Second,
+			Estimator:     est,
+			SecondOpinion: secondOpinion,
+			Stages:        d.stages,
+		})
+		if err != nil {
+			return dayEstimates{}, err
+		}
+		w := sim.Window{Start: sim.Time(day) * sim.Day, End: sim.Time(day+1) * sim.Day}
+		land, err := bm.Analyze(d.observed.WindowSorted(w), w)
+		if err != nil {
+			return dayEstimates{}, fmt.Errorf("experiments: %s %s/%s day %d: %w",
+				d.artifact, inf.Spec.Name, bm.EstimatorName(), day, err)
+		}
+		out := dayEstimates{Primary: land.Estimate(d.tr.LocalServer)}
+		for _, s := range land.Servers {
+			if s.Server == d.tr.LocalServer {
+				out.Timing = s.SecondOpinion
+				break
+			}
+		}
+		return out, nil
+	})
 }
 
 // TableIIRow summarises one (family, estimator) pair as mean ± std ARE —

@@ -4,64 +4,22 @@ import (
 	"fmt"
 	"strings"
 
-	"botmeter/internal/botnet"
-	"botmeter/internal/core"
-	"botmeter/internal/dga"
-	"botmeter/internal/dnssim"
 	"botmeter/internal/estimators"
-	"botmeter/internal/obs"
 	"botmeter/internal/sim"
-	"botmeter/internal/stats"
 	"botmeter/internal/trace"
 )
 
-// MissingObsConfig tunes the missing-observations robustness experiment —
+// MissingObservations is the missing-observations robustness experiment —
 // the abstract's "resilient against noisy and missing observations" claim
 // along the axis Figure 6 does NOT sweep: records lost at the vantage
 // point itself (collector drops, log rotation, packet loss on the tap)
-// rather than domains missed by D³.
-type MissingObsConfig struct {
-	// Trials per point (default 5).
-	Trials int
-	// Population per trial (default 64).
-	Population int
-	// Seed drives the runs.
-	Seed uint64
-	// Scale shrinks pools (1 = Table I).
-	Scale float64
-	// Workers bounds trial-level parallelism (0 = one worker per CPU,
-	// 1 = sequential); results are identical for any value.
-	Workers int
-	// Obs, when non-nil, exports the parallel-engine metrics.
-	Obs *obs.Registry
-}
-
-func (c MissingObsConfig) withDefaults() MissingObsConfig {
-	if c.Trials <= 0 {
-		c.Trials = 5
-	}
-	if c.Population <= 0 {
-		c.Population = 64
-	}
-	if c.Scale <= 0 {
-		c.Scale = 1
-	}
-	return c
-}
-
-// MissingObsPoint is one (model, estimator, drop-rate) cell.
-type MissingObsPoint struct {
-	Model     string
-	Estimator string
-	DropRate  float64
-	ARE       stats.Quartiles
-}
-
-// MissingObservations sweeps uniform record loss ∈ {0, 10 … 50}% on AU
-// (MT, MP) and AR (MT, MB).
-func MissingObservations(cfg MissingObsConfig) ([]MissingObsPoint, error) {
-	cfg = cfg.withDefaults()
-	var out []MissingObsPoint
+// rather than domains missed by D³. It sweeps uniform record loss
+// ∈ {0, 10 … 50}% on AU (MT, MP) and AR (MT, MB and two gap-tolerant MBs);
+// a point's X is the drop rate.
+func MissingObservations(cfg SweepConfig) ([]SweepPoint, error) {
+	cfg = cfg.withDefaults(5, 64)
+	drops := []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}
+	var out []SweepPoint
 	for _, model := range []string{"AU", "AR"} {
 		spec, err := modelSpec(model, cfg.Scale)
 		if err != nil {
@@ -75,108 +33,46 @@ func MissingObservations(cfg MissingObsConfig) ([]MissingObsPoint, error) {
 			adaptive.AdaptiveGapTolerance = true
 			ests = append(ests, tolerant, adaptive)
 		}
-		for _, drop := range []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5} {
-			trials, err := runTrials(cfg.Workers, cfg.Obs, "missing", cfg.Trials, func(trial int) (map[string]float64, error) {
-				seed := cfg.Seed ^ hash64(model) ^ (uint64(trial)+1)*0x9e3779b97f4a7c15
-				res, err := missingObsTrial(spec, ests, cfg.Population, drop, seed)
-				if err != nil {
-					return nil, fmt.Errorf("experiments: missing-obs %s drop %v trial %d: %w", model, drop, trial, err)
-				}
-				return res, nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			errsByEst := make(map[string][]float64, len(ests))
-			for _, est := range ests {
-				errsByEst[est.Name()] = make([]float64, 0, cfg.Trials)
-			}
-			for _, res := range trials {
-				for name, are := range res {
-					errsByEst[name] = append(errsByEst[name], are)
-				}
-			}
-			for _, est := range ests {
-				out = append(out, MissingObsPoint{
-					Model:     model,
-					Estimator: est.Name(),
-					DropRate:  drop,
-					ARE:       stats.ComputeQuartiles(errsByEst[est.Name()]),
-				})
-			}
+		pts, err := row{
+			cfg: cfg, artifact: "missing", seedLabel: model,
+			point: SweepPoint{Model: model}, spec: spec, ests: ests,
+		}.sweep(drops, func(p *trialParams, i, _ int) { dropRecords(p, drops[i]) })
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, pts...)
 	}
 	return out, nil
 }
 
-func missingObsTrial(spec dga.Spec, ests []estimators.Estimator, population int, drop float64, seed uint64) (map[string]float64, error) {
-	net := dnssim.NewNetwork(dnssim.NetworkConfig{
-		LocalServers: 1,
-		PositiveTTL:  sim.Day,
-		NegativeTTL:  2 * sim.Hour,
-		Granularity:  100 * sim.Millisecond,
-	})
-	runner, err := botnet.NewRunner(botnet.Config{
-		Spec:          spec,
-		Seed:          seed,
-		BotsPerServer: map[string]int{"local-00": population},
-	}, net)
-	if err != nil {
-		return nil, err
-	}
-	w := sim.Window{Start: 0, End: sim.Day}
-	res, err := runner.Run(w)
-	if err != nil {
-		return nil, err
-	}
-	truth := float64(res.ActiveBots["local-00"][0])
-
-	obs := dropRecords(net.Border.Observed(), drop, seed^0xbad)
-	net.ReleaseCaches()
-	out := make(map[string]float64, len(ests))
-	for _, est := range ests {
-		bm, err := core.New(core.Config{
-			Family:      spec,
-			Seed:        seed,
-			Granularity: 100 * sim.Millisecond,
-			Estimator:   est,
-		})
-		if err != nil {
-			return nil, err
-		}
-		land, err := bm.Analyze(obs, w)
-		if err != nil {
-			return nil, err
-		}
-		out[est.Name()] = stats.ARE(land.Estimate("local-00"), truth)
-	}
-	return out, nil
-}
-
-// dropRecords removes each record independently with probability rate.
-func dropRecords(obs trace.Observed, rate float64, seed uint64) trace.Observed {
+// dropRecords makes the trial lose each border record independently with
+// probability rate before the trace is analysed.
+func dropRecords(p *trialParams, rate float64) {
 	if rate <= 0 {
-		return obs
+		return
 	}
-	rng := sim.NewRNG(seed)
-	kept := make(trace.Observed, 0, len(obs))
-	for _, rec := range obs {
-		if rng.Float64() < rate {
-			continue
+	seed := p.seed ^ 0xbad
+	p.observed = func(obs trace.Observed) trace.Observed {
+		rng := sim.NewRNG(seed)
+		kept := make(trace.Observed, 0, len(obs))
+		for _, rec := range obs {
+			if rng.Float64() < rate {
+				continue
+			}
+			kept = append(kept, rec)
 		}
-		kept = append(kept, rec)
+		return kept
 	}
-	return kept
 }
 
 // RenderMissingObs prints the sweep.
-func RenderMissingObs(points []MissingObsPoint) string {
+func RenderMissingObs(points []SweepPoint) string {
 	var b strings.Builder
 	b.WriteString("Extension — vantage-point record loss (uniform drops of observed lookups)\n")
 	fmt.Fprintf(&b, "%-6s %-5s %8s %8s %8s %8s\n", "model", "est", "drop", "p25", "p50", "p75")
 	for _, p := range points {
 		fmt.Fprintf(&b, "%-6s %-5s %7.0f%% %8.3f %8.3f %8.3f\n",
-			p.Model, p.Estimator, p.DropRate*100, p.ARE.P25, p.ARE.P50, p.ARE.P75)
+			p.Model, p.Estimator, p.X*100, p.ARE.P25, p.ARE.P50, p.ARE.P75)
 	}
 	return b.String()
 }

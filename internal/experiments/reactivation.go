@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"botmeter/internal/core"
 	"botmeter/internal/dga"
 	"botmeter/internal/enterprise"
 	"botmeter/internal/estimators"
@@ -32,9 +31,8 @@ type ReactivationConfig struct {
 	MeanActive float64
 	// Backoff is the retry interval (default 3 h).
 	Backoff sim.Time
-	// Workers bounds the parallelism across estimator configurations
-	// (0 = one worker per CPU, 1 = sequential); rows are returned in the
-	// fixed case order regardless.
+	// Workers bounds the per-day analysis parallelism (0 = one worker per
+	// CPU, 1 = sequential); the rows are identical for any value.
 	Workers int
 	// Obs, when non-nil, exports the parallel-engine metrics.
 	Obs *obs.Registry
@@ -99,42 +97,31 @@ func Reactivation(cfg ReactivationConfig) ([]ReactivationRow, error) {
 		{wholeEpoch, "whole-epoch distinct set (paper's MB)"},
 		{estimators.NewTiming(), "Algorithm 1"},
 	}
-	// The three configurations are independent analyses of the same
-	// immutable trace: fan them out on the worker pool, rows stay in case
-	// order.
-	return runTrials(cfg.Workers, cfg.Obs, "reactivation", len(cases), func(ci int) (ReactivationRow, error) {
-		tc := cases[ci]
-		bm, err := core.New(core.Config{
-			Family:      inf.Spec,
-			Seed:        inf.Seed,
-			Granularity: sim.Second,
-			Estimator:   tc.est,
-		})
+	days := openDaily(tr, "reactivation", cfg.Workers, cfg.Obs, nil)
+	defer days.close()
+	rows := make([]ReactivationRow, 0, len(cases))
+	for _, tc := range cases {
+		estimates, err := days.estimates(inf, tc.est, false)
 		if err != nil {
-			return ReactivationRow{}, err
+			return nil, err
 		}
 		var errs, biases []float64
-		for day := 0; day < tr.Days; day++ {
-			truth := tr.GroundTruth[inf.Spec.Name][day]
+		for day, truth := range tr.GroundTruth[inf.Spec.Name] {
 			if truth == 0 {
 				continue
 			}
-			w := sim.Window{Start: sim.Time(day) * sim.Day, End: sim.Time(day+1) * sim.Day}
-			land, err := bm.Analyze(tr.Observed.Window(w), w)
-			if err != nil {
-				return ReactivationRow{}, err
-			}
-			got := land.Estimate(tr.LocalServer)
+			got := estimates[day].Primary
 			errs = append(errs, stats.ARE(got, float64(truth)))
 			biases = append(biases, (got-float64(truth))/float64(truth))
 		}
-		return ReactivationRow{
+		rows = append(rows, ReactivationRow{
 			Estimator: tc.est.Name(),
 			Mode:      tc.mode,
 			Summary:   stats.Summarize(errs),
 			MeanBias:  stats.Mean(biases),
-		}, nil
-	})
+		})
+	}
+	return rows, nil
 }
 
 // RenderReactivation prints the extension experiment's table.

@@ -1,0 +1,339 @@
+package experiments
+
+import (
+	"fmt"
+
+	"botmeter/internal/botnet"
+	"botmeter/internal/core"
+	"botmeter/internal/d3"
+	"botmeter/internal/dga"
+	"botmeter/internal/dnssim"
+	"botmeter/internal/estimators"
+	"botmeter/internal/obs"
+	"botmeter/internal/sim"
+	"botmeter/internal/stats"
+	"botmeter/internal/symtab"
+	"botmeter/internal/trace"
+)
+
+// SweepConfig tunes a synthetic artifact. The five Figure 6 panels, the
+// missing-observations and chaos sweeps and the taxonomy grid run the same
+// trial (runTrial) under the same driver (row) and take this one struct.
+type SweepConfig struct {
+	// Trials is the number of independent runs per point (default 10 for
+	// Figure 6, 5 for the extension artifacts).
+	Trials int
+	// Population is the bot count N where the artifact does not sweep it
+	// (default 64; 32 on the taxonomy grid).
+	Population int
+	// Seed derives all per-trial seeds.
+	Seed uint64
+	// Scale shrinks DGA pool sizes and barrel sizes for quick runs
+	// (1 = the paper's Table I parameters; tests use ≈0.1). The taxonomy
+	// grid fixes its own specs and ignores it.
+	Scale float64
+	// Models restricts Figure 6's DGA models (nil = AU, AS, AR, AP). The
+	// extension artifacts fix their own.
+	Models []string
+	// Workers bounds the trial-level parallelism: trials of one grid point
+	// run concurrently on a bounded worker pool (0 = one worker per CPU,
+	// 1 = sequential). Per-trial seeds are derived from the trial index
+	// alone, and aggregation is canonical (trial order), so any worker
+	// count renders byte-identical artifacts.
+	Workers int
+	// Stages, when non-nil, accumulates per-stage wall/alloc timings
+	// (simulate vs estimate) for `benchgen -timings`.
+	Stages *obs.StageSet
+	// Obs, when non-nil, exports experiments_parallel_workers,
+	// experiments_trials_total and per-trial latency histograms.
+	Obs *obs.Registry
+}
+
+// Fig6Config is the name the repository benchmark builds against.
+type Fig6Config = SweepConfig
+
+// withDefaults fills Trials and Population with the calling artifact's
+// defaults.
+func (c SweepConfig) withDefaults(trials, population int) SweepConfig {
+	if c.Trials <= 0 {
+		c.Trials = trials
+	}
+	if c.Population <= 0 {
+		c.Population = population
+	}
+	if c.Scale <= 0 {
+		c.Scale = 1
+	}
+	return c
+}
+
+// SweepPoint is one cell of a sweep: the ARE quartiles of one estimator on
+// one DGA model at one axis value.
+type SweepPoint struct {
+	Panel     string // Figure 6 only: "a".."e"
+	Sweep     string // Figure 6 only: human-readable axis label
+	Model     string // AU/AS/AR/AP
+	Estimator string
+	X         float64
+	ARE       stats.Quartiles
+	Trials    int
+}
+
+// Fig6Point is the name the repository benchmark builds against.
+type Fig6Point = SweepPoint
+
+// trialParams is the full parameter set for one synthetic run.
+type trialParams struct {
+	spec         dga.Spec
+	population   int
+	windowEpochs int
+	negTTL       sim.Time
+	sigma        float64
+	missRate     float64
+	granularity  sim.Time
+	seed         uint64
+	// stage prefixes the trial's two stage names ("fig6:simulate",
+	// "chaos:estimate").
+	stage  string
+	stages *obs.StageSet
+	// pools, when non-nil, is the shared symbolized pool cache for this
+	// (row, trial) — sweep points of one trial draw identical pools (the
+	// per-trial seed does not depend on the swept x), so the sweep generates
+	// them once per trial instead of once per grid point. Nil makes
+	// runTrial own a private cache.
+	pools *dga.PoolCache
+	// network, when non-nil, edits the hierarchy's configuration before the
+	// network is built (the chaos sweep's faulty link and hardening).
+	network func(*dnssim.NetworkConfig)
+	// observed, when non-nil, edits the border trace before it is analysed
+	// (record loss at the vantage point).
+	observed func(trace.Observed) trace.Observed
+}
+
+func defaultTrialParams(spec dga.Spec, population int, seed uint64) trialParams {
+	return trialParams{
+		spec:         spec,
+		population:   population,
+		windowEpochs: 1,
+		negTTL:       2 * sim.Hour,
+		granularity:  100 * sim.Millisecond,
+		seed:         seed,
+	}
+}
+
+// runTrial is the one synthetic trial: it simulates a bot population behind
+// one local server, analyses the border trace with every estimator and
+// returns each estimator's ARE against the realised ground truth.
+func runTrial(p trialParams, ests []estimators.Estimator) (map[string]float64, error) {
+	// One intern table + pool cache per trial: the simulator, the matcher
+	// and every estimator below share the same symbolized pool objects, so
+	// records resolve by ID end-to-end and each epoch's pool is generated
+	// exactly once instead of once per estimator (and, when the sweep
+	// supplies p.pools, once per trial instead of once per point).
+	pools := p.pools
+	if pools == nil {
+		tab := symtab.Get()
+		defer tab.Release()
+		pools = dga.NewPoolCache(p.spec.Pool, p.seed, tab)
+	}
+
+	simStage := p.stages.Start(p.stage + ":simulate")
+	netCfg := dnssim.NetworkConfig{
+		LocalServers: 1,
+		PositiveTTL:  sim.Day,
+		NegativeTTL:  p.negTTL,
+		Granularity:  p.granularity,
+	}
+	if p.network != nil {
+		p.network(&netCfg)
+	}
+	net := dnssim.NewNetwork(netCfg)
+	runner, err := botnet.NewRunner(botnet.Config{
+		Spec:          p.spec,
+		Seed:          p.seed,
+		Activation:    sim.ActivationModel{Sigma: p.sigma},
+		BotsPerServer: map[string]int{"local-00": p.population},
+		Pools:         pools,
+	}, net)
+	if err != nil {
+		return nil, err
+	}
+	w := sim.Window{Start: 0, End: sim.Time(p.windowEpochs) * sim.Day}
+	res, err := runner.Run(w)
+	simStage.End()
+	if err != nil {
+		return nil, err
+	}
+	var truthSum float64
+	for _, n := range res.ActiveBots["local-00"] {
+		truthSum += float64(n)
+	}
+	truth := truthSum / float64(len(res.ActiveBots["local-00"]))
+
+	var detection *d3.Window
+	if p.missRate > 0 {
+		detection = &d3.Window{MissRate: p.missRate, Seed: p.seed ^ 0xd3}
+	}
+	observed := net.Border.Observed()
+	net.ReleaseCaches()
+	if p.observed != nil {
+		observed = p.observed(observed)
+	}
+	estStage := p.stages.Start(p.stage + ":estimate")
+	defer estStage.End()
+	// MT rides the first model-specific estimator's Analyze through the
+	// SecondOpinion path instead of re-matching and re-grouping the trial's
+	// records in a dedicated run: SecondOpinion evaluates MT per epoch over
+	// the same windowed records in the same order, so its series is
+	// byte-identical to a standalone MT Analyze
+	// (TestSharedTrialEquivalences). When MT is the only estimator (AS/AP,
+	// five taxonomy cells), it runs as the primary.
+	var primaries []estimators.Estimator
+	var timingEst estimators.Estimator
+	for _, est := range ests {
+		if est.Name() == "MT" && timingEst == nil {
+			timingEst = est
+			continue
+		}
+		primaries = append(primaries, est)
+	}
+	wantTiming := timingEst != nil
+	if len(primaries) == 0 && wantTiming {
+		primaries = []estimators.Estimator{timingEst}
+		wantTiming = false
+	}
+	out := make(map[string]float64, len(ests))
+	for i, est := range primaries {
+		second := wantTiming && i == 0
+		bm, err := core.New(core.Config{
+			Family:        p.spec,
+			Seed:          p.seed,
+			Pools:         pools,
+			NegativeTTL:   p.negTTL,
+			Granularity:   p.granularity,
+			Estimator:     est,
+			Detection:     detection,
+			SecondOpinion: second,
+			Stages:        p.stages,
+		})
+		if err != nil {
+			return nil, err
+		}
+		land, err := bm.Analyze(observed, w)
+		if err != nil {
+			return nil, err
+		}
+		out[est.Name()] = stats.ARE(land.Estimate("local-00"), truth)
+		if second {
+			var mt float64
+			for _, s := range land.Servers {
+				if s.Server == "local-00" {
+					mt = s.SecondOpinion
+					break
+				}
+			}
+			out["MT"] = stats.ARE(mt, truth)
+		}
+	}
+	return out, nil
+}
+
+// row is one model's row of an artifact: what every axis value of the row
+// shares. Everything else an artifact is — its axis values, its edit of the
+// trial, its renderer — stays with the artifact.
+type row struct {
+	cfg SweepConfig
+	// artifact prefixes the trial's stage names; with point.Panel it labels
+	// the trial-latency histogram.
+	artifact string
+	// seedLabel separates this row's per-trial seeds from other rows'.
+	seedLabel string
+	// point carries what every point of the row has in common.
+	point SweepPoint
+	spec  dga.Spec
+	ests  []estimators.Estimator
+}
+
+// sweep is the one sweep driver. For each axis value in xs it runs
+// cfg.Trials trials on the bounded worker pool — the row's defaults edited
+// by mutate, which is told the value's index and the trial's — and returns
+// one point per estimator, in axis order then estimator order. Every
+// per-trial seed is a function of the trial index only and the quartiles
+// are taken over the trials in trial order, so the result is identical for
+// any Workers.
+//
+// Each trial's symbolized pool cache is built once and shared across the
+// row: pool generation is a function of (pool model, seed, epoch) only and
+// the per-trial seed is x-independent, so every axis value of a trial would
+// regenerate byte-identical pools — at Table I scale that regeneration was
+// ~10% of a panel's wall time. Intern-table IDs accumulate across the row's
+// points instead of restarting per point, which changes no artifact: IDs
+// are an in-memory hint, never serialized, and every estimate keys on pool
+// positions.
+func (r row) sweep(xs []float64, mutate func(p *trialParams, point, trial int)) ([]SweepPoint, error) {
+	pools := make([]*dga.PoolCache, r.cfg.Trials)
+	for t := range pools {
+		tab := symtab.Get()
+		defer tab.Release()
+		pools[t] = dga.NewPoolCache(r.spec.Pool, trialSeed(r.cfg.Seed, r.seedLabel, t), tab)
+	}
+	out := make([]SweepPoint, 0, len(xs)*len(r.ests))
+	for i, x := range xs {
+		trials, err := runTrials(r.cfg.Workers, r.cfg.Obs, r.artifact+r.point.Panel, r.cfg.Trials, func(trial int) (map[string]float64, error) {
+			p := defaultTrialParams(r.spec, r.cfg.Population, trialSeed(r.cfg.Seed, r.seedLabel, trial))
+			p.stage, p.stages, p.pools = r.artifact, r.cfg.Stages, pools[trial]
+			mutate(&p, i, trial)
+			res, err := runTrial(p, r.ests)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %s%s %s x=%v trial %d: %w", r.artifact, r.point.Panel, r.spec.Name, x, trial, err)
+			}
+			return res, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		for j, q := range quartilesByEstimator(r.ests, trials) {
+			pt := r.point
+			pt.Estimator, pt.X, pt.ARE, pt.Trials = r.ests[j].Name(), x, q, r.cfg.Trials
+			out = append(out, pt)
+		}
+	}
+	return out, nil
+}
+
+// quartilesByEstimator turns per-trial estimator→ARE maps into one set of
+// quartiles per estimator, in estimator order, over the trials in trial
+// order.
+func quartilesByEstimator(ests []estimators.Estimator, trials []map[string]float64) []stats.Quartiles {
+	out := make([]stats.Quartiles, len(ests))
+	errs := make([]float64, len(trials))
+	for i, est := range ests {
+		for t, res := range trials {
+			errs[t] = res[est.Name()]
+		}
+		out[i] = stats.ComputeQuartiles(errs)
+	}
+	return out
+}
+
+// trialSeed derives the per-trial seed. It depends on the trial index and
+// the row's label but NOT on the swept x — the property that lets one
+// trial's pool cache serve every point of a row. The labels (Figure 6:
+// panel+model; missing: model; chaos: "chaos"+model; taxonomy: the spec's
+// name) are in every golden.
+func trialSeed(seed uint64, label string, trial int) uint64 {
+	return seed ^ (uint64(trial)+1)*0x9e3779b97f4a7c15 ^ hash64(label)
+}
+
+func hash64(s string) uint64 {
+	const (
+		offset = 14695981039346656037
+		prime  = 1099511628211
+	)
+	h := uint64(offset)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime
+	}
+	return h
+}

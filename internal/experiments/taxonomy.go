@@ -4,40 +4,11 @@ import (
 	"fmt"
 	"strings"
 
-	"botmeter/internal/botnet"
-	"botmeter/internal/core"
 	"botmeter/internal/dga"
-	"botmeter/internal/dnssim"
 	"botmeter/internal/estimators"
-	"botmeter/internal/obs"
 	"botmeter/internal/sim"
 	"botmeter/internal/stats"
 )
-
-// TaxonomyGridConfig tunes the full-grid experiment.
-type TaxonomyGridConfig struct {
-	// Trials per cell (default 5).
-	Trials int
-	// Population per trial (default 32).
-	Population int
-	// Seed drives the runs.
-	Seed uint64
-	// Workers bounds trial-level parallelism (0 = one worker per CPU,
-	// 1 = sequential); results are identical for any value.
-	Workers int
-	// Obs, when non-nil, exports the parallel-engine metrics.
-	Obs *obs.Registry
-}
-
-func (c TaxonomyGridConfig) withDefaults() TaxonomyGridConfig {
-	if c.Trials <= 0 {
-		c.Trials = 5
-	}
-	if c.Population <= 0 {
-		c.Population = 32
-	}
-	return c
-}
 
 // TaxonomyCell is one pool×barrel combination's result.
 type TaxonomyCell struct {
@@ -105,75 +76,32 @@ func gridSpec(pool dga.PoolClass, barrel dga.BarrelClass) (dga.Spec, string) {
 
 // TaxonomyGrid runs every pool×barrel combination through the simulator
 // and its taxonomy-selected estimator — executing the paper's Figure 3 as
-// code, "?" cells included.
-func TaxonomyGrid(cfg TaxonomyGridConfig) ([]TaxonomyCell, error) {
-	cfg = cfg.withDefaults()
+// code, "?" cells included. Each cell is a row of one point.
+func TaxonomyGrid(cfg SweepConfig) ([]TaxonomyCell, error) {
+	cfg = cfg.withDefaults(5, 32)
 	pools := []dga.PoolClass{dga.DrainReplenishPool, dga.SlidingWindowPool, dga.MultipleMixturePool}
 	barrels := []dga.BarrelClass{dga.UniformBarrel, dga.SamplingBarrel, dga.RandomCutBarrel, dga.PermutationBarrel}
 	var cells []TaxonomyCell
 	for _, p := range pools {
 		for _, b := range barrels {
 			spec, wildName := gridSpec(p, b)
-			est := estimators.ForModel(spec)
-			errs, err := runTrials(cfg.Workers, cfg.Obs, "taxonomy", cfg.Trials, func(trial int) (float64, error) {
-				seed := cfg.Seed ^ hash64(spec.Name) ^ (uint64(trial)+1)*0x9e3779b97f4a7c15
-				are, err := taxonomyTrial(spec, est, cfg.Population, seed)
-				if err != nil {
-					return 0, fmt.Errorf("experiments: grid cell %s/%s trial %d: %w", p, b, trial, err)
-				}
-				return are, nil
-			})
+			pts, err := row{
+				cfg: cfg, artifact: "taxonomy", seedLabel: spec.Name,
+				spec: spec, ests: []estimators.Estimator{estimators.ForModel(spec)},
+			}.sweep([]float64{0}, func(*trialParams, int, int) {})
 			if err != nil {
 				return nil, err
 			}
 			cells = append(cells, TaxonomyCell{
 				Pool:      p.String(),
 				Barrel:    b.String(),
-				Estimator: est.Name(),
+				Estimator: pts[0].Estimator,
 				Wild:      wildName,
-				ARE:       stats.ComputeQuartiles(errs),
+				ARE:       pts[0].ARE,
 			})
 		}
 	}
 	return cells, nil
-}
-
-func taxonomyTrial(spec dga.Spec, est estimators.Estimator, population int, seed uint64) (float64, error) {
-	net := dnssim.NewNetwork(dnssim.NetworkConfig{
-		LocalServers: 1,
-		PositiveTTL:  sim.Day,
-		NegativeTTL:  2 * sim.Hour,
-		Granularity:  100 * sim.Millisecond,
-	})
-	runner, err := botnet.NewRunner(botnet.Config{
-		Spec:          spec,
-		Seed:          seed,
-		BotsPerServer: map[string]int{"local-00": population},
-	}, net)
-	if err != nil {
-		return 0, err
-	}
-	w := sim.Window{Start: 0, End: sim.Day}
-	res, err := runner.Run(w)
-	if err != nil {
-		return 0, err
-	}
-	observed := net.Border.Observed()
-	net.ReleaseCaches()
-	bm, err := core.New(core.Config{
-		Family:      spec,
-		Seed:        seed,
-		Granularity: 100 * sim.Millisecond,
-		Estimator:   est,
-	})
-	if err != nil {
-		return 0, err
-	}
-	land, err := bm.Analyze(observed, w)
-	if err != nil {
-		return 0, err
-	}
-	return stats.ARE(land.Estimate("local-00"), float64(res.ActiveBots["local-00"][0])), nil
 }
 
 // RenderTaxonomyGrid prints the grid.
