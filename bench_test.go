@@ -207,7 +207,7 @@ func BenchmarkAblationBernoulliExactVsMC(b *testing.B) {
 			var got float64
 			for i := 0; i < b.N; i++ {
 				var err error
-				got, err = est.EstimateEpoch(obs, 0, cfg)
+				got, err = estimators.EstimateEpoch(est, obs, 0, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -233,7 +233,7 @@ func BenchmarkAblationTTLPartition(b *testing.B) {
 			var got float64
 			for i := 0; i < b.N; i++ {
 				var err error
-				got, err = mb.EstimateEpoch(obs, 0, cfg)
+				got, err = estimators.EstimateEpoch(mb, obs, 0, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -256,7 +256,7 @@ func BenchmarkAblationGranularity(b *testing.B) {
 			var got float64
 			for i := 0; i < b.N; i++ {
 				var err error
-				got, err = mt.EstimateEpoch(coarse, 0, cfg)
+				got, err = estimators.EstimateEpoch(mt, coarse, 0, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -339,7 +339,7 @@ func BenchmarkAblationPoissonClustering(b *testing.B) {
 			var got float64
 			for i := 0; i < b.N; i++ {
 				var err error
-				got, err = est.EstimateEpoch(obs, 0, cfg)
+				got, err = estimators.EstimateEpoch(est, obs, 0, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

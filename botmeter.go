@@ -73,6 +73,12 @@ type Estimator = estimators.Estimator
 // through BotMeter instead).
 type EstimatorConfig = estimators.Config
 
+// EstimateEpoch applies an estimator to the matched lookups one local server
+// forwarded during one epoch (index into the epoch grid).
+func EstimateEpoch(e Estimator, obs Observed, epoch int, cfg EstimatorConfig) (float64, error) {
+	return estimators.EstimateEpoch(e, obs, epoch, cfg)
+}
+
 // NewTiming returns MT, the paper's Algorithm 1.
 func NewTiming() Estimator { return estimators.NewTiming() }
 

@@ -91,20 +91,10 @@ func run(args []string) error {
 	}
 
 	var est estimators.Estimator
-	switch strings.ToUpper(*estName) {
-	case "":
-	case "MT":
-		est = estimators.NewTiming()
-	case "MP":
-		est = estimators.NewPoisson()
-	case "MB":
-		est = estimators.NewBernoulli()
-	case "MB-C":
-		est = estimators.NewCoverage()
-	case "NC":
-		est = estimators.NewNaive()
-	default:
-		return fmt.Errorf("unknown estimator %q", *estName)
+	if *estName != "" {
+		if est, err = estimators.ByName(*estName); err != nil {
+			return err
+		}
 	}
 
 	var detection *d3.Window

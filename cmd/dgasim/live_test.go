@@ -109,7 +109,7 @@ func TestLiveRunEndToEnd(t *testing.T) {
 		}
 	}
 	mb := estimators.NewBernoulli()
-	got, err := mb.EstimateEpoch(obs, epoch, estimators.Config{Spec: spec, Seed: seed})
+	got, err := estimators.EstimateEpoch(mb, obs, epoch, estimators.Config{Spec: spec, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

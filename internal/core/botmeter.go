@@ -58,8 +58,9 @@ type Config struct {
 	// value yields identical landscapes.
 	Workers int
 	// Stages, when non-nil, records per-stage wall/alloc timings of every
-	// Analyze call ("match", "estimate", plus per-estimator wall times) —
-	// the source of `botmeter -verbose` and `benchgen -timings` tables.
+	// Analyze call ("match", "estimate", plus "estimate:<Name>" wall times,
+	// one observation per (server, epoch) evaluation) — the source of
+	// `botmeter -verbose` and `benchgen -timings` tables.
 	Stages *obs.StageSet
 }
 
@@ -76,7 +77,6 @@ func (c Config) withDefaults() Config {
 	if c.Estimator == nil {
 		c.Estimator = estimators.ForModel(c.Family)
 	}
-	c.Estimator = estimators.Instrumented(c.Estimator, c.Stages)
 	return c
 }
 
@@ -173,7 +173,7 @@ func (bm *BotMeter) Analyze(obs trace.Observed, w sim.Window) (*Landscape, error
 	}
 	cfg := bm.cfg
 	// Normalise the estimator config once: every per-(server, epoch)
-	// EstimateEpoch below then takes the fast path instead of re-running
+	// evaluation below then takes the fast path instead of re-running
 	// defaults + validation per cell.
 	estCfg, err := estimators.Config{
 		Spec:        cfg.Family,
@@ -194,18 +194,12 @@ func (bm *BotMeter) Analyze(obs trace.Observed, w sim.Window) (*Landscape, error
 	// so the last epoch's matcher is memoised locally — the common case skips
 	// EpochMatchers.For's mutex entirely.
 	matchStage := cfg.Stages.Start("match")
-	firstEpoch := int(w.Start / cfg.EpochLen)
-	lastEpoch := int((w.End - 1) / cfg.EpochLen)
 	// matched accumulates through a chunked builder: matches can be a small
 	// fraction of the window (one family's lookups inside mixed traffic),
 	// so presizing to len(obs) allocated and zeroed a window-sized array
 	// per Analyze call, while plain append-growth re-copies the prefix
-	// repeatedly when most records match. Sortedness is tracked during the
-	// same pass — it decides whether the per-epoch windowing below can
-	// binary-search instead of re-scanning.
+	// repeatedly when most records match.
 	var matchedB trace.Builder
-	matchedSorted := true
-	var lastT sim.Time
 	var lastMatcher *matcher.Attribution
 	lastMatcherEpoch := 0
 	for _, rec := range obs {
@@ -218,10 +212,6 @@ func (bm *BotMeter) Analyze(obs trace.Observed, w sim.Window) (*Landscape, error
 			lastMatcherEpoch = epoch
 		}
 		if lastMatcher.Attribute(&rec) {
-			if rec.T < lastT {
-				matchedSorted = false
-			}
-			lastT = rec.T
 			matchedB.Append(rec)
 		}
 	}
@@ -232,7 +222,6 @@ func (bm *BotMeter) Analyze(obs trace.Observed, w sim.Window) (*Landscape, error
 	// are estimated concurrently with a bounded worker pool; the pool size
 	// follows GOMAXPROCS and each worker owns its loop state (the shared
 	// estimator instances synchronise their internal caches themselves).
-	timing := estimators.Instrumented(estimators.NewTiming(), cfg.Stages)
 	land := &Landscape{
 		Family:         cfg.Family.Name,
 		Model:          cfg.Family.ModelName(),
@@ -250,7 +239,7 @@ func (bm *BotMeter) Analyze(obs trace.Observed, w sim.Window) (*Landscape, error
 	estStage := cfg.Stages.Start("estimate")
 	results, err := parallel.Map(context.Background(), len(servers), bm.workers(),
 		func(_ context.Context, i int) (ServerEstimate, error) {
-			est, err := bm.estimateServer(servers[i], byServer[servers[i]], w, firstEpoch, lastEpoch, matchedSorted, estCfg, timing)
+			est, err := bm.estimateServer(servers[i], byServer[servers[i]], w, estCfg)
 			if err != nil {
 				return est, fmt.Errorf("core: %s: %w", servers[i], err)
 			}
@@ -273,44 +262,24 @@ func (bm *BotMeter) Analyze(obs trace.Observed, w sim.Window) (*Landscape, error
 	return land, nil
 }
 
-// estimateServer produces one server's assessment. sorted reports whether
-// serverObs is in non-decreasing timestamp order (ByServer preserves the
-// matched scan order, so Analyze knows this from the match pass); it routes
-// the per-epoch windowing through the binary-search fast path.
-func (bm *BotMeter) estimateServer(server string, serverObs trace.Observed, w sim.Window, firstEpoch, lastEpoch int, sorted bool, estCfg estimators.Config, timing estimators.Estimator) (ServerEstimate, error) {
+// estimateServer produces one server's assessment: the same per-epoch walk
+// (estimators.EstimateWindow) for the selected model and, when enabled, for
+// the MT second opinion.
+func (bm *BotMeter) estimateServer(server string, serverObs trace.Observed, w sim.Window, estCfg estimators.Config) (ServerEstimate, error) {
 	cfg := bm.cfg
 	est := ServerEstimate{
 		Server:          server,
 		MatchedLookups:  len(serverObs),
 		DistinctDomains: serverObs.DistinctDomainCount(),
 	}
-	var total float64
-	epochs := 0
-	for ep := firstEpoch; ep <= lastEpoch; ep++ {
-		ew := sim.Window{Start: sim.Time(ep) * cfg.EpochLen, End: sim.Time(ep+1) * cfg.EpochLen}
-		var epochObs trace.Observed
-		if sorted {
-			epochObs = serverObs.WindowSorted(ew)
-		} else {
-			epochObs = serverObs.Window(ew)
-		}
-		v, err := cfg.Estimator.EstimateEpoch(epochObs, ep, estCfg)
-		if err != nil {
-			return est, fmt.Errorf("epoch %d: %w", ep, err)
-		}
-		est.PerEpoch = append(est.PerEpoch, v)
-		total += v
-		epochs++
-	}
-	if epochs > 0 {
-		est.Population = total / float64(epochs)
+	var err error
+	if est.PerEpoch, est.Population, err = estimators.EstimateWindow(cfg.Estimator, serverObs, w, estCfg, cfg.Stages); err != nil {
+		return est, err
 	}
 	if cfg.SecondOpinion {
-		v, err := estimators.EstimateWindow(timing, serverObs, w, estCfg)
-		if err != nil {
+		if _, est.SecondOpinion, err = estimators.EstimateWindow(estimators.NewTiming(), serverObs, w, estCfg, cfg.Stages); err != nil {
 			return est, fmt.Errorf("second opinion: %w", err)
 		}
-		est.SecondOpinion = v
 	}
 	return est, nil
 }

@@ -21,7 +21,7 @@ func BenchmarkTimingEstimator(b *testing.B) {
 	mt := NewTiming()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mt.EstimateEpoch(obs, 0, cfg); err != nil {
+		if _, err := EstimateEpoch(mt, obs, 0, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -33,7 +33,7 @@ func BenchmarkPoissonEstimator(b *testing.B) {
 	mp := NewPoisson()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mp.EstimateEpoch(obs, 0, cfg); err != nil {
+		if _, err := EstimateEpoch(mp, obs, 0, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -52,7 +52,7 @@ func BenchmarkBernoulliEstimator(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Fresh instance each iteration: measure uncached analysis.
 		mb := NewBernoulli()
-		if _, err := mb.EstimateEpoch(obs, 0, cfg); err != nil {
+		if _, err := EstimateEpoch(mb, obs, 0, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -68,12 +68,12 @@ func BenchmarkBernoulliEstimatorCached(b *testing.B) {
 		obs = append(obs, trace.ObservedRecord{T: sim.Time(i) * sim.Minute / 4, Pos: p})
 	}
 	mb := NewBernoulli()
-	if _, err := mb.EstimateEpoch(obs, 0, cfg); err != nil {
+	if _, err := EstimateEpoch(mb, obs, 0, cfg); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mb.EstimateEpoch(obs, 0, cfg); err != nil {
+		if _, err := EstimateEpoch(mb, obs, 0, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -91,7 +91,7 @@ func BenchmarkCoverageEstimator(b *testing.B) {
 	ce := NewCoverage()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ce.EstimateEpoch(obs, 0, cfg); err != nil {
+		if _, err := EstimateEpoch(ce, obs, 0, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

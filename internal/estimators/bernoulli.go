@@ -9,7 +9,6 @@ import (
 
 	"botmeter/internal/dga"
 	"botmeter/internal/stats"
-	"botmeter/internal/trace"
 )
 
 // Bernoulli is MB, the paper's §IV-D estimator for randomcut-barrel DGAs
@@ -146,7 +145,7 @@ func (mb *Bernoulli) Name() string {
 	return name
 }
 
-// EstimateEpoch implements Estimator.
+// estimatePairs runs the segment pipeline over the sorted pair log.
 //
 // Within an epoch, lookups are evaluated per negative-TTL sub-window and
 // the per-window expectations are summed. Activations are short (θq·δi ≪
@@ -156,35 +155,6 @@ func (mb *Bernoulli) Name() string {
 // saturation even for large populations, which keeps Theorem 1 informative
 // — summing sub-window estimates is what lets MB track populations whose
 // full-epoch footprint covers the entire pool.
-func (mb *Bernoulli) EstimateEpoch(obs trace.Observed, epoch int, cfg Config) (float64, error) {
-	if !cfg.normalized {
-		cfg = cfg.withDefaults()
-		if err := cfg.Validate(); err != nil {
-			return 0, err
-		}
-	}
-	if len(obs) == 0 {
-		return 0, nil
-	}
-	pool := cfg.Pools.For(epoch)
-	view, thetaQ := mb.viewFor(pool, epoch, cfg)
-	if view.size() == 0 {
-		return 0, nil
-	}
-
-	// Partition the epoch's records into TTL-aligned (bucket, position)
-	// pairs — the same fold the streaming path runs on ingest, so batch and
-	// stream hand the identical statistic to the kernel below.
-	fold := newPairFold(pool, epoch, cfg, !mb.DisableTTLPartition)
-	defer putPairSet(fold.ps)
-	for _, rec := range obs {
-		fold.Observe(rec)
-	}
-	return mb.estimatePairs(view, fold.ps.sorted(), thetaQ), nil
-}
-
-// estimatePairs runs the segment pipeline over the sorted pair log — the
-// shared back half of the batch and streaming paths.
 func (mb *Bernoulli) estimatePairs(view *circleView, pairs []uint64, thetaQ int) float64 {
 	gapTol := mb.GapTolerance
 	if mb.AdaptiveGapTolerance {

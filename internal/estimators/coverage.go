@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"botmeter/internal/dga"
-	"botmeter/internal/trace"
 )
 
 // Coverage is a coverage-inversion estimator over the distinct-NXD set: it
@@ -40,48 +39,9 @@ func NewCoverage() *Coverage { return &Coverage{} }
 // Name implements Estimator.
 func (*Coverage) Name() string { return "MB-C" }
 
-// EstimateEpoch implements Estimator.
-func (ce *Coverage) EstimateEpoch(obs trace.Observed, epoch int, cfg Config) (float64, error) {
-	if !cfg.normalized {
-		cfg = cfg.withDefaults()
-		if err := cfg.Validate(); err != nil {
-			return 0, err
-		}
-	}
-	if len(obs) == 0 {
-		return 0, nil
-	}
-	pool := cfg.Pools.For(epoch)
-	probs := ce.coverProbabilities(pool, cfg.Spec)
-	if len(probs) == 0 {
-		return 0, nil
-	}
-
-	// Partition the epoch into TTL-aligned buckets of distinct positions.
-	fold := newPairFold(pool, epoch, cfg, true)
-	defer putPairSet(fold.ps)
-	for _, rec := range obs {
-		fold.Observe(rec)
-	}
-	// Only the per-bucket distinct counts matter; the sorted pair log walks
-	// as contiguous bucket groups.
-	var total float64
-	pairs := fold.ps.sorted()
-	for i := 0; i < len(pairs); {
-		b := pairBucket(pairs[i])
-		j := i
-		for j < len(pairs) && pairBucket(pairs[j]) == b {
-			j++
-		}
-		total += invertCoverage(probs, float64(j-i))
-		i = j
-	}
-	return total, nil
-}
-
 // coverProbabilities returns p_x for every NXD position under the spec's
 // barrel class; nil for unsupported classes.
-func (ce *Coverage) coverProbabilities(pool *dga.Pool, spec dga.Spec) []float64 {
+func coverProbabilities(pool *dga.Pool, spec dga.Spec) []float64 {
 	switch spec.Barrel.Class() {
 	case dga.RandomCutBarrel:
 		return randomCutProbabilities(pool, spec.ThetaQ)

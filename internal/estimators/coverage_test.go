@@ -72,7 +72,7 @@ func TestCoverageRecoversSamplingPopulation(t *testing.T) {
 		for i, p := range positions {
 			obs = append(obs, trace.ObservedRecord{T: sim.Time(i), Pos: p})
 		}
-		got, err := ce.EstimateEpoch(obs, 0, cfg)
+		got, err := EstimateEpoch(ce, obs, 0, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestCoverageRecoversPermutationPopulation(t *testing.T) {
 			obs = append(obs, trace.ObservedRecord{T: sim.Time(i), Pos: p})
 			i++
 		}
-		got, err := ce.EstimateEpoch(obs, 0, cfg)
+		got, err := EstimateEpoch(ce, obs, 0, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestCoverageUnsupportedBarrel(t *testing.T) {
 	// Uniform barrels have no meaningful coverage inversion; the estimator
 	// returns 0 rather than a misleading figure.
 	cfg := defaultCfg(auSpec())
-	got, err := NewCoverage().EstimateEpoch(trace.Observed{{T: 0, Pos: 23}}, 0, cfg)
+	got, err := EstimateEpoch(NewCoverage(), trace.Observed{{T: 0, Pos: 23}}, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +154,11 @@ func TestCoverageTTLPartitionSums(t *testing.T) {
 		twoBuckets = append(twoBuckets, trace.ObservedRecord{T: 3*sim.Hour + sim.Time(i), Pos: p})
 	}
 	ce := NewCoverage()
-	a, err := ce.EstimateEpoch(oneBucket, 0, cfg)
+	a, err := EstimateEpoch(ce, oneBucket, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ce.EstimateEpoch(twoBuckets, 0, cfg)
+	b, err := EstimateEpoch(ce, twoBuckets, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,8 +73,8 @@ func TestEpochCloseWorkScalesWithChanged(t *testing.T) {
 
 // benchEpochClose measures one full streaming epoch cycle — open, ingest
 // the prepared records, close (final Estimate), release — for any
-// StreamCapable estimator.
-func benchEpochClose(b *testing.B, sc StreamCapable, cfg Config, recs trace.Observed) {
+// Estimator estimator.
+func benchEpochClose(b *testing.B, sc Estimator, cfg Config, recs trace.Observed) {
 	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()

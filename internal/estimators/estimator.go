@@ -14,9 +14,13 @@ package estimators
 
 import (
 	"fmt"
+	"strings"
+	"time"
 
 	"botmeter/internal/d3"
 	"botmeter/internal/dga"
+	"botmeter/internal/matcher"
+	"botmeter/internal/obs"
 	"botmeter/internal/sim"
 	"botmeter/internal/trace"
 )
@@ -110,36 +114,88 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Estimator estimates a bot population from one epoch of observations.
+// Estimator is one analytical population model: a name and, per (server,
+// epoch) cell, the sufficient statistic it folds that cell's lookups into.
+// Batch evaluation (EstimateEpoch) and the streaming engine's cells run the
+// same EpochStream, which is what makes their landscapes identical.
 type Estimator interface {
 	// Name returns the estimator's short name (MT, MP, MB, …).
 	Name() string
-	// EstimateEpoch estimates the active bot population behind one local
-	// server during epoch (index into the epoch grid), given the matched,
-	// cache-filtered lookups observed in that epoch.
-	EstimateEpoch(obs trace.Observed, epoch int, cfg Config) (float64, error)
+	// OpenEpoch starts the estimate of the active bot population behind one
+	// local server during epoch (index into the epoch grid).
+	OpenEpoch(epoch int, cfg Config) EpochStream
 }
 
-// EstimateWindow applies an estimator across a multi-epoch window and
-// averages the per-epoch estimates — the procedure behind the paper's
-// Figure 6(b) ("average the estimates over the number of epochs").
-func EstimateWindow(e Estimator, obs trace.Observed, w sim.Window, cfg Config) (float64, error) {
+// EpochStream is an estimator's state for one (server, epoch) cell. It holds
+// a bounded statistic of what it has observed, never the records.
+type EpochStream interface {
+	// Observe folds one matched lookup in — its time and the pool position
+	// the matcher stamped on it. Records MUST arrive in non-decreasing
+	// timestamp order (the engine's reorder buffer guarantees this).
+	Observe(rec trace.ObservedRecord)
+	// Estimate returns the estimate over everything observed so far. It
+	// is valid mid-epoch (provisional) and after the last record (final).
+	Estimate() float64
+	// ExportState snapshots the statistic for a checkpoint or a merge. The
+	// stream stays usable and shares nothing with the result. names is the
+	// epoch's matcher: what is held as pool positions leaves as names.
+	ExportState(names *matcher.Attribution) EpochState
+	// RestoreState replaces the statistic with an exported one of the
+	// stream's own kind. After an error the stream is to be discarded.
+	RestoreState(st EpochState, names *matcher.Attribution) error
+}
+
+// EstimateEpoch is the batch form of every estimator: the matched,
+// cache-filtered lookups one server forwarded during epoch, fed in time
+// order through the stream the estimator opens for that cell.
+func EstimateEpoch(e Estimator, obs trace.Observed, epoch int, cfg Config) (float64, error) {
+	if !cfg.normalized {
+		var err error
+		if cfg, err = cfg.Normalized(); err != nil {
+			return 0, err
+		}
+	}
+	if len(obs) == 0 {
+		return 0, nil
+	}
+	s := e.OpenEpoch(epoch, cfg)
+	for _, rec := range timeOrdered(obs) {
+		s.Observe(rec)
+	}
+	v := s.Estimate()
+	if r, ok := s.(Releasable); ok {
+		r.Release()
+	}
+	return v, nil
+}
+
+// EstimateWindow applies an estimator to every epoch a window touches and
+// returns the per-epoch estimates with their mean — the procedure behind the
+// paper's Figure 6(b) ("average the estimates over the number of epochs") and
+// the one per-server walk of core.Analyze. Each epoch's evaluation is filed on
+// stages as "estimate:<Name>" (nil = untimed): wall time only, because the
+// calls run concurrently across servers and a per-call allocation delta would
+// both misattribute and serialise them.
+func EstimateWindow(e Estimator, recs trace.Observed, w sim.Window, cfg Config, stages *obs.StageSet) (perEpoch []float64, mean float64, err error) {
 	// Normalise once; the flagged config short-circuits the per-epoch
-	// withDefaults/Validate inside every EstimateEpoch call below.
-	cfg, err := cfg.Normalized()
-	if err != nil {
-		return 0, err
+	// normalisation inside every EstimateEpoch call below.
+	if cfg, err = cfg.Normalized(); err != nil {
+		return nil, 0, err
 	}
 	if w.Len() <= 0 {
-		return 0, fmt.Errorf("estimators: empty window")
+		return nil, 0, fmt.Errorf("estimators: empty window")
 	}
 	firstEpoch := int(w.Start / cfg.EpochLen)
 	lastEpoch := int((w.End - 1) / cfg.EpochLen)
 	// One sortedness pass up front lets every per-epoch slice below come
-	// from the binary-search fast path instead of re-scanning obs per epoch.
-	sorted := obs.IsSorted()
+	// from the binary-search fast path instead of re-scanning recs per epoch.
+	sorted := recs.IsSorted()
+	stage := ""
+	if stages != nil {
+		stage = "estimate:" + e.Name()
+	}
+	perEpoch = make([]float64, 0, lastEpoch-firstEpoch+1)
 	var total float64
-	epochs := 0
 	for ep := firstEpoch; ep <= lastEpoch; ep++ {
 		ew := sim.Window{Start: sim.Time(ep) * cfg.EpochLen, End: sim.Time(ep+1) * cfg.EpochLen}
 		if ew.Start < w.Start {
@@ -150,21 +206,25 @@ func EstimateWindow(e Estimator, obs trace.Observed, w sim.Window, cfg Config) (
 		}
 		var epochObs trace.Observed
 		if sorted {
-			epochObs = obs.WindowSorted(ew)
+			epochObs = recs.WindowSorted(ew)
 		} else {
-			epochObs = obs.Window(ew)
+			epochObs = recs.Window(ew)
 		}
-		est, err := e.EstimateEpoch(epochObs, ep, cfg)
+		var t0 time.Time
+		if stages != nil {
+			t0 = time.Now()
+		}
+		v, err := EstimateEpoch(e, epochObs, ep, cfg)
+		if stages != nil {
+			stages.Observe(stage, time.Since(t0), 0)
+		}
 		if err != nil {
-			return 0, fmt.Errorf("estimators: epoch %d: %w", ep, err)
+			return nil, 0, fmt.Errorf("estimators: epoch %d: %w", ep, err)
 		}
-		total += est
-		epochs++
+		perEpoch = append(perEpoch, v)
+		total += v
 	}
-	if epochs == 0 {
-		return 0, nil
-	}
-	return total / float64(epochs), nil
+	return perEpoch, total / float64(len(perEpoch)), nil
 }
 
 // ForModel returns the estimator matching a DGA's taxonomy cell. The paper
@@ -185,6 +245,25 @@ func ForModel(spec dga.Spec) Estimator {
 	}
 }
 
+// ByName returns the standard construction of the estimator a report or a
+// fingerprint names, case-insensitively — the one table from names to
+// estimators (the `botmeter -estimator` values).
+func ByName(name string) (Estimator, error) {
+	switch strings.ToUpper(name) {
+	case "MT":
+		return NewTiming(), nil
+	case "MP":
+		return NewPoisson(), nil
+	case "NC":
+		return NewNaive(), nil
+	case "MB":
+		return NewBernoulli(), nil
+	case "MB-C":
+		return NewCoverage(), nil
+	}
+	return nil, fmt.Errorf("estimators: unknown estimator %q", name)
+}
+
 // Naive counts visible activation clusters without correcting for caching —
 // the uncorrected baseline MP improves upon. Its name in reports is NC.
 type Naive struct{}
@@ -194,12 +273,3 @@ func NewNaive() *Naive { return &Naive{} }
 
 // Name implements Estimator.
 func (*Naive) Name() string { return "NC" }
-
-// EstimateEpoch implements Estimator.
-func (n *Naive) EstimateEpoch(obs trace.Observed, _ int, cfg Config) (float64, error) {
-	if !cfg.normalized {
-		cfg = cfg.withDefaults()
-	}
-	cs := foldClusters(obs, cfg)
-	return float64(cs.count()), nil
-}

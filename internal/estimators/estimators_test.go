@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"botmeter/internal/dga"
+	"botmeter/internal/matcher"
 	"botmeter/internal/sim"
 	"botmeter/internal/stats"
 	"botmeter/internal/trace"
@@ -43,7 +44,7 @@ func defaultCfg(spec dga.Spec) Config {
 // --- Timing (Algorithm 1) ---
 
 func TestTimingEmpty(t *testing.T) {
-	got, err := NewTiming().EstimateEpoch(nil, 0, defaultCfg(auSpec()))
+	got, err := EstimateEpoch(NewTiming(), nil, 0, defaultCfg(auSpec()))
 	if err != nil || got != 0 {
 		t.Errorf("empty estimate = %v, %v", got, err)
 	}
@@ -62,7 +63,7 @@ func TestTimingHandComputed(t *testing.T) {
 		{T: 250, Pos: 0},
 		{T: 750, Pos: 1},
 	}
-	got, err := NewTiming().EstimateEpoch(obs, 0, cfg)
+	got, err := EstimateEpoch(NewTiming(), obs, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestTimingHeuristic1SameDomain(t *testing.T) {
 		{T: 0, Pos: 0},
 		{T: 1000, Pos: 0},
 	}
-	got, err := NewTiming().EstimateEpoch(obs, 0, cfg)
+	got, err := EstimateEpoch(NewTiming(), obs, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestTimingHeuristic2MaxDuration(t *testing.T) {
 		{T: 0, Pos: 0},
 		{T: 5000, Pos: 1}, // far beyond one activation
 	}
-	got, err := NewTiming().EstimateEpoch(obs, 0, cfg)
+	got, err := EstimateEpoch(NewTiming(), obs, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestTimingSkipsModuloWhenGranularityCoarse(t *testing.T) {
 		{T: 1000, Pos: 1}, // would be out of phase at 500 ms... but
 		// timestamps are second-truncated, so phase carries no signal.
 	}
-	got, err := NewTiming().EstimateEpoch(obs, 0, cfg)
+	got, err := EstimateEpoch(NewTiming(), obs, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestTimingIrregularPacing(t *testing.T) {
 		{T: 0, Pos: 0},
 		{T: 777, Pos: 1},
 	}
-	got, err := NewTiming().EstimateEpoch(obs, 0, cfg)
+	got, err := EstimateEpoch(NewTiming(), obs, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestTimingIrregularPacing(t *testing.T) {
 // --- Poisson (Equation 1) ---
 
 func TestPoissonEmpty(t *testing.T) {
-	got, err := NewPoisson().EstimateEpoch(nil, 0, defaultCfg(auSpec()))
+	got, err := EstimateEpoch(NewPoisson(), nil, 0, defaultCfg(auSpec()))
 	if err != nil || got != 0 {
 		t.Errorf("empty estimate = %v, %v", got, err)
 	}
@@ -160,7 +161,7 @@ func TestPoissonHandComputed(t *testing.T) {
 	}
 	// Δ₁=1h, Δ₂=4h−3h=1h, Δ₃=8h−6h=2h, ΣΔ=4h.
 	// E(N) = 3 + 9·2h/4h = 7.5.
-	got, err := NewPoisson().EstimateEpoch(obs, 0, cfg)
+	got, err := EstimateEpoch(NewPoisson(), obs, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestPoissonClustersBurstsAsOneActivation(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		obs = append(obs, trace.ObservedRecord{T: sim.Hour + sim.Time(i)*500*sim.Millisecond, Pos: int32(i)})
 	}
-	got, err := NewPoisson().EstimateEpoch(obs, 0, cfg)
+	got, err := EstimateEpoch(NewPoisson(), obs, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestPoissonZeroGapFallback(t *testing.T) {
 	cfg := defaultCfg(auSpec())
 	// A single activation exactly at the window start: ΣΔ = 0.
 	obs := trace.Observed{{T: 0, Pos: 0}}
-	got, err := NewPoisson().EstimateEpoch(obs, 0, cfg)
+	got, err := EstimateEpoch(NewPoisson(), obs, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestNaiveCountsClusters(t *testing.T) {
 		{T: sim.Hour, Pos: 0},
 		{T: 4 * sim.Hour, Pos: 0},
 	}
-	got, err := NewNaive().EstimateEpoch(obs, 0, cfg)
+	got, err := EstimateEpoch(NewNaive(), obs, 0, cfg)
 	if err != nil || got != 2 {
 		t.Errorf("NC = %v, %v; want 2", got, err)
 	}
@@ -345,13 +346,13 @@ func TestBernoulliGapToleranceUnderRecordLoss(t *testing.T) {
 		obs = append(obs, trace.ObservedRecord{T: sim.Time(i), Pos: p})
 	}
 	strict := NewBernoulli()
-	sGot, err := strict.EstimateEpoch(obs, 0, cfg)
+	sGot, err := EstimateEpoch(strict, obs, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tolerant := NewBernoulli()
 	tolerant.GapTolerance = 2
-	tGot, err := tolerant.EstimateEpoch(obs, 0, cfg)
+	tGot, err := EstimateEpoch(tolerant, obs, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +506,7 @@ func TestBernoulliRecoversPopulationGeneratively(t *testing.T) {
 		for i, p := range positions {
 			obs = append(obs, trace.ObservedRecord{T: sim.Time(i), Pos: p})
 		}
-		got, err := mb.EstimateEpoch(obs, 0, cfg)
+		got, err := EstimateEpoch(mb, obs, 0, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -530,7 +531,7 @@ func TestCoverageRecoversPopulationGeneratively(t *testing.T) {
 		for i, p := range positions {
 			obs = append(obs, trace.ObservedRecord{T: sim.Time(i), Pos: p})
 		}
-		got, err := ce.EstimateEpoch(obs, 0, cfg)
+		got, err := EstimateEpoch(ce, obs, 0, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -556,11 +557,11 @@ func TestBernoulliCacheImmunity(t *testing.T) {
 		}
 	}
 	mb := NewBernoulli()
-	a, err := mb.EstimateEpoch(once, 0, cfg)
+	a, err := EstimateEpoch(mb, once, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := mb.EstimateEpoch(thrice, 0, cfg)
+	b, err := EstimateEpoch(mb, thrice, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,23 +572,44 @@ func TestBernoulliCacheImmunity(t *testing.T) {
 
 // --- Window averaging and model selection ---
 
-type constEstimator struct{ v float64 }
+// estimatorFunc is a test estimator: eval sees the records one (server,
+// epoch) cell was fed, at Estimate.
+type estimatorFunc func(obs trace.Observed, epoch int) float64
 
-func (constEstimator) Name() string { return "const" }
-func (c constEstimator) EstimateEpoch(trace.Observed, int, Config) (float64, error) {
-	return c.v, nil
+func (estimatorFunc) Name() string { return "func" }
+func (f estimatorFunc) OpenEpoch(epoch int, _ Config) EpochStream {
+	return &funcStream{eval: func(o trace.Observed) float64 { return f(o, epoch) }}
+}
+
+type funcStream struct {
+	recs trace.Observed
+	eval func(trace.Observed) float64
+}
+
+func (s *funcStream) Observe(rec trace.ObservedRecord)                    { s.recs = append(s.recs, rec) }
+func (s *funcStream) Estimate() float64                                   { return s.eval(s.recs) }
+func (s *funcStream) ExportState(*matcher.Attribution) EpochState         { return EpochState{} }
+func (s *funcStream) RestoreState(EpochState, *matcher.Attribution) error { return nil }
+
+// constEstimator reports v for every epoch it sees a record of.
+func constEstimator(v float64) Estimator {
+	return estimatorFunc(func(trace.Observed, int) float64 { return v })
 }
 
 func TestEstimateWindowAverages(t *testing.T) {
 	cfg := defaultCfg(auSpec())
-	got, err := EstimateWindow(constEstimator{v: 10}, nil, sim.Window{Start: 0, End: 4 * sim.Day}, cfg)
+	var obs trace.Observed
+	for day := sim.Time(0); day < 4; day++ {
+		obs = append(obs, trace.ObservedRecord{T: day * sim.Day})
+	}
+	perEpoch, got, err := EstimateWindow(constEstimator(10), obs, sim.Window{Start: 0, End: 4 * sim.Day}, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != 10 {
-		t.Errorf("averaged estimate = %v, want 10", got)
+	if got != 10 || len(perEpoch) != 4 {
+		t.Errorf("averaged estimate = %v over %d epochs, want 10 over 4", got, len(perEpoch))
 	}
-	if _, err := EstimateWindow(constEstimator{}, nil, sim.Window{}, cfg); err == nil {
+	if _, _, err := EstimateWindow(constEstimator(0), nil, sim.Window{}, cfg, nil); err == nil {
 		t.Error("empty window should error")
 	}
 }
@@ -595,29 +617,20 @@ func TestEstimateWindowAverages(t *testing.T) {
 func TestEstimateWindowSplitsEpochs(t *testing.T) {
 	// An estimator that reports the number of records it was handed: the
 	// window splitter must partition records across epochs.
-	counter := estimatorFunc(func(obs trace.Observed, _ int, _ Config) (float64, error) {
-		return float64(len(obs)), nil
-	})
+	counter := estimatorFunc(func(obs trace.Observed, _ int) float64 { return float64(len(obs)) })
 	obs := trace.Observed{
 		{T: sim.Hour, Pos: 0},
 		{T: sim.Day + sim.Hour, Pos: 1},
 		{T: sim.Day + 2*sim.Hour, Pos: 2},
 	}
 	cfg := defaultCfg(auSpec())
-	got, err := EstimateWindow(counter, obs, sim.Window{Start: 0, End: 2 * sim.Day}, cfg)
+	_, got, err := EstimateWindow(counter, obs, sim.Window{Start: 0, End: 2 * sim.Day}, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != 1.5 { // (1 + 2) / 2 epochs
 		t.Errorf("averaged = %v, want 1.5", got)
 	}
-}
-
-type estimatorFunc func(trace.Observed, int, Config) (float64, error)
-
-func (estimatorFunc) Name() string { return "func" }
-func (f estimatorFunc) EstimateEpoch(o trace.Observed, e int, c Config) (float64, error) {
-	return f(o, e, c)
 }
 
 func TestForModel(t *testing.T) {

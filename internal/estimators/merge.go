@@ -1,12 +1,15 @@
 package estimators
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
-// This file defines the merge algebra on the exported sufficient-statistics
-// types (ROADMAP item 1, DESIGN.md §18): the states BernoulliStream,
-// PoissonStream/NaiveStream and TimingStream serialize are combinable, so N
-// independently-streaming vantage engines can be folded into one landscape
-// by internal/stream's MergeStates.
+// This file defines the exported sufficient statistic of an epoch stream and
+// its merge algebra (DESIGN.md §17–§18): the states the MB/MB-C, MP/NC and MT
+// streams serialize are combinable, so N independently-streaming vantage
+// engines can be folded into one landscape by internal/stream's MergeStates,
+// which moves EpochStates around without looking inside them.
 //
 // The algebra every Merge obeys (enforced by TestMergeAlgebra*):
 //
@@ -36,6 +39,51 @@ import "sort"
 // holds pool positions, a function of (family, seed, epoch), and TimingState
 // the sorted domain names its positions stand for. Merging states from
 // different processes therefore needs no translation.
+
+// EpochState is what an EpochStream exports: exactly one of the three kinds
+// of statistic, the one its estimator keeps — MT's candidates, MP/NC's
+// activation clusters, MB/MB-C's pair set. The zero value is the empty state
+// of any kind.
+type EpochState struct {
+	Timing    *TimingState
+	Clusters  *ClusterStreamState
+	Bernoulli *BernoulliState
+}
+
+// Merge returns the canonical union of two states of one kind, sharing no
+// memory with either; merging with the zero state canonicalises the other
+// operand. States of different kinds, or a state holding more than one, do
+// not combine.
+func (a EpochState) Merge(b EpochState) (EpochState, error) {
+	kinds := 0
+	var out EpochState
+	if a.Timing != nil || b.Timing != nil {
+		kinds++
+		v := orZero(a.Timing).Merge(*orZero(b.Timing))
+		out.Timing = &v
+	}
+	if a.Clusters != nil || b.Clusters != nil {
+		kinds++
+		v := orZero(a.Clusters).Merge(*orZero(b.Clusters))
+		out.Clusters = &v
+	}
+	if a.Bernoulli != nil || b.Bernoulli != nil {
+		kinds++
+		v := orZero(a.Bernoulli).Merge(*orZero(b.Bernoulli))
+		out.Bernoulli = &v
+	}
+	if kinds > 1 {
+		return EpochState{}, fmt.Errorf("estimator states of %d kinds, want at most one", kinds)
+	}
+	return out, nil
+}
+
+func orZero[T any](p *T) *T {
+	if p == nil {
+		return new(T)
+	}
+	return p
+}
 
 // Merge returns the canonical union of two MB pair sets: the distinct
 // (TTL-bucket, pool-position) pairs of both states, sorted and regrouped

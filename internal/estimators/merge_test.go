@@ -72,7 +72,7 @@ func partition(obs trace.Observed, k int, rng *sim.RNG) []trace.Observed {
 	return parts
 }
 
-func runEpochStream(sc StreamCapable, cfg Config, obs trace.Observed) EpochStream {
+func runEpochStream(sc Estimator, cfg Config, obs trace.Observed) EpochStream {
 	es := sc.OpenEpoch(0, cfg)
 	for _, rec := range obs {
 		es.Observe(rec)
@@ -81,25 +81,25 @@ func runEpochStream(sc StreamCapable, cfg Config, obs trace.Observed) EpochStrea
 }
 
 func mbStateOf(cfg Config, obs trace.Observed) BernoulliState {
-	s := runEpochStream(NewBernoulli(), cfg, obs).(*BernoulliStream)
-	st := s.ExportState()
-	s.Release()
-	return st
+	s := runEpochStream(NewBernoulli(), cfg, obs)
+	st := s.ExportState(nil)
+	s.(Releasable).Release()
+	return *st.Bernoulli
 }
 
 func clusterStateOf(cfg Config, obs trace.Observed) ClusterStreamState {
-	return runEpochStream(NewPoisson(), cfg, obs).(*PoissonStream).ExportState()
+	return *runEpochStream(NewPoisson(), cfg, obs).ExportState(nil).Clusters
 }
 
 func naiveStateOf(cfg Config, obs trace.Observed) ClusterStreamState {
-	return runEpochStream(NewNaive(), cfg, obs).(*NaiveStream).ExportState()
+	return *runEpochStream(NewNaive(), cfg, obs).ExportState(nil).Clusters
 }
 
 func mtStateOf(cfg Config, obs trace.Observed) TimingState {
-	s := runEpochStream(NewTiming(), cfg, obs).(*TimingStream)
+	s := runEpochStream(NewTiming(), cfg, obs)
 	st := s.ExportState(letterNames())
-	s.Release()
-	return st
+	s.(Releasable).Release()
+	return *st.Timing
 }
 
 // TestMergeBernoulliPartitionExact: MB's pair-set state merged over ANY

@@ -1,9 +1,6 @@
 package estimators
 
-import (
-	"botmeter/internal/sim"
-	"botmeter/internal/trace"
-)
+import "botmeter/internal/sim"
 
 // Poisson is MP, the paper's §IV-C estimator for uniform-barrel DGAs (AU).
 //
@@ -26,18 +23,6 @@ func NewPoisson() *Poisson { return &Poisson{} }
 
 // Name implements Estimator.
 func (*Poisson) Name() string { return "MP" }
-
-// EstimateEpoch implements Estimator.
-func (mp *Poisson) EstimateEpoch(obs trace.Observed, epoch int, cfg Config) (float64, error) {
-	if !cfg.normalized {
-		cfg = cfg.withDefaults()
-		if err := cfg.Validate(); err != nil {
-			return 0, err
-		}
-	}
-	cs := foldClusters(obs, cfg)
-	return poissonEquation1(&cs, sim.Time(epoch)*cfg.EpochLen, cfg.NegativeTTL, cfg.EpochLen), nil
-}
 
 // poissonEquation1 evaluates Equation 1 over a stream's time-ordered visible
 // clusters (none: 0). It never mutates its input, so the streaming path
@@ -121,21 +106,4 @@ func mergeWindowFor(cfg Config) sim.Time {
 		mergeWindow = floor
 	}
 	return mergeWindow
-}
-
-// foldClusters is the batch form of MP's and NC's state builder: the
-// time-ordered epoch fed through a clusterStream.
-func foldClusters(obs trace.Observed, cfg Config) clusterStream {
-	cs := clusterStream{mergeWindow: mergeWindowFor(cfg)}
-	s := timeOrdered(obs)
-	if len(s) > 0 {
-		// Two cluster starts lie more than mergeWindow apart, which bounds
-		// the cluster count by the epoch's span: one exact-enough allocation
-		// instead of append growth.
-		cs.done = make([]cluster, 0, min(len(s), int((s[len(s)-1].T-s[0].T)/cs.mergeWindow)+1))
-	}
-	for _, rec := range s {
-		cs.observe(rec.T)
-	}
-	return cs
 }

@@ -27,7 +27,7 @@ func TestTimingBoundsProperty(t *testing.T) {
 			}
 			obs = append(obs, trace.ObservedRecord{T: sim.Time(tv) % sim.Day, Pos: pos})
 		}
-		got, err := mt.EstimateEpoch(obs, 0, cfg)
+		got, err := EstimateEpoch(mt, obs, 0, cfg)
 		if err != nil {
 			return false
 		}
@@ -53,14 +53,14 @@ func TestTimingOrderInsensitiveProperty(t *testing.T) {
 				Pos: int32(rng.IntN(26)),
 			})
 		}
-		a, err := mt.EstimateEpoch(obs, 0, cfg)
+		a, err := EstimateEpoch(mt, obs, 0, cfg)
 		if err != nil {
 			return false
 		}
 		shuffled := make(trace.Observed, n)
 		copy(shuffled, obs)
 		rng.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		b, err := mt.EstimateEpoch(shuffled, 0, cfg)
+		b, err := EstimateEpoch(mt, shuffled, 0, cfg)
 		if err != nil {
 			return false
 		}
@@ -85,7 +85,7 @@ func TestPoissonAtLeastVisibleProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			obs = append(obs, trace.ObservedRecord{T: sim.Time(rng.Int64N(int64(sim.Day)))})
 		}
-		got, err := mp.EstimateEpoch(obs, 0, cfg)
+		got, err := EstimateEpoch(mp, obs, 0, cfg)
 		if err != nil {
 			return false
 		}
@@ -186,7 +186,7 @@ func TestEstimatorsRobustToGarbage(t *testing.T) {
 		{NewCoverage(), cfgAR},
 	}
 	for _, tc := range ests {
-		got, err := tc.e.EstimateEpoch(garbage, 0, tc.cfg)
+		got, err := EstimateEpoch(tc.e, garbage, 0, tc.cfg)
 		if err != nil {
 			t.Errorf("%s errored on garbage: %v", tc.e.Name(), err)
 		}
@@ -207,11 +207,11 @@ func TestEstimateWindowConsistentWithSingleEpoch(t *testing.T) {
 		obs = append(obs, trace.ObservedRecord{T: sim.Time(i), Pos: p})
 	}
 	mb := NewBernoulli()
-	direct, err := mb.EstimateEpoch(obs, 0, cfg)
+	direct, err := EstimateEpoch(mb, obs, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	windowed, err := EstimateWindow(mb, obs, sim.Window{Start: 0, End: sim.Day}, cfg)
+	_, windowed, err := EstimateWindow(mb, obs, sim.Window{Start: 0, End: sim.Day}, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,18 +1,20 @@
 package estimators
 
 import (
+	"fmt"
+
+	"botmeter/internal/matcher"
 	"botmeter/internal/sim"
 	"botmeter/internal/trace"
 )
 
-// This file makes MP, NC and MB truly incremental (DESIGN.md §17): their
-// sufficient statistics — visible-activation clusters for MP/NC, the
-// distinct (TTL-bucket, pool-position) set for MB — are folded in on
+// This file holds the epoch streams of MP, NC, MB and MB-C (DESIGN.md §17):
+// their sufficient statistics — visible-activation clusters for MP/NC, the
+// distinct (TTL-bucket, pool-position) set for MB/MB-C — are folded in on
 // ingest, so the streaming engine's watermark-driven epoch close is O(1)
-// for MP/NC and O(changed positions) for MB instead of a re-scan of the
-// epoch's retained records. Estimate() runs the SAME kernels as the batch
-// paths (poissonEquation1, Bernoulli.estimatePairs), which is what keeps
-// batch↔stream byte-identical at any shard count.
+// for MP/NC and O(changed positions) for MB. Batch evaluation
+// (EstimateEpoch) feeds the same streams, which is what keeps batch↔stream
+// byte-identical at any shard count.
 
 // clusterStream folds a non-decreasing timestamp stream into visible
 // activation clusters (see mergeWindowFor). Clustering decisions depend only
@@ -25,7 +27,9 @@ type clusterStream struct {
 	started     bool
 }
 
-func (cs *clusterStream) observe(t sim.Time) {
+// Observe implements EpochStream.
+func (cs *clusterStream) Observe(rec trace.ObservedRecord) {
+	t := rec.T
 	if !cs.started {
 		cs.cur = cluster{start: t, end: t, count: 1}
 		cs.started = true
@@ -71,8 +75,9 @@ type ClusterStreamState struct {
 	Cur  *ClusterState
 }
 
-func (cs *clusterStream) exportState() ClusterStreamState {
-	st := ClusterStreamState{}
+// ExportState implements EpochStream.
+func (cs *clusterStream) ExportState(*matcher.Attribution) EpochState {
+	st := &ClusterStreamState{}
 	if len(cs.done) > 0 {
 		st.Done = make([]ClusterState, len(cs.done))
 		for i, c := range cs.done {
@@ -82,10 +87,15 @@ func (cs *clusterStream) exportState() ClusterStreamState {
 	if cs.started {
 		st.Cur = &ClusterState{Start: cs.cur.start, End: cs.cur.end, Count: cs.cur.count}
 	}
-	return st
+	return EpochState{Clusters: st}
 }
 
-func (cs *clusterStream) restoreState(st ClusterStreamState) {
+// RestoreState implements EpochStream.
+func (cs *clusterStream) RestoreState(es EpochState, _ *matcher.Attribution) error {
+	st := es.Clusters
+	if st == nil {
+		return fmt.Errorf("missing cluster state")
+	}
 	cs.done = cs.done[:0]
 	for _, c := range st.Done {
 		cs.done = append(cs.done, cluster{start: c.Start, end: c.End, count: c.Count})
@@ -97,6 +107,7 @@ func (cs *clusterStream) restoreState(st ClusterStreamState) {
 		cs.cur = cluster{}
 		cs.started = false
 	}
+	return nil
 }
 
 // PoissonStream is MP's per-(server, epoch) incremental state: clusters
@@ -104,61 +115,47 @@ func (cs *clusterStream) restoreState(st ClusterStreamState) {
 // them — cost proportional to the visible activations, independent of the
 // record count or pool size.
 type PoissonStream struct {
-	cs          clusterStream
+	clusterStream
 	windowStart sim.Time
 	deltaL      sim.Time
 	epochLen    sim.Time
 }
 
-// OpenEpoch implements StreamCapable.
+// OpenEpoch implements Estimator.
 func (*Poisson) OpenEpoch(epoch int, cfg Config) EpochStream {
 	if !cfg.normalized {
 		cfg = cfg.withDefaults()
 	}
 	return &PoissonStream{
-		cs:          clusterStream{mergeWindow: mergeWindowFor(cfg)},
-		windowStart: sim.Time(epoch) * cfg.EpochLen,
-		deltaL:      cfg.NegativeTTL,
-		epochLen:    cfg.EpochLen,
+		clusterStream: clusterStream{mergeWindow: mergeWindowFor(cfg)},
+		windowStart:   sim.Time(epoch) * cfg.EpochLen,
+		deltaL:        cfg.NegativeTTL,
+		epochLen:      cfg.EpochLen,
 	}
 }
-
-// Observe implements EpochStream.
-func (s *PoissonStream) Observe(rec trace.ObservedRecord) { s.cs.observe(rec.T) }
 
 // Estimate implements EpochStream: Equation 1 over the live clusters. Valid
 // mid-epoch (provisional) and at close (final, identical to the batch path
 // on the same records).
 func (s *PoissonStream) Estimate() float64 {
-	return poissonEquation1(&s.cs, s.windowStart, s.deltaL, s.epochLen)
+	return poissonEquation1(&s.clusterStream, s.windowStart, s.deltaL, s.epochLen)
 }
-
-// ExportState / RestoreState are the checkpoint codec.
-func (s *PoissonStream) ExportState() ClusterStreamState    { return s.cs.exportState() }
-func (s *PoissonStream) RestoreState(st ClusterStreamState) { s.cs.restoreState(st) }
 
 // NaiveStream is NC's incremental state: the visible-cluster count.
 type NaiveStream struct {
-	cs clusterStream
+	clusterStream
 }
 
-// OpenEpoch implements StreamCapable.
+// OpenEpoch implements Estimator.
 func (*Naive) OpenEpoch(_ int, cfg Config) EpochStream {
 	if !cfg.normalized {
 		cfg = cfg.withDefaults()
 	}
-	return &NaiveStream{cs: clusterStream{mergeWindow: mergeWindowFor(cfg)}}
+	return &NaiveStream{clusterStream{mergeWindow: mergeWindowFor(cfg)}}
 }
 
-// Observe implements EpochStream.
-func (s *NaiveStream) Observe(rec trace.ObservedRecord) { s.cs.observe(rec.T) }
-
 // Estimate implements EpochStream.
-func (s *NaiveStream) Estimate() float64 { return float64(s.cs.count()) }
-
-// ExportState / RestoreState are the checkpoint codec.
-func (s *NaiveStream) ExportState() ClusterStreamState    { return s.cs.exportState() }
-func (s *NaiveStream) RestoreState(st ClusterStreamState) { s.cs.restoreState(st) }
+func (s *NaiveStream) Estimate() float64 { return float64(s.count()) }
 
 // BernoulliStream is MB's per-(server, epoch) incremental state: the
 // distinct (TTL-bucket, pool-position) pair set, updated in O(1) per
@@ -170,7 +167,7 @@ type BernoulliStream struct {
 	pairFold
 }
 
-// OpenEpoch implements StreamCapable.
+// OpenEpoch implements Estimator.
 func (mb *Bernoulli) OpenEpoch(epoch int, cfg Config) EpochStream {
 	if !cfg.normalized {
 		cfg = cfg.withDefaults()
@@ -197,11 +194,50 @@ func (s *BernoulliStream) Estimate() float64 {
 	return s.mb.estimatePairs(view, s.ps.sorted(), thetaQ)
 }
 
-// Release implements Releasable: the engine calls it when the epoch cell
-// closes for good, returning the pair set to the pool.
-func (s *BernoulliStream) Release() {
-	putPairSet(s.ps)
-	s.ps = getPairSetReleased()
+// CoverageStream is MB-C's per-(server, epoch) state: MB's pair set, read by
+// bucket size instead of by segment.
+type CoverageStream struct {
+	pairFold
+}
+
+// OpenEpoch implements Estimator.
+func (*Coverage) OpenEpoch(epoch int, cfg Config) EpochStream {
+	if !cfg.normalized {
+		cfg = cfg.withDefaults()
+	}
+	return &CoverageStream{newPairFold(cfg.Pools.For(epoch), epoch, cfg, true)}
+}
+
+// Estimate implements EpochStream: the coverage inversion at each TTL
+// bucket's distinct-position count, summed. Only the counts matter; the
+// sorted pair log walks as contiguous bucket groups.
+func (s *CoverageStream) Estimate() float64 {
+	if s.ps.len() == 0 {
+		return 0
+	}
+	probs := coverProbabilities(s.pool, s.cfg.Spec)
+	if len(probs) == 0 {
+		return 0
+	}
+	var total float64
+	pairs := s.ps.sorted()
+	for i := 0; i < len(pairs); {
+		b := pairBucket(pairs[i])
+		j := i
+		for j < len(pairs) && pairBucket(pairs[j]) == b {
+			j++
+		}
+		total += invertCoverage(probs, float64(j-i))
+		i = j
+	}
+	return total
+}
+
+// Release implements Releasable: called when the epoch cell closes for good,
+// it returns the pair set to the pool.
+func (f *pairFold) Release() {
+	putPairSet(f.ps)
+	f.ps = getPairSetReleased()
 }
 
 // getPairSetReleased returns a fresh empty set so a (buggy) post-Release
@@ -219,7 +255,7 @@ type BernoulliBucket struct {
 	Positions []int
 }
 
-// BernoulliState is the serializable state of an incremental MB epoch. Pool
+// BernoulliState is the serializable state of an MB or MB-C epoch. Pool
 // positions are a function of (family, seed, epoch), which makes the state
 // stable across processes; buckets and positions are sorted so identical
 // state always serialises to identical bytes.
@@ -227,11 +263,11 @@ type BernoulliState struct {
 	Buckets []BernoulliBucket
 }
 
-// ExportState is the checkpoint codec: the sorted pair log re-grouped per
+// ExportState implements EpochStream: the sorted pair log re-grouped per
 // bucket.
-func (s *BernoulliStream) ExportState() BernoulliState {
-	st := BernoulliState{}
-	pairs := s.ps.sorted()
+func (f *pairFold) ExportState(*matcher.Attribution) EpochState {
+	st := &BernoulliState{}
+	pairs := f.ps.sorted()
 	for i := 0; i < len(pairs); {
 		b := pairBucket(pairs[i])
 		j := i
@@ -244,16 +280,20 @@ func (s *BernoulliStream) ExportState() BernoulliState {
 		}
 		st.Buckets = append(st.Buckets, bucket)
 	}
-	return st
+	return EpochState{Bernoulli: st}
 }
 
-// RestoreState replaces the stream's pair set with a previously exported
-// one.
-func (s *BernoulliStream) RestoreState(st BernoulliState) {
-	s.ps.reset()
-	for _, bucket := range st.Buckets {
+// RestoreState implements EpochStream: it replaces the pair set with a
+// previously exported one.
+func (f *pairFold) RestoreState(es EpochState, _ *matcher.Attribution) error {
+	if es.Bernoulli == nil {
+		return fmt.Errorf("missing Bernoulli state")
+	}
+	f.ps.reset()
+	for _, bucket := range es.Bernoulli.Buckets {
 		for _, pos := range bucket.Positions {
-			s.ps.add(bucket.Bucket, pos)
+			f.ps.add(bucket.Bucket, pos)
 		}
 	}
+	return nil
 }

@@ -1,9 +1,6 @@
 package estimators
 
-import (
-	"botmeter/internal/sim"
-	"botmeter/internal/trace"
-)
+import "botmeter/internal/sim"
 
 // Timing is MT, the paper's Algorithm 1: it partitions observed lookups
 // into per-bot groups using three temporal heuristics and reports the
@@ -35,27 +32,4 @@ func (*Timing) Name() string { return "MT" }
 type timingEntry struct {
 	first sim.Time
 	seen  map[int32]struct{}
-}
-
-// EstimateEpoch implements Estimator (Algorithm 1). The batch form is the
-// streaming form (TimingStream) fed with the stable-sorted epoch: one
-// implementation serves both paths, which is what makes the batch↔stream
-// equivalence contract (internal/stream) checkable rather than aspirational.
-func (mt *Timing) EstimateEpoch(obs trace.Observed, epoch int, cfg Config) (float64, error) {
-	if !cfg.normalized {
-		cfg = cfg.withDefaults()
-		if err := cfg.Validate(); err != nil {
-			return 0, err
-		}
-	}
-	if len(obs) == 0 {
-		return 0, nil
-	}
-	stream := mt.OpenEpoch(epoch, cfg).(*TimingStream)
-	for _, rec := range timeOrdered(obs) {
-		stream.Observe(rec)
-	}
-	v := stream.Estimate()
-	stream.Release()
-	return v, nil
 }

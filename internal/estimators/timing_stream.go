@@ -31,31 +31,6 @@ func putTimingEntry(e *timingEntry) {
 	timingEntryPool.Put(e)
 }
 
-// StreamCapable is implemented by estimators that can consume one epoch's
-// matched lookups incrementally, in non-decreasing timestamp order, while
-// holding only bounded state. The streaming landscape engine
-// (internal/stream) uses this to avoid retaining an epoch's records for
-// such estimators; everything else is re-estimated from a windowed
-// micro-batch on epoch close.
-type StreamCapable interface {
-	Estimator
-	// OpenEpoch starts incremental estimation for one (server, epoch)
-	// cell. cfg is normalised by the caller once per engine.
-	OpenEpoch(epoch int, cfg Config) EpochStream
-}
-
-// EpochStream is the per-(server, epoch) incremental state of a
-// StreamCapable estimator.
-type EpochStream interface {
-	// Observe folds one matched lookup in — its time and the pool position
-	// the matcher stamped on it. Records MUST arrive in non-decreasing
-	// timestamp order (the engine's reorder buffer guarantees this).
-	Observe(rec trace.ObservedRecord)
-	// Estimate returns the estimate over everything observed so far. It
-	// is valid mid-epoch (provisional) and after the last record (final).
-	Estimate() float64
-}
-
 // Expiring is implemented by the EpochStreams that hold state a watermark
 // can retire (MT's candidates). The other streams' state is already a
 // bounded sufficient statistic and they have nothing to advance.
@@ -72,13 +47,11 @@ type Expiring interface {
 	NextExpiry() (sim.Time, bool)
 }
 
-// TimingStream is Algorithm 1 in online form: the batch loop of
-// Timing.EstimateEpoch re-expressed as an Observe API over a
-// timestamp-ordered stream, with candidate-entry expiry so memory is
-// bounded by the number of SIMULTANEOUSLY active candidates rather than
-// the epoch's record count.
+// TimingStream is Algorithm 1 over a timestamp-ordered stream, with
+// candidate-entry expiry so memory is bounded by the number of
+// SIMULTANEOUSLY active candidates rather than the epoch's record count.
 //
-// Equivalence with the batch form: batch MT stable-sorts the epoch's
+// Equivalence of batch and streaming: EstimateEpoch stable-sorts the epoch's
 // records and scans candidates in creation order. Streaming feeds records
 // in the same order (the engine emits in non-decreasing T, stable for
 // ties), and candidates are created in emission order, so their `first`
@@ -104,7 +77,7 @@ type TimingStream struct {
 	expired int
 }
 
-// OpenEpoch implements StreamCapable.
+// OpenEpoch implements Estimator.
 func (*Timing) OpenEpoch(_ int, cfg Config) EpochStream {
 	if !cfg.normalized {
 		cfg = cfg.withDefaults()
@@ -180,9 +153,9 @@ func (s *TimingStream) Estimate() float64 {
 func (s *TimingStream) ActiveCandidates() int { return len(s.active) }
 
 // Release implements Releasable: it recycles every still-active candidate
-// entry. Called after the final Estimate of an epoch (batch MT does this
-// internally; the streaming engine calls it at epoch close). The stream must
-// not Observe afterwards.
+// entry. Called after the final Estimate of an epoch (by EstimateEpoch, and by
+// the streaming engine at epoch close). The stream must not Observe
+// afterwards.
 func (s *TimingStream) Release() {
 	for i, entry := range s.active {
 		putTimingEntry(entry)
@@ -209,12 +182,11 @@ type TimingCandidate struct {
 	Domains []string
 }
 
-// ExportState snapshots the stream for checkpointing. The stream remains
-// usable; the returned state shares nothing with it. Positions leave the
-// process as the names the epoch's matcher gives them, sorted, so the bytes
-// depend on what was observed and on nothing else.
-func (s *TimingStream) ExportState(names *matcher.Attribution) TimingState {
-	st := TimingState{Expired: s.expired}
+// ExportState implements EpochStream. Positions leave the process as the
+// names the epoch's matcher gives them, sorted, so the bytes depend on what
+// was observed and on nothing else.
+func (s *TimingStream) ExportState(names *matcher.Attribution) EpochState {
+	st := &TimingState{Expired: s.expired}
 	if len(s.active) > 0 {
 		st.Active = make([]TimingCandidate, len(s.active))
 	}
@@ -226,17 +198,20 @@ func (s *TimingStream) ExportState(names *matcher.Attribution) TimingState {
 		sort.Strings(domains)
 		st.Active[i] = TimingCandidate{First: entry.first, Domains: domains}
 	}
-	return st
+	return EpochState{Timing: st}
 }
 
-// RestoreState replaces the stream's state with a previously exported one,
-// resolving each candidate's names back to positions through the epoch's
-// matcher. A name the matcher does not hold means the state was taken under
+// RestoreState implements EpochStream, resolving each candidate's names back
+// to positions through the epoch's matcher. A name the matcher does not hold means the state was taken under
 // another configuration or is damaged: an error, after which the stream is
 // to be discarded. The stream's configuration (δi, max duration) is NOT part
 // of the state — it is re-derived from the engine config at OpenEpoch, which
 // checkpoint recovery validates via the config fingerprint.
-func (s *TimingStream) RestoreState(st TimingState, names *matcher.Attribution) error {
+func (s *TimingStream) RestoreState(es EpochState, names *matcher.Attribution) error {
+	st := es.Timing
+	if st == nil {
+		return fmt.Errorf("missing timing state")
+	}
 	s.Release()
 	for _, cand := range st.Active {
 		entry := getTimingEntry(cand.First)

@@ -41,7 +41,7 @@ func TestTimingStreamMatchesBatch(t *testing.T) {
 		{T: 10_000, Pos: 0},
 		{T: 10_500, Pos: 1},
 	}
-	want, err := NewTiming().EstimateEpoch(obs, 0, cfg)
+	want, err := EstimateEpoch(NewTiming(), obs, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,13 +99,14 @@ func TestTimingStreamExportRestore(t *testing.T) {
 		orig.Observe(rec)
 	}
 	names := letterNames()
-	st := orig.ExportState(names)
+	es := orig.ExportState(names)
+	st := es.Timing
 	if st.Expired != 2 || len(st.Active) != 1 {
 		t.Fatalf("exported state = %+v, want 2 expired / 1 active", st)
 	}
 	// Aliasing check: the export is a deep copy.
 	orig.Observe(trace.ObservedRecord{T: 10_100, Pos: 23})
-	if reflect.DeepEqual(st, orig.ExportState(names)) {
+	if reflect.DeepEqual(es, orig.ExportState(names)) {
 		t.Fatal("export should have diverged from the mutated stream")
 	}
 	if got := st.Active[0].Domains; len(got) != 1 || got[0] != "c.com" {
@@ -118,7 +119,7 @@ func TestTimingStreamExportRestore(t *testing.T) {
 		ref.Observe(rec)
 	}
 	twin := streamOf(cfg)
-	if err := twin.RestoreState(st, names); err != nil {
+	if err := twin.RestoreState(es, names); err != nil {
 		t.Fatal(err)
 	}
 	if twin.Estimate() != ref.Estimate() || twin.ActiveCandidates() != ref.ActiveCandidates() {
@@ -139,7 +140,7 @@ func TestTimingStreamExportRestore(t *testing.T) {
 	// A candidate naming a domain the epoch's matcher does not hold cannot
 	// be turned back into a position: an error, not a guess.
 	st.Active[0].Domains = append(st.Active[0].Domains, "not-in-the-pool.io")
-	if err := streamOf(cfg).RestoreState(st, names); err == nil {
+	if err := streamOf(cfg).RestoreState(es, names); err == nil {
 		t.Error("RestoreState accepted a candidate domain outside the pool")
 	}
 }
@@ -149,7 +150,7 @@ func TestTimingStreamExportRestore(t *testing.T) {
 func TestTimingStreamExportEmpty(t *testing.T) {
 	cfg := defaultCfg(auSpec())
 	empty := streamOf(cfg).ExportState(letterNames())
-	if empty.Expired != 0 || empty.Active != nil {
+	if empty.Timing.Expired != 0 || empty.Timing.Active != nil {
 		t.Fatalf("zero state = %+v", empty)
 	}
 	used := streamOf(cfg)

@@ -27,8 +27,8 @@ func TestEstimateWindowEpochSlicing(t *testing.T) {
 	cases := []struct {
 		name       string
 		w          sim.Window
-		wantEpochs []int // epoch indices handed to the estimator, in order
-		wantCounts []int // record count per handed epoch
+		wantEpochs []int // epoch indices the window touches, in order
+		wantCounts []int // record count per epoch
 		wantErr    bool
 	}{
 		{
@@ -65,7 +65,7 @@ func TestEstimateWindowEpochSlicing(t *testing.T) {
 			name:       "trailing empty epoch",
 			w:          sim.Window{Start: 0, End: 4 * sim.Day},
 			wantEpochs: []int{0, 1, 2, 3},
-			wantCounts: []int{3, 3, 1, 0}, // empty epochs still visit the estimator
+			wantCounts: []int{3, 3, 1, 0}, // an empty epoch counts in the mean, as 0
 		},
 		{
 			name:    "zero-length window",
@@ -80,13 +80,12 @@ func TestEstimateWindowEpochSlicing(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var gotEpochs, gotCounts []int
-			recorder := estimatorFunc(func(o trace.Observed, ep int, _ Config) (float64, error) {
+			var gotEpochs []int // epochs opened: the non-empty ones
+			recorder := estimatorFunc(func(o trace.Observed, ep int) float64 {
 				gotEpochs = append(gotEpochs, ep)
-				gotCounts = append(gotCounts, len(o))
-				return float64(len(o)), nil
+				return float64(len(o))
 			})
-			avg, err := EstimateWindow(recorder, obs, tc.w, cfg)
+			perEpoch, avg, err := EstimateWindow(recorder, obs, tc.w, cfg, nil)
 			if tc.wantErr {
 				if err == nil {
 					t.Fatalf("want error, got avg %v", avg)
@@ -96,8 +95,17 @@ func TestEstimateWindowEpochSlicing(t *testing.T) {
 			if err != nil {
 				t.Fatalf("EstimateWindow: %v", err)
 			}
-			if !equalInts(gotEpochs, tc.wantEpochs) {
-				t.Errorf("epochs visited: %v, want %v", gotEpochs, tc.wantEpochs)
+			var wantOpened, gotCounts []int
+			for i, c := range tc.wantCounts {
+				if c > 0 {
+					wantOpened = append(wantOpened, tc.wantEpochs[i])
+				}
+			}
+			for _, v := range perEpoch {
+				gotCounts = append(gotCounts, int(v))
+			}
+			if !equalInts(gotEpochs, wantOpened) {
+				t.Errorf("epochs opened: %v, want %v", gotEpochs, wantOpened)
 			}
 			if !equalInts(gotCounts, tc.wantCounts) {
 				t.Errorf("records per epoch: %v, want %v", gotCounts, tc.wantCounts)

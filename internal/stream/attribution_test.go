@@ -217,8 +217,7 @@ func TestAttributionInputsDifferential(t *testing.T) {
 // TestRestoreRefusesUnattributable: everything the engine holds as a pool
 // position is a name in the checkpoint, and Restore turns it back through
 // the epoch's matcher. A name that matcher does not hold — in an MT
-// candidate, in the reorder buffer, in a cell's retained records — cannot
-// be given a position: Restore must say so (server, epoch, domain) and must
+// candidate, in the reorder buffer — cannot be given a position: Restore must say so (server, epoch, domain) and must
 // not start an engine that estimates from something else.
 func TestRestoreRefusesUnattributable(t *testing.T) {
 	const foreign = "not-in-any-pool.example"
@@ -231,7 +230,7 @@ func TestRestoreRefusesUnattributable(t *testing.T) {
 			for _, sh := range st.Shards {
 				for _, sv := range sh.Servers {
 					for _, cell := range sv.Open {
-						for _, ts := range []*estimators.TimingState{cell.Timing, cell.Second} {
+						for _, ts := range []*estimators.TimingState{cell.State.Timing, cell.Second} {
 							if ts != nil && len(ts.Active) > 0 {
 								ts.Active[0].Domains[0] = foreign
 								return true
@@ -251,23 +250,9 @@ func TestRestoreRefusesUnattributable(t *testing.T) {
 			}
 			return false
 		}},
-		{"retained record", func(st *stream.EngineState) bool {
-			for _, sh := range st.Shards {
-				for _, sv := range sh.Servers {
-					for _, cell := range sv.Open {
-						if len(cell.Records) > 0 {
-							cell.Records[0].Domain = foreign
-							return true
-						}
-					}
-				}
-			}
-			return false
-		}},
 	}
-	// Coverage has no incremental form: its cells retain their records.
 	cases := attributionCases()
-	cases = append(cases, attributionCase{"MB-C micro-batch", core.Config{Family: cases[1].core.Family, Estimator: estimators.NewCoverage()}})
+	cases = append(cases, attributionCase{"MB-C-primary", core.Config{Family: cases[1].core.Family, Estimator: estimators.NewCoverage()}})
 	hit := map[string]bool{}
 	for _, tc := range cases {
 		obs, _ := borderTrace(t, tc.core.Family)

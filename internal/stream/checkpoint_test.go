@@ -577,27 +577,37 @@ func TestExportStateStableBytes(t *testing.T) {
 
 // TestCheckpointBytesPinned: a vantage upgraded in place resumes from the
 // generations its predecessor wrote, and a coordinator decodes what vantages
-// of other builds serve, so the bytes of a checkpoint — format v3, field
+// of other builds serve, so the bytes of a checkpoint — format v4, field
 // order, candidate order, domain order — are part of the contract. The hashes
-// were recorded at the PR that introduced v3 (stable there over -count 5
+// were recorded at the PR that introduced v4 (stable there over -count 3
 // -cpu 1,2,4); a change that moves them is a format change and takes a new
 // version number.
 func TestCheckpointBytesPinned(t *testing.T) {
 	want := map[string][3]string{
 		"MP-murofet": {
-			"1418ba3982a3a787935507197be1d863f64ea223245efe58c4fa8a6abdba33a9",
-			"1a6f875f81aebadfd6f6c6cefb3ae6fc434a2478d778ffc608e82ac72f6c502e",
-			"4a3cc6903b2f139ddcd3c30b2453fc40ec46fca54bd89fff12a83d87ac20aad8",
+			"c0ede66d8ee5d1b3da4b08140590c17a4e6a01a50b8d0830a9229244e2af36a5",
+			"0d23a2286d0724c4dfc0ee512d0c9af81659751b603e091046645c252de81ef7",
+			"50366f06bbeb9ccce9dfc863e65e9bc04c4c48dc34d8312f3186603f9b231b62",
 		},
 		"MB-newgoz": {
-			"24f1d43ee08af80269a6d920db46dc27935a23b4bd42d89bdf3ac17b869cfd33",
-			"c6298007247d41d88b8efd2b7df48edbe3fac23ac091ff1cb24f9e961dbbbe99",
-			"17e411fbf9c0360087b8a53d2bd2e0e43bd1e592d95620c6d72013750ee9ddd4",
+			"714b3c4551d42b1e23f9cd34e2c5bd4692fac1a00b58761b841b100f9ee07623",
+			"8a759988d83087c1b28b99d5d635c544c2fae28620e1221202e66625c3632c2f",
+			"b6b4c31b883b74c134cbc1e1b9a3e7fffb5af01628ccfc5f12da256313a0568e",
 		},
 		"MT-murofet": {
-			"7746c55fd5f1f9697aed8ece8223b5f7928de34cc64f6cbb4c095b571828184d",
-			"fcdb1f2f814714686ab727fef6bf081ae8db21c0ce36b52ea91900642b71dd0a",
-			"19aa994d43e59e5857f3c36ef2405d228dbe0f0a4117160b472fd78cc6be3f6f",
+			"b93336cba16870488e12164e3582b9b643ac362468da868505d327ef4d906d73",
+			"5ee07ab47e41036713ea5c936aa610180e1ddb38e69e943f39cea00966c8c019",
+			"f6457b015a45b5ae20ce99007fd6faccce8a885b20830ff3360e608325571003",
+		},
+		"MB-C-newgoz": {
+			"1c2bf52af9698eb905c54f9f9f5bed5b307fd85a8166405bb48b8ee54dbbd96e",
+			"e604049d900178d6996147458e9c3605a77f13be7088c21208453eefca3eec41",
+			"63a83bf86064d5e8a7edc64547939b7fbcf88793e57fa964b239788729dc5723",
+		},
+		"NC-murofet": {
+			"d4fd2a61dd8a39c43b9b25bf100811fc8f0df1cb5a37534eed2a598bb912e3bc",
+			"d744520993059a8d1c977b19830812d81edc7d2c07ef0485a9260088877aea88",
+			"31069a072b1257cb6cd0db32bdf1b70879084d637f6972d214f087824da653ca",
 		},
 	}
 	for _, tc := range diffCases() {
@@ -699,18 +709,23 @@ func TestCheckpointDecodeRejects(t *testing.T) {
 		"bad-magic":   func(b []byte) []byte { b[0] = 'X'; return b },
 		"bad-version": func(b []byte) []byte { b[7] = 99; return b },
 		// Frames of an older format version — 1 predates the per-family cell
-		// layout, 2 carried a JSON payload — must be rejected by version,
-		// not misparsed, so recovery falls back to a clean cold start.
+		// layout, 2 carried a JSON payload, 3 a record list in every cell —
+		// must be rejected by version, not misparsed, so recovery falls back
+		// to a clean cold start.
 		"old-version-1":   func(b []byte) []byte { b[7] = 1; return b },
 		"old-version-2":   func(b []byte) []byte { b[7] = 2; return b },
+		"old-version-3":   func(b []byte) []byte { b[7] = 3; return b },
 		"length-mismatch": func(b []byte) []byte { return b[:len(b)-1] },
 		"payload-flip":    func(b []byte) []byte { b[len(b)-1] ^= 1; return b },
 		"checksum-flip":   func(b []byte) []byte { b[20] ^= 1; return b },
 	}
 	for name, mutate := range cases {
 		data := mutate(append([]byte(nil), good...))
-		if _, err := stream.DecodeCheckpoint(data); err == nil {
+		_, err := stream.DecodeCheckpoint(data)
+		if err == nil {
 			t.Errorf("%s: DecodeCheckpoint accepted a corrupt frame", name)
+		} else if strings.Contains(name, "version") && !strings.Contains(err.Error(), "unsupported checkpoint version") {
+			t.Errorf("%s: refused with %q, not by version", name, err)
 		}
 	}
 }

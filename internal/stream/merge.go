@@ -93,9 +93,9 @@ func (e *DuplicateVantageError) Error() string {
 
 // MergeConflictError reports two inputs carrying irreconcilable state for
 // the same (server, epoch) cell — differing closed-epoch values, or
-// estimator state of different kinds. Under a server-disjoint vantage
-// partition this cannot happen; it means two vantages saw the same
-// forwarding server, or a corrupted state.
+// estimator state of different kinds (or one input holding several). Under
+// a server-disjoint vantage partition this cannot happen; it means two
+// vantages saw the same forwarding server, or a corrupted state.
 type MergeConflictError struct {
 	Server string
 	Epoch  int
@@ -176,85 +176,32 @@ func (acc *mergeShardAccum) foldScalars(in ShardState) {
 	acc.stats.EpochsClosed += in.Stats.EpochsClosed
 }
 
-// cellKind validates one open cell and names its estimator state kind.
-func cellKind(cs EpochCellState) (string, error) {
-	kinds := 0
-	kind := "records"
-	if cs.Timing != nil {
-		kinds++
-		kind = "timing"
-	}
-	if cs.Clusters != nil {
-		kinds++
-		kind = "clusters"
-	}
-	if cs.Bernoulli != nil {
-		kinds++
-		kind = "bernoulli"
-	}
-	if kinds > 1 {
-		return "", fmt.Errorf("cell carries %d estimator states, want at most one", kinds)
-	}
-	if kinds == 1 && len(cs.Records) > 0 {
-		return "", fmt.Errorf("cell carries both streaming state and micro-batch records")
-	}
-	return kind, nil
-}
-
-// copyCell deep-copies one open cell.
-func copyCell(cs EpochCellState) *EpochCellState {
-	out := &EpochCellState{Epoch: cs.Epoch}
-	if len(cs.Records) > 0 {
-		out.Records = append([]RecordEntry(nil), cs.Records...)
-	}
-	if cs.Timing != nil {
-		v := estimators.TimingState{}.Merge(*cs.Timing)
-		out.Timing = &v
-	}
-	if cs.Clusters != nil {
-		v := estimators.ClusterStreamState{}.Merge(*cs.Clusters)
-		out.Clusters = &v
-	}
-	if cs.Bernoulli != nil {
-		v := estimators.BernoulliState{}.Merge(*cs.Bernoulli)
-		out.Bernoulli = &v
-	}
-	if cs.Second != nil {
-		v := estimators.TimingState{}.Merge(*cs.Second)
-		out.Second = &v
-	}
-	return out
-}
-
-// mergeCell folds cell cs into dst (both already validated by cellKind).
-func mergeCell(server string, dst *EpochCellState, cs EpochCellState) error {
+// mergeCell folds cell cs into dst, the accumulated cell of the same (server,
+// epoch) — nil for the first input that holds one, which is deep-copied. The
+// estimator state merges by its own algebra (estimators.EpochState.Merge).
+func mergeCell(server string, dst *EpochCellState, cs EpochCellState) (*EpochCellState, error) {
 	conflict := func(detail string) error {
 		return &MergeConflictError{Server: server, Epoch: cs.Epoch, Detail: detail}
 	}
-	switch {
-	case dst.Timing != nil && cs.Timing != nil:
-		v := dst.Timing.Merge(*cs.Timing)
-		dst.Timing = &v
-	case dst.Clusters != nil && cs.Clusters != nil:
-		v := dst.Clusters.Merge(*cs.Clusters)
-		dst.Clusters = &v
-	case dst.Bernoulli != nil && cs.Bernoulli != nil:
-		v := dst.Bernoulli.Merge(*cs.Bernoulli)
-		dst.Bernoulli = &v
-	case !dst.hasStreamState() && !cs.hasStreamState():
-		dst.Records = append(dst.Records, cs.Records...)
-	default:
-		return conflict("estimator state kinds differ")
+	first := dst == nil
+	if first {
+		dst = &EpochCellState{Epoch: cs.Epoch}
+	}
+	var err error
+	if dst.State, err = dst.State.Merge(cs.State); err != nil {
+		return nil, conflict(err.Error())
 	}
 	switch {
-	case dst.Second != nil && cs.Second != nil:
+	case (dst.Second == nil) != (cs.Second == nil) && !first:
+		return nil, conflict("second-opinion state present in one input only")
+	case cs.Second != nil:
+		if dst.Second == nil {
+			dst.Second = new(estimators.TimingState)
+		}
 		v := dst.Second.Merge(*cs.Second)
 		dst.Second = &v
-	case dst.Second == nil && cs.Second == nil:
-	default:
-		return conflict("second-opinion state present in one input only")
 	}
-	return nil
+	return dst, nil
 }
 
 // MergeStates folds N exported engine states into one canonical state, the
@@ -386,16 +333,11 @@ func MergeStates(states ...*EngineState) (*EngineState, error) {
 					sv.closedMT[ev.Epoch] = ev.Value
 				}
 				for _, cs := range ss.Open {
-					if _, err := cellKind(cs); err != nil {
-						return nil, &MergeConflictError{Server: ss.Name, Epoch: cs.Epoch, Detail: err.Error()}
+					cell, err := mergeCell(ss.Name, sv.open[cs.Epoch], cs)
+					if err != nil {
+						return nil, err
 					}
-					if dst, ok := sv.open[cs.Epoch]; ok {
-						if err := mergeCell(ss.Name, dst, cs); err != nil {
-							return nil, err
-						}
-					} else {
-						sv.open[cs.Epoch] = copyCell(cs)
-					}
+					sv.open[cs.Epoch] = cell
 				}
 			}
 		}
@@ -453,18 +395,7 @@ func MergeStates(states ...*EngineState) (*EngineState, error) {
 			}
 			sort.Ints(epochs)
 			for _, ep := range epochs {
-				cell := sv.open[ep]
-				if len(cell.Records) > 1 {
-					// Micro-batch records merge canonically sorted; the
-					// batch estimator re-sorts anyway, so order is free.
-					sort.Slice(cell.Records, func(i, j int) bool {
-						if cell.Records[i].T != cell.Records[j].T {
-							return cell.Records[i].T < cell.Records[j].T
-						}
-						return cell.Records[i].Domain < cell.Records[j].Domain
-					})
-				}
-				ss.Open = append(ss.Open, *cell)
+				ss.Open = append(ss.Open, *sv.open[ep])
 			}
 			sh.Servers = append(sh.Servers, ss)
 		}
@@ -509,19 +440,8 @@ func ConfigForState(st *EngineState) (Config, error) {
 		cfg.Core.Detection = &d3.Window{MissRate: fp.DetectMiss, Collisions: fp.DetectCollisions, Seed: fp.DetectSeed}
 	}
 	if def := estimators.ForModel(spec); def.Name() != fp.Estimator {
-		switch fp.Estimator {
-		case "MT":
-			cfg.Core.Estimator = estimators.NewTiming()
-		case "MP":
-			cfg.Core.Estimator = estimators.NewPoisson()
-		case "NC":
-			cfg.Core.Estimator = estimators.NewNaive()
-		case "MB":
-			cfg.Core.Estimator = estimators.NewBernoulli()
-		case "MB-C":
-			cfg.Core.Estimator = estimators.NewCoverage()
-		default:
-			return Config{}, fmt.Errorf("stream: estimator %q is not reconstructible from a fingerprint", fp.Estimator)
+		if cfg.Core.Estimator, err = estimators.ByName(fp.Estimator); err != nil {
+			return Config{}, fmt.Errorf("stream: not reconstructible from a fingerprint: %w", err)
 		}
 	}
 	return cfg, nil

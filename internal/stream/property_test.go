@@ -407,7 +407,7 @@ func checkCut(t *testing.T, st *stream.EngineState, fed trace.Observed, matchers
 				if sh.Watermark != math.MinInt64 && wm >= 0 && cell.Epoch <= int(wm/testEpochLen)-1 {
 					t.Fatalf("shard %d %s: epoch %d still open at watermark %v", i, sv.Name, cell.Epoch, wm)
 				}
-				for _, ts := range []*estimators.TimingState{cell.Timing, cell.Second} {
+				for _, ts := range []*estimators.TimingState{cell.State.Timing, cell.Second} {
 					if ts == nil {
 						continue
 					}

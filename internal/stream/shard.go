@@ -59,10 +59,9 @@ type shard struct {
 
 	servers map[string]*serverState
 
-	retained     int // buffered + open-epoch records currently held
+	retained     int // records currently held: the reorder buffer's
 	peakRetained int
 	stats        Stats
-	err          error
 
 	// wmGauge is the shard's exported watermark (nil-safe when metrics
 	// are disabled).
@@ -166,7 +165,6 @@ func (s *shard) loop() {
 type shardCtl struct {
 	quiesce bool
 	state   ShardState
-	err     error
 	done    chan struct{}
 }
 
@@ -196,7 +194,7 @@ drain:
 	if req.quiesce {
 		s.quiesceLocked()
 	} else {
-		req.state, req.err = s.exportLocked()
+		req.state = s.exportLocked()
 	}
 	s.mu.Unlock()
 	close(req.done)
@@ -315,27 +313,27 @@ func (s *shard) emitLocked(rec trace.ObservedRecord) {
 	sv.addDomain(rec.Domain)
 	cell, ok := sv.open[epoch]
 	if !ok {
-		cell = &epochCell{}
-		if e.streaming != nil {
-			cell.prim = e.streaming.OpenEpoch(epoch, e.estCfg)
-			cell.watch(cell.prim)
-		}
-		if e.secondSrc != nil {
-			cell.second = e.secondSrc.OpenEpoch(epoch, e.estCfg).(*estimators.TimingStream)
-			cell.watch(cell.second)
-		}
+		cell = s.openCell(epoch)
 		sv.open[epoch] = cell
 	}
-	if cell.prim != nil {
-		cell.prim.Observe(rec)
-	} else {
-		cell.recs = append(cell.recs, rec)
-		s.retainInc(1)
-	}
+	cell.prim.Observe(rec)
 	if cell.second != nil {
 		cell.second.Observe(rec)
 	}
 	s.queueExpiryLocked(cell)
+}
+
+// openCell starts one (server, epoch) cell: the selected estimator's stream
+// and, when enabled, the MT second opinion's.
+func (s *shard) openCell(epoch int) *epochCell {
+	e := s.eng
+	cell := &epochCell{prim: e.estimator.OpenEpoch(epoch, e.estCfg)}
+	cell.watch(cell.prim)
+	if e.secondSrc != nil {
+		cell.second = e.secondSrc.OpenEpoch(epoch, e.estCfg).(*estimators.TimingStream)
+		cell.watch(cell.second)
+	}
+	return cell
 }
 
 // queueExpiryLocked puts a cell that holds candidates, and is not queued
@@ -351,9 +349,9 @@ func (s *shard) queueExpiryLocked(cell *epochCell) {
 }
 
 // closeThroughLocked finalises every open epoch ≤ ep across the shard's
-// servers: micro-batch estimators run over the retained records, streaming
-// estimators report their running count, and the cell is freed. Only the
-// first call for a given ep walks the servers (see closedThrough).
+// servers: each cell's streams report their final estimate and the cell is
+// freed. Only the first call for a given ep walks the servers (see
+// closedThrough).
 func (s *shard) closeThroughLocked(ep int) {
 	if ep <= s.closedThrough {
 		return
@@ -381,17 +379,10 @@ func (s *shard) closeCellLocked(sv *serverState, epoch int) {
 	if s.eng.m.epochClose != nil {
 		t0 = s.eng.cfg.Clock()
 	}
-	v, err := s.estimateCellLocked(cell, epoch)
+	sv.perEpoch[epoch] = cell.prim.Estimate()
 	if s.eng.m.epochClose != nil {
 		s.eng.m.epochClose.Observe(s.eng.cfg.Clock().Sub(t0).Seconds())
 	}
-	if err != nil {
-		s.eng.m.estErrors.Inc()
-		if s.err == nil {
-			s.err = err
-		}
-	}
-	sv.perEpoch[epoch] = v
 	if cell.second != nil {
 		sv.perEpochMT[epoch] = cell.second.Estimate()
 	}
@@ -403,26 +394,13 @@ func (s *shard) closeCellLocked(sv *serverState, epoch int) {
 	if cell.second != nil {
 		cell.second.Release()
 	}
-	s.retainInc(-len(cell.recs))
 	cell.closed = true
 	delete(sv.open, epoch)
 	s.stats.EpochsClosed++
 	s.eng.m.epochs.Inc()
 }
 
-// estimateCellLocked evaluates one cell (final or provisional).
-func (s *shard) estimateCellLocked(cell *epochCell, epoch int) (float64, error) {
-	if cell.prim != nil {
-		return cell.prim.Estimate(), nil
-	}
-	v, err := s.eng.estimator.EstimateEpoch(cell.recs, epoch, s.eng.estCfg)
-	if err != nil {
-		return 0, fmt.Errorf("stream: epoch %d: %w", epoch, err)
-	}
-	return v, nil
-}
-
-// advanceOpenLocked lets streaming estimators expire candidate state up to
+// advanceOpenLocked lets the streams that hold candidates expire them up to
 // the watermark (bounded memory for idle-but-open epochs). It visits the
 // cells whose oldest candidate is due and no others. A cell's own Observe
 // may have expired that candidate already — its due time then reads early,
@@ -495,40 +473,24 @@ func (s *shard) retainInc(d int) {
 
 // estimateServer assembles one server's ServerEstimate over the epoch
 // range [first, last], exactly as core.Analyze does: closed epochs use
-// their finalised value, open epochs a provisional estimate, absent
-// epochs the estimator's value on an empty observation set.
-func (s *shard) estimateServer(name string, sv *serverState, first, last int) (core.ServerEstimate, error) {
+// their finalised value, open epochs a provisional estimate, and an epoch
+// without a record is 0 (estimators.EstimateEpoch of nothing).
+func (s *shard) estimateServer(name string, sv *serverState, first, last int) core.ServerEstimate {
 	est := core.ServerEstimate{
 		Server:          name,
 		MatchedLookups:  sv.matched,
 		DistinctDomains: len(sv.domains),
 	}
-	var firstErr error
 	var total, totalMT float64
 	epochs := 0
 	for ep := first; ep <= last; ep++ {
-		var v float64
-		switch {
-		case hasKey(sv.perEpoch, ep):
-			v = sv.perEpoch[ep]
-		case sv.open[ep] != nil:
-			pv, err := s.estimateCellLocked(sv.open[ep], ep)
-			if err != nil && firstErr == nil {
-				firstErr = err
+		v, closed := sv.perEpoch[ep]
+		totalMT += sv.perEpochMT[ep]
+		if cell := sv.open[ep]; cell != nil && !closed {
+			v = cell.prim.Estimate()
+			if cell.second != nil {
+				totalMT += cell.second.Estimate()
 			}
-			v = pv
-			if sv.open[ep].second != nil {
-				totalMT += sv.open[ep].second.Estimate()
-			}
-		default:
-			pv, err := s.eng.estimator.EstimateEpoch(nil, ep, s.eng.estCfg)
-			if err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("stream: epoch %d: %w", ep, err)
-			}
-			v = pv
-		}
-		if hasKey(sv.perEpochMT, ep) {
-			totalMT += sv.perEpochMT[ep]
 		}
 		est.PerEpoch = append(est.PerEpoch, v)
 		total += v
@@ -540,15 +502,7 @@ func (s *shard) estimateServer(name string, sv *serverState, first, last int) (c
 			est.SecondOpinion = totalMT / float64(epochs)
 		}
 	}
-	return est, firstErr
-}
-
-func hasKey(m map[int]float64, k int) bool {
-	if m == nil {
-		return false
-	}
-	_, ok := m[k]
-	return ok
+	return est
 }
 
 // serverState is one forwarding server's accumulated landscape state.
@@ -598,10 +552,9 @@ func (sv *serverState) sortedDomains() []string {
 	return append([]string(nil), sv.sorted...)
 }
 
-// epochCell is one open (server, epoch): either a streaming estimator fed
-// incrementally or the retained records for a micro-batch on close.
+// epochCell is one open (server, epoch): the selected estimator's stream,
+// fed record by record.
 type epochCell struct {
-	recs   trace.Observed
 	prim   estimators.EpochStream
 	second *estimators.TimingStream // the MT second opinion, when enabled
 	// expiring lists those of prim and second that hold state a watermark

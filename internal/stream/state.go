@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"botmeter/internal/estimators"
-	"botmeter/internal/matcher"
 	"botmeter/internal/sim"
 	"botmeter/internal/trace"
 )
@@ -23,15 +22,14 @@ import (
 // uninterrupted run exactly:
 //
 //   - Order-significant state stays ordered: TimingStream candidates (scan
-//     order), open-epoch micro-batch records (emission order), the reorder
-//     heap (exported in heap-array order; re-pushing a valid heap array in
-//     order rebuilds the identical array) and the per-shard seq counter
-//     (tie order for equal timestamps).
+//     order), the reorder heap (exported in heap-array order; re-pushing a
+//     valid heap array in order rebuilds the identical array) and the
+//     per-shard seq counter (tie order for equal timestamps).
 //   - Order-insensitive state (domain sets, per-epoch maps, server maps) is
 //     exported sorted, so the same engine state always serializes to the
 //     same bytes and checkpoints diff cleanly.
 //   - What the engine holds in memory as pool positions (MT candidates,
-//     buffered and retained records) is serialized as names, through the
+//     buffered records) is serialized as names, through the
 //     epoch's matcher (matcher.Attribution.Name), and restored through the
 //     same Resolve every ingested record goes through. A name that matcher
 //     does not hold fails the restore: the fingerprint pins family, seed and
@@ -147,10 +145,8 @@ type ShardStats struct {
 	EpochsClosed     uint64
 }
 
-// RecordEntry is one retained record. Reorder-buffer entries carry their
-// arrival sequence (tie order) and server; open-epoch micro-batch records
-// omit both — order is positional and the server is the enclosing
-// ServerState's.
+// RecordEntry is one record of a shard's reorder buffer, with its arrival
+// sequence (tie order).
 type RecordEntry struct {
 	T      sim.Time
 	Seq    uint64
@@ -174,74 +170,14 @@ type EpochValue struct {
 	Value float64
 }
 
-// EpochCellState is one open (server, epoch) cell: the streaming
-// estimator's incremental state (exactly one of Timing, Clusters or
-// Bernoulli, matching the estimator family) or the retained micro-batch
-// records, plus the second-opinion MT state when enabled.
+// EpochCellState is one open (server, epoch) cell: the selected estimator's
+// exported statistic, plus the second-opinion MT state when enabled. What is
+// inside State is the estimators package's business; this package moves it
+// and gives it bytes (statecodec.go).
 type EpochCellState struct {
-	Epoch     int
-	Records   []RecordEntry
-	Timing    *estimators.TimingState
-	Clusters  *estimators.ClusterStreamState
-	Bernoulli *estimators.BernoulliState
-	Second    *estimators.TimingState
-}
-
-// exportEpochStream serialises one primary estimator stream into the cell,
-// dispatching on the stream's state type: MT exports candidate state,
-// MP/NC their activation clusters, MB its distinct (bucket, position) set.
-// MT's candidates are positions in memory and names in the state; names is
-// the cell's epoch's matcher.
-func exportEpochStream(es estimators.EpochStream, cs *EpochCellState, names *matcher.Attribution) error {
-	switch st := es.(type) {
-	case *estimators.TimingStream:
-		ts := st.ExportState(names)
-		cs.Timing = &ts
-	case interface {
-		ExportState() estimators.ClusterStreamState
-	}:
-		v := st.ExportState()
-		cs.Clusters = &v
-	case *estimators.BernoulliStream:
-		v := st.ExportState()
-		cs.Bernoulli = &v
-	default:
-		return fmt.Errorf("stream: estimator stream %T is not checkpointable", es)
-	}
-	return nil
-}
-
-// restoreEpochStream loads the cell's serialized state into a freshly
-// opened stream, requiring the state field to match the stream's family.
-func restoreEpochStream(es estimators.EpochStream, cs EpochCellState, names *matcher.Attribution) error {
-	switch st := es.(type) {
-	case *estimators.TimingStream:
-		if cs.Timing == nil {
-			return fmt.Errorf("missing timing state for stream %T", es)
-		}
-		return st.RestoreState(*cs.Timing, names)
-	case interface {
-		RestoreState(estimators.ClusterStreamState)
-	}:
-		if cs.Clusters == nil {
-			return fmt.Errorf("missing cluster state for stream %T", es)
-		}
-		st.RestoreState(*cs.Clusters)
-	case *estimators.BernoulliStream:
-		if cs.Bernoulli == nil {
-			return fmt.Errorf("missing Bernoulli state for stream %T", es)
-		}
-		st.RestoreState(*cs.Bernoulli)
-	default:
-		return fmt.Errorf("estimator stream %T is not checkpointable", es)
-	}
-	return nil
-}
-
-// hasStreamState reports whether the cell carries any primary streaming
-// estimator state.
-func (cs EpochCellState) hasStreamState() bool {
-	return cs.Timing != nil || cs.Clusters != nil || cs.Bernoulli != nil
+	Epoch  int
+	State  estimators.EpochState
+	Second *estimators.TimingState
 }
 
 // ExportState captures the engine's complete serializable state through a
@@ -271,9 +207,6 @@ func (e *Engine) ExportState() (*EngineState, error) {
 	}
 	for i, req := range reqs {
 		<-req.done
-		if req.err != nil {
-			return nil, req.err
-		}
 		st.Shards[i] = req.state
 	}
 	if v := e.cfg.Vantage; v != "" {
@@ -342,10 +275,7 @@ func Restore(cfg Config, st *EngineState) (*Engine, error) {
 
 // exportLocked serialises the shard. Holding mu inside the shard goroutine,
 // nothing can mutate concurrently; everything is deep-copied.
-func (s *shard) exportLocked() (ShardState, error) {
-	if s.err != nil {
-		return ShardState{}, fmt.Errorf("stream: shard %d carries an estimator error, refusing to checkpoint: %w", s.idx, s.err)
-	}
+func (s *shard) exportLocked() ShardState {
 	st := ShardState{
 		Seq:             s.seq,
 		Watermark:       int64(s.watermark),
@@ -390,27 +320,16 @@ func (s *shard) exportLocked() (ShardState, error) {
 		sort.Ints(epochs)
 		for _, ep := range epochs {
 			cell := sv.open[ep]
-			cs := EpochCellState{Epoch: ep}
 			names := s.matcherLocked(ep)
-			if cell.prim != nil {
-				if err := exportEpochStream(cell.prim, &cs, names); err != nil {
-					return ShardState{}, err
-				}
-			} else {
-				cs.Records = make([]RecordEntry, len(cell.recs))
-				for i, rec := range cell.recs {
-					cs.Records[i] = RecordEntry{T: rec.T, Domain: rec.Domain}
-				}
-			}
+			cs := EpochCellState{Epoch: ep, State: cell.prim.ExportState(names)}
 			if cell.second != nil {
-				ts := cell.second.ExportState(names)
-				cs.Second = &ts
+				cs.Second = cell.second.ExportState(names).Timing
 			}
 			ss.Open = append(ss.Open, cs)
 		}
 		st.Servers = append(st.Servers, ss)
 	}
-	return st, nil
+	return st
 }
 
 // importState loads one shard's state. Called before the shard goroutine
@@ -440,13 +359,12 @@ func (s *shard) importState(st ShardState) error {
 	}
 	for _, en := range st.Buffer {
 		epoch := int(en.T / e.cfg.Core.EpochLen)
-		rec, err := restoreRecord(en, en.Server, epoch, s.matcherLocked(epoch))
-		if err != nil {
-			return fmt.Errorf("reorder buffer: %w", err)
+		rec := trace.ObservedRecord{T: en.T, Server: en.Server, Domain: en.Domain}
+		if !s.matcherLocked(epoch).Attribute(&rec) {
+			return fmt.Errorf("reorder buffer: server %s epoch %d: domain %q is not one the epoch's matcher holds", en.Server, epoch, en.Domain)
 		}
 		s.buf.push(reorderEntry{t: en.T, seq: en.Seq, rec: rec})
 	}
-	retained := s.buf.len()
 	for _, ss := range st.Servers {
 		sv := &serverState{
 			matched:  ss.Matched,
@@ -471,51 +389,23 @@ func (s *shard) importState(st ShardState) error {
 			return fmt.Errorf("server %s carries second-opinion state but the engine has none", ss.Name)
 		}
 		for _, cs := range ss.Open {
-			cell := &epochCell{}
+			cell := s.openCell(cs.Epoch)
 			names := s.matcherLocked(cs.Epoch)
-			if e.streaming != nil {
-				if !cs.hasStreamState() {
-					return fmt.Errorf("server %s epoch %d: missing streaming estimator state", ss.Name, cs.Epoch)
-				}
-				prim := e.streaming.OpenEpoch(cs.Epoch, e.estCfg)
-				if err := restoreEpochStream(prim, cs, names); err != nil {
-					return fmt.Errorf("server %s epoch %d: %w", ss.Name, cs.Epoch, err)
-				}
-				cell.prim = prim
-				cell.watch(prim)
-			} else {
-				if cs.hasStreamState() {
-					return fmt.Errorf("server %s epoch %d: streaming state for a micro-batch estimator", ss.Name, cs.Epoch)
-				}
-				cell.recs = make(trace.Observed, len(cs.Records))
-				for i, en := range cs.Records {
-					var err error
-					if cell.recs[i], err = restoreRecord(en, ss.Name, cs.Epoch, names); err != nil {
-						return err
-					}
-				}
-				retained += len(cell.recs)
+			if err := cell.prim.RestoreState(cs.State, names); err != nil {
+				return fmt.Errorf("server %s epoch %d: %w", ss.Name, cs.Epoch, err)
 			}
-			if e.secondSrc != nil {
-				if cs.Second == nil {
-					return fmt.Errorf("server %s epoch %d: missing second-opinion state", ss.Name, cs.Epoch)
-				}
-				cell.second = e.secondSrc.OpenEpoch(cs.Epoch, e.estCfg).(*estimators.TimingStream)
-				if err := cell.second.RestoreState(*cs.Second, names); err != nil {
+			if cell.second != nil {
+				if err := cell.second.RestoreState(estimators.EpochState{Timing: cs.Second}, names); err != nil {
 					return fmt.Errorf("server %s epoch %d: second opinion: %w", ss.Name, cs.Epoch, err)
 				}
-				cell.watch(cell.second)
 			}
 			s.queueExpiryLocked(cell)
 			sv.open[cs.Epoch] = cell
 		}
 		s.servers[ss.Name] = sv
 	}
-	s.retained = retained
-	s.peakRetained = st.PeakRetained
-	if retained > s.peakRetained {
-		s.peakRetained = retained
-	}
+	s.retained = s.buf.len()
+	s.peakRetained = max(st.PeakRetained, s.retained)
 	// Counters (ingested, matched, …) are NOT replayed into the registry —
 	// metrics count this process's work, Stats() stays cumulative across
 	// restores. The retained gauge, which tracks this process's holdings,
@@ -524,17 +414,6 @@ func (s *shard) importState(st ShardState) error {
 		s.wmGauge.Set(float64(s.watermark))
 	}
 	return nil
-}
-
-// restoreRecord turns a serialized record back into a matched one: the name
-// goes through its epoch's matcher like any ingested record's, and a name
-// that matcher does not hold is an error.
-func restoreRecord(en RecordEntry, server string, epoch int, names *matcher.Attribution) (trace.ObservedRecord, error) {
-	rec := trace.ObservedRecord{T: en.T, Server: server, Domain: en.Domain}
-	if !names.Attribute(&rec) {
-		return rec, fmt.Errorf("server %s epoch %d: domain %q is not one the epoch's matcher holds", server, epoch, en.Domain)
-	}
-	return rec, nil
 }
 
 func sortedKeys(m map[string]struct{}) []string {

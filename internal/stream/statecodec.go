@@ -9,7 +9,7 @@ import (
 	"botmeter/internal/sim"
 )
 
-// This file is the checkpoint payload format (version 3, DESIGN.md §15) and
+// This file is the checkpoint payload format (version 4, DESIGN.md §15) and
 // the only place that knows its layout. One walk over EngineState's fields
 // (coder.state and the methods under it) runs in three modes: measure the
 // encoded size, append the encoding, or decode it — so the writer and the
@@ -330,10 +330,9 @@ func (c *coder) value(ev *EpochValue) {
 
 func (c *coder) cell(cs *EpochCellState) {
 	c.int(&cs.Epoch)
-	list(c, &cs.Records, minRecord, (*coder).record)
-	opt(c, &cs.Timing, (*coder).timing)
-	opt(c, &cs.Clusters, (*coder).clusters)
-	opt(c, &cs.Bernoulli, (*coder).bernoulli)
+	opt(c, &cs.State.Timing, (*coder).timing)
+	opt(c, &cs.State.Clusters, (*coder).clusters)
+	opt(c, &cs.State.Bernoulli, (*coder).bernoulli)
 	opt(c, &cs.Second, (*coder).timing)
 }
 

@@ -62,11 +62,8 @@ func TestDecodeForgedCounts(t *testing.T) {
 		"open": func(n int) *stream.EngineState {
 			return server(stream.ServerState{Open: make([]stream.EpochCellState, n)})
 		},
-		"records": func(n int) *stream.EngineState {
-			return cell(stream.EpochCellState{Records: make([]stream.RecordEntry, n)})
-		},
 		"candidates": func(n int) *stream.EngineState {
-			return cell(stream.EpochCellState{Timing: &estimators.TimingState{Active: make([]estimators.TimingCandidate, n)}})
+			return cell(stream.EpochCellState{State: estimators.EpochState{Timing: &estimators.TimingState{Active: make([]estimators.TimingCandidate, n)}}})
 		},
 		"candidate-domains": func(n int) *stream.EngineState {
 			return cell(stream.EpochCellState{Second: &estimators.TimingState{
@@ -74,15 +71,15 @@ func TestDecodeForgedCounts(t *testing.T) {
 			}})
 		},
 		"clusters": func(n int) *stream.EngineState {
-			return cell(stream.EpochCellState{Clusters: &estimators.ClusterStreamState{Done: make([]estimators.ClusterState, n)}})
+			return cell(stream.EpochCellState{State: estimators.EpochState{Clusters: &estimators.ClusterStreamState{Done: make([]estimators.ClusterState, n)}}})
 		},
 		"buckets": func(n int) *stream.EngineState {
-			return cell(stream.EpochCellState{Bernoulli: &estimators.BernoulliState{Buckets: make([]estimators.BernoulliBucket, n)}})
+			return cell(stream.EpochCellState{State: estimators.EpochState{Bernoulli: &estimators.BernoulliState{Buckets: make([]estimators.BernoulliBucket, n)}}})
 		},
 		"positions": func(n int) *stream.EngineState {
-			return cell(stream.EpochCellState{Bernoulli: &estimators.BernoulliState{
+			return cell(stream.EpochCellState{State: estimators.EpochState{Bernoulli: &estimators.BernoulliState{
 				Buckets: []estimators.BernoulliBucket{{Positions: make([]int, n)}},
-			}})
+			}}})
 		},
 	}
 	for name, build := range kinds {
@@ -157,9 +154,9 @@ func TestDecodeAllocsIndependentOfNames(t *testing.T) {
 					Name:    fmt.Sprintf("local-%d-%d", sh, sv),
 					Matched: names,
 					Domains: domains,
-					Open: []stream.EpochCellState{{Timing: &estimators.TimingState{
+					Open: []stream.EpochCellState{{State: estimators.EpochState{Timing: &estimators.TimingState{
 						Active: []estimators.TimingCandidate{{Domains: domains}},
-					}}},
+					}}}},
 				})
 			}
 		}

@@ -18,16 +18,16 @@
 //     are dropped and counted; buffer overflow evicts the oldest entry and
 //     advances the watermark — graceful degradation, never a panic, never
 //     a watermark regression.
-//   - Estimation is per (server, epoch). StreamCapable estimators (MT) are
-//     fed record-by-record with candidate expiry; everything else (MP, MB,
-//     …) keeps the open epoch's records and re-estimates them as a
-//     windowed micro-batch when the watermark closes the epoch, after
-//     which the records are freed. Memory is bounded by the reorder buffer
-//     plus the open epochs' matched records — never the full trace.
+//   - Estimation is per (server, epoch): a cell is the selected estimator's
+//     epoch stream (estimators.EpochStream), fed record by record, plus the
+//     MT second opinion's when enabled. When the watermark closes the epoch
+//     the stream reports its final estimate and is freed. No record outlives
+//     the reorder buffer: memory is that buffer plus each open cell's
+//     sufficient statistic — never the epoch's records, never the trace.
 //
 // The defining contract (enforced by TestBatchStreamEquivalence under
 // -race): for any trace, streaming the records yields the same landscape
-// as core.Analyze over the full trace — exactly for epoch-closed MP/MB
+// as core.Analyze over the full trace — exactly for MP/NC/MB/MB-C
 // (set/multiset-based, insensitive to tie order) and exactly for MT on
 // in-order input; after shuffling within the reorder window MT may differ
 // only through the ordering of equal-timestamp records, the documented
@@ -53,17 +53,16 @@ import (
 
 // Metric families exported by the engine (see Config.Registry).
 const (
-	MetricIngested   = "stream_ingested_records_total"
-	MetricMatched    = "stream_matched_records_total"
-	MetricUnmatched  = "stream_unmatched_records_total"
-	MetricLate       = "stream_dropped_late_total"
-	MetricEvictions  = "stream_reorder_evictions_total"
-	MetricEpochs     = "stream_epochs_closed_total"
-	MetricRetained   = "stream_retained_records"
-	MetricWatermark  = "stream_watermark_ms"
-	MetricSnapshots  = "stream_snapshots_total"
-	MetricEstimators = "stream_estimator_errors_total"
-	MetricRotations  = "stream_source_rotations_total"
+	MetricIngested  = "stream_ingested_records_total"
+	MetricMatched   = "stream_matched_records_total"
+	MetricUnmatched = "stream_unmatched_records_total"
+	MetricLate      = "stream_dropped_late_total"
+	MetricEvictions = "stream_reorder_evictions_total"
+	MetricEpochs    = "stream_epochs_closed_total"
+	MetricRetained  = "stream_retained_records"
+	MetricWatermark = "stream_watermark_ms"
+	MetricSnapshots = "stream_snapshots_total"
+	MetricRotations = "stream_source_rotations_total"
 	// MetricWatermarkLag is a per-shard callback gauge: seconds between the
 	// wall clock and the shard's watermark, evaluated at scrape time. Only
 	// meaningful in live deployments, where record timestamps are Unix ms.
@@ -170,8 +169,8 @@ type Stats struct {
 	ReorderEvictions uint64
 	// EpochsClosed counts (server, epoch) cells finalised.
 	EpochsClosed uint64
-	// Retained is the number of records currently held (reorder buffers +
-	// open-epoch micro-batch state).
+	// Retained is the number of records currently held: the reorder
+	// buffers' (an open epoch holds a statistic, not records).
 	Retained int
 	// PeakRetained sums the per-shard retention peaks — an upper bound on
 	// the true engine-wide peak (shard peaks need not coincide in time).
@@ -190,8 +189,7 @@ type Engine struct {
 	cfg       Config
 	estCfg    estimators.Config
 	estimator estimators.Estimator
-	streaming estimators.StreamCapable // non-nil when estimator is incremental
-	secondSrc *estimators.Timing       // second-opinion source when enabled
+	secondSrc *estimators.Timing // second-opinion source when enabled
 	matchers  *core.EpochMatchers
 
 	shards []*shard
@@ -213,7 +211,6 @@ type engineMetrics struct {
 	evictions  *obs.Counter
 	epochs     *obs.Counter
 	snapshots  *obs.Counter
-	estErrors  *obs.Counter
 	rotations  *obs.Counter
 	retained   *obs.Gauge
 	epochClose *obs.Histogram
@@ -265,15 +262,11 @@ func newEngine(cfg Config) (*Engine, error) {
 			Pools:       cfg.Core.Pools,
 		},
 	}
-	// Normalise the estimator config once: every per-(server, epoch) cell —
-	// OpenEpoch, epoch close, provisional snapshot estimates — then takes
-	// EstimateEpoch's fast path instead of re-running defaults + validation.
+	// Normalise the estimator config once: every OpenEpoch then takes the
+	// fast path instead of re-running defaults + validation per cell.
 	var err error
 	if e.estCfg, err = e.estCfg.Normalized(); err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
-	}
-	if sc, ok := est.(estimators.StreamCapable); ok {
-		e.streaming = sc
 	}
 	if cfg.Core.SecondOpinion {
 		e.secondSrc = estimators.NewTiming()
@@ -285,10 +278,9 @@ func newEngine(cfg Config) (*Engine, error) {
 		reg.Help(MetricLate, "Matched records dropped for arriving older than the watermark.")
 		reg.Help(MetricEvictions, "Forced emissions from a full reorder buffer.")
 		reg.Help(MetricEpochs, "Per-server epochs finalised.")
-		reg.Help(MetricRetained, "Records currently retained (reorder buffers + open epochs).")
+		reg.Help(MetricRetained, "Records currently retained (reorder buffers).")
 		reg.Help(MetricWatermark, "Per-shard watermark (virtual ms).")
 		reg.Help(MetricSnapshots, "Landscape snapshots served.")
-		reg.Help(MetricEstimators, "Estimator failures during epoch close or snapshot.")
 		reg.Help(MetricRotations, "Source-file rotations/truncations survived while tailing.")
 		reg.Help(MetricWatermarkLag, "Seconds between the wall clock and the shard watermark (live mode).")
 		reg.Help(MetricReorderDepth, "Records held in the shard's reorder heap.")
@@ -303,7 +295,6 @@ func newEngine(cfg Config) (*Engine, error) {
 			evictions:  reg.Counter(MetricEvictions),
 			epochs:     reg.Counter(MetricEpochs),
 			snapshots:  reg.Counter(MetricSnapshots),
-			estErrors:  reg.Counter(MetricEstimators),
 			rotations:  reg.Counter(MetricRotations),
 			retained:   reg.Gauge(MetricRetained),
 			epochClose: reg.Histogram(MetricEpochClose, obs.LatencyBuckets),
@@ -400,8 +391,8 @@ type ShardStat struct {
 	LagSeconds float64
 	// ReorderDepth is the number of records in the reorder heap.
 	ReorderDepth int
-	// Retained is the shard's current retained-record count (reorder heap +
-	// open-epoch micro-batch state).
+	// Retained is the shard's current retained-record count (its reorder
+	// heap's).
 	Retained int
 	// Ingested/Matched/DroppedLate/EpochsClosed are the shard's share of the
 	// engine tallies.
@@ -456,7 +447,9 @@ func (e *Engine) WatermarkLagSeconds() float64 {
 
 // Snapshot assembles the current landscape: closed epochs contribute their
 // finalised estimates, open epochs a provisional estimate over what has
-// been observed so far. The returned landscape is an independent copy.
+// been observed so far. The returned landscape is an independent copy. The
+// error is always nil: the signature is older than the one kind of cell,
+// whose estimate cannot fail.
 func (e *Engine) Snapshot() (*core.Landscape, error) {
 	e.m.snapshots.Inc()
 	first, last, ok := e.epochSpan()
@@ -472,7 +465,6 @@ func (e *Engine) Snapshot() (*core.Landscape, error) {
 		Start: sim.Time(first) * e.cfg.Core.EpochLen,
 		End:   sim.Time(last+1) * e.cfg.Core.EpochLen,
 	}
-	var firstErr error
 	for _, s := range e.shards {
 		s.mu.Lock()
 		servers := make([]string, 0, len(s.servers))
@@ -481,18 +473,12 @@ func (e *Engine) Snapshot() (*core.Landscape, error) {
 		}
 		sort.Strings(servers)
 		for _, name := range servers {
-			est, err := s.estimateServer(name, s.servers[name], first, last)
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
+			est := s.estimateServer(name, s.servers[name], first, last)
 			land.Servers = append(land.Servers, est)
 			land.Total += est.Population
 			land.MatchedLookups += est.MatchedLookups
 		}
 		s.mu.Unlock()
-	}
-	if firstErr != nil {
-		return nil, firstErr
 	}
 	sort.Slice(land.Servers, func(i, j int) bool {
 		if land.Servers[i].Population != land.Servers[j].Population {
@@ -573,9 +559,6 @@ func (e *Engine) Close() (*core.Landscape, error) {
 		s.flushLocked()
 		s.mu.Unlock()
 	}
-	if err := e.firstShardErr(); err != nil {
-		return nil, err
-	}
 	return e.Snapshot()
 }
 
@@ -595,18 +578,4 @@ func (e *Engine) Kill() {
 		close(s.ch)
 	}
 	e.wg.Wait()
-}
-
-// firstShardErr returns the first estimator error recorded by any shard
-// (lowest shard index — deterministic).
-func (e *Engine) firstShardErr() error {
-	for _, s := range e.shards {
-		s.mu.Lock()
-		err := s.err
-		s.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
