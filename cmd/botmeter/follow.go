@@ -74,7 +74,7 @@ func runFollow(coreCfg core.Config, fc followConfig) error {
 	if fc.resume {
 		var state *stream.EngineState
 		var info stream.RecoveryInfo
-		eng, state, info, err = stream.RestoreLatest(streamCfg, fc.checkpointDir)
+		eng, state, info, err = stream.RestoreLatest(streamCfg, fc.checkpointDir, "")
 		if err != nil {
 			return err
 		}

@@ -193,39 +193,24 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 		dga.ExportPoolMetrics(reg)
 		var skip uint64
 		if *checkpointDir != "" {
-			state, info, err := stream.LoadCheckpoint(*checkpointDir)
+			var state *stream.EngineState
+			var info stream.RecoveryInfo
+			est, state, info, err = stream.RestoreLatest(streamCfg, *checkpointDir, *observedPath)
 			if err != nil {
 				return err
 			}
-			if !info.Found && info.CorruptSkipped > 0 {
+			switch {
+			case info.Found:
+				skip = state.Source.Records
+				recovery = info.String()
+				logger.Info("restored checkpoint",
+					"generation", info.Gen, "records", skip, "corrupt_skipped", info.CorruptSkipped)
+			case info.Stale:
+				logger.Warn("checkpoint is newer than the observed dataset (rotated or truncated?); starting fresh",
+					"generation", info.Gen)
+			case info.CorruptSkipped > 0:
 				logger.Warn("no loadable checkpoint; replaying the observed dataset from its start",
 					"skipped", info.CorruptSkipped, "newest_err", info.SkipErr)
-			}
-			if info.Found {
-				stale := false
-				if state.Source.Bytes > 0 {
-					fi, statErr := os.Stat(*observedPath)
-					stale = statErr != nil || fi.Size() < state.Source.Bytes
-				}
-				if stale {
-					logger.Warn("checkpoint is newer than the observed dataset (rotated or truncated?); starting fresh",
-						"generation", info.Gen)
-				} else {
-					// This restores an older generation than the one checked
-					// above when that one decodes but does not restore. It
-					// covers a prefix of what that one covers, so it is no
-					// staler.
-					est, state, info, err = stream.RestoreLatest(streamCfg, *checkpointDir)
-					if err != nil {
-						return err
-					}
-					if info.Found {
-						skip = state.Source.Records
-						recovery = info.String()
-						logger.Info("restored checkpoint",
-							"generation", info.Gen, "records", skip, "corrupt_skipped", info.CorruptSkipped)
-					}
-				}
 			}
 		}
 		if est == nil {

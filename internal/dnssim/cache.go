@@ -48,9 +48,8 @@ type Cache struct {
 	// upstream is unreachable (RFC 8767 serve-stale). Zero disables it.
 	StaleTTL sim.Time
 
-	lookups   int
-	hits      int
-	staleHits int
+	lookups int
+	hits    int
 
 	// m holds the optional obs instruments (see Instrument); the zero
 	// value is disabled and costs one branch per event.
@@ -133,13 +132,9 @@ func (c *Cache) LookupStaleID(now sim.Time, id symtab.ID) (Answer, bool) {
 	if !ok || now < e.expires || now >= e.expires+c.StaleTTL {
 		return Answer{}, false
 	}
-	c.staleHits++
 	c.m.staleHits.Inc()
 	return Answer{NX: e.nx, CacheHit: true, Stale: true}, true
 }
-
-// StaleHits returns the number of answers served past their TTL.
-func (c *Cache) StaleHits() int { return c.staleHits }
 
 // StoreID records an answer at virtual time now, using the TTL matching its
 // class. Answers whose class has caching disabled are not stored.

@@ -2,7 +2,6 @@ package dnssim
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"botmeter/internal/obs"
@@ -448,22 +447,6 @@ func (n *Network) ReleaseCaches() {
 	for _, mid := range n.mids {
 		mid.cache.Release()
 	}
-}
-
-// SortedClientHomes returns clients sorted by name with their home servers,
-// for deterministic reporting.
-func (n *Network) SortedClientHomes() []ClientHome {
-	out := make([]ClientHome, 0, len(n.clientHome))
-	for c, h := range n.clientHome {
-		out = append(out, ClientHome{Client: c, Server: h})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Client < out[j].Client })
-	return out
-}
-
-// ClientHome pairs a client with its home local server.
-type ClientHome struct {
-	Client, Server string
 }
 
 // fnv32 is a small deterministic hash for default client homing.

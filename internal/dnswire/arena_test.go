@@ -187,42 +187,6 @@ func TestAppendEncodeZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestCanonicalLower(t *testing.T) {
-	cases := []struct {
-		in, want string
-	}{
-		{"", ""},
-		{"already.lower.example", "already.lower.example"},
-		{"MiXeD.CaSe.ExAmPle", "mixed.case.example"},
-		{"UPPER.EXAMPLE", "upper.example"},
-		{"digits-123.ok", "digits-123.ok"},
-		// Non-ASCII falls back to strings.ToLower semantics.
-		{"ÜBER.example", strings.ToLower("ÜBER.example")},
-		{"mixedÜ.example", strings.ToLower("mixedÜ.example")},
-		{"Aü.example", strings.ToLower("Aü.example")},
-	}
-	for _, c := range cases {
-		if got := CanonicalLower(c.in); got != c.want {
-			t.Errorf("CanonicalLower(%q) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
-// TestCanonicalLowerNoAllocFastPath pins the whole point of the helper: an
-// already-lowercase name must come back without touching the heap (the old
-// strings.ToLower path allocated a copy unconditionally).
-func TestCanonicalLowerNoAllocFastPath(t *testing.T) {
-	name := "xyz123abc.pool-domain.example.com"
-	if got := CanonicalLower(name); got != name {
-		t.Fatalf("CanonicalLower(%q) = %q", name, got)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		_ = CanonicalLower(name)
-	}); allocs != 0 {
-		t.Fatalf("CanonicalLower allocates %.1f allocs/op on lowercase input, want 0", allocs)
-	}
-}
-
 func TestGetPutBuf(t *testing.T) {
 	b := GetBuf()
 	if len(*b) != 0 || cap(*b) < 512 {

@@ -171,40 +171,6 @@ func appendName(buf []byte, name string) ([]byte, error) {
 	return append(buf, 0), nil
 }
 
-// CanonicalLower lowercases a domain name for cache/zone keying. The common
-// case — a name that is already all-lowercase ASCII, which is every name a
-// well-behaved client or the DGA families emit — returns the input string
-// unchanged with no allocation. Mixed-case ASCII lowercases just the ASCII
-// letters (DNS case-insensitivity is ASCII-only, RFC 4343); any non-ASCII
-// byte falls back to strings.ToLower for exact compatibility with the
-// previous behaviour of the daemons' slow paths.
-func CanonicalLower(s string) string {
-	i := 0
-	for ; i < len(s); i++ {
-		c := s[i]
-		if c >= 0x80 {
-			return strings.ToLower(s)
-		}
-		if c >= 'A' && c <= 'Z' {
-			break
-		}
-	}
-	if i == len(s) {
-		return s // already canonical: the hot-path exit, zero allocations
-	}
-	b := []byte(s)
-	for ; i < len(b); i++ {
-		c := b[i]
-		if c >= 0x80 {
-			return strings.ToLower(s)
-		}
-		if c >= 'A' && c <= 'Z' {
-			b[i] = c + ('a' - 'A')
-		}
-	}
-	return string(b)
-}
-
 // Decode parses a wire-format message, following compression pointers.
 func Decode(b []byte) (*Message, error) {
 	if len(b) < 12 {

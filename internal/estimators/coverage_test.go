@@ -2,6 +2,7 @@ package estimators
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"botmeter/internal/dga"
@@ -164,5 +165,40 @@ func TestCoverageTTLPartitionSums(t *testing.T) {
 	}
 	if b < 1.8*a || b > 2.2*a {
 		t.Errorf("two-bucket estimate %v, want ≈ 2× single-bucket %v", b, a)
+	}
+}
+
+// TestCoverageStreamSharesMBState: MB-C folds records with MB's pair fold, so
+// what its stream exports is MB's state for the same records, and a stream
+// restored from it estimates what the original does — what lets an MB-C cell
+// checkpoint and merge by MB's algebra.
+func TestCoverageStreamSharesMBState(t *testing.T) {
+	spec := arSpec(995, 5, 50)
+	cfg, err := defaultCfg(spec).Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := spec.Pool.PoolFor(cfg.Seed, 0)
+	var obs trace.Observed
+	for i, p := range simulateAR(pool, 10, spec.ThetaQ, sim.NewRNG(8)) {
+		obs = append(obs, trace.ObservedRecord{T: sim.Time(i) * 10 * sim.Minute, Pos: p})
+	}
+	cov := runEpochStream(NewCoverage(), cfg, obs)
+	st := cov.ExportState(nil)
+	if st.Bernoulli == nil || st.Timing != nil || st.Clusters != nil {
+		t.Fatalf("MB-C exported %+v, want Bernoulli state only", st)
+	}
+	if mb := mbStateOf(cfg, obs); !reflect.DeepEqual(*st.Bernoulli, mb) {
+		t.Fatalf("MB-C state differs from MB's over the same records:\n MB-C %+v\n MB   %+v", *st.Bernoulli, mb)
+	}
+	twin := NewCoverage().OpenEpoch(0, cfg)
+	if err := twin.RestoreState(st, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := twin.Estimate(), cov.Estimate(); got != want || want <= 0 {
+		t.Errorf("restored MB-C stream estimates %v, original %v", got, want)
+	}
+	if err := twin.RestoreState(EpochState{Clusters: &ClusterStreamState{}}, nil); err == nil {
+		t.Error("an MB-C stream restored from cluster state")
 	}
 }

@@ -124,10 +124,9 @@ func putPairSet(ps *pairSet) {
 }
 
 // pairFold folds matched records into one epoch's distinct (TTL-bucket,
-// pool-position) set — the sufficient statistic MB and Coverage estimate
-// from, built by this one loop body in their batch forms and in MB's stream.
-// The set comes from the pool; whoever made the fold hands it back
-// (putPairSet).
+// pool-position) set — the sufficient statistic MB's and Coverage's streams
+// embed and estimate from. The set comes from the pool; Release hands it
+// back.
 type pairFold struct {
 	pool       *dga.Pool
 	cfg        Config

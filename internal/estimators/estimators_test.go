@@ -3,6 +3,7 @@ package estimators
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"botmeter/internal/dga"
@@ -650,6 +651,20 @@ func TestForModel(t *testing.T) {
 		if got := ForModel(tt.spec).Name(); got != tt.want {
 			t.Errorf("ForModel(%s) = %s, want %s", tt.spec.Name, got, tt.want)
 		}
+	}
+}
+
+func TestByName(t *testing.T) {
+	for _, name := range []string{"MT", "MP", "NC", "MB", "MB-C"} {
+		for _, spelled := range []string{name, strings.ToLower(name)} {
+			e, err := ByName(spelled)
+			if err != nil || e.Name() != name {
+				t.Errorf("ByName(%q) = %v, %v; want the estimator named %s", spelled, e, err, name)
+			}
+		}
+	}
+	if e, err := ByName("MX"); err == nil {
+		t.Errorf("ByName(MX) = %v, want an error", e)
 	}
 }
 

@@ -2,6 +2,7 @@ package estimators
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -277,4 +278,34 @@ func clusterStateCount(st ClusterStreamState) int {
 		n++
 	}
 	return n
+}
+
+// TestEpochStateMerge: an EpochState holds one kind of statistic and merges
+// with its own kind only; the zero state is the identity of every kind.
+func TestEpochStateMerge(t *testing.T) {
+	mb := EpochState{Bernoulli: &BernoulliState{Buckets: []BernoulliBucket{{Bucket: 1, Positions: []int{3, 5}}}}}
+	mp := EpochState{Clusters: &ClusterStreamState{Cur: &ClusterState{Start: 1, End: 2, Count: 3}}}
+	mt := EpochState{Timing: &TimingState{Expired: 2}}
+	for _, st := range []EpochState{mb, mp, mt} {
+		for _, pair := range [][2]EpochState{{st, {}}, {{}, st}} {
+			got, err := pair[0].Merge(pair[1])
+			if err != nil || !reflect.DeepEqual(got, st) {
+				t.Errorf("merge with the zero state: %+v, %v; want %+v", got, err, st)
+			}
+		}
+	}
+	both, err := mb.Merge(mb)
+	if err != nil || !reflect.DeepEqual(both, mb) {
+		t.Errorf("MB self-merge: %+v, %v; want the set unchanged", both, err)
+	}
+	both.Bernoulli.Buckets[0].Positions[0] = 99
+	if mb.Bernoulli.Buckets[0].Positions[0] != 3 {
+		t.Error("a merged state shares memory with its input")
+	}
+	if _, err := mb.Merge(mp); err == nil {
+		t.Error("states of different kinds merged")
+	}
+	if _, err := (EpochState{Timing: mt.Timing, Clusters: mp.Clusters}).Merge(EpochState{}); err == nil {
+		t.Error("a state holding two kinds merged")
+	}
 }

@@ -134,9 +134,7 @@ func (*Poisson) OpenEpoch(epoch int, cfg Config) EpochStream {
 	}
 }
 
-// Estimate implements EpochStream: Equation 1 over the live clusters. Valid
-// mid-epoch (provisional) and at close (final, identical to the batch path
-// on the same records).
+// Estimate implements EpochStream: Equation 1 over the live clusters.
 func (s *PoissonStream) Estimate() float64 {
 	return poissonEquation1(&s.clusterStream, s.windowStart, s.deltaL, s.epochLen)
 }
@@ -159,8 +157,8 @@ func (s *NaiveStream) Estimate() float64 { return float64(s.count()) }
 
 // BernoulliStream is MB's per-(server, epoch) incremental state: the
 // distinct (TTL-bucket, pool-position) pair set, updated in O(1) per
-// record on ingest. Epoch close sorts the pair log and runs the same
-// segment pipeline as the batch path — O(changed positions), not O(pool).
+// record on ingest. Epoch close sorts the pair log and runs the segment
+// pipeline over it — O(changed positions), not O(pool).
 type BernoulliStream struct {
 	mb    *Bernoulli
 	epoch int
@@ -179,8 +177,8 @@ func (mb *Bernoulli) OpenEpoch(epoch int, cfg Config) EpochStream {
 	}
 }
 
-// Estimate implements EpochStream: the batch segment pipeline over the
-// sorted pair log. Sorting in place is safe — the set's semantics are
+// Estimate implements EpochStream: the segment pipeline over the sorted
+// pair log. Sorting in place is safe — the set's semantics are
 // order-free — so provisional mid-epoch estimates and the final close run
 // the identical code path.
 func (s *BernoulliStream) Estimate() float64 {

@@ -107,15 +107,6 @@ func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context
 	return results, nil
 }
 
-// ForEach is Map for side-effecting work: fn(ctx, i) runs for every i in
-// [0, n) with the same ordering, cancellation and error-selection rules.
-func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
-	_, err := Map(ctx, n, workers, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	})
-	return err
-}
-
 // firstError picks the canonical error from a per-index error slice: the
 // lowest-index error that is not a bare context cancellation, falling back
 // to the lowest-index error of any kind.

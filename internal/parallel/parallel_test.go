@@ -133,19 +133,6 @@ func TestMapParentCancellation(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := ForEach(context.Background(), 100, 8, func(_ context.Context, i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := sum.Load(); got != 4950 {
-		t.Errorf("sum = %d, want 4950", got)
-	}
-}
-
 // TestMapDeterministicAggregation is the engine-level version of the
 // experiments' byte-identical contract: a seeded computation aggregated in
 // result order must be identical at workers 1 and 8.

@@ -45,29 +45,3 @@ func (m ActivationModel) EpochActivations(rng *RNG, n int, epochStart, epochLen 
 	}
 	return out
 }
-
-// WindowActivations concatenates per-epoch activations across every epoch
-// overlapping the window w, returning (times, actives) where actives is the
-// per-epoch count of activations that fell inside the window. Each epoch
-// draws fresh rate perturbations, as in the paper's multi-epoch runs
-// (Figure 6(b)).
-func (m ActivationModel) WindowActivations(rng *RNG, n int, epochLen Time, w Window) ([]Time, []int) {
-	if epochLen <= 0 {
-		return nil, nil
-	}
-	var times []Time
-	var actives []int
-	firstEpoch := w.Start / epochLen
-	for es := firstEpoch * epochLen; es < w.End; es += epochLen {
-		epochTimes := m.EpochActivations(rng, n, es, epochLen)
-		count := 0
-		for _, t := range epochTimes {
-			if w.Contains(t) {
-				times = append(times, t)
-				count++
-			}
-		}
-		actives = append(actives, count)
-	}
-	return times, actives
-}

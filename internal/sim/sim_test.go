@@ -395,27 +395,6 @@ func TestActivationDynamicRateIncreasesVariance(t *testing.T) {
 	}
 }
 
-func TestWindowActivationsMultiEpoch(t *testing.T) {
-	m := ActivationModel{}
-	w := Window{Start: 0, End: 4 * Day}
-	times, actives := m.WindowActivations(NewRNG(11), 32, Day, w)
-	if len(actives) != 4 {
-		t.Fatalf("got %d epochs, want 4", len(actives))
-	}
-	var sum int
-	for _, a := range actives {
-		sum += a
-	}
-	if sum != len(times) {
-		t.Errorf("per-epoch actives (%d) disagree with total times (%d)", sum, len(times))
-	}
-	for _, at := range times {
-		if !w.Contains(at) {
-			t.Errorf("activation %v outside window", at)
-		}
-	}
-}
-
 func TestNormal(t *testing.T) {
 	rng := NewRNG(3)
 	var sum, sumsq float64

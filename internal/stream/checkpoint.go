@@ -146,11 +146,18 @@ type RecoveryInfo struct {
 	// was — an older format version reads "unsupported checkpoint version".
 	CorruptSkipped int
 	SkipErr        error
+	// Stale reports that recovery stopped at generation Gen, restoring
+	// nothing, because it was cut further into the source file than the file
+	// is long now (see RestoreLatest).
+	Stale bool
 }
 
 // String renders the info for logs and /healthz.
 func (r RecoveryInfo) String() string {
 	if !r.Found {
+		if r.Stale {
+			return fmt.Sprintf("checkpoint generation %d is newer than its source file", r.Gen)
+		}
 		if r.CorruptSkipped > 0 {
 			return fmt.Sprintf("no loadable checkpoint (%d generation(s) skipped, newest: %v)", r.CorruptSkipped, r.SkipErr)
 		}
@@ -180,14 +187,27 @@ func LoadCheckpoint(dir string) (*EngineState, RecoveryInfo, error) {
 // torn one. The exception is a FingerprintMismatchError: that is the
 // operator's configuration, no older generation would fare better, and it is
 // returned at once. Found false, with a nil engine, means "start fresh".
-func RestoreLatest(cfg Config, dir string) (*Engine, *EngineState, RecoveryInfo, error) {
+//
+// source, when non-empty, is the file the caller will replay from the
+// checkpoint's offset. A generation cut at more bytes of it (Source.Bytes)
+// than it holds now was taken of a file since truncated or replaced: it and
+// everything older is stale, and the walk ends there with Stale set — before
+// an engine exists, so none is left behind in cfg.Registry.
+func RestoreLatest(cfg Config, dir, source string) (*Engine, *EngineState, RecoveryInfo, error) {
 	var eng *Engine
 	st, info, err := loadCheckpoint(dir, func(st *EngineState) (err error) {
+		if source != "" && st.Source.Bytes > 0 {
+			if fi, statErr := os.Stat(source); statErr != nil || fi.Size() < st.Source.Bytes {
+				return errStale
+			}
+		}
 		eng, err = Restore(cfg, st)
 		return err
 	})
 	return eng, st, info, err
 }
+
+var errStale = errors.New("stream: checkpoint is newer than its source file")
 
 // loadCheckpoint walks dir's generations newest first and returns the first
 // that decodes and that use accepts.
@@ -229,6 +249,10 @@ func loadCheckpoint(dir string, use func(*EngineState) error) (*EngineState, Rec
 			var mismatch *FingerprintMismatchError
 			if errors.As(err, &mismatch) {
 				return nil, info, err
+			}
+			if err == errStale {
+				info.Stale, info.Gen = true, gen
+				return nil, info, nil
 			}
 			skip(err)
 			continue

@@ -427,7 +427,7 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 			cfg2 := streamCfg
 			cfg2.Shards = 0
 			cfg2.Core.Estimator = tc.estimator()
-			resumed, state, info, err := stream.RestoreLatest(cfg2, dir)
+			resumed, state, info, err := stream.RestoreLatest(cfg2, dir, "")
 			if err != nil {
 				t.Fatalf("RestoreLatest: %v", err)
 			}
@@ -456,7 +456,7 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 			// Corrupt the fallback too: recovery must degrade to "start
 			// fresh", never to an error or a half-loaded state.
 			c.corrupt(t, stream.CheckpointPath(dir, info.Gen))
-			fresh, _, info2, err := stream.RestoreLatest(cfg2, dir)
+			fresh, _, info2, err := stream.RestoreLatest(cfg2, dir, "")
 			if err != nil {
 				t.Fatalf("RestoreLatest (all corrupt): %v", err)
 			}
@@ -468,6 +468,76 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRestoreLatestStaleSource: a checkpoint cut further into the source file
+// than the file is long now is not restored, and — decided before an engine
+// exists — leaves nothing of itself in the registry the fresh engine takes
+// over: per-shard callback gauges are first-wins and the retained gauge is
+// additive, so an engine restored and then killed would go on being charted.
+func TestRestoreLatestStaleSource(t *testing.T) {
+	tc := diffCases()[1]
+	delivered := synthTrace(t, tc.spec, 7, 4, 2, tc.activations)
+	dir := t.TempDir()
+	source := filepath.Join(dir, "observed.jsonl")
+	if err := os.WriteFile(source, make([]byte, 100), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	cfg := stream.Config{
+		Core:     core.Config{Family: tc.spec, Seed: 7, EpochLen: testEpochLen},
+		Shards:   1,
+		Registry: reg,
+	}
+	eng, err := stream.New(stream.Config{Core: cfg.Core, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range delivered[:len(delivered)/2] {
+		if err := eng.Observe(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ck, err := stream.NewCheckpointer(stream.CheckpointConfig{
+		Dir:        dir,
+		SourceMeta: func() (string, int64) { return source, 100 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Checkpoint(eng, uint64(len(delivered)/2)); err != nil {
+		t.Fatal(err)
+	}
+	eng.Kill()
+
+	restored, _, info, err := stream.RestoreLatest(cfg, dir, source)
+	if err != nil || !info.Found || info.Stale {
+		t.Fatalf("source as long as the cut: %+v, %v; want the generation restored", info, err)
+	}
+	restored.Kill()
+
+	reg = obs.NewRegistry()
+	cfg.Registry = reg
+	if err := os.Truncate(source, 99); err != nil {
+		t.Fatal(err)
+	}
+	restored, st, info, err := stream.RestoreLatest(cfg, dir, source)
+	if err != nil || restored != nil || st != nil || info.Found || !info.Stale || info.Gen != ck.Stats().Gen {
+		t.Fatalf("truncated source: engine %v, %+v, %v; want nothing restored and generation %d stale", restored, info, err, ck.Stats().Gen)
+	}
+	fresh, err := stream.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Kill()
+	if got := reg.GaugeValue(stream.MetricRetained); got != 0 {
+		t.Errorf("%s = %v after a stale checkpoint was passed over, want 0", stream.MetricRetained, got)
+	}
+	unchecked, _, info, err := stream.RestoreLatest(stream.Config{Core: cfg.Core, Shards: 1}, dir, "")
+	if err != nil || !info.Found {
+		t.Fatalf("no source named: %+v, %v; want the generation restored", info, err)
+	}
+	unchecked.Kill()
 }
 
 // TestRestoreFingerprintMismatch: estimator state under one configuration

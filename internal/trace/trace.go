@@ -308,16 +308,6 @@ func (b *Builder) Build() Observed {
 	return append(flat, b.cur...)
 }
 
-// DistinctClients counts the unique clients in a raw dataset — the paper's
-// ground-truth bot count when the dataset is pre-filtered to DGA lookups.
-func (r Raw) DistinctClients() int {
-	set := make(map[string]struct{})
-	for _, rec := range r {
-		set[rec.Client] = struct{}{}
-	}
-	return len(set)
-}
-
 // FilterDomains keeps records whose domain satisfies keep.
 func (r Raw) FilterDomains(keep func(string) bool) Raw {
 	out := make(Raw, 0, len(r))

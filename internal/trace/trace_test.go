@@ -76,17 +76,6 @@ func TestObservedFilterTruncate(t *testing.T) {
 	}
 }
 
-func TestRawDistinctClients(t *testing.T) {
-	r := Raw{
-		{T: 1, Client: "10.0.0.1", Domain: "x.com"},
-		{T: 2, Client: "10.0.0.2", Domain: "x.com"},
-		{T: 3, Client: "10.0.0.1", Domain: "y.com"},
-	}
-	if got := r.DistinctClients(); got != 2 {
-		t.Errorf("DistinctClients = %d, want 2", got)
-	}
-}
-
 func TestRawWindowFilterSort(t *testing.T) {
 	r := Raw{
 		{T: 30, Client: "c", Domain: "b.com", NX: true},
