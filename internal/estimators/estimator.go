@@ -94,8 +94,11 @@ func (c Config) withDefaults() Config {
 // Normalized applies defaults, validates once, and returns a config the
 // per-epoch estimator paths accept without re-normalising. Engine-level
 // callers (core.Analyze, the streaming engine) call this once and reuse the
-// result for every (server, epoch) cell.
+// result for every (server, epoch) cell; on such a result it is a no-op.
 func (c Config) Normalized() (Config, error) {
+	if c.normalized {
+		return c, nil
+	}
 	c = c.withDefaults()
 	if err := c.Validate(); err != nil {
 		return c, err
@@ -149,11 +152,9 @@ type EpochStream interface {
 // cache-filtered lookups one server forwarded during epoch, fed in time
 // order through the stream the estimator opens for that cell.
 func EstimateEpoch(e Estimator, obs trace.Observed, epoch int, cfg Config) (float64, error) {
-	if !cfg.normalized {
-		var err error
-		if cfg, err = cfg.Normalized(); err != nil {
-			return 0, err
-		}
+	cfg, err := cfg.Normalized()
+	if err != nil {
+		return 0, err
 	}
 	if len(obs) == 0 {
 		return 0, nil
@@ -177,8 +178,6 @@ func EstimateEpoch(e Estimator, obs trace.Observed, epoch int, cfg Config) (floa
 // calls run concurrently across servers and a per-call allocation delta would
 // both misattribute and serialise them.
 func EstimateWindow(e Estimator, recs trace.Observed, w sim.Window, cfg Config, stages *obs.StageSet) (perEpoch []float64, mean float64, err error) {
-	// Normalise once; the flagged config short-circuits the per-epoch
-	// normalisation inside every EstimateEpoch call below.
 	if cfg, err = cfg.Normalized(); err != nil {
 		return nil, 0, err
 	}

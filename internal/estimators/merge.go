@@ -56,21 +56,10 @@ type EpochState struct {
 // not combine.
 func (a EpochState) Merge(b EpochState) (EpochState, error) {
 	kinds := 0
-	var out EpochState
-	if a.Timing != nil || b.Timing != nil {
-		kinds++
-		v := orZero(a.Timing).Merge(*orZero(b.Timing))
-		out.Timing = &v
-	}
-	if a.Clusters != nil || b.Clusters != nil {
-		kinds++
-		v := orZero(a.Clusters).Merge(*orZero(b.Clusters))
-		out.Clusters = &v
-	}
-	if a.Bernoulli != nil || b.Bernoulli != nil {
-		kinds++
-		v := orZero(a.Bernoulli).Merge(*orZero(b.Bernoulli))
-		out.Bernoulli = &v
+	out := EpochState{
+		Timing:    mergeKind(a.Timing, b.Timing, &kinds),
+		Clusters:  mergeKind(a.Clusters, b.Clusters, &kinds),
+		Bernoulli: mergeKind(a.Bernoulli, b.Bernoulli, &kinds),
 	}
 	if kinds > 1 {
 		return EpochState{}, fmt.Errorf("estimator states of %d kinds, want at most one", kinds)
@@ -78,11 +67,22 @@ func (a EpochState) Merge(b EpochState) (EpochState, error) {
 	return out, nil
 }
 
-func orZero[T any](p *T) *T {
-	if p == nil {
-		return new(T)
+// mergeKind merges one kind of statistic, counting it when either operand
+// holds it; an operand that does not stands for the kind's empty state.
+func mergeKind[T interface{ Merge(T) T }](a, b *T, kinds *int) *T {
+	if a == nil && b == nil {
+		return nil
 	}
-	return p
+	*kinds++
+	var x, y T
+	if a != nil {
+		x = *a
+	}
+	if b != nil {
+		y = *b
+	}
+	v := x.Merge(y)
+	return &v
 }
 
 // Merge returns the canonical union of two MB pair sets: the distinct

@@ -155,9 +155,6 @@ type RecoveryInfo struct {
 // String renders the info for logs and /healthz.
 func (r RecoveryInfo) String() string {
 	if !r.Found {
-		if r.Stale {
-			return fmt.Sprintf("checkpoint generation %d is newer than its source file", r.Gen)
-		}
 		if r.CorruptSkipped > 0 {
 			return fmt.Sprintf("no loadable checkpoint (%d generation(s) skipped, newest: %v)", r.CorruptSkipped, r.SkipErr)
 		}
@@ -250,7 +247,7 @@ func loadCheckpoint(dir string, use func(*EngineState) error) (*EngineState, Rec
 			if errors.As(err, &mismatch) {
 				return nil, info, err
 			}
-			if err == errStale {
+			if errors.Is(err, errStale) {
 				info.Stale, info.Gen = true, gen
 				return nil, info, nil
 			}
