@@ -78,13 +78,9 @@ func run(args []string) error {
 	if *models != "" {
 		sweep.Models = strings.Split(*models, ",")
 	}
-	f7 := experiments.Fig7Config{Days: *days, Seed: *seed, Scale: *scale, Workers: *workers, Stages: stages, Obs: reg}
+	f7 := experiments.Fig7Config{Days: *days, Seed: sweep.Seed, Scale: sweep.Scale, Workers: sweep.Workers, Stages: sweep.Stages, Obs: sweep.Obs}
 
-	g := genOpts{
-		artifact: *artifact, sweep: sweep, f7: f7, days: *days,
-		seed: *seed, scale: *scale, workers: *workers,
-		reg: reg, outdir: *outdir, chart: *chart,
-	}
+	g := genOpts{artifact: *artifact, sweep: sweep, f7: f7, days: *days, outdir: *outdir, chart: *chart}
 	if *benchJSON == "" {
 		return generate(g)
 	}
@@ -100,17 +96,15 @@ func run(args []string) error {
 // genOpts carries one artifact invocation's settings.
 type genOpts struct {
 	artifact string
-	// sweep configures every synthetic artifact: the Figure 6 panels, the
-	// missing-observations and chaos sweeps and the taxonomy grid.
-	sweep   experiments.SweepConfig
-	f7      experiments.Fig7Config
-	days    int
-	seed    uint64
-	scale   float64
-	workers int
-	reg     *obs.Registry
-	outdir  string
-	chart   bool
+	// sweep configures every synthetic artifact — the Figure 6 panels, the
+	// missing-observations and chaos sweeps and the taxonomy grid — and
+	// holds the seed, scale, worker count and registry every other artifact
+	// reads too.
+	sweep  experiments.SweepConfig
+	f7     experiments.Fig7Config
+	days   int
+	outdir string
+	chart  bool
 }
 
 func generate(g genOpts) error {
@@ -166,7 +160,7 @@ func generate(g genOpts) error {
 		return nil
 	case "reactivation":
 		rows, err := experiments.Reactivation(experiments.ReactivationConfig{
-			Days: g.days, Seed: g.seed, Workers: g.workers, Obs: g.reg,
+			Days: g.days, Seed: g.sweep.Seed, Workers: g.sweep.Workers, Obs: g.sweep.Obs,
 		})
 		if err != nil {
 			return err

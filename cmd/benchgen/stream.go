@@ -69,14 +69,14 @@ func streamBench(g genOpts, checkpoint bool) error {
 		activations     = 3
 		checkpointEvery = 2000
 	)
-	spec := experiments.ScaledSpec(dga.Murofet(), 0.1*g.scale)
-	delivered, err := streamBenchTrace(spec, g.seed, servers, epochs, activations)
+	spec := experiments.ScaledSpec(dga.Murofet(), 0.1*g.sweep.Scale)
+	delivered, err := streamBenchTrace(spec, g.sweep.Seed, servers, epochs, activations)
 	if err != nil {
 		return err
 	}
 	eng, err := stream.New(stream.Config{
-		Core:          core.Config{Family: spec, Seed: g.seed, EpochLen: streamBenchEpochLen},
-		Shards:        g.workers,
+		Core:          core.Config{Family: spec, Seed: g.sweep.Seed, EpochLen: streamBenchEpochLen},
+		Shards:        g.sweep.Workers,
 		ReorderWindow: 5 * sim.Second,
 	})
 	if err != nil {
@@ -113,8 +113,8 @@ func streamBench(g genOpts, checkpoint bool) error {
 	if err != nil {
 		return err
 	}
-	if g.reg != nil {
-		g.reg.Counter("experiments_trials_total").Add(uint64(len(delivered)))
+	if reg := g.sweep.Obs; reg != nil {
+		reg.Counter("experiments_trials_total").Add(uint64(len(delivered)))
 	}
 	stats := eng.Stats()
 	fmt.Printf("stream bench: %d record(s), %d matched, %d server(s), total population %.1f\n",

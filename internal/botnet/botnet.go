@@ -48,6 +48,42 @@ type Config struct {
 	// error. Nil makes the runner build a private cache over the network's
 	// own table.
 	Pools *dga.PoolCache
+	// Barrels, when non-nil, memoises the bots' barrels across runs of the
+	// same (Spec, Seed) — a sweep's axis values within one trial. Nil makes
+	// each bot draw its barrel privately.
+	Barrels *BarrelCache
+}
+
+// BarrelCache memoises the barrel draws of runners that share one (Spec,
+// Seed). A bot's generator is SplitFrom(Seed, epoch, server, bot index) and
+// its barrel is that generator's first use, so the key (epoch, server, bot
+// index) fixes both the positions and the generator state after the draw.
+// An entry keeps both: a hit hands the bot the positions and a clone of that
+// state, and every later draw of the bot (jittered query gaps, reactivation
+// back-off) is the one a private draw would have led to.
+//
+// A cache must only be shared by runners of one Spec and Seed. It is not
+// safe for concurrent use: like a trial's pool cache, it belongs to one
+// trial, whose runs are sequential.
+type BarrelCache struct {
+	byBot map[barrelKey]barrelEntry
+}
+
+type barrelKey struct {
+	epoch  int
+	server string
+	bot    int
+}
+
+type barrelEntry struct {
+	positions []int32
+	// rng is the bot's generator right after the draw; hits clone it.
+	rng *sim.RNG
+}
+
+// NewBarrelCache returns an empty cache.
+func NewBarrelCache() *BarrelCache {
+	return &BarrelCache{byBot: make(map[barrelKey]barrelEntry)}
 }
 
 // Result captures a completed run.
@@ -62,15 +98,6 @@ type Result struct {
 	// C2Contacts counts activations that successfully resolved a C2
 	// domain.
 	C2Contacts int
-}
-
-// TotalActive sums ground-truth activations for a server across epochs.
-func (r *Result) TotalActive(server string) int {
-	var total int
-	for _, c := range r.ActiveBots[server] {
-		total += c
-	}
-	return total
 }
 
 // Runner executes botnet workloads on a network.
@@ -89,11 +116,11 @@ type Runner struct {
 	// the whole population changes nothing observable while cutting the
 	// per-bot θq-sized allocation — the dominant botnet-side allocation for
 	// AU families.
-	uniformBarrels map[int][]int
+	uniformBarrels map[int][]int32
 	// permScratch is the pool-sized permutation buffer BarrelWithScratch
 	// reuses across bot activations (Run is single-engine sequential, so one
 	// buffer per runner suffices).
-	permScratch []int
+	permScratch []int32
 }
 
 // NewRunner validates the configuration and binds it to a network.
@@ -123,7 +150,7 @@ func NewRunner(cfg Config, net *dnssim.Network) (*Runner, error) {
 		net:            net,
 		pools:          cfg.Pools,
 		validIDs:       make(map[int][]symtab.ID),
-		uniformBarrels: make(map[int][]int),
+		uniformBarrels: make(map[int][]int32),
 	}
 	if r.pools == nil {
 		r.pools = dga.NewPoolCache(cfg.Spec.Pool, cfg.Seed, net.Table())
@@ -133,19 +160,38 @@ func NewRunner(cfg Config, net *dnssim.Network) (*Runner, error) {
 	return r, nil
 }
 
-// barrelFor draws one activation's intended positions, sharing the
-// epoch-wide slice for Uniform models (see uniformBarrels).
-func (r *Runner) barrelFor(epoch int, pool *dga.Pool, rng *sim.RNG) []int {
+// barrelFor returns a bot's intended positions and its generator, positioned
+// just after the barrel draw. Uniform models share the epoch-wide slice (see
+// uniformBarrels) and never draw; the others hit Config.Barrels when the
+// runner has one and fill it on a miss.
+func (r *Runner) barrelFor(key barrelKey, pool *dga.Pool) ([]int32, *sim.RNG) {
 	spec := r.cfg.Spec
-	if _, uniform := spec.Barrel.(dga.Uniform); !uniform {
-		return dga.BarrelWithScratch(spec.Barrel, pool, spec.ThetaQ, rng, &r.permScratch)
+	if _, uniform := spec.Barrel.(dga.Uniform); uniform {
+		rng := r.botRNG(key)
+		b, ok := r.uniformBarrels[key.epoch]
+		if !ok {
+			b = dga.BarrelWithScratch(spec.Barrel, pool, spec.ThetaQ, rng, &r.permScratch)
+			r.uniformBarrels[key.epoch] = b
+		}
+		return b, rng
 	}
-	if b, ok := r.uniformBarrels[epoch]; ok {
-		return b
+	cache := r.cfg.Barrels
+	if cache != nil {
+		if e, ok := cache.byBot[key]; ok {
+			return e.positions, e.rng.Clone()
+		}
 	}
-	b := spec.Barrel.Barrel(pool, spec.ThetaQ, rng)
-	r.uniformBarrels[epoch] = b
-	return b
+	rng := r.botRNG(key)
+	b := dga.BarrelWithScratch(spec.Barrel, pool, spec.ThetaQ, rng, &r.permScratch)
+	if cache != nil {
+		cache.byBot[key] = barrelEntry{positions: b, rng: rng.Clone()}
+	}
+	return b, rng
+}
+
+// botRNG is a bot's private generator; its first use is the barrel draw.
+func (r *Runner) botRNG(key barrelKey) *sim.RNG {
+	return sim.SplitFrom(r.cfg.Seed, hashLabels(uint64(key.epoch), hashString(key.server), uint64(key.bot)))
 }
 
 // Pool returns the (cached) pool for an epoch index.
@@ -226,10 +272,8 @@ func (r *Runner) Run(w sim.Window) (*Result, error) {
 				}
 				bot := botRun{
 					runner: r,
-					server: server,
+					key:    barrelKey{epoch: epoch, server: server, bot: bi},
 					client: client,
-					epoch:  epoch,
-					rng:    sim.SplitFrom(r.cfg.Seed, hashLabels(uint64(epoch), hashString(server), uint64(bi))),
 					result: res,
 				}
 				engine.Schedule(at, bot.start)
@@ -253,13 +297,13 @@ func (r *Runner) rollRegistry(epoch int) {
 // botRun drives one bot's activation(s) through the DNS hierarchy.
 type botRun struct {
 	runner *Runner
-	server string
+	key    barrelKey
 	client string
-	epoch  int
-	rng    *sim.RNG
 	result *Result
 
-	positions   []int
+	// rng is nil until the first activation draws the barrel.
+	rng         *sim.RNG
+	positions   []int32
 	pool        *dga.Pool
 	step        int
 	activations int
@@ -280,13 +324,13 @@ func (b *botRun) start(e *sim.Engine) {
 		// The pool is resolved once per bot: a bot's activations all live in
 		// one epoch, so re-asking the cache per query (mutex + map lookup on
 		// the hottest simulation path) bought nothing.
-		b.pool = b.runner.Pool(b.epoch)
+		b.pool = b.runner.Pool(b.key.epoch)
 	}
 	b.activations++
-	if b.positions == nil {
+	if b.rng == nil {
 		// The barrel is drawn once: the DGA is seeded by the date, so a
 		// retry walks the same list (§III).
-		b.positions = b.runner.barrelFor(b.epoch, b.pool, b.rng)
+		b.positions, b.rng = b.runner.barrelFor(b.key, b.pool)
 	}
 	b.step = 0
 	b.query(e)
@@ -327,7 +371,7 @@ func (b *botRun) maybeReactivate(e *sim.Engine) {
 	}
 	delay := cfg.ReactivateEvery + b.rng.Exp(1/float64(cfg.ReactivateEvery))
 	at := e.Now() + delay
-	epochEnd := sim.Time(b.epoch+1) * cfg.EpochLen
+	epochEnd := sim.Time(b.key.epoch+1) * cfg.EpochLen
 	if at >= epochEnd {
 		return
 	}

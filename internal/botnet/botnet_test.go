@@ -173,7 +173,11 @@ func TestMultiEpochRegistryRollover(t *testing.T) {
 	if got := len(res.ActiveBots["local-00"]); got != 3 {
 		t.Errorf("per-epoch ground truth length %d, want 3", got)
 	}
-	if res.TotalActive("local-00") == 0 {
+	var active int
+	for _, n := range res.ActiveBots["local-00"] {
+		active += n
+	}
+	if active == 0 {
 		t.Error("no activity in 3 epochs")
 	}
 }

@@ -260,7 +260,7 @@ func TestAnalyzeWithCollisionNoise(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Collision lookups ARE matched (they are in the detected list)...
-	if land.MatchedLookups <= len(obs.FilterDomains(func(string) bool { return true }))-len(obs) {
+	if land.MatchedLookups == 0 {
 		t.Log("collision lookups not matched — acceptable only if matcher drops them")
 	}
 	// ...but the estimate stays anchored to the true population.

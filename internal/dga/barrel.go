@@ -39,8 +39,7 @@ func (Sampling) Class() BarrelClass { return SamplingBarrel }
 
 // Barrel implements BarrelModel.
 func (Sampling) Barrel(pool *Pool, thetaQ int, rng *sim.RNG) []int {
-	n := min(thetaQ, pool.Size())
-	return rng.Perm(pool.Size())[:n]
+	return permutedBarrel(pool, thetaQ, rng)
 }
 
 // RandomCut picks a random starting position on the pool circle and queries
@@ -74,29 +73,43 @@ func (Permutation) Class() BarrelClass { return PermutationBarrel }
 
 // Barrel implements BarrelModel.
 func (Permutation) Barrel(pool *Pool, thetaQ int, rng *sim.RNG) []int {
-	n := min(thetaQ, pool.Size())
-	return rng.Perm(pool.Size())[:n]
+	return permutedBarrel(pool, thetaQ, rng)
+}
+
+// permutedBarrel is Sampling's and Permutation's draw: the first θq
+// positions of a permutation of the whole pool, drawn by the one kernel
+// (sim.RNG.PermInto) that BarrelWithScratch uses too.
+func permutedBarrel(pool *Pool, thetaQ int, rng *sim.RNG) []int {
+	perm := rng.PermInto(nil, pool.Size())
+	out := make([]int, min(thetaQ, len(perm)))
+	for i := range out {
+		out[i] = int(perm[i])
+	}
+	return out
 }
 
 // BarrelWithScratch draws one activation's barrel exactly like m.Barrel —
-// same RNG draws, same positions — but routes the pool-sized permutation
-// through *scratch and returns only the retained θq-prefix in a fresh,
-// exactly-sized slice. Sampling and Permutation's Barrel returns
-// Perm(size)[:n], which pins a pool-sized backing array for the whole bot
-// activation; with a 50K pool and θq=500 that is a 100× overhead per bot,
-// the dominant simulation allocation for AS/AP families. Unknown models
-// fall back to m.Barrel unchanged.
-func BarrelWithScratch(m BarrelModel, pool *Pool, thetaQ int, rng *sim.RNG, scratch *[]int) []int {
+// same RNG draws, same positions — as int32 positions, the compact form a
+// simulated bot keeps. Sampling and Permutation route the pool-sized
+// permutation through *scratch and return only the retained θq-prefix in a
+// fresh, exactly-sized slice: a pool-sized array per bot activation would be
+// a 100× overhead with a 50K pool and θq=500, the dominant simulation
+// allocation for AS/AP families. Other models draw through m.Barrel.
+func BarrelWithScratch(m BarrelModel, pool *Pool, thetaQ int, rng *sim.RNG, scratch *[]int32) []int32 {
 	switch m.(type) {
 	case Sampling, Permutation:
 		size := pool.Size()
-		n := min(thetaQ, size)
 		*scratch = rng.PermInto(*scratch, size)
-		out := make([]int, n)
+		out := make([]int32, min(thetaQ, size))
 		copy(out, *scratch)
 		return out
 	default:
-		return m.Barrel(pool, thetaQ, rng)
+		positions := m.Barrel(pool, thetaQ, rng)
+		out := make([]int32, len(positions))
+		for i, p := range positions {
+			out[i] = int32(p)
+		}
+		return out
 	}
 }
 

@@ -282,6 +282,42 @@ func TestPermutationBarrelIsPermutation(t *testing.T) {
 	}
 }
 
+// TestBarrelDrawsAreUnchanged: both barrel paths draw what the models drew
+// through rng.Perm — Perm(size)[:θq] for Sampling and Permutation, whatever
+// m.Barrel draws for the others — and leave the generator where that draw
+// left it.
+func TestBarrelDrawsAreUnchanged(t *testing.T) {
+	p := testPool(2046, 0)
+	var scratch []int32
+	for _, m := range []BarrelModel{Uniform{}, Sampling{}, RandomCut{}, Permutation{}} {
+		for seed := uint64(0); seed < 20; seed++ {
+			ref := sim.NewRNG(seed)
+			var want []int
+			switch m.(type) {
+			case Sampling, Permutation:
+				want = ref.Perm(p.Size())[:300]
+			default:
+				want = m.Barrel(p, 300, ref)
+			}
+			byModel, withScratch := sim.NewRNG(seed), sim.NewRNG(seed)
+			got := m.Barrel(p, 300, byModel)
+			got32 := BarrelWithScratch(m, p, 300, withScratch, &scratch)
+			if len(got) != len(want) || len(got32) != len(want) {
+				t.Fatalf("%T seed %d: lengths %d and %d, want %d", m, seed, len(got), len(got32), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] || int(got32[i]) != want[i] {
+					t.Fatalf("%T seed %d: position %d is %d / %d, want %d", m, seed, i, got[i], got32[i], want[i])
+				}
+			}
+			next := ref.Uint64()
+			if a, b := byModel.Uint64(), withScratch.Uint64(); a != next || b != next {
+				t.Fatalf("%T seed %d: generator left at %d / %d, want %d", m, seed, a, b, next)
+			}
+		}
+	}
+}
+
 func TestExecuteBarrelStopsAtValid(t *testing.T) {
 	p := NewPool([]string{"a.com", "b.com", "c.com", "d.com"}, []int{2})
 	full := []int{0, 1, 2, 3}

@@ -102,6 +102,11 @@ type trialParams struct {
 	// them once per trial instead of once per grid point. Nil makes
 	// runTrial own a private cache.
 	pools *dga.PoolCache
+	// barrels, when non-nil, is the (row, trial)'s barrel cache, shared for
+	// the same reason as pools: a bot's barrel is a function of (spec, seed,
+	// epoch, server, bot index), none of which the axis edits. Nil makes
+	// every bot draw privately.
+	barrels *botnet.BarrelCache
 	// network, when non-nil, edits the hierarchy's configuration before the
 	// network is built (the chaos sweep's faulty link and hardening).
 	network func(*dnssim.NetworkConfig)
@@ -154,6 +159,7 @@ func runTrial(p trialParams, ests []estimators.Estimator) (map[string]float64, e
 		Activation:    sim.ActivationModel{Sigma: p.sigma},
 		BotsPerServer: map[string]int{"local-00": p.population},
 		Pools:         pools,
+		Barrels:       p.barrels,
 	}, net)
 	if err != nil {
 		return nil, err
@@ -270,18 +276,25 @@ type row struct {
 // points instead of restarting per point, which changes no artifact: IDs
 // are an in-memory hint, never serialized, and every estimate keys on pool
 // positions.
+//
+// Each trial's barrel cache is shared across the row the same way: a bot's
+// barrel is a function of the trial's spec and seed and of (epoch, server,
+// bot index), and no axis edit touches spec or seed, so Figure 6(a)'s
+// N ∈ {16…256} draws at most 256 barrels per trial instead of up to 496.
 func (r row) sweep(xs []float64, mutate func(p *trialParams, point, trial int)) ([]SweepPoint, error) {
 	pools := make([]*dga.PoolCache, r.cfg.Trials)
+	barrels := make([]*botnet.BarrelCache, r.cfg.Trials)
 	for t := range pools {
 		tab := symtab.Get()
 		defer tab.Release()
 		pools[t] = dga.NewPoolCache(r.spec.Pool, trialSeed(r.cfg.Seed, r.seedLabel, t), tab)
+		barrels[t] = botnet.NewBarrelCache()
 	}
 	out := make([]SweepPoint, 0, len(xs)*len(r.ests))
 	for i, x := range xs {
 		trials, err := runTrials(r.cfg.Workers, r.cfg.Obs, r.artifact+r.point.Panel, r.cfg.Trials, func(trial int) (map[string]float64, error) {
 			p := defaultTrialParams(r.spec, r.cfg.Population, trialSeed(r.cfg.Seed, r.seedLabel, trial))
-			p.stage, p.stages, p.pools = r.artifact, r.cfg.Stages, pools[trial]
+			p.stage, p.stages, p.pools, p.barrels = r.artifact, r.cfg.Stages, pools[trial], barrels[trial]
 			mutate(&p, i, trial)
 			res, err := runTrial(p, r.ests)
 			if err != nil {

@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
+	"botmeter/internal/botnet"
 	"botmeter/internal/dga"
 	"botmeter/internal/estimators"
+	"botmeter/internal/sim"
 	"botmeter/internal/symtab"
 	"botmeter/internal/trace"
 )
@@ -17,7 +20,9 @@ import (
 // MT Analyze of the same trace — which is what runTrial does when MT is
 // the only estimator; (2) a pool cache shared across a row's axis values
 // gives what a trial's private cache gives; (3) records resolved by interned
-// ID give what records resolved by name give.
+// ID give what records resolved by name give; (4) a barrel cache shared
+// across the axis values gives what private draws give. AS and AP are the
+// models whose barrels are permutations.
 func TestSharedTrialEquivalences(t *testing.T) {
 	conditions := []struct {
 		name string
@@ -28,21 +33,22 @@ func TestSharedTrialEquivalences(t *testing.T) {
 		{"30% faults, bare", func(p *trialParams) { faultyLink(p, 0.3, false) }},
 		{"30% faults, hardened", func(p *trialParams) { faultyLink(p, 0.3, true) }},
 	}
-	for _, model := range []string{"AU", "AR"} {
+	for _, model := range []string{"AU", "AS", "AR", "AP"} {
 		spec, err := modelSpec(model, 0.2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ests := estimatorsFor(model, "")
 		seed := trialSeed(9, model, 0)
-		// One cache for all four conditions, as a row shares one across its
-		// axis values.
+		// One pool cache and one barrel cache for all four conditions, as a
+		// row shares them across its axis values.
 		shared := dga.NewPoolCache(spec.Pool, seed, symtab.New())
+		barrels := botnet.NewBarrelCache()
 		for _, c := range conditions {
-			trial := func(ests []estimators.Estimator, pools *dga.PoolCache, byName bool) map[string]float64 {
+			trial := func(ests []estimators.Estimator, pools *dga.PoolCache, barrels *botnet.BarrelCache, byName bool) map[string]float64 {
 				t.Helper()
 				p := defaultTrialParams(spec, 48, seed)
-				p.pools = pools
+				p.pools, p.barrels = pools, barrels
 				c.edit(&p)
 				if filter := p.observed; byName {
 					p.observed = func(observed trace.Observed) trace.Observed {
@@ -71,16 +77,78 @@ func TestSharedTrialEquivalences(t *testing.T) {
 					}
 				}
 			}
-			full := trial(ests, shared, false)
+			full := trial(ests, shared, barrels, false)
 			if len(full) != len(ests) {
 				t.Fatalf("%s, %s: trial reported %v, want one ARE per estimator", model, c.name, full)
 			}
-			solo := trial([]estimators.Estimator{estimators.NewTiming()}, shared, false)
+			solo := trial([]estimators.Estimator{estimators.NewTiming()}, shared, barrels, false)
 			if math.Float64bits(solo["MT"]) != math.Float64bits(full["MT"]) {
 				t.Errorf("%s, %s: dedicated MT ARE %v, as second opinion %v", model, c.name, solo["MT"], full["MT"])
 			}
-			same("private pool cache", trial(ests, nil, false), full)
-			same("resolved by name", trial(ests, shared, true), full)
+			same("private pool cache", trial(ests, nil, barrels, false), full)
+			same("resolved by name", trial(ests, shared, barrels, true), full)
+			same("private barrel draws", trial(ests, shared, nil, false), full)
+		}
+	}
+}
+
+// countingBarrel counts the barrels its model draws.
+type countingBarrel struct {
+	dga.BarrelModel
+	draws *atomic.Int64
+}
+
+func (c countingBarrel) Barrel(pool *dga.Pool, thetaQ int, rng *sim.RNG) []int {
+	c.draws.Add(1)
+	return c.BarrelModel.Barrel(pool, thetaQ, rng)
+}
+
+// TestFigure6aDrawsEachBarrelOnce: a bot's barrel does not depend on the
+// swept N, so one trial of a Figure 6(a) row, which activates bots 0…k-1 at
+// each N (k ≤ N: arrivals past the epoch end are dropped), has only max k ≤
+// 256 distinct barrels among its Σ k ≤ 496 activations — and with the row's
+// barrel cache it draws each of them once.
+func TestFigure6aDrawsEachBarrelOnce(t *testing.T) {
+	xs := []float64{16, 32, 64, 128, 256}
+	for _, model := range []string{"AS", "AR", "AP"} {
+		spec, err := modelSpec(model, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var draws atomic.Int64
+		spec.Barrel = countingBarrel{spec.Barrel, &draws}
+		r := row{
+			cfg: SweepConfig{Trials: 1, Seed: 7, Workers: 1}.withDefaults(1, 64), artifact: "fig6",
+			seedLabel: "a" + model, point: SweepPoint{Panel: "a", Model: model},
+			spec: spec, ests: estimatorsFor(model, "a"),
+		}
+		drawn := func(xs []float64, cache bool) int64 {
+			t.Helper()
+			draws.Store(0)
+			_, err := r.sweep(xs, func(p *trialParams, i, _ int) {
+				p.population = int(xs[i])
+				if !cache {
+					p.barrels = nil
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return draws.Load()
+		}
+		var distinct, activations int64
+		for _, x := range xs {
+			k := drawn([]float64{x}, false)
+			distinct, activations = max(distinct, k), activations+k
+		}
+		if distinct > 256 || activations <= distinct {
+			t.Fatalf("%s: %d activations over %d distinct bots", model, activations, distinct)
+		}
+		if got := drawn(xs, true); got != distinct {
+			t.Errorf("%s: the row drew %d barrels through its cache, want one per distinct bot (%d)", model, got, distinct)
+		}
+		if got := drawn(xs, false); got != activations {
+			t.Errorf("%s: the row drew %d barrels without a cache, want one per activation (%d)", model, got, activations)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"math/rand/v2"
 )
 
@@ -10,12 +11,27 @@ import (
 type RNG struct {
 	*rand.Rand
 
+	// src is the Rand's own source: the two share one state, so a draw
+	// through either advances the stream for both. PermInto reads it
+	// directly to skip the interface dispatch.
+	src  *rand.PCG
 	seed uint64
+}
+
+func newRNG(src *rand.PCG, seed uint64) *RNG {
+	return &RNG{Rand: rand.New(src), src: src, seed: seed}
 }
 
 // NewRNG returns a generator seeded deterministically from seed.
 func NewRNG(seed uint64) *RNG {
-	return &RNG{Rand: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)), seed: seed}
+	return newRNG(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15), seed)
+}
+
+// Clone returns an independent generator at r's current state: both yield
+// the same draws from here on, and drawing from one never moves the other.
+func (r *RNG) Clone() *RNG {
+	src := *r.src
+	return newRNG(&src, r.seed)
 }
 
 // splitmix64 is the SplitMix64 finaliser, used to decorrelate seeds.
@@ -32,7 +48,7 @@ func splitmix64(z uint64) uint64 {
 // reproducible, and Split does not perturb the parent stream.
 func (r *RNG) Split(label uint64) *RNG {
 	z := splitmix64(r.seed ^ splitmix64(label))
-	return &RNG{Rand: rand.New(rand.NewPCG(z, z^0xda942042e4dd58b5)), seed: z}
+	return newRNG(rand.NewPCG(z, z^0xda942042e4dd58b5), z)
 }
 
 // SplitFrom derives a child stream from a parent seed plus label without
@@ -42,19 +58,40 @@ func SplitFrom(seed, label uint64) *RNG {
 }
 
 // PermInto writes a pseudo-random permutation of [0, n) into buf (grown as
-// needed) and returns it. The draw sequence is exactly Perm's — identity
-// fill, then Shuffle, whose draws depend only on n — so swapping Perm for
-// PermInto leaves the RNG stream and the produced permutation bit-identical
-// while reusing one buffer across calls.
-func (r *RNG) PermInto(buf []int, n int) []int {
+// needed) and returns it. It is Perm draw for draw: the identity fill, then
+// Shuffle's Fisher–Yates from i = n-1 down to 1, each j drawn in [0, i]
+// exactly as math/rand/v2's uint64n draws it — a mask when i+1 is a power of
+// two, otherwise Lemire's multiply-shift with the same rejection loop. The
+// permutation and the generator state it leaves are Perm's (pinned by
+// TestPermIntoIsPerm); what it saves is the swap closure, the interface
+// dispatch per draw and, with a reused buf, the allocation. Positions are
+// int32, so n must be below 2³¹.
+func (r *RNG) PermInto(buf []int32, n int) []int32 {
 	if cap(buf) < n {
-		buf = make([]int, n)
+		buf = make([]int32, n)
 	}
 	buf = buf[:n]
 	for i := range buf {
-		buf[i] = i
+		buf[i] = int32(i)
 	}
-	r.Shuffle(n, func(i, j int) { buf[i], buf[j] = buf[j], buf[i] })
+	src := r.src
+	for i := n - 1; i > 0; i-- {
+		bound := uint64(i + 1)
+		var j uint64
+		if bound&(bound-1) == 0 {
+			j = src.Uint64() & (bound - 1)
+		} else {
+			hi, lo := bits.Mul64(src.Uint64(), bound)
+			if lo < bound {
+				thresh := -bound % bound
+				for lo < thresh {
+					hi, lo = bits.Mul64(src.Uint64(), bound)
+				}
+			}
+			j = hi
+		}
+		buf[i], buf[j] = buf[j], buf[i]
+	}
 	return buf
 }
 

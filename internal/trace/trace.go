@@ -258,28 +258,39 @@ func (o Observed) DistinctDomainCount() int {
 	return n
 }
 
-// Builder accumulates an Observed dataset in fixed-size chunks. Appending
-// to one grown slice re-copies the whole prefix repeatedly (Go's large-slice
-// growth factor makes cumulative allocation ~5× the final size) and
-// presizing to an upper bound allocates and zeroes memory that filtered
-// appends never use; chunks allocate exactly once each and Build flattens
-// them once into an exact-size slice. The zero value is ready to use.
+// Builder accumulates an Observed dataset in chunks that grow geometrically,
+// from 1 Ki records doubling to a 64 Ki (~3.5 MiB) cap. Appending to one
+// grown slice re-copies the whole prefix repeatedly (Go's large-slice growth
+// factor makes cumulative allocation ~5× the final size), and presizing to
+// an upper bound allocates and zeroes memory that filtered appends never
+// use. Chunks allocate exactly once each and are never copied until Build
+// flattens them once into an exact-size slice; the doubling keeps a small
+// dataset — one simulated trial's border trace, one Analyze's matched
+// records — from allocating and zeroing a full 64 Ki chunk, while a large
+// one wastes at most one chunk's spare capacity. The zero value is ready to
+// use.
 type Builder struct {
 	done  []Observed // filled chunks, in append order
 	cur   Observed   // chunk being filled
 	total int
 }
 
-// builderChunk is the Builder chunk capacity (~3.5 MiB of records).
-const builderChunk = 1 << 16
+// Builder chunk capacities: the first chunk, and the cap the doubling stops
+// at.
+const (
+	builderFirstChunk = 1 << 10
+	builderMaxChunk   = 1 << 16
+)
 
 // Append adds one record.
 func (b *Builder) Append(rec ObservedRecord) {
 	if len(b.cur) == cap(b.cur) {
-		if cap(b.cur) > 0 {
+		next := builderFirstChunk
+		if c := cap(b.cur); c > 0 {
 			b.done = append(b.done, b.cur)
+			next = min(2*c, builderMaxChunk)
 		}
-		b.cur = make(Observed, 0, builderChunk)
+		b.cur = make(Observed, 0, next)
 	}
 	b.cur = append(b.cur, rec)
 	b.total++
@@ -306,28 +317,6 @@ func (b *Builder) Build() Observed {
 		flat = append(flat, c...)
 	}
 	return append(flat, b.cur...)
-}
-
-// FilterDomains keeps records whose domain satisfies keep.
-func (r Raw) FilterDomains(keep func(string) bool) Raw {
-	out := make(Raw, 0, len(r))
-	for _, rec := range r {
-		if keep(rec.Domain) {
-			out = append(out, rec)
-		}
-	}
-	return out
-}
-
-// FilterDomains keeps records whose domain satisfies keep.
-func (o Observed) FilterDomains(keep func(string) bool) Observed {
-	out := make(Observed, 0, len(o))
-	for _, rec := range o {
-		if keep(rec.Domain) {
-			out = append(out, rec)
-		}
-	}
-	return out
 }
 
 // Truncate coarsens timestamps to the given granularity, modelling vantage

@@ -62,10 +62,6 @@ func TestObservedDomains(t *testing.T) {
 
 func TestObservedFilterTruncate(t *testing.T) {
 	o := Observed{{T: 1234, Server: "s", Domain: "keep.com"}, {T: 2345, Server: "s", Domain: "drop.com"}}
-	kept := o.FilterDomains(func(d string) bool { return d == "keep.com" })
-	if len(kept) != 1 || kept[0].Domain != "keep.com" {
-		t.Errorf("filter = %v", kept)
-	}
 	tr := o.Truncate(1000)
 	if tr[0].T != 1000 || tr[1].T != 2000 {
 		t.Errorf("truncate = %v", tr)
@@ -85,11 +81,32 @@ func TestRawWindowFilterSort(t *testing.T) {
 	if r[0].T != 10 {
 		t.Error("raw sort failed")
 	}
-	if got := r.Window(sim.Window{Start: 0, End: 20}); len(got) != 1 {
+	if got := r.Window(sim.Window{Start: 0, End: 20}); len(got) != 1 || got[0].Domain != "a.com" {
 		t.Errorf("window = %v", got)
 	}
-	if got := r.FilterDomains(func(d string) bool { return d == "b.com" }); len(got) != 1 || !got[0].NX {
-		t.Errorf("filter = %v", got)
+}
+
+// TestBuilderKeepsAppendOrder: Build returns every record in append order
+// whatever chunk a record landed in — the first small chunk, the doubling
+// ones, or the capped ones after them.
+func TestBuilderKeepsAppendOrder(t *testing.T) {
+	for _, n := range []int{0, 1, builderFirstChunk, builderFirstChunk + 1, 3*builderMaxChunk + 17} {
+		var b Builder
+		for i := 0; i < n; i++ {
+			b.Append(ObservedRecord{T: sim.Time(i)})
+		}
+		got := b.Build()
+		if len(got) != n || b.Len() != n {
+			t.Fatalf("%d appends: Build has %d records, Len %d", n, len(got), b.Len())
+		}
+		for i, rec := range got {
+			if rec.T != sim.Time(i) {
+				t.Fatalf("%d appends: record %d has T %v", n, i, rec.T)
+			}
+		}
+		if c := cap(b.cur); c > builderMaxChunk {
+			t.Errorf("%d appends: chunk capacity %d beyond the %d cap", n, c, builderMaxChunk)
+		}
 	}
 }
 
