@@ -90,11 +90,13 @@ func run(args []string) error {
 		return err
 	}
 
-	var est estimators.Estimator
+	var set []estimators.Estimator
 	if *estName != "" {
-		if est, err = estimators.ByName(*estName); err != nil {
+		est, err := estimators.ByName(*estName)
+		if err != nil {
 			return err
 		}
+		set = []estimators.Estimator{est}
 	}
 
 	var detection *d3.Window
@@ -108,7 +110,7 @@ func run(args []string) error {
 			Seed:          *seed,
 			NegativeTTL:   sim.FromDuration(*negTTL),
 			Granularity:   sim.FromDuration(*granularity),
-			Estimator:     est,
+			Estimators:    set,
 			Detection:     detection,
 			SecondOpinion: *second,
 		}, followConfig{
@@ -150,7 +152,7 @@ func run(args []string) error {
 		Seed:          *seed,
 		NegativeTTL:   sim.FromDuration(*negTTL),
 		Granularity:   sim.FromDuration(*granularity),
-		Estimator:     est,
+		Estimators:    set,
 		Detection:     detection,
 		SecondOpinion: *second,
 		Workers:       *workers,

@@ -73,7 +73,7 @@ func main() {
 		Family:      family,
 		Seed:        seed,
 		Granularity: sim.Second,
-		Estimator:   estimators.NewTiming(),
+		Estimators:  []estimators.Estimator{estimators.NewTiming()},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -117,7 +117,7 @@ func main() {
 		Family:      family,
 		Seed:        seed,
 		Granularity: sim.Second,
-		Estimator:   estimators.NewTiming(),
+		Estimators:  []estimators.Estimator{estimators.NewTiming()},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -84,23 +84,22 @@ func main() {
 		obs := net.Border.Observed()
 		fmt.Printf("ground truth: %d active bots; %d lookups issued, %d visible\n",
 			actual, truth.QueriesIssued, len(obs))
-		for _, est := range sc.ests {
-			bm, err := core.New(core.Config{
-				Family:      sc.spec,
-				Seed:        seed,
-				Granularity: sim.Second,
-				Estimator:   est,
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			land, err := bm.Analyze(obs, day)
-			if err != nil {
-				log.Fatal(err)
-			}
-			got := land.Estimate("local-00")
+		bm, err := core.New(core.Config{
+			Family:      sc.spec,
+			Seed:        seed,
+			Granularity: sim.Second,
+			Estimators:  sc.ests,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		land, err := bm.Analyze(obs, day)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for i, got := range land.Estimates("local-00") {
 			fmt.Printf("  %-5s estimates %6.1f bots  (error %+5.0f%%)\n",
-				est.Name(), got, 100*(got-float64(actual))/float64(actual))
+				land.Estimators[i], got, 100*(got-float64(actual))/float64(actual))
 		}
 		fmt.Println()
 	}

@@ -8,9 +8,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 
@@ -21,6 +24,7 @@ import (
 	"botmeter/internal/obs"
 	"botmeter/internal/parallel"
 	"botmeter/internal/sim"
+	"botmeter/internal/symtab"
 	"botmeter/internal/trace"
 )
 
@@ -45,12 +49,16 @@ type Config struct {
 	NegativeTTL sim.Time
 	// Granularity is the vantage point's timestamp granularity.
 	Granularity sim.Time
-	// Estimator overrides the taxonomy-based model selection when non-nil.
-	Estimator estimators.Estimator
+	// Estimators is the set every server's records run through, in one walk
+	// (estimators.Walk): the first is the estimator Population reports and
+	// the landscape names, and ServerEstimate.Estimates holds every member's
+	// figure. Empty means the taxonomy's choice, {ForModel(Family)}.
+	Estimators []estimators.Estimator
 	// Detection models the D³ front end; nil means perfect pool knowledge.
 	Detection *d3.Window
-	// SecondOpinion additionally runs the Timing estimator on every server
-	// (the paper evaluates MT alongside the model-specific estimator).
+	// SecondOpinion appends the Timing estimator to the set (the paper
+	// evaluates MT alongside the model-specific estimator); its figure is
+	// ServerEstimate.SecondOpinion.
 	SecondOpinion bool
 	// Workers bounds the per-server estimation pool inside Analyze
 	// (0 = one worker per CPU capped at 16, 1 = sequential). Servers are
@@ -64,6 +72,8 @@ type Config struct {
 	Stages *obs.StageSet
 }
 
+// withDefaults fills the zero durations and, when none is given, a pool
+// cache over (Family, Seed), which shares each pool process-wide.
 func (c Config) withDefaults() Config {
 	if c.EpochLen <= 0 {
 		c.EpochLen = sim.Day
@@ -73,9 +83,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Pools == nil {
 		c.Pools = dga.NewPoolCache(c.Family.Pool, c.Seed, nil)
-	}
-	if c.Estimator == nil {
-		c.Estimator = estimators.ForModel(c.Family)
 	}
 	return c
 }
@@ -93,13 +100,19 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// BotMeter is the analysis pipeline bound to one configuration. A BotMeter
-// parallelises internally across forwarding servers; the per-epoch matcher
+// BotMeter is the analysis pipeline bound to one configuration: its
+// estimator set, the estimators' normalised view of the configuration, and
+// the per-epoch matchers. Analyze charts a dataset with it, and the
+// streaming engine runs its walks and matchers behind a reorder buffer. A
+// BotMeter parallelises internally across forwarding servers; the matcher
 // cache is concurrency-safe (EpochMatchers), so Analyze may also be called
-// from multiple goroutines, though per-call estimator state still makes
-// one instance per goroutine the simpler deployment.
+// from multiple goroutines.
 type BotMeter struct {
 	cfg Config
+	// set is Estimators, or the taxonomy's choice, with MT appended for
+	// SecondOpinion; it never shares a backing array with Estimators.
+	set    []estimators.Estimator
+	estCfg estimators.Config
 
 	matchers *EpochMatchers
 }
@@ -110,71 +123,8 @@ func New(cfg Config) (*BotMeter, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	return &BotMeter{
-		cfg:      cfg,
-		matchers: NewEpochMatchers(cfg.Detection, cfg.Pools),
-	}, nil
-}
-
-// EstimatorName reports the selected analytical model.
-func (bm *BotMeter) EstimatorName() string { return bm.cfg.Estimator.Name() }
-
-// ServerEstimate is the assessment for one local DNS server.
-type ServerEstimate struct {
-	// Server is the forwarding server's identifier.
-	Server string
-	// Population is the estimated number of active bots behind the server
-	// (averaged per epoch across the analysis window).
-	Population float64
-	// SecondOpinion is the Timing estimator's figure when enabled (NaN
-	// semantics avoided: zero when disabled).
-	SecondOpinion float64
-	// MatchedLookups counts DGA-attributed forwarded lookups.
-	MatchedLookups int
-	// DistinctDomains counts distinct DGA domains seen from this server.
-	DistinctDomains int
-	// PerEpoch holds the per-epoch estimates underlying Population.
-	PerEpoch []float64
-}
-
-// Landscape is the chart of a DGA-botnet across the network — the paper's
-// deliverable. Servers are sorted by estimated population, descending: the
-// remediation priority order.
-type Landscape struct {
-	Family    string
-	Model     string
-	Estimator string
-	Window    sim.Window
-	Servers   []ServerEstimate
-	// Total is the summed population estimate across servers.
-	Total float64
-	// MatchedLookups counts all DGA-attributed lookups in the window.
-	MatchedLookups int
-	// Ingest, when non-nil, carries the streaming engine's delivery tallies
-	// so silent data loss (late drops, reorder-buffer evictions) is visible
-	// next to the chart it degraded. Batch analysis sees every record by
-	// construction and leaves it nil.
-	Ingest *IngestStats
-}
-
-// IngestStats is the delivery tally of a streamed landscape (the subset of
-// the engine's counters an operator needs to judge the chart's fidelity).
-type IngestStats struct {
-	Ingested         uint64
-	Matched          uint64
-	DroppedLate      uint64
-	ReorderEvictions uint64
-}
-
-// Analyze charts the landscape from an observable dataset over a window.
-func (bm *BotMeter) Analyze(obs trace.Observed, w sim.Window) (*Landscape, error) {
-	if w.Len() <= 0 {
-		return nil, fmt.Errorf("core: empty analysis window")
-	}
-	cfg := bm.cfg
-	// Normalise the estimator config once: every per-(server, epoch)
-	// evaluation below then takes the fast path instead of re-running
-	// defaults + validation per cell.
+	// Normalise the estimators' config once: every (server, epoch) cell then
+	// opens without re-validating.
 	estCfg, err := estimators.Config{
 		Spec:        cfg.Family,
 		Seed:        cfg.Seed,
@@ -187,63 +137,212 @@ func (bm *BotMeter) Analyze(obs trace.Observed, w sim.Window) (*Landscape, error
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	set := slices.Clone(cfg.Estimators)
+	if len(set) == 0 {
+		set = []estimators.Estimator{estimators.ForModel(cfg.Family)}
+	}
+	if cfg.SecondOpinion {
+		set = append(set, estimators.NewTiming())
+	}
+	return &BotMeter{cfg: cfg, set: set, estCfg: estCfg, matchers: NewEpochMatchers(cfg.Detection, cfg.Pools)}, nil
+}
 
-	// Step 3-4: match the stream per epoch (pools rotate across epochs);
-	// a matched record leaves with its pool position stamped on it, which is
-	// all the estimators read. Records arrive overwhelmingly in epoch order,
-	// so the last epoch's matcher is memoised locally — the common case skips
-	// EpochMatchers.For's mutex entirely.
+// Config returns the configuration with its defaults filled in.
+func (bm *BotMeter) Config() Config { return bm.cfg }
+
+// EstimatorName reports the selected analytical model: the first of the set.
+func (bm *BotMeter) EstimatorName() string { return bm.set[0].Name() }
+
+// Estimators names the estimator set, in set order.
+func (bm *BotMeter) Estimators() []string {
+	names := make([]string, len(bm.set))
+	for i, e := range bm.set {
+		names[i] = e.Name()
+	}
+	return names
+}
+
+// Matcher returns one epoch's matcher, built on first use.
+func (bm *BotMeter) Matcher(epoch int) *matcher.Attribution { return bm.matchers.For(epoch) }
+
+// NewWalk starts one server's walk through the estimator set; with stages,
+// each closed cell files "estimate:<Name>" per estimator.
+func (bm *BotMeter) NewWalk(stages *obs.StageSet) *estimators.Walk {
+	return estimators.NewWalk(bm.set, bm.estCfg, stages)
+}
+
+// ServerEstimate is the assessment for one local DNS server.
+type ServerEstimate struct {
+	// Server is the forwarding server's identifier.
+	Server string
+	// Population is the estimated number of active bots behind the server
+	// (averaged per epoch across the analysis window): the first estimator's
+	// figure.
+	Population float64
+	// SecondOpinion is the Timing estimator's figure when MT is in the set
+	// past the first estimator, as SecondOpinion puts it (zero otherwise).
+	SecondOpinion float64
+	// Estimates holds every estimator's figure, in set order; Estimates[0]
+	// is Population.
+	Estimates []float64
+	// MatchedLookups counts DGA-attributed forwarded lookups.
+	MatchedLookups int
+	// DistinctDomains counts distinct DGA domains seen from this server.
+	DistinctDomains int
+	// PerEpoch holds the per-epoch estimates underlying Population.
+	PerEpoch []float64
+}
+
+// NewServerEstimate reads one server's assessment off its walk, over the
+// epochs first…last: closed epochs give their final values, open ones a
+// provisional estimate, and an epoch without a record is 0. It is the one
+// place a walk becomes a ServerEstimate, for Analyze and for the streaming
+// engine's snapshots alike.
+func NewServerEstimate(server string, matched, distinct int, w *estimators.Walk, first, last int) ServerEstimate {
+	est := ServerEstimate{Server: server, MatchedLookups: matched, DistinctDomains: distinct}
+	second := false
+	for i, e := range w.Set() {
+		perEpoch, mean := w.Series(i, first, last)
+		est.Estimates = append(est.Estimates, mean)
+		switch {
+		case i == 0:
+			est.PerEpoch, est.Population = perEpoch, mean
+		case !second && e.Name() == "MT":
+			est.SecondOpinion, second = mean, true
+		}
+	}
+	return est
+}
+
+// Landscape is the chart of a DGA-botnet across the network — the paper's
+// deliverable. Servers are sorted by estimated population, descending: the
+// remediation priority order.
+type Landscape struct {
+	Family    string
+	Model     string
+	Estimator string
+	// Estimators names the estimator set, in the order of every server's
+	// Estimates; Estimators[0] is Estimator.
+	Estimators []string
+	Window     sim.Window
+	Servers    []ServerEstimate
+	// Total is the summed population estimate across servers.
+	Total float64
+	// MatchedLookups counts all DGA-attributed lookups in the window.
+	MatchedLookups int
+	// Ingest, when non-nil, carries the streaming engine's delivery tallies
+	// so silent data loss (late drops, reorder-buffer evictions) is visible
+	// next to the chart it degraded. Batch analysis sees every record by
+	// construction and leaves it nil.
+	Ingest *IngestStats
+}
+
+// NewLandscape starts a landscape over w, with no server yet.
+func (bm *BotMeter) NewLandscape(w sim.Window) *Landscape {
+	return &Landscape{
+		Family:     bm.cfg.Family.Name,
+		Model:      bm.cfg.Family.ModelName(),
+		Estimator:  bm.EstimatorName(),
+		Estimators: bm.Estimators(),
+		Window:     w,
+	}
+}
+
+// Rank sorts the servers into remediation priority order: estimated
+// population descending, ties by name.
+func (l *Landscape) Rank() {
+	sort.Slice(l.Servers, func(i, j int) bool {
+		if l.Servers[i].Population != l.Servers[j].Population {
+			return l.Servers[i].Population > l.Servers[j].Population
+		}
+		return l.Servers[i].Server < l.Servers[j].Server
+	})
+}
+
+// IngestStats is the delivery tally of a streamed landscape (the subset of
+// the engine's counters an operator needs to judge the chart's fidelity).
+type IngestStats struct {
+	Ingested         uint64
+	Matched          uint64
+	DroppedLate      uint64
+	ReorderEvictions uint64
+}
+
+// serverRecords is one forwarding server's matched records in a window: the
+// index of each in the analysed dataset and the pool position its epoch's
+// matcher resolved it to, in dataset order.
+type serverRecords struct {
+	server string
+	refs   []matchRef
+}
+
+type matchRef struct{ idx, pos int32 }
+
+// Analyze charts the landscape from an observable dataset over a window.
+// One pass matches every record in the window and buckets the matched ones
+// by forwarding server; then each server's records, stably time-sorted when
+// the dataset was not, go through one walk that carries every estimator of
+// the set. A stable sort commutes with the per-server filter, so every
+// stream sees the records a sort of the whole dataset would give it.
+func (bm *BotMeter) Analyze(obs trace.Observed, w sim.Window) (*Landscape, error) {
+	if w.Len() <= 0 {
+		return nil, fmt.Errorf("core: empty analysis window")
+	}
+	cfg := bm.cfg
+	if len(obs) > math.MaxInt32 {
+		return nil, fmt.Errorf("core: %d records exceed one analysis", len(obs))
+	}
+
+	// Steps 3-4: match the stream per epoch (pools rotate across epochs).
+	// Records arrive overwhelmingly in server runs, so the last server's
+	// bucket is memoised locally.
 	matchStage := cfg.Stages.Start("match")
-	// matched accumulates through a chunked builder: matches can be a small
-	// fraction of the window (one family's lookups inside mixed traffic),
-	// so presizing to len(obs) allocated and zeroed a window-sized array
-	// per Analyze call, while plain append-growth re-copies the prefix
-	// repeatedly when most records match.
-	var matchedB trace.Builder
-	var lastMatcher *matcher.Attribution
-	lastMatcherEpoch := 0
-	for _, rec := range obs {
+	var (
+		buckets  []*serverRecords
+		byServer = make(map[string]*serverRecords)
+		last     *serverRecords
+	)
+	for i := range obs {
+		rec := &obs[i]
 		if !w.Contains(rec.T) {
 			continue
 		}
-		epoch := int(rec.T / cfg.EpochLen)
-		if lastMatcher == nil || epoch != lastMatcherEpoch {
-			lastMatcher = bm.matchers.For(epoch)
-			lastMatcherEpoch = epoch
+		pos, ok := bm.Matcher(int(rec.T / cfg.EpochLen)).Resolve(*rec)
+		if !ok {
+			continue
 		}
-		if lastMatcher.Attribute(&rec) {
-			matchedB.Append(rec)
+		if last == nil || last.server != rec.Server {
+			if last = byServer[rec.Server]; last == nil {
+				last = &serverRecords{server: rec.Server}
+				byServer[rec.Server] = last
+				buckets = append(buckets, last)
+			}
 		}
+		last.refs = append(last.refs, matchRef{idx: int32(i), pos: pos})
 	}
-	matched := matchedB.Build()
 	matchStage.End()
 
-	// Step 5-7: per-server estimation. Servers are independent, so they
-	// are estimated concurrently with a bounded worker pool; the pool size
-	// follows GOMAXPROCS and each worker owns its loop state (the shared
-	// estimator instances synchronise their internal caches themselves).
-	land := &Landscape{
-		Family:         cfg.Family.Name,
-		Model:          cfg.Family.ModelName(),
-		Estimator:      cfg.Estimator.Name(),
-		Window:         w,
-		MatchedLookups: len(matched),
-	}
-	byServer := matched.ByServer()
-	servers := make([]string, 0, len(byServer))
-	for s := range byServer {
-		servers = append(servers, s)
-	}
-	sort.Strings(servers)
-
+	// Steps 5-7: per-server estimation. Servers are independent, so they
+	// run concurrently on a bounded worker pool, in sorted order.
+	sort.Slice(buckets, func(i, j int) bool { return buckets[i].server < buckets[j].server })
+	first, lastEpoch := int(w.Start/cfg.EpochLen), int((w.End-1)/cfg.EpochLen)
+	land := bm.NewLandscape(w)
 	estStage := cfg.Stages.Start("estimate")
-	results, err := parallel.Map(context.Background(), len(servers), bm.workers(),
-		func(_ context.Context, i int) (ServerEstimate, error) {
-			est, err := bm.estimateServer(servers[i], byServer[servers[i]], w, estCfg)
-			if err != nil {
-				return est, fmt.Errorf("core: %s: %w", servers[i], err)
+	results, err := parallel.Map(context.Background(), len(buckets), bm.workers(),
+		func(_ context.Context, k int) (ServerEstimate, error) {
+			b := buckets[k]
+			byTime := func(x, y matchRef) int { return cmp.Compare(obs[x.idx].T, obs[y.idx].T) }
+			if !slices.IsSortedFunc(b.refs, byTime) {
+				slices.SortStableFunc(b.refs, byTime)
 			}
-			return est, nil
+			walk := bm.NewWalk(cfg.Stages)
+			for _, ref := range b.refs {
+				rec := obs[ref.idx]
+				rec.Pos = ref.pos
+				walk.Observe(rec)
+			}
+			walk.CloseThrough(lastEpoch)
+			return NewServerEstimate(b.server, len(b.refs), bm.distinctDomains(obs, b.refs), walk, first, lastEpoch), nil
 		})
 	estStage.End()
 	if err != nil {
@@ -252,36 +351,39 @@ func (bm *BotMeter) Analyze(obs trace.Observed, w sim.Window) (*Landscape, error
 	for _, est := range results {
 		land.Servers = append(land.Servers, est)
 		land.Total += est.Population
+		land.MatchedLookups += est.MatchedLookups
 	}
-	sort.Slice(land.Servers, func(i, j int) bool {
-		if land.Servers[i].Population != land.Servers[j].Population {
-			return land.Servers[i].Population > land.Servers[j].Population
-		}
-		return land.Servers[i].Server < land.Servers[j].Server
-	})
+	land.Rank()
 	return land, nil
 }
 
-// estimateServer produces one server's assessment: the same per-epoch walk
-// (estimators.EstimateWindow) for the selected model and, when enabled, for
-// the MT second opinion.
-func (bm *BotMeter) estimateServer(server string, serverObs trace.Observed, w sim.Window, estCfg estimators.Config) (ServerEstimate, error) {
-	cfg := bm.cfg
-	est := ServerEstimate{
-		Server:          server,
-		MatchedLookups:  len(serverObs),
-		DistinctDomains: serverObs.DistinctDomainCount(),
+// distinctDomains counts the distinct domains among a server's matched
+// records: through a bitset over interned IDs when every record carries
+// one (ID ↔ domain is a bijection within one intern table), else by the
+// canonical names their epochs' matchers give their positions.
+func (bm *BotMeter) distinctDomains(obs trace.Observed, refs []matchRef) int {
+	maxID := symtab.None
+	for _, ref := range refs {
+		id := obs[ref.idx].ID
+		if id == symtab.None {
+			names := make(map[string]struct{}, min(len(refs), 1024))
+			for _, ref := range refs {
+				names[bm.Matcher(int(obs[ref.idx].T/bm.cfg.EpochLen)).Name(ref.pos)] = struct{}{}
+			}
+			return len(names)
+		}
+		maxID = max(maxID, id)
 	}
-	var err error
-	if est.PerEpoch, est.Population, err = estimators.EstimateWindow(cfg.Estimator, serverObs, w, estCfg, cfg.Stages); err != nil {
-		return est, err
-	}
-	if cfg.SecondOpinion {
-		if _, est.SecondOpinion, err = estimators.EstimateWindow(estimators.NewTiming(), serverObs, w, estCfg, cfg.Stages); err != nil {
-			return est, fmt.Errorf("second opinion: %w", err)
+	seen := make([]uint64, int(maxID)/64+1)
+	n := 0
+	for _, ref := range refs {
+		id := obs[ref.idx].ID
+		if word, bit := int(id)>>6, uint64(1)<<(uint(id)&63); seen[word]&bit == 0 {
+			seen[word] |= bit
+			n++
 		}
 	}
-	return est, nil
+	return n
 }
 
 // workers resolves the per-server estimation pool size: the configured
@@ -338,4 +440,15 @@ func (l *Landscape) Estimate(server string) float64 {
 		}
 	}
 	return 0
+}
+
+// Estimates returns every estimator's figure for one server, in the order
+// of Estimators (zeros if the server produced no matched traffic).
+func (l *Landscape) Estimates(server string) []float64 {
+	for _, s := range l.Servers {
+		if s.Server == server {
+			return s.Estimates
+		}
+	}
+	return make([]float64, max(len(l.Estimators), 1))
 }

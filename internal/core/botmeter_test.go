@@ -343,6 +343,63 @@ func TestAnalyzeNonCanonicalNames(t *testing.T) {
 	}
 }
 
+// TestAnalyzeUnsortedInput: Analyze takes a dataset in any order. Over a
+// multi-server, two-epoch trace whose timestamps are coarsened to whole
+// seconds (so many records tie) and then shuffled, the landscape must be
+// bit for bit the landscape of the trace's stable time-sorted copy — under
+// MT, which is sensitive to the order of tied records, and under MP.
+func TestAnalyzeUnsortedInput(t *testing.T) {
+	const seed = 61
+	w := sim.Window{Start: 0, End: 2 * sim.Day}
+	obs, _ := simulate(t, smallAU(), seed, map[string]int{"local-00": 24, "local-01": 9, "local-02": 3}, w)
+	shuffled := obs.Truncate(sim.Second)
+	rng := sim.NewRNG(seed)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	sorted := append(trace.Observed(nil), shuffled...)
+	sorted.Sort()
+	ties := 0
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i].T == sorted[i-1].T {
+			ties++
+		}
+	}
+	if shuffled.IsSorted() || ties == 0 || len(sorted.Servers()) != 3 {
+		t.Fatalf("trace is not an unsorted multi-server trace with ties: sorted=%v ties=%d servers=%v",
+			shuffled.IsSorted(), ties, sorted.Servers())
+	}
+	for name, cfg := range map[string]Config{
+		"MP with MT second opinion": {Family: smallAU(), Seed: seed, SecondOpinion: true},
+		"MT":                        {Family: smallAU(), Seed: seed, Estimators: []estimators.Estimator{estimators.NewTiming()}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			analyze := func(obs trace.Observed) (*Landscape, string) {
+				t.Helper()
+				bm, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				land, err := bm.Analyze(obs, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var b strings.Builder
+				if err := land.WriteJSON(&b); err != nil {
+					t.Fatal(err)
+				}
+				return land, b.String()
+			}
+			want, wantJSON := analyze(sorted)
+			got, gotJSON := analyze(shuffled)
+			if len(want.Servers) != 3 || want.Total <= 0 {
+				t.Fatalf("reference landscape is degenerate: %+v", want)
+			}
+			if !reflect.DeepEqual(got, want) || gotJSON != wantJSON {
+				t.Errorf("unsorted input charts differently from its stable-sorted copy:\n got %s\nwant %s", gotJSON, wantJSON)
+			}
+		})
+	}
+}
+
 func TestAnalyzeSecondOpinion(t *testing.T) {
 	seed := uint64(33)
 	w := sim.Window{Start: 0, End: sim.Day}
@@ -385,7 +442,7 @@ func TestAnalyzeMultiEpoch(t *testing.T) {
 }
 
 func TestAnalyzeEstimatorOverride(t *testing.T) {
-	bm, err := New(Config{Family: smallAU(), Seed: 1, Estimator: estimators.NewTiming()})
+	bm, err := New(Config{Family: smallAU(), Seed: 1, Estimators: []estimators.Estimator{estimators.NewTiming()}})
 	if err != nil {
 		t.Fatal(err)
 	}

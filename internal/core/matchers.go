@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"botmeter/internal/d3"
 	"botmeter/internal/dga"
@@ -18,8 +19,17 @@ type EpochMatchers struct {
 	detection *d3.Window
 	pools     *dga.PoolCache
 
+	// last is the matcher For returned last: records arrive in epoch runs,
+	// so almost every call is one atomic load instead of the mutex.
+	last atomic.Pointer[epochMatcher]
+
 	mu      sync.Mutex
 	byEpoch map[int]*matcher.Attribution
+}
+
+type epochMatcher struct {
+	epoch int
+	a     *matcher.Attribution
 }
 
 // NewEpochMatchers builds the matcher cache. A nil detection window means
@@ -36,9 +46,13 @@ func NewEpochMatchers(detection *d3.Window, pools *dga.PoolCache) *EpochMatchers
 
 // For returns the matcher for one epoch, building it on first use.
 func (em *EpochMatchers) For(epoch int) *matcher.Attribution {
+	if last := em.last.Load(); last != nil && last.epoch == epoch {
+		return last.a
+	}
 	em.mu.Lock()
 	defer em.mu.Unlock()
 	if a, ok := em.byEpoch[epoch]; ok {
+		em.last.Store(&epochMatcher{epoch, a})
 		return a
 	}
 	pool := em.pools.For(epoch)
@@ -50,5 +64,6 @@ func (em *EpochMatchers) For(epoch int) *matcher.Attribution {
 		a = matcher.NewAttribution(pool, nil, nil)
 	}
 	em.byEpoch[epoch] = a
+	em.last.Store(&epochMatcher{epoch, a})
 	return a
 }

@@ -212,9 +212,9 @@ func ttlBucketOf(t, epochStart sim.Time, cfg Config, numBuckets int) int {
 	return b
 }
 
-// Releasable is implemented by EpochStreams holding pooled state; the
-// streaming engine calls Release exactly once, when the epoch cell is
-// finally closed, returning the state to its pool.
+// Releasable is implemented by EpochStreams holding pooled state; a Walk
+// calls Release exactly once, when it closes the cell, returning the state
+// to its pool.
 type Releasable interface {
 	Release()
 }

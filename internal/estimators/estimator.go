@@ -15,12 +15,10 @@ package estimators
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"botmeter/internal/d3"
 	"botmeter/internal/dga"
 	"botmeter/internal/matcher"
-	"botmeter/internal/obs"
 	"botmeter/internal/sim"
 	"botmeter/internal/trace"
 )
@@ -54,10 +52,9 @@ type Config struct {
 	Pools *dga.PoolCache
 
 	// normalized records that withDefaults (and the caller's Validate) has
-	// already run on this value, letting the per-epoch EstimateEpoch hot
-	// path skip re-normalising per (server, epoch). Set by withDefaults;
-	// window- and engine-level callers normalise once and fan the flagged
-	// config out.
+	// already run on this value, letting every cell's OpenEpoch skip
+	// re-normalising. Set by withDefaults; core.Analyze and the streaming
+	// engine normalise once and fan the flagged config out.
 	normalized bool
 }
 
@@ -119,8 +116,8 @@ func (c Config) Validate() error {
 
 // Estimator is one analytical population model: a name and, per (server,
 // epoch) cell, the sufficient statistic it folds that cell's lookups into.
-// Batch evaluation (EstimateEpoch) and the streaming engine's cells run the
-// same EpochStream, which is what makes their landscapes identical.
+// Batch analysis and the streaming engine run the same Walk over the same
+// EpochStreams, which is what makes their landscapes identical.
 type Estimator interface {
 	// Name returns the estimator's short name (MT, MP, MB, …).
 	Name() string
@@ -168,62 +165,6 @@ func EstimateEpoch(e Estimator, obs trace.Observed, epoch int, cfg Config) (floa
 		r.Release()
 	}
 	return v, nil
-}
-
-// EstimateWindow applies an estimator to every epoch a window touches and
-// returns the per-epoch estimates with their mean — the procedure behind the
-// paper's Figure 6(b) ("average the estimates over the number of epochs") and
-// the one per-server walk of core.Analyze. Each epoch's evaluation is filed on
-// stages as "estimate:<Name>" (nil = untimed): wall time only, because the
-// calls run concurrently across servers and a per-call allocation delta would
-// both misattribute and serialise them.
-func EstimateWindow(e Estimator, recs trace.Observed, w sim.Window, cfg Config, stages *obs.StageSet) (perEpoch []float64, mean float64, err error) {
-	if cfg, err = cfg.Normalized(); err != nil {
-		return nil, 0, err
-	}
-	if w.Len() <= 0 {
-		return nil, 0, fmt.Errorf("estimators: empty window")
-	}
-	firstEpoch := int(w.Start / cfg.EpochLen)
-	lastEpoch := int((w.End - 1) / cfg.EpochLen)
-	// One sortedness pass up front lets every per-epoch slice below come
-	// from the binary-search fast path instead of re-scanning recs per epoch.
-	sorted := recs.IsSorted()
-	stage := ""
-	if stages != nil {
-		stage = "estimate:" + e.Name()
-	}
-	perEpoch = make([]float64, 0, lastEpoch-firstEpoch+1)
-	var total float64
-	for ep := firstEpoch; ep <= lastEpoch; ep++ {
-		ew := sim.Window{Start: sim.Time(ep) * cfg.EpochLen, End: sim.Time(ep+1) * cfg.EpochLen}
-		if ew.Start < w.Start {
-			ew.Start = w.Start
-		}
-		if ew.End > w.End {
-			ew.End = w.End
-		}
-		var epochObs trace.Observed
-		if sorted {
-			epochObs = recs.WindowSorted(ew)
-		} else {
-			epochObs = recs.Window(ew)
-		}
-		var t0 time.Time
-		if stages != nil {
-			t0 = time.Now()
-		}
-		v, err := EstimateEpoch(e, epochObs, ep, cfg)
-		if stages != nil {
-			stages.Observe(stage, time.Since(t0), 0)
-		}
-		if err != nil {
-			return nil, 0, fmt.Errorf("estimators: epoch %d: %w", ep, err)
-		}
-		perEpoch = append(perEpoch, v)
-		total += v
-	}
-	return perEpoch, total / float64(len(perEpoch)), nil
 }
 
 // ForModel returns the estimator matching a DGA's taxonomy cell. The paper

@@ -603,14 +603,14 @@ func TestEstimateWindowAverages(t *testing.T) {
 	for day := sim.Time(0); day < 4; day++ {
 		obs = append(obs, trace.ObservedRecord{T: day * sim.Day})
 	}
-	perEpoch, got, err := EstimateWindow(constEstimator(10), obs, sim.Window{Start: 0, End: 4 * sim.Day}, cfg, nil)
+	perEpoch, got, err := walkWindow(constEstimator(10), obs, sim.Window{Start: 0, End: 4 * sim.Day}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != 10 || len(perEpoch) != 4 {
 		t.Errorf("averaged estimate = %v over %d epochs, want 10 over 4", got, len(perEpoch))
 	}
-	if _, _, err := EstimateWindow(constEstimator(0), nil, sim.Window{}, cfg, nil); err == nil {
+	if _, _, err := walkWindow(constEstimator(0), nil, sim.Window{}, cfg); err == nil {
 		t.Error("empty window should error")
 	}
 }
@@ -625,7 +625,7 @@ func TestEstimateWindowSplitsEpochs(t *testing.T) {
 		{T: sim.Day + 2*sim.Hour, Pos: 2},
 	}
 	cfg := defaultCfg(auSpec())
-	_, got, err := EstimateWindow(counter, obs, sim.Window{Start: 0, End: 2 * sim.Day}, cfg, nil)
+	_, got, err := walkWindow(counter, obs, sim.Window{Start: 0, End: 2 * sim.Day}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,8 +196,8 @@ func TestEstimatorsRobustToGarbage(t *testing.T) {
 	}
 }
 
-// TestEstimateWindowConsistentWithSingleEpoch: a one-epoch window equals a
-// direct EstimateEpoch call.
+// TestEstimateWindowConsistentWithSingleEpoch: a walk over a one-epoch
+// window equals a direct EstimateEpoch call.
 func TestEstimateWindowConsistentWithSingleEpoch(t *testing.T) {
 	cfg := defaultCfg(arSpec(95, 5, 10))
 	pool := cfg.Spec.Pool.PoolFor(cfg.Seed, 0)
@@ -211,7 +211,7 @@ func TestEstimateWindowConsistentWithSingleEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, windowed, err := EstimateWindow(mb, obs, sim.Window{Start: 0, End: sim.Day}, cfg, nil)
+	_, windowed, err := walkWindow(mb, obs, sim.Window{Start: 0, End: sim.Day}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

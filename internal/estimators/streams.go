@@ -11,10 +11,8 @@ import (
 // This file holds the epoch streams of MP, NC, MB and MB-C (DESIGN.md §17):
 // their sufficient statistics — visible-activation clusters for MP/NC, the
 // distinct (TTL-bucket, pool-position) set for MB/MB-C — are folded in on
-// ingest, so the streaming engine's watermark-driven epoch close is O(1)
-// for MP/NC and O(changed positions) for MB. Batch evaluation
-// (EstimateEpoch) feeds the same streams, which is what keeps batch↔stream
-// byte-identical at any shard count.
+// ingest, so closing a cell is O(1) for MP/NC and O(changed positions) for
+// MB.
 
 // clusterStream folds a non-decreasing timestamp stream into visible
 // activation clusters (see mergeWindowFor). Clustering decisions depend only

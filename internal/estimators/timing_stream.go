@@ -42,28 +42,20 @@ type Expiring interface {
 	// NextExpiry reports the lowest watermark at which Advance has
 	// something to expire, and false while the stream holds nothing that
 	// can. The time never moves backwards while the stream holds state, so
-	// a caller may sleep on it: the engine queues a stream's cell by this
-	// time instead of advancing every stream on every record.
+	// a caller may sleep on it: a stream shard queues a server's walk by
+	// this time instead of advancing every stream on every record.
 	NextExpiry() (sim.Time, bool)
 }
 
 // TimingStream is Algorithm 1 over a timestamp-ordered stream, with
 // candidate-entry expiry so memory is bounded by the number of
 // SIMULTANEOUSLY active candidates rather than the epoch's record count.
-//
-// Equivalence of batch and streaming: EstimateEpoch stable-sorts the epoch's
-// records and scans candidates in creation order. Streaming feeds records
-// in the same order (the engine emits in non-decreasing T, stable for
-// ties), and candidates are created in emission order, so their `first`
-// fields — and hence their expiry times first+θq·δi — are non-decreasing.
-// An entry expired against the current record's timestamp (heuristic #2:
-// first+maxDuration ≤ t) can never absorb that record or any later one,
-// so counting it and freeing its domain set changes nothing. The count at
-// epoch end therefore equals batch MT exactly for identically ordered
-// input; only the ordering of equal-timestamp records (which the batch
-// stable sort pins to insertion order) can differ after a mid-window
-// shuffle, which is the documented MT tolerance of the batch↔stream
-// contract.
+// Candidates are created in record order, so their `first` fields — and
+// their expiry times first+θq·δi — are non-decreasing. An entry expired
+// against the current record's timestamp (heuristic #2: first+maxDuration
+// ≤ t) can never absorb that record or any later one, so counting it and
+// freeing its domain set changes nothing: expiry, wherever a watermark
+// triggers it, never moves the count.
 type TimingStream struct {
 	deltaI      sim.Time
 	useModulo   bool
@@ -154,8 +146,7 @@ func (s *TimingStream) ActiveCandidates() int { return len(s.active) }
 
 // Release implements Releasable: it recycles every still-active candidate
 // entry. Called after the final Estimate of an epoch (by EstimateEpoch, and by
-// the streaming engine at epoch close). The stream must not Observe
-// afterwards.
+// a Walk closing the cell). The stream must not Observe afterwards.
 func (s *TimingStream) Release() {
 	for i, entry := range s.active {
 		putTimingEntry(entry)

@@ -1,18 +1,41 @@
 package estimators
 
 import (
+	"fmt"
 	"testing"
 
 	"botmeter/internal/sim"
 	"botmeter/internal/trace"
 )
 
-// TestEstimateWindowEpochSlicing pins EstimateWindow's epoch-grid slicing:
-// which epochs a window touches, how records are partitioned onto them, and
-// how the per-epoch sub-windows are clipped at partial first/last epochs.
-// The streaming engine's batch↔stream contract leans on exactly these
-// boundary conventions (epochs are half-open, T = k·δe opens epoch k), so
-// they are pinned here as a table.
+// walkWindow runs one estimator over recs the way core.Analyze runs a
+// server's records: those outside w are dropped, the rest go through a Walk
+// in time order, and every epoch w touches is read back with its mean.
+func walkWindow(e Estimator, recs trace.Observed, w sim.Window, cfg Config) (perEpoch []float64, mean float64, err error) {
+	if w.Len() <= 0 {
+		return nil, 0, fmt.Errorf("empty window %v", w)
+	}
+	if cfg, err = cfg.Normalized(); err != nil {
+		return nil, 0, err
+	}
+	walk := NewWalk([]Estimator{e}, cfg, nil)
+	for _, rec := range timeOrdered(recs) {
+		if w.Contains(rec.T) {
+			walk.Observe(rec)
+		}
+	}
+	first, last := int(w.Start/cfg.EpochLen), int((w.End-1)/cfg.EpochLen)
+	walk.CloseThrough(last)
+	perEpoch, mean = walk.Series(0, first, last)
+	return perEpoch, mean, nil
+}
+
+// TestEstimateWindowEpochSlicing pins the walk's epoch-grid slicing: which
+// epochs a window touches, how records are partitioned onto them, and how
+// the window clips partial first/last epochs. The streaming engine's
+// batch↔stream contract leans on exactly these boundary conventions (epochs
+// are half-open, T = k·δe opens epoch k), so they are pinned here as a
+// table.
 func TestEstimateWindowEpochSlicing(t *testing.T) {
 	cfg := defaultCfg(auSpec())
 	obs := trace.Observed{
@@ -85,7 +108,7 @@ func TestEstimateWindowEpochSlicing(t *testing.T) {
 				gotEpochs = append(gotEpochs, ep)
 				return float64(len(o))
 			})
-			perEpoch, avg, err := EstimateWindow(recorder, obs, tc.w, cfg, nil)
+			perEpoch, avg, err := walkWindow(recorder, obs, tc.w, cfg)
 			if tc.wantErr {
 				if err == nil {
 					t.Fatalf("want error, got avg %v", avg)
@@ -93,7 +116,7 @@ func TestEstimateWindowEpochSlicing(t *testing.T) {
 				return
 			}
 			if err != nil {
-				t.Fatalf("EstimateWindow: %v", err)
+				t.Fatalf("walkWindow: %v", err)
 			}
 			var wantOpened, gotCounts []int
 			for i, c := range tc.wantCounts {

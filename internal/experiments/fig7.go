@@ -114,31 +114,27 @@ func Figure7(cfg Fig7Config) ([]Fig7Series, error) {
 
 	var series []Fig7Series
 	for _, inf := range infections {
-		// One Analyze per day produces BOTH of the family's series: the
-		// model-specific estimator as primary and MT through the
-		// SecondOpinion path — matching and grouping the day's records once
-		// instead of once per estimator. SecondOpinion evaluates MT per
-		// epoch over the same windowed records in the same order, so the MT
-		// series is byte-identical to a dedicated MT run.
+		// One Analyze per day produces both of the family's series, the
+		// model-specific estimator's and MT's.
+		set := []estimators.Estimator{estimators.ForModel(inf.Spec), estimators.NewTiming()}
 		famStage := cfg.Stages.Start("fig7:analyze:" + inf.Spec.Name)
-		estimates, err := days.estimates(inf, nil, true)
+		estimates, err := days.estimates(inf, set)
 		famStage.End()
 		if err != nil {
 			return nil, err
 		}
-		primary := Fig7Series{
-			Family:    inf.Spec.Name,
-			Model:     inf.Spec.ModelName(),
-			Estimator: estimators.ForModel(inf.Spec).Name(),
-			Truth:     tr.GroundTruth[inf.Spec.Name],
+		for i, est := range set {
+			s := Fig7Series{
+				Family:    inf.Spec.Name,
+				Model:     inf.Spec.ModelName(),
+				Estimator: est.Name(),
+				Truth:     tr.GroundTruth[inf.Spec.Name],
+			}
+			for _, day := range estimates {
+				s.Estimates = append(s.Estimates, day[i])
+			}
+			series = append(series, s)
 		}
-		timing := primary
-		timing.Estimator = "MT"
-		for _, est := range estimates {
-			primary.Estimates = append(primary.Estimates, est.Primary)
-			timing.Estimates = append(timing.Estimates, est.Timing)
-		}
-		series = append(series, primary, timing)
 	}
 	return series, nil
 }
@@ -169,46 +165,34 @@ func openDaily(tr *enterprise.Trace, artifact string, workers int, reg *obs.Regi
 // close recycles the trace's intern table, once every series is built.
 func (d *dailyTrace) close() { d.tr.Close() }
 
-// dayEstimates is one day's population behind the trace's local server:
-// the given estimator's figure and, when asked for, MT's second opinion.
-type dayEstimates struct{ Primary, Timing float64 }
-
-// estimates analyses one infection day by day with est, or with the
-// taxonomy's choice for the family when est is nil. The days fan out across
-// the worker pool, each on its own BotMeter instance so no lazily built
-// matcher state is shared; every day maps to a distinct epoch, so no
-// cross-day matcher reuse is lost, and a daily estimate is a pure function
-// of the trace and the day index, so any worker count yields identical
-// series. The trace carries each family's symbolized pool cache: matched
-// records resolve by domain ID and no day regenerates pools.
-func (d *dailyTrace) estimates(inf enterprise.Infection, est estimators.Estimator, secondOpinion bool) ([]dayEstimates, error) {
-	return runTrials(d.workers, d.reg, d.artifact, d.tr.Days, func(day int) (dayEstimates, error) {
+// estimates analyses one infection day by day with every estimator of set
+// in one Analyze a day, and returns each day's figures behind the trace's
+// local server, in set order. The days fan out across the worker pool, each
+// on its own BotMeter instance so no lazily built matcher state is shared;
+// every day maps to a distinct epoch, so no cross-day matcher reuse is
+// lost, and a daily estimate is a pure function of the trace and the day
+// index, so any worker count yields identical series. The trace carries
+// each family's symbolized pool cache: matched records resolve by domain ID
+// and no day regenerates pools.
+func (d *dailyTrace) estimates(inf enterprise.Infection, set []estimators.Estimator) ([][]float64, error) {
+	return runTrials(d.workers, d.reg, d.artifact, d.tr.Days, func(day int) ([]float64, error) {
 		bm, err := core.New(core.Config{
-			Family:        inf.Spec,
-			Seed:          inf.Seed,
-			Pools:         d.tr.Pools[inf.Spec.Name],
-			Granularity:   sim.Second,
-			Estimator:     est,
-			SecondOpinion: secondOpinion,
-			Stages:        d.stages,
+			Family:      inf.Spec,
+			Seed:        inf.Seed,
+			Pools:       d.tr.Pools[inf.Spec.Name],
+			Granularity: sim.Second,
+			Estimators:  set,
+			Stages:      d.stages,
 		})
 		if err != nil {
-			return dayEstimates{}, err
+			return nil, err
 		}
 		w := sim.Window{Start: sim.Time(day) * sim.Day, End: sim.Time(day+1) * sim.Day}
 		land, err := bm.Analyze(d.observed.WindowSorted(w), w)
 		if err != nil {
-			return dayEstimates{}, fmt.Errorf("experiments: %s %s/%s day %d: %w",
-				d.artifact, inf.Spec.Name, bm.EstimatorName(), day, err)
+			return nil, fmt.Errorf("experiments: %s %s day %d: %w", d.artifact, inf.Spec.Name, day, err)
 		}
-		out := dayEstimates{Primary: land.Estimate(d.tr.LocalServer)}
-		for _, s := range land.Servers {
-			if s.Server == d.tr.LocalServer {
-				out.Timing = s.SecondOpinion
-				break
-			}
-		}
-		return out, nil
+		return land.Estimates(d.tr.LocalServer), nil
 	})
 }
 

@@ -87,36 +87,36 @@ func Reactivation(cfg ReactivationConfig) ([]ReactivationRow, error) {
 		return nil, fmt.Errorf("experiments: reactivation: %w", err)
 	}
 
-	wholeEpoch := estimators.NewBernoulli()
-	wholeEpoch.DisableTTLPartition = true
-	cases := []struct {
-		est  estimators.Estimator
-		mode string
-	}{
-		{estimators.NewBernoulli(), "per-TTL + extent dedup (default)"},
-		{wholeEpoch, "whole-epoch distinct set (paper's MB)"},
-		{estimators.NewTiming(), "Algorithm 1"},
-	}
 	days := openDaily(tr, "reactivation", cfg.Workers, cfg.Obs, nil)
 	defer days.close()
-	rows := make([]ReactivationRow, 0, len(cases))
-	for _, tc := range cases {
-		estimates, err := days.estimates(inf, tc.est, false)
-		if err != nil {
-			return nil, err
-		}
+	return reactivationRows(days, inf)
+}
+
+// reactivationRows analyses the trace's days once each, with the three
+// configurations as one estimator set, and summarises each configuration.
+func reactivationRows(days *dailyTrace, inf enterprise.Infection) ([]ReactivationRow, error) {
+	wholeEpoch := estimators.NewBernoulli()
+	wholeEpoch.DisableTTLPartition = true
+	set := []estimators.Estimator{estimators.NewBernoulli(), wholeEpoch, estimators.NewTiming()}
+	modes := []string{"per-TTL + extent dedup (default)", "whole-epoch distinct set (paper's MB)", "Algorithm 1"}
+	estimates, err := days.estimates(inf, set)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]ReactivationRow, 0, len(set))
+	for i, est := range set {
 		var errs, biases []float64
-		for day, truth := range tr.GroundTruth[inf.Spec.Name] {
+		for day, truth := range days.tr.GroundTruth[inf.Spec.Name] {
 			if truth == 0 {
 				continue
 			}
-			got := estimates[day].Primary
+			got := estimates[day][i]
 			errs = append(errs, stats.ARE(got, float64(truth)))
 			biases = append(biases, (got-float64(truth))/float64(truth))
 		}
 		rows = append(rows, ReactivationRow{
-			Estimator: tc.est.Name(),
-			Mode:      tc.mode,
+			Estimator: est.Name(),
+			Mode:      modes[i],
 			Summary:   stats.Summarize(errs),
 			MeanBias:  stats.Mean(biases),
 		})

@@ -187,59 +187,29 @@ func runTrial(p trialParams, ests []estimators.Estimator) (map[string]float64, e
 	}
 	estStage := p.stages.Start(p.stage + ":estimate")
 	defer estStage.End()
-	// MT rides the first model-specific estimator's Analyze through the
-	// SecondOpinion path instead of re-matching and re-grouping the trial's
-	// records in a dedicated run: SecondOpinion evaluates MT per epoch over
-	// the same windowed records in the same order, so its series is
-	// byte-identical to a standalone MT Analyze
-	// (TestSharedTrialEquivalences). When MT is the only estimator (AS/AP,
-	// five taxonomy cells), it runs as the primary.
-	var primaries []estimators.Estimator
-	var timingEst estimators.Estimator
-	for _, est := range ests {
-		if est.Name() == "MT" && timingEst == nil {
-			timingEst = est
-			continue
-		}
-		primaries = append(primaries, est)
+	// One Analyze carries every estimator through one walk per server: each
+	// sees the same records in the same order as it would alone
+	// (TestSharedTrialEquivalences).
+	bm, err := core.New(core.Config{
+		Family:      p.spec,
+		Seed:        p.seed,
+		Pools:       pools,
+		NegativeTTL: p.negTTL,
+		Granularity: p.granularity,
+		Estimators:  ests,
+		Detection:   detection,
+		Stages:      p.stages,
+	})
+	if err != nil {
+		return nil, err
 	}
-	wantTiming := timingEst != nil
-	if len(primaries) == 0 && wantTiming {
-		primaries = []estimators.Estimator{timingEst}
-		wantTiming = false
+	land, err := bm.Analyze(observed, w)
+	if err != nil {
+		return nil, err
 	}
 	out := make(map[string]float64, len(ests))
-	for i, est := range primaries {
-		second := wantTiming && i == 0
-		bm, err := core.New(core.Config{
-			Family:        p.spec,
-			Seed:          p.seed,
-			Pools:         pools,
-			NegativeTTL:   p.negTTL,
-			Granularity:   p.granularity,
-			Estimator:     est,
-			Detection:     detection,
-			SecondOpinion: second,
-			Stages:        p.stages,
-		})
-		if err != nil {
-			return nil, err
-		}
-		land, err := bm.Analyze(observed, w)
-		if err != nil {
-			return nil, err
-		}
-		out[est.Name()] = stats.ARE(land.Estimate("local-00"), truth)
-		if second {
-			var mt float64
-			for _, s := range land.Servers {
-				if s.Server == "local-00" {
-					mt = s.SecondOpinion
-					break
-				}
-			}
-			out["MT"] = stats.ARE(mt, truth)
-		}
+	for i, v := range land.Estimates("local-00") {
+		out[ests[i].Name()] = stats.ARE(v, truth)
 	}
 	return out, nil
 }

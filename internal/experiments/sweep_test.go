@@ -7,7 +7,9 @@ import (
 
 	"botmeter/internal/botnet"
 	"botmeter/internal/dga"
+	"botmeter/internal/enterprise"
 	"botmeter/internal/estimators"
+	"botmeter/internal/obs"
 	"botmeter/internal/sim"
 	"botmeter/internal/symtab"
 	"botmeter/internal/trace"
@@ -15,14 +17,14 @@ import (
 
 // TestSharedTrialEquivalences asserts what every synthetic artifact leans
 // on now that all of them run runTrial: on a clean trace, under record loss
-// and behind a faulty link, bare and hardened, (1) MT read off the primary's
-// Analyze as its second opinion is, bit for bit, the figure of a dedicated
-// MT Analyze of the same trace — which is what runTrial does when MT is
-// the only estimator; (2) a pool cache shared across a row's axis values
-// gives what a trial's private cache gives; (3) records resolved by interned
-// ID give what records resolved by name give; (4) a barrel cache shared
-// across the axis values gives what private draws give. AS and AP are the
-// models whose barrels are permutations.
+// and behind a faulty link, bare and hardened, (1) every member of an
+// estimator set — MT, MP, and on AR each MB variant missing and Figure 6(e)
+// run, MB, MB+g2, MB+ga and MB* — is, bit for bit, the figure the same
+// estimator gives when it runs alone; (2) a pool cache shared across a
+// row's axis values gives what a trial's private cache gives; (3) records
+// resolved by interned ID give what records resolved by name give; (4) a
+// barrel cache shared across the axis values gives what private draws give.
+// AS and AP are the models whose barrels are permutations.
 func TestSharedTrialEquivalences(t *testing.T) {
 	conditions := []struct {
 		name string
@@ -39,6 +41,13 @@ func TestSharedTrialEquivalences(t *testing.T) {
 			t.Fatal(err)
 		}
 		ests := estimatorsFor(model, "")
+		if model == "AR" {
+			tolerant, adaptive, unaware := estimators.NewBernoulli(), estimators.NewBernoulli(), estimators.NewBernoulli()
+			tolerant.GapTolerance = 2
+			adaptive.AdaptiveGapTolerance = true
+			unaware.DisableDetectionAwareness = true
+			ests = append(ests, tolerant, adaptive, unaware)
+		}
 		seed := trialSeed(9, model, 0)
 		// One pool cache and one barrel cache for all four conditions, as a
 		// row shares them across its axis values.
@@ -81,9 +90,11 @@ func TestSharedTrialEquivalences(t *testing.T) {
 			if len(full) != len(ests) {
 				t.Fatalf("%s, %s: trial reported %v, want one ARE per estimator", model, c.name, full)
 			}
-			solo := trial([]estimators.Estimator{estimators.NewTiming()}, shared, barrels, false)
-			if math.Float64bits(solo["MT"]) != math.Float64bits(full["MT"]) {
-				t.Errorf("%s, %s: dedicated MT ARE %v, as second opinion %v", model, c.name, solo["MT"], full["MT"])
+			for _, est := range ests {
+				name := est.Name()
+				if solo := trial([]estimators.Estimator{est}, shared, barrels, false); math.Float64bits(solo[name]) != math.Float64bits(full[name]) {
+					t.Errorf("%s, %s: %s alone ARE %v, in the set %v", model, c.name, name, solo[name], full[name])
+				}
 			}
 			same("private pool cache", trial(ests, nil, barrels, false), full)
 			same("resolved by name", trial(ests, shared, barrels, true), full)
@@ -150,5 +161,58 @@ func TestFigure6aDrawsEachBarrelOnce(t *testing.T) {
 		if got := drawn(xs, false); got != activations {
 			t.Errorf("%s: the row drew %d barrels without a cache, want one per activation (%d)", model, got, activations)
 		}
+	}
+}
+
+// TestOneMatchPerTrial: a trial's estimators — MB and its gap-tolerant
+// variants on missing's AR row, MB and MB* on Figure 6(e)'s, MT beside the
+// model's estimator everywhere — ride one Analyze, and Analyze files its
+// "match" stage once per call. So missing, Figure 6(e) and chaos file one
+// "match" a trial, and reactivation, whose days carry three estimators,
+// one a day.
+func TestOneMatchPerTrial(t *testing.T) {
+	matches := func(st *obs.StageSet) int {
+		for _, s := range st.Stats() {
+			if s.Name == "match" {
+				return s.Count
+			}
+		}
+		return 0
+	}
+	cfg := SweepConfig{Trials: 2, Population: 12, Seed: 5, Scale: 0.08, Workers: 1}
+	for _, tc := range []struct {
+		name   string
+		trials int // the sweep's trial runs: rows × axis values × Trials
+		run    func(SweepConfig) error
+	}{
+		{"missing", 2 * 6 * cfg.Trials, func(c SweepConfig) error { _, err := MissingObservations(c); return err }},
+		{"fig6e", 5 * cfg.Trials, func(c SweepConfig) error { c.Models = []string{"AR"}; _, err := Figure6e(c); return err }},
+		{"chaos", 2 * 8 * cfg.Trials, func(c SweepConfig) error { _, err := ChaosSweep(c); return err }},
+	} {
+		c := cfg
+		c.Stages = obs.NewStageSet()
+		if err := tc.run(c); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := matches(c.Stages); got != tc.trials {
+			t.Errorf("%s filed %d match stages over %d trials", tc.name, got, tc.trials)
+		}
+	}
+
+	const days = 3
+	inf := enterprise.Infection{Spec: ScaledSpec(dga.NewGoZ(), 0.1), Seed: 7, MeanActive: 8, Volatility: 0.5, ReactivateEvery: 3 * sim.Hour}
+	tr, err := enterprise.Generate(enterprise.Config{Days: days, Seed: 7, BenignClients: 10, Granularity: sim.Second, Infections: []enterprise.Infection{inf}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages := obs.NewStageSet()
+	daily := openDaily(tr, "reactivation", 1, nil, stages)
+	defer daily.close()
+	rows, err := reactivationRows(daily, inf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := matches(stages); len(rows) != 3 || got != days {
+		t.Errorf("reactivation: %d rows from %d match stages over %d days", len(rows), got, days)
 	}
 }

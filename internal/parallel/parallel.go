@@ -14,15 +14,13 @@
 //   - workers == 1 (or n == 1) runs inline on the calling goroutine — no
 //     goroutines, channels or atomics — so the sequential path has zero
 //     engine overhead (bounded by BenchmarkParallelMapOverhead);
-//   - the first error cancels the shared context; workers drain without
-//     starting new items, and the error reported is the non-cancellation
-//     error with the lowest item index — a canonical choice that keeps
-//     error output reproducible too.
+//   - a failure at index i stops every index above i from starting, while
+//     every index below i still runs, so the error reported is the one the
+//     sequential loop would stop at — error output is reproducible too.
 package parallel
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -39,11 +37,11 @@ func Workers(n int) int {
 
 // Map runs fn(ctx, i) for every i in [0, n) on at most workers goroutines
 // and returns the n results in input order. workers is resolved through
-// Workers and clamped to n. The context passed to fn is cancelled as soon
-// as any invocation fails (or the parent ctx is cancelled); items not yet
-// started are then skipped. On failure Map returns the lowest-index
-// non-cancellation error (falling back to the lowest-index error of any
-// kind), so the reported error does not depend on goroutine scheduling.
+// Workers and clamped to n. Once fn fails at index i, no index above i
+// starts; indices below it still run, because one of them may fail too and
+// the lowest failing index is the error Map reports. Which error that is
+// therefore does not depend on goroutine scheduling. Cancelling ctx skips
+// every item not yet started and reports the cancellation.
 func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
@@ -72,28 +70,33 @@ func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context
 		return results, nil
 	}
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	errs := make([]error, n)
-	var next atomic.Int64
+	// failed is the lowest index that has failed so far (n: none). It only
+	// falls, so an index below it when taken is never skipped.
+	var next, failed atomic.Int64
+	failed.Store(int64(n))
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
+				i := next.Add(1) - 1
+				if i >= int64(n) {
 					return
 				}
 				if err := ctx.Err(); err != nil {
 					errs[i] = err
-					continue // record cancellation, keep draining indices
+					continue
 				}
-				v, err := fn(ctx, i)
+				if i > failed.Load() {
+					continue
+				}
+				v, err := fn(ctx, int(i))
 				if err != nil {
 					errs[i] = err
-					cancel()
+					for low := failed.Load(); i < low && !failed.CompareAndSwap(low, i); low = failed.Load() {
+					}
 					continue
 				}
 				results[i] = v
@@ -101,27 +104,10 @@ func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context
 		}()
 	}
 	wg.Wait()
-	if err := firstError(errs); err != nil {
-		return nil, err
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return results, nil
-}
-
-// firstError picks the canonical error from a per-index error slice: the
-// lowest-index error that is not a bare context cancellation, falling back
-// to the lowest-index error of any kind.
-func firstError(errs []error) error {
-	var fallback error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if !errors.Is(err, context.Canceled) {
-			return err
-		}
-		if fallback == nil {
-			fallback = err
-		}
-	}
-	return fallback
 }

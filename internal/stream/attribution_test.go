@@ -42,7 +42,7 @@ func attributionCases() []attributionCase {
 		QueryInterval: sim.Second,
 	}
 	return []attributionCase{
-		{"MT-primary", core.Config{Family: au, Estimator: estimators.NewTiming()}},
+		{"MT-primary", core.Config{Family: au, Estimators: []estimators.Estimator{estimators.NewTiming()}}},
 		{"MB-primary", core.Config{Family: ar}},
 		{"MP+second-opinion", core.Config{Family: au, SecondOpinion: true}},
 	}
@@ -230,8 +230,8 @@ func TestRestoreRefusesUnattributable(t *testing.T) {
 			for _, sh := range st.Shards {
 				for _, sv := range sh.Servers {
 					for _, cell := range sv.Open {
-						for _, ts := range []*estimators.TimingState{cell.State.Timing, cell.Second} {
-							if ts != nil && len(ts.Active) > 0 {
+						for _, es := range cell.States {
+							if ts := es.Timing; ts != nil && len(ts.Active) > 0 {
 								ts.Active[0].Domains[0] = foreign
 								return true
 							}
@@ -252,7 +252,7 @@ func TestRestoreRefusesUnattributable(t *testing.T) {
 		}},
 	}
 	cases := attributionCases()
-	cases = append(cases, attributionCase{"MB-C-primary", core.Config{Family: cases[1].core.Family, Estimator: estimators.NewCoverage()}})
+	cases = append(cases, attributionCase{"MB-C-primary", core.Config{Family: cases[1].core.Family, Estimators: []estimators.Estimator{estimators.NewCoverage()}}})
 	hit := map[string]bool{}
 	for _, tc := range cases {
 		obs, _ := borderTrace(t, tc.core.Family)

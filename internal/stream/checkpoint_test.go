@@ -158,8 +158,8 @@ func TestKillResumeDifferential(t *testing.T) {
 					ReorderWindow: reorderWindow,
 					Registry:      obs.NewRegistry(),
 				}
-				if tc.estimator != nil {
-					streamCfg.Core.Estimator = tc.estimator()
+				if tc.estimators != nil {
+					streamCfg.Core.Estimators = tc.estimators()
 				}
 				want, wantStats := runUninterrupted(t, streamCfg, delivered)
 				wantBytes := landscapeBytes(t, want)
@@ -176,8 +176,8 @@ func TestKillResumeDifferential(t *testing.T) {
 					t.Run(fmt.Sprintf("shards=%d/kill=%d", shards, killAt), func(t *testing.T) {
 						cfg := streamCfg
 						cfg.Registry = obs.NewRegistry()
-						if tc.estimator != nil {
-							cfg.Core.Estimator = tc.estimator()
+						if tc.estimators != nil {
+							cfg.Core.Estimators = tc.estimators()
 						}
 						got, gotStats := runKilledAndResumed(t, cfg, delivered, t.TempDir(), killAt, checkpointEvery)
 						requireEqualLandscapes(t, want, got)
@@ -329,7 +329,7 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 	tc := diffCases()[2] // incremental MT
 	delivered := chunkShuffle(synthTrace(t, tc.spec, seed, 10, 3, tc.activations), reorderWindow, sim.NewRNG(seed))
 	streamCfg := stream.Config{
-		Core:          core.Config{Family: tc.spec, Seed: seed, EpochLen: testEpochLen, Estimator: tc.estimator()},
+		Core:          core.Config{Family: tc.spec, Seed: seed, EpochLen: testEpochLen, Estimators: tc.estimators()},
 		Shards:        2,
 		ReorderWindow: reorderWindow,
 	}
@@ -392,7 +392,7 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
 			cfg := streamCfg
-			cfg.Core.Estimator = tc.estimator()
+			cfg.Core.Estimators = tc.estimators()
 			eng, err := stream.New(cfg)
 			if err != nil {
 				t.Fatalf("stream.New: %v", err)
@@ -426,7 +426,7 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 
 			cfg2 := streamCfg
 			cfg2.Shards = 0
-			cfg2.Core.Estimator = tc.estimator()
+			cfg2.Core.Estimators = tc.estimators()
 			resumed, state, info, err := stream.RestoreLatest(cfg2, dir, "")
 			if err != nil {
 				t.Fatalf("RestoreLatest: %v", err)
@@ -647,37 +647,42 @@ func TestExportStateStableBytes(t *testing.T) {
 
 // TestCheckpointBytesPinned: a vantage upgraded in place resumes from the
 // generations its predecessor wrote, and a coordinator decodes what vantages
-// of other builds serve, so the bytes of a checkpoint — format v4, field
-// order, candidate order, domain order — are part of the contract. The hashes
-// were recorded at the PR that introduced v4 (stable there over -count 3
-// -cpu 1,2,4); a change that moves them is a format change and takes a new
-// version number.
+// of other builds serve, so the bytes of a checkpoint — format v5, field
+// order, set order, candidate order, domain order — are part of the
+// contract. The hashes were recorded when v5 was introduced (stable over
+// -count 3 -cpu 1,2,4); a change that moves them is a format change and
+// takes a new version number.
 func TestCheckpointBytesPinned(t *testing.T) {
 	want := map[string][3]string{
 		"MP-murofet": {
-			"c0ede66d8ee5d1b3da4b08140590c17a4e6a01a50b8d0830a9229244e2af36a5",
-			"0d23a2286d0724c4dfc0ee512d0c9af81659751b603e091046645c252de81ef7",
-			"50366f06bbeb9ccce9dfc863e65e9bc04c4c48dc34d8312f3186603f9b231b62",
+			"a32397425a99c5d8c43b8c94674402af0d38670803371ce8daf3b2a0fbd146fd",
+			"016ac54350765e3ac9043f0d8b019684d473db63de532e31535a2663f0c09ba5",
+			"2cb168bfa1fd6570fa2822cbeac5be42bad40e5750ea64b7cc6139e6c8554e38",
 		},
 		"MB-newgoz": {
-			"714b3c4551d42b1e23f9cd34e2c5bd4692fac1a00b58761b841b100f9ee07623",
-			"8a759988d83087c1b28b99d5d635c544c2fae28620e1221202e66625c3632c2f",
-			"b6b4c31b883b74c134cbc1e1b9a3e7fffb5af01628ccfc5f12da256313a0568e",
+			"90e8f9761a8fcea910b6c8fbd57aafcef039feba96bfcecd10ec3c5f34b0c7ae",
+			"4861581c50ff8ccb9a046757db98352fc38525bf08ce0ef0f9c73eee219ee3a9",
+			"e2892971c211279bd5072eed58a1c1df67726b3158add6e7beccc460ae6ceb1e",
 		},
 		"MT-murofet": {
-			"b93336cba16870488e12164e3582b9b643ac362468da868505d327ef4d906d73",
-			"5ee07ab47e41036713ea5c936aa610180e1ddb38e69e943f39cea00966c8c019",
-			"f6457b015a45b5ae20ce99007fd6faccce8a885b20830ff3360e608325571003",
+			"0db64ca7aea5f10c5092f5860f412217e1948026ecab932b8d4ea7e6599447d5",
+			"04949cee49fbd2e322792411d525714f795e33089c4153ff6a820ab8c200d4c3",
+			"2df8272194e73a3436774bb4974eec2e940fe766e65568d33ca6824967b60482",
 		},
 		"MB-C-newgoz": {
-			"1c2bf52af9698eb905c54f9f9f5bed5b307fd85a8166405bb48b8ee54dbbd96e",
-			"e604049d900178d6996147458e9c3605a77f13be7088c21208453eefca3eec41",
-			"63a83bf86064d5e8a7edc64547939b7fbcf88793e57fa964b239788729dc5723",
+			"d7be4e68f45fc27a498b53c722a7efc50b85ae5b758bedac7ce7378075f2b68d",
+			"c0388facf97daaa11437fc5625ec5780d52b73bb0e7e91eda244c150c9daab0e",
+			"387da56f069ec71b450f70509e24cf2133f61933a02871734154de6b51f8ce31",
 		},
 		"NC-murofet": {
-			"d4fd2a61dd8a39c43b9b25bf100811fc8f0df1cb5a37534eed2a598bb912e3bc",
-			"d744520993059a8d1c977b19830812d81edc7d2c07ef0485a9260088877aea88",
-			"31069a072b1257cb6cd0db32bdf1b70879084d637f6972d214f087824da653ca",
+			"eab81cd9160276c3685c23e1c99e8b9dcee3a1b44b4c03671b8fab0e21025b5f",
+			"3c09e58e4ee49377f308cdb740bbcd0c41706bd09468f867bff424b0eb12fe78",
+			"9ff849390030597bb038f01ffa362f21ee5819b1d7d4c21ec91c84f63ea69ac2",
+		},
+		"set-murofet": {
+			"9daedff386bb6f8d880af0b1be146d3edf62f58a6460855a87cb648022c365dc",
+			"93f4d09b0931ef6c10d0b59c1780ae97f515bde1de0e4d1cdc4dfca8875d20d0",
+			"21ec2fab37b4311d69d8427367252778ffd1f89ec1d462616122f432c8e0ded1",
 		},
 	}
 	for _, tc := range diffCases() {
@@ -689,8 +694,8 @@ func TestCheckpointBytesPinned(t *testing.T) {
 				Shards:        2,
 				ReorderWindow: 5 * sim.Second,
 			}
-			if tc.estimator != nil {
-				cfg.Core.Estimator = tc.estimator()
+			if tc.estimators != nil {
+				cfg.Core.Estimators = tc.estimators()
 			}
 			eng, err := stream.New(cfg)
 			if err != nil {
@@ -737,9 +742,9 @@ func TestQuiesceMatchesBatch(t *testing.T) {
 				SecondOpinion: tc.secondOpinion,
 			}
 			streamCfg := stream.Config{Core: coreCfg, Shards: 3, ReorderWindow: 5 * sim.Second}
-			if tc.estimator != nil {
-				coreCfg.Estimator = tc.estimator()
-				streamCfg.Core.Estimator = tc.estimator()
+			if tc.estimators != nil {
+				coreCfg.Estimators = tc.estimators()
+				streamCfg.Core.Estimators = tc.estimators()
 			}
 			want := runBatch(t, coreCfg, delivered)
 			eng, err := stream.New(streamCfg)
@@ -779,12 +784,14 @@ func TestCheckpointDecodeRejects(t *testing.T) {
 		"bad-magic":   func(b []byte) []byte { b[0] = 'X'; return b },
 		"bad-version": func(b []byte) []byte { b[7] = 99; return b },
 		// Frames of an older format version — 1 predates the per-family cell
-		// layout, 2 carried a JSON payload, 3 a record list in every cell —
-		// must be rejected by version, not misparsed, so recovery falls back
-		// to a clean cold start.
+		// layout, 2 carried a JSON payload, 3 a record list in every cell, 4
+		// one estimator per cell with an MT second opinion beside it — must
+		// be rejected by version, not misparsed, so recovery falls back to a
+		// clean cold start.
 		"old-version-1":   func(b []byte) []byte { b[7] = 1; return b },
 		"old-version-2":   func(b []byte) []byte { b[7] = 2; return b },
 		"old-version-3":   func(b []byte) []byte { b[7] = 3; return b },
+		"old-version-4":   func(b []byte) []byte { b[7] = 4; return b },
 		"length-mismatch": func(b []byte) []byte { return b[:len(b)-1] },
 		"payload-flip":    func(b []byte) []byte { b[len(b)-1] ^= 1; return b },
 		"checksum-flip":   func(b []byte) []byte { b[20] ^= 1; return b },

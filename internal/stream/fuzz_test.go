@@ -21,8 +21,8 @@ func seedFrames(f *testing.F) [][]byte {
 			Shards:  2,
 			Vantage: "fuzz-seed",
 		}
-		if tc.estimator != nil {
-			cfg.Core.Estimator = tc.estimator()
+		if tc.estimators != nil {
+			cfg.Core.Estimators = tc.estimators()
 		}
 		eng, err := stream.New(cfg)
 		if err != nil {
@@ -49,12 +49,12 @@ func seedFrames(f *testing.F) [][]byte {
 
 const frameHeader = 48
 
-// reframe puts a well-formed version-4 header — length and SHA-256 included —
+// reframe puts a well-formed version-5 header — length and SHA-256 included —
 // in front of payload: what a hostile vantage can do to any bytes it likes.
 func reframe(payload []byte) []byte {
 	frame := make([]byte, frameHeader, frameHeader+len(payload))
 	copy(frame, "BMCP")
-	binary.BigEndian.PutUint32(frame[4:], 4)
+	binary.BigEndian.PutUint32(frame[4:], 5)
 	binary.BigEndian.PutUint64(frame[8:], uint64(len(payload)))
 	sum := sha256.Sum256(payload)
 	copy(frame[16:], sum[:])

@@ -3,6 +3,7 @@ package stream
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -51,12 +52,11 @@ func (e *FingerprintMismatchError) Diff() []string {
 	}
 	add("family", a.Family, b.Family)
 	add("model", a.Model, b.Model)
-	add("estimator", a.Estimator, b.Estimator)
+	add("estimators", a.Estimators, b.Estimators)
 	add("seed", a.Seed, b.Seed)
 	add("epoch_len", a.EpochLen, b.EpochLen)
 	add("negative_ttl", a.NegativeTTL, b.NegativeTTL)
 	add("granularity", a.Granularity, b.Granularity)
-	add("second_opinion", a.SecondOpinion, b.SecondOpinion)
 	add("detection", a.Detection, b.Detection)
 	add("detect_miss", a.DetectMiss, b.DetectMiss)
 	add("detect_collisions", a.DetectCollisions, b.DetectCollisions)
@@ -93,7 +93,8 @@ func (e *DuplicateVantageError) Error() string {
 
 // MergeConflictError reports two inputs carrying irreconcilable state for
 // the same (server, epoch) cell — differing closed-epoch values, or
-// estimator state of different kinds (or one input holding several). Under
+// estimator state of different kinds (or one input holding several, or a
+// count of them that is not the set's). Under
 // a server-disjoint vantage partition this cannot happen; it means two
 // vantages saw the same forwarding server, or a corrupted state.
 type MergeConflictError struct {
@@ -118,12 +119,10 @@ func analysisFingerprintsEqual(a, b Fingerprint) bool {
 
 // mergeServer accumulates one forwarding server's state across inputs.
 type mergeServer struct {
-	matched  int
-	domains  map[string]struct{}
-	closed   map[int]float64
-	closedMT map[int]float64
-	hasMT    bool
-	open     map[int]*EpochCellState
+	matched int
+	domains map[string]struct{}
+	closed  map[int][]float64
+	open    map[int]*estimators.CellState
 }
 
 // mergeShardAccum accumulates one output shard.
@@ -177,29 +176,22 @@ func (acc *mergeShardAccum) foldScalars(in ShardState) {
 }
 
 // mergeCell folds cell cs into dst, the accumulated cell of the same (server,
-// epoch) — nil for the first input that holds one, which is deep-copied. The
-// estimator state merges by its own algebra (estimators.EpochState.Merge).
-func mergeCell(server string, dst *EpochCellState, cs EpochCellState) (*EpochCellState, error) {
-	conflict := func(detail string) error {
-		return &MergeConflictError{Server: server, Epoch: cs.Epoch, Detail: detail}
+// epoch) — nil for the first input that holds one, which is deep-copied.
+// Each estimator's state merges by its own algebra
+// (estimators.EpochState.Merge).
+func mergeCell(server string, dst *estimators.CellState, cs estimators.CellState) (*estimators.CellState, error) {
+	if dst == nil {
+		dst = &estimators.CellState{Epoch: cs.Epoch, States: make([]estimators.EpochState, len(cs.States))}
 	}
-	first := dst == nil
-	if first {
-		dst = &EpochCellState{Epoch: cs.Epoch}
+	if len(dst.States) != len(cs.States) {
+		return nil, &MergeConflictError{Server: server, Epoch: cs.Epoch,
+			Detail: fmt.Sprintf("%d estimator states against %d", len(cs.States), len(dst.States))}
 	}
-	var err error
-	if dst.State, err = dst.State.Merge(cs.State); err != nil {
-		return nil, conflict(err.Error())
-	}
-	switch {
-	case (dst.Second == nil) != (cs.Second == nil) && !first:
-		return nil, conflict("second-opinion state present in one input only")
-	case cs.Second != nil:
-		if dst.Second == nil {
-			dst.Second = new(estimators.TimingState)
+	for i := range cs.States {
+		var err error
+		if dst.States[i], err = dst.States[i].Merge(cs.States[i]); err != nil {
+			return nil, &MergeConflictError{Server: server, Epoch: cs.Epoch, Detail: err.Error()}
 		}
-		v := dst.Second.Merge(*cs.Second)
-		dst.Second = &v
 	}
 	return dst, nil
 }
@@ -304,10 +296,9 @@ func MergeStates(states ...*EngineState) (*EngineState, error) {
 				sv := acc.servers[ss.Name]
 				if sv == nil {
 					sv = &mergeServer{
-						domains:  make(map[string]struct{}, len(ss.Domains)),
-						closed:   make(map[int]float64, len(ss.Closed)),
-						closedMT: make(map[int]float64, len(ss.ClosedMT)),
-						open:     make(map[int]*EpochCellState, len(ss.Open)),
+						domains: make(map[string]struct{}, len(ss.Domains)),
+						closed:  make(map[int][]float64, len(ss.Closed)),
+						open:    make(map[int]*estimators.CellState, len(ss.Open)),
 					}
 					acc.servers[ss.Name] = sv
 				}
@@ -316,21 +307,11 @@ func MergeStates(states ...*EngineState) (*EngineState, error) {
 					sv.domains[d] = struct{}{}
 				}
 				for _, ev := range ss.Closed {
-					if prev, ok := sv.closed[ev.Epoch]; ok && prev != ev.Value {
+					if prev, ok := sv.closed[ev.Epoch]; ok && !slices.Equal(prev, ev.Values) {
 						return nil, &MergeConflictError{Server: ss.Name, Epoch: ev.Epoch,
-							Detail: fmt.Sprintf("closed estimates differ (%v vs %v)", prev, ev.Value)}
+							Detail: fmt.Sprintf("closed estimates differ (%v vs %v)", prev, ev.Values)}
 					}
-					sv.closed[ev.Epoch] = ev.Value
-				}
-				if len(ss.ClosedMT) > 0 {
-					sv.hasMT = true
-				}
-				for _, ev := range ss.ClosedMT {
-					if prev, ok := sv.closedMT[ev.Epoch]; ok && prev != ev.Value {
-						return nil, &MergeConflictError{Server: ss.Name, Epoch: ev.Epoch,
-							Detail: fmt.Sprintf("closed second-opinion estimates differ (%v vs %v)", prev, ev.Value)}
-					}
-					sv.closedMT[ev.Epoch] = ev.Value
+					sv.closed[ev.Epoch] = slices.Clone(ev.Values)
 				}
 				for _, cs := range ss.Open {
 					cell, err := mergeCell(ss.Name, sv.open[cs.Epoch], cs)
@@ -380,21 +361,11 @@ func MergeStates(states ...*EngineState) (*EngineState, error) {
 		sort.Strings(names)
 		for _, name := range names {
 			sv := acc.servers[name]
-			ss := ServerState{
-				Name:    name,
-				Matched: sv.matched,
-				Domains: sortedKeys(sv.domains),
-				Closed:  sortedEpochValues(sv.closed),
+			ss := ServerState{Name: name, Matched: sv.matched, Domains: sortedKeys(sv.domains)}
+			for _, ep := range sortedEpochs(sv.closed) {
+				ss.Closed = append(ss.Closed, estimators.EpochValues{Epoch: ep, Values: sv.closed[ep]})
 			}
-			if sv.hasMT {
-				ss.ClosedMT = sortedEpochValues(sv.closedMT)
-			}
-			epochs := make([]int, 0, len(sv.open))
-			for ep := range sv.open {
-				epochs = append(epochs, ep)
-			}
-			sort.Ints(epochs)
-			for _, ep := range epochs {
+			for _, ep := range sortedEpochs(sv.open) {
 				ss.Open = append(ss.Open, *sv.open[ep])
 			}
 			sh.Servers = append(sh.Servers, ss)
@@ -402,6 +373,16 @@ func MergeStates(states ...*EngineState) (*EngineState, error) {
 		out.Shards[idx] = sh
 	}
 	return out, nil
+}
+
+// sortedEpochs returns a per-epoch map's epochs, ascending.
+func sortedEpochs[V any](m map[int]V) []int {
+	epochs := make([]int, 0, len(m))
+	for ep := range m {
+		epochs = append(epochs, ep)
+	}
+	sort.Ints(epochs)
+	return epochs
 }
 
 // ConfigForState reconstructs the engine configuration a state was taken
@@ -424,12 +405,11 @@ func ConfigForState(st *EngineState) (Config, error) {
 	}
 	cfg := Config{
 		Core: core.Config{
-			Family:        spec,
-			Seed:          fp.Seed,
-			EpochLen:      fp.EpochLen,
-			NegativeTTL:   fp.NegativeTTL,
-			Granularity:   fp.Granularity,
-			SecondOpinion: fp.SecondOpinion,
+			Family:      spec,
+			Seed:        fp.Seed,
+			EpochLen:    fp.EpochLen,
+			NegativeTTL: fp.NegativeTTL,
+			Granularity: fp.Granularity,
 		},
 		Shards:        fp.Shards,
 		ReorderWindow: fp.ReorderWindow,
@@ -439,10 +419,15 @@ func ConfigForState(st *EngineState) (Config, error) {
 	if fp.Detection {
 		cfg.Core.Detection = &d3.Window{MissRate: fp.DetectMiss, Collisions: fp.DetectCollisions, Seed: fp.DetectSeed}
 	}
-	if def := estimators.ForModel(spec); def.Name() != fp.Estimator {
-		if cfg.Core.Estimator, err = estimators.ByName(fp.Estimator); err != nil {
+	if fp.Estimators == estimators.ForModel(spec).Name() {
+		return cfg, nil // the taxonomy's choice
+	}
+	for _, name := range strings.Split(fp.Estimators, ",") {
+		est, err := estimators.ByName(name)
+		if err != nil {
 			return Config{}, fmt.Errorf("stream: not reconstructible from a fingerprint: %w", err)
 		}
+		cfg.Core.Estimators = append(cfg.Core.Estimators, est)
 	}
 	return cfg, nil
 }

@@ -118,8 +118,8 @@ func TestNWayMergeDifferential(t *testing.T) {
 							EpochLen:      testEpochLen,
 							SecondOpinion: tc.secondOpinion,
 						}
-						if tc.estimator != nil {
-							coreCfg.Estimator = tc.estimator()
+						if tc.estimators != nil {
+							coreCfg.Estimators = tc.estimators()
 						}
 						mkCfg := func(vantage string) stream.Config {
 							cfg := stream.Config{
@@ -128,8 +128,8 @@ func TestNWayMergeDifferential(t *testing.T) {
 								ReorderWindow: reorderWindow,
 								Vantage:       vantage,
 							}
-							if tc.estimator != nil {
-								cfg.Core.Estimator = tc.estimator()
+							if tc.estimators != nil {
+								cfg.Core.Estimators = tc.estimators()
 							}
 							return cfg
 						}
@@ -654,7 +654,7 @@ func TestConfigForStateEstimatorOverrides(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := stream.Config{
-				Core:   core.Config{Family: tc.spec, Seed: 9, EpochLen: testEpochLen, Estimator: tc.est()},
+				Core:   core.Config{Family: tc.spec, Seed: 9, EpochLen: testEpochLen, Estimators: []estimators.Estimator{tc.est()}},
 				Shards: 1,
 			}
 			eng, err := stream.New(cfg)
@@ -680,7 +680,7 @@ func TestConfigForStateEstimatorOverrides(t *testing.T) {
 			restored.Kill()
 
 			unknown := *st
-			unknown.Fingerprint.Estimator = "XX"
+			unknown.Fingerprint.Estimators = "XX"
 			if _, err := stream.ConfigForState(&unknown); err == nil {
 				t.Fatal("ConfigForState accepted an unknown estimator name")
 			}
@@ -702,10 +702,10 @@ func TestConfigForState(t *testing.T) {
 	spec := dga.Murofet()
 	cfg := stream.Config{
 		Core: core.Config{
-			Family:    spec,
-			Seed:      77,
-			EpochLen:  sim.Day,
-			Estimator: estimators.NewTiming(), // non-default for a uniform barrel
+			Family:     spec,
+			Seed:       77,
+			EpochLen:   sim.Day,
+			Estimators: []estimators.Estimator{estimators.NewTiming()}, // non-default for a uniform barrel
 		},
 		Shards:  2,
 		Vantage: "edge-1",

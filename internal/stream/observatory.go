@@ -4,9 +4,9 @@ package stream
 // the failure modes that silently corrupt a landscape rather than crash
 // it: a stalled shard whose watermark stops advancing (stale estimates
 // presented as current), lossy ingest (late drops and reorder evictions
-// biasing populations down), estimator drift (the MT second opinion
-// diverging from the primary model), and a checkpointer falling behind its
-// recovery-point objective.
+// biasing populations down), estimator drift (the estimators of the set —
+// the model-specific one and the MT second opinion, say — diverging), and
+// a checkpointer falling behind its recovery-point objective.
 //
 // It samples two planes on independent cadences:
 //
@@ -26,10 +26,12 @@ package stream
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"time"
 
+	"botmeter/internal/core"
 	"botmeter/internal/obs"
 	"botmeter/internal/obs/rules"
 	"botmeter/internal/obs/series"
@@ -112,8 +114,8 @@ type HistoryPoint struct {
 	Servers int     `json:"servers"`
 	// Delta is Total minus the previous sample's Total (0 on the first).
 	Delta float64 `json:"delta"`
-	// Estimates maps estimator name → total population: the primary model
-	// plus the MT second opinion when enabled.
+	// Estimates maps estimator name → total population, one entry for each
+	// distinct estimator of the set.
 	Estimates map[string]float64 `json:"estimates"`
 	// Disagreement is the relative spread of the estimates: (max − min) /
 	// mean, 0 with fewer than two opinions. The drift-alarm signal.
@@ -306,19 +308,7 @@ func (o *Observatory) SampleLandscape() {
 		o.cfg.Logger.Error("landscape sample failed", "err", err)
 		return
 	}
-	estimates := map[string]float64{land.Estimator: land.Total}
-	var mtTotal float64
-	var haveMT bool
-	for _, sv := range land.Servers {
-		if sv.SecondOpinion != 0 {
-			haveMT = true
-		}
-		mtTotal += sv.SecondOpinion
-	}
-	if haveMT && land.Estimator != "MT" {
-		estimates["MT"] = mtTotal
-	}
-	disagreement := relativeSpread(estimates)
+	estimates, disagreement := setTotals(land)
 
 	st := o.cfg.Store
 	st.Series(MetricLandscapeTotal).RecordAt(now, land.Total)
@@ -357,35 +347,30 @@ func (o *Observatory) SampleLandscape() {
 	o.rules.Eval(RuleDisagreement, disagreement)
 }
 
-// relativeSpread is the disagreement metric: (max − min) / mean over the
-// estimator totals, 0 with fewer than two opinions or a non-positive
-// mean. Dimensionless, so one threshold works across families of very
-// different population scales.
-func relativeSpread(estimates map[string]float64) float64 {
-	if len(estimates) < 2 {
-		return 0
-	}
-	var min, max, sum float64
-	first := true
-	for _, v := range estimates {
-		if first {
-			min, max = v, v
-			first = false
-		} else {
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
+// setTotals sums every estimator of the landscape's set over its servers
+// (the first is the landscape's own Total) and returns the totals by name
+// with the disagreement: (max − min) / mean over the set's distinct
+// estimators, 0 with fewer than two or a non-positive mean. Dimensionless,
+// so one threshold works across families of very different population
+// scales.
+func setTotals(land *core.Landscape) (totals map[string]float64, disagreement float64) {
+	totals = map[string]float64{land.Estimator: land.Total}
+	lo, hi, sum := land.Total, land.Total, land.Total
+	for i, name := range land.Estimators {
+		if _, seen := totals[name]; seen {
+			continue
 		}
-		sum += v
+		var total float64
+		for _, sv := range land.Servers {
+			total += sv.Estimates[i]
+		}
+		totals[name] = total
+		lo, hi, sum = math.Min(lo, total), math.Max(hi, total), sum+total
 	}
-	mean := sum / float64(len(estimates))
-	if mean <= 0 {
-		return 0
+	if mean := sum / float64(len(totals)); len(totals) > 1 && mean > 0 {
+		disagreement = (hi - lo) / mean
 	}
-	return (max - min) / mean
+	return totals, disagreement
 }
 
 // HistoryJSON renders the history ring — the /landscape/history payload.

@@ -10,7 +10,6 @@ import (
 
 	"botmeter/internal/core"
 	"botmeter/internal/dga"
-	"botmeter/internal/estimators"
 	"botmeter/internal/experiments"
 	"botmeter/internal/sim"
 	"botmeter/internal/stream"
@@ -286,8 +285,8 @@ func TestExportInvariants(t *testing.T) {
 					Shards:        1 + rng.IntN(3),
 					ReorderWindow: reorderWindow,
 				}
-				if tc.estimator != nil {
-					cfg.Core.Estimator = tc.estimator()
+				if tc.estimators != nil {
+					cfg.Core.Estimators = tc.estimators()
 				}
 				matchers := core.NewEpochMatchers(nil, dga.NewPoolCache(tc.spec.Pool, seed, nil))
 
@@ -407,11 +406,11 @@ func checkCut(t *testing.T, st *stream.EngineState, fed trace.Observed, matchers
 				if sh.Watermark != math.MinInt64 && wm >= 0 && cell.Epoch <= int(wm/testEpochLen)-1 {
 					t.Fatalf("shard %d %s: epoch %d still open at watermark %v", i, sv.Name, cell.Epoch, wm)
 				}
-				for _, ts := range []*estimators.TimingState{cell.State.Timing, cell.Second} {
-					if ts == nil {
+				for _, es := range cell.States {
+					if es.Timing == nil {
 						continue
 					}
-					for _, cand := range ts.Active {
+					for _, cand := range es.Timing.Active {
 						if cand.First+maxDuration <= wm {
 							t.Fatalf("shard %d %s epoch %d: candidate first=%v outlived watermark %v",
 								i, sv.Name, cell.Epoch, cand.First, wm)

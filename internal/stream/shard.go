@@ -7,17 +7,16 @@ import (
 	"sync"
 	"time"
 
-	"botmeter/internal/core"
 	"botmeter/internal/estimators"
-	"botmeter/internal/matcher"
 	"botmeter/internal/obs"
 	"botmeter/internal/sim"
 	"botmeter/internal/trace"
 )
 
-// shard owns the servers that hash to it: reorder buffer, watermark and
-// per-(server, epoch) estimator state. All mutable state is guarded by mu
-// so Snapshot/Stats can read consistently while the shard goroutine runs.
+// shard owns the servers that hash to it: its reorder buffer, watermark and
+// expiry queue stand in front of one estimators.Walk per server — the walk
+// core.Analyze runs. All mutable state is guarded by mu so Snapshot/Stats
+// can read consistently while the shard goroutine runs.
 type shard struct {
 	eng *Engine
 	idx int
@@ -46,16 +45,10 @@ type shard struct {
 	// once per epoch roll-over instead of once per record. Derived state:
 	// never serialized, importState starts it over.
 	closedThrough int
-	// expiry queues the open cells that hold candidates, by the time the
-	// oldest one expires — what advanceOpenLocked pops instead of visiting
-	// every cell. Derived state as well; importState rebuilds it.
+	// expiry queues the servers whose open cells hold candidates, by the
+	// time the oldest one expires — what advanceOpenLocked pops instead of
+	// visiting every server. Derived state as well; importState rebuilds it.
 	expiry expiryHeap
-
-	// lastMatcher memoises the last epoch's matcher: records arrive in
-	// near-epoch-order, so the common case skips EpochMatchers.For's mutex
-	// on every ingest.
-	lastMatcher      *matcher.Attribution
-	lastMatcherEpoch int
 
 	servers map[string]*serverState
 
@@ -115,7 +108,7 @@ func (s *shard) startMetrics() {
 			defer s.mu.Unlock()
 			n := 0
 			for _, sv := range s.servers {
-				n += len(sv.open)
+				n += sv.walk.Open()
 			}
 			return float64(n)
 		}, "shard", fmt.Sprint(idx))
@@ -225,7 +218,7 @@ func (s *shard) ingestLocked(rec trace.ObservedRecord) {
 
 	// The one name→position lookup: from here on the record is its time,
 	// its server and the pool position stamped on it.
-	if !s.matcherLocked(int(rec.T / e.cfg.Core.EpochLen)).Attribute(&rec) {
+	if !e.bm.Matcher(int(rec.T / e.cfg.Core.EpochLen)).Attribute(&rec) {
 		s.stats.Unmatched++
 		e.m.unmatched.Inc()
 		return
@@ -277,17 +270,8 @@ func (s *shard) ingestLocked(rec trace.ObservedRecord) {
 	}
 }
 
-// matcherLocked returns the epoch's matcher, memoising the last one.
-func (s *shard) matcherLocked(epoch int) *matcher.Attribution {
-	if s.lastMatcher == nil || epoch != s.lastMatcherEpoch {
-		s.lastMatcher = s.eng.matchers.For(epoch)
-		s.lastMatcherEpoch = epoch
-	}
-	return s.lastMatcher
-}
-
 // emitLocked hands one matched record, in non-decreasing timestamp order,
-// to its (server, epoch) cell.
+// to its server's walk.
 func (s *shard) emitLocked(rec trace.ObservedRecord) {
 	e := s.eng
 	epoch := int(rec.T / e.cfg.Core.EpochLen)
@@ -299,125 +283,86 @@ func (s *shard) emitLocked(rec trace.ObservedRecord) {
 	}
 	sv, ok := s.servers[rec.Server]
 	if !ok {
-		sv = &serverState{
-			domains:  make(map[string]struct{}),
-			perEpoch: make(map[int]float64),
-			open:     make(map[int]*epochCell),
-		}
-		if e.secondSrc != nil {
-			sv.perEpochMT = make(map[int]float64)
-		}
+		sv = s.newServer()
 		s.servers[rec.Server] = sv
 	}
 	sv.matched++
 	sv.addDomain(rec.Domain)
-	cell, ok := sv.open[epoch]
-	if !ok {
-		cell = s.openCell(epoch)
-		sv.open[epoch] = cell
-	}
-	cell.prim.Observe(rec)
-	if cell.second != nil {
-		cell.second.Observe(rec)
-	}
-	s.queueExpiryLocked(cell)
+	s.countClosed(sv.walk.Observe(rec))
+	s.queueExpiryLocked(sv)
 }
 
-// openCell starts one (server, epoch) cell: the selected estimator's stream
-// and, when enabled, the MT second opinion's.
-func (s *shard) openCell(epoch int) *epochCell {
-	e := s.eng
-	cell := &epochCell{prim: e.estimator.OpenEpoch(epoch, e.estCfg)}
-	cell.watch(cell.prim)
-	if e.secondSrc != nil {
-		cell.second = e.secondSrc.OpenEpoch(epoch, e.estCfg).(*estimators.TimingStream)
-		cell.watch(cell.second)
+func (s *shard) newServer() *serverState {
+	return &serverState{
+		domains: make(map[string]struct{}),
+		walk:    s.eng.bm.NewWalk(nil),
 	}
-	return cell
 }
 
-// queueExpiryLocked puts a cell that holds candidates, and is not queued
-// already, on the expiry heap.
-func (s *shard) queueExpiryLocked(cell *epochCell) {
-	if cell.queued {
+// queueExpiryLocked puts a server whose open cells hold candidates, and
+// that is not queued already, on the expiry heap.
+func (s *shard) queueExpiryLocked(sv *serverState) {
+	if sv.queued {
 		return
 	}
-	if due, ok := cell.nextExpiry(); ok {
-		cell.queued = true
-		s.expiry.push(expiryEntry{due: due, cell: cell})
+	if due, ok := sv.walk.NextExpiry(); ok {
+		sv.queued = true
+		s.expiry.push(expiryEntry{due: due, sv: sv})
 	}
 }
 
 // closeThroughLocked finalises every open epoch ≤ ep across the shard's
-// servers: each cell's streams report their final estimate and the cell is
-// freed. Only the first call for a given ep walks the servers (see
+// servers. Only the first call for a given ep walks the servers (see
 // closedThrough).
 func (s *shard) closeThroughLocked(ep int) {
 	if ep <= s.closedThrough {
 		return
 	}
 	s.closedThrough = ep
+	e := s.eng
 	for _, sv := range s.servers {
-		for e := range sv.open {
-			if e <= ep {
-				s.closeCellLocked(sv, e)
+		if sv.walk.Open() == 0 {
+			continue
+		}
+		// The latency histogram is nil when metrics are off; guard the clock
+		// reads so disabled deployments (and the ns/record benchmarks) pay
+		// only the branch.
+		var t0 time.Time
+		if e.m.epochClose != nil {
+			t0 = e.cfg.Clock()
+		}
+		n := sv.walk.CloseThrough(ep)
+		if n > 0 && e.m.epochClose != nil {
+			per := e.cfg.Clock().Sub(t0).Seconds() / float64(n)
+			for range n {
+				e.m.epochClose.Observe(per)
 			}
 		}
+		s.countClosed(n)
 	}
 }
 
-// closeCellLocked finalises one (server, epoch) cell.
-func (s *shard) closeCellLocked(sv *serverState, epoch int) {
-	cell := sv.open[epoch]
-	if cell == nil {
-		return
+// countClosed tallies n finalised (server, epoch) cells.
+func (s *shard) countClosed(n int) {
+	if n > 0 {
+		s.stats.EpochsClosed += uint64(n)
+		s.eng.m.epochs.Add(uint64(n))
 	}
-	// The latency histogram is nil when metrics are off; guard the clock
-	// reads so disabled deployments (and the ns/record benchmarks) pay only
-	// the branch.
-	var t0 time.Time
-	if s.eng.m.epochClose != nil {
-		t0 = s.eng.cfg.Clock()
-	}
-	sv.perEpoch[epoch] = cell.prim.Estimate()
-	if s.eng.m.epochClose != nil {
-		s.eng.m.epochClose.Observe(s.eng.cfg.Clock().Sub(t0).Seconds())
-	}
-	if cell.second != nil {
-		sv.perEpochMT[epoch] = cell.second.Estimate()
-	}
-	// Pooled-state streams (MB's pair set) recycle their scratch now that
-	// the cell can never be estimated again.
-	if r, ok := cell.prim.(estimators.Releasable); ok {
-		r.Release()
-	}
-	if cell.second != nil {
-		cell.second.Release()
-	}
-	cell.closed = true
-	delete(sv.open, epoch)
-	s.stats.EpochsClosed++
-	s.eng.m.epochs.Inc()
 }
 
 // advanceOpenLocked lets the streams that hold candidates expire them up to
-// the watermark (bounded memory for idle-but-open epochs). It visits the
-// cells whose oldest candidate is due and no others. A cell's own Observe
-// may have expired that candidate already — its due time then reads early,
-// never late — in which case the visit finds nothing and re-queues the cell
-// at its real time. So after the call no open cell holds a candidate with
-// first + maxDuration ≤ watermark: what a walk over every cell leaves.
+// the watermark (bounded memory for idle-but-open epochs), visiting only the
+// servers whose oldest candidate is due. A queued time may read early (the
+// walk's own Observe expired that candidate, or its cell closed; a later
+// candidate never starts earlier), never late: the visit then finds nothing
+// and re-queues the server. So afterwards no open cell holds a candidate
+// with first + maxDuration ≤ watermark: what a walk over every cell leaves.
 func (s *shard) advanceOpenLocked(watermark sim.Time) {
 	for len(s.expiry) > 0 && s.expiry[0].due <= watermark {
-		cell := s.expiry.pop().cell
-		cell.queued = false
-		if cell.closed {
-			continue
-		}
-		for _, st := range cell.expiring {
-			st.Advance(watermark)
-		}
-		s.queueExpiryLocked(cell)
+		sv := s.expiry.pop().sv
+		sv.queued = false
+		sv.walk.Advance(watermark)
+		s.queueExpiryLocked(sv)
 	}
 }
 
@@ -433,7 +378,7 @@ func (s *shard) flushLocked() {
 		s.emitLocked(entry.rec)
 	}
 	s.closeThroughLocked(math.MaxInt64)
-	s.expiry = nil // every queued cell has just closed
+	s.expiry = nil // every cell has just closed
 }
 
 // quiesceLocked force-emits every buffered record in timestamp order,
@@ -471,52 +416,19 @@ func (s *shard) retainInc(d int) {
 	s.eng.m.retained.Add(float64(d))
 }
 
-// estimateServer assembles one server's ServerEstimate over the epoch
-// range [first, last], exactly as core.Analyze does: closed epochs use
-// their finalised value, open epochs a provisional estimate, and an epoch
-// without a record is 0 (estimators.EstimateEpoch of nothing).
-func (s *shard) estimateServer(name string, sv *serverState, first, last int) core.ServerEstimate {
-	est := core.ServerEstimate{
-		Server:          name,
-		MatchedLookups:  sv.matched,
-		DistinctDomains: len(sv.domains),
-	}
-	var total, totalMT float64
-	epochs := 0
-	for ep := first; ep <= last; ep++ {
-		v, closed := sv.perEpoch[ep]
-		totalMT += sv.perEpochMT[ep]
-		if cell := sv.open[ep]; cell != nil && !closed {
-			v = cell.prim.Estimate()
-			if cell.second != nil {
-				totalMT += cell.second.Estimate()
-			}
-		}
-		est.PerEpoch = append(est.PerEpoch, v)
-		total += v
-		epochs++
-	}
-	if epochs > 0 {
-		est.Population = total / float64(epochs)
-		if s.eng.secondSrc != nil {
-			est.SecondOpinion = totalMT / float64(epochs)
-		}
-	}
-	return est
-}
-
-// serverState is one forwarding server's accumulated landscape state.
+// serverState is one forwarding server's accumulated landscape state: its
+// walk and the tallies the landscape reports beside it.
 type serverState struct {
 	matched int
 	// domains is the distinct-domain set. sorted holds, ascending, the
 	// members the last export saw and fresh the ones added since, so an
 	// export sorts what is new and merges instead of sorting the set.
-	domains    map[string]struct{}
-	sorted     []string
-	fresh      []string
-	perEpoch   map[int]float64 // closed epochs → finalised estimate
-	perEpochMT map[int]float64 // closed epochs → MT second opinion
-	open       map[int]*epochCell
+	domains map[string]struct{}
+	sorted  []string
+	fresh   []string
+	walk    *estimators.Walk
+	// queued says the server sits on its shard's expiry heap.
+	queued bool
 }
 
 func (sv *serverState) addDomain(d string) {
@@ -552,41 +464,10 @@ func (sv *serverState) sortedDomains() []string {
 	return append([]string(nil), sv.sorted...)
 }
 
-// epochCell is one open (server, epoch): the selected estimator's stream,
-// fed record by record.
-type epochCell struct {
-	prim   estimators.EpochStream
-	second *estimators.TimingStream // the MT second opinion, when enabled
-	// expiring lists those of prim and second that hold state a watermark
-	// retires; queued says the cell sits on its shard's expiry heap, closed
-	// that the entry, when it comes up, is to be dropped.
-	expiring []estimators.Expiring
-	queued   bool
-	closed   bool
-}
-
-// watch notes a stream just opened for the cell if it is one that expires.
-func (c *epochCell) watch(es estimators.EpochStream) {
-	if x, ok := es.(estimators.Expiring); ok {
-		c.expiring = append(c.expiring, x)
-	}
-}
-
-// nextExpiry is the earliest time one of the cell's streams has something
-// to expire.
-func (c *epochCell) nextExpiry() (due sim.Time, ok bool) {
-	for _, st := range c.expiring {
-		if t, has := st.NextExpiry(); has && (!ok || t < due) {
-			due, ok = t, true
-		}
-	}
-	return due, ok
-}
-
-// expiryEntry queues one cell at the time its oldest candidate expires.
+// expiryEntry queues one server at the time its oldest candidate expires.
 type expiryEntry struct {
-	due  sim.Time
-	cell *epochCell
+	due sim.Time
+	sv  *serverState
 }
 
 // expiryHeap is a binary min-heap by due time, value-based like reorderHeap.
@@ -610,7 +491,7 @@ func (h *expiryHeap) pop() expiryEntry {
 	top := a[0]
 	last := len(a) - 1
 	a[0] = a[last]
-	a[last] = expiryEntry{} // release the cell
+	a[last] = expiryEntry{} // release the server
 	a = a[:last]
 	*h = a
 	for i := 0; ; {

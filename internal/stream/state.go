@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"botmeter/internal/estimators"
 	"botmeter/internal/sim"
@@ -21,10 +22,12 @@ import (
 // Determinism rules the format obeys, so a kill–resume run reproduces the
 // uninterrupted run exactly:
 //
-//   - Order-significant state stays ordered: TimingStream candidates (scan
-//     order), the reorder heap (exported in heap-array order; re-pushing a
-//     valid heap array in order rebuilds the identical array) and the
-//     per-shard seq counter (tie order for equal timestamps).
+//   - Order-significant state stays ordered: the estimator set (every
+//     cell's states and closed values are in set order), TimingStream
+//     candidates (scan order), the reorder heap (exported in heap-array
+//     order; re-pushing a valid heap array in order rebuilds the identical
+//     array) and the per-shard seq counter (tie order for equal
+//     timestamps).
 //   - Order-insensitive state (domain sets, per-epoch maps, server maps) is
 //     exported sorted, so the same engine state always serializes to the
 //     same bytes and checkpoints diff cleanly.
@@ -42,14 +45,15 @@ import (
 // reorder window a different drop pattern, a different shard count a
 // different record partition and tie order).
 type Fingerprint struct {
-	Family           string
-	Model            string
-	Estimator        string
+	Family string
+	Model  string
+	// Estimators names the estimator set in set order, comma-separated:
+	// "MP,MT" for MP with the MT second opinion.
+	Estimators       string
 	Seed             uint64
 	EpochLen         sim.Time
 	NegativeTTL      sim.Time
 	Granularity      sim.Time
-	SecondOpinion    bool
 	Detection        bool
 	DetectMiss       float64
 	DetectCollisions int
@@ -67,12 +71,11 @@ func (e *Engine) fingerprint() Fingerprint {
 	fp := Fingerprint{
 		Family:        c.Core.Family.Name,
 		Model:         c.Core.Family.ModelName(),
-		Estimator:     e.estimator.Name(),
+		Estimators:    strings.Join(e.bm.Estimators(), ","),
 		Seed:          c.Core.Seed,
 		EpochLen:      c.Core.EpochLen,
 		NegativeTTL:   c.Core.NegativeTTL,
 		Granularity:   c.Core.Granularity,
-		SecondOpinion: c.Core.SecondOpinion,
 		Shards:        c.Shards,
 		ReorderWindow: c.ReorderWindow,
 		MaxReorder:    c.MaxReorder,
@@ -154,30 +157,17 @@ type RecordEntry struct {
 	Domain string
 }
 
-// ServerState is one forwarding server's accumulated landscape state.
-type ServerState struct {
-	Name     string
-	Matched  int
-	Domains  []string
-	Closed   []EpochValue
-	ClosedMT []EpochValue
-	Open     []EpochCellState
-}
-
-// EpochValue is one closed epoch's finalised estimate.
-type EpochValue struct {
-	Epoch int
-	Value float64
-}
-
-// EpochCellState is one open (server, epoch) cell: the selected estimator's
-// exported statistic, plus the second-opinion MT state when enabled. What is
-// inside State is the estimators package's business; this package moves it
+// ServerState is one forwarding server's accumulated landscape state: its
+// tallies and what its walk exports — each closed epoch's values and each
+// open cell's statistics, one per estimator of the set. What is inside a
+// statistic is the estimators package's business; this package moves it
 // and gives it bytes (statecodec.go).
-type EpochCellState struct {
-	Epoch  int
-	State  estimators.EpochState
-	Second *estimators.TimingState
+type ServerState struct {
+	Name    string
+	Matched int
+	Domains []string
+	Closed  []estimators.EpochValues
+	Open    []estimators.CellState
 }
 
 // ExportState captures the engine's complete serializable state through a
@@ -306,27 +296,8 @@ func (s *shard) exportLocked() ShardState {
 	sort.Strings(names)
 	for _, name := range names {
 		sv := s.servers[name]
-		ss := ServerState{
-			Name:     name,
-			Matched:  sv.matched,
-			Domains:  sv.sortedDomains(),
-			Closed:   sortedEpochValues(sv.perEpoch),
-			ClosedMT: sortedEpochValues(sv.perEpochMT),
-		}
-		epochs := make([]int, 0, len(sv.open))
-		for ep := range sv.open {
-			epochs = append(epochs, ep)
-		}
-		sort.Ints(epochs)
-		for _, ep := range epochs {
-			cell := sv.open[ep]
-			names := s.matcherLocked(ep)
-			cs := EpochCellState{Epoch: ep, State: cell.prim.ExportState(names)}
-			if cell.second != nil {
-				cs.Second = cell.second.ExportState(names).Timing
-			}
-			ss.Open = append(ss.Open, cs)
-		}
+		ss := ServerState{Name: name, Matched: sv.matched, Domains: sv.sortedDomains()}
+		ss.Closed, ss.Open = sv.walk.Export(s.eng.bm.Matcher)
 		st.Servers = append(st.Servers, ss)
 	}
 	return st
@@ -360,48 +331,23 @@ func (s *shard) importState(st ShardState) error {
 	for _, en := range st.Buffer {
 		epoch := int(en.T / e.cfg.Core.EpochLen)
 		rec := trace.ObservedRecord{T: en.T, Server: en.Server, Domain: en.Domain}
-		if !s.matcherLocked(epoch).Attribute(&rec) {
+		if !e.bm.Matcher(epoch).Attribute(&rec) {
 			return fmt.Errorf("reorder buffer: server %s epoch %d: domain %q is not one the epoch's matcher holds", en.Server, epoch, en.Domain)
 		}
 		s.buf.push(reorderEntry{t: en.T, seq: en.Seq, rec: rec})
 	}
 	for _, ss := range st.Servers {
-		sv := &serverState{
-			matched:  ss.Matched,
-			domains:  make(map[string]struct{}, len(ss.Domains)),
-			perEpoch: make(map[int]float64, len(ss.Closed)),
-			open:     make(map[int]*epochCell, len(ss.Open)),
-		}
+		sv := s.newServer()
+		sv.matched = ss.Matched
 		// The order a checkpoint lists domains in is not trusted: they all
 		// count as additions, and the first export sorts them.
 		for _, d := range ss.Domains {
 			sv.addDomain(d)
 		}
-		for _, ev := range ss.Closed {
-			sv.perEpoch[ev.Epoch] = ev.Value
+		if err := sv.walk.Restore(ss.Closed, ss.Open, s.eng.bm.Matcher); err != nil {
+			return fmt.Errorf("server %s %w", ss.Name, err)
 		}
-		if e.secondSrc != nil {
-			sv.perEpochMT = make(map[int]float64, len(ss.ClosedMT))
-			for _, ev := range ss.ClosedMT {
-				sv.perEpochMT[ev.Epoch] = ev.Value
-			}
-		} else if len(ss.ClosedMT) > 0 {
-			return fmt.Errorf("server %s carries second-opinion state but the engine has none", ss.Name)
-		}
-		for _, cs := range ss.Open {
-			cell := s.openCell(cs.Epoch)
-			names := s.matcherLocked(cs.Epoch)
-			if err := cell.prim.RestoreState(cs.State, names); err != nil {
-				return fmt.Errorf("server %s epoch %d: %w", ss.Name, cs.Epoch, err)
-			}
-			if cell.second != nil {
-				if err := cell.second.RestoreState(estimators.EpochState{Timing: cs.Second}, names); err != nil {
-					return fmt.Errorf("server %s epoch %d: second opinion: %w", ss.Name, cs.Epoch, err)
-				}
-			}
-			s.queueExpiryLocked(cell)
-			sv.open[cs.Epoch] = cell
-		}
+		s.queueExpiryLocked(sv)
 		s.servers[ss.Name] = sv
 	}
 	s.retained = s.buf.len()
@@ -425,17 +371,5 @@ func sortedKeys(m map[string]struct{}) []string {
 		out = append(out, k)
 	}
 	sort.Strings(out)
-	return out
-}
-
-func sortedEpochValues(m map[int]float64) []EpochValue {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]EpochValue, 0, len(m))
-	for ep, v := range m {
-		out = append(out, EpochValue{Epoch: ep, Value: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Epoch < out[j].Epoch })
 	return out
 }

@@ -9,7 +9,7 @@ import (
 	"botmeter/internal/sim"
 )
 
-// This file is the checkpoint payload format (version 4, DESIGN.md §15) and
+// This file is the checkpoint payload format (version 5, DESIGN.md §15) and
 // the only place that knows its layout. One walk over EngineState's fields
 // (coder.state and the methods under it) runs in three modes: measure the
 // encoded size, append the encoding, or decode it — so the writer and the
@@ -256,8 +256,9 @@ var (
 	minShard     = minSize((*coder).shard)
 	minServer    = minSize((*coder).server)
 	minRecord    = minSize((*coder).record)
-	minValue     = minSize((*coder).value)
+	minValues    = minSize((*coder).values)
 	minCell      = minSize((*coder).cell)
+	minState     = minSize((*coder).epochState)
 	minCandidate = minSize((*coder).candidate)
 	minCluster   = minSize((*coder).cluster)
 	minBucket    = minSize((*coder).bucket)
@@ -267,12 +268,11 @@ func (c *coder) state(st *EngineState) {
 	fp := &st.Fingerprint
 	c.str(&fp.Family)
 	c.str(&fp.Model)
-	c.str(&fp.Estimator)
+	c.str(&fp.Estimators)
 	c.uvarint(&fp.Seed)
 	c.time(&fp.EpochLen)
 	c.time(&fp.NegativeTTL)
 	c.time(&fp.Granularity)
-	c.bool(&fp.SecondOpinion)
 	c.bool(&fp.Detection)
 	c.float(&fp.DetectMiss)
 	c.int(&fp.DetectCollisions)
@@ -318,22 +318,28 @@ func (c *coder) server(ss *ServerState) {
 	c.str(&ss.Name)
 	c.int(&ss.Matched)
 	c.strs(&ss.Domains)
-	list(c, &ss.Closed, minValue, (*coder).value)
-	list(c, &ss.ClosedMT, minValue, (*coder).value)
+	list(c, &ss.Closed, minValues, (*coder).values)
 	list(c, &ss.Open, minCell, (*coder).cell)
 }
 
-func (c *coder) value(ev *EpochValue) {
+// values codes a closed epoch: its number, then one value per estimator of
+// the set.
+func (c *coder) values(ev *estimators.EpochValues) {
 	c.int(&ev.Epoch)
-	c.float(&ev.Value)
+	list(c, &ev.Values, 8, (*coder).float)
 }
 
-func (c *coder) cell(cs *EpochCellState) {
+// cell codes an open cell: its epoch, then one statistic per estimator of
+// the set.
+func (c *coder) cell(cs *estimators.CellState) {
 	c.int(&cs.Epoch)
-	opt(c, &cs.State.Timing, (*coder).timing)
-	opt(c, &cs.State.Clusters, (*coder).clusters)
-	opt(c, &cs.State.Bernoulli, (*coder).bernoulli)
-	opt(c, &cs.Second, (*coder).timing)
+	list(c, &cs.States, minState, (*coder).epochState)
+}
+
+func (c *coder) epochState(es *estimators.EpochState) {
+	opt(c, &es.Timing, (*coder).timing)
+	opt(c, &es.Clusters, (*coder).clusters)
+	opt(c, &es.Bernoulli, (*coder).bernoulli)
 }
 
 func (c *coder) timing(ts *estimators.TimingState) {

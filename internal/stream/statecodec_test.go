@@ -29,9 +29,9 @@ func TestDecodeForgedCounts(t *testing.T) {
 	// Each kind builds a state holding n elements of its list (and one of
 	// every list around it). The first byte in which the n = 1 and n = 2
 	// payloads differ is that list's count.
-	cell := func(cs stream.EpochCellState) *stream.EngineState {
+	cell := func(states ...estimators.EpochState) *stream.EngineState {
 		return &stream.EngineState{Shards: []stream.ShardState{{
-			Servers: []stream.ServerState{{Name: "s", Open: []stream.EpochCellState{cs}}},
+			Servers: []stream.ServerState{{Name: "s", Open: []estimators.CellState{{States: states}}}},
 		}}}
 	}
 	server := func(ss stream.ServerState) *stream.EngineState {
@@ -54,32 +54,35 @@ func TestDecodeForgedCounts(t *testing.T) {
 			return server(stream.ServerState{Domains: make([]string, n)})
 		},
 		"closed": func(n int) *stream.EngineState {
-			return server(stream.ServerState{Closed: make([]stream.EpochValue, n)})
+			return server(stream.ServerState{Closed: make([]estimators.EpochValues, n)})
 		},
-		"closed-mt": func(n int) *stream.EngineState {
-			return server(stream.ServerState{ClosedMT: make([]stream.EpochValue, n)})
+		"closed-values": func(n int) *stream.EngineState {
+			return server(stream.ServerState{Closed: []estimators.EpochValues{{Values: make([]float64, n)}}})
 		},
 		"open": func(n int) *stream.EngineState {
-			return server(stream.ServerState{Open: make([]stream.EpochCellState, n)})
+			return server(stream.ServerState{Open: make([]estimators.CellState, n)})
+		},
+		"cell-states": func(n int) *stream.EngineState {
+			return cell(make([]estimators.EpochState, n)...)
 		},
 		"candidates": func(n int) *stream.EngineState {
-			return cell(stream.EpochCellState{State: estimators.EpochState{Timing: &estimators.TimingState{Active: make([]estimators.TimingCandidate, n)}}})
+			return cell(estimators.EpochState{Timing: &estimators.TimingState{Active: make([]estimators.TimingCandidate, n)}})
 		},
 		"candidate-domains": func(n int) *stream.EngineState {
-			return cell(stream.EpochCellState{Second: &estimators.TimingState{
+			return cell(estimators.EpochState{}, estimators.EpochState{Timing: &estimators.TimingState{
 				Active: []estimators.TimingCandidate{{Domains: make([]string, n)}},
 			}})
 		},
 		"clusters": func(n int) *stream.EngineState {
-			return cell(stream.EpochCellState{State: estimators.EpochState{Clusters: &estimators.ClusterStreamState{Done: make([]estimators.ClusterState, n)}}})
+			return cell(estimators.EpochState{Clusters: &estimators.ClusterStreamState{Done: make([]estimators.ClusterState, n)}})
 		},
 		"buckets": func(n int) *stream.EngineState {
-			return cell(stream.EpochCellState{State: estimators.EpochState{Bernoulli: &estimators.BernoulliState{Buckets: make([]estimators.BernoulliBucket, n)}}})
+			return cell(estimators.EpochState{Bernoulli: &estimators.BernoulliState{Buckets: make([]estimators.BernoulliBucket, n)}})
 		},
 		"positions": func(n int) *stream.EngineState {
-			return cell(stream.EpochCellState{State: estimators.EpochState{Bernoulli: &estimators.BernoulliState{
+			return cell(estimators.EpochState{Bernoulli: &estimators.BernoulliState{
 				Buckets: []estimators.BernoulliBucket{{Positions: make([]int, n)}},
-			}}})
+			}})
 		},
 	}
 	for name, build := range kinds {
@@ -154,9 +157,9 @@ func TestDecodeAllocsIndependentOfNames(t *testing.T) {
 					Name:    fmt.Sprintf("local-%d-%d", sh, sv),
 					Matched: names,
 					Domains: domains,
-					Open: []stream.EpochCellState{{State: estimators.EpochState{Timing: &estimators.TimingState{
+					Open: []estimators.CellState{{States: []estimators.EpochState{{Timing: &estimators.TimingState{
 						Active: []estimators.TimingCandidate{{Domains: domains}},
-					}}}},
+					}}}}},
 				})
 			}
 		}

@@ -18,12 +18,13 @@
 //     are dropped and counted; buffer overflow evicts the oldest entry and
 //     advances the watermark — graceful degradation, never a panic, never
 //     a watermark regression.
-//   - Estimation is per (server, epoch): a cell is the selected estimator's
-//     epoch stream (estimators.EpochStream), fed record by record, plus the
-//     MT second opinion's when enabled. When the watermark closes the epoch
-//     the stream reports its final estimate and is freed. No record outlives
-//     the reorder buffer: memory is that buffer plus each open cell's
-//     sufficient statistic — never the epoch's records, never the trace.
+//   - Estimation is core.Analyze's: each server's emitted records go through
+//     its estimators.Walk, whose open (server, epoch) cells hold one
+//     EpochStream per estimator of the set, fed record by record. When the
+//     watermark closes the epoch the streams report their final estimates
+//     and are freed. No record outlives the reorder buffer: memory is that
+//     buffer plus each open cell's sufficient statistics — never the
+//     epoch's records, never the trace.
 //
 // The defining contract (enforced by TestBatchStreamEquivalence under
 // -race): for any trace, streaming the records yields the same landscape
@@ -44,8 +45,6 @@ import (
 	"time"
 
 	"botmeter/internal/core"
-	"botmeter/internal/dga"
-	"botmeter/internal/estimators"
 	"botmeter/internal/obs"
 	"botmeter/internal/sim"
 	"botmeter/internal/trace"
@@ -83,7 +82,7 @@ const (
 // Config configures one streaming deployment for one target DGA family.
 type Config struct {
 	// Core carries the analysis configuration (family, seed, epoch length,
-	// TTL, granularity, estimator override, detection, second opinion).
+	// TTL, granularity, estimator set, detection, second opinion).
 	// Core.Workers and Core.Stages are ignored: parallelism comes from the
 	// ingest shards.
 	Core core.Config
@@ -135,19 +134,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxReorder <= 0 {
 		c.MaxReorder = 4096
 	}
-	if c.Core.EpochLen <= 0 {
-		c.Core.EpochLen = sim.Day
-	}
-	if c.Core.NegativeTTL <= 0 {
-		c.Core.NegativeTTL = 2 * sim.Hour
-	}
-	if c.Core.Pools == nil {
-		// The matcher and every (server, epoch) cell read an epoch's pool
-		// from here. Memoised, not symbolized — without a caller's table
-		// no record carries an ID to resolve by — so the cache shares each
-		// pool with every other such holder in the process.
-		c.Core.Pools = dga.NewPoolCache(c.Core.Family.Pool, c.Core.Seed, nil)
-	}
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
@@ -186,11 +172,10 @@ type Stats struct {
 // Engine is the online landscape engine. Observe may be called from any
 // number of goroutines; Snapshot is safe at any time; Close is terminal.
 type Engine struct {
-	cfg       Config
-	estCfg    estimators.Config
-	estimator estimators.Estimator
-	secondSrc *estimators.Timing // second-opinion source when enabled
-	matchers  *core.EpochMatchers
+	cfg Config
+	// bm is the analysis the shards run behind their reorder buffers: its
+	// matchers, and one walk per server through its estimator set.
+	bm *core.BotMeter
 
 	shards []*shard
 
@@ -231,9 +216,11 @@ func New(cfg Config) (*Engine, error) {
 // shared by New and by checkpoint Restore, which must import shard state
 // before any record can race it.
 func newEngine(cfg Config) (*Engine, error) {
-	if err := cfg.Core.Validate(); err != nil {
+	bm, err := core.New(cfg.Core)
+	if err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
+	cfg.Core = bm.Config()
 	cfg = cfg.withDefaults()
 	if cfg.Window.Len() < 0 {
 		return nil, fmt.Errorf("stream: negative analysis window")
@@ -244,33 +231,7 @@ func newEngine(cfg Config) (*Engine, error) {
 				cfg.Window.Start, cfg.Window.End, cfg.Core.EpochLen)
 		}
 	}
-	est := cfg.Core.Estimator
-	if est == nil {
-		est = estimators.ForModel(cfg.Core.Family)
-	}
-	e := &Engine{
-		cfg:       cfg,
-		estimator: est,
-		matchers:  core.NewEpochMatchers(cfg.Core.Detection, cfg.Core.Pools),
-		estCfg: estimators.Config{
-			Spec:        cfg.Core.Family,
-			Seed:        cfg.Core.Seed,
-			EpochLen:    cfg.Core.EpochLen,
-			NegativeTTL: cfg.Core.NegativeTTL,
-			Granularity: cfg.Core.Granularity,
-			Detection:   cfg.Core.Detection,
-			Pools:       cfg.Core.Pools,
-		},
-	}
-	// Normalise the estimator config once: every OpenEpoch then takes the
-	// fast path instead of re-running defaults + validation per cell.
-	var err error
-	if e.estCfg, err = e.estCfg.Normalized(); err != nil {
-		return nil, fmt.Errorf("stream: %w", err)
-	}
-	if cfg.Core.SecondOpinion {
-		e.secondSrc = estimators.NewTiming()
-	}
+	e := &Engine{cfg: cfg, bm: bm}
 	if reg := cfg.Registry; reg != nil {
 		reg.Help(MetricIngested, "Records handed to the streaming engine.")
 		reg.Help(MetricMatched, "Records attributed to the target DGA and emitted to estimation.")
@@ -320,8 +281,8 @@ func (e *Engine) start() {
 	}
 }
 
-// EstimatorName reports the selected analytical model.
-func (e *Engine) EstimatorName() string { return e.estimator.Name() }
+// EstimatorName reports the selected analytical model: the first of the set.
+func (e *Engine) EstimatorName() string { return e.bm.EstimatorName() }
 
 // Observe routes one observed record to its server's shard. It blocks when
 // the shard's channel is full (backpressure) and fails after Close.
@@ -453,18 +414,13 @@ func (e *Engine) WatermarkLagSeconds() float64 {
 func (e *Engine) Snapshot() (*core.Landscape, error) {
 	e.m.snapshots.Inc()
 	first, last, ok := e.epochSpan()
-	land := &core.Landscape{
-		Family:    e.cfg.Core.Family.Name,
-		Model:     e.cfg.Core.Family.ModelName(),
-		Estimator: e.estimator.Name(),
-	}
 	if !ok {
-		return land, nil
+		return e.bm.NewLandscape(sim.Window{}), nil
 	}
-	land.Window = sim.Window{
+	land := e.bm.NewLandscape(sim.Window{
 		Start: sim.Time(first) * e.cfg.Core.EpochLen,
 		End:   sim.Time(last+1) * e.cfg.Core.EpochLen,
-	}
+	})
 	for _, s := range e.shards {
 		s.mu.Lock()
 		servers := make([]string, 0, len(s.servers))
@@ -473,19 +429,15 @@ func (e *Engine) Snapshot() (*core.Landscape, error) {
 		}
 		sort.Strings(servers)
 		for _, name := range servers {
-			est := s.estimateServer(name, s.servers[name], first, last)
+			sv := s.servers[name]
+			est := core.NewServerEstimate(name, sv.matched, len(sv.domains), sv.walk, first, last)
 			land.Servers = append(land.Servers, est)
 			land.Total += est.Population
 			land.MatchedLookups += est.MatchedLookups
 		}
 		s.mu.Unlock()
 	}
-	sort.Slice(land.Servers, func(i, j int) bool {
-		if land.Servers[i].Population != land.Servers[j].Population {
-			return land.Servers[i].Population > land.Servers[j].Population
-		}
-		return land.Servers[i].Server < land.Servers[j].Server
-	})
+	land.Rank()
 	return land, nil
 }
 

@@ -261,7 +261,7 @@ func requireEqualLandscapes(tb testing.TB, want, got *core.Landscape) {
 type diffCase struct {
 	name          string
 	spec          dga.Spec
-	estimator     func() estimators.Estimator // nil = taxonomy selection
+	estimators    func() []estimators.Estimator // nil = taxonomy selection
 	secondOpinion bool
 	activations   int
 }
@@ -286,7 +286,7 @@ func diffCases() []diffCase {
 			// Timing (MT) as the primary estimator: candidates with expiry.
 			name:        "MT-murofet",
 			spec:        experiments.ScaledSpec(dga.Murofet(), 0.1),
-			estimator:   func() estimators.Estimator { return estimators.NewTiming() },
+			estimators:  func() []estimators.Estimator { return []estimators.Estimator{estimators.NewTiming()} },
 			activations: 3,
 		},
 		{
@@ -294,14 +294,24 @@ func diffCases() []diffCase {
 			// estimate is a bisection over the whole pool, so a smaller one.
 			name:        "MB-C-newgoz",
 			spec:        experiments.ScaledSpec(dga.NewGoZ(), 0.025),
-			estimator:   func() estimators.Estimator { return estimators.NewCoverage() },
+			estimators:  func() []estimators.Estimator { return []estimators.Estimator{estimators.NewCoverage()} },
 			activations: 3,
 		},
 		{
 			// Naive count (NC): MP's clusters, counted.
 			name:        "NC-murofet",
 			spec:        experiments.ScaledSpec(dga.Murofet(), 0.1),
-			estimator:   func() estimators.Estimator { return estimators.NewNaive() },
+			estimators:  func() []estimators.Estimator { return []estimators.Estimator{estimators.NewNaive()} },
+			activations: 3,
+		},
+		{
+			// A set of three: MP, NC and MT run through one walk, so every
+			// cell holds three streams and every closed epoch three values.
+			name: "set-murofet",
+			spec: experiments.ScaledSpec(dga.Murofet(), 0.1),
+			estimators: func() []estimators.Estimator {
+				return []estimators.Estimator{estimators.NewPoisson(), estimators.NewNaive(), estimators.NewTiming()}
+			},
 			activations: 3,
 		},
 	}
@@ -362,9 +372,9 @@ func TestBatchStreamEquivalence(t *testing.T) {
 							ReorderWindow: reorderWindow,
 							Registry:      obs.NewRegistry(),
 						}
-						if tc.estimator != nil {
-							coreCfg.Estimator = tc.estimator()
-							streamCfg.Core.Estimator = tc.estimator()
+						if tc.estimators != nil {
+							coreCfg.Estimators = tc.estimators()
+							streamCfg.Core.Estimators = tc.estimators()
 						}
 						want := runBatch(t, coreCfg, v.delivered)
 						got, stats := runStream(t, streamCfg, v.delivered)

@@ -150,42 +150,6 @@ func (o Observed) WindowSorted(w sim.Window) Observed {
 	return o[lo:hi:hi]
 }
 
-// ByServer groups observed records by forwarding server, preserving order.
-// A dataset from a single server — the common shape in per-server analysis
-// pipelines and single-vantage experiments — is returned as one aliased
-// group with no copying (detected with cheap string compares, no hashing).
-// Otherwise two passes: the first sizes each server's group so the second
-// fills exact-capacity slices — no append regrowth, which dominated the
-// grouping cost on multi-million-record traces.
-func (o Observed) ByServer() map[string]Observed {
-	single := true
-	for i := 1; i < len(o); i++ {
-		if o[i].Server != o[0].Server {
-			single = false
-			break
-		}
-	}
-	if single {
-		if len(o) == 0 {
-			return map[string]Observed{}
-		}
-		return map[string]Observed{o[0].Server: o}
-	}
-	counts := make(map[string]int)
-	for _, rec := range o {
-		counts[rec.Server]++
-	}
-	out := make(map[string]Observed, len(counts))
-	for _, rec := range o {
-		s, ok := out[rec.Server]
-		if !ok {
-			s = make(Observed, 0, counts[rec.Server])
-		}
-		out[rec.Server] = append(s, rec)
-	}
-	return out
-}
-
 // Servers returns the distinct forwarding servers, sorted.
 func (o Observed) Servers() []string {
 	set := make(map[string]struct{})
@@ -214,50 +178,6 @@ func (o Observed) Domains() []string {
 	return out
 }
 
-// DistinctDomainCount counts the distinct domains without materialising the
-// sorted name list Domains builds. When every record carries an interned ID
-// the count deduplicates through a bitset indexed by ID — IDs are dense
-// (interned sequentially from 1), so the bitset spans at most the intern
-// table and each record costs one masked load instead of a map probe —
-// which is valid because ID ↔ domain is a bijection within one intern
-// table; any string-only record routes the whole count through strings.
-func (o Observed) DistinctDomainCount() int {
-	if len(o) == 0 {
-		return 0
-	}
-	maxID := symtab.None
-	for _, rec := range o {
-		if rec.ID == symtab.None {
-			// Distinct domains are typically orders of magnitude fewer than
-			// records (bots re-query the same pool), so the set hint is
-			// capped — a hint of len(o) would allocate and zero a
-			// records-sized bucket array per call.
-			hint := len(o)
-			if hint > 1024 {
-				hint = 1024
-			}
-			set := make(map[string]struct{}, hint)
-			for _, r := range o {
-				set[r.Domain] = struct{}{}
-			}
-			return len(set)
-		}
-		if rec.ID > maxID {
-			maxID = rec.ID
-		}
-	}
-	words := make([]uint64, int(maxID)/64+1)
-	n := 0
-	for _, rec := range o {
-		w, bit := int(rec.ID)>>6, uint64(1)<<(uint(rec.ID)&63)
-		if words[w]&bit == 0 {
-			words[w] |= bit
-			n++
-		}
-	}
-	return n
-}
-
 // Builder accumulates an Observed dataset in chunks that grow geometrically,
 // from 1 Ki records doubling to a 64 Ki (~3.5 MiB) cap. Appending to one
 // grown slice re-copies the whole prefix repeatedly (Go's large-slice growth
@@ -265,9 +185,9 @@ func (o Observed) DistinctDomainCount() int {
 // an upper bound allocates and zeroes memory that filtered appends never
 // use. Chunks allocate exactly once each and are never copied until Build
 // flattens them once into an exact-size slice; the doubling keeps a small
-// dataset — one simulated trial's border trace, one Analyze's matched
-// records — from allocating and zeroing a full 64 Ki chunk, while a large
-// one wastes at most one chunk's spare capacity. The zero value is ready to
+// dataset — one simulated trial's border trace — from allocating and
+// zeroing a full 64 Ki chunk, while a large one wastes at most one chunk's
+// spare capacity. The zero value is ready to
 // use.
 type Builder struct {
 	done  []Observed // filled chunks, in append order

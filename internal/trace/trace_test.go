@@ -36,12 +36,7 @@ func TestObservedWindow(t *testing.T) {
 }
 
 func TestObservedByServerAndServers(t *testing.T) {
-	o := sampleObserved()
-	groups := o.ByServer()
-	if len(groups["local-00"]) != 2 || len(groups["local-01"]) != 2 {
-		t.Errorf("groups: %v", groups)
-	}
-	servers := o.Servers()
+	servers := sampleObserved().Servers()
 	if len(servers) != 2 || servers[0] != "local-00" || servers[1] != "local-01" {
 		t.Errorf("servers = %v", servers)
 	}
