@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -17,69 +20,133 @@ import (
 )
 
 // startChaoticUpstream runs a vantage-like authoritative sink on addr whose
-// socket is wrapped with the fault injector: registered domains resolve,
-// everything else is NXDOMAIN, and every datagram in either direction may
-// be dropped/duplicated per the injector's seeded decision stream.
+// socket is wrapped with the fault injector (see serveChaotic).
 func startChaoticUpstream(t *testing.T, addr string, inj *faults.Injector, registered map[string]bool) net.PacketConn {
 	t.Helper()
 	raw, err := net.ListenPacket("udp", addr)
 	if err != nil {
 		t.Skipf("loopback UDP unavailable: %v", err)
 	}
-	conn := faults.WrapPacketConn(raw, inj)
-	go func() {
-		buf := make([]byte, 65535)
-		for {
-			n, addr, err := conn.ReadFrom(buf)
-			if err != nil {
-				return
-			}
-			msg, err := dnswire.Decode(buf[:n])
-			if err != nil || msg.Header.QR || len(msg.Questions) == 0 {
-				continue
-			}
-			var ip net.IP
-			if registered[msg.Questions[0].Name] {
-				ip = net.ParseIP("192.0.2.50")
-			}
-			wire, err := dnswire.NewResponse(msg, ip, 60).Encode()
-			if err == nil {
-				conn.WriteTo(wire, addr)
-			}
-		}
-	}()
+	go serveChaotic(faults.WrapPacketConn(raw, inj), registered)
 	t.Cleanup(func() { raw.Close() })
 	return raw
 }
 
+// serveChaotic answers queries on conn until it fails: registered domains
+// resolve, everything else is NXDOMAIN, and every datagram in either
+// direction may be dropped or duplicated per the injector's seeded decision
+// stream when conn is wrapped.
+func serveChaotic(conn net.PacketConn, registered map[string]bool) {
+	buf := make([]byte, 65535)
+	for {
+		n, addr, err := conn.ReadFrom(buf)
+		if err != nil {
+			return
+		}
+		msg, err := dnswire.Decode(buf[:n])
+		if err != nil || msg.Header.QR || len(msg.Questions) == 0 {
+			continue
+		}
+		var ip net.IP
+		if registered[msg.Questions[0].Name] {
+			ip = net.ParseIP("192.0.2.50")
+		}
+		wire, err := dnswire.NewResponse(msg, ip, 60).Encode()
+		if err == nil {
+			conn.WriteTo(wire, addr)
+		}
+	}
+}
+
+// pipeUpstream runs serveChaotic behind inj on one end of an in-memory pipe
+// and returns the other end, to be a worker's upstream socket, and a channel
+// closed once the sink has returned — after the worker closed its end, with
+// every injector tally in. Nothing crosses the kernel, so the only clock
+// left in an exchange is the worker's own timers: an answer is handled as
+// soon as its goroutines run, never after a timeout because loopback was
+// slow.
+func pipeUpstream(t *testing.T, inj *faults.Injector, registered map[string]bool) (net.Conn, <-chan struct{}) {
+	local, remote := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		serveChaotic(faults.WrapPacketConn(pipePacketConn{remote}, inj), registered)
+	}()
+	t.Cleanup(func() { remote.Close() })
+	return pipeConn{local}, done
+}
+
+// pipeConn reports its own end's closing as a socket would, net.ErrClosed,
+// which is what ends a worker's upstream reader.
+type pipeConn struct{ net.Conn }
+
+func (c pipeConn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	if errors.Is(err, io.ErrClosedPipe) {
+		err = net.ErrClosed
+	}
+	return n, err
+}
+
+// pipePacketConn is a pipe end as a datagram socket: each write is read
+// whole by one read of a large enough buffer.
+type pipePacketConn struct{ net.Conn }
+
+func (c pipePacketConn) ReadFrom(b []byte) (int, net.Addr, error) {
+	n, err := c.Read(b)
+	return n, c.RemoteAddr(), err
+}
+
+func (c pipePacketConn) WriteTo(b []byte, _ net.Addr) (int, error) { return c.Write(b) }
+
 // chaosScenario drives nDomains sequential lookups through a resolver whose
 // upstream sits behind 20% injected per-direction loss, and returns the
-// rcode sequence plus final counters — the replayable outcome.
+// rcode sequence plus final counters — the replayable outcome. The client
+// is a script fed one query at a time, each once the last was answered, and
+// the upstream is on an in-memory pipe, so the outcome is a function of the
+// seed.
 func chaosScenario(t *testing.T, seed uint64, retries int, serveStale sim.Time) (string, forwarderCounters, faults.Counters) {
 	t.Helper()
-	inj := faults.New(seed, faults.Rates{Loss: 0.2})
-	up := startChaoticUpstream(t, "127.0.0.1:0", inj, map[string]bool{"c2.chaos.example": true})
-	cfg := testConfig(up.LocalAddr().String())
-	cfg.timeout, cfg.retries, cfg.backoff = 120*time.Millisecond, retries, 2*time.Millisecond
-	cfg.serveStale, cfg.seed = serveStale, seed
-	f, addr := startResolver(t, cfg, 1)
-	client := dial(t, addr)
-	rcodes := ""
-	for i := 0; i < 12; i++ {
+	const queries = 12
+	sc := &scriptConn{from: &net.UDPAddr{IP: net.IPv4(10, 0, 0, 7), Port: 5353}}
+	for i := 0; i < queries; i++ {
 		domain := fmt.Sprintf("dga-%02d.chaos.example", i)
 		if i == 6 {
 			domain = "c2.chaos.example"
 		}
-		m := exchange(t, client, uint16(100+i), domain)
+		sc.in = append(sc.in, encode(t, dnswire.NewQuery(uint16(100+i), domain)))
+	}
+	inj := faults.New(seed, faults.Rates{Loss: 0.2})
+	cfg := testConfig("in-memory")
+	cfg.timeout, cfg.retries, cfg.backoff = 120*time.Millisecond, retries, 2*time.Millisecond
+	cfg.serveStale, cfg.seed = serveStale, seed
+	f := newForwarder(cfg)
+	up, upDone := pipeUpstream(t, inj, map[string]bool{"c2.chaos.example": true})
+	w := newWorker(f, sc, up, f.cfg.seed)
+	f.workers = []*worker{w}
+	sc.idle = waitDrained(w)
+	if err := f.serve(); err != nil {
+		t.Fatal(err)
+	}
+	<-upDone
+	if len(sc.out) != queries {
+		t.Fatalf("%d answers to %d queries (counters %s, chaos %s)", len(sc.out), queries, f.counters(), inj.Counters())
+	}
+	rcodes := ""
+	for i, wire := range sc.out {
+		m, err := dnswire.Decode(wire)
+		if err != nil || m.Header.ID != uint16(100+i) {
+			t.Fatalf("answer %d: %+v, %v; want ID %d", i, m, err, 100+i)
+		}
 		rcodes += fmt.Sprintf("%d", m.Header.Rcode)
 	}
 	return rcodes, f.counters(), inj.Counters()
 }
 
-// TestChaosLoopbackRetriesAbsorbLoss is the live-pipeline chaos
-// integration test: resolver↔vantage-style loopback under 20% injected
-// loss. With retries the client sees zero SERVFAILs; without them it
-// doesn't; and a fixed seed replays byte-identically.
+// TestChaosLoopbackRetriesAbsorbLoss is the chaos integration test of the
+// resolver↔vantage hop under 20% injected loss. With retries the client
+// sees zero SERVFAILs; without them it doesn't; and a fixed seed replays
+// byte-identically.
 func TestChaosLoopbackRetriesAbsorbLoss(t *testing.T) {
 	const seed = 3
 
@@ -167,8 +234,8 @@ type scriptConn struct {
 	from net.Addr
 	idle func()
 
-	mu     sync.Mutex
-	writes int
+	mu  sync.Mutex
+	out [][]byte // what the worker wrote back, in order
 }
 
 func (c *scriptConn) ReadFrom(b []byte) (int, net.Addr, error) {
@@ -183,9 +250,21 @@ func (c *scriptConn) ReadFrom(b []byte) (int, net.Addr, error) {
 
 func (c *scriptConn) WriteTo(b []byte, _ net.Addr) (int, error) {
 	c.mu.Lock()
-	c.writes++
+	c.out = append(c.out, bytes.Clone(b))
 	c.mu.Unlock()
 	return len(b), nil
+}
+
+// waitDrained is a scriptConn idle hook: it returns once no client query is
+// waiting on w, i.e. the last one delivered has been answered.
+func waitDrained(w *worker) func() {
+	return func() {
+		w.mu.Lock()
+		for w.pending > 0 {
+			w.slotFree.Wait()
+		}
+		w.mu.Unlock()
+	}
 }
 func (c *scriptConn) Close() error                     { return nil }
 func (c *scriptConn) LocalAddr() net.Addr              { return c.from }
@@ -236,14 +315,7 @@ func TestChaosReplay(t *testing.T) {
 	if err := f.attach(conns); err != nil {
 		t.Fatal(err)
 	}
-	w := f.workers[0]
-	sc.idle = func() {
-		w.mu.Lock()
-		for w.pending > 0 {
-			w.slotFree.Wait()
-		}
-		w.mu.Unlock()
-	}
+	sc.idle = waitDrained(f.workers[0])
 	if err := f.serve(); err != nil {
 		t.Fatal(err)
 	}
@@ -251,8 +323,8 @@ func TestChaosReplay(t *testing.T) {
 	if got := conns[0].(*faults.PacketConn).Injector().Counters(); got != want {
 		t.Errorf("chaos counters = %v, the classic loop's were %v", got, want)
 	}
-	if sc.writes != 197 {
-		t.Errorf("%d datagrams written, the classic loop wrote 197", sc.writes)
+	if len(sc.out) != 197 {
+		t.Errorf("%d datagrams written, the classic loop wrote 197", len(sc.out))
 	}
 	if c := f.counters(); c.queries != 229 || c.forwarded != 192 || c.retried+c.mismatched+c.servfails != 0 {
 		t.Errorf("counters = %s, the classic loop's were queries=229 forwarded=192 and no failures", c)

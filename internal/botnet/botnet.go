@@ -266,9 +266,10 @@ func (r *Runner) Run(w sim.Window) (*Result, error) {
 					continue
 				}
 				res.ActiveBots[server][ei]++
-				client := fmt.Sprintf("%s/bot-%04d", server, bi)
-				if err := r.net.AssignClient(client, server); err != nil {
-					return nil, fmt.Errorf("botnet: homing %s: %w", client, err)
+				name := fmt.Sprintf("%s/bot-%04d", server, bi)
+				client, err := r.net.AssignClient(name, server)
+				if err != nil {
+					return nil, fmt.Errorf("botnet: homing %s: %w", name, err)
 				}
 				bot := botRun{
 					runner: r,
@@ -298,7 +299,7 @@ func (r *Runner) rollRegistry(epoch int) {
 type botRun struct {
 	runner *Runner
 	key    barrelKey
-	client string
+	client dnssim.Client
 	result *Result
 
 	// rng is nil until the first activation draws the barrel.
@@ -342,7 +343,7 @@ func (b *botRun) query(e *sim.Engine) {
 		return
 	}
 	pos := b.positions[b.step]
-	ans, err := b.runner.net.ClientQueryID(e.Now(), b.client, b.pool.Domains[pos], b.pool.IDs[pos])
+	ans, err := b.runner.net.Query(e.Now(), b.client, b.pool.Domains[pos], b.pool.IDs[pos])
 	if err != nil {
 		return
 	}

@@ -157,10 +157,10 @@ func newTestNetwork(locals int) *Network {
 func TestCachingMasksRepeatLookups(t *testing.T) {
 	n := newTestNetwork(1)
 	n.Register("valid.com")
-	if err := n.AssignClient("c1", "local-00"); err != nil {
+	if _, err := n.AssignClient("c1", "local-00"); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.AssignClient("c2", "local-00"); err != nil {
+	if _, err := n.AssignClient("c2", "local-00"); err != nil {
 		t.Fatal(err)
 	}
 	// First lookup forwarded, second (other client, same domain) absorbed.
@@ -262,33 +262,54 @@ func TestClientHomingDeterministic(t *testing.T) {
 		if _, err := n2.ClientQuery(0, c, "x.com"); err != nil {
 			t.Fatal(err)
 		}
-		h1, _ := n1.HomeOf(c)
-		h2, _ := n2.HomeOf(c)
+		h1, h2 := n1.Client(c).Home.ID, n2.Client(c).Home.ID
 		if h1 != h2 {
 			t.Errorf("client %s homed differently: %s vs %s", c, h1, h2)
+		}
+		if raw := n1.Raw(); raw[len(raw)-1].Server != h1 {
+			t.Errorf("client %s queried through %s, its handle names %s", c, raw[len(raw)-1].Server, h1)
 		}
 	}
 }
 
 func TestAssignClientValidation(t *testing.T) {
-	n := newTestNetwork(1)
-	if err := n.AssignClient("c", "local-99"); err == nil {
+	n := newTestNetwork(2)
+	if _, err := n.AssignClient("c", "local-99"); err == nil {
 		t.Error("assigning to unknown server should error")
 	}
-	if err := n.AssignClient("c", "local-00"); err != nil {
-		t.Error(err)
+	c, err := n.AssignClient("c", "local-01")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if home, ok := n.HomeOf("c"); !ok || home != "local-00" {
-		t.Errorf("HomeOf = %q, %v", home, ok)
+	local, _ := n.Local("local-01")
+	if c.Name != "c" || c.Home != local {
+		t.Errorf("handle = %q on %p, want \"c\" on local-01 (%p)", c.Name, c.Home, local)
+	}
+	if got := n.Client("c"); got != c {
+		t.Errorf("Client(\"c\") = %+v, want the assigned handle %+v", got, c)
+	}
+	if _, err := n.Query(0, c, "nx.com", n.Table().Intern("nx.com")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.ClientQuery(1, "c", "other.com"); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range n.Raw() {
+		if rec.Client != "c" || rec.Server != "local-01" {
+			t.Errorf("raw record %+v, want client c on local-01", rec)
+		}
+	}
+	if _, err := n.Query(2, Client{Name: "stray"}, "nx.com", n.Table().Intern("nx.com")); err == nil {
+		t.Error("a handle without a home server should be refused")
 	}
 }
 
 func TestSeparateLocalServerCaches(t *testing.T) {
 	n := newTestNetwork(2)
-	if err := n.AssignClient("c1", "local-00"); err != nil {
+	if _, err := n.AssignClient("c1", "local-00"); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.AssignClient("c2", "local-01"); err != nil {
+	if _, err := n.AssignClient("c2", "local-01"); err != nil {
 		t.Fatal(err)
 	}
 	n.ClientQuery(0, "c1", "nx.com")
@@ -313,10 +334,10 @@ func TestMidTierHierarchy(t *testing.T) {
 		PositiveTTL:  sim.Day,
 		NegativeTTL:  2 * sim.Hour,
 	})
-	if err := n.AssignClient("c1", "local-00"); err != nil {
+	if _, err := n.AssignClient("c1", "local-00"); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.AssignClient("c2", "local-01"); err != nil {
+	if _, err := n.AssignClient("c2", "local-01"); err != nil {
 		t.Fatal(err)
 	}
 	// local-00 and local-01 share mid-00; the second lookup of the same

@@ -229,7 +229,7 @@ type Network struct {
 	locals      map[string]*Server
 	localOrder  []string
 	mids        []*Server
-	clientHome  map[string]string
+	homes       map[string]*Server // client name → home local server
 	rawRecorder trace.Raw
 	recordRaw   bool
 
@@ -282,11 +282,11 @@ func NewNetwork(cfg NetworkConfig) *Network {
 		border.Instrument(cfg.Obs)
 	}
 	n := &Network{
-		Border:     border,
-		Registry:   registry,
-		locals:     make(map[string]*Server, cfg.LocalServers),
-		clientHome: make(map[string]string),
-		recordRaw:  cfg.RecordRaw,
+		Border:    border,
+		Registry:  registry,
+		locals:    make(map[string]*Server, cfg.LocalServers),
+		homes:     make(map[string]*Server),
+		recordRaw: cfg.RecordRaw,
 	}
 	var upstreamBorder Upstream = border
 	if cfg.WrapUpstream != nil {
@@ -356,7 +356,7 @@ func (n *Network) Table() *symtab.Table {
 
 // Register interns domains into the network's table and marks them as
 // resolving. It returns their IDs, parallel to domains, for callers that go
-// on to query them with ClientQueryID.
+// on to query them with Query or ClientQueryID.
 func (n *Network) Register(domains ...string) []symtab.ID {
 	tab := n.Table()
 	ids := make([]symtab.ID, len(domains))
@@ -380,20 +380,36 @@ func (n *Network) Local(id string) (*Server, bool) {
 	return s, ok
 }
 
-// AssignClient homes a client on a local server; subsequent ClientQuery
-// calls for that client go through it.
-func (n *Network) AssignClient(client, localID string) error {
-	if _, ok := n.locals[localID]; !ok {
-		return fmt.Errorf("dnssim: unknown local server %q", localID)
-	}
-	n.clientHome[client] = localID
-	return nil
+// Client is a client homed on a local server: its name, which the raw
+// dataset records, and the server its lookups go through. A handle is what
+// a caller that queries repeatedly holds, so no lookup pays for finding the
+// client's home.
+type Client struct {
+	Name string
+	Home *Server
 }
 
-// HomeOf returns the local server a client is assigned to.
-func (n *Network) HomeOf(client string) (string, bool) {
-	id, ok := n.clientHome[client]
-	return id, ok
+// AssignClient homes a client on a local server and returns its handle;
+// later lookups by name (ClientQuery, ClientQueryID) go through the same
+// server.
+func (n *Network) AssignClient(client, localID string) (Client, error) {
+	srv, ok := n.locals[localID]
+	if !ok {
+		return Client{}, fmt.Errorf("dnssim: unknown local server %q", localID)
+	}
+	n.homes[client] = srv
+	return Client{Name: client, Home: srv}, nil
+}
+
+// Client returns the handle of a client by name. A client never assigned is
+// homed deterministically by hash, once.
+func (n *Network) Client(name string) Client {
+	srv, ok := n.homes[name]
+	if !ok {
+		srv = n.locals[n.localOrder[fnv32(name)%uint32(len(n.localOrder))]]
+		n.homes[name] = srv
+	}
+	return Client{Name: name, Home: srv}
 }
 
 // ClientQuery issues a lookup of an ad-hoc name from a client through its
@@ -404,23 +420,26 @@ func (n *Network) ClientQuery(now sim.Time, client, domain string) (Answer, erro
 	return n.ClientQueryID(now, client, domain, n.Table().Intern(domain))
 }
 
-// ClientQueryID issues a lookup of (domain, id) from a client through its
-// home local server; id must be domain's ID in the network's table.
-// Unassigned clients are homed deterministically by hash.
+// ClientQueryID issues a lookup of (domain, id) from a client named by
+// string; see Client for how it is homed and Query for the lookup.
 func (n *Network) ClientQueryID(now sim.Time, client, domain string, id symtab.ID) (Answer, error) {
+	return n.Query(now, n.Client(client), domain, id)
+}
+
+// Query issues a lookup of (domain, id) from c through its home local
+// server; id must be domain's ID in the network's table. Every client
+// lookup takes this path.
+func (n *Network) Query(now sim.Time, c Client, domain string, id symtab.ID) (Answer, error) {
 	if id == symtab.None {
 		return Answer{}, fmt.Errorf("dnssim: query for %q carries no interned ID", domain)
 	}
-	home, ok := n.clientHome[client]
-	if !ok {
-		home = n.localOrder[fnv32(client)%uint32(len(n.localOrder))]
-		n.clientHome[client] = home
+	if c.Home == nil {
+		return Answer{}, fmt.Errorf("dnssim: client %q has no home server", c.Name)
 	}
-	srv := n.locals[home]
-	ans := srv.Query(now, domain, id)
+	ans := c.Home.Query(now, domain, id)
 	if n.recordRaw {
 		n.rawRecorder = append(n.rawRecorder, trace.RawRecord{
-			T: now, Client: client, Server: home, Domain: domain, NX: ans.NX,
+			T: now, Client: c.Name, Server: c.Home.ID, Domain: domain, NX: ans.NX,
 		})
 	}
 	return ans, nil

@@ -183,12 +183,12 @@ func Generate(cfg Config) (*Trace, error) {
 				// also go unused some days).
 				lease = int(sim.SplitFrom(cfg.Seed, uint64(day)*0xdc9+uint64(c)).Uint64() % uint64(cfg.BenignClients*2))
 			}
-			client := fmt.Sprintf("10.0.%d.%d", lease/250, lease%250)
+			client := net.Client(fmt.Sprintf("10.0.%d.%d", lease/250, lease%250))
 			n := poissonCount(benignRNG, cfg.BenignLookupsPerClient)
 			for q := 0; q < n; q++ {
 				at := dayStart + sim.Time(benignRNG.Int64N(int64(sim.Day)))
 				k := zipf.Uint64()
-				if _, err := net.ClientQueryID(at, client, benign[k], benignIDs[k]); err != nil {
+				if _, err := net.Query(at, client, benign[k], benignIDs[k]); err != nil {
 					tab.Release()
 					return nil, fmt.Errorf("enterprise: benign query: %w", err)
 				}

@@ -88,10 +88,8 @@ func (s *TimingStream) Observe(rec trace.ObservedRecord) {
 	// it (timestamps are non-decreasing from here on).
 	s.Advance(rec.T)
 	for _, entry := range s.active {
-		// Heuristic #1: domain already attributed to this bot.
-		if _, seen := entry.seen[rec.Pos]; seen {
-			continue
-		}
+		// The three heuristics only skip the candidate, so their order is
+		// free: the two arithmetic checks go before the map probe.
 		// Heuristic #2: beyond the maximum activation duration. Active
 		// entries are only pre-expired against rec.T, which uses the
 		// same condition, so this re-check is for entries that survived.
@@ -100,6 +98,10 @@ func (s *TimingStream) Observe(rec trace.ObservedRecord) {
 		}
 		// Heuristic #3: offset must be a multiple of δi.
 		if s.useModulo && (rec.T-entry.first)%s.deltaI != 0 {
+			continue
+		}
+		// Heuristic #1: domain already attributed to this bot.
+		if _, seen := entry.seen[rec.Pos]; seen {
 			continue
 		}
 		entry.seen[rec.Pos] = struct{}{}
