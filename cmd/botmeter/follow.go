@@ -18,7 +18,7 @@ import (
 // followConfig carries the flags of the streaming mode.
 type followConfig struct {
 	in      string // input path ("" = stdin)
-	format  string // csv or jsonl
+	format  string // -format: only jsonl streams
 	lenient bool
 	live    bool          // keep tailing after EOF until interrupted
 	listen  string        // diagnostic HTTP address ("" disables)
@@ -43,8 +43,8 @@ type followConfig struct {
 // /landscape, and prints the final landscape when the input ends or the
 // process is interrupted.
 func runFollow(coreCfg core.Config, fc followConfig) error {
-	if fc.format != "csv" && fc.format != "jsonl" {
-		return fmt.Errorf("-follow supports csv and jsonl input, not %q", fc.format)
+	if fc.format != "jsonl" {
+		return fmt.Errorf("-follow reads jsonl input, not %q", fc.format)
 	}
 	if (fc.checkpointDir != "" || fc.resume) && fc.in == "" {
 		return fmt.Errorf("-checkpoint-dir/-resume need a replayable input file (-in), not stdin")
@@ -168,7 +168,6 @@ func runFollow(coreCfg core.Config, fc followConfig) error {
 	}
 
 	opt := stream.FollowOptions{
-		Format:      fc.format,
 		Lenient:     fc.lenient,
 		Live:        fc.live,
 		SkipRecords: skip,

@@ -11,7 +11,7 @@ import (
 
 func TestRunFollowOneShot(t *testing.T) {
 	dir := t.TempDir()
-	in := filepath.Join(dir, "obs.csv")
+	in := filepath.Join(dir, "obs.jsonl")
 	writeTestTrace(t, in)
 	if err := run([]string{
 		"-family", "newgoz", "-seed", "1", "-in", in,
@@ -23,7 +23,7 @@ func TestRunFollowOneShot(t *testing.T) {
 
 func TestRunFollowWithListen(t *testing.T) {
 	dir := t.TempDir()
-	in := filepath.Join(dir, "obs.csv")
+	in := filepath.Join(dir, "obs.jsonl")
 	writeTestTrace(t, in)
 	if err := run([]string{
 		"-family", "newgoz", "-seed", "1", "-in", in,
@@ -38,7 +38,7 @@ func TestRunFollowWithListen(t *testing.T) {
 // newest one and replays only the tail, landing on the same landscape.
 func TestRunFollowCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
-	in := filepath.Join(dir, "obs.csv")
+	in := filepath.Join(dir, "obs.jsonl")
 	writeTestTrace(t, in)
 	ckDir := filepath.Join(dir, "ckpt")
 
@@ -73,7 +73,7 @@ func TestRunFollowCheckpointResume(t *testing.T) {
 
 func TestRunFollowValidation(t *testing.T) {
 	dir := t.TempDir()
-	in := filepath.Join(dir, "obs.csv")
+	in := filepath.Join(dir, "obs.jsonl")
 	writeTestTrace(t, in)
 	if err := run([]string{"-family", "newgoz", "-in", in, "-follow", "-format", "bind"}); err == nil {
 		t.Error("-follow with bind input should fail (not streamable)")
@@ -108,7 +108,8 @@ func TestRunFollowWatch(t *testing.T) {
 			"-watch", "5ms", "-slo-freshness", "1h",
 		})
 	}()
-	if _, err := io.WriteString(inW, "t_ms,server,domain\n1000,ns1,example.com\n2000,ns1,example.com\n"); err != nil {
+	if _, err := io.WriteString(inW, `{"t":1000,"server":"ns1","domain":"example.com"}`+"\n"+
+		`{"t":2000,"server":"ns1","domain":"example.com"}`+"\n"); err != nil {
 		t.Fatal(err)
 	}
 	// Keep the stream open long enough for several -watch ticks to fire.
@@ -135,8 +136,8 @@ func TestRunFollowWatch(t *testing.T) {
 
 func TestRunFollowEmptyInput(t *testing.T) {
 	dir := t.TempDir()
-	in := filepath.Join(dir, "empty.csv")
-	if err := os.WriteFile(in, []byte("t_ms,server,domain\n"), 0o644); err != nil {
+	in := filepath.Join(dir, "empty.jsonl")
+	if err := os.WriteFile(in, []byte("\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-family", "newgoz", "-in", in, "-follow"}); err == nil {

@@ -5,11 +5,14 @@
 // active bot population behind every forwarding server and prints the
 // remediation-priority ranking.
 //
+// The input is JSON lines, what dgasim and vantage write, or with -format
+// bind a BIND query log. Either is read strictly unless -lenient is set.
+//
 // Usage:
 //
-//	botmeter -family newgoz -seed 1 -in observed.csv
-//	botmeter -family murofet -seed 1 -in obs.jsonl -format jsonl -estimator MT
-//	dgasim -family newgoz -bots 64 -out obs.csv && botmeter -family newgoz -in obs.csv
+//	botmeter -family newgoz -seed 1 -in observed.jsonl
+//	botmeter -family murofet -seed 1 -in queries.log -format bind -lenient -estimator MT
+//	dgasim -family newgoz -bots 64 -out obs.jsonl && botmeter -family newgoz -in obs.jsonl
 package main
 
 import (
@@ -40,7 +43,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("botmeter", flag.ContinueOnError)
 	family := fs.String("family", "", "target DGA family preset (required)")
 	in := fs.String("in", "", "observable dataset path (default stdin)")
-	format := fs.String("format", "csv", "input format: csv, jsonl, or bind (BIND querylog)")
+	format := fs.String("format", "jsonl", "input format: jsonl, or bind (BIND querylog)")
 	lenient := fs.Bool("lenient", false, "skip malformed input lines (torn tails, corrupt records) instead of failing")
 	seed := fs.Uint64("seed", 1, "DGA seed used to reconstruct pools")
 	estName := fs.String("estimator", "", "force estimator: MT, MP, MB, MB-C, NC (default: by taxonomy)")
@@ -72,6 +75,9 @@ func run(args []string) error {
 	}
 	if *family == "" {
 		return fmt.Errorf("-family is required (try: all, %s)", strings.Join(dga.FamilyNames(), ", "))
+	}
+	if *format != "jsonl" && *format != "bind" {
+		return fmt.Errorf("-format %q: want jsonl or bind", *format)
 	}
 	var stages *obs.StageSet
 	if *verbose {
@@ -228,20 +234,11 @@ func readObserved(path, format string, lenient bool) (trace.Observed, error) {
 		defer f.Close()
 		r = f
 	}
-	opt := trace.ReadOptions{Lenient: lenient}
-	var (
-		obs trace.Observed
-		res trace.ReadResult
-		err error
-	)
-	switch format {
-	case "jsonl":
-		obs, res, err = trace.ReadObservedJSONLOpts(r, opt)
-	case "bind":
-		obs, err = trace.ReadBINDLog(r, trace.BINDLogOptions{})
-	default:
-		obs, res, err = trace.ReadObservedCSVOpts(r, opt)
+	read := trace.ReadObserved
+	if format == "bind" {
+		read = trace.ReadBINDLog
 	}
+	obs, res, err := read(r, trace.ReadOptions{Lenient: lenient})
 	if err != nil {
 		return nil, err
 	}

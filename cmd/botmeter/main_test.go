@@ -43,14 +43,14 @@ func writeTestTrace(t *testing.T, path string) {
 	defer f.Close()
 	obs := net.Border.Observed()
 	obs.Sort()
-	if err := trace.WriteObservedCSV(f, obs); err != nil {
+	if err := trace.WriteObservedJSONL(f, obs); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	in := filepath.Join(dir, "obs.csv")
+	in := filepath.Join(dir, "obs.jsonl")
 	writeTestTrace(t, in)
 	if err := run([]string{"-family", "newgoz", "-seed", "1", "-in", in}); err != nil {
 		t.Fatalf("run: %v", err)
@@ -59,7 +59,7 @@ func TestRunEndToEnd(t *testing.T) {
 
 func TestRunEstimatorOverrides(t *testing.T) {
 	dir := t.TempDir()
-	in := filepath.Join(dir, "obs.csv")
+	in := filepath.Join(dir, "obs.jsonl")
 	writeTestTrace(t, in)
 	for _, est := range []string{"MT", "MB", "MB-C", "NC", "MP"} {
 		if err := run([]string{"-family", "newgoz", "-seed", "1", "-in", in, "-estimator", est}); err != nil {
@@ -79,17 +79,37 @@ func TestRunFlagsValidation(t *testing.T) {
 		t.Error("missing input file should fail")
 	}
 	dir := t.TempDir()
-	in := filepath.Join(dir, "obs.csv")
+	in := filepath.Join(dir, "obs.jsonl")
 	writeTestTrace(t, in)
 	if err := run([]string{"-family", "newgoz", "-in", in, "-estimator", "XX"}); err == nil {
 		t.Error("unknown estimator should fail")
+	}
+	if err := run([]string{"-family", "newgoz", "-in", in, "-format", "csv"}); err == nil || !strings.Contains(err.Error(), "jsonl") {
+		t.Errorf("-format csv: %v, want a refusal naming jsonl", err)
+	}
+}
+
+// TestRunBINDStrictUnlessLenient: a BIND query log with a garbage line is
+// refused by default and charted under -lenient, the JSON-lines policy.
+func TestRunBINDStrictUnlessLenient(t *testing.T) {
+	in := filepath.Join(t.TempDir(), "queries.log")
+	log := "01-Jul-2026 00:00:01.500 client 10.0.0.1#53124: query: evil.example IN A + (192.0.2.53)\n" +
+		"this line is garbage\n"
+	if err := os.WriteFile(in, []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-family", "newgoz", "-format", "bind", "-in", in}); err == nil {
+		t.Error("strict bind read accepted a garbage line")
+	}
+	if err := run([]string{"-family", "newgoz", "-format", "bind", "-lenient", "-in", in}); err != nil {
+		t.Errorf("lenient bind read: %v", err)
 	}
 }
 
 func TestRunEmptyInput(t *testing.T) {
 	dir := t.TempDir()
-	in := filepath.Join(dir, "empty.csv")
-	if err := os.WriteFile(in, []byte("t_ms,server,domain\n"), 0o644); err != nil {
+	in := filepath.Join(dir, "empty.jsonl")
+	if err := os.WriteFile(in, []byte("\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-family", "newgoz", "-in", in}); err == nil {
@@ -99,7 +119,7 @@ func TestRunEmptyInput(t *testing.T) {
 
 func TestRunWithDetectionAndOptions(t *testing.T) {
 	dir := t.TempDir()
-	in := filepath.Join(dir, "obs.csv")
+	in := filepath.Join(dir, "obs.jsonl")
 	writeTestTrace(t, in)
 	if err := run([]string{
 		"-family", "newgoz", "-seed", "1", "-in", in,
@@ -111,20 +131,20 @@ func TestRunWithDetectionAndOptions(t *testing.T) {
 
 func TestRunTriageAll(t *testing.T) {
 	dir := t.TempDir()
-	in := filepath.Join(dir, "obs.csv")
+	in := filepath.Join(dir, "obs.jsonl")
 	writeTestTrace(t, in) // newGoZ traffic with seed 1
 	if err := run([]string{"-family", "all", "-seed", "1", "-in", in}); err != nil {
 		t.Fatalf("triage: %v", err)
 	}
 	// Triage with no input fails cleanly.
-	if err := run([]string{"-family", "all", "-in", filepath.Join(dir, "missing.csv")}); err == nil {
+	if err := run([]string{"-family", "all", "-in", filepath.Join(dir, "missing.jsonl")}); err == nil {
 		t.Error("missing input should fail")
 	}
 }
 
 func TestRunWithPlanAndHTML(t *testing.T) {
 	dir := t.TempDir()
-	in := filepath.Join(dir, "obs.csv")
+	in := filepath.Join(dir, "obs.jsonl")
 	writeTestTrace(t, in)
 	html := filepath.Join(dir, "report.html")
 	if err := run([]string{

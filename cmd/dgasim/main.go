@@ -1,11 +1,12 @@
 // Command dgasim generates synthetic DNS traces for a DGA-infected
 // network: the cache-filtered observable dataset (what a border vantage
-// point sees) and optionally the raw client-level dataset (ground truth).
+// point sees) and optionally the raw client-level dataset (ground truth),
+// both as JSON lines.
 //
 // Usage:
 //
-//	dgasim -family newgoz -bots 64 -days 2 -out observed.csv -raw raw.csv
-//	dgasim -family conficker.c -bots 128 -servers 4 -format jsonl -out obs.jsonl
+//	dgasim -family newgoz -bots 64 -days 2 -out observed.jsonl -raw raw.jsonl
+//	dgasim -family conficker.c -bots 128 -servers 4 -out obs.jsonl
 package main
 
 import (
@@ -38,7 +39,6 @@ func run(args []string) error {
 	sigma := fs.Float64("sigma", 0, "activation-rate dynamics σ (0 = constant)")
 	negTTL := fs.Duration("neg-ttl", 2*60*60*1e9, "negative cache TTL")
 	granularity := fs.Duration("granularity", 100*1e6, "vantage timestamp granularity")
-	format := fs.String("format", "csv", "output format: csv or jsonl")
 	out := fs.String("out", "", "observable dataset output path (default stdout)")
 	raw := fs.String("raw", "", "also write the raw (ground-truth) dataset here")
 	live := fs.String("live", "", "send REAL DNS queries to this resolver address instead of simulating")
@@ -90,13 +90,13 @@ func run(args []string) error {
 
 	obs := net.Border.Observed()
 	obs.Sort()
-	if err := writeObserved(*out, *format, obs); err != nil {
+	if err := writeObserved(*out, obs); err != nil {
 		return err
 	}
 	if *raw != "" {
 		rawData := net.Raw()
 		rawData.Sort()
-		if err := writeRaw(*raw, *format, rawData); err != nil {
+		if err := writeRaw(*raw, rawData); err != nil {
 			return err
 		}
 	}
@@ -109,7 +109,7 @@ func run(args []string) error {
 	return nil
 }
 
-func writeObserved(path, format string, obs trace.Observed) error {
+func writeObserved(path string, obs trace.Observed) error {
 	w := os.Stdout
 	if path != "" {
 		f, err := os.Create(path)
@@ -119,20 +119,14 @@ func writeObserved(path, format string, obs trace.Observed) error {
 		defer f.Close()
 		w = f
 	}
-	if format == "jsonl" {
-		return trace.WriteObservedJSONL(w, obs)
-	}
-	return trace.WriteObservedCSV(w, obs)
+	return trace.WriteObservedJSONL(w, obs)
 }
 
-func writeRaw(path, format string, rec trace.Raw) error {
+func writeRaw(path string, rec trace.Raw) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if format == "jsonl" {
-		return trace.WriteRawJSONL(f, rec)
-	}
-	return trace.WriteRawCSV(f, rec)
+	return trace.WriteRawJSONL(f, rec)
 }

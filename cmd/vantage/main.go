@@ -538,7 +538,7 @@ func replayObserved(e *stream.Engine, path string, skip uint64) (uint64, error) 
 	}
 	defer f.Close()
 	var n uint64
-	_, err = trace.StreamObserved(f, "jsonl", trace.ReadOptions{Lenient: true}, func(rec trace.ObservedRecord) error {
+	_, err = trace.StreamObserved(f, trace.ReadOptions{Lenient: true}, func(rec trace.ObservedRecord) error {
 		n++
 		if n <= skip {
 			return nil

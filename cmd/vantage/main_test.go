@@ -60,7 +60,7 @@ func TestRunRecoversTornObserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs, err := trace.ReadObservedJSONL(bytes.NewReader(data))
+	obs, _, err := trace.ReadObserved(bytes.NewReader(data), trace.ReadOptions{})
 	if err != nil || len(obs) != 1 || obs[0].Domain != "old.example" {
 		t.Errorf("recovered capture = %+v, %v", obs, err)
 	}

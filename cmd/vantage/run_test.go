@@ -364,7 +364,7 @@ func batchLandscape(t *testing.T, spec dga.Spec, seed uint64, dataset string) []
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := trace.ReadObservedJSONL(bytes.NewReader(data))
+	recs, _, err := trace.ReadObserved(bytes.NewReader(data), trace.ReadOptions{})
 	if err != nil {
 		t.Fatalf("surviving dataset: %v", err)
 	}

@@ -90,7 +90,7 @@ func readDataset(t *testing.T, f *os.File) trace.Observed {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := trace.ReadObservedJSONL(bytes.NewReader(data))
+	recs, _, err := trace.ReadObserved(bytes.NewReader(data), trace.ReadOptions{})
 	if err != nil {
 		t.Fatalf("dataset unparseable (torn interleave?): %v", err)
 	}

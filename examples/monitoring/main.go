@@ -52,7 +52,7 @@ func main() {
 	var last *core.Landscape
 	for day := 0; day < days; day++ {
 		w := sim.Window{Start: sim.Time(day) * sim.Day, End: sim.Time(day+1) * sim.Day}
-		land, err := bm.Analyze(tr.Observed.Window(w), w)
+		land, err := bm.Analyze(tr.Observed.WindowSorted(w), w) // Generate sorts its trace
 		if err != nil {
 			log.Fatal(err)
 		}

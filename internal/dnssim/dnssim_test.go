@@ -413,7 +413,7 @@ func TestBindTable(t *testing.T) {
 	if rec := n.Border.Observed()[0]; rec.ID == symtab.None || n.Table().Resolve(rec.ID) != "nx.com" {
 		t.Errorf("observed record %+v does not carry nx.com's ID in the network's table", rec)
 	}
-	if _, err := n.ClientQueryID(1, "c1", "other.com", symtab.None); err == nil {
+	if _, err := n.Query(1, n.Client("c1"), "other.com", symtab.None); err == nil {
 		t.Error("a query without an interned ID should be refused")
 	}
 }

@@ -356,7 +356,7 @@ func (n *Network) Table() *symtab.Table {
 
 // Register interns domains into the network's table and marks them as
 // resolving. It returns their IDs, parallel to domains, for callers that go
-// on to query them with Query or ClientQueryID.
+// on to query them with Query.
 func (n *Network) Register(domains ...string) []symtab.ID {
 	tab := n.Table()
 	ids := make([]symtab.ID, len(domains))
@@ -390,8 +390,7 @@ type Client struct {
 }
 
 // AssignClient homes a client on a local server and returns its handle;
-// later lookups by name (ClientQuery, ClientQueryID) go through the same
-// server.
+// later lookups by name (ClientQuery) go through the same server.
 func (n *Network) AssignClient(client, localID string) (Client, error) {
 	srv, ok := n.locals[localID]
 	if !ok {
@@ -412,18 +411,13 @@ func (n *Network) Client(name string) Client {
 	return Client{Name: name, Home: srv}
 }
 
-// ClientQuery issues a lookup of an ad-hoc name from a client through its
-// home local server: the name is interned into the network's table here, at
-// the boundary, and travels as a (domain, id) pair from then on. Callers that
-// already hold the ID (pool domains, Register's result) use ClientQueryID.
+// ClientQuery issues a lookup of an ad-hoc name from a client named by
+// string (see Client for how it is homed): the name is interned into the
+// network's table here, at the boundary, and travels as a (domain, id) pair
+// from then on. Callers that hold a handle and the ID (pool domains,
+// Register's result) use Query.
 func (n *Network) ClientQuery(now sim.Time, client, domain string) (Answer, error) {
-	return n.ClientQueryID(now, client, domain, n.Table().Intern(domain))
-}
-
-// ClientQueryID issues a lookup of (domain, id) from a client named by
-// string; see Client for how it is homed and Query for the lookup.
-func (n *Network) ClientQueryID(now sim.Time, client, domain string, id symtab.ID) (Answer, error) {
-	return n.Query(now, n.Client(client), domain, id)
+	return n.Query(now, n.Client(client), domain, n.Table().Intern(domain))
 }
 
 // Query issues a lookup of (domain, id) from c through its home local

@@ -12,9 +12,6 @@ import (
 
 // FollowOptions tunes Follow's tailing behaviour.
 type FollowOptions struct {
-	// Format is the input encoding: "jsonl" or "csv" (default csv, the
-	// cmd convention).
-	Format string
 	// Lenient skips malformed lines instead of failing — the right choice
 	// for live captures, whose final line may be torn mid-append.
 	Lenient bool
@@ -35,23 +32,19 @@ type FollowOptions struct {
 	Checkpoint *Checkpointer
 }
 
-// Follow feeds records from r into the engine until the reader is
-// exhausted (Live=false) or the context is cancelled (Live=true). It
+// Follow feeds the JSON-lines records of r into the engine until the reader
+// is exhausted (Live=false) or the context is cancelled (Live=true). It
 // returns the reader's tally; the engine is left open so the caller
 // decides when to Close and render the final landscape.
 func (e *Engine) Follow(ctx context.Context, r io.Reader, opt FollowOptions) (trace.ReadResult, error) {
 	if opt.Live {
 		r = trace.NewTailReader(ctx, r, opt.Poll)
 	}
-	format := opt.Format
-	if format == "" {
-		format = "csv"
-	}
 	var consumed uint64
 	// Cancellation flows through the TailReader (it surfaces EOF), so
 	// records already buffered by the parser still reach the engine and
 	// Follow returns nil on a clean shutdown.
-	return trace.StreamObserved(r, format, trace.ReadOptions{Lenient: opt.Lenient}, func(rec trace.ObservedRecord) error {
+	return trace.StreamObserved(r, trace.ReadOptions{Lenient: opt.Lenient}, func(rec trace.ObservedRecord) error {
 		consumed++
 		if consumed <= opt.SkipRecords {
 			return nil

@@ -13,33 +13,27 @@ import (
 
 // followTrace writes a small synthetic capture to dir and returns its path
 // plus the records it contains.
-func followTrace(tb testing.TB, dir, name, format string) (string, trace.Observed) {
+func followTrace(tb testing.TB, dir string) (string, trace.Observed) {
 	tb.Helper()
 	spec, _ := testConfig()
 	recs := synthTrace(tb, spec, 7, 3, 2, 2)
-	path := filepath.Join(dir, name)
+	path := filepath.Join(dir, "obs.jsonl")
 	f, err := os.Create(path)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	defer f.Close()
-	if format == "jsonl" {
-		err = trace.WriteObservedJSONL(f, recs)
-	} else {
-		err = trace.WriteObservedCSV(f, recs)
-	}
-	if err != nil {
+	if err := trace.WriteObservedJSONL(f, recs); err != nil {
 		tb.Fatal(err)
 	}
 	return path, recs
 }
 
 // TestFollowFileOneShot: FollowFile over a finished capture must chart it
-// exactly as the batch pipeline does, with the empty format defaulting to
-// CSV (the cmd convention).
+// exactly as the batch pipeline does.
 func TestFollowFileOneShot(t *testing.T) {
 	_, coreCfg := testConfig()
-	path, recs := followTrace(t, t.TempDir(), "obs.csv", "csv")
+	path, recs := followTrace(t, t.TempDir())
 	eng, err := stream.New(stream.Config{Core: coreCfg})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +64,7 @@ func TestFollowFileMissing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	missing := filepath.Join(t.TempDir(), "nope.csv")
+	missing := filepath.Join(t.TempDir(), "nope.jsonl")
 	if _, err := eng.FollowFile(context.Background(), missing, stream.FollowOptions{}); err == nil {
 		t.Error("one-shot follow of a missing file should fail")
 	}
@@ -86,7 +80,7 @@ func TestFollowFileMissing(t *testing.T) {
 func TestFollowSkipAndCheckpoint(t *testing.T) {
 	_, coreCfg := testConfig()
 	dir := t.TempDir()
-	path, recs := followTrace(t, dir, "obs.jsonl", "jsonl")
+	path, recs := followTrace(t, dir)
 	skip := uint64(len(recs) / 2)
 
 	reference, err := stream.New(stream.Config{Core: coreCfg})
@@ -116,7 +110,6 @@ func TestFollowSkipAndCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := eng.FollowFile(context.Background(), path, stream.FollowOptions{
-		Format:      "jsonl",
 		SkipRecords: skip,
 		Checkpoint:  ck,
 	})
@@ -179,9 +172,8 @@ func TestFollowLiveTail(t *testing.T) {
 	done := make(chan outcome, 1)
 	go func() {
 		res, err := eng.FollowFile(ctx, path, stream.FollowOptions{
-			Format: "jsonl",
-			Live:   true,
-			Poll:   2 * time.Millisecond,
+			Live: true,
+			Poll: 2 * time.Millisecond,
 		})
 		done <- outcome{res, err}
 	}()

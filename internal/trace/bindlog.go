@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strings"
@@ -19,73 +18,41 @@ import (
 // Older BIND 9 versions omit the parenthesised qname after the client
 // field; both forms are accepted. The client host becomes the forwarding-
 // server identity (at a border resolver, clients ARE the downstream
-// forwarders), and timestamps are converted to milliseconds since
-// ReferenceTime so the rest of the pipeline can treat them as virtual
-// time.
-
-// BINDLogOptions controls parsing.
-type BINDLogOptions struct {
-	// ReferenceTime is the zero point of the virtual clock. If zero, the
-	// timestamp of the first parsed record is used (so traces start near
-	// t=0 and epoch boundaries align to the reference's midnight).
-	ReferenceTime time.Time
-	// Location resolves the log's local timestamps (BIND logs have no
-	// zone); nil means UTC.
-	Location *time.Location
-	// Strict makes unparseable lines an error instead of being skipped.
-	Strict bool
-}
+// forwarders). BIND logs carry no zone, so timestamps are read as UTC and
+// converted to milliseconds since the first record's midnight, which lets
+// the rest of the pipeline treat them as virtual time with epoch boundaries
+// on calendar days.
 
 // bindTimeLayout is BIND's default query-log timestamp layout.
 const bindTimeLayout = "02-Jan-2006 15:04:05.000"
 
-// ReadBINDLog parses a BIND query log into an observable dataset.
-func ReadBINDLog(r io.Reader, opts BINDLogOptions) (Observed, error) {
-	loc := opts.Location
-	if loc == nil {
-		loc = time.UTC
-	}
-	var out Observed
-	ref := opts.ReferenceTime
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		rec, ts, err := parseBINDLine(line, loc)
+// ReadBINDLog parses a BIND query log into an observable dataset with the
+// given malformed-line policy, on the same line loop as the JSON-lines
+// readers.
+func ReadBINDLog(r io.Reader, opt ReadOptions) (Observed, ReadResult, error) {
+	var ref time.Time
+	return readAll(r, opt, func(line []byte) (ObservedRecord, error) {
+		rec, ts, err := parseBINDLine(string(line))
 		if err != nil {
-			if opts.Strict {
-				return nil, fmt.Errorf("trace: bind log line %d: %w", lineNo, err)
-			}
-			continue
+			return rec, err
 		}
 		if ref.IsZero() {
-			// Align the reference to the first record's midnight so epoch
-			// arithmetic (t / Day) matches calendar days.
-			ref = time.Date(ts.Year(), ts.Month(), ts.Day(), 0, 0, 0, 0, loc)
+			ref = time.Date(ts.Year(), ts.Month(), ts.Day(), 0, 0, 0, 0, time.UTC)
 		}
-		rec.T = simTimeSince(ref, ts)
-		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: bind log: %w", err)
-	}
-	return out, nil
+		rec.T = sim.FromDuration(ts.Sub(ref))
+		return rec, nil
+	})
 }
 
 // parseBINDLine extracts (server, domain, timestamp) from one query-log
 // line.
-func parseBINDLine(line string, loc *time.Location) (ObservedRecord, time.Time, error) {
+func parseBINDLine(line string) (ObservedRecord, time.Time, error) {
 	// Timestamp: first two space-separated fields.
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
 		return ObservedRecord{}, time.Time{}, fmt.Errorf("too few fields")
 	}
-	ts, err := time.ParseInLocation(bindTimeLayout, fields[0]+" "+fields[1], loc)
+	ts, err := time.Parse(bindTimeLayout, fields[0]+" "+fields[1])
 	if err != nil {
 		return ObservedRecord{}, time.Time{}, fmt.Errorf("timestamp: %w", err)
 	}
@@ -104,6 +71,9 @@ func parseBINDLine(line string, loc *time.Location) (ObservedRecord, time.Time, 
 	if h := strings.IndexByte(addr, '#'); h >= 0 {
 		addr = addr[:h]
 	}
+	if addr == "" {
+		return ObservedRecord{}, time.Time{}, fmt.Errorf("empty client address")
+	}
 	// Locate "query:" then the qname.
 	queryIdx := -1
 	for i, f := range fields {
@@ -120,9 +90,4 @@ func parseBINDLine(line string, loc *time.Location) (ObservedRecord, time.Time, 
 		return ObservedRecord{}, time.Time{}, fmt.Errorf("empty qname")
 	}
 	return ObservedRecord{Server: addr, Domain: domain}, ts, nil
-}
-
-// simTimeSince converts a wall timestamp to virtual milliseconds.
-func simTimeSince(ref, ts time.Time) sim.Time {
-	return sim.FromDuration(ts.Sub(ref))
 }

@@ -3,7 +3,6 @@ package trace
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"botmeter/internal/sim"
 )
@@ -17,12 +16,12 @@ this line is garbage
 `
 
 func TestReadBINDLog(t *testing.T) {
-	obs, err := ReadBINDLog(strings.NewReader(sampleBINDLog), BINDLogOptions{})
+	obs, res, err := ReadBINDLog(strings.NewReader(sampleBINDLog), ReadOptions{Lenient: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(obs) != 4 {
-		t.Fatalf("records = %d, want 4 (garbage skipped)", len(obs))
+	if len(obs) != 4 || res.Records != 4 || res.Skipped != 1 {
+		t.Fatalf("records = %d (%+v), want 4 with the garbage line skipped", len(obs), res)
 	}
 	// Reference aligns to the first record's midnight: 00:00:01.500 → 1500 ms.
 	if obs[0].T != 1500 {
@@ -48,26 +47,17 @@ func TestReadBINDLog(t *testing.T) {
 	}
 }
 
+// TestReadBINDLogStrict: a query log obeys ReadOptions like JSON lines do.
+// Strict, the default, names the first malformed line; lenient skips and
+// counts it.
 func TestReadBINDLogStrict(t *testing.T) {
-	if _, err := ReadBINDLog(strings.NewReader("garbage line\n"), BINDLogOptions{Strict: true}); err == nil {
-		t.Error("strict mode should fail on garbage")
+	_, _, err := ReadBINDLog(strings.NewReader(sampleBINDLog), ReadOptions{})
+	if err == nil || !strings.Contains(err.Error(), "line 5:") {
+		t.Errorf("strict read = %v, want an error at line 5", err)
 	}
-	// Non-strict skips it.
-	obs, err := ReadBINDLog(strings.NewReader("garbage line\n"), BINDLogOptions{})
-	if err != nil || len(obs) != 0 {
-		t.Errorf("non-strict = %v, %v", obs, err)
-	}
-}
-
-func TestReadBINDLogExplicitReference(t *testing.T) {
-	ref := time.Date(2026, 6, 30, 0, 0, 0, 0, time.UTC)
-	obs, err := ReadBINDLog(strings.NewReader(sampleBINDLog), BINDLogOptions{ReferenceTime: ref})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 01-Jul 00:00:01.5 is one day past the reference.
-	if obs[0].T != sim.Day+1500 {
-		t.Errorf("T[0] = %v, want day+1500ms", obs[0].T)
+	obs, res, err := ReadBINDLog(strings.NewReader("garbage line\n"), ReadOptions{Lenient: true})
+	if err != nil || len(obs) != 0 || res.Skipped != 1 {
+		t.Errorf("lenient = %v, %+v, %v", obs, res, err)
 	}
 }
 
@@ -77,9 +67,10 @@ func TestParseBINDLineErrors(t *testing.T) {
 		"bad-date 00:00:01.500 client 10.0.0.1#1: query: a.com IN A +",      // bad timestamp
 		"01-Jul-2026 00:00:01.500 resolver 10.0.0.1#1: query: a.com IN A +", // no client token
 		"01-Jul-2026 00:00:01.500 client 10.0.0.1#1: update: a.com IN A +",  // not a query
+		"01-Jul-2026 00:00:01.500 client #1: query: a.com IN A +",           // no client address
 	}
 	for _, line := range cases {
-		if _, _, err := parseBINDLine(line, time.UTC); err == nil {
+		if _, _, err := parseBINDLine(line); err == nil {
 			t.Errorf("expected error for %q", line)
 		}
 	}

@@ -2,14 +2,11 @@ package trace
 
 import (
 	"bufio"
-	"encoding/csv"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
-
-	"botmeter/internal/sim"
 )
 
 // ReadOptions selects how readers treat malformed input. The zero value is
@@ -33,144 +30,13 @@ type ReadResult struct {
 	Skipped int
 }
 
-// maxLineBytes bounds a single JSONL/CSV line; DNS names are ≤255 bytes so
-// even generous framing stays far below this.
+// maxLineBytes bounds a single input line, its newline included, and so the
+// memory one line of outside input can claim. DNS names are ≤255 bytes, so
+// even generous framing stays far below it.
 const maxLineBytes = 1 << 20
 
-// WriteRawCSV serialises a raw dataset as CSV with a header row.
-func WriteRawCSV(w io.Writer, recs Raw) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"t_ms", "client", "server", "domain", "nx"}); err != nil {
-		return fmt.Errorf("trace: write header: %w", err)
-	}
-	for _, r := range recs {
-		row := []string{
-			strconv.FormatInt(int64(r.T), 10), r.Client, r.Server, r.Domain,
-			strconv.FormatBool(r.NX),
-		}
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("trace: write record: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadRawCSV parses a raw dataset written by WriteRawCSV (strict).
-func ReadRawCSV(r io.Reader) (Raw, error) {
-	out, _, err := ReadRawCSVOpts(r, ReadOptions{})
-	return out, err
-}
-
-// ReadRawCSVOpts parses a raw dataset with the given malformed-line policy.
-func ReadRawCSVOpts(r io.Reader, opt ReadOptions) (Raw, ReadResult, error) {
-	var out Raw
-	res, err := readCSV(r, 5, opt, func(row []string, line int) error {
-		rec, err := parseRawRow(row, line)
-		if err != nil {
-			return err
-		}
-		out = append(out, rec)
-		return nil
-	})
-	if err != nil {
-		return nil, res, err
-	}
-	res.Records = len(out)
-	return out, res, nil
-}
-
-func parseRawRow(row []string, line int) (RawRecord, error) {
-	t, err := strconv.ParseInt(row[0], 10, 64)
-	if err != nil {
-		return RawRecord{}, fmt.Errorf("trace: row %d timestamp: %w", line, err)
-	}
-	nx, err := strconv.ParseBool(row[4])
-	if err != nil {
-		return RawRecord{}, fmt.Errorf("trace: row %d nx flag: %w", line, err)
-	}
-	return RawRecord{T: sim.Time(t), Client: row[1], Server: row[2], Domain: row[3], NX: nx}, nil
-}
-
-// WriteObservedCSV serialises an observable dataset as CSV with a header.
-func WriteObservedCSV(w io.Writer, recs Observed) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"t_ms", "server", "domain"}); err != nil {
-		return fmt.Errorf("trace: write header: %w", err)
-	}
-	for _, r := range recs {
-		if err := cw.Write([]string{strconv.FormatInt(int64(r.T), 10), r.Server, r.Domain}); err != nil {
-			return fmt.Errorf("trace: write record: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadObservedCSV parses an observable dataset written by WriteObservedCSV
-// (strict).
-func ReadObservedCSV(r io.Reader) (Observed, error) {
-	out, _, err := ReadObservedCSVOpts(r, ReadOptions{})
-	return out, err
-}
-
-// ReadObservedCSVOpts parses an observable dataset with the given
-// malformed-line policy. It is the materialising form of StreamObservedCSV.
-func ReadObservedCSVOpts(r io.Reader, opt ReadOptions) (Observed, ReadResult, error) {
-	var out Observed
-	res, err := StreamObservedCSV(r, opt, func(rec ObservedRecord) error {
-		out = append(out, rec)
-		return nil
-	})
-	if err != nil {
-		return nil, res, err
-	}
-	res.Records = len(out)
-	return out, res, nil
-}
-
-// readCSV drives per-row parsing with shared strict/lenient handling. The
-// header row is consumed (and not validated — files written by older
-// versions keep working); each subsequent row must have wantFields fields
-// and satisfy parse.
-func readCSV(r io.Reader, wantFields int, opt ReadOptions, parse func(row []string, line int) error) (ReadResult, error) {
-	var res ReadResult
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1 // field-count errors are ours to classify
-	line := 0
-	for {
-		row, err := cr.Read()
-		if err == io.EOF {
-			return res, nil
-		}
-		line++
-		if err != nil {
-			if opt.Lenient {
-				res.Skipped++
-				continue
-			}
-			return res, fmt.Errorf("trace: read csv: %w", err)
-		}
-		if line == 1 {
-			continue // header
-		}
-		if len(row) != wantFields {
-			if opt.Lenient {
-				res.Skipped++
-				continue
-			}
-			return res, fmt.Errorf("trace: row %d has %d fields, want %d", line, len(row), wantFields)
-		}
-		if err := parse(row, line); err != nil {
-			if opt.Lenient {
-				res.Skipped++
-				continue
-			}
-			return res, err
-		}
-		res.Records++
-	}
-}
+// errLineTooLong marks a line past maxLineBytes: malformed like any other.
+var errLineTooLong = fmt.Errorf("longer than %d bytes", maxLineBytes)
 
 // WriteObservedJSONL serialises the dataset as JSON lines.
 func WriteObservedJSONL(w io.Writer, recs Observed) error {
@@ -182,30 +48,6 @@ func WriteObservedJSONL(w io.Writer, recs Observed) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadObservedJSONL parses a JSON-lines observable dataset (strict).
-func ReadObservedJSONL(r io.Reader) (Observed, error) {
-	out, _, err := ReadObservedJSONLOpts(r, ReadOptions{})
-	return out, err
-}
-
-// ReadObservedJSONLOpts parses a JSON-lines observable dataset with the
-// given malformed-line policy. In lenient mode a torn final line (crash
-// mid-append, no trailing newline, invalid JSON) and garbage lines are
-// skipped and counted; records lacking a domain are treated as malformed
-// too, since truncation can leave syntactically valid but incomplete JSON.
-func ReadObservedJSONLOpts(r io.Reader, opt ReadOptions) (Observed, ReadResult, error) {
-	var out Observed
-	res, err := StreamObservedJSONL(r, opt, func(rec ObservedRecord) error {
-		out = append(out, rec)
-		return nil
-	})
-	if err != nil {
-		return nil, res, err
-	}
-	res.Records = len(out)
-	return out, res, nil
 }
 
 // WriteRawJSONL serialises the raw dataset as JSON lines.
@@ -220,59 +62,102 @@ func WriteRawJSONL(w io.Writer, recs Raw) error {
 	return bw.Flush()
 }
 
-// ReadRawJSONL parses a JSON-lines raw dataset (strict).
-func ReadRawJSONL(r io.Reader) (Raw, error) {
-	out, _, err := ReadRawJSONLOpts(r, ReadOptions{})
-	return out, err
+// ReadObserved parses a JSON-lines observable dataset with the given
+// malformed-line policy. It is the materialising form of StreamObserved.
+func ReadObserved(r io.Reader, opt ReadOptions) (Observed, ReadResult, error) {
+	return readAll(r, opt, parseObservedLine)
 }
 
-// ReadRawJSONLOpts parses a JSON-lines raw dataset with the given
-// malformed-line policy.
-func ReadRawJSONLOpts(r io.Reader, opt ReadOptions) (Raw, ReadResult, error) {
-	var out Raw
-	res, err := readJSONL(r, opt, func(data []byte, line int) error {
-		var rec RawRecord
-		if err := json.Unmarshal(data, &rec); err != nil {
-			return fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		if rec.Domain == "" {
-			return fmt.Errorf("trace: line %d: record has no domain", line)
-		}
+// parseObservedLine decodes one JSON-lines record. A record without a domain
+// is malformed too, since truncation can leave syntactically valid but
+// incomplete JSON.
+func parseObservedLine(line []byte) (ObservedRecord, error) {
+	var rec ObservedRecord
+	if err := json.Unmarshal(line, &rec); err != nil {
+		return rec, err
+	}
+	if rec.Domain == "" {
+		return rec, errors.New("record has no domain")
+	}
+	return rec, nil
+}
+
+// lineParser turns one non-blank input line, newline included, into a
+// record; an error marks the line malformed. The line is only valid during
+// the call.
+type lineParser func(line []byte) (ObservedRecord, error)
+
+// readAll collects every record readLines delivers.
+func readAll(r io.Reader, opt ReadOptions, parse lineParser) (Observed, ReadResult, error) {
+	var out Observed
+	res, err := readLines(r, opt, parse, func(rec ObservedRecord) error {
 		out = append(out, rec)
 		return nil
 	})
 	if err != nil {
 		return nil, res, err
 	}
-	res.Records = len(out)
 	return out, res, nil
 }
 
-// readJSONL scans line by line (so lenient mode can resynchronise after
-// garbage, which json.Decoder cannot) and applies the strict/lenient
-// policy around parse. Blank lines are ignored without counting.
-func readJSONL(r io.Reader, opt ReadOptions, parse func(data []byte, line int) error) (ReadResult, error) {
+// readLines is the line loop of every trace reader. It reads line by line
+// (so lenient mode can resynchronise after garbage, which json.Decoder
+// cannot), applies the strict/lenient policy to lines parse rejects and to
+// lines past maxLineBytes, and hands each record to fn. Blank lines are
+// ignored without counting. An error from fn aborts the read in either mode.
+func readLines(r io.Reader, opt ReadOptions, parse lineParser, fn ObservedFunc) (ReadResult, error) {
 	var res ReadResult
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), maxLineBytes)
-	line := 0
-	for sc.Scan() {
-		line++
-		data := sc.Bytes()
-		if len(strings.TrimSpace(string(data))) == 0 {
+	br := bufio.NewReaderSize(r, 64*1024)
+	for n := 1; ; n++ {
+		line, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			line, err = readLong(br, line)
+		}
+		var rec ObservedRecord
+		switch {
+		case err == io.EOF && len(line) == 0:
+			return res, nil
+		case err == errLineTooLong:
+			// malformed: the policy below applies
+		case err != nil && err != io.EOF:
+			return res, fmt.Errorf("trace: read: %w", err)
+		case len(bytes.TrimSpace(line)) == 0:
+			continue
+		default:
+			rec, err = parse(line)
+		}
+		if err != nil {
+			if !opt.Lenient {
+				return res, fmt.Errorf("trace: line %d: %w", n, err)
+			}
+			res.Skipped++
 			continue
 		}
-		if err := parse(data, line); err != nil {
-			if opt.Lenient {
-				res.Skipped++
-				continue
-			}
+		if err := fn(rec); err != nil {
 			return res, err
 		}
 		res.Records++
 	}
-	if err := sc.Err(); err != nil {
-		return res, fmt.Errorf("trace: scan: %w", err)
+}
+
+// readLong finishes a line that overflowed br's buffer, head being its first
+// bufferful. A line past maxLineBytes is consumed up to its newline but not
+// kept, so the next line starts clean; it reads as errLineTooLong.
+func readLong(br *bufio.Reader, head []byte) ([]byte, error) {
+	line := append([]byte(nil), head...)
+	for {
+		frag, err := br.ReadSlice('\n')
+		if line != nil && len(line)+len(frag) <= maxLineBytes {
+			line = append(line, frag...)
+		} else {
+			line = nil
+		}
+		if err == bufio.ErrBufferFull {
+			continue
+		}
+		if line == nil && (err == nil || err == io.EOF) {
+			return nil, errLineTooLong
+		}
+		return line, err
 	}
-	return res, nil
 }

@@ -2,61 +2,21 @@ package trace
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"io"
-	"strconv"
 	"time"
-
-	"botmeter/internal/sim"
 )
 
 // ObservedFunc consumes one observed record during incremental reads. A
 // non-nil error aborts the stream and is returned to the caller.
 type ObservedFunc func(ObservedRecord) error
 
-// StreamObservedJSONL incrementally parses a JSON-lines observable
-// dataset, invoking fn for every well-formed record as soon as its line is
-// read — the bounded-memory counterpart of ReadObservedJSONLOpts, which
-// materialises the whole slice. Combined with a TailReader this turns a
-// live vantage capture into an online record source for the streaming
-// landscape engine.
-func StreamObservedJSONL(r io.Reader, opt ReadOptions, fn ObservedFunc) (ReadResult, error) {
-	return readJSONL(r, opt, func(data []byte, line int) error {
-		var rec ObservedRecord
-		if err := json.Unmarshal(data, &rec); err != nil {
-			return fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		if rec.Domain == "" {
-			return fmt.Errorf("trace: line %d: record has no domain", line)
-		}
-		return fn(rec)
-	})
-}
-
-// StreamObservedCSV incrementally parses a CSV observable dataset written
-// by WriteObservedCSV, invoking fn per record.
-func StreamObservedCSV(r io.Reader, opt ReadOptions, fn ObservedFunc) (ReadResult, error) {
-	return readCSV(r, 3, opt, func(row []string, line int) error {
-		t, err := strconv.ParseInt(row[0], 10, 64)
-		if err != nil {
-			return fmt.Errorf("trace: row %d timestamp: %w", line, err)
-		}
-		return fn(ObservedRecord{T: sim.Time(t), Server: row[1], Domain: row[2]})
-	})
-}
-
-// StreamObserved dispatches on the format names used across the cmd
-// binaries ("jsonl" or "csv").
-func StreamObserved(r io.Reader, format string, opt ReadOptions, fn ObservedFunc) (ReadResult, error) {
-	switch format {
-	case "jsonl":
-		return StreamObservedJSONL(r, opt, fn)
-	case "csv", "":
-		return StreamObservedCSV(r, opt, fn)
-	default:
-		return ReadResult{}, fmt.Errorf("trace: unsupported streaming format %q", format)
-	}
+// StreamObserved incrementally parses a JSON-lines observable dataset,
+// invoking fn for every well-formed record as soon as its line is read — the
+// bounded-memory counterpart of ReadObserved, which materialises the whole
+// slice. Combined with a TailReader this turns a live vantage capture into
+// an online record source for the streaming landscape engine.
+func StreamObserved(r io.Reader, opt ReadOptions, fn ObservedFunc) (ReadResult, error) {
+	return readLines(r, opt, parseObservedLine, fn)
 }
 
 // TailReader adapts a growing file to io.Reader semantics suitable for the

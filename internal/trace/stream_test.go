@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"botmeter/internal/sim"
 )
 
 func TestStreamObservedJSONL(t *testing.T) {
@@ -16,7 +14,7 @@ func TestStreamObservedJSONL(t *testing.T) {
 {"t":200,"server":"s2","domain":"b.com"}
 `
 	var got []ObservedRecord
-	res, err := StreamObserved(strings.NewReader(in), "jsonl", ReadOptions{}, func(rec ObservedRecord) error {
+	res, err := StreamObserved(strings.NewReader(in), ReadOptions{}, func(rec ObservedRecord) error {
 		got = append(got, rec)
 		return nil
 	})
@@ -37,13 +35,13 @@ func TestStreamObservedJSONLRejects(t *testing.T) {
 		"no domain": `{"t":100,"server":"s1"}` + "\n",
 	}
 	for name, in := range cases {
-		if _, err := StreamObserved(strings.NewReader(in), "jsonl", ReadOptions{}, func(ObservedRecord) error {
+		if _, err := StreamObserved(strings.NewReader(in), ReadOptions{}, func(ObservedRecord) error {
 			return nil
 		}); err == nil {
 			t.Errorf("%s: strict mode should fail", name)
 		}
 		// Lenient mode skips and counts instead.
-		res, err := StreamObserved(strings.NewReader(in), "jsonl", ReadOptions{Lenient: true}, func(ObservedRecord) error {
+		res, err := StreamObserved(strings.NewReader(in), ReadOptions{Lenient: true}, func(ObservedRecord) error {
 			return nil
 		})
 		if err != nil || res.Skipped != 1 {
@@ -52,46 +50,23 @@ func TestStreamObservedJSONLRejects(t *testing.T) {
 	}
 }
 
-func TestStreamObservedCSV(t *testing.T) {
-	in := "t_ms,server,domain\n100,s1,a.com\n200,s2,b.com\n"
-	var got []ObservedRecord
-	// "" defaults to CSV, the cmd convention.
-	res, err := StreamObserved(strings.NewReader(in), "", ReadOptions{}, func(rec ObservedRecord) error {
-		got = append(got, rec)
-		return nil
-	})
-	if err != nil || res.Records != 2 {
-		t.Fatalf("result = %+v, %v", res, err)
-	}
-	if got[0].T != sim.Time(100) || got[1].Domain != "b.com" {
-		t.Errorf("records = %+v", got)
-	}
-	if _, err := StreamObserved(strings.NewReader("t_ms,server,domain\nNaN,s1,a.com\n"), "csv", ReadOptions{}, func(ObservedRecord) error {
-		return nil
-	}); err == nil {
-		t.Error("bad timestamp should fail")
-	}
-}
-
+// TestStreamObservedCallbackErrorAborts: an error from the callback is the
+// caller's, not a malformed line, so it aborts the read in lenient mode too.
 func TestStreamObservedCallbackErrorAborts(t *testing.T) {
-	in := "t_ms,server,domain\n100,s1,a.com\n200,s2,b.com\n"
+	in := `{"t":100,"server":"s1","domain":"a.com"}` + "\n" + `{"t":200,"server":"s2","domain":"b.com"}` + "\n"
 	boom := errors.New("stop here")
-	calls := 0
-	_, err := StreamObserved(strings.NewReader(in), "csv", ReadOptions{}, func(ObservedRecord) error {
-		calls++
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Errorf("err = %v, want the callback error", err)
-	}
-	if calls != 1 {
-		t.Errorf("callback ran %d times after aborting", calls)
-	}
-}
-
-func TestStreamObservedUnsupportedFormat(t *testing.T) {
-	if _, err := StreamObserved(strings.NewReader(""), "xml", ReadOptions{}, nil); err == nil {
-		t.Error("unsupported format should fail")
+	for _, opt := range []ReadOptions{{}, {Lenient: true}} {
+		calls := 0
+		res, err := StreamObserved(strings.NewReader(in), opt, func(ObservedRecord) error {
+			calls++
+			return boom
+		})
+		if !errors.Is(err, boom) {
+			t.Errorf("%+v: err = %v, want the callback error", opt, err)
+		}
+		if calls != 1 || res.Records != 0 || res.Skipped != 0 {
+			t.Errorf("%+v: callback ran %d times, result %+v, after aborting", opt, calls, res)
+		}
 	}
 }
 

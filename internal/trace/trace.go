@@ -2,9 +2,10 @@
 // dataset of client-level DNS lookups ⟨timestamp, client, server, domain,
 // rcode⟩ (ground truth, visible only inside the network) and the observable
 // dataset of cache-filtered lookups ⟨timestamp, forwarding server, domain⟩
-// (what the border vantage point — and hence BotMeter — sees). It also
-// provides CSV and JSON-lines serialisation so traces can be generated,
-// stored and analysed by separate tools.
+// (what the border vantage point — and hence BotMeter — sees). JSON lines
+// are the one on-disk encoding of both, so traces can be generated, stored
+// and analysed by separate tools; BIND query logs are read as an observable
+// dataset too.
 package trace
 
 import (
@@ -84,7 +85,7 @@ func (o Observed) Sort() {
 }
 
 // IsSorted reports whether the dataset is in non-decreasing timestamp order
-// — the precondition for the zero-copy WindowSorted fast path.
+// — the precondition for the zero-copy WindowSorted.
 func (o Observed) IsSorted() bool {
 	for i := 1; i < len(o); i++ {
 		if o[i].T < o[i-1].T {
@@ -94,56 +95,13 @@ func (o Observed) IsSorted() bool {
 	return true
 }
 
-// Window filters records to the half-open interval w.
-func (r Raw) Window(w sim.Window) Raw {
-	out := make(Raw, 0, len(r))
-	for _, rec := range r {
-		if w.Contains(rec.T) {
-			out = append(out, rec)
-		}
-	}
-	return out
-}
-
-// Window filters records to the half-open interval w.
-//
-// Time-sorted datasets — every in-process trace (the simulation engine
-// emits in virtual-time order) and anything normalized with Sort — take a
-// zero-copy fast path: the interval's bounds are found by binary search and
-// the result is a subslice of o. Unsorted datasets fall back to a filtering
-// copy. Callers must treat the result as read-only either way; the analysis
-// pipeline only ever reads windowed views. Window was the top allocation
-// site of the per-day analysis loop (one epoch-sized copy per estimator
-// call) before the fast path.
-func (o Observed) Window(w sim.Window) Observed {
-	sorted := true
-	for i := 1; i < len(o); i++ {
-		if o[i].T < o[i-1].T {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		return o.WindowSorted(w)
-	}
-	out := make(Observed, 0, len(o))
-	for _, rec := range o {
-		if w.Contains(rec.T) {
-			out = append(out, rec)
-		}
-	}
-	return out
-}
-
 // WindowSorted filters a KNOWN time-sorted dataset to the half-open
 // interval w in O(log n): the interval's bounds are found by binary search
-// and the result is a read-only subslice of o. It is Window's fast path
-// without Window's O(n) sortedness re-scan — for callers that window the
-// same dataset many times (the per-day analysis loops window a season-long
-// trace hundreds of times), checking sortedness once via IsSorted and then
-// slicing with WindowSorted turns a quadratic scan bill into one pass.
-// Calling it on unsorted data returns an arbitrary subslice; callers own
-// the precondition.
+// and the result is a read-only subslice of o. Callers that window the same
+// dataset many times (the per-day analysis loops window a season-long trace
+// hundreds of times) establish sortedness once, with IsSorted or Sort, and
+// then slice for free. Calling it on unsorted data returns an arbitrary
+// subslice; callers own the precondition.
 func (o Observed) WindowSorted(w sim.Window) Observed {
 	lo := sort.Search(len(o), func(i int) bool { return o[i].T >= w.Start })
 	hi := lo + sort.Search(len(o)-lo, func(i int) bool { return o[lo+i].T >= w.End })

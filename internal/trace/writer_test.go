@@ -256,7 +256,7 @@ func TestTornWriteRecovery(t *testing.T) {
 	last := lines[4]
 	capture := strings.Join(lines[:4], "") + last[:len(last)/2]
 
-	obs, res, err := ReadObservedJSONLOpts(strings.NewReader(capture), ReadOptions{Lenient: true})
+	obs, res, err := ReadObserved(strings.NewReader(capture), ReadOptions{Lenient: true})
 	if err != nil {
 		t.Fatalf("lenient read: %v", err)
 	}
@@ -273,52 +273,28 @@ func TestTornWriteRecovery(t *testing.T) {
 	}
 
 	// Strict mode must refuse the same file.
-	if _, _, err := ReadObservedJSONLOpts(strings.NewReader(capture), ReadOptions{}); err == nil {
+	if _, _, err := ReadObserved(strings.NewReader(capture), ReadOptions{}); err == nil {
 		t.Error("strict reader accepted a corrupt capture")
 	}
 }
 
-// TestLenientCSV mirrors the JSONL story for the CSV reader.
-func TestLenientCSV(t *testing.T) {
+// TestLenientJSONL: blank lines are neither records nor malformed, while a
+// record without a domain and a garbage line each count as one skip.
+func TestLenientJSONL(t *testing.T) {
 	var buf bytes.Buffer
-	recs := Observed{rec(1), rec(2), rec(3)}
-	if err := WriteObservedCSV(&buf, recs); err != nil {
+	if err := WriteObservedJSONL(&buf, Observed{rec(1), rec(2)}); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.SplitAfter(buf.String(), "\n") // final element is ""
-	lines[2] = "not-a-timestamp,local0,bad.example\n"
-	corrupt := strings.Join(lines, "") + "torn,tr" // extra torn tail
-
-	obs, res, err := ReadObservedCSVOpts(strings.NewReader(corrupt), ReadOptions{Lenient: true})
-	if err != nil {
-		t.Fatalf("lenient read: %v", err)
-	}
-	if res.Skipped != 2 || len(obs) != 2 {
-		t.Errorf("records=%d skipped=%d, want 2/2", len(obs), res.Skipped)
-	}
-	if _, err := ReadObservedCSV(strings.NewReader(corrupt)); err == nil {
-		t.Error("strict reader accepted a corrupt capture")
-	}
-}
-
-// TestLenientRawJSONL covers the raw-dataset variant.
-func TestLenientRawJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	raws := Raw{{T: 1, Client: "c1", Server: "s0", Domain: "a.example"}, {T: 2, Client: "c2", Server: "s0", Domain: "b.example"}}
-	if err := WriteRawJSONL(&buf, raws); err != nil {
-		t.Fatal(err)
-	}
-	corrupt := buf.String() + "\n{\"t\":9}\ngarbage\n"
-	out, res, err := ReadRawJSONLOpts(strings.NewReader(corrupt), ReadOptions{Lenient: true})
+	corrupt := buf.String() + "\n  \r\n{\"t\":9}\ngarbage\n"
+	out, res, err := ReadObserved(strings.NewReader(corrupt), ReadOptions{Lenient: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Blank line uncounted; domain-less record and garbage each skipped.
-	if len(out) != 2 || res.Skipped != 2 {
-		t.Errorf("records=%d skipped=%d, want 2/2", len(out), res.Skipped)
+	if len(out) != 2 || res.Records != 2 || res.Skipped != 2 {
+		t.Errorf("records=%d/%d skipped=%d, want 2/2/2", len(out), res.Records, res.Skipped)
 	}
-	if _, err := ReadRawJSONL(strings.NewReader(corrupt)); err == nil {
-		t.Error("strict reader accepted a corrupt capture")
+	if _, _, err := ReadObserved(strings.NewReader(corrupt), ReadOptions{}); err == nil || !strings.Contains(err.Error(), "line 5:") {
+		t.Errorf("strict read = %v, want an error at line 5", err)
 	}
 }
 
@@ -374,7 +350,7 @@ func TestSafeWriterTruncateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs, err := ReadObservedJSONL(bytes.NewReader(data))
+	obs, _, err := ReadObserved(bytes.NewReader(data), ReadOptions{})
 	if err != nil {
 		t.Fatalf("strict read after recovery: %v\n%q", err, data)
 	}
