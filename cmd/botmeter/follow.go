@@ -26,10 +26,9 @@ type followConfig struct {
 	jsonOut bool
 	topK    int
 
-	checkpointDir      string // crash-recovery checkpoint directory ("" disables)
+	checkpointDir      string // crash-recovery checkpoint directory, restored from at start ("" disables)
 	checkpointInterval time.Duration
 	checkpointEvery    uint64
-	resume             bool // restore the newest good checkpoint and replay from its offset
 
 	watch        time.Duration // periodic status line cadence (0 disables)
 	sloFreshness time.Duration // watermark-lag SLO (0 disables)
@@ -46,11 +45,11 @@ func runFollow(coreCfg core.Config, fc followConfig) error {
 	if fc.format != "jsonl" {
 		return fmt.Errorf("-follow reads jsonl input, not %q", fc.format)
 	}
-	if (fc.checkpointDir != "" || fc.resume) && fc.in == "" {
-		return fmt.Errorf("-checkpoint-dir/-resume need a replayable input file (-in), not stdin")
+	if fc.checkpointDir != "" && fc.in == "" {
+		return fmt.Errorf("-checkpoint-dir needs a replayable input file (-in), not stdin")
 	}
-	if fc.resume && fc.checkpointDir == "" {
-		return fmt.Errorf("-resume needs -checkpoint-dir")
+	if fc.live && fc.in == "" {
+		return fmt.Errorf("-live tails the file named by -in; to tail stdin, pipe `tail -F FILE` into -follow")
 	}
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
@@ -65,31 +64,24 @@ func runFollow(coreCfg core.Config, fc followConfig) error {
 		Registry:      reg,
 	}
 
-	// Resume path: restore the newest good checkpoint (falling back past
-	// torn, corrupt or unrestorable generations) and replay the input from
-	// its offset, so every record is applied exactly once across the crash.
+	// With -checkpoint-dir, restore the newest good checkpoint (falling back
+	// past torn, corrupt or unrestorable generations, and starting fresh when
+	// the input no longer holds what it was cut from) and replay the input
+	// from its offset, so every record is applied exactly once across a crash.
 	var eng *stream.Engine
-	var skip uint64
+	var info stream.RecoveryInfo
 	var err error
-	if fc.resume {
-		var state *stream.EngineState
-		var info stream.RecoveryInfo
-		eng, state, info, err = stream.RestoreLatest(streamCfg, fc.checkpointDir, "")
-		if err != nil {
-			return err
-		}
+	if fc.checkpointDir == "" {
+		eng, err = stream.New(streamCfg)
+	} else if eng, info, err = stream.RestoreLatest(streamCfg, fc.checkpointDir, fc.in); err == nil {
 		if info.Found {
-			skip = state.Source.Records
-			fmt.Fprintf(os.Stderr, "botmeter: %s, replaying input from record %d\n", info, skip)
+			fmt.Fprintf(os.Stderr, "botmeter: %s, replaying input from record %d\n", info, info.Records)
 		} else {
 			fmt.Fprintf(os.Stderr, "botmeter: %s, starting fresh\n", info)
 		}
 	}
-	if eng == nil {
-		eng, err = stream.New(streamCfg)
-		if err != nil {
-			return err
-		}
+	if err != nil {
+		return err
 	}
 
 	var ck *stream.Checkpointer
@@ -99,13 +91,7 @@ func runFollow(coreCfg core.Config, fc followConfig) error {
 			Interval:     fc.checkpointInterval,
 			EveryRecords: fc.checkpointEvery,
 			Registry:     reg,
-			SourceMeta: func() (string, int64) {
-				fi, statErr := os.Stat(fc.in)
-				if statErr != nil {
-					return fc.in, 0
-				}
-				return fc.in, fi.Size()
-			},
+			Source:       fc.in,
 		})
 		if err != nil {
 			eng.Close() //nolint:errcheck // the checkpointer error wins
@@ -170,13 +156,13 @@ func runFollow(coreCfg core.Config, fc followConfig) error {
 	opt := stream.FollowOptions{
 		Lenient:     fc.lenient,
 		Live:        fc.live,
-		SkipRecords: skip,
+		SkipRecords: info.Records,
 		Checkpoint:  ck,
 	}
 	started := time.Now()
 	var res trace.ReadResult
 	if fc.in == "" {
-		res, err = eng.Follow(ctx, os.Stdin, opt)
+		res, err = eng.Follow(os.Stdin, opt)
 	} else {
 		res, err = eng.FollowFile(ctx, fc.in, opt)
 	}

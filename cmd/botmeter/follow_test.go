@@ -34,8 +34,8 @@ func TestRunFollowWithListen(t *testing.T) {
 }
 
 // TestRunFollowCheckpointResume: a -follow run with -checkpoint-dir leaves
-// restorable generations behind; a second run with -resume restores the
-// newest one and replays only the tail, landing on the same landscape.
+// restorable generations behind; a second run with the same flags restores
+// the newest one and replays only the tail, landing on the same landscape.
 func TestRunFollowCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "obs.jsonl")
@@ -44,31 +44,82 @@ func TestRunFollowCheckpointResume(t *testing.T) {
 
 	base := []string{
 		"-family", "newgoz", "-seed", "1", "-in", in,
-		"-follow", "-checkpoint-dir", ckDir, "-checkpoint-every", "25",
+		"-follow", "-json", "-checkpoint-dir", ckDir, "-checkpoint-every", "25",
 	}
-	if err := run(base); err != nil {
-		t.Fatalf("checkpointing run: %v", err)
-	}
+	first := runStdout(t, base)
 	gens, err := filepath.Glob(filepath.Join(ckDir, "checkpoint-*.ckpt"))
 	if err != nil || len(gens) == 0 {
 		t.Fatalf("no checkpoint generations written: %v, %v", gens, err)
 	}
-	if err := run(append(base, "-resume")); err != nil {
-		t.Fatalf("resumed run: %v", err)
+	if resumed := runStdout(t, base); resumed != first {
+		t.Errorf("resumed run printed\n%s\nthe first run\n%s", resumed, first)
 	}
 
-	// -resume against a directory with no checkpoints starts fresh rather
-	// than failing: a first boot with recovery flags already set.
+	// A directory with no checkpoints starts fresh rather than failing: a
+	// first boot with recovery flags already set.
 	empty := filepath.Join(dir, "empty-ckpt")
 	if err := os.MkdirAll(empty, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{
 		"-family", "newgoz", "-seed", "1", "-in", in,
-		"-follow", "-checkpoint-dir", empty, "-resume",
+		"-follow", "-checkpoint-dir", empty,
 	}); err != nil {
 		t.Fatalf("resume with no checkpoint: %v", err)
 	}
+}
+
+// TestRunFollowReplacedInputStartsFresh: a checkpoint cut further into the
+// input than the input now holds was taken of another file. Resuming from it
+// would skip records the new file never held and print the old file's
+// landscape; recovery must start fresh instead, so the run prints what a run
+// over the new file without -checkpoint-dir prints.
+func TestRunFollowReplacedInputStartsFresh(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "obs.jsonl")
+	writeTestTrace(t, in)
+	ckDir := filepath.Join(dir, "ckpt")
+	checkpointed := []string{
+		"-family", "newgoz", "-seed", "1", "-in", in,
+		"-follow", "-json", "-checkpoint-dir", ckDir, "-checkpoint-every", "100",
+	}
+	runStdout(t, checkpointed)
+
+	// Replace the input with a shorter trace: its first third.
+	data, err := os.ReadFile(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	if err := os.WriteFile(in, []byte(strings.Join(lines[:len(lines)/3], "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := runStdout(t, []string{"-family", "newgoz", "-seed", "1", "-in", in, "-follow", "-json"})
+	if got := runStdout(t, checkpointed); got != want {
+		t.Errorf("-checkpoint-dir over a replaced input printed\n%s\nwant the new input's landscape\n%s", got, want)
+	}
+}
+
+// runStdout runs botmeter with args and returns what it printed on stdout.
+func runStdout(t *testing.T, args []string) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	old := os.Stdout
+	os.Stdout = f
+	err = run(args)
+	os.Stdout = old
+	if err != nil {
+		t.Fatalf("run %v: %v", args, err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }
 
 func TestRunFollowValidation(t *testing.T) {
@@ -81,8 +132,8 @@ func TestRunFollowValidation(t *testing.T) {
 	if err := run([]string{"-family", "newgoz", "-follow", "-checkpoint-dir", dir}); err == nil {
 		t.Error("-checkpoint-dir over stdin should fail (not replayable)")
 	}
-	if err := run([]string{"-family", "newgoz", "-in", in, "-follow", "-resume"}); err == nil {
-		t.Error("-resume without -checkpoint-dir should fail")
+	if err := run([]string{"-family", "newgoz", "-follow", "-live"}); err == nil || !strings.Contains(err.Error(), "-in") {
+		t.Errorf("-live over stdin: %v, want a refusal naming -in", err)
 	}
 }
 

@@ -59,13 +59,12 @@ func run(args []string) error {
 	verbose := fs.Bool("verbose", false, "print a per-stage timing summary (trace read, matching, estimation) to stderr")
 	workers := fs.Int("workers", 0, "per-server estimation workers (0 = one per CPU capped at 16, 1 = sequential); any value yields identical landscapes")
 	follow := fs.Bool("follow", false, "stream the input through the online engine instead of batch analysis; prints the final landscape at EOF or on interrupt")
-	followLive := fs.Bool("live", false, "with -follow: keep tailing the input after EOF (live capture) until interrupted")
+	followLive := fs.Bool("live", false, "with -follow -in: keep tailing the input file after EOF (live capture, rotation-aware) until interrupted")
 	followListen := fs.String("listen", "", "with -follow: serve the evolving landscape at /landscape (plus /metrics, /debug/pprof) on this address")
 	reorderWindow := fs.Duration("reorder-window", 2*time.Second, "with -follow: how far out of order timestamps may arrive and still be re-sequenced")
-	checkpointDir := fs.String("checkpoint-dir", "", "with -follow: write crash-recovery checkpoints of the engine state to this directory")
+	checkpointDir := fs.String("checkpoint-dir", "", "with -follow: write crash-recovery checkpoints of the engine state to this directory, and on start restore the newest good one and replay -in from its offset")
 	checkpointInterval := fs.Duration("checkpoint-interval", 30*time.Second, "with -checkpoint-dir: wall-clock checkpoint cadence (0 disables the time trigger)")
 	checkpointEvery := fs.Uint64("checkpoint-every", 0, "with -checkpoint-dir: also checkpoint every N input records (0 disables the count trigger)")
-	resume := fs.Bool("resume", false, "with -checkpoint-dir: restore the newest good checkpoint and replay the input from its offset instead of starting fresh")
 	watch := fs.Duration("watch", 0, "with -follow: print a periodic status line (watermark lag, ingest rate, SLO state) to stderr at this cadence (0 disables)")
 	sloFreshness := fs.Duration("slo-freshness", 0, "with -follow: flag the run degraded when any shard's watermark lags the wall clock by more than this (0 disables)")
 	sloLoss := fs.Float64("slo-loss", 0, "with -follow: flag the run degraded when the lossy-ingest ratio exceeds this (0 disables)")
@@ -132,7 +131,6 @@ func run(args []string) error {
 			checkpointDir:      *checkpointDir,
 			checkpointInterval: *checkpointInterval,
 			checkpointEvery:    *checkpointEvery,
-			resume:             *resume,
 
 			watch:        *watch,
 			sloFreshness: *sloFreshness,

@@ -149,6 +149,12 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 	if *checkpointDir != "" && *liveFamily == "" {
 		return fmt.Errorf("-checkpoint-dir needs -live-estimate (there is no engine state to checkpoint)")
 	}
+	var spec dga.Spec
+	if *liveFamily != "" {
+		if spec, err = dga.Lookup(*liveFamily); err != nil {
+			return err
+		}
+	}
 	var reg *obs.Registry
 	if *obsAddr != "" {
 		reg = obs.NewRegistry()
@@ -167,6 +173,11 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 	} else if removed > 0 {
 		logger.Warn("recovered torn observed dataset", "path", *observedPath, "truncated_bytes", removed)
 	}
+	out, err := os.OpenFile(*observedPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
+	}
+	defer out.Close()
 
 	// Live estimation: every observation is ALSO fed to the online
 	// landscape engine, so /landscape serves the evolving chart without a
@@ -181,30 +192,27 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 	var consumed uint64 // well-formed records durably in the observed dataset
 	var recovery string
 	if *liveFamily != "" {
-		spec, err := dga.Lookup(*liveFamily)
-		if err != nil {
-			return err
-		}
 		streamCfg := stream.Config{
 			Core:     core.Config{Family: spec, Seed: *liveSeed},
 			Vantage:  *vantageID,
 			Registry: reg,
 		}
 		dga.ExportPoolMetrics(reg)
-		var skip uint64
-		if *checkpointDir != "" {
-			var state *stream.EngineState
+		if *checkpointDir == "" {
+			if est, err = stream.New(streamCfg); err != nil {
+				return err
+			}
+		} else {
 			var info stream.RecoveryInfo
-			est, state, info, err = stream.RestoreLatest(streamCfg, *checkpointDir, *observedPath)
+			est, info, err = stream.RestoreLatest(streamCfg, *checkpointDir, *observedPath)
 			if err != nil {
 				return err
 			}
 			switch {
 			case info.Found:
-				skip = state.Source.Records
 				recovery = info.String()
 				logger.Info("restored checkpoint",
-					"generation", info.Gen, "records", skip, "corrupt_skipped", info.CorruptSkipped)
+					"generation", info.Gen, "records", info.Records, "corrupt_skipped", info.CorruptSkipped)
 			case info.Stale:
 				logger.Warn("checkpoint is newer than the observed dataset (rotated or truncated?); starting fresh",
 					"generation", info.Gen)
@@ -212,34 +220,21 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 				logger.Warn("no loadable checkpoint; replaying the observed dataset from its start",
 					"skipped", info.CorruptSkipped, "newest_err", info.SkipErr)
 			}
-		}
-		if est == nil {
-			est, err = stream.New(streamCfg)
-			if err != nil {
-				return err
-			}
-		}
-		if *checkpointDir != "" {
-			consumed, err = replayObserved(est, *observedPath, skip)
+			res, err := est.FollowFile(ctx, *observedPath, stream.FollowOptions{Lenient: true, SkipRecords: info.Records})
 			if err != nil {
 				return fmt.Errorf("replaying %s: %w", *observedPath, err)
 			}
+			consumed = uint64(res.Records)
 			if err := est.Quiesce(); err != nil {
 				return err
 			}
-			if consumed > skip {
-				logger.Info("replayed observed dataset", "records", consumed-skip, "resumed_at", skip)
+			if consumed > info.Records {
+				logger.Info("replayed observed dataset", "records", consumed-info.Records, "resumed_at", info.Records)
 			}
 		}
 		logger.Info("live estimation enabled",
 			"family", spec.Name, "estimator", est.EstimatorName(), "seed", *liveSeed)
 	}
-
-	out, err := os.OpenFile(*observedPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	defer out.Close()
 
 	conns, reuseport, err := netx.ListenUDP(ctx, *listen, resolveListeners(*listeners))
 	if err != nil {
@@ -285,13 +280,7 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 			// write error blocks checkpointing: a checkpoint ahead of the
 			// durable file would double-apply records on resume.
 			PreSync: srv.flush,
-			SourceMeta: func() (string, int64) {
-				fi, statErr := os.Stat(*observedPath)
-				if statErr != nil {
-					return *observedPath, 0
-				}
-				return *observedPath, fi.Size()
-			},
+			Source:  *observedPath,
 		})
 		if err != nil {
 			return err
@@ -520,32 +509,6 @@ func parseCrash(spec string) (*faults.Crasher, error) {
 		return nil, err
 	}
 	return faults.NewCrasher(s), nil
-}
-
-// replayObserved feeds the durable observed dataset through the engine,
-// discarding the first skip records (the restored checkpoint already holds
-// their effects), and returns the total well-formed record count — the
-// starting source position for new checkpoints. Lenient parsing matches
-// the live capture's torn-tail tolerance; a missing file means a first
-// start (0 records).
-func replayObserved(e *stream.Engine, path string, skip uint64) (uint64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	defer f.Close()
-	var n uint64
-	_, err = trace.StreamObserved(f, trace.ReadOptions{Lenient: true}, func(rec trace.ObservedRecord) error {
-		n++
-		if n <= skip {
-			return nil
-		}
-		return e.Observe(rec)
-	})
-	return n, err
 }
 
 // loadZone reads "domain [ip]" lines; a missing IP defaults to 192.0.2.1

@@ -264,13 +264,7 @@ func TestCutSimultaneousTrips(t *testing.T) {
 			var err error
 			s.ck, err = stream.NewCheckpointer(stream.CheckpointConfig{
 				Dir: ckDir, EveryRecords: workers, Keep: workers * perWorker, Crash: crash, PreSync: s.flush,
-				SourceMeta: func() (string, int64) {
-					fi, err := os.Stat(f.Name())
-					if err != nil {
-						return f.Name(), 0
-					}
-					return f.Name(), fi.Size()
-				},
+				Source: f.Name(),
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -5,9 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
-	"strings"
 
 	"botmeter/internal/sim"
 )
@@ -156,56 +154,6 @@ func (t *Trend) Growth(server string) float64 {
 		return 0
 	}
 	return (series[len(series)-1] - series[0]) / series[0]
-}
-
-// Heatmap renders the whole trend as a servers × windows intensity matrix,
-// one shaded cell per (server, window), normalised per row. Rows are sorted
-// by final-window estimate, hottest first — a terminal approximation of the
-// "visual analytical component" the paper's future work calls for.
-func (t *Trend) Heatmap() string {
-	if len(t.Windows) == 0 || len(t.Series) == 0 {
-		return ""
-	}
-	servers := make([]string, 0, len(t.Series))
-	for s := range t.Series {
-		servers = append(servers, s)
-	}
-	sort.Slice(servers, func(i, j int) bool {
-		si, sj := t.Series[servers[i]], t.Series[servers[j]]
-		li, lj := si[len(si)-1], sj[len(sj)-1]
-		if li != lj {
-			return li > lj
-		}
-		return servers[i] < servers[j]
-	})
-	shades := []rune(" ░▒▓█")
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s — estimated bots per server per window (darker = more)\n", t.Family)
-	for _, server := range servers {
-		series := t.Series[server]
-		max := 0.0
-		for _, v := range series {
-			if v > max {
-				max = v
-			}
-		}
-		if max == 0 {
-			max = 1
-		}
-		cells := make([]rune, len(series))
-		for i, v := range series {
-			idx := int(v / max * float64(len(shades)-1))
-			if idx < 0 {
-				idx = 0
-			}
-			if idx >= len(shades) {
-				idx = len(shades) - 1
-			}
-			cells[i] = shades[idx]
-		}
-		fmt.Fprintf(&b, "%-12s |%s| peak %.0f\n", server, string(cells), max)
-	}
-	return b.String()
 }
 
 // Sparkline renders a server's series as a compact unicode bar chart.

@@ -100,28 +100,6 @@ func TestTrendLateJoinerBackfilled(t *testing.T) {
 	}
 }
 
-func TestTrendHeatmap(t *testing.T) {
-	tr := NewTrend("fam")
-	tr.Windows = make([]sim.Window, 3)
-	tr.Series["hot"] = []float64{10, 50, 100}
-	tr.Series["cold"] = []float64{1, 2, 1}
-	hm := tr.Heatmap()
-	lines := strings.Split(strings.TrimSpace(hm), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("heatmap:\n%s", hm)
-	}
-	// Hottest (by final estimate) row first.
-	if !strings.HasPrefix(lines[1], "hot") {
-		t.Errorf("row order: %q", lines[1])
-	}
-	if !strings.Contains(lines[1], "█") {
-		t.Errorf("hot row missing full shade: %q", lines[1])
-	}
-	if NewTrend("x").Heatmap() != "" {
-		t.Error("empty trend should render empty heatmap")
-	}
-}
-
 func TestTrendSparkline(t *testing.T) {
 	tr := NewTrend("x")
 	tr.Series["s"] = []float64{0, 5, 10}

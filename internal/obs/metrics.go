@@ -72,9 +72,6 @@ func (g *Gauge) Add(d float64) {
 // Inc adds one.
 func (g *Gauge) Inc() { g.Add(1) }
 
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.Add(-1) }
-
 // Value returns the current value (0 for nil).
 func (g *Gauge) Value() float64 {
 	if g == nil {

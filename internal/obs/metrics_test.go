@@ -53,7 +53,7 @@ func TestGauge(t *testing.T) {
 	}
 	g.Add(-1.5)
 	g.Inc()
-	g.Dec()
+	g.Add(-1)
 	if got := g.Value(); got != 2 {
 		t.Fatalf("gauge = %v, want 2", got)
 	}
@@ -160,7 +160,7 @@ func TestNilSafety(t *testing.T) {
 	g.Set(1)
 	g.Add(1)
 	g.Inc()
-	g.Dec()
+	g.Add(-1)
 	if g.Value() != 0 {
 		t.Fatal("nil gauge has a value")
 	}

@@ -42,24 +42,6 @@ func LogSub(a, b float64) float64 {
 	return a + math.Log1p(-math.Exp(b-a))
 }
 
-// LogSumExp returns log(Σ exp(xs[i])) computed stably.
-func LogSumExp(xs []float64) float64 {
-	max := LogZero
-	for _, x := range xs {
-		if x > max {
-			max = x
-		}
-	}
-	if math.IsInf(max, -1) {
-		return LogZero
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += math.Exp(x - max)
-	}
-	return max + math.Log(sum)
-}
-
 // LogFactorial returns log(n!) via the log-gamma function.
 func LogFactorial(n int) float64 {
 	if n < 0 {
@@ -98,18 +80,6 @@ type Signed struct {
 // SignedZero is the Signed representation of 0.
 var SignedZero = Signed{Sign: 0, Log: LogZero}
 
-// NewSigned builds a Signed from an ordinary float64.
-func NewSigned(x float64) Signed {
-	switch {
-	case x > 0:
-		return Signed{Sign: 1, Log: math.Log(x)}
-	case x < 0:
-		return Signed{Sign: -1, Log: math.Log(-x)}
-	default:
-		return SignedZero
-	}
-}
-
 // SignedFromLog builds a positive Signed with the given log-magnitude.
 func SignedFromLog(logAbs float64) Signed {
 	if math.IsInf(logAbs, -1) {
@@ -134,24 +104,6 @@ func (s Signed) IsZero() bool { return s.Sign == 0 }
 func (s Signed) Neg() Signed {
 	s.Sign = -s.Sign
 	return s
-}
-
-// Mul returns s * t.
-func (s Signed) Mul(t Signed) Signed {
-	if s.Sign == 0 || t.Sign == 0 {
-		return SignedZero
-	}
-	return Signed{Sign: s.Sign * t.Sign, Log: s.Log + t.Log}
-}
-
-// Div returns s / t; dividing by zero yields SignedZero (the callers treat
-// degenerate ratios as vanishing probability mass and fall back to Monte
-// Carlo estimation).
-func (s Signed) Div(t Signed) Signed {
-	if s.Sign == 0 || t.Sign == 0 {
-		return SignedZero
-	}
-	return Signed{Sign: s.Sign * t.Sign, Log: s.Log - t.Log}
 }
 
 // Add returns s + t.

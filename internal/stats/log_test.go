@@ -71,23 +71,6 @@ func TestLogAddCommutativeProperty(t *testing.T) {
 	}
 }
 
-func TestLogSumExpMatchesSequentialAdds(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, r := range raw {
-			xs = append(xs, math.Mod(r, 500))
-		}
-		seq := LogZero
-		for _, x := range xs {
-			seq = LogAdd(seq, x)
-		}
-		return almostEqual(LogSumExp(xs), seq, 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestLogBinomial(t *testing.T) {
 	tests := []struct {
 		n, k int
@@ -144,21 +127,28 @@ func TestLogBinomialHugeArguments(t *testing.T) {
 	}
 }
 
+// signed builds a Signed from an ordinary float64.
+func signed(x float64) Signed {
+	switch {
+	case x > 0:
+		return SignedFromLog(math.Log(x))
+	case x < 0:
+		return SignedFromLog(math.Log(-x)).Neg()
+	}
+	return SignedZero
+}
+
 func TestSignedArithmetic(t *testing.T) {
 	tests := []struct {
 		name string
 		got  Signed
 		want float64
 	}{
-		{"add same sign", NewSigned(3).Add(NewSigned(4)), 7},
-		{"add opposite", NewSigned(3).Add(NewSigned(-4)), -1},
-		{"add cancel", NewSigned(3).Add(NewSigned(-3)), 0},
-		{"sub", NewSigned(3).Sub(NewSigned(5)), -2},
-		{"mul", NewSigned(-3).Mul(NewSigned(4)), -12},
-		{"mul zero", NewSigned(0).Mul(NewSigned(4)), 0},
-		{"div", NewSigned(-12).Div(NewSigned(4)), -3},
-		{"div by zero", NewSigned(12).Div(SignedZero), 0},
-		{"neg", NewSigned(5).Neg(), -5},
+		{"add same sign", signed(3).Add(signed(4)), 7},
+		{"add opposite", signed(3).Add(signed(-4)), -1},
+		{"add cancel", signed(3).Add(signed(-3)), 0},
+		{"sub", signed(3).Sub(signed(5)), -2},
+		{"neg", signed(5).Neg(), -5},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -172,7 +162,7 @@ func TestSignedArithmetic(t *testing.T) {
 func TestSignedRoundTripProperty(t *testing.T) {
 	f := func(x float64) bool {
 		x = math.Mod(x, 1e100)
-		return almostEqual(NewSigned(x).Float(), x, 1e-12)
+		return almostEqual(signed(x).Float(), x, 1e-12)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -183,20 +173,8 @@ func TestSignedAddMatchesFloatProperty(t *testing.T) {
 	f := func(a, b float64) bool {
 		a = math.Mod(a, 1e50)
 		b = math.Mod(b, 1e50)
-		got := NewSigned(a).Add(NewSigned(b)).Float()
+		got := signed(a).Add(signed(b)).Float()
 		return almostEqual(got, a+b, 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSignedMulMatchesFloatProperty(t *testing.T) {
-	f := func(a, b float64) bool {
-		a = math.Mod(a, 1e50)
-		b = math.Mod(b, 1e50)
-		got := NewSigned(a).Mul(NewSigned(b)).Float()
-		return almostEqual(got, a*b, 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

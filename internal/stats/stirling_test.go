@@ -90,7 +90,7 @@ func TestStirlingSurjectionIdentityProperty(t *testing.T) {
 			if m-k == 0 {
 				term = SignedZero
 				if n == 0 {
-					term = NewSigned(1)
+					term = SignedFromLog(0)
 				}
 			}
 			if k%2 == 1 {

@@ -137,27 +137,33 @@ func parseGen(name string) (uint64, bool) {
 	return gen, true
 }
 
-// RecoveryInfo reports what LoadCheckpoint found.
+// RecoveryInfo reports what LoadCheckpoint or RestoreLatest found.
 type RecoveryInfo struct {
 	// Found reports whether any loadable checkpoint existed.
 	Found bool
 	// Gen and Path identify the generation loaded (when Found).
 	Gen  uint64
 	Path string
+	// Records is the source offset to replay from: the generation's
+	// Source.Records when Found, 0 for a fresh start.
+	Records uint64
 	// CorruptSkipped counts newer generations that were skipped as torn or
 	// corrupt before a good one decoded; SkipErr is why the newest of them
 	// was — an older format version reads "unsupported checkpoint version".
 	CorruptSkipped int
 	SkipErr        error
 	// Stale reports that recovery stopped at generation Gen, restoring
-	// nothing, because it was cut further into the source file than the file
-	// is long now (see RestoreLatest).
+	// nothing (the engine is fresh), because it was cut further into the
+	// source file than the file is long now (see RestoreLatest).
 	Stale bool
 }
 
 // String renders the info for logs and /healthz.
 func (r RecoveryInfo) String() string {
 	if !r.Found {
+		if r.Stale {
+			return fmt.Sprintf("checkpoint generation %d is newer than its source file", r.Gen)
+		}
 		if r.CorruptSkipped > 0 {
 			return fmt.Sprintf("no loadable checkpoint (%d generation(s) skipped, newest: %v)", r.CorruptSkipped, r.SkipErr)
 		}
@@ -180,22 +186,25 @@ func LoadCheckpoint(dir string) (*EngineState, RecoveryInfo, error) {
 	return loadCheckpoint(dir, func(*EngineState) error { return nil })
 }
 
-// RestoreLatest restores an engine from the newest checkpoint in dir that
-// is good under cfg: it decodes (LoadCheckpoint's rule) and Restore takes
-// it. A generation Restore refuses — an estimator state of the wrong family,
-// a name the epoch's matcher does not hold — is skipped and counted like a
-// torn one. The exception is a FingerprintMismatchError: that is the
-// operator's configuration, no older generation would fare better, and it is
-// returned at once. Found false, with a nil engine, means "start fresh".
+// RestoreLatest is how an engine resumes (DESIGN.md §15): it returns the
+// engine to feed source to from info.Records on (Follow/FollowFile with
+// SkipRecords). That is the engine restored from the newest checkpoint in dir
+// that is good under cfg — it decodes (LoadCheckpoint's rule) and Restore
+// takes it — or, when there is none, a fresh New(cfg) with Records 0. A
+// generation Restore refuses — an estimator state of the wrong family, a name
+// the epoch's matcher does not hold — is skipped and counted like a torn one.
+// The exception is a FingerprintMismatchError: that is the operator's
+// configuration, no older generation would fare better, and it is returned at
+// once, with no engine.
 //
 // source, when non-empty, is the file the caller will replay from the
 // checkpoint's offset. A generation cut at more bytes of it (Source.Bytes)
 // than it holds now was taken of a file since truncated or replaced: it and
 // everything older is stale, and the walk ends there with Stale set — before
-// an engine exists, so none is left behind in cfg.Registry.
-func RestoreLatest(cfg Config, dir, source string) (*Engine, *EngineState, RecoveryInfo, error) {
+// an engine exists, so none but the fresh one is left in cfg.Registry.
+func RestoreLatest(cfg Config, dir, source string) (*Engine, RecoveryInfo, error) {
 	var eng *Engine
-	st, info, err := loadCheckpoint(dir, func(st *EngineState) (err error) {
+	_, info, err := loadCheckpoint(dir, func(st *EngineState) (err error) {
 		if source != "" && st.Source.Bytes > 0 {
 			if fi, statErr := os.Stat(source); statErr != nil || fi.Size() < st.Source.Bytes {
 				return errStale
@@ -204,7 +213,11 @@ func RestoreLatest(cfg Config, dir, source string) (*Engine, *EngineState, Recov
 		eng, err = Restore(cfg, st)
 		return err
 	})
-	return eng, st, info, err
+	if err != nil || info.Found {
+		return eng, info, err
+	}
+	eng, err = New(cfg)
+	return eng, info, err
 }
 
 var errStale = errors.New("stream: checkpoint is newer than its source file")
@@ -260,6 +273,7 @@ func loadCheckpoint(dir string, use func(*EngineState) error) (*EngineState, Rec
 		info.Found = true
 		info.Gen = gen
 		info.Path = path
+		info.Records = st.Source.Records
 		return st, info, nil
 	}
 	return nil, info, nil
@@ -284,9 +298,10 @@ type CheckpointConfig struct {
 	// durable trace prefix covers the cut, keeping replay-from-offset
 	// exactly-once.
 	PreSync func() error
-	// SourceMeta, when non-nil, describes the input file at cut time
-	// (called after PreSync); stored in SourcePos for staleness detection.
-	SourceMeta func() (path string, bytes int64)
+	// Source, when set, is the input file the fed records come from: each
+	// cut stats it (after PreSync) and stamps its path and size into
+	// SourcePos, the size RestoreLatest's staleness check compares against.
+	Source string
 	// Registry exports stream_checkpoint_* metrics when non-nil.
 	Registry *obs.Registry
 	// Clock overrides the wall-clock source behind the checkpoint-age gauge
@@ -528,8 +543,11 @@ func (c *Checkpointer) run(e *Engine, records uint64) error {
 		return fail(err)
 	}
 	st.Source.Records = records
-	if c.cfg.SourceMeta != nil {
-		st.Source.Path, st.Source.Bytes = c.cfg.SourceMeta()
+	if c.cfg.Source != "" {
+		st.Source.Path = c.cfg.Source
+		if fi, err := os.Stat(c.cfg.Source); err == nil {
+			st.Source.Bytes = fi.Size()
+		}
 	}
 	c.mu.Lock()
 	gen := c.nextGen

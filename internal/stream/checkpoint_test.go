@@ -2,6 +2,7 @@ package stream_test
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"os"
@@ -48,20 +49,49 @@ func runUninterrupted(tb testing.TB, cfg stream.Config, delivered trace.Observed
 	return land, eng.Stats()
 }
 
+// writeJSONL writes recs to path as a JSON-lines trace and returns path.
+func writeJSONL(tb testing.TB, path string, recs trace.Observed) string {
+	tb.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer f.Close()
+	if err := trace.WriteObservedJSONL(f, recs); err != nil {
+		tb.Fatal(err)
+	}
+	return path
+}
+
+// resume is the one recovery path (DESIGN.md §15), as cmd/vantage and
+// botmeter -follow run it: RestoreLatest over dir, then FollowFile over
+// source from the offset it recovered, checkpointing into ck (when non-nil)
+// along the way.
+func resume(tb testing.TB, cfg stream.Config, dir, source string, ck *stream.Checkpointer) (*stream.Engine, stream.RecoveryInfo) {
+	tb.Helper()
+	eng, info, err := stream.RestoreLatest(cfg, dir, source)
+	if err != nil {
+		tb.Fatalf("RestoreLatest: %v", err)
+	}
+	if _, err := eng.FollowFile(context.Background(), source, stream.FollowOptions{SkipRecords: info.Records, Checkpoint: ck}); err != nil {
+		tb.Fatalf("FollowFile (resume): %v", err)
+	}
+	return eng, info
+}
+
 // runKilledAndResumed feeds delivered while checkpointing every
 // checkpointEvery records, kills the engine (no flush, no final
-// checkpoint) right after record killAt, then recovers: load the newest
-// good checkpoint, restore an engine from it (shard count adopted from the
-// snapshot), and replay the input from the checkpoint's record offset —
-// checkpointing along the way too, so the second leg writes further
-// generations into the same directory.
-func runKilledAndResumed(tb testing.TB, cfg stream.Config, delivered trace.Observed, dir string, killAt int, checkpointEvery uint64) (*core.Landscape, stream.Stats) {
+// checkpoint) right after record killAt, then recovers through resume over
+// source, the delivered records written as a trace — checkpointing along
+// the way too, so the second leg writes further generations into the same
+// directory.
+func runKilledAndResumed(tb testing.TB, cfg stream.Config, delivered trace.Observed, source, dir string, killAt int, checkpointEvery uint64) (*core.Landscape, stream.Stats) {
 	tb.Helper()
 	eng, err := stream.New(cfg)
 	if err != nil {
 		tb.Fatalf("stream.New: %v", err)
 	}
-	ck, err := stream.NewCheckpointer(stream.CheckpointConfig{Dir: dir, EveryRecords: checkpointEvery})
+	ck, err := stream.NewCheckpointer(stream.CheckpointConfig{Dir: dir, EveryRecords: checkpointEvery, Source: source})
 	if err != nil {
 		tb.Fatalf("NewCheckpointer: %v", err)
 	}
@@ -79,41 +109,14 @@ func runKilledAndResumed(tb testing.TB, cfg stream.Config, delivered trace.Obser
 	// tests; here we let it land so the recovery point is deterministic.
 	ck.Close() //nolint:errcheck // in-flight write only
 
-	state, info, err := stream.LoadCheckpoint(dir)
-	if err != nil {
-		tb.Fatalf("LoadCheckpoint: %v", err)
-	}
-	var resumed *stream.Engine
-	var skip uint64
-	if info.Found {
-		resumedCfg := cfg
-		resumedCfg.Shards = 0 // adopt the checkpoint's shard count
-		resumed, err = stream.Restore(resumedCfg, state)
-		if err != nil {
-			tb.Fatalf("Restore: %v", err)
-		}
-		skip = state.Source.Records
-		if skip > uint64(killAt) {
-			tb.Fatalf("checkpoint claims %d records consumed, only %d were fed", skip, killAt)
-		}
-	} else {
-		// Killed before the first checkpoint landed: fresh start.
-		resumed, err = stream.New(cfg)
-		if err != nil {
-			tb.Fatalf("stream.New (fresh resume): %v", err)
-		}
-	}
-	ck2, err := stream.NewCheckpointer(stream.CheckpointConfig{Dir: dir, EveryRecords: checkpointEvery})
+	// Killed before the first checkpoint landed, resume starts fresh.
+	ck2, err := stream.NewCheckpointer(stream.CheckpointConfig{Dir: dir, EveryRecords: checkpointEvery, Source: source})
 	if err != nil {
 		tb.Fatalf("NewCheckpointer (resume): %v", err)
 	}
-	for i := int(skip); i < len(delivered); i++ {
-		if err := resumed.Observe(delivered[i]); err != nil {
-			tb.Fatalf("Observe (resume): %v", err)
-		}
-		if err := ck2.Maybe(resumed, uint64(i+1)); err != nil {
-			tb.Fatalf("Maybe (resume): %v", err)
-		}
+	resumed, info := resume(tb, cfg, dir, source, ck2)
+	if info.Records > uint64(killAt) {
+		tb.Fatalf("checkpoint claims %d records consumed, only %d were fed", info.Records, killAt)
 	}
 	if err := ck2.Close(); err != nil {
 		tb.Fatalf("checkpointer close: %v", err)
@@ -145,6 +148,7 @@ func TestKillResumeDifferential(t *testing.T) {
 			if len(delivered) < 500 {
 				t.Fatalf("trace too small for a meaningful differential: %d records", len(delivered))
 			}
+			source := writeJSONL(t, filepath.Join(t.TempDir(), "obs.jsonl"), delivered)
 			for _, shards := range []int{1, 4} {
 				coreCfg := core.Config{
 					Family:        tc.spec,
@@ -179,7 +183,7 @@ func TestKillResumeDifferential(t *testing.T) {
 						if tc.estimators != nil {
 							cfg.Core.Estimators = tc.estimators()
 						}
-						got, gotStats := runKilledAndResumed(t, cfg, delivered, t.TempDir(), killAt, checkpointEvery)
+						got, gotStats := runKilledAndResumed(t, cfg, delivered, source, t.TempDir(), killAt, checkpointEvery)
 						requireEqualLandscapes(t, want, got)
 						if gotBytes := landscapeBytes(t, got); !bytes.Equal(wantBytes, gotBytes) {
 							t.Fatalf("landscape JSON differs after kill-resume:\nwant %s\ngot  %s", wantBytes, gotBytes)
@@ -213,6 +217,7 @@ func TestKillMidCheckpoint(t *testing.T) {
 	}
 	want, _ := runUninterrupted(t, streamCfg, delivered)
 	wantBytes := landscapeBytes(t, want)
+	source := writeJSONL(t, filepath.Join(t.TempDir(), "obs.jsonl"), delivered)
 
 	for _, nth := range []uint64{1, 3} { // die writing the 1st / the 3rd checkpoint
 		t.Run(fmt.Sprintf("occurrence=%d", nth), func(t *testing.T) {
@@ -226,7 +231,7 @@ func TestKillMidCheckpoint(t *testing.T) {
 				t.Fatalf("stream.New: %v", err)
 			}
 			ck, err := stream.NewCheckpointer(stream.CheckpointConfig{
-				Dir: dir, EveryRecords: checkpointEvery, Crash: crash,
+				Dir: dir, EveryRecords: checkpointEvery, Crash: crash, Source: source,
 			})
 			if err != nil {
 				t.Fatalf("NewCheckpointer: %v", err)
@@ -260,35 +265,13 @@ func TestKillMidCheckpoint(t *testing.T) {
 			if !hasTmpCheckpoint(t, dir) {
 				t.Fatal("expected a torn .tmp- checkpoint file after the mid-write crash")
 			}
-			state, info, err := stream.LoadCheckpoint(dir)
-			if err != nil {
-				t.Fatalf("LoadCheckpoint: %v", err)
-			}
+			resumed, info := resume(t, streamCfg, dir, source, nil)
 			if nth == 1 {
 				if info.Found {
 					t.Fatalf("no checkpoint ever completed, yet recovery found generation %d", info.Gen)
 				}
 			} else if !info.Found {
 				t.Fatal("expected a completed earlier generation to recover from")
-			}
-
-			var resumed *stream.Engine
-			var skip uint64
-			if info.Found {
-				cfg := streamCfg
-				cfg.Shards = 0
-				resumed, err = stream.Restore(cfg, state)
-				if err != nil {
-					t.Fatalf("Restore: %v", err)
-				}
-				skip = state.Source.Records
-			} else if resumed, err = stream.New(streamCfg); err != nil {
-				t.Fatalf("stream.New: %v", err)
-			}
-			for i := int(skip); i < len(delivered); i++ {
-				if err := resumed.Observe(delivered[i]); err != nil {
-					t.Fatalf("Observe (resume): %v", err)
-				}
 			}
 			land, err := resumed.Close()
 			if err != nil {
@@ -427,7 +410,7 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 			cfg2 := streamCfg
 			cfg2.Shards = 0
 			cfg2.Core.Estimators = tc.estimators()
-			resumed, state, info, err := stream.RestoreLatest(cfg2, dir, "")
+			resumed, info, err := stream.RestoreLatest(cfg2, dir, "")
 			if err != nil {
 				t.Fatalf("RestoreLatest: %v", err)
 			}
@@ -440,7 +423,7 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 			if info.CorruptSkipped != 1 {
 				t.Fatalf("CorruptSkipped = %d, want 1", info.CorruptSkipped)
 			}
-			for i := int(state.Source.Records); i < len(delivered); i++ {
+			for i := int(info.Records); i < len(delivered); i++ {
 				if err := resumed.Observe(delivered[i]); err != nil {
 					t.Fatalf("Observe (resume): %v", err)
 				}
@@ -456,11 +439,12 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 			// Corrupt the fallback too: recovery must degrade to "start
 			// fresh", never to an error or a half-loaded state.
 			c.corrupt(t, stream.CheckpointPath(dir, info.Gen))
-			fresh, _, info2, err := stream.RestoreLatest(cfg2, dir, "")
+			fresh, info2, err := stream.RestoreLatest(cfg2, dir, "")
 			if err != nil {
 				t.Fatalf("RestoreLatest (all corrupt): %v", err)
 			}
-			if info2.Found || fresh != nil {
+			defer fresh.Kill()
+			if info2.Found || info2.Records != 0 || fresh.Stats().Ingested != 0 {
 				t.Fatal("every generation is corrupt, yet recovery found one")
 			}
 			if info2.CorruptSkipped != 2 {
@@ -498,10 +482,7 @@ func TestRestoreLatestStaleSource(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ck, err := stream.NewCheckpointer(stream.CheckpointConfig{
-		Dir:        dir,
-		SourceMeta: func() (string, int64) { return source, 100 },
-	})
+	ck, err := stream.NewCheckpointer(stream.CheckpointConfig{Dir: dir, Source: source})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,8 +491,8 @@ func TestRestoreLatestStaleSource(t *testing.T) {
 	}
 	eng.Kill()
 
-	restored, _, info, err := stream.RestoreLatest(cfg, dir, source)
-	if err != nil || !info.Found || info.Stale {
+	restored, info, err := stream.RestoreLatest(cfg, dir, source)
+	if err != nil || !info.Found || info.Stale || info.Records != uint64(len(delivered)/2) {
 		t.Fatalf("source as long as the cut: %+v, %v; want the generation restored", info, err)
 	}
 	restored.Kill()
@@ -521,19 +502,18 @@ func TestRestoreLatestStaleSource(t *testing.T) {
 	if err := os.Truncate(source, 99); err != nil {
 		t.Fatal(err)
 	}
-	restored, st, info, err := stream.RestoreLatest(cfg, dir, source)
-	if err != nil || restored != nil || st != nil || info.Found || !info.Stale || info.Gen != ck.Stats().Gen {
-		t.Fatalf("truncated source: engine %v, %+v, %v; want nothing restored and generation %d stale", restored, info, err, ck.Stats().Gen)
-	}
-	fresh, err := stream.New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	fresh, info, err := stream.RestoreLatest(cfg, dir, source)
+	if err != nil || info.Found || !info.Stale || info.Records != 0 || info.Gen != ck.Stats().Gen {
+		t.Fatalf("truncated source: %+v, %v; want nothing restored and generation %d stale", info, err, ck.Stats().Gen)
 	}
 	defer fresh.Kill()
+	if st := fresh.Stats(); st.Ingested != 0 || st.Retained != 0 {
+		t.Errorf("truncated source: engine stats %+v, want a fresh engine", st)
+	}
 	if got := reg.GaugeValue(stream.MetricRetained); got != 0 {
 		t.Errorf("%s = %v after a stale checkpoint was passed over, want 0", stream.MetricRetained, got)
 	}
-	unchecked, _, info, err := stream.RestoreLatest(stream.Config{Core: cfg.Core, Shards: 1}, dir, "")
+	unchecked, info, err := stream.RestoreLatest(stream.Config{Core: cfg.Core, Shards: 1}, dir, "")
 	if err != nil || !info.Found {
 		t.Fatalf("no source named: %+v, %v; want the generation restored", info, err)
 	}

@@ -18,7 +18,8 @@ type FollowOptions struct {
 	// Poll is the tail polling interval once EOF is reached (0 = 200 ms).
 	Poll time.Duration
 	// Live, when false, stops at the first EOF instead of tailing — the
-	// one-shot replay mode.
+	// one-shot replay mode. Only FollowFile tails; Follow reads its reader
+	// to EOF whatever Live says.
 	Live bool
 	// SkipRecords discards the first N well-formed records without feeding
 	// them to the engine — the resume-from-checkpoint replay: the engine
@@ -32,18 +33,13 @@ type FollowOptions struct {
 	Checkpoint *Checkpointer
 }
 
-// Follow feeds the JSON-lines records of r into the engine until the reader
-// is exhausted (Live=false) or the context is cancelled (Live=true). It
-// returns the reader's tally; the engine is left open so the caller
-// decides when to Close and render the final landscape.
-func (e *Engine) Follow(ctx context.Context, r io.Reader, opt FollowOptions) (trace.ReadResult, error) {
-	if opt.Live {
-		r = trace.NewTailReader(ctx, r, opt.Poll)
-	}
+// Follow feeds the JSON-lines records of r into the engine until r is
+// exhausted. It returns the reader's tally — Records counts the skipped
+// prefix too, so it is the source position the next checkpoint or resume
+// starts from; the engine is left open so the caller decides when to Close
+// and render the final landscape.
+func (e *Engine) Follow(r io.Reader, opt FollowOptions) (trace.ReadResult, error) {
 	var consumed uint64
-	// Cancellation flows through the TailReader (it surfaces EOF), so
-	// records already buffered by the parser still reach the engine and
-	// Follow returns nil on a clean shutdown.
 	return trace.StreamObserved(r, trace.ReadOptions{Lenient: opt.Lenient}, func(rec trace.ObservedRecord) error {
 		consumed++
 		if consumed <= opt.SkipRecords {
@@ -61,10 +57,12 @@ func (e *Engine) Follow(ctx context.Context, r io.Reader, opt FollowOptions) (tr
 
 // FollowFile opens path and Follows it. The file is opened at the start
 // (not the end): a landscape needs the already-captured epochs too. In
-// Live mode the file is tailed rotation-aware (trace.TailFile): an
-// in-place truncation or a rename-and-recreate is survived by reopening
-// and resyncing to a record boundary, counted under
-// stream_source_rotations_total.
+// Live mode the file is tailed rotation-aware (trace.TailFile) until ctx is
+// cancelled: an in-place truncation or a rename-and-recreate is survived by
+// reopening and resyncing to a record boundary, counted under
+// stream_source_rotations_total. Cancellation surfaces as EOF, so records the
+// parser already holds still reach the engine and a clean shutdown returns
+// nil.
 func (e *Engine) FollowFile(ctx context.Context, path string, opt FollowOptions) (trace.ReadResult, error) {
 	if opt.Live {
 		tf, err := trace.NewTailFile(ctx, path, opt.Poll)
@@ -73,15 +71,12 @@ func (e *Engine) FollowFile(ctx context.Context, path string, opt FollowOptions)
 		}
 		defer tf.Close()
 		tf.OnRotate = func() { e.m.rotations.Inc() }
-		// TailFile already blocks at EOF; don't double-wrap in a TailReader.
-		inner := opt
-		inner.Live = false
-		return e.Follow(ctx, tf, inner)
+		return e.Follow(tf, opt)
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		return trace.ReadResult{}, fmt.Errorf("stream: %w", err)
 	}
 	defer f.Close()
-	return e.Follow(ctx, f, opt)
+	return e.Follow(f, opt)
 }

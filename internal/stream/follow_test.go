@@ -17,16 +17,7 @@ func followTrace(tb testing.TB, dir string) (string, trace.Observed) {
 	tb.Helper()
 	spec, _ := testConfig()
 	recs := synthTrace(tb, spec, 7, 3, 2, 2)
-	path := filepath.Join(dir, "obs.jsonl")
-	f, err := os.Create(path)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	defer f.Close()
-	if err := trace.WriteObservedJSONL(f, recs); err != nil {
-		tb.Fatal(err)
-	}
-	return path, recs
+	return writeJSONL(tb, filepath.Join(dir, "obs.jsonl"), recs), recs
 }
 
 // TestFollowFileOneShot: FollowFile over a finished capture must chart it

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -303,6 +304,7 @@ func TestNWayMergeKillResume(t *testing.T) {
 	// Vantage 1 crashes while WRITING a checkpoint, recovers from the
 	// newest good generation, and replays the rest of its partition.
 	dir := t.TempDir()
+	source := writeJSONL(t, filepath.Join(t.TempDir(), "obs.jsonl"), parts[1])
 	crash := faults.NewCrasher(faults.CrashSpec{Point: "checkpoint-write", PointNth: 2})
 	type crashed struct{ reason string }
 	crash.Die = func(reason string) { panic(crashed{reason}) }
@@ -311,7 +313,7 @@ func TestNWayMergeKillResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stream.New(vantage-1): %v", err)
 	}
-	ck, err := stream.NewCheckpointer(stream.CheckpointConfig{Dir: dir, EveryRecords: checkpointEvery, Crash: crash})
+	ck, err := stream.NewCheckpointer(stream.CheckpointConfig{Dir: dir, EveryRecords: checkpointEvery, Crash: crash, Source: source})
 	if err != nil {
 		t.Fatalf("NewCheckpointer: %v", err)
 	}
@@ -339,23 +341,9 @@ func TestNWayMergeKillResume(t *testing.T) {
 	}
 	eng.Kill()
 
-	state, info, err := stream.LoadCheckpoint(dir)
-	if err != nil {
-		t.Fatalf("LoadCheckpoint: %v", err)
-	}
+	resumed, info := resume(t, cfg1, dir, source, nil)
 	if !info.Found {
 		t.Fatal("expected a completed checkpoint generation to recover from")
-	}
-	resumeCfg := cfg1
-	resumeCfg.Shards = 0
-	resumed, err := stream.Restore(resumeCfg, state)
-	if err != nil {
-		t.Fatalf("Restore(vantage-1): %v", err)
-	}
-	for i := state.Source.Records; i < uint64(len(parts[1])); i++ {
-		if err := resumed.Observe(parts[1][i]); err != nil {
-			t.Fatalf("Observe(vantage-1 resume): %v", err)
-		}
 	}
 	resumedState, err := resumed.ExportState()
 	if err != nil {

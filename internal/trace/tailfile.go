@@ -8,14 +8,20 @@ import (
 	"time"
 )
 
-// TailFile is TailReader with file-lifecycle awareness: it survives the
-// two things that happen to long-lived capture files in production —
-// truncation in place (an operator zeroing the file to reclaim space) and
-// rotation (the file renamed away and a fresh one created at the same
-// path). A plain TailReader holds a file descriptor whose offset points
-// past the new end, so it blocks forever on the old inode; TailFile
-// detects both cases at its EOF poll, reopens, and resumes from the top of
-// the new content. This is `tail -F` as a composable reader.
+// TailFile adapts a growing file to io.Reader semantics suitable for the
+// incremental parsers: a read that hits EOF blocks, polling for new data,
+// until the context is cancelled — at which point EOF is finally surfaced
+// and the parser terminates cleanly on whatever was read. The line framing
+// above it guarantees a torn final line (appender crashed mid-record) is
+// only ever seen at shutdown, where lenient mode skips and counts it.
+//
+// It also survives the two things that happen to long-lived capture files
+// in production — truncation in place (an operator zeroing the file to
+// reclaim space) and rotation (the file renamed away and a fresh one
+// created at the same path). A descriptor held across either has its
+// offset past the new end, so it would block forever on the old inode;
+// TailFile detects both cases at its EOF poll, reopens, and resumes from
+// the top of the new content. This is `tail -F` as a composable reader.
 //
 // Resynchronisation: a rotation can land mid-line — TailFile may have
 // already delivered the head of a record whose tail vanished with the old
