@@ -47,8 +47,10 @@ func (s Spec) Validate() error {
 }
 
 // Interval returns the gap to use before the i-th lookup of an activation,
-// drawing jitter from rng when the family has no fixed interval.
-func (s Spec) Interval(rng *sim.RNG) sim.Time {
+// drawing jitter from rng when the family has no fixed interval. It takes a
+// pointer, unlike Spec's other methods: the simulator calls it once per
+// query, and a value receiver copied the whole Spec each time.
+func (s *Spec) Interval(rng *sim.RNG) sim.Time {
 	if s.QueryInterval > 0 {
 		return s.QueryInterval
 	}

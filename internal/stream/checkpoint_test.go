@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -299,7 +300,8 @@ func hasTmpCheckpoint(tb testing.TB, dir string) bool {
 }
 
 // TestCorruptCheckpointFallback corrupts the newest generation on disk
-// (bit flip, truncation, a name the matcher cannot attribute) and verifies
+// (bit flip, truncation, a name or a domain key the matcher cannot
+// attribute, domain keys out of order or repeated) and verifies
 // recovery (RestoreLatest) falls back to the previous good generation — and still reproduces the uninterrupted landscape. With
 // every generation corrupted, recovery reports "nothing to restore"
 // rather than failing.
@@ -322,6 +324,8 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 	corruptions := []struct {
 		name    string
 		corrupt func(tb testing.TB, path string)
+		// why, when set, is part of the reason recovery gives for the skip.
+		why string
 	}{
 		{"bit-flip", func(tb testing.TB, path string) {
 			data, err := os.ReadFile(path)
@@ -332,7 +336,7 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				tb.Fatalf("WriteFile: %v", err)
 			}
-		}},
+		}, ""},
 		{"truncated", func(tb testing.TB, path string) {
 			fi, err := os.Stat(path)
 			if err != nil {
@@ -341,35 +345,34 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 			if err := os.Truncate(path, fi.Size()/2); err != nil {
 				tb.Fatalf("Truncate: %v", err)
 			}
-		}},
+		}, ""},
 		// A file that is whole — framing and checksum hold — but whose state
 		// names a domain the restoring engine's matcher cannot attribute: it
 		// decodes, and only the restore can tell.
-		{"unattributable domain", func(tb testing.TB, path string) {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				tb.Fatalf("ReadFile: %v", err)
-			}
-			st, err := stream.DecodeCheckpoint(data)
-			if err != nil {
-				tb.Fatalf("DecodeCheckpoint: %v", err)
-			}
-			damaged := false
+		{"unattributable domain", damaged(func(st *stream.EngineState) bool {
 			for _, sh := range st.Shards {
 				for i := range sh.Buffer {
-					sh.Buffer[i].Domain, damaged = "not-in-any-pool.example", true
+					sh.Buffer[i].Domain = "not-in-any-pool.example"
+				}
+				if len(sh.Buffer) > 0 {
+					return true
 				}
 			}
-			if !damaged {
-				tb.Fatal("checkpoint holds no buffered record to damage")
-			}
-			if data, err = stream.EncodeCheckpoint(st); err != nil {
-				tb.Fatalf("EncodeCheckpoint: %v", err)
-			}
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				tb.Fatalf("WriteFile: %v", err)
-			}
-		}},
+			return false
+		}), ""},
+		// Whole files whose domain keys are out of order or repeated: the
+		// decoder refuses them.
+		{"non-ascending domain keys", damaged(func(st *stream.EngineState) bool {
+			return damageKeys(st, func(ks []stream.DomainKey) { ks[0], ks[1] = ks[1], ks[0] })
+		}), "not above the one before"},
+		{"duplicate domain key", damaged(func(st *stream.EngineState) bool {
+			return damageKeys(st, func(ks []stream.DomainKey) { ks[1] = ks[0] })
+		}), "not above the one before"},
+		// A whole file with a key past the end of its epoch's pool and
+		// collisions: it decodes, and only the restore can tell.
+		{"unattributable domain key", damaged(func(st *stream.EngineState) bool {
+			return damageKeys(st, func(ks []stream.DomainKey) { ks[len(ks)-1] |= math.MaxInt32 })
+		}), "does not attribute"},
 	}
 	for _, c := range corruptions {
 		t.Run(c.name, func(t *testing.T) {
@@ -423,6 +426,9 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 			if info.CorruptSkipped != 1 {
 				t.Fatalf("CorruptSkipped = %d, want 1", info.CorruptSkipped)
 			}
+			if c.why != "" && !strings.Contains(fmt.Sprint(info.SkipErr), c.why) {
+				t.Fatalf("generation %d was skipped for %v, want a reason naming %q", st.Gen, info.SkipErr, c.why)
+			}
 			for i := int(info.Records); i < len(delivered); i++ {
 				if err := resumed.Observe(delivered[i]); err != nil {
 					t.Fatalf("Observe (resume): %v", err)
@@ -452,6 +458,45 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 			}
 		})
 	}
+}
+
+// damaged returns a corruption that decodes the checkpoint at path, applies
+// damage to its state and writes it back as a whole, well-framed file.
+// damage returns false when the state holds nothing of its kind.
+func damaged(damage func(*stream.EngineState) bool) func(tb testing.TB, path string) {
+	return func(tb testing.TB, path string) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			tb.Fatalf("ReadFile: %v", err)
+		}
+		st, err := stream.DecodeCheckpoint(data)
+		if err != nil {
+			tb.Fatalf("DecodeCheckpoint: %v", err)
+		}
+		if !damage(st) {
+			tb.Fatal("checkpoint holds nothing to damage")
+		}
+		if data, err = stream.EncodeCheckpoint(st); err != nil {
+			tb.Fatalf("EncodeCheckpoint: %v", err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			tb.Fatalf("WriteFile: %v", err)
+		}
+	}
+}
+
+// damageKeys applies damage to the first server's domain keys that has at
+// least two.
+func damageKeys(st *stream.EngineState, damage func([]stream.DomainKey)) bool {
+	for _, sh := range st.Shards {
+		for _, sv := range sh.Servers {
+			if len(sv.Domains) >= 2 {
+				damage(sv.Domains)
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // TestRestoreLatestStaleSource: a checkpoint cut further into the source file
@@ -627,42 +672,42 @@ func TestExportStateStableBytes(t *testing.T) {
 
 // TestCheckpointBytesPinned: a vantage upgraded in place resumes from the
 // generations its predecessor wrote, and a coordinator decodes what vantages
-// of other builds serve, so the bytes of a checkpoint — format v5, field
-// order, set order, candidate order, domain order — are part of the
-// contract. The hashes were recorded when v5 was introduced (stable over
+// of other builds serve, so the bytes of a checkpoint — format v6, field
+// order, set order, candidate order, domain-key order — are part of the
+// contract. The hashes were recorded when v6 was introduced (stable over
 // -count 3 -cpu 1,2,4); a change that moves them is a format change and
 // takes a new version number.
 func TestCheckpointBytesPinned(t *testing.T) {
 	want := map[string][3]string{
 		"MP-murofet": {
-			"a32397425a99c5d8c43b8c94674402af0d38670803371ce8daf3b2a0fbd146fd",
-			"016ac54350765e3ac9043f0d8b019684d473db63de532e31535a2663f0c09ba5",
-			"2cb168bfa1fd6570fa2822cbeac5be42bad40e5750ea64b7cc6139e6c8554e38",
+			"62bff58a81a67e0afb322b39d949ef23332560e74005690a8ff91c26fca8dc34",
+			"18edab4d6d69f773adfa0332ff5d25327a36a2cef9ad1736059d39a7d44b10fa",
+			"2c91f8a7f60f00be7d37c727ce67fecbf017e80322cf412bb6809c4f3eb27f9a",
 		},
 		"MB-newgoz": {
-			"90e8f9761a8fcea910b6c8fbd57aafcef039feba96bfcecd10ec3c5f34b0c7ae",
-			"4861581c50ff8ccb9a046757db98352fc38525bf08ce0ef0f9c73eee219ee3a9",
-			"e2892971c211279bd5072eed58a1c1df67726b3158add6e7beccc460ae6ceb1e",
+			"a49bcb89c2cc51f45bcb6c90b6d5514b73819606db0c98df9647a18b136ea86b",
+			"c2d27c469dea3f3cadd9b905b7964cd76b1079345fab853eb09f928884256e54",
+			"4df7f2dcd34c6405664dabe667406199a01779d5e426e83d9044b6405e6630f6",
 		},
 		"MT-murofet": {
-			"0db64ca7aea5f10c5092f5860f412217e1948026ecab932b8d4ea7e6599447d5",
-			"04949cee49fbd2e322792411d525714f795e33089c4153ff6a820ab8c200d4c3",
-			"2df8272194e73a3436774bb4974eec2e940fe766e65568d33ca6824967b60482",
+			"c797fa4ce53a03bcd5ecef8b50f65fa12f0c83b793f377fa764e387d43227bef",
+			"c6ee98bf57654f0ec07651359f38eb03618164839a4fb75227fafdfa490e2755",
+			"8c6741fbce624bbd9266e87b8f19a935bfae45ae065ebd7ff021ba503864da50",
 		},
 		"MB-C-newgoz": {
-			"d7be4e68f45fc27a498b53c722a7efc50b85ae5b758bedac7ce7378075f2b68d",
-			"c0388facf97daaa11437fc5625ec5780d52b73bb0e7e91eda244c150c9daab0e",
-			"387da56f069ec71b450f70509e24cf2133f61933a02871734154de6b51f8ce31",
+			"71cb8f5cd2ef7f5725f87b20ff4c731ebd47d1e7c166f54dddd1f4da0caa78c4",
+			"3e24fd3b6dd5890b0dbf6095e8936bb09758830cddbca0ed2840655ae6d6fb96",
+			"d8daa6ffead3223f8bcfa5ccff847e0a44a8971b5d43f58368a2f61b6f0b76ee",
 		},
 		"NC-murofet": {
-			"eab81cd9160276c3685c23e1c99e8b9dcee3a1b44b4c03671b8fab0e21025b5f",
-			"3c09e58e4ee49377f308cdb740bbcd0c41706bd09468f867bff424b0eb12fe78",
-			"9ff849390030597bb038f01ffa362f21ee5819b1d7d4c21ec91c84f63ea69ac2",
+			"9eec82e9f321760f9bd3f03e7e855b2ebc2e7b2c5d6a711cb0fb812559c5c1cc",
+			"6219e0404ae4820b07b4d2843391839c3fe835b4ed285dd4442e426459391675",
+			"ac2b8c504535e2d3088755b5dd3bba2200b411dc5c4a532b4c2cfd668595069e",
 		},
 		"set-murofet": {
-			"9daedff386bb6f8d880af0b1be146d3edf62f58a6460855a87cb648022c365dc",
-			"93f4d09b0931ef6c10d0b59c1780ae97f515bde1de0e4d1cdc4dfca8875d20d0",
-			"21ec2fab37b4311d69d8427367252778ffd1f89ec1d462616122f432c8e0ded1",
+			"1b247cfaa8d153cf58b7f36dd8c588864bab315912cc8621f12aa10763c7acd6",
+			"5c18c340ea15e25eb1b3a541498043e0b203fa397c3f1ab32eedf3feb8bf5acd",
+			"107b0c53357f45ab9fe964601892a50ec0f5cf7ba2d133382c4d52938c8ee6fc",
 		},
 	}
 	for _, tc := range diffCases() {
@@ -765,13 +810,14 @@ func TestCheckpointDecodeRejects(t *testing.T) {
 		"bad-version": func(b []byte) []byte { b[7] = 99; return b },
 		// Frames of an older format version — 1 predates the per-family cell
 		// layout, 2 carried a JSON payload, 3 a record list in every cell, 4
-		// one estimator per cell with an MT second opinion beside it — must
-		// be rejected by version, not misparsed, so recovery falls back to a
-		// clean cold start.
+		// one estimator per cell with an MT second opinion beside it, 5 each
+		// server's domains as names — must be rejected by version, not
+		// misparsed, so recovery falls back to a clean cold start.
 		"old-version-1":   func(b []byte) []byte { b[7] = 1; return b },
 		"old-version-2":   func(b []byte) []byte { b[7] = 2; return b },
 		"old-version-3":   func(b []byte) []byte { b[7] = 3; return b },
 		"old-version-4":   func(b []byte) []byte { b[7] = 4; return b },
+		"old-version-5":   func(b []byte) []byte { b[7] = 5; return b },
 		"length-mismatch": func(b []byte) []byte { return b[:len(b)-1] },
 		"payload-flip":    func(b []byte) []byte { b[len(b)-1] ^= 1; return b },
 		"checksum-flip":   func(b []byte) []byte { b[20] ^= 1; return b },
@@ -781,8 +827,8 @@ func TestCheckpointDecodeRejects(t *testing.T) {
 		_, err := stream.DecodeCheckpoint(data)
 		if err == nil {
 			t.Errorf("%s: DecodeCheckpoint accepted a corrupt frame", name)
-		} else if strings.Contains(name, "version") && !strings.Contains(err.Error(), "unsupported checkpoint version") {
-			t.Errorf("%s: refused with %q, not by version", name, err)
+		} else if strings.Contains(name, "version") && !strings.Contains(err.Error(), fmt.Sprintf("unsupported checkpoint version %d (want 6)", data[7])) {
+			t.Errorf("%s: refused with %q, not by its version", name, err)
 		}
 	}
 }

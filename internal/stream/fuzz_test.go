@@ -49,12 +49,12 @@ func seedFrames(f *testing.F) [][]byte {
 
 const frameHeader = 48
 
-// reframe puts a well-formed version-5 header — length and SHA-256 included —
+// reframe puts a well-formed version-6 header — length and SHA-256 included —
 // in front of payload: what a hostile vantage can do to any bytes it likes.
 func reframe(payload []byte) []byte {
 	frame := make([]byte, frameHeader, frameHeader+len(payload))
 	copy(frame, "BMCP")
-	binary.BigEndian.PutUint32(frame[4:], 5)
+	binary.BigEndian.PutUint32(frame[4:], 6)
 	binary.BigEndian.PutUint64(frame[8:], uint64(len(payload)))
 	sum := sha256.Sum256(payload)
 	copy(frame[16:], sum[:])

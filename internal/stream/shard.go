@@ -3,11 +3,12 @@ package stream
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
 	"botmeter/internal/estimators"
+	"botmeter/internal/matcher"
 	"botmeter/internal/obs"
 	"botmeter/internal/sim"
 	"botmeter/internal/trace"
@@ -287,14 +288,14 @@ func (s *shard) emitLocked(rec trace.ObservedRecord) {
 		s.servers[rec.Server] = sv
 	}
 	sv.matched++
-	sv.addDomain(rec.Domain)
+	sv.addDomain(rec.Domain, domainKey(epoch, rec.Pos))
 	s.countClosed(sv.walk.Observe(rec))
 	s.queueExpiryLocked(sv)
 }
 
 func (s *shard) newServer() *serverState {
 	return &serverState{
-		domains: make(map[string]struct{}),
+		domains: make(map[string]DomainKey),
 		walk:    s.eng.bm.NewWalk(nil),
 	}
 }
@@ -420,31 +421,33 @@ func (s *shard) retainInc(d int) {
 // walk and the tallies the landscape reports beside it.
 type serverState struct {
 	matched int
-	// domains is the distinct-domain set. sorted holds, ascending, the
-	// members the last export saw and fresh the ones added since, so an
-	// export sorts what is new and merges instead of sorting the set.
-	domains map[string]struct{}
-	sorted  []string
-	fresh   []string
+	// domains is the distinct-domain set, by canonical name, each under the
+	// first key the server met it at. sorted holds, ascending, the keys the
+	// last export saw and fresh the ones added since, so an export sorts
+	// what is new and merges instead of sorting the set.
+	domains map[string]DomainKey
+	sorted  []DomainKey
+	fresh   []DomainKey
 	walk    *estimators.Walk
 	// queued says the server sits on its shard's expiry heap.
 	queued bool
 }
 
-func (sv *serverState) addDomain(d string) {
-	n := len(sv.domains)
-	sv.domains[d] = struct{}{}
-	if len(sv.domains) > n {
-		sv.fresh = append(sv.fresh, d)
+// addDomain adds d, met at key k. A name already in the set keeps its key:
+// emission is timestamp-ordered, so that one is from the earliest epoch.
+func (sv *serverState) addDomain(d string, k DomainKey) {
+	if _, ok := sv.domains[d]; !ok {
+		sv.domains[d] = k
+		sv.fresh = append(sv.fresh, k)
 	}
 }
 
-// sortedDomains returns the distinct domains ascending, in a slice of the
-// caller's own: sort the additions, merge them into sorted from the back,
-// copy out.
-func (sv *serverState) sortedDomains() []string {
+// sortedKeys returns the domain keys ascending, in a slice of the caller's
+// own: sort the additions, merge them into sorted from the back, copy out.
+// Distinct names have distinct keys, so the result is strictly ascending.
+func (sv *serverState) sortedKeys() []DomainKey {
 	if len(sv.fresh) > 0 {
-		sort.Strings(sv.fresh)
+		slices.Sort(sv.fresh)
 		i, j := len(sv.sorted)-1, len(sv.fresh)-1
 		sv.sorted = append(sv.sorted, sv.fresh...)
 		for k := len(sv.sorted) - 1; j >= 0; k-- {
@@ -456,12 +459,38 @@ func (sv *serverState) sortedDomains() []string {
 				j--
 			}
 		}
-		sv.fresh = nil
+		sv.fresh = sv.fresh[:0]
 	}
 	if len(sv.sorted) == 0 {
 		return nil
 	}
-	return append([]string(nil), sv.sorted...)
+	return slices.Clone(sv.sorted)
+}
+
+// importDomains loads a checkpoint's domain keys into an empty set. Each key
+// must be one its epoch's matcher attributes, and the list strictly
+// ascending. A name that an earlier key already brought in is passed over:
+// the smaller key wins, which is where the duplicates of a merged state —
+// one name met first in different epochs at different vantages — collapse.
+func (sv *serverState) importDomains(keys []DomainKey, matchers func(epoch int) *matcher.Attribution) error {
+	sv.domains = make(map[string]DomainKey, len(keys))
+	sv.sorted = make([]DomainKey, 0, len(keys))
+	for i, k := range keys {
+		if i > 0 && k <= keys[i-1] {
+			return fmt.Errorf("domain keys not strictly ascending at %d: %#x after %#x", i, k, keys[i-1])
+		}
+		a := matchers(k.Epoch())
+		if !a.Valid(k.Pos()) {
+			return fmt.Errorf("epoch %d: domain key %#x names position %d, which the epoch's matcher does not attribute", k.Epoch(), k, k.Pos())
+		}
+		name := a.Name(k.Pos())
+		if _, dup := sv.domains[name]; dup {
+			continue
+		}
+		sv.domains[name] = k
+		sv.sorted = append(sv.sorted, k)
+	}
+	return nil
 }
 
 // expiryEntry queues one server at the time its oldest candidate expires.

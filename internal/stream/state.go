@@ -31,12 +31,17 @@ import (
 //   - Order-insensitive state (domain sets, per-epoch maps, server maps) is
 //     exported sorted, so the same engine state always serializes to the
 //     same bytes and checkpoints diff cleanly.
-//   - What the engine holds in memory as pool positions (MT candidates,
+//   - A server's distinct-domain set is serialized as domain keys
+//     (DomainKey): an (epoch, pool position) pair each, which the
+//     fingerprint — family, seed, detection — makes mean one name in every
+//     process. Restore turns a key back into its name through the epoch's
+//     matcher (matcher.Attribution.Valid, then Name).
+//   - What else the engine holds as pool positions (MT candidates,
 //     buffered records) is serialized as names, through the
 //     epoch's matcher (matcher.Attribution.Name), and restored through the
 //     same Resolve every ingested record goes through. A name that matcher
-//     does not hold fails the restore: the fingerprint pins family, seed and
-//     detection, so it can only come from a damaged state.
+//     does not hold, like a key it would not attribute, fails the restore:
+//     it can only come from a damaged state.
 
 // Fingerprint pins the configuration a checkpoint was taken under. Restore
 // refuses a state whose fingerprint differs from the restoring engine's:
@@ -158,17 +163,41 @@ type RecordEntry struct {
 }
 
 // ServerState is one forwarding server's accumulated landscape state: its
-// tallies and what its walk exports — each closed epoch's values and each
-// open cell's statistics, one per estimator of the set. What is inside a
-// statistic is the estimators package's business; this package moves it
-// and gives it bytes (statecodec.go).
+// tallies, its distinct-domain set and what its walk exports — each closed
+// epoch's values and each open cell's statistics, one per estimator of the
+// set. What is inside a statistic is the estimators package's business;
+// this package moves it and gives it bytes (statecodec.go).
 type ServerState struct {
 	Name    string
 	Matched int
-	Domains []string
+	// Domains is the distinct-domain set as strictly ascending keys. An
+	// engine's export holds one key per name; a merged state may hold one
+	// name under several keys, which a restore collapses to the smallest.
+	Domains []DomainKey
 	Closed  []estimators.EpochValues
 	Open    []estimators.CellState
 }
+
+// DomainKey names a domain by where a server first met it: the epoch in the
+// high 32 bits (two's complement), the name's position in that epoch's
+// matcher in the low 32 (matcher.Attribution). A position is a function of
+// the family, seed and detection the fingerprint pins, so a key names the
+// same domain in every process. The reverse does not hold: one name sits at
+// several keys when pools repeat or overlap across epochs (a pool period, a
+// sliding window) or short names coincide at random, so a server keeps each
+// name under the first key it met it at — for epochs ≥ 0 the smallest, as
+// emission is timestamp-ordered.
+type DomainKey uint64
+
+func domainKey(epoch int, pos int32) DomainKey {
+	return DomainKey(uint64(uint32(epoch))<<32 | uint64(uint32(pos)))
+}
+
+// Epoch is the epoch whose matcher the key's position belongs to.
+func (k DomainKey) Epoch() int { return int(int32(k >> 32)) }
+
+// Pos is the position in the epoch's matcher.
+func (k DomainKey) Pos() int32 { return int32(uint32(k)) }
 
 // ExportState captures the engine's complete serializable state through a
 // per-shard barrier: each shard drains its already-delivered records, then
@@ -296,7 +325,7 @@ func (s *shard) exportLocked() ShardState {
 	sort.Strings(names)
 	for _, name := range names {
 		sv := s.servers[name]
-		ss := ServerState{Name: name, Matched: sv.matched, Domains: sv.sortedDomains()}
+		ss := ServerState{Name: name, Matched: sv.matched, Domains: sv.sortedKeys()}
 		ss.Closed, ss.Open = sv.walk.Export(s.eng.bm.Matcher)
 		st.Servers = append(st.Servers, ss)
 	}
@@ -339,10 +368,8 @@ func (s *shard) importState(st ShardState) error {
 	for _, ss := range st.Servers {
 		sv := s.newServer()
 		sv.matched = ss.Matched
-		// The order a checkpoint lists domains in is not trusted: they all
-		// count as additions, and the first export sorts them.
-		for _, d := range ss.Domains {
-			sv.addDomain(d)
+		if err := sv.importDomains(ss.Domains, e.bm.Matcher); err != nil {
+			return fmt.Errorf("server %s: %w", ss.Name, err)
 		}
 		if err := sv.walk.Restore(ss.Closed, ss.Open, s.eng.bm.Matcher); err != nil {
 			return fmt.Errorf("server %s %w", ss.Name, err)
@@ -360,16 +387,4 @@ func (s *shard) importState(st ShardState) error {
 		s.wmGauge.Set(float64(s.watermark))
 	}
 	return nil
-}
-
-func sortedKeys(m map[string]struct{}) []string {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
