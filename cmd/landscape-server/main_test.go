@@ -310,10 +310,52 @@ func TestFederationEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GET /landscape after push: %v", err)
 	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
+	pushed, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if newTag := resp.Header.Get("ETag"); newTag == etag {
+	pushedTag := resp.Header.Get("ETag")
+	if pushedTag == etag {
 		t.Fatal("ETag did not change after a push merged new state")
+	}
+
+	// A frame whose servers are out of order is refused at decode, before
+	// it can reach the merge, and the served landscape stays as it was.
+	forged, err := vp0.eng.ExportState()
+	if err != nil {
+		t.Fatalf("exporting forged frame: %v", err)
+	}
+	forged.Vantages = []string{"v3"}
+	swapped := false
+	for _, sh := range forged.Shards {
+		if len(sh.Servers) >= 2 {
+			sh.Servers[0], sh.Servers[1] = sh.Servers[1], sh.Servers[0]
+			swapped = true
+			break
+		}
+	}
+	if !swapped {
+		t.Fatal("no shard of v0 holds two servers to swap")
+	}
+	forgedFrame, err := stream.EncodeCheckpoint(forged)
+	if err != nil {
+		t.Fatalf("EncodeCheckpoint(forged): %v", err)
+	}
+	resp, err = http.Post(front.URL+"/push", "application/octet-stream", bytes.NewReader(forgedFrame))
+	if err != nil {
+		t.Fatalf("POST forged /push: %v", err)
+	}
+	fb, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(fb), "not above the one before") {
+		t.Fatalf("POST servers out of order = %d %q, want 422 naming the order", resp.StatusCode, fb)
+	}
+	resp, err = http.Get(front.URL + "/landscape")
+	if err != nil {
+		t.Fatalf("GET /landscape after the refused push: %v", err)
+	}
+	after, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !bytes.Equal(after, pushed) || resp.Header.Get("ETag") != pushedTag {
+		t.Fatalf("a refused push changed the served landscape:\nbefore %s\nafter  %s", pushed, after)
 	}
 }
 

@@ -41,6 +41,7 @@ import (
 
 	"botmeter/internal/dga"
 	"botmeter/internal/dnswire"
+	"botmeter/internal/netx"
 	"botmeter/internal/obs"
 )
 
@@ -116,7 +117,7 @@ func run(args []string, stdout io.Writer) error {
 	if *domains < 1 {
 		return fmt.Errorf("-domains must be at least 1")
 	}
-	nsock := resolveSockets(*sockets)
+	nsock := netx.SocketCount(*sockets)
 	names, err := buildDomains(*domains, *family, *seed)
 	if err != nil {
 		return err
@@ -233,19 +234,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// resolveSockets maps the -sockets flag to a sender count: explicit values
-// win, 0 means one per CPU capped at 8 (mirroring the daemons' -listeners).
-func resolveSockets(n int) int {
-	if n > 0 {
-		return n
-	}
-	n = runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	return n
 }
 
 // buildDomains produces the query-name rotation. With a family it draws the

@@ -35,7 +35,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -112,7 +111,7 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 		}
 	}
 
-	conns, reuse, err := netx.ListenUDP(ctx, *listen, resolveListeners(*listeners))
+	conns, reuse, err := netx.ListenUDP(ctx, *listen, netx.SocketCount(*listeners))
 	if err != nil {
 		return err
 	}
@@ -185,20 +184,6 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 		}
 		return nil
 	}
-}
-
-// resolveListeners maps the -listeners flag onto a socket count: 0 asks for
-// one socket per scheduler thread, capped at 8 (beyond that the loopback
-// benchmark shows the kernel flow hash, not socket count, is the limit).
-func resolveListeners(n int) int {
-	if n > 0 {
-		return n
-	}
-	n = runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	return n
 }
 
 // forwarderConfig bundles the forwarder's resilience policy.

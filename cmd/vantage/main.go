@@ -236,7 +236,7 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 			"family", spec.Name, "estimator", est.EstimatorName(), "seed", *liveSeed)
 	}
 
-	conns, reuseport, err := netx.ListenUDP(ctx, *listen, resolveListeners(*listeners))
+	conns, reuseport, err := netx.ListenUDP(ctx, *listen, netx.SocketCount(*listeners))
 	if err != nil {
 		return err
 	}

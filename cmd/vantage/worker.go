@@ -14,7 +14,6 @@ import (
 	"io"
 	"net"
 	"net/netip"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -297,18 +296,4 @@ func (w *vantageWorker) appendResponse(rcode uint8, typ uint16, data []byte) []b
 		return nil
 	}
 	return w.enc
-}
-
-// resolveListeners maps the -listeners flag to a socket count: explicit
-// values win, 0 means one socket per CPU capped at 8 (beyond that the
-// symtab/writer duplication costs more than the parallelism returns).
-func resolveListeners(n int) int {
-	if n > 0 {
-		return n
-	}
-	n = runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	return n
 }

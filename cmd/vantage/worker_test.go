@@ -587,12 +587,3 @@ func TestServeIgnoresGarbage(t *testing.T) {
 		t.Fatalf("post-garbage rcode = %d", m.Header.Rcode)
 	}
 }
-
-func TestResolveListeners(t *testing.T) {
-	if got := resolveListeners(3); got != 3 {
-		t.Fatalf("explicit: %d, want 3", got)
-	}
-	if got := resolveListeners(0); got < 1 || got > 8 {
-		t.Fatalf("default: %d, want 1..8", got)
-	}
-}

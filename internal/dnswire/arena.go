@@ -3,7 +3,6 @@ package dnswire
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"unsafe"
 )
 
@@ -33,8 +32,8 @@ type Arena struct {
 	// canonical form the caches and the zone use. DNS case-insensitivity is
 	// ASCII-only (RFC 4343), so this is exact for any name that can appear
 	// in a query; bytes ≥ 0x80 are copied verbatim. Leave it unset when
-	// byte-for-byte agreement with Decode is required (the differential
-	// fuzz target runs with it off).
+	// byte-for-byte agreement with the wire is required (Decode and the
+	// differential fuzz target run with it off).
 	LowerASCII bool
 
 	names []byte // decoded presentation-form name bytes, all sections
@@ -73,9 +72,10 @@ func arenaString(b []byte) string {
 }
 
 // DecodeInto parses a wire-format message into msg using a's storage,
-// following compression pointers. It accepts and rejects exactly the same
-// inputs as Decode and produces field-for-field identical messages (a
-// contract enforced by FuzzDecodeIntoMatchesDecode), but performs zero heap
+// following compression pointers — the package's one parser. It accepts and
+// rejects exactly the inputs a plain label-joining parse does, and produces
+// the same messages field for field (the allocating oracle in the tests,
+// held to it by FuzzDecodeIntoMatchesDecode), but performs zero heap
 // allocations once the arena has grown to the traffic's working set. On
 // error msg and the arena hold unspecified partial state; the next
 // DecodeInto starts clean.
@@ -138,8 +138,7 @@ func DecodeInto(b []byte, msg *Message, a *Arena) error {
 		a.spans = append(a.spans, nameSpan, span{off: dataOff, n: int32(rdlen)})
 		off = next + rdlen
 	}
-	// Authority and additional sections are skipped structurally (as in
-	// Decode).
+	// Authority and additional sections are skipped structurally.
 
 	// Fix-up pass: the names/data backing arrays can no longer move, so the
 	// recorded spans can safely be materialised as aliasing strings/slices.
@@ -156,8 +155,8 @@ func DecodeInto(b []byte, msg *Message, a *Arena) error {
 		if d.n > 0 {
 			a.rr[i].Data = a.data[d.off : d.off+d.n : d.off+d.n]
 		} else {
-			// Decode's append([]byte(nil), ...) yields nil for empty rdata;
-			// match it so the messages compare field-for-field equal.
+			// Empty rdata is nil, as a fresh copy of nothing is, so messages
+			// compare field-for-field equal whatever arena decoded them.
 			a.rr[i].Data = nil
 		}
 		si += 2
@@ -173,10 +172,9 @@ func DecodeInto(b []byte, msg *Message, a *Arena) error {
 	return nil
 }
 
-// decodeName is decodeName's arena twin: it follows the identical parse
-// (same limits, same rejections — see FuzzDecodeIntoMatchesDecode) but
-// appends the presentation-form bytes into a.names instead of building a
-// []string and joining it.
+// decodeName reads a (possibly compressed) name starting at off, appending
+// its presentation-form bytes to a.names, and returns where they lie with the
+// offset just past the name's in-place encoding.
 func (a *Arena) decodeName(b []byte, off int) (span, int, error) {
 	start := len(a.names)
 	labels := 0
@@ -225,8 +223,10 @@ func (a *Arena) decodeName(b []byte, off int) (span, int, error) {
 			a.names = append(a.names, b[off+1:off+1+l]...)
 			for i := at; i < len(a.names); i++ {
 				c := a.names[i]
-				// Same presentation-ambiguity rejection as decodeName: a raw
-				// '.' inside a label would re-encode as a different name.
+				// A raw '.' inside a label has no unambiguous presentation
+				// form in this non-escaping codec: "a." would re-encode as
+				// the label "a" (found by FuzzDecodeMessage). DGA domains
+				// never contain one; reject instead of silently mangling.
 				if c == '.' {
 					return span{}, 0, fmt.Errorf("dnswire: label contains '.'")
 				}
@@ -241,27 +241,4 @@ func (a *Arena) decodeName(b []byte, off int) (span, int, error) {
 			off += 1 + l
 		}
 	}
-}
-
-// bufPool recycles encode buffers for transient wire images — response
-// paths that build a packet, write it to a socket and drop it. Steady-state
-// per-worker paths should prefer a worker-owned buffer reused via
-// AppendEncode; the pool serves the shared slow paths where no single owner
-// exists.
-var bufPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 512); return &b },
-}
-
-// GetBuf returns a pooled byte slice with zero length and at least 512
-// bytes capacity. Release it with PutBuf when the bytes are no longer
-// referenced.
-func GetBuf() *[]byte {
-	return bufPool.Get().(*[]byte)
-}
-
-// PutBuf returns a buffer obtained from GetBuf to the pool. The caller must
-// not retain any view of it.
-func PutBuf(b *[]byte) {
-	*b = (*b)[:0]
-	bufPool.Put(b)
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // messagesEqual compares two decoded messages field for field (the
-// differential contract between Decode and DecodeInto).
+// differential contract between decodeAlloc and DecodeInto).
 func messagesEqual(a, b *Message) bool {
 	if a.Header != b.Header {
 		return false
@@ -30,8 +30,8 @@ func messagesEqual(a, b *Message) bool {
 	return true
 }
 
-// wireCorpus builds the packets the arena decoder must agree with Decode
-// on: queries, positive/negative/AAAA responses, compression pointers,
+// wireCorpus builds the packets the arena decoder must agree with
+// decodeAlloc on: queries, positive/negative/AAAA responses, compression pointers,
 // empty names, and assorted malformed inputs.
 func wireCorpus(t testing.TB) [][]byte {
 	t.Helper()
@@ -84,16 +84,16 @@ func TestDecodeIntoMatchesDecodeCorpus(t *testing.T) {
 	var arena Arena
 	var msg Message
 	for i, pkt := range wireCorpus(t) {
-		want, wantErr := Decode(pkt)
+		want, wantErr := decodeAlloc(pkt)
 		gotErr := DecodeInto(pkt, &msg, &arena)
 		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("packet %d: Decode err=%v, DecodeInto err=%v", i, wantErr, gotErr)
+			t.Fatalf("packet %d: oracle err=%v, DecodeInto err=%v", i, wantErr, gotErr)
 		}
 		if wantErr != nil {
 			continue
 		}
 		if !messagesEqual(want, &msg) {
-			t.Fatalf("packet %d:\nDecode     %+v\nDecodeInto %+v", i, want, &msg)
+			t.Fatalf("packet %d:\noracle     %+v\nDecodeInto %+v", i, want, &msg)
 		}
 	}
 }
@@ -185,18 +185,4 @@ func TestAppendEncodeZeroAllocs(t *testing.T) {
 	if !bytes.Equal(buf, want) {
 		t.Fatalf("AppendEncode image differs from Encode:\n%x\n%x", buf, want)
 	}
-}
-
-func TestGetPutBuf(t *testing.T) {
-	b := GetBuf()
-	if len(*b) != 0 || cap(*b) < 512 {
-		t.Fatalf("GetBuf: len=%d cap=%d", len(*b), cap(*b))
-	}
-	*b = append(*b, "payload"...)
-	PutBuf(b)
-	b2 := GetBuf()
-	if len(*b2) != 0 {
-		t.Fatalf("pooled buffer not reset: len=%d", len(*b2))
-	}
-	PutBuf(b2)
 }

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// BenchmarkWireDecode measures the arena fast path against the allocating
-// decoder on the two packet shapes the daemons handle per query: the client
-// query and the positive response. The fast variants must report
+// BenchmarkWireDecode measures the arena fast path against Decode, which pays
+// for a fresh arena per packet, on the two packet shapes the daemons handle
+// per query: the client query and the positive response. The fast variants must report
 // 0 allocs/op (gated by TestDecodeIntoZeroAllocs and the CI bench smoke).
 func BenchmarkWireDecode(b *testing.B) {
 	query, _ := NewQuery(0x4242, "xk3jq9vmz27a1.pool-domain.example.com").Encode()

@@ -55,10 +55,11 @@ func FuzzNameRoundTrip(f *testing.F) {
 }
 
 // FuzzDecodeIntoMatchesDecode is the differential fuzzer for the zero-copy
-// fast path: the arena decoder must agree with the allocating decoder on
-// every input — same accept/reject decision and, on accept, the same header,
-// questions and answers field for field. It also re-decodes into the SAME
-// arena a second time to prove reuse does not leak state between packets.
+// parser: DecodeInto must agree with the allocating oracle (decodeAlloc, in
+// oracle_test.go) on every input — same accept/reject decision and, on
+// accept, the same header, questions and answers field for field. It also
+// re-decodes into the SAME arena a second time to prove reuse does not leak
+// state between packets.
 func FuzzDecodeIntoMatchesDecode(f *testing.F) {
 	q, _ := NewQuery(0x1234, "seed.example.com").Encode()
 	f.Add(q)
@@ -82,12 +83,12 @@ func FuzzDecodeIntoMatchesDecode(f *testing.F) {
 		0x02, 'a', '.', 0x00, 0x00, 0x01, 0x00, 0x01,
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		want, wantErr := Decode(data)
+		want, wantErr := decodeAlloc(data)
 		var arena Arena
 		var msg Message
 		gotErr := DecodeInto(data, &msg, &arena)
 		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("accept/reject disagreement: Decode err=%v, DecodeInto err=%v", wantErr, gotErr)
+			t.Fatalf("accept/reject disagreement: oracle err=%v, DecodeInto err=%v", wantErr, gotErr)
 		}
 		if wantErr != nil {
 			return
@@ -108,14 +109,14 @@ func FuzzDecodeIntoMatchesDecode(f *testing.F) {
 func assertSameMessage(t *testing.T, stage string, want, got *Message) {
 	t.Helper()
 	if want.Header != got.Header {
-		t.Fatalf("%s: header\nDecode     %+v\nDecodeInto %+v", stage, want.Header, got.Header)
+		t.Fatalf("%s: header\noracle     %+v\nDecodeInto %+v", stage, want.Header, got.Header)
 	}
 	if len(want.Questions) != len(got.Questions) {
 		t.Fatalf("%s: question count %d vs %d", stage, len(want.Questions), len(got.Questions))
 	}
 	for i := range want.Questions {
 		if want.Questions[i] != got.Questions[i] {
-			t.Fatalf("%s: question %d\nDecode     %+v\nDecodeInto %+v", stage, i, want.Questions[i], got.Questions[i])
+			t.Fatalf("%s: question %d\noracle     %+v\nDecodeInto %+v", stage, i, want.Questions[i], got.Questions[i])
 		}
 	}
 	if len(want.Answers) != len(got.Answers) {
@@ -124,7 +125,7 @@ func assertSameMessage(t *testing.T, stage string, want, got *Message) {
 	for i := range want.Answers {
 		a, b := want.Answers[i], got.Answers[i]
 		if a.Name != b.Name || a.Type != b.Type || a.Class != b.Class || a.TTL != b.TTL || !bytes.Equal(a.Data, b.Data) {
-			t.Fatalf("%s: answer %d\nDecode     %+v\nDecodeInto %+v", stage, i, a, b)
+			t.Fatalf("%s: answer %d\noracle     %+v\nDecodeInto %+v", stage, i, a, b)
 		}
 	}
 }

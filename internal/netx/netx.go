@@ -14,8 +14,20 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"runtime"
 	"syscall"
 )
+
+// SocketCount maps a -listeners or -sockets flag onto a socket count: an
+// explicit count wins, 0 means one socket per scheduler thread, capped at 8
+// (beyond that the kernel flow hash, not the socket count, is the limit, and
+// each socket's own state costs more than the parallelism returns).
+func SocketCount(n int) int {
+	if n > 0 {
+		return n
+	}
+	return min(runtime.GOMAXPROCS(0), 8)
+}
 
 // ListenUDP opens count UDP sockets bound to addr. When count > 1 the
 // sockets are bound with SO_REUSEPORT so the kernel distributes datagrams

@@ -3,11 +3,25 @@ package netx
 import (
 	"context"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// TestSocketCount: an explicit count wins; 0 is one socket per CPU, 1 to 8.
+func TestSocketCount(t *testing.T) {
+	if got := SocketCount(3); got != 3 {
+		t.Fatalf("explicit: %d, want 3", got)
+	}
+	if got := SocketCount(12); got != 12 {
+		t.Fatalf("explicit past the cap: %d, want 12", got)
+	}
+	if got, want := SocketCount(0), min(runtime.GOMAXPROCS(0), 8); got != want || got < 1 {
+		t.Fatalf("default: %d, want %d", got, want)
+	}
+}
 
 func TestListenUDPSingle(t *testing.T) {
 	conns, reuse, err := ListenUDP(context.Background(), "127.0.0.1:0", 1)

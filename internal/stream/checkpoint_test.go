@@ -301,7 +301,8 @@ func hasTmpCheckpoint(tb testing.TB, dir string) bool {
 
 // TestCorruptCheckpointFallback corrupts the newest generation on disk
 // (bit flip, truncation, a name or a domain key the matcher cannot
-// attribute, domain keys out of order or repeated) and verifies
+// attribute, domain keys, servers, closed or open epochs out of order or
+// repeated) and verifies
 // recovery (RestoreLatest) falls back to the previous good generation — and still reproduces the uninterrupted landscape. With
 // every generation corrupted, recovery reports "nothing to restore"
 // rather than failing.
@@ -367,6 +368,36 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 		}), "not above the one before"},
 		{"duplicate domain key", damaged(func(st *stream.EngineState) bool {
 			return damageKeys(st, func(ks []stream.DomainKey) { ks[1] = ks[0] })
+		}), "not above the one before"},
+		// Whole files whose servers, closed epochs or open epochs are out of
+		// order or repeated: the decoder refuses them too.
+		{"servers out of order", damaged(func(st *stream.EngineState) bool {
+			return damageShard(st, func(ss []stream.ServerState) { ss[0], ss[1] = ss[1], ss[0] })
+		}), "not above the one before"},
+		{"server repeated", damaged(func(st *stream.EngineState) bool {
+			return damageShard(st, func(ss []stream.ServerState) { ss[1].Name = ss[0].Name })
+		}), "not above the one before"},
+		{"closed epochs out of order", damaged(func(st *stream.EngineState) bool {
+			return damageServer(st, func(ss *stream.ServerState) bool {
+				if len(ss.Closed) == 0 {
+					return false
+				}
+				ev := ss.Closed[len(ss.Closed)-1]
+				ev.Epoch--
+				ss.Closed = append(ss.Closed, ev)
+				return true
+			})
+		}), "not above the one before"},
+		{"open epochs out of order", damaged(func(st *stream.EngineState) bool {
+			return damageServer(st, func(ss *stream.ServerState) bool {
+				if len(ss.Open) == 0 {
+					return false
+				}
+				cs := ss.Open[len(ss.Open)-1]
+				cs.Epoch--
+				ss.Open = append(ss.Open, cs)
+				return true
+			})
 		}), "not above the one before"},
 		// A whole file with a key past the end of its epoch's pool and
 		// collisions: it decodes, and only the restore can tell.
@@ -492,6 +523,30 @@ func damageKeys(st *stream.EngineState, damage func([]stream.DomainKey)) bool {
 		for _, sv := range sh.Servers {
 			if len(sv.Domains) >= 2 {
 				damage(sv.Domains)
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// damageShard applies damage to the servers of the first shard that has at
+// least two.
+func damageShard(st *stream.EngineState, damage func([]stream.ServerState)) bool {
+	for _, sh := range st.Shards {
+		if len(sh.Servers) >= 2 {
+			damage(sh.Servers)
+			return true
+		}
+	}
+	return false
+}
+
+// damageServer applies damage to servers until it reports one damaged.
+func damageServer(st *stream.EngineState, damage func(*stream.ServerState) bool) bool {
+	for _, sh := range st.Shards {
+		for i := range sh.Servers {
+			if damage(&sh.Servers[i]) {
 				return true
 			}
 		}

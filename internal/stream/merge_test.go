@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -413,6 +415,181 @@ func TestMergeSameServerOpenCellsMB(t *testing.T) {
 	}
 	if !bytes.Equal(mergedJSON, refJSON) {
 		t.Fatalf("record-partitioned MB merge differs from single engine:\nsingle %s\nmerged %s", refJSON, mergedJSON)
+	}
+}
+
+// TestMergeStatesWatermark: a merge carries each shard's header over. One
+// exported state merges to its own header — Seq apart, which the merge
+// renumbers with the reorder buffer — and two vantages merge, shard by
+// shard, to the smaller of their watermarks, never to none.
+func TestMergeStatesWatermark(t *testing.T) {
+	tc := diffCases()[0]
+	const seed = uint64(0x3A7E)
+	delivered := chunkShuffle(synthTrace(t, tc.spec, seed, 24, 2, tc.activations), 5*sim.Second, sim.NewRNG(seed))
+	mkCfg := func(vantage string) stream.Config {
+		return stream.Config{
+			Core:          core.Config{Family: tc.spec, Seed: seed, EpochLen: testEpochLen, SecondOpinion: tc.secondOpinion},
+			Shards:        2,
+			ReorderWindow: 5 * sim.Second,
+			Vantage:       vantage,
+		}
+	}
+	// Servers split one third to two thirds: halves by the FNV hash would
+	// be the shard hash's halves too, and leave each vantage a shard with
+	// no watermark.
+	var parts [2]trace.Observed
+	for _, rec := range delivered {
+		v := min(vantageOf(rec.Server, 3), 1)
+		parts[v] = append(parts[v], rec)
+	}
+	stA, _ := runVantage(t, mkCfg("wm-a"), parts[0])
+	stB, _ := runVantage(t, mkCfg("wm-b"), parts[1])
+	header := func(sh stream.ShardState) stream.ShardState {
+		sh.Seq, sh.Buffer, sh.Servers = 0, nil, nil
+		return sh
+	}
+
+	one, err := stream.MergeStates(stA)
+	if err != nil {
+		t.Fatalf("MergeStates(one): %v", err)
+	}
+	for i, sh := range one.Shards {
+		if got, want := header(sh), header(stA.Shards[i]); !reflect.DeepEqual(got, want) {
+			t.Fatalf("shard %d: merged header %+v, want the input's %+v", i, got, want)
+		}
+	}
+
+	both, err := stream.MergeStates(stA, stB)
+	if err != nil {
+		t.Fatalf("MergeStates(two): %v", err)
+	}
+	for i, sh := range both.Shards {
+		a, b := stA.Shards[i].Watermark, stB.Shards[i].Watermark
+		if a == math.MinInt64 || b == math.MinInt64 || a == b {
+			t.Fatalf("shard %d: input watermarks %d and %d; the test needs two distinct ones", i, a, b)
+		}
+		if want := min(a, b); sh.Watermark != want {
+			t.Fatalf("shard %d: merged watermark %d, want %d, the smaller of %d and %d", i, sh.Watermark, want, a, b)
+		}
+	}
+}
+
+// TestMergeSharesNoMemory: a landscape-server restores the merged state,
+// quiesces it and goes on ingesting, while its Merger keeps the inputs to
+// merge again on the next refresh. Neither may see the other's writes: after
+// the merged engine has run and the merged state is scribbled over, each
+// input still encodes to its bytes from before the merge, and merging them
+// again gives the first merge's bytes.
+func TestMergeSharesNoMemory(t *testing.T) {
+	const seed = uint64(0x5A4E)
+	for _, tc := range diffCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			mkCfg := func(vantage string) stream.Config {
+				cfg := stream.Config{
+					Core:          core.Config{Family: tc.spec, Seed: seed, EpochLen: testEpochLen, SecondOpinion: tc.secondOpinion},
+					Shards:        2,
+					ReorderWindow: 5 * sim.Second,
+					Vantage:       vantage,
+				}
+				if tc.estimators != nil {
+					cfg.Core.Estimators = tc.estimators()
+				}
+				return cfg
+			}
+			delivered := synthTrace(t, tc.spec, seed, 8, 3, tc.activations)
+			cut := len(delivered) * 2 / 3
+			parts := partitionByServer(delivered[:cut], 2)
+			stA, _ := runVantage(t, mkCfg("share-a"), parts[0])
+			stB, _ := runVantage(t, mkCfg("share-b"), parts[1])
+			encode := func(st *stream.EngineState) []byte {
+				frame, err := stream.EncodeCheckpoint(st)
+				if err != nil {
+					t.Fatalf("EncodeCheckpoint: %v", err)
+				}
+				return frame
+			}
+			wantA, wantB := encode(stA), encode(stB)
+			merged, err := stream.MergeStates(stA, stB)
+			if err != nil {
+				t.Fatalf("MergeStates: %v", err)
+			}
+			first := encode(merged)
+
+			cfg := mkCfg("")
+			cfg.Shards = 0
+			eng, err := stream.Restore(cfg, merged)
+			if err != nil {
+				t.Fatalf("Restore(merged): %v", err)
+			}
+			if err := eng.Quiesce(); err != nil {
+				t.Fatalf("Quiesce: %v", err)
+			}
+			for _, rec := range delivered[cut:] {
+				if err := eng.Observe(rec); err != nil {
+					t.Fatalf("Observe: %v", err)
+				}
+			}
+			if _, err := eng.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			scribble(merged)
+
+			if !bytes.Equal(encode(stA), wantA) || !bytes.Equal(encode(stB), wantB) {
+				t.Fatal("an input changed after its merge output was restored, run and overwritten")
+			}
+			again, err := stream.MergeStates(stA, stB)
+			if err != nil {
+				t.Fatalf("MergeStates (again): %v", err)
+			}
+			if !bytes.Equal(encode(again), first) {
+				t.Fatal("re-merging the inputs does not give the first merge's bytes")
+			}
+		})
+	}
+}
+
+// scribble overwrites every number and name a state's servers hold.
+func scribble(st *stream.EngineState) {
+	for _, sh := range st.Shards {
+		for i := range sh.Buffer {
+			sh.Buffer[i].Domain = "scribbled"
+		}
+		for _, ss := range sh.Servers {
+			for i := range ss.Domains {
+				ss.Domains[i] = 0
+			}
+			for _, ev := range ss.Closed {
+				for i := range ev.Values {
+					ev.Values[i] = -1
+				}
+			}
+			for _, cs := range ss.Open {
+				for _, es := range cs.States {
+					if ts := es.Timing; ts != nil {
+						for _, cand := range ts.Active {
+							for i := range cand.Domains {
+								cand.Domains[i] = "scribbled"
+							}
+						}
+					}
+					if cl := es.Clusters; cl != nil {
+						for i := range cl.Done {
+							cl.Done[i].Count = -1
+						}
+						if cl.Cur != nil {
+							cl.Cur.Count = -1
+						}
+					}
+					if bs := es.Bernoulli; bs != nil {
+						for _, bk := range bs.Buckets {
+							for i := range bk.Positions {
+								bk.Positions[i] = -1
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -26,19 +26,12 @@ type shard struct {
 	// goroutine, so they serialise with ingest instead of racing it.
 	ctl chan *shardCtl
 
-	mu  sync.Mutex
+	mu sync.Mutex
+	// ShardState is the header an export copies out whole: sequence
+	// counter, watermark, time span, tallies. Its Buffer and Servers stay
+	// nil: buf and servers hold the records and the servers.
+	ShardState
 	buf reorderHeap
-	seq uint64
-	// watermark is the low-water mark: no record with T < watermark will
-	// ever be emitted again. Monotone by construction.
-	watermark sim.Time
-	// maxT/minT span every ingested record (matched or not) — the source
-	// of the derived analysis window, mirroring cmd/botmeter.
-	maxT, minT sim.Time
-	hasData    bool
-	// maxEmittedEpoch is the highest epoch that has received an emission;
-	// epochs below it are closed as soon as it advances.
-	maxEmittedEpoch int
 	// closedThrough is the highest epoch closeThroughLocked has walked the
 	// servers for: no cell at or below it is open. Emission is
 	// timestamp-monotone and a record behind the watermark is dropped before
@@ -53,9 +46,7 @@ type shard struct {
 
 	servers map[string]*serverState
 
-	retained     int // records currently held: the reorder buffer's
-	peakRetained int
-	stats        Stats
+	retained int // records currently held: the reorder buffer's
 
 	// wmGauge is the shard's exported watermark (nil-safe when metrics
 	// are disabled).
@@ -64,16 +55,13 @@ type shard struct {
 
 func newShard(e *Engine, idx int) *shard {
 	s := &shard{
-		eng:             e,
-		idx:             idx,
-		ch:              make(chan trace.ObservedRecord, e.cfg.ShardBuffer),
-		ctl:             make(chan *shardCtl, 1),
-		watermark:       math.MinInt64,
-		maxT:            math.MinInt64,
-		minT:            math.MaxInt64,
-		maxEmittedEpoch: math.MinInt64,
-		closedThrough:   math.MinInt64,
-		servers:         make(map[string]*serverState),
+		eng:           e,
+		idx:           idx,
+		ch:            make(chan trace.ObservedRecord, e.cfg.ShardBuffer),
+		ctl:           make(chan *shardCtl, 1),
+		ShardState:    emptyShardState(),
+		closedThrough: math.MinInt64,
+		servers:       make(map[string]*serverState),
 	}
 	if reg := e.cfg.Registry; reg != nil {
 		s.wmGauge = reg.Gauge(MetricWatermark, "shard", fmt.Sprint(idx))
@@ -126,10 +114,10 @@ func (s *shard) startMetrics() {
 // clock, as in virtual-time replays, reads as fresh). 0 while no
 // watermark has been emitted.
 func (s *shard) lagSecondsLocked(now time.Time) float64 {
-	if s.watermark == math.MinInt64 {
+	if s.Watermark == math.MinInt64 {
 		return 0
 	}
-	lag := float64(now.UnixMilli()-int64(s.watermark)) / 1000
+	lag := float64(now.UnixMilli()-int64(s.Watermark)) / 1000
 	if lag < 0 {
 		return 0
 	}
@@ -198,76 +186,89 @@ drain:
 // buffering, watermark advance, emission and epoch closing.
 func (s *shard) ingestLocked(rec trace.ObservedRecord) {
 	e := s.eng
-	s.stats.Ingested++
+	s.Stats.Ingested++
 	e.m.ingested.Inc()
-	// minT/maxT track the span of EVERY ingested record (matched or not) —
+	// MinT/MaxT track the span of EVERY ingested record (matched or not) —
 	// the derived analysis window mirrors cmd/botmeter, which epoch-aligns
 	// around the whole trace. The watermark, by contrast, only advances on
 	// matched records (below), so unmatched stragglers cannot force late
 	// drops of matched traffic.
-	if !s.hasData {
-		s.minT, s.maxT = rec.T, rec.T
-		s.hasData = true
+	if !s.HasData {
+		s.MinT, s.MaxT = rec.T, rec.T
+		s.HasData = true
 	} else {
-		if rec.T < s.minT {
-			s.minT = rec.T
+		if rec.T < s.MinT {
+			s.MinT = rec.T
 		}
-		if rec.T > s.maxT {
-			s.maxT = rec.T
+		if rec.T > s.MaxT {
+			s.MaxT = rec.T
 		}
 	}
 
 	// The one name→position lookup: from here on the record is its time,
 	// its server and the pool position stamped on it.
 	if !e.bm.Matcher(int(rec.T / e.cfg.Core.EpochLen)).Attribute(&rec) {
-		s.stats.Unmatched++
+		s.Stats.Unmatched++
 		e.m.unmatched.Inc()
 		return
 	}
-	s.stats.Matched++
+	s.Stats.Matched++
 	e.m.matched.Inc()
 
-	if s.watermark != math.MinInt64 && rec.T < s.watermark {
-		s.stats.DroppedLate++
+	if s.Watermark != math.MinInt64 && rec.T < s.Watermark {
+		s.Stats.DroppedLate++
 		e.m.late.Inc()
 		return
 	}
-	s.buf.push(reorderEntry{t: rec.T, seq: s.seq, rec: rec})
-	s.seq++
+	s.buf.push(reorderEntry{t: rec.T, seq: s.Seq, rec: rec})
+	s.Seq++
 	s.retainInc(1)
-	if wm := rec.T - e.cfg.ReorderWindow; wm > s.watermark {
-		s.watermark = wm
+	if wm := rec.T - e.cfg.ReorderWindow; wm > s.Watermark {
+		s.Watermark = wm
 	}
 
 	// Overflow: force-emit the oldest buffered record, advancing the
 	// watermark to it so ordering stays monotone (later arrivals older
 	// than it become late drops).
 	for s.buf.len() > e.cfg.MaxReorder {
-		entry := s.buf.pop()
-		s.retainInc(-1)
-		if entry.t > s.watermark {
-			s.watermark = entry.t
-		}
-		s.stats.ReorderEvictions++
+		s.Stats.ReorderEvictions++
 		e.m.evictions.Inc()
-		s.emitLocked(entry.rec)
+		s.emitOldestLocked()
 	}
 	// Normal drain: everything strictly below the watermark is safe to
 	// emit (a new arrival at exactly the watermark is still accepted, so
 	// equal-T entries must wait).
-	for s.buf.len() > 0 && s.buf.min().t < s.watermark {
-		entry := s.buf.pop()
-		s.retainInc(-1)
-		s.emitLocked(entry.rec)
+	for s.buf.len() > 0 && s.buf.min().t < s.Watermark {
+		s.emitOldestLocked()
 	}
-	// Watermark-driven epoch closing: epochs wholly below the watermark
-	// can never receive another record, even for idle servers.
-	if s.watermark != math.MinInt64 && s.watermark >= 0 {
-		s.closeThroughLocked(int(s.watermark/e.cfg.Core.EpochLen) - 1)
-		s.advanceOpenLocked(s.watermark)
+	s.settleLocked()
+}
+
+// emitOldestLocked pops the oldest buffered record, raises the watermark to
+// it when it is newer, and emits it: the one drain step of ingest, quiesce
+// and flush.
+func (s *shard) emitOldestLocked() {
+	entry := s.buf.pop()
+	s.retainInc(-1)
+	if entry.t > s.Watermark {
+		s.Watermark = entry.t
 	}
-	if s.wmGauge != nil && s.watermark != math.MinInt64 {
-		s.wmGauge.Set(float64(s.watermark))
+	s.emitLocked(entry.rec)
+}
+
+// settleLocked applies the watermark: epochs wholly below it can never
+// receive another record, even for idle servers, so they close, and open
+// cells expire candidates up to it. Then the gauge follows.
+func (s *shard) settleLocked() {
+	if s.Watermark == math.MinInt64 {
+		return
+	}
+	if s.Watermark >= 0 {
+		s.closeThroughLocked(int(s.Watermark/s.eng.cfg.Core.EpochLen) - 1)
+		s.advanceOpenLocked(s.Watermark)
+	}
+	if s.wmGauge != nil {
+		s.wmGauge.Set(float64(s.Watermark))
 	}
 }
 
@@ -276,11 +277,11 @@ func (s *shard) ingestLocked(rec trace.ObservedRecord) {
 func (s *shard) emitLocked(rec trace.ObservedRecord) {
 	e := s.eng
 	epoch := int(rec.T / e.cfg.Core.EpochLen)
-	if epoch > s.maxEmittedEpoch {
-		if s.maxEmittedEpoch != math.MinInt64 {
+	if epoch > s.MaxEmittedEpoch {
+		if s.MaxEmittedEpoch != math.MinInt64 {
 			s.closeThroughLocked(epoch - 1)
 		}
-		s.maxEmittedEpoch = epoch
+		s.MaxEmittedEpoch = epoch
 	}
 	sv, ok := s.servers[rec.Server]
 	if !ok {
@@ -346,7 +347,7 @@ func (s *shard) closeThroughLocked(ep int) {
 // countClosed tallies n finalised (server, epoch) cells.
 func (s *shard) countClosed(n int) {
 	if n > 0 {
-		s.stats.EpochsClosed += uint64(n)
+		s.Stats.EpochsClosed += uint64(n)
 		s.eng.m.epochs.Add(uint64(n))
 	}
 }
@@ -371,12 +372,7 @@ func (s *shard) advanceOpenLocked(watermark sim.Time) {
 // epoch — the end-of-stream path of Close.
 func (s *shard) flushLocked() {
 	for s.buf.len() > 0 {
-		entry := s.buf.pop()
-		s.retainInc(-1)
-		if entry.t > s.watermark {
-			s.watermark = entry.t
-		}
-		s.emitLocked(entry.rec)
+		s.emitOldestLocked()
 	}
 	s.closeThroughLocked(math.MaxInt64)
 	s.expiry = nil // every cell has just closed
@@ -390,29 +386,17 @@ func (s *shard) flushLocked() {
 // why Engine.Quiesce documents the "no older record can still arrive"
 // precondition.
 func (s *shard) quiesceLocked() {
-	e := s.eng
 	for s.buf.len() > 0 {
-		entry := s.buf.pop()
-		s.retainInc(-1)
-		if entry.t > s.watermark {
-			s.watermark = entry.t
-		}
-		s.emitLocked(entry.rec)
+		s.emitOldestLocked()
 	}
-	if s.watermark != math.MinInt64 && s.watermark >= 0 {
-		s.closeThroughLocked(int(s.watermark/e.cfg.Core.EpochLen) - 1)
-		s.advanceOpenLocked(s.watermark)
-	}
-	if s.wmGauge != nil && s.watermark != math.MinInt64 {
-		s.wmGauge.Set(float64(s.watermark))
-	}
+	s.settleLocked()
 }
 
 // retainInc adjusts the retained-record gauge and its peak.
 func (s *shard) retainInc(d int) {
 	s.retained += d
-	if s.retained > s.peakRetained {
-		s.peakRetained = s.retained
+	if s.retained > s.PeakRetained {
+		s.PeakRetained = s.retained
 	}
 	s.eng.m.retained.Add(float64(d))
 }

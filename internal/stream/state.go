@@ -30,7 +30,8 @@ import (
 //     timestamps).
 //   - Order-insensitive state (domain sets, per-epoch maps, server maps) is
 //     exported sorted, so the same engine state always serializes to the
-//     same bytes and checkpoints diff cleanly.
+//     same bytes and checkpoints diff cleanly; the decoder refuses it in any
+//     other order (statecodec.go), so MergeStates can fold it run by run.
 //   - A server's distinct-domain set is serialized as domain keys
 //     (DomainKey): an (epoch, pool position) pair each, which the
 //     fingerprint — family, seed, detection — makes mean one name in every
@@ -129,13 +130,25 @@ type EngineState struct {
 	Shards   []ShardState
 }
 
-// ShardState is one ingest shard's state.
+// ShardState is one ingest shard's state. Everything but Buffer and Servers
+// is the shard's header, which a live shard holds as it is: a shard embeds a
+// ShardState with Buffer and Servers left nil (its reorder heap and server
+// map hold those), so an export copies the header out whole and a restore
+// copies it back.
 type ShardState struct {
-	Seq             uint64
-	Watermark       int64
-	MinT            int64
-	MaxT            int64
-	HasData         bool
+	// Seq is the next arrival sequence number (tie order).
+	Seq uint64
+	// Watermark is the low-water mark: no record with T < Watermark will
+	// ever be emitted again. Monotone by construction; math.MinInt64 until
+	// the first matched record.
+	Watermark sim.Time
+	// MinT and MaxT span every ingested record, matched or not — the
+	// source of the derived analysis window, mirroring cmd/botmeter — once
+	// HasData is set.
+	MinT, MaxT sim.Time
+	HasData    bool
+	// MaxEmittedEpoch is the highest epoch that has received an emission;
+	// epochs below it are closed as soon as it advances.
 	MaxEmittedEpoch int
 	PeakRetained    int
 	Stats           ShardStats
@@ -143,14 +156,43 @@ type ShardState struct {
 	Servers         []ServerState
 }
 
-// ShardStats is the shard's ingest tally (the counter fields of Stats).
+// emptyShardState is the header of a shard that has seen nothing: no
+// watermark, an empty time span, no epoch emitted.
+func emptyShardState() ShardState {
+	return ShardState{
+		Watermark:       math.MinInt64,
+		MinT:            math.MaxInt64,
+		MaxT:            math.MinInt64,
+		MaxEmittedEpoch: math.MinInt64,
+	}
+}
+
+// ShardStats is one shard's ingest tally; ShardStat carries it, and Stats
+// the sum over the shards.
 type ShardStats struct {
-	Ingested         uint64
-	Matched          uint64
-	Unmatched        uint64
-	DroppedLate      uint64
+	// Ingested counts every record handed to Observe and processed.
+	Ingested uint64
+	// Matched counts records attributed to the target DGA and emitted to
+	// estimation (excludes late drops).
+	Matched uint64
+	// Unmatched counts records outside the family's (detected) pool.
+	Unmatched uint64
+	// DroppedLate counts matched records older than the watermark.
+	DroppedLate uint64
+	// ReorderEvictions counts forced emissions from a full reorder buffer.
 	ReorderEvictions uint64
-	EpochsClosed     uint64
+	// EpochsClosed counts (server, epoch) cells finalised.
+	EpochsClosed uint64
+}
+
+// add sums o into t.
+func (t *ShardStats) add(o ShardStats) {
+	t.Ingested += o.Ingested
+	t.Matched += o.Matched
+	t.Unmatched += o.Unmatched
+	t.DroppedLate += o.DroppedLate
+	t.ReorderEvictions += o.ReorderEvictions
+	t.EpochsClosed += o.EpochsClosed
 }
 
 // RecordEntry is one record of a shard's reorder buffer, with its arrival
@@ -209,25 +251,11 @@ func (k DomainKey) Pos() int32 { return int32(uint32(k)) }
 // Source is left zero: the caller (Checkpointer, federation coordinator)
 // knows where the feed stands, the engine does not.
 func (e *Engine) ExportState() (*EngineState, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return nil, fmt.Errorf("stream: engine closed")
+	shards, err := e.barrier(false)
+	if err != nil {
+		return nil, err
 	}
-	reqs := make([]*shardCtl, len(e.shards))
-	for i, s := range e.shards {
-		req := &shardCtl{done: make(chan struct{})}
-		reqs[i] = req
-		s.ctl <- req
-	}
-	st := &EngineState{
-		Fingerprint: e.fingerprint(),
-		Shards:      make([]ShardState, len(e.shards)),
-	}
-	for i, req := range reqs {
-		<-req.done
-		st.Shards[i] = req.state
-	}
+	st := &EngineState{Fingerprint: e.fingerprint(), Shards: shards}
 	if v := e.cfg.Vantage; v != "" {
 		st.Vantages = []string{v}
 	}
@@ -243,21 +271,30 @@ func (e *Engine) ExportState() (*EngineState, error) {
 // replay so /landscape immediately reflects every replayed record instead
 // of lagging one reorder window behind.
 func (e *Engine) Quiesce() error {
+	_, err := e.barrier(true)
+	return err
+}
+
+// barrier runs one request — quiesce, or export — through every shard
+// goroutine while the engine is guaranteed open (see handleCtl), and
+// returns the shards' exported states, nil ones when quiescing.
+func (e *Engine) barrier(quiesce bool) ([]ShardState, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
-		return fmt.Errorf("stream: engine closed")
+		return nil, fmt.Errorf("stream: engine closed")
 	}
 	reqs := make([]*shardCtl, len(e.shards))
 	for i, s := range e.shards {
-		req := &shardCtl{quiesce: true, done: make(chan struct{})}
-		reqs[i] = req
-		s.ctl <- req
+		reqs[i] = &shardCtl{quiesce: quiesce, done: make(chan struct{})}
+		s.ctl <- reqs[i]
 	}
-	for _, req := range reqs {
+	states := make([]ShardState, len(reqs))
+	for i, req := range reqs {
 		<-req.done
+		states[i] = req.state
 	}
-	return nil
+	return states, nil
 }
 
 // Restore builds and starts an engine from a previously exported state.
@@ -295,23 +332,7 @@ func Restore(cfg Config, st *EngineState) (*Engine, error) {
 // exportLocked serialises the shard. Holding mu inside the shard goroutine,
 // nothing can mutate concurrently; everything is deep-copied.
 func (s *shard) exportLocked() ShardState {
-	st := ShardState{
-		Seq:             s.seq,
-		Watermark:       int64(s.watermark),
-		MinT:            int64(s.minT),
-		MaxT:            int64(s.maxT),
-		HasData:         s.hasData,
-		MaxEmittedEpoch: s.maxEmittedEpoch,
-		PeakRetained:    s.peakRetained,
-		Stats: ShardStats{
-			Ingested:         s.stats.Ingested,
-			Matched:          s.stats.Matched,
-			Unmatched:        s.stats.Unmatched,
-			DroppedLate:      s.stats.DroppedLate,
-			ReorderEvictions: s.stats.ReorderEvictions,
-			EpochsClosed:     s.stats.EpochsClosed,
-		},
-	}
+	st := s.ShardState
 	if n := s.buf.len(); n > 0 {
 		st.Buffer = make([]RecordEntry, n)
 		for i, en := range s.buf.entries {
@@ -338,25 +359,13 @@ func (s *shard) importState(st ShardState) error {
 	e := s.eng
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.seq = st.Seq
-	s.watermark = sim.Time(st.Watermark)
-	s.minT = sim.Time(st.MinT)
-	s.maxT = sim.Time(st.MaxT)
-	s.hasData = st.HasData
-	s.maxEmittedEpoch = st.MaxEmittedEpoch
+	s.ShardState = st
+	s.Buffer, s.Servers = nil, nil
 	// The close mark and the expiry queue are derived from the state, not
 	// part of it: the first close after a restore walks the servers again,
 	// and the queue is rebuilt from the cells below.
 	s.closedThrough = math.MinInt64
 	s.expiry = nil
-	s.stats = Stats{
-		Ingested:         st.Stats.Ingested,
-		Matched:          st.Stats.Matched,
-		Unmatched:        st.Stats.Unmatched,
-		DroppedLate:      st.Stats.DroppedLate,
-		ReorderEvictions: st.Stats.ReorderEvictions,
-		EpochsClosed:     st.Stats.EpochsClosed,
-	}
 	for _, en := range st.Buffer {
 		epoch := int(en.T / e.cfg.Core.EpochLen)
 		rec := trace.ObservedRecord{T: en.T, Server: en.Server, Domain: en.Domain}
@@ -378,13 +387,13 @@ func (s *shard) importState(st ShardState) error {
 		s.servers[ss.Name] = sv
 	}
 	s.retained = s.buf.len()
-	s.peakRetained = max(st.PeakRetained, s.retained)
+	s.PeakRetained = max(s.PeakRetained, s.retained)
 	// Counters (ingested, matched, …) are NOT replayed into the registry —
 	// metrics count this process's work, Stats() stays cumulative across
 	// restores. The retained gauge, which tracks this process's holdings,
 	// takes the restored records on when the engine starts.
-	if s.wmGauge != nil && s.watermark != math.MinInt64 {
-		s.wmGauge.Set(float64(s.watermark))
+	if s.wmGauge != nil && s.Watermark != math.MinInt64 {
+		s.wmGauge.Set(float64(s.Watermark))
 	}
 	return nil
 }

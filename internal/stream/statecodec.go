@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -30,8 +31,9 @@ import (
 // checks every count against what the remaining bytes could hold at the
 // element's smallest encoding before it allocates — a frame cannot make its
 // reader allocate more than a small multiple of the frame's own length. A
-// domain-key list that is not strictly ascending is refused too, so every
-// state a decode returns holds the sorted runs MergeStates unions.
+// list of servers, closed epochs, open epochs or domain keys that is not
+// strictly ascending — by name, epoch or key — is refused too, so every state
+// a decode returns holds the sorted runs MergeStates folds.
 
 type coderMode uint8
 
@@ -302,9 +304,9 @@ func (c *coder) state(st *EngineState) {
 
 func (c *coder) shard(sh *ShardState) {
 	c.uvarint(&sh.Seq)
-	c.varint(&sh.Watermark)
-	c.varint(&sh.MinT)
-	c.varint(&sh.MaxT)
+	c.time(&sh.Watermark)
+	c.time(&sh.MinT)
+	c.time(&sh.MaxT)
 	c.bool(&sh.HasData)
 	c.int(&sh.MaxEmittedEpoch)
 	c.int(&sh.PeakRetained)
@@ -316,6 +318,7 @@ func (c *coder) shard(sh *ShardState) {
 	c.uvarint(&sh.Stats.EpochsClosed)
 	list(c, &sh.Buffer, minRecord, (*coder).record)
 	list(c, &sh.Servers, minServer, (*coder).server)
+	ascending(c, sh.Servers, serverName, "server")
 }
 
 func (c *coder) record(en *RecordEntry) {
@@ -330,7 +333,22 @@ func (c *coder) server(ss *ServerState) {
 	c.int(&ss.Matched)
 	c.keys(&ss.Domains)
 	list(c, &ss.Closed, minValues, (*coder).values)
+	ascending(c, ss.Closed, closedEpoch, "closed epoch")
 	list(c, &ss.Open, minCell, (*coder).cell)
+	ascending(c, ss.Open, openEpoch, "open epoch")
+}
+
+// ascending refuses, decoding, a run whose keys do not strictly ascend: the
+// sorted runs MergeStates folds and a restore loads one by one.
+func ascending[T any, K cmp.Ordered](c *coder, run []T, key func(*T) K, what string) {
+	if c.mode != decoding {
+		return
+	}
+	for i := 1; i < len(run) && c.err == nil; i++ {
+		if key(&run[i]) <= key(&run[i-1]) {
+			c.fail("%s %v (%d of %d, before payload byte %d) is not above the one before", what, key(&run[i]), i, len(run), c.off)
+		}
+	}
 }
 
 // keys delta-codes a domain-key list: the first key, then each key's

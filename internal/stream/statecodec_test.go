@@ -136,6 +136,29 @@ func TestDecodeRejectsMalformedPayload(t *testing.T) {
 	if _, err := stream.DecodeCheckpoint(reframe(keys(0, 3, 5, 1<<32|2, math.MaxUint64))); err != nil {
 		t.Fatalf("ascending domain keys refused: %v", err)
 	}
+	servers := func(names ...string) []byte {
+		sh := stream.ShardState{}
+		for _, name := range names {
+			sh.Servers = append(sh.Servers, stream.ServerState{Name: name})
+		}
+		return payloadOf(t, &stream.EngineState{Shards: []stream.ShardState{sh}})
+	}
+	epochs := func(closed, open []int) []byte {
+		ss := stream.ServerState{Name: "s"}
+		for _, ep := range closed {
+			ss.Closed = append(ss.Closed, estimators.EpochValues{Epoch: ep})
+		}
+		for _, ep := range open {
+			ss.Open = append(ss.Open, estimators.CellState{Epoch: ep})
+		}
+		return payloadOf(t, &stream.EngineState{Shards: []stream.ShardState{{Servers: []stream.ServerState{ss}}}})
+	}
+	if _, err := stream.DecodeCheckpoint(reframe(servers("a", "b", "ba"))); err != nil {
+		t.Fatalf("ascending servers refused: %v", err)
+	}
+	if _, err := stream.DecodeCheckpoint(reframe(epochs([]int{-1, 0, 2}, []int{2, 3}))); err != nil {
+		t.Fatalf("ascending epochs refused: %v", err)
+	}
 	cases := map[string][]byte{
 		"empty":                 nil,
 		"truncated":             good[:len(good)-1],
@@ -146,6 +169,11 @@ func TestDecodeRejectsMalformedPayload(t *testing.T) {
 		"domain-keys-wrap":      keys(1<<32|2, 3),
 		"domain-key-duplicate":  keys(3, 5, 5),
 		"domain-key-zero-twice": keys(0, 0),
+		"servers-descend":       servers("a", "c", "b"),
+		"server-repeated":       servers("a", "b", "b"),
+		"closed-epochs-descend": epochs([]int{0, 2, 1}, nil),
+		"open-epochs-descend":   epochs(nil, []int{3, 2}),
+		"closed-epoch-repeated": epochs([]int{1, 1}, nil),
 	}
 	for name, payload := range cases {
 		if st, err := stream.DecodeCheckpoint(reframe(payload)); err == nil {

@@ -120,10 +120,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-		if c.Shards > 8 {
-			c.Shards = 8
-		}
+		c.Shards = min(runtime.GOMAXPROCS(0), 8)
 	}
 	if c.ShardBuffer <= 0 {
 		c.ShardBuffer = 256
@@ -140,21 +137,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats is a point-in-time tally of the engine's ingest plane.
+// Stats is a point-in-time tally of the engine's ingest plane: the shards'
+// tallies summed, and what the engine holds.
 type Stats struct {
-	// Ingested counts every record handed to Observe and processed.
-	Ingested uint64
-	// Matched counts records attributed to the target DGA and emitted to
-	// estimation (excludes late drops).
-	Matched uint64
-	// Unmatched counts records outside the family's (detected) pool.
-	Unmatched uint64
-	// DroppedLate counts matched records older than the watermark.
-	DroppedLate uint64
-	// ReorderEvictions counts forced emissions from a full reorder buffer.
-	ReorderEvictions uint64
-	// EpochsClosed counts (server, epoch) cells finalised.
-	EpochsClosed uint64
+	ShardStats
 	// Retained is the number of records currently held: the reorder
 	// buffers' (an open epoch holds a statistic, not records).
 	Retained int
@@ -312,26 +298,16 @@ func shardIndex(server string, shards int) int {
 
 // Stats merges the per-shard tallies.
 func (e *Engine) Stats() Stats {
-	var out Stats
-	out.Watermark = math.MaxInt64
+	out := Stats{Watermark: math.MinInt64}
 	for _, s := range e.shards {
 		s.mu.Lock()
-		out.Ingested += s.stats.Ingested
-		out.Matched += s.stats.Matched
-		out.Unmatched += s.stats.Unmatched
-		out.DroppedLate += s.stats.DroppedLate
-		out.ReorderEvictions += s.stats.ReorderEvictions
-		out.EpochsClosed += s.stats.EpochsClosed
+		out.add(s.Stats)
 		out.Retained += s.retained
-		out.PeakRetained += s.peakRetained
-		if s.hasData && s.watermark < out.Watermark {
-			out.Watermark = s.watermark
-			out.WatermarkValid = true
+		out.PeakRetained += s.PeakRetained
+		if s.HasData && (!out.WatermarkValid || s.Watermark < out.Watermark) {
+			out.Watermark, out.WatermarkValid = s.Watermark, true
 		}
 		s.mu.Unlock()
-	}
-	if !out.WatermarkValid {
-		out.Watermark = math.MinInt64
 	}
 	return out
 }
@@ -355,12 +331,8 @@ type ShardStat struct {
 	// Retained is the shard's current retained-record count (its reorder
 	// heap's).
 	Retained int
-	// Ingested/Matched/DroppedLate/EpochsClosed are the shard's share of the
-	// engine tallies.
-	Ingested     uint64
-	Matched      uint64
-	DroppedLate  uint64
-	EpochsClosed uint64
+	// ShardStats is the shard's share of the engine tallies.
+	ShardStats
 }
 
 // ShardStats reports every shard's state at the engine clock's current
@@ -372,15 +344,12 @@ func (e *Engine) ShardStats() []ShardStat {
 		s.mu.Lock()
 		out[i] = ShardStat{
 			Shard:          i,
-			Watermark:      s.watermark,
-			WatermarkValid: s.watermark != math.MinInt64,
+			Watermark:      s.Watermark,
+			WatermarkValid: s.Watermark != math.MinInt64,
 			LagSeconds:     s.lagSecondsLocked(now),
 			ReorderDepth:   s.buf.len(),
 			Retained:       s.retained,
-			Ingested:       s.stats.Ingested,
-			Matched:        s.stats.Matched,
-			DroppedLate:    s.stats.DroppedLate,
-			EpochsClosed:   s.stats.EpochsClosed,
+			ShardStats:     s.Stats,
 		}
 		s.mu.Unlock()
 	}
@@ -474,13 +443,9 @@ func (e *Engine) epochSpan() (first, last int, ok bool) {
 	minT, maxT := sim.Time(math.MaxInt64), sim.Time(math.MinInt64)
 	for _, s := range e.shards {
 		s.mu.Lock()
-		if s.hasData {
-			if s.minT < minT {
-				minT = s.minT
-			}
-			if s.maxT > maxT {
-				maxT = s.maxT
-			}
+		if s.HasData {
+			minT = min(minT, s.MinT)
+			maxT = max(maxT, s.MaxT)
 		}
 		s.mu.Unlock()
 	}
