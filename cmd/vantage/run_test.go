@@ -14,6 +14,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -493,6 +494,53 @@ func TestCrashResume(t *testing.T) {
 					t.Fatalf("final checkpoint cut at %v, the dataset has %d records", cuts, total)
 				}
 			})
+		}
+	}
+}
+
+// TestResolveListeners: -listeners 3 opens three sockets, and -listeners 0
+// opens one per CPU capped at 8 (one socket where SO_REUSEPORT is refused).
+func TestResolveListeners(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		want int
+	}{
+		{"3", 3},
+		{"0", min(runtime.GOMAXPROCS(0), 8)},
+	} {
+		dir := t.TempDir()
+		logPath := filepath.Join(dir, "vantage.log")
+		logf, err := os.Create(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obsAddr := freeAddr(t, "tcp")
+		args := []string{
+			"-listen", "127.0.0.1:0",
+			"-listeners", tc.flag,
+			"-observed", filepath.Join(dir, "obs.jsonl"),
+			"-obs-addr", obsAddr,
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() { done <- run(ctx, args, logf) }()
+		waitHealthz(t, obsAddr)
+		cancel()
+		if err := <-done; err != nil {
+			t.Fatalf("-listeners %s: run: %v", tc.flag, err)
+		}
+		logf.Close()
+		data, err := os.ReadFile(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := string(data)
+		want := tc.want
+		if strings.Contains(log, "reuseport=false") {
+			want = 1
+		}
+		if !strings.Contains(log, fmt.Sprintf(" listeners=%d ", want)) {
+			t.Fatalf("-listeners %s: want %d sockets, log:\n%s", tc.flag, want, log)
 		}
 	}
 }
