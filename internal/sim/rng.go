@@ -12,8 +12,8 @@ type RNG struct {
 	*rand.Rand
 
 	// src is the Rand's own source: the two share one state, so a draw
-	// through either advances the stream for both. PermInto reads it
-	// directly to skip the interface dispatch.
+	// through either advances the stream for both. The bounded draws read
+	// it directly to skip the interface dispatch.
 	src  *rand.PCG
 	seed uint64
 }
@@ -57,15 +57,57 @@ func SplitFrom(seed, label uint64) *RNG {
 	return NewRNG(seed).Split(label)
 }
 
+// IntN returns a uniform int in [0, n), and panics if n <= 0. It is
+// math/rand/v2's Rand.IntN draw for draw, taken from the PCG directly
+// instead of through the Rand's Source interface (pinned by
+// TestIntNIsRandIntN).
+func (r *RNG) IntN(n int) int {
+	if n <= 0 {
+		panic("invalid argument to IntN")
+	}
+	return int(r.uint64n(uint64(n)))
+}
+
+// Int64N is IntN over int64: math/rand/v2's Rand.Int64N, draw for draw.
+func (r *RNG) Int64N(n int64) int64 {
+	if n <= 0 {
+		panic("invalid argument to Int64N")
+	}
+	return int64(r.uint64n(uint64(n)))
+}
+
+// uint64n draws a uniform value in [0, n) as math/rand/v2's uint64n does on
+// a 64-bit platform, consuming the same draws.
+func (r *RNG) uint64n(n uint64) uint64 {
+	for {
+		if v, ok := bounded(r.src.Uint64(), n); ok {
+			return v
+		}
+	}
+}
+
+// bounded maps the draw x into [0, n): by a mask when n is a power of two,
+// otherwise by Lemire's multiply-shift, which rejects x (ok false: draw
+// again) when the product's low word falls below 2⁶⁴ mod n. That is
+// math/rand/v2's uint64n step for step — its lo < n test only skips the
+// division for draws that pass anyway — so a loop over bounded leaves the
+// value and the generator state the standard library leaves. It is small
+// enough to inline into PermInto's loop.
+func bounded(x, n uint64) (v uint64, ok bool) {
+	if n&(n-1) == 0 {
+		return x & (n - 1), true
+	}
+	hi, lo := bits.Mul64(x, n)
+	return hi, lo >= n || lo >= -n%n
+}
+
 // PermInto writes a pseudo-random permutation of [0, n) into buf (grown as
 // needed) and returns it. It is Perm draw for draw: the identity fill, then
 // Shuffle's Fisher–Yates from i = n-1 down to 1, each j drawn in [0, i]
-// exactly as math/rand/v2's uint64n draws it — a mask when i+1 is a power of
-// two, otherwise Lemire's multiply-shift with the same rejection loop. The
-// permutation and the generator state it leaves are Perm's (pinned by
-// TestPermIntoIsPerm); what it saves is the swap closure, the interface
-// dispatch per draw and, with a reused buf, the allocation. Positions are
-// int32, so n must be below 2³¹.
+// through bounded, as uint64n draws. The permutation and the generator
+// state it leaves are Perm's (pinned by TestPermIntoIsPerm); what it saves
+// is the swap closure, the interface dispatch per draw and, with a reused
+// buf, the allocation. Positions are int32, so n must be below 2³¹.
 func (r *RNG) PermInto(buf []int32, n int) []int32 {
 	if cap(buf) < n {
 		buf = make([]int32, n)
@@ -76,19 +118,9 @@ func (r *RNG) PermInto(buf []int32, n int) []int32 {
 	}
 	src := r.src
 	for i := n - 1; i > 0; i-- {
-		bound := uint64(i + 1)
-		var j uint64
-		if bound&(bound-1) == 0 {
-			j = src.Uint64() & (bound - 1)
-		} else {
-			hi, lo := bits.Mul64(src.Uint64(), bound)
-			if lo < bound {
-				thresh := -bound % bound
-				for lo < thresh {
-					hi, lo = bits.Mul64(src.Uint64(), bound)
-				}
-			}
-			j = hi
+		j, ok := bounded(src.Uint64(), uint64(i+1))
+		for !ok {
+			j, ok = bounded(src.Uint64(), uint64(i+1))
 		}
 		buf[i], buf[j] = buf[j], buf[i]
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 )
@@ -37,6 +38,40 @@ func TestPermIntoIsPerm(t *testing.T) {
 			}
 			if g, w := got.Float64(), want.Float64(); g != w {
 				t.Fatalf("seed %d, n %d: next Float64 %v after PermInto, %v after Perm", seed, n, g, w)
+			}
+		}
+	}
+}
+
+// TestIntNIsRandIntN pins IntN and Int64N to math/rand/v2's: the same
+// values draw for draw, and the generator left where the standard library
+// leaves it. The bounds cross the mask path (1, 2, 64), Lemire's path with
+// rare rejections, and 3·2⁶¹, where one draw in four is rejected.
+func TestIntNIsRandIntN(t *testing.T) {
+	bounds := []int64{1, 2, 3, 6, 26, 64, 50000, 1<<40 + 1, 3 << 61, math.MaxInt64}
+	const draws = 16
+	seeds := 200
+	if testing.Short() {
+		seeds = 20
+	}
+	for s := 0; s < seeds; s++ {
+		seed := splitmix64(uint64(s))
+		for _, n := range bounds {
+			want := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
+			got := NewRNG(seed)
+			for d := 0; d < draws; d++ {
+				if g, w := got.IntN(int(n)), want.IntN(int(n)); g != w {
+					t.Fatalf("seed %d, n %d, draw %d: IntN %d, rand.IntN %d", seed, n, d, g, w)
+				}
+				if g, w := got.Int64N(n), want.Int64N(n); g != w {
+					t.Fatalf("seed %d, n %d, draw %d: Int64N %d, rand.Int64N %d", seed, n, d, g, w)
+				}
+			}
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("seed %d, n %d: next Uint64 %d after IntN, %d after rand.IntN", seed, n, g, w)
+			}
+			if g, w := got.Float64(), want.Float64(); g != w {
+				t.Fatalf("seed %d, n %d: next Float64 %v after IntN, %v after rand.IntN", seed, n, g, w)
 			}
 		}
 	}

@@ -267,3 +267,75 @@ func TestCrossEpochDomainKeys(t *testing.T) {
 		}
 	})
 }
+
+// TestDistinctDomainsDifferential holds core.Analyze's distinct-domain count
+// to the set it counts: per server, the canonical names its matched records
+// resolve to, collected record by record into a set. Over the
+// TestBatchStreamEquivalence traces, over a Necurs trace (its pool repeats
+// for four epochs, so one name sits at one position in several epochs) and
+// over a Ranbyus trace of one name met in two epochs at two positions (its
+// sliding window shifts a day's block down the pool).
+func TestDistinctDomainsDifferential(t *testing.T) {
+	const seed = uint64(0xB07)
+	check := func(t *testing.T, spec dga.Spec, recs trace.Observed) {
+		t.Helper()
+		bm, err := core.New(core.Config{Family: spec, Seed: seed, EpochLen: testEpochLen})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := analysisWindow(recs, testEpochLen)
+		want := map[string]map[string]bool{}
+		for _, rec := range recs {
+			m := bm.Matcher(int(rec.T / testEpochLen))
+			pos, ok := m.Resolve(rec)
+			if !ok || !w.Contains(rec.T) {
+				continue
+			}
+			if want[rec.Server] == nil {
+				want[rec.Server] = map[string]bool{}
+			}
+			want[rec.Server][m.Name(pos)] = true
+		}
+		land, err := bm.Analyze(recs, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(land.Servers) != len(want) || len(want) == 0 {
+			t.Fatalf("%d servers charted, %d with matched records", len(land.Servers), len(want))
+		}
+		for _, sv := range land.Servers {
+			if got, w := sv.DistinctDomains, len(want[sv.Server]); got != w {
+				t.Fatalf("%s: %d distinct domains, the record-by-record set holds %d", sv.Server, got, w)
+			}
+		}
+	}
+	for _, tc := range diffCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			check(t, tc.spec, synthTrace(t, tc.spec, seed, 20, 3, tc.activations))
+		})
+	}
+	t.Run("necurs", func(t *testing.T) {
+		spec := experiments.ScaledSpec(dga.Necurs(), 0.05)
+		check(t, spec, synthTrace(t, spec, seed, 6, 3, 2))
+	})
+	t.Run("ranbyus-shifted", func(t *testing.T) {
+		spec := experiments.ScaledSpec(dga.Ranbyus(), 0.1)
+		p0, p1 := spec.Pool.PoolFor(seed, 0), spec.Pool.PoolFor(seed, 1)
+		name := p1.Domains[0]
+		i0, in0 := p0.Position(name)
+		if !in0 || i0 == 0 {
+			t.Fatalf("%q is at %d, %v in epoch 0's pool: want a shifted position", name, i0, in0)
+		}
+		recs := trace.Observed{
+			{T: 10, Server: "local-a", Domain: name},
+			{T: 20, Server: "local-a", Domain: p0.Domains[1]},
+			{T: testEpochLen + 10, Server: "local-a", Domain: name},
+			{T: testEpochLen + 20, Server: "local-a", Domain: name},
+		}
+		check(t, spec, recs)
+		land := runBatch(t, core.Config{Family: spec, Seed: seed, EpochLen: testEpochLen}, recs)
+		if got := land.Servers[0].DistinctDomains; got != 2 {
+			t.Fatalf("distinct domains %d, want 2", got)
+		}
+	})
+}

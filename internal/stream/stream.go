@@ -8,9 +8,9 @@
 //
 //   - Observe hashes each record by forwarding server onto one of a fixed
 //     set of ingest shards; each shard is a goroutine fed by a bounded
-//     channel (backpressure, never unbounded queuing). A server's records
-//     are always handled by the same shard, so per-server state needs no
-//     cross-shard coordination.
+//     inbox that it drains a batch at a time (backpressure, never unbounded
+//     queuing). A server's records are always handled by the same shard, so
+//     per-server state needs no cross-shard coordination.
 //   - Inside a shard, matched records pass through a small reorder buffer:
 //     a min-heap by (timestamp, arrival), drained up to the watermark
 //     maxT − ReorderWindow. Emission is therefore in non-decreasing
@@ -88,8 +88,9 @@ type Config struct {
 	Core core.Config
 	// Shards is the number of ingest shards (0 = one per CPU, capped at 8).
 	Shards int
-	// ShardBuffer is the per-shard channel capacity (0 = 256). A full
-	// channel blocks Observe — backpressure, not unbounded queuing.
+	// ShardBuffer is how many records may wait in a shard's inbox (0 =
+	// 256). Observe blocks while that many are waiting — backpressure, not
+	// unbounded queuing.
 	ShardBuffer int
 	// ReorderWindow bounds how far out of order timestamps may arrive and
 	// still be re-sequenced (0 = 2 s). Records older than
@@ -165,7 +166,10 @@ type Engine struct {
 
 	shards []*shard
 
-	mu     sync.RWMutex // guards closed against concurrent Observe
+	// mu guards closed: a barrier holds it shared, Close and Kill
+	// exclusively. Observe does not take it; each shard's inbox refuses
+	// records once closed.
+	mu     sync.RWMutex
 	closed bool
 	wg     sync.WaitGroup
 
@@ -270,15 +274,14 @@ func (e *Engine) start() {
 // EstimatorName reports the selected analytical model: the first of the set.
 func (e *Engine) EstimatorName() string { return e.bm.EstimatorName() }
 
-// Observe routes one observed record to its server's shard. It blocks when
-// the shard's channel is full (backpressure) and fails after Close.
+// Observe queues one observed record in its server's shard inbox. It blocks
+// while Config.ShardBuffer records are waiting there (backpressure) and
+// fails after Close or Kill; a record it accepted is ingested before the
+// shard stops.
 func (e *Engine) Observe(rec trace.ObservedRecord) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
+	if !e.shards[shardIndex(rec.Server, len(e.shards))].in.put(rec) {
 		return fmt.Errorf("stream: engine closed")
 	}
-	e.shards[shardIndex(rec.Server, len(e.shards))].ch <- rec
 	return nil
 }
 
@@ -468,7 +471,7 @@ func (e *Engine) Close() (*core.Landscape, error) {
 	e.closed = true
 	e.mu.Unlock()
 	for _, s := range e.shards {
-		close(s.ch)
+		s.in.close()
 	}
 	e.wg.Wait()
 	for _, s := range e.shards {
@@ -492,7 +495,7 @@ func (e *Engine) Kill() {
 	e.closed = true
 	e.mu.Unlock()
 	for _, s := range e.shards {
-		close(s.ch)
+		s.in.close()
 	}
 	e.wg.Wait()
 }
