@@ -243,7 +243,7 @@ func (w *vantageWorker) handle(pkt []byte, server string) []byte {
 	}
 	var oerr error
 	if s.est != nil {
-		// Backpressure from the engine's shard channels bounds queuing; the
+		// Backpressure from the engine's shard inboxes bounds queuing; the
 		// only possible error is "engine closed" during shutdown.
 		oerr = s.est.Observe(trace.ObservedRecord{T: t, Server: server, Domain: domain})
 	}
