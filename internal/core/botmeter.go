@@ -24,7 +24,6 @@ import (
 	"botmeter/internal/obs"
 	"botmeter/internal/parallel"
 	"botmeter/internal/sim"
-	"botmeter/internal/symtab"
 	"botmeter/internal/trace"
 )
 
@@ -187,8 +186,6 @@ type ServerEstimate struct {
 	Estimates []float64
 	// MatchedLookups counts DGA-attributed forwarded lookups.
 	MatchedLookups int
-	// DistinctDomains counts distinct DGA domains seen from this server.
-	DistinctDomains int
 	// PerEpoch holds the per-epoch estimates underlying Population.
 	PerEpoch []float64
 }
@@ -198,8 +195,8 @@ type ServerEstimate struct {
 // provisional estimate, and an epoch without a record is 0. It is the one
 // place a walk becomes a ServerEstimate, for Analyze and for the streaming
 // engine's snapshots alike.
-func NewServerEstimate(server string, matched, distinct int, w *estimators.Walk, first, last int) ServerEstimate {
-	est := ServerEstimate{Server: server, MatchedLookups: matched, DistinctDomains: distinct}
+func NewServerEstimate(server string, matched int, w *estimators.Walk, first, last int) ServerEstimate {
+	est := ServerEstimate{Server: server, MatchedLookups: matched}
 	second := false
 	for i, e := range w.Set() {
 		perEpoch, mean := w.Series(i, first, last)
@@ -342,7 +339,7 @@ func (bm *BotMeter) Analyze(obs trace.Observed, w sim.Window) (*Landscape, error
 				walk.Observe(rec)
 			}
 			walk.CloseThrough(lastEpoch)
-			return NewServerEstimate(b.server, len(b.refs), bm.distinctDomains(obs, b.refs), walk, first, lastEpoch), nil
+			return NewServerEstimate(b.server, len(b.refs), walk, first, lastEpoch), nil
 		})
 	estStage.End()
 	if err != nil {
@@ -355,58 +352,6 @@ func (bm *BotMeter) Analyze(obs trace.Observed, w sim.Window) (*Landscape, error
 	}
 	land.Rank()
 	return land, nil
-}
-
-// distinctDomains counts the distinct domains among a server's matched
-// records: through a bitset over interned IDs when every record carries
-// one (ID ↔ domain is a bijection within one intern table), else by the
-// canonical names their epochs' matchers give their positions.
-func (bm *BotMeter) distinctDomains(obs trace.Observed, refs []matchRef) int {
-	maxID := symtab.None
-	for _, ref := range refs {
-		id := obs[ref.idx].ID
-		if id == symtab.None {
-			return bm.distinctNames(obs, refs)
-		}
-		maxID = max(maxID, id)
-	}
-	seen := make([]uint64, int(maxID)/64+1)
-	n := 0
-	for _, ref := range refs {
-		id := obs[ref.idx].ID
-		if word, bit := int(id)>>6, uint64(1)<<(uint(id)&63); seen[word]&bit == 0 {
-			seen[word] |= bit
-			n++
-		}
-	}
-	return n
-}
-
-// distinctNames counts the distinct canonical names among the records'
-// (epoch, position) keys. Most records repeat a key, so the keys are
-// sorted and compacted first, and a name is looked up — in a set sized
-// exactly — once per distinct key: one name can still sit at several keys
-// (pools that repeat or overlap across epochs, collisions). A key holds
-// the epoch as an offset from the first record's, so any window shorter
-// than 2³¹ epochs fits.
-func (bm *BotMeter) distinctNames(obs trace.Observed, refs []matchRef) int {
-	epochOf := func(ref matchRef) int { return int(obs[ref.idx].T / bm.cfg.EpochLen) }
-	base := epochOf(refs[0])
-	keys := make([]uint64, len(refs))
-	for i, ref := range refs {
-		keys[i] = uint64(uint32(epochOf(ref)-base))<<32 | uint64(uint32(ref.pos))
-	}
-	slices.Sort(keys)
-	keys = slices.Compact(keys)
-	names := make(map[string]struct{}, len(keys))
-	var m *matcher.Attribution
-	for i, k := range keys {
-		if i == 0 || k>>32 != keys[i-1]>>32 {
-			m = bm.Matcher(base + int(int32(k>>32)))
-		}
-		names[m.Name(int32(uint32(k)))] = struct{}{}
-	}
-	return len(names)
 }
 
 // workers resolves the per-server estimation pool size: the configured
@@ -434,11 +379,11 @@ func (l *Landscape) String() string {
 		l.Family, l.Model, l.Estimator)
 	fmt.Fprintf(&b, "window %v … %v, %d matched lookups\n",
 		l.Window.Start, l.Window.End, l.MatchedLookups)
-	fmt.Fprintf(&b, "%-4s %-12s %12s %10s %10s\n",
-		"rank", "server", "est. bots", "lookups", "domains")
+	fmt.Fprintf(&b, "%-4s %-12s %12s %10s\n",
+		"rank", "server", "est. bots", "lookups")
 	for i, s := range l.Servers {
-		fmt.Fprintf(&b, "%-4d %-12s %12.1f %10d %10d\n",
-			i+1, s.Server, s.Population, s.MatchedLookups, s.DistinctDomains)
+		fmt.Fprintf(&b, "%-4d %-12s %12.1f %10d\n",
+			i+1, s.Server, s.Population, s.MatchedLookups)
 	}
 	fmt.Fprintf(&b, "total estimated population: %.1f\n", l.Total)
 	return b.String()

@@ -32,13 +32,12 @@ type ingestStatsJSON struct {
 }
 
 type serverEstimateJSON struct {
-	Rank            int       `json:"rank"`
-	Server          string    `json:"server"`
-	Population      float64   `json:"estimated_population"`
-	SecondOpinion   float64   `json:"second_opinion,omitempty"`
-	MatchedLookups  int       `json:"matched_lookups"`
-	DistinctDomains int       `json:"distinct_domains"`
-	PerEpoch        []float64 `json:"per_epoch,omitempty"`
+	Rank           int       `json:"rank"`
+	Server         string    `json:"server"`
+	Population     float64   `json:"estimated_population"`
+	SecondOpinion  float64   `json:"second_opinion,omitempty"`
+	MatchedLookups int       `json:"matched_lookups"`
+	PerEpoch       []float64 `json:"per_epoch,omitempty"`
 }
 
 // WriteJSON serialises the landscape with a stable schema.
@@ -62,13 +61,12 @@ func (l *Landscape) WriteJSON(w io.Writer) error {
 	}
 	for i, s := range l.Servers {
 		out.Servers = append(out.Servers, serverEstimateJSON{
-			Rank:            i + 1,
-			Server:          s.Server,
-			Population:      s.Population,
-			SecondOpinion:   s.SecondOpinion,
-			MatchedLookups:  s.MatchedLookups,
-			DistinctDomains: s.DistinctDomains,
-			PerEpoch:        s.PerEpoch,
+			Rank:           i + 1,
+			Server:         s.Server,
+			Population:     s.Population,
+			SecondOpinion:  s.SecondOpinion,
+			MatchedLookups: s.MatchedLookups,
+			PerEpoch:       s.PerEpoch,
 		})
 	}
 	enc := json.NewEncoder(w)
@@ -85,7 +83,7 @@ func (l *Landscape) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	header := []string{
 		"rank", "server", "estimated_population", "second_opinion",
-		"matched_lookups", "distinct_domains", "family", "model", "estimator",
+		"matched_lookups", "family", "model", "estimator",
 		"window_start_ms", "window_end_ms",
 	}
 	if err := cw.Write(header); err != nil {
@@ -98,7 +96,6 @@ func (l *Landscape) WriteCSV(w io.Writer) error {
 			strconv.FormatFloat(s.Population, 'f', 2, 64),
 			strconv.FormatFloat(s.SecondOpinion, 'f', 2, 64),
 			strconv.Itoa(s.MatchedLookups),
-			strconv.Itoa(s.DistinctDomains),
 			l.Family, l.Model, l.Estimator,
 			strconv.FormatInt(int64(l.Window.Start), 10),
 			strconv.FormatInt(int64(l.Window.End), 10),

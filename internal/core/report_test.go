@@ -16,8 +16,8 @@ func sampleLandscape() *Landscape {
 		Estimator: "MB",
 		Window:    sim.Window{Start: 0, End: sim.Day},
 		Servers: []ServerEstimate{
-			{Server: "local-01", Population: 40.5, MatchedLookups: 1000, DistinctDomains: 800},
-			{Server: "local-00", Population: 7.2, MatchedLookups: 150, DistinctDomains: 120},
+			{Server: "local-01", Population: 40.5, MatchedLookups: 1000},
+			{Server: "local-00", Population: 7.2, MatchedLookups: 150},
 		},
 		Total:          47.7,
 		MatchedLookups: 1150,

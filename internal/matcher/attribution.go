@@ -92,21 +92,6 @@ func (a *Attribution) Name(pos int32) string {
 	return a.pool.Domains[pos]
 }
 
-// Valid reports whether Resolve can return pos: a pool position the detector
-// reported, or a collision's. A position read back from outside — a
-// checkpoint's domain key — is checked here before Name is given it.
-func (a *Attribution) Valid(pos int32) bool {
-	n := a.pool.Size()
-	switch {
-	case pos < 0:
-		return false
-	case int(pos) < n:
-		return a.reported(int(pos))
-	default:
-		return int(pos)-n < len(a.collisions)
-	}
-}
-
 func (a *Attribution) reported(p int) bool {
 	return a.detected == nil || a.detected[p>>6]&(1<<(uint(p)&63)) != 0
 }

@@ -90,32 +90,3 @@ func TestResolve(t *testing.T) {
 		t.Errorf("unsymbolized pool: Resolve = (%d, %v), want (1, true)", pos, ok)
 	}
 }
-
-// TestValid: Valid accepts exactly the positions Resolve can return — what a
-// restore checks a checkpoint's domain keys against before Name reads them.
-func TestValid(t *testing.T) {
-	pool := dga.NewPool([]string{"p0.com", "p1.com", "p2.com", "p3.com"}, []int{1})
-	collisions := []string{"benign-collision-0-0.com", "benign-collision-0-1.com"}
-	cases := []struct {
-		name string
-		a    *Attribution
-		want map[int32]bool // positions -1..7; absent = false
-	}{
-		{"report with a miss and collisions", NewAttribution(pool, []int{0, 1, 3}, collisions),
-			map[int32]bool{0: true, 1: true, 3: true, 4: true, 5: true}},
-		{"whole pool", NewAttribution(pool, nil, nil),
-			map[int32]bool{0: true, 1: true, 2: true, 3: true}},
-	}
-	for _, tc := range cases {
-		for pos := int32(-1); pos < 8; pos++ {
-			if got := tc.a.Valid(pos); got != tc.want[pos] {
-				t.Errorf("%s: Valid(%d) = %v, want %v", tc.name, pos, got, tc.want[pos])
-			}
-			if pos >= 0 && tc.a.Valid(pos) {
-				if p, ok := tc.a.Resolve(trace.ObservedRecord{Domain: tc.a.Name(pos)}); !ok || p != pos {
-					t.Errorf("%s: Valid(%d) but Resolve(Name) = (%d, %v)", tc.name, pos, p, ok)
-				}
-			}
-		}
-	}
-}

@@ -3,7 +3,6 @@ package stream_test
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 
@@ -305,92 +304,5 @@ func TestRestoreRefusesUnattributable(t *testing.T) {
 		if !hit[d.name] {
 			t.Errorf("no state held a %s to damage", d.name)
 		}
-	}
-}
-
-// TestRestoreRefusesBadDomainKeys: a server's domain set is a list of
-// (epoch, position) keys, and Restore reads each back through its epoch's
-// matcher. A key that matcher would not attribute — past the pool and the
-// collisions, or at a position the detector did not report — and a list out
-// of order or with a key twice are a damaged state: Restore names the server
-// and refuses it, whether or not the state came through the decoder.
-func TestRestoreRefusesBadDomainKeys(t *testing.T) {
-	tc := attributionCases()[1] // MB
-	obs, _ := borderTrace(t, tc.core.Family)
-	det := attributionDetection
-	cfg := stream.Config{Core: tc.core, Shards: 2, ReorderWindow: 5 * sim.Second}
-	cfg.Core.Seed = attributionSeed
-	cfg.Core.Granularity = 100 * sim.Millisecond
-	cfg.Core.Detection = &det
-	eng, err := stream.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range obs {
-		if err := eng.Observe(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, frame := exportBytes(t, eng)
-	eng.Kill()
-	matchers := core.NewEpochMatchers(&det, dga.NewPoolCache(tc.core.Family.Pool, attributionSeed, nil))
-	pool := tc.core.Family.Pool.PoolFor(attributionSeed, 1)
-	missed := int32(-1)
-	for p := int32(0); int(p) < pool.Size(); p++ {
-		if !matchers.For(1).Valid(p) {
-			missed = p
-			break
-		}
-	}
-	if missed < 0 {
-		t.Fatal("the detector reported every position of epoch 1")
-	}
-	// insert puts k into the first server's keys, keeping them ascending.
-	insert := func(k stream.DomainKey) func([]stream.DomainKey) []stream.DomainKey {
-		return func(ks []stream.DomainKey) []stream.DomainKey {
-			ks = append(ks, k)
-			slices.Sort(ks)
-			return ks
-		}
-	}
-	damages := []struct {
-		name   string
-		damage func([]stream.DomainKey) []stream.DomainKey
-		want   string
-	}{
-		{"past the collisions", insert(stream.DomainKey(1<<32 | uint64(pool.Size()+det.Collisions))), "does not attribute"},
-		{"missed by the detector", insert(stream.DomainKey(1<<32 | uint64(missed))), "does not attribute"},
-		{"negative position", insert(stream.DomainKey(1<<32 | 1<<31)), "does not attribute"},
-		{"out of order", func(ks []stream.DomainKey) []stream.DomainKey {
-			ks[0], ks[1] = ks[1], ks[0]
-			return ks
-		}, "not strictly ascending"},
-		{"twice", func(ks []stream.DomainKey) []stream.DomainKey {
-			ks[1] = ks[0]
-			return ks
-		}, "not strictly ascending"},
-	}
-	for _, d := range damages {
-		t.Run(d.name, func(t *testing.T) {
-			st, err := stream.DecodeCheckpoint(frame)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sv := &st.Shards[0].Servers[0]
-			if len(sv.Domains) < 2 {
-				t.Fatalf("%s holds %d domain keys", sv.Name, len(sv.Domains))
-			}
-			sv.Domains = d.damage(sv.Domains)
-			restored, err := stream.Restore(cfg, st)
-			if err == nil {
-				restored.Kill()
-				t.Fatal("Restore accepted a damaged domain-key list")
-			}
-			for _, want := range []string{sv.Name, d.want} {
-				if !strings.Contains(err.Error(), want) {
-					t.Errorf("error %q does not name %q", err, want)
-				}
-			}
-		})
 	}
 }

@@ -42,7 +42,7 @@ const (
 //	     4     4  format version (big-endian uint32)
 //	     8     8  payload length (big-endian uint64)
 //	    16    32  SHA-256 of the payload
-//	    48     …  payload (EngineState, format version 6)
+//	    48     …  payload (EngineState, format version 7)
 //
 // The checksum plus length makes torn or bit-flipped files detectable
 // before the payload decoder sees them; the version makes format evolution
@@ -54,19 +54,19 @@ const (
 // next successful checkpoint sweeps away.
 const (
 	checkpointMagic = "BMCP"
-	// checkpointVersion 6: a server's distinct-domain set is a delta-coded
-	// list of domain keys, (epoch, position) pairs, instead of its sorted
-	// names (version 5; it had the same cells: one statistic per estimator
-	// of the set in an open cell, one value per estimator in a closed epoch,
-	// and the set named in the fingerprint; version 4 had one estimator per
-	// cell plus an optional MT second opinion beside it; version 3, the
-	// first binary payload, still had a record list for estimators that did
-	// not stream).
+	// checkpointVersion 7: a server holds its tally, closed epochs and open
+	// cells, and no distinct-domain set (version 6 kept that set as a
+	// delta-coded list of (epoch, position) keys, version 5 as sorted names;
+	// both had the same cells: one statistic per estimator of the set in an
+	// open cell, one value per estimator in a closed epoch, and the set
+	// named in the fingerprint; version 4 had one estimator per cell plus an
+	// optional MT second opinion beside it; version 3, the first binary
+	// payload, still had a record list for estimators that did not stream).
 	// There is one reader: an older file is rejected by version, recovery
 	// reports no loadable checkpoint and the daemon replays its trace, which
 	// is the durable log (the rule version 2 set when estimator state moved
 	// into the cells).
-	checkpointVersion = 6
+	checkpointVersion = 7
 	checkpointHeader  = 48
 	checkpointPrefix  = "checkpoint-"
 	checkpointExt     = ".ckpt"

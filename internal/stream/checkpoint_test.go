@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -300,9 +299,8 @@ func hasTmpCheckpoint(tb testing.TB, dir string) bool {
 }
 
 // TestCorruptCheckpointFallback corrupts the newest generation on disk
-// (bit flip, truncation, a name or a domain key the matcher cannot
-// attribute, domain keys, servers, closed or open epochs out of order or
-// repeated) and verifies
+// (bit flip, truncation, a name the matcher cannot attribute, servers,
+// closed or open epochs out of order or repeated) and verifies
 // recovery (RestoreLatest) falls back to the previous good generation — and still reproduces the uninterrupted landscape. With
 // every generation corrupted, recovery reports "nothing to restore"
 // rather than failing.
@@ -361,14 +359,6 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 			}
 			return false
 		}), ""},
-		// Whole files whose domain keys are out of order or repeated: the
-		// decoder refuses them.
-		{"non-ascending domain keys", damaged(func(st *stream.EngineState) bool {
-			return damageKeys(st, func(ks []stream.DomainKey) { ks[0], ks[1] = ks[1], ks[0] })
-		}), "not above the one before"},
-		{"duplicate domain key", damaged(func(st *stream.EngineState) bool {
-			return damageKeys(st, func(ks []stream.DomainKey) { ks[1] = ks[0] })
-		}), "not above the one before"},
 		// Whole files whose servers, closed epochs or open epochs are out of
 		// order or repeated: the decoder refuses them too.
 		{"servers out of order", damaged(func(st *stream.EngineState) bool {
@@ -399,11 +389,6 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 				return true
 			})
 		}), "not above the one before"},
-		// A whole file with a key past the end of its epoch's pool and
-		// collisions: it decodes, and only the restore can tell.
-		{"unattributable domain key", damaged(func(st *stream.EngineState) bool {
-			return damageKeys(st, func(ks []stream.DomainKey) { ks[len(ks)-1] |= math.MaxInt32 })
-		}), "does not attribute"},
 	}
 	for _, c := range corruptions {
 		t.Run(c.name, func(t *testing.T) {
@@ -514,20 +499,6 @@ func damaged(damage func(*stream.EngineState) bool) func(tb testing.TB, path str
 			tb.Fatalf("WriteFile: %v", err)
 		}
 	}
-}
-
-// damageKeys applies damage to the first server's domain keys that has at
-// least two.
-func damageKeys(st *stream.EngineState, damage func([]stream.DomainKey)) bool {
-	for _, sh := range st.Shards {
-		for _, sv := range sh.Servers {
-			if len(sv.Domains) >= 2 {
-				damage(sv.Domains)
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // damageShard applies damage to the servers of the first shard that has at
@@ -727,42 +698,41 @@ func TestExportStateStableBytes(t *testing.T) {
 
 // TestCheckpointBytesPinned: a vantage upgraded in place resumes from the
 // generations its predecessor wrote, and a coordinator decodes what vantages
-// of other builds serve, so the bytes of a checkpoint — format v6, field
-// order, set order, candidate order, domain-key order — are part of the
-// contract. The hashes were recorded when v6 was introduced (stable over
-// -count 3 -cpu 1,2,4); a change that moves them is a format change and
-// takes a new version number.
+// of other builds serve, so the bytes of a checkpoint — format v7, field
+// order, set order, candidate order — are part of the contract. The hashes
+// were recorded when v7 was introduced (stable over -count 3 -cpu 1,2,4); a
+// change that moves them is a format change and takes a new version number.
 func TestCheckpointBytesPinned(t *testing.T) {
 	want := map[string][3]string{
 		"MP-murofet": {
-			"62bff58a81a67e0afb322b39d949ef23332560e74005690a8ff91c26fca8dc34",
-			"18edab4d6d69f773adfa0332ff5d25327a36a2cef9ad1736059d39a7d44b10fa",
-			"2c91f8a7f60f00be7d37c727ce67fecbf017e80322cf412bb6809c4f3eb27f9a",
+			"befdc7883da712ab633f900788f75a42b190c3525867e9df7542ebb5c971a354",
+			"4b382ea9543cbbc6234f5446f6a72356eb8f1425fad39203b53babf061fcb271",
+			"7dfec6d1239a48d22b2de973797eb1c944cf5fc1ba361543a84b8589743213d1",
 		},
 		"MB-newgoz": {
-			"a49bcb89c2cc51f45bcb6c90b6d5514b73819606db0c98df9647a18b136ea86b",
-			"c2d27c469dea3f3cadd9b905b7964cd76b1079345fab853eb09f928884256e54",
-			"4df7f2dcd34c6405664dabe667406199a01779d5e426e83d9044b6405e6630f6",
+			"e19a923bd4c0f43468c5ecec9298d960331672d62113a1c58f8f237f252775ae",
+			"a409f50741fc5470d9a526d9b92967d01dadcdf81cf82befaad5543a8541b18a",
+			"6c6028f608efb0bcae34a42c62e83437cabe9dfef77a6f440a6bfa67105858b0",
 		},
 		"MT-murofet": {
-			"c797fa4ce53a03bcd5ecef8b50f65fa12f0c83b793f377fa764e387d43227bef",
-			"c6ee98bf57654f0ec07651359f38eb03618164839a4fb75227fafdfa490e2755",
-			"8c6741fbce624bbd9266e87b8f19a935bfae45ae065ebd7ff021ba503864da50",
+			"5844ade65f26a595577789e5d37369fcd6bb3140a75ef5bbde1746d7d102774e",
+			"09e142d966e70f8c2e8b8d4d90649a16f88ef00ec2b485df5578e148c32d522b",
+			"faa19d58c712d86ca0204065510e97d5dc3a45656fa3a5014277bdb92a391fdb",
 		},
 		"MB-C-newgoz": {
-			"71cb8f5cd2ef7f5725f87b20ff4c731ebd47d1e7c166f54dddd1f4da0caa78c4",
-			"3e24fd3b6dd5890b0dbf6095e8936bb09758830cddbca0ed2840655ae6d6fb96",
-			"d8daa6ffead3223f8bcfa5ccff847e0a44a8971b5d43f58368a2f61b6f0b76ee",
+			"ebe2fef8309d73e787b6bfff4fd00f85e2db780baa16ae4ec648f587f45e57a3",
+			"acc58680d437c215c541eb21773d3a69894ee0a83c3dbfb20580c54620d7e59d",
+			"593087b651f30a5a2f25a59461a1572848d949e0d84b50a790999ecbecefb63c",
 		},
 		"NC-murofet": {
-			"9eec82e9f321760f9bd3f03e7e855b2ebc2e7b2c5d6a711cb0fb812559c5c1cc",
-			"6219e0404ae4820b07b4d2843391839c3fe835b4ed285dd4442e426459391675",
-			"ac2b8c504535e2d3088755b5dd3bba2200b411dc5c4a532b4c2cfd668595069e",
+			"9248dcffb15699d2a3322d216094f8ac1f3c881fc425ea89d7dc7b62172a4417",
+			"aff33975aa93b08519720377a2fcef3fef6182af43027af286a33277024c1707",
+			"2c1a3ae543d5c11dab1689d1c69b9733c5bcee524a9673000f62bc8537b51c0c",
 		},
 		"set-murofet": {
-			"1b247cfaa8d153cf58b7f36dd8c588864bab315912cc8621f12aa10763c7acd6",
-			"5c18c340ea15e25eb1b3a541498043e0b203fa397c3f1ab32eedf3feb8bf5acd",
-			"107b0c53357f45ab9fe964601892a50ec0f5cf7ba2d133382c4d52938c8ee6fc",
+			"f6c5698c57ddf0d367d72f4482405ed1fe81fe6c018e1b360e1d7273f836d334",
+			"44a9c9eda9f886bd46de1ab10928062b647bdd4d59e1ef3fc182e7b1c6d67d8d",
+			"f42bdd2a38f0876f83dac5330b56f8ba97dee55a006fe8f153067997b6a42798",
 		},
 	}
 	for _, tc := range diffCases() {
@@ -866,13 +836,15 @@ func TestCheckpointDecodeRejects(t *testing.T) {
 		// Frames of an older format version — 1 predates the per-family cell
 		// layout, 2 carried a JSON payload, 3 a record list in every cell, 4
 		// one estimator per cell with an MT second opinion beside it, 5 each
-		// server's domains as names — must be rejected by version, not
-		// misparsed, so recovery falls back to a clean cold start.
+		// server's domains as names, 6 as (epoch, position) keys — must be
+		// rejected by version, not misparsed, so recovery falls back to a
+		// clean cold start.
 		"old-version-1":   func(b []byte) []byte { b[7] = 1; return b },
 		"old-version-2":   func(b []byte) []byte { b[7] = 2; return b },
 		"old-version-3":   func(b []byte) []byte { b[7] = 3; return b },
 		"old-version-4":   func(b []byte) []byte { b[7] = 4; return b },
 		"old-version-5":   func(b []byte) []byte { b[7] = 5; return b },
+		"old-version-6":   func(b []byte) []byte { b[7] = 6; return b },
 		"length-mismatch": func(b []byte) []byte { return b[:len(b)-1] },
 		"payload-flip":    func(b []byte) []byte { b[len(b)-1] ^= 1; return b },
 		"checksum-flip":   func(b []byte) []byte { b[20] ^= 1; return b },
@@ -882,7 +854,7 @@ func TestCheckpointDecodeRejects(t *testing.T) {
 		_, err := stream.DecodeCheckpoint(data)
 		if err == nil {
 			t.Errorf("%s: DecodeCheckpoint accepted a corrupt frame", name)
-		} else if strings.Contains(name, "version") && !strings.Contains(err.Error(), fmt.Sprintf("unsupported checkpoint version %d (want 6)", data[7])) {
+		} else if strings.Contains(name, "version") && !strings.Contains(err.Error(), fmt.Sprintf("unsupported checkpoint version %d (want 7)", data[7])) {
 			t.Errorf("%s: refused with %q, not by its version", name, err)
 		}
 	}

@@ -2,9 +2,7 @@ package stream_test
 
 import (
 	"bytes"
-	"maps"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"botmeter/internal/core"
@@ -16,20 +14,19 @@ import (
 	"botmeter/internal/trace"
 )
 
-// TestCrossEpochDomainKeys: a checkpoint keeps a server's domains as
-// (epoch, position) keys, and one name is not one key. Necurs regenerates its
-// pool every four epochs, so epochs 0–3 share one pool and every name of it
-// sits at the same position in four epochs' matchers. Over such a trace:
+// TestRepeatingPoolDifferential runs the differentials over a pool that
+// repeats across epochs. Necurs regenerates its pool every four epochs, so
+// epochs 0–3 share one pool and every name of it sits at the same position
+// in four epochs' matchers. Over such a trace:
 //
-//	(a) one engine keeps one key per name, the earliest epoch's, and its
-//	    DistinctDomains are core.Analyze's;
+//	(a) one engine's cut holds TestExportInvariants' invariants, and its
+//	    landscape is core.Analyze's;
 //	(b) two vantages that see the same servers and meet a name first in
-//	    different epochs each export their own key for it; the merge keeps both, the
-//	    restore keeps the smaller, and the landscape and the domain keys are
-//	    the single engine's; a re-merge of the merged state is a fixed point;
+//	    different epochs merge to the single engine's landscape, and a
+//	    re-merge of the merged state is a fixed point;
 //	(c) an engine killed with its last checkpoint cut just before the epoch
 //	    boundary resumes to the bytes of the uninterrupted engine.
-func TestCrossEpochDomainKeys(t *testing.T) {
+func TestRepeatingPoolDifferential(t *testing.T) {
 	const (
 		seed          = uint64(0x4EC5)
 		reorderWindow = 5 * sim.Second
@@ -68,17 +65,6 @@ func TestCrossEpochDomainKeys(t *testing.T) {
 		t.Fatal("no server meets a name in both epoch 0 and epoch 2")
 	}
 
-	// exportKeys returns every server's exported domain keys.
-	exportKeys := func(st *stream.EngineState) map[string][]stream.DomainKey {
-		out := map[string][]stream.DomainKey{}
-		for _, sh := range st.Shards {
-			for _, sv := range sh.Servers {
-				out[sv.Name] = sv.Domains
-			}
-		}
-		return out
-	}
-
 	t.Run("one engine", func(t *testing.T) {
 		eng, err := stream.New(mkCfg(""))
 		if err != nil {
@@ -94,7 +80,6 @@ func TestCrossEpochDomainKeys(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ExportState: %v", err)
 		}
-		// One key per name, at the earliest epoch the server met it in.
 		checkCut(t, st, delivered, matchers, spec.MaxDuration())
 		land, err := eng.Close()
 		if err != nil {
@@ -127,22 +112,6 @@ func TestCrossEpochDomainKeys(t *testing.T) {
 		if err != nil {
 			t.Fatalf("MergeStates: %v", err)
 		}
-		// The merge keeps a name the vantages met first in different epochs
-		// under both keys.
-		dupes := 0
-		for _, keys := range exportKeys(merged) {
-			names := map[string]bool{}
-			for _, k := range keys {
-				name := matchers.For(k.Epoch()).Name(k.Pos())
-				if names[name] {
-					dupes++
-				}
-				names[name] = true
-			}
-		}
-		if dupes == 0 {
-			t.Fatal("no name is under two keys in the merged state")
-		}
 
 		ref, err := stream.New(cfgFor(""))
 		if err != nil {
@@ -153,25 +122,6 @@ func TestCrossEpochDomainKeys(t *testing.T) {
 			if err := ref.Observe(rec); err != nil {
 				t.Fatalf("Observe(reference): %v", err)
 			}
-		}
-		refState, err := ref.ExportState()
-		if err != nil {
-			t.Fatalf("ExportState(reference): %v", err)
-		}
-
-		// Restored, the duplicates collapse to the smaller key: the single
-		// engine's.
-		restored, err := stream.Restore(cfgFor(""), merged)
-		if err != nil {
-			t.Fatalf("Restore(merged): %v", err)
-		}
-		defer restored.Kill()
-		restoredState, err := restored.ExportState()
-		if err != nil {
-			t.Fatalf("ExportState(restored): %v", err)
-		}
-		if !maps.EqualFunc(exportKeys(refState), exportKeys(restoredState), slices.Equal) {
-			t.Fatal("the restored merge holds other domain keys than the single engine")
 		}
 
 		_, mergedJSON, _ := quiescedLandscape(t, cfgFor(""), merged)
@@ -186,7 +136,7 @@ func TestCrossEpochDomainKeys(t *testing.T) {
 			t.Fatalf("merged landscape differs from the single engine's:\nsingle %s\nmerged %s", refJSON, mergedJSON)
 		}
 
-		// Re-merging the merged state, keys and all, changes nothing.
+		// Re-merging the merged state changes nothing.
 		again, err := stream.MergeStates(merged)
 		if err != nil {
 			t.Fatalf("MergeStates(merged): %v", err)
@@ -264,78 +214,6 @@ func TestCrossEpochDomainKeys(t *testing.T) {
 		}
 		if !bytes.Equal(landscapeBytes(t, gotLand), landscapeBytes(t, wantLand)) {
 			t.Fatal("resumed landscape differs from the uninterrupted one")
-		}
-	})
-}
-
-// TestDistinctDomainsDifferential holds core.Analyze's distinct-domain count
-// to the set it counts: per server, the canonical names its matched records
-// resolve to, collected record by record into a set. Over the
-// TestBatchStreamEquivalence traces, over a Necurs trace (its pool repeats
-// for four epochs, so one name sits at one position in several epochs) and
-// over a Ranbyus trace of one name met in two epochs at two positions (its
-// sliding window shifts a day's block down the pool).
-func TestDistinctDomainsDifferential(t *testing.T) {
-	const seed = uint64(0xB07)
-	check := func(t *testing.T, spec dga.Spec, recs trace.Observed) {
-		t.Helper()
-		bm, err := core.New(core.Config{Family: spec, Seed: seed, EpochLen: testEpochLen})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := analysisWindow(recs, testEpochLen)
-		want := map[string]map[string]bool{}
-		for _, rec := range recs {
-			m := bm.Matcher(int(rec.T / testEpochLen))
-			pos, ok := m.Resolve(rec)
-			if !ok || !w.Contains(rec.T) {
-				continue
-			}
-			if want[rec.Server] == nil {
-				want[rec.Server] = map[string]bool{}
-			}
-			want[rec.Server][m.Name(pos)] = true
-		}
-		land, err := bm.Analyze(recs, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(land.Servers) != len(want) || len(want) == 0 {
-			t.Fatalf("%d servers charted, %d with matched records", len(land.Servers), len(want))
-		}
-		for _, sv := range land.Servers {
-			if got, w := sv.DistinctDomains, len(want[sv.Server]); got != w {
-				t.Fatalf("%s: %d distinct domains, the record-by-record set holds %d", sv.Server, got, w)
-			}
-		}
-	}
-	for _, tc := range diffCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			check(t, tc.spec, synthTrace(t, tc.spec, seed, 20, 3, tc.activations))
-		})
-	}
-	t.Run("necurs", func(t *testing.T) {
-		spec := experiments.ScaledSpec(dga.Necurs(), 0.05)
-		check(t, spec, synthTrace(t, spec, seed, 6, 3, 2))
-	})
-	t.Run("ranbyus-shifted", func(t *testing.T) {
-		spec := experiments.ScaledSpec(dga.Ranbyus(), 0.1)
-		p0, p1 := spec.Pool.PoolFor(seed, 0), spec.Pool.PoolFor(seed, 1)
-		name := p1.Domains[0]
-		i0, in0 := p0.Position(name)
-		if !in0 || i0 == 0 {
-			t.Fatalf("%q is at %d, %v in epoch 0's pool: want a shifted position", name, i0, in0)
-		}
-		recs := trace.Observed{
-			{T: 10, Server: "local-a", Domain: name},
-			{T: 20, Server: "local-a", Domain: p0.Domains[1]},
-			{T: testEpochLen + 10, Server: "local-a", Domain: name},
-			{T: testEpochLen + 20, Server: "local-a", Domain: name},
-		}
-		check(t, spec, recs)
-		land := runBatch(t, core.Config{Family: spec, Seed: seed, EpochLen: testEpochLen}, recs)
-		if got := land.Servers[0].DistinctDomains; got != 2 {
-			t.Fatalf("distinct domains %d, want 2", got)
 		}
 	})
 }

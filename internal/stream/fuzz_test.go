@@ -49,12 +49,13 @@ func seedFrames(f *testing.F) [][]byte {
 
 const frameHeader = 48
 
-// reframe puts a well-formed version-6 header — length and SHA-256 included —
-// in front of payload: what a hostile vantage can do to any bytes it likes.
+// reframe puts a well-formed header of the current format version — length
+// and SHA-256 included — in front of payload: what a hostile vantage can do
+// to any bytes it likes.
 func reframe(payload []byte) []byte {
 	frame := make([]byte, frameHeader, frameHeader+len(payload))
-	copy(frame, "BMCP")
-	binary.BigEndian.PutUint32(frame[4:], 6)
+	empty, _ := stream.EncodeCheckpoint(&stream.EngineState{})
+	copy(frame, empty[:8]) // magic and version
 	binary.BigEndian.PutUint64(frame[8:], uint64(len(payload)))
 	sum := sha256.Sum256(payload)
 	copy(frame[16:], sum[:])

@@ -172,12 +172,11 @@ func closedEpoch(ev *estimators.EpochValues) int { return ev.Epoch }
 func openEpoch(cs *estimators.CellState) int     { return cs.Epoch }
 
 // mergeServer folds one input's state of a forwarding server into dst's:
-// tallies sum, domain keys union, closed epochs must agree where they
-// overlap, and open cells merge by the estimator algebra.
+// tallies sum, closed epochs must agree where they overlap, and open cells
+// merge by the estimator algebra.
 func mergeServer(dst, in *ServerState, _ bool) error {
 	dst.Name = in.Name
 	dst.Matched += in.Matched
-	dst.Domains = unionKeys(dst.Domains, in.Domains)
 	var err error
 	dst.Closed, err = foldRun(dst.Closed, in.Closed, closedEpoch, func(d, ev *estimators.EpochValues, fresh bool) error {
 		if fresh {
@@ -237,9 +236,7 @@ func mergeCell(server string, dst, cs *estimators.CellState, fresh bool) error {
 //     export sorts them, the decoder refuses anything else), so the merge
 //     folds run into run with no map in between: per-server state merges
 //     via the estimator algebra, and closed epochs must agree where they
-//     overlap. Domain sets union as sorted key runs, with no name looked
-//     up: a name two inputs met first in different epochs stays under both
-//     keys, and Restore keeps the smaller.
+//     overlap.
 //   - Shard headers (watermark, time span, ingest tallies) merge per index
 //     when every input has the output shard count — exact, because then
 //     input shard i holds precisely the servers output shard i holds. The
@@ -356,30 +353,6 @@ func MergeStates(states ...*EngineState) (*EngineState, error) {
 		sh.Seq = uint64(len(sh.Buffer))
 	}
 	return out, nil
-}
-
-// unionKeys returns the union of two strictly ascending key runs, ascending,
-// in a slice of its own. Keys are compared, never resolved: one name under
-// two keys stays two keys until a restore collapses them.
-func unionKeys(a, b []DomainKey) []DomainKey {
-	out := make([]DomainKey, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
 }
 
 // ConfigForState reconstructs the engine configuration a state was taken

@@ -555,9 +555,6 @@ func scribble(st *stream.EngineState) {
 			sh.Buffer[i].Domain = "scribbled"
 		}
 		for _, ss := range sh.Servers {
-			for i := range ss.Domains {
-				ss.Domains[i] = 0
-			}
 			for _, ev := range ss.Closed {
 				for i := range ev.Values {
 					ev.Values[i] = -1

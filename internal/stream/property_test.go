@@ -260,12 +260,9 @@ func TestLandscapeJSON(t *testing.T) {
 //
 //	(a) no exported candidate, primary or second opinion, has
 //	    First + MaxDuration ≤ its shard's watermark;
-//	(b) no open cell lies in an epoch the watermark has passed entirely;
-//	(c) each server's Domains is strictly ascending, and its keys resolve,
-//	    through their epochs' matchers, to exactly the set of matched
-//	    domains emitted for it so far, each keyed at the earliest epoch
-//	    the server met it in;
-//	(d) a Restore of the export exports the same bytes, and still does
+//	(b) no open cell lies in an epoch the watermark has passed entirely,
+//	    and exactly the servers with an emitted record are exported;
+//	(c) a Restore of the export exports the same bytes, and still does
 //	    after both engines took the records up to the next cut — the close
 //	    mark and the expiry queue are rebuilt, not assumed.
 func TestExportInvariants(t *testing.T) {
@@ -355,7 +352,7 @@ func exportBytes(t *testing.T, eng *stream.Engine) (*stream.EngineState, []byte)
 	return st, data
 }
 
-// checkCut asserts invariants (a)–(c) of TestExportInvariants on one export
+// checkCut asserts invariants (a) and (b) of TestExportInvariants on one export
 // taken after exactly the records in fed.
 func checkCut(t *testing.T, st *stream.EngineState, fed trace.Observed, matchers *core.EpochMatchers, maxDuration sim.Time) {
 	t.Helper()
@@ -374,54 +371,25 @@ func checkCut(t *testing.T, st *stream.EngineState, fed trace.Observed, matchers
 			buffered[key{en.T, en.Server, en.Domain}]++
 		}
 	}
-	// emitted maps each server's emitted names to the earliest epoch it met
-	// them in.
-	emitted := map[string]map[string]int{}
+	// emitted holds the servers with at least one emitted record.
+	emitted := map[string]bool{}
 	for _, rec := range fed {
-		epoch := int(rec.T / testEpochLen)
-		if _, ok := matchers.For(epoch).Resolve(rec); !ok {
+		if _, ok := matchers.For(int(rec.T / testEpochLen)).Resolve(rec); !ok {
 			continue
 		}
 		if k := (key{rec.T, rec.Server, rec.Domain}); buffered[k] > 0 {
 			buffered[k]--
 			continue
 		}
-		if emitted[rec.Server] == nil {
-			emitted[rec.Server] = map[string]int{}
-		}
-		if first, ok := emitted[rec.Server][rec.Domain]; !ok || epoch < first {
-			emitted[rec.Server][rec.Domain] = epoch
-		}
+		emitted[rec.Server] = true
 	}
 	seen := 0
 	for i, sh := range st.Shards {
 		wm := sim.Time(sh.Watermark)
 		for _, sv := range sh.Servers {
 			seen++
-			if len(sv.Domains) != len(emitted[sv.Name]) {
-				t.Fatalf("%s: %d domain keys exported, %d names emitted", sv.Name, len(sv.Domains), len(emitted[sv.Name]))
-			}
-			names := map[string]bool{}
-			for j, k := range sv.Domains {
-				if j > 0 && sv.Domains[j-1] >= k {
-					t.Fatalf("%s: domain keys not strictly ascending at %d: %#x, %#x", sv.Name, j, sv.Domains[j-1], k)
-				}
-				a := matchers.For(k.Epoch())
-				if !a.Valid(k.Pos()) {
-					t.Fatalf("%s: domain key %#x names a position epoch %d's matcher does not attribute", sv.Name, k, k.Epoch())
-				}
-				d := a.Name(k.Pos())
-				first, ok := emitted[sv.Name][d]
-				if !ok {
-					t.Fatalf("%s: exported domain %q was never emitted", sv.Name, d)
-				}
-				if k.Epoch() != first {
-					t.Fatalf("%s: %q is keyed at epoch %d, first met in epoch %d", sv.Name, d, k.Epoch(), first)
-				}
-				if names[d] {
-					t.Fatalf("%s: %q is exported under two keys", sv.Name, d)
-				}
-				names[d] = true
+			if !emitted[sv.Name] {
+				t.Fatalf("%s is exported without an emitted record", sv.Name)
 			}
 			for _, cell := range sv.Open {
 				if sh.Watermark != math.MinInt64 && wm >= 0 && cell.Epoch <= int(wm/testEpochLen)-1 {

@@ -3,12 +3,10 @@ package stream
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"time"
 
 	"botmeter/internal/estimators"
-	"botmeter/internal/matcher"
 	"botmeter/internal/obs"
 	"botmeter/internal/sim"
 	"botmeter/internal/trace"
@@ -386,16 +384,12 @@ func (s *shard) emitLocked(rec trace.ObservedRecord) {
 		s.servers[rec.Server] = sv
 	}
 	sv.matched++
-	sv.addDomain(rec.Domain, domainKey(epoch, rec.Pos))
 	s.countClosed(sv.walk.Observe(rec))
 	s.queueExpiryLocked(sv)
 }
 
 func (s *shard) newServer() *serverState {
-	return &serverState{
-		domains: make(map[string]DomainKey),
-		walk:    s.eng.bm.NewWalk(nil),
-	}
+	return &serverState{walk: s.eng.bm.NewWalk(nil)}
 }
 
 // queueExpiryLocked puts a server whose open cells hold candidates, and
@@ -502,76 +496,9 @@ func (s *shard) retainInc(d int) {
 // walk and the tallies the landscape reports beside it.
 type serverState struct {
 	matched int
-	// domains is the distinct-domain set, by canonical name, each under the
-	// first key the server met it at. sorted holds, ascending, the keys the
-	// last export saw and fresh the ones added since, so an export sorts
-	// what is new and merges instead of sorting the set.
-	domains map[string]DomainKey
-	sorted  []DomainKey
-	fresh   []DomainKey
 	walk    *estimators.Walk
 	// queued says the server sits on its shard's expiry heap.
 	queued bool
-}
-
-// addDomain adds d, met at key k. A name already in the set keeps its key:
-// emission is timestamp-ordered, so that one is from the earliest epoch.
-func (sv *serverState) addDomain(d string, k DomainKey) {
-	if _, ok := sv.domains[d]; !ok {
-		sv.domains[d] = k
-		sv.fresh = append(sv.fresh, k)
-	}
-}
-
-// sortedKeys returns the domain keys ascending, in a slice of the caller's
-// own: sort the additions, merge them into sorted from the back, copy out.
-// Distinct names have distinct keys, so the result is strictly ascending.
-func (sv *serverState) sortedKeys() []DomainKey {
-	if len(sv.fresh) > 0 {
-		slices.Sort(sv.fresh)
-		i, j := len(sv.sorted)-1, len(sv.fresh)-1
-		sv.sorted = append(sv.sorted, sv.fresh...)
-		for k := len(sv.sorted) - 1; j >= 0; k-- {
-			if i >= 0 && sv.sorted[i] > sv.fresh[j] {
-				sv.sorted[k] = sv.sorted[i]
-				i--
-			} else {
-				sv.sorted[k] = sv.fresh[j]
-				j--
-			}
-		}
-		sv.fresh = sv.fresh[:0]
-	}
-	if len(sv.sorted) == 0 {
-		return nil
-	}
-	return slices.Clone(sv.sorted)
-}
-
-// importDomains loads a checkpoint's domain keys into an empty set. Each key
-// must be one its epoch's matcher attributes, and the list strictly
-// ascending. A name that an earlier key already brought in is passed over:
-// the smaller key wins, which is where the duplicates of a merged state —
-// one name met first in different epochs at different vantages — collapse.
-func (sv *serverState) importDomains(keys []DomainKey, matchers func(epoch int) *matcher.Attribution) error {
-	sv.domains = make(map[string]DomainKey, len(keys))
-	sv.sorted = make([]DomainKey, 0, len(keys))
-	for i, k := range keys {
-		if i > 0 && k <= keys[i-1] {
-			return fmt.Errorf("domain keys not strictly ascending at %d: %#x after %#x", i, k, keys[i-1])
-		}
-		a := matchers(k.Epoch())
-		if !a.Valid(k.Pos()) {
-			return fmt.Errorf("epoch %d: domain key %#x names position %d, which the epoch's matcher does not attribute", k.Epoch(), k, k.Pos())
-		}
-		name := a.Name(k.Pos())
-		if _, dup := sv.domains[name]; dup {
-			continue
-		}
-		sv.domains[name] = k
-		sv.sorted = append(sv.sorted, k)
-	}
-	return nil
 }
 
 // expiryEntry queues one server at the time its oldest candidate expires.

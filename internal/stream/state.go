@@ -28,21 +28,15 @@ import (
 //     order; re-pushing a valid heap array in order rebuilds the identical
 //     array) and the per-shard seq counter (tie order for equal
 //     timestamps).
-//   - Order-insensitive state (domain sets, per-epoch maps, server maps) is
-//     exported sorted, so the same engine state always serializes to the
-//     same bytes and checkpoints diff cleanly; the decoder refuses it in any
-//     other order (statecodec.go), so MergeStates can fold it run by run.
-//   - A server's distinct-domain set is serialized as domain keys
-//     (DomainKey): an (epoch, pool position) pair each, which the
-//     fingerprint — family, seed, detection — makes mean one name in every
-//     process. Restore turns a key back into its name through the epoch's
-//     matcher (matcher.Attribution.Valid, then Name).
-//   - What else the engine holds as pool positions (MT candidates,
-//     buffered records) is serialized as names, through the
-//     epoch's matcher (matcher.Attribution.Name), and restored through the
-//     same Resolve every ingested record goes through. A name that matcher
-//     does not hold, like a key it would not attribute, fails the restore:
-//     it can only come from a damaged state.
+//   - Order-insensitive state (per-epoch maps, server maps) is exported
+//     sorted, so the same engine state always serializes to the same bytes
+//     and checkpoints diff cleanly; the decoder refuses it in any other
+//     order (statecodec.go), so MergeStates can fold it run by run.
+//   - What the engine holds as pool positions (MT candidates, buffered
+//     records) is serialized as names, through the epoch's matcher
+//     (matcher.Attribution.Name), and restored through the same Resolve
+//     every ingested record goes through. A name that matcher does not hold
+//     fails the restore: it can only come from a damaged state.
 
 // Fingerprint pins the configuration a checkpoint was taken under. Restore
 // refuses a state whose fingerprint differs from the restoring engine's:
@@ -205,41 +199,16 @@ type RecordEntry struct {
 }
 
 // ServerState is one forwarding server's accumulated landscape state: its
-// tallies, its distinct-domain set and what its walk exports — each closed
-// epoch's values and each open cell's statistics, one per estimator of the
-// set. What is inside a statistic is the estimators package's business;
-// this package moves it and gives it bytes (statecodec.go).
+// tally and what its walk exports — each closed epoch's values and each open
+// cell's statistics, one per estimator of the set. What is inside a
+// statistic is the estimators package's business; this package moves it and
+// gives it bytes (statecodec.go).
 type ServerState struct {
 	Name    string
 	Matched int
-	// Domains is the distinct-domain set as strictly ascending keys. An
-	// engine's export holds one key per name; a merged state may hold one
-	// name under several keys, which a restore collapses to the smallest.
-	Domains []DomainKey
 	Closed  []estimators.EpochValues
 	Open    []estimators.CellState
 }
-
-// DomainKey names a domain by where a server first met it: the epoch in the
-// high 32 bits (two's complement), the name's position in that epoch's
-// matcher in the low 32 (matcher.Attribution). A position is a function of
-// the family, seed and detection the fingerprint pins, so a key names the
-// same domain in every process. The reverse does not hold: one name sits at
-// several keys when pools repeat or overlap across epochs (a pool period, a
-// sliding window) or short names coincide at random, so a server keeps each
-// name under the first key it met it at — for epochs ≥ 0 the smallest, as
-// emission is timestamp-ordered.
-type DomainKey uint64
-
-func domainKey(epoch int, pos int32) DomainKey {
-	return DomainKey(uint64(uint32(epoch))<<32 | uint64(uint32(pos)))
-}
-
-// Epoch is the epoch whose matcher the key's position belongs to.
-func (k DomainKey) Epoch() int { return int(int32(k >> 32)) }
-
-// Pos is the position in the epoch's matcher.
-func (k DomainKey) Pos() int32 { return int32(uint32(k)) }
 
 // ExportState captures the engine's complete serializable state through a
 // per-shard barrier: each shard exports under its own mutex once it has
@@ -348,7 +317,7 @@ func (s *shard) exportLocked() ShardState {
 	sort.Strings(names)
 	for _, name := range names {
 		sv := s.servers[name]
-		ss := ServerState{Name: name, Matched: sv.matched, Domains: sv.sortedKeys()}
+		ss := ServerState{Name: name, Matched: sv.matched}
 		ss.Closed, ss.Open = sv.walk.Export(s.eng.bm.Matcher)
 		st.Servers = append(st.Servers, ss)
 	}
@@ -379,9 +348,6 @@ func (s *shard) importState(st ShardState) error {
 	for _, ss := range st.Servers {
 		sv := s.newServer()
 		sv.matched = ss.Matched
-		if err := sv.importDomains(ss.Domains, e.bm.Matcher); err != nil {
-			return fmt.Errorf("server %s: %w", ss.Name, err)
-		}
 		if err := sv.walk.Restore(ss.Closed, ss.Open, s.eng.bm.Matcher); err != nil {
 			return fmt.Errorf("server %s %w", ss.Name, err)
 		}

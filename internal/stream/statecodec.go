@@ -11,7 +11,7 @@ import (
 	"botmeter/internal/sim"
 )
 
-// This file is the checkpoint payload format (version 6, DESIGN.md §15) and
+// This file is the checkpoint payload format (version 7, DESIGN.md §15) and
 // the only place that knows its layout. One walk over EngineState's fields
 // (coder.state and the methods under it) runs in three modes: measure the
 // encoded size, append the encoding, or decode it — so the writer and the
@@ -20,10 +20,8 @@ import (
 // Integers are uvarints, signed ones zig-zag varints; a float64 is its eight
 // raw bytes (bit-exact); a bool is one byte, 0 or 1; a string is its length
 // and its bytes; a list is its count and its elements. A list of strings is
-// its count, every length, then every string's bytes back to back. A list of
-// domain keys is its count, the first key and every later key's distance
-// from the one before. An optional struct is a bool and, when true, the
-// struct.
+// its count, every length, then every string's bytes back to back. An
+// optional struct is a bool and, when true, the struct.
 //
 // The decoder trusts nothing the frame says about itself: SHA-256 is not
 // keyed, so a hostile vantage can put a valid checksum on any payload. It
@@ -31,9 +29,9 @@ import (
 // checks every count against what the remaining bytes could hold at the
 // element's smallest encoding before it allocates — a frame cannot make its
 // reader allocate more than a small multiple of the frame's own length. A
-// list of servers, closed epochs, open epochs or domain keys that is not
-// strictly ascending — by name, epoch or key — is refused too, so every state
-// a decode returns holds the sorted runs MergeStates folds.
+// list of servers, closed epochs or open epochs that is not strictly
+// ascending — by name or epoch — is refused too, so every state a decode
+// returns holds the sorted runs MergeStates folds.
 
 type coderMode uint8
 
@@ -331,7 +329,6 @@ func (c *coder) record(en *RecordEntry) {
 func (c *coder) server(ss *ServerState) {
 	c.str(&ss.Name)
 	c.int(&ss.Matched)
-	c.keys(&ss.Domains)
 	list(c, &ss.Closed, minValues, (*coder).values)
 	ascending(c, ss.Closed, closedEpoch, "closed epoch")
 	list(c, &ss.Open, minCell, (*coder).cell)
@@ -348,41 +345,6 @@ func ascending[T any, K cmp.Ordered](c *coder, run []T, key func(*T) K, what str
 		if key(&run[i]) <= key(&run[i-1]) {
 			c.fail("%s %v (%d of %d, before payload byte %d) is not above the one before", what, key(&run[i]), i, len(run), c.off)
 		}
-	}
-}
-
-// keys delta-codes a domain-key list: the first key, then each key's
-// distance from the one before. The arithmetic wraps, so any list encodes;
-// a decode refuses a distance of zero or one that wraps past the top — a
-// duplicate or a key out of order.
-func (c *coder) keys(ks *[]DomainKey) {
-	n := c.count(len(*ks), 1)
-	var prev DomainKey
-	if c.mode != decoding {
-		// The one list that runs to tens of thousands: its loop is spelled
-		// out rather than going through uvarint element by element.
-		for _, k := range *ks {
-			if c.mode == sizing {
-				c.size += uvarintLen(uint64(k - prev))
-			} else {
-				c.buf = binary.AppendUvarint(c.buf, uint64(k-prev))
-			}
-			prev = k
-		}
-		return
-	}
-	*ks = nil
-	if n > 0 {
-		*ks = make([]DomainKey, n)
-	}
-	for i := range *ks {
-		var delta uint64
-		c.uvarint(&delta)
-		next := prev + DomainKey(delta)
-		if i > 0 && next <= prev && c.err == nil {
-			c.fail("domain key %d of %d at payload byte %d is not above the one before", i, n, c.off)
-		}
-		(*ks)[i], prev = next, next
 	}
 }
 

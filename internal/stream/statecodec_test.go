@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"runtime"
 	"testing"
 
@@ -50,9 +49,6 @@ func TestDecodeForgedCounts(t *testing.T) {
 		},
 		"servers": func(n int) *stream.EngineState {
 			return &stream.EngineState{Shards: []stream.ShardState{{Servers: make([]stream.ServerState, n)}}}
-		},
-		"domains": func(n int) *stream.EngineState {
-			return server(stream.ServerState{Domains: make([]stream.DomainKey, n)})
 		},
 		"closed": func(n int) *stream.EngineState {
 			return server(stream.ServerState{Closed: make([]estimators.EpochValues, n)})
@@ -128,14 +124,6 @@ func TestDecodeRejectsMalformedPayload(t *testing.T) {
 		t.Fatalf("good payload refused: %v", err)
 	}
 	hasData := bytes.LastIndexByte(good, 1) // Seq is earlier in the shard
-	keys := func(ks ...stream.DomainKey) []byte {
-		return payloadOf(t, &stream.EngineState{Shards: []stream.ShardState{{
-			Servers: []stream.ServerState{{Name: "s", Domains: ks}},
-		}}})
-	}
-	if _, err := stream.DecodeCheckpoint(reframe(keys(0, 3, 5, 1<<32|2, math.MaxUint64))); err != nil {
-		t.Fatalf("ascending domain keys refused: %v", err)
-	}
 	servers := func(names ...string) []byte {
 		sh := stream.ShardState{}
 		for _, name := range names {
@@ -165,10 +153,6 @@ func TestDecodeRejectsMalformedPayload(t *testing.T) {
 		"trailing-byte":         append(append([]byte(nil), good...), 0),
 		"bool-byte-2":           append(append(append([]byte(nil), good[:hasData]...), 2), good[hasData+1:]...),
 		"varint-too-big":        bytes.Repeat([]byte{0xFF}, 64),
-		"domain-keys-descend":   keys(3, 5, 4),
-		"domain-keys-wrap":      keys(1<<32|2, 3),
-		"domain-key-duplicate":  keys(3, 5, 5),
-		"domain-key-zero-twice": keys(0, 0),
 		"servers-descend":       servers("a", "c", "b"),
 		"server-repeated":       servers("a", "b", "b"),
 		"closed-epochs-descend": epochs([]int{0, 2, 1}, nil),
@@ -191,15 +175,12 @@ func TestDecodeAllocsIndependentOfNames(t *testing.T) {
 		for sh := range st.Shards {
 			for sv := 0; sv < 8; sv++ {
 				domains := make([]string, names)
-				keys := make([]stream.DomainKey, names)
 				for i := range domains {
 					domains[i] = fmt.Sprintf("name-%06d.example.com", i)
-					keys[i] = stream.DomainKey(i)
 				}
 				st.Shards[sh].Servers = append(st.Shards[sh].Servers, stream.ServerState{
 					Name:    fmt.Sprintf("local-%d-%d", sh, sv),
 					Matched: names,
-					Domains: keys,
 					Open: []estimators.CellState{{States: []estimators.EpochState{{Timing: &estimators.TimingState{
 						Active: []estimators.TimingCandidate{{Domains: domains}},
 					}}}}},

@@ -402,7 +402,7 @@ func (e *Engine) Snapshot() (*core.Landscape, error) {
 		sort.Strings(servers)
 		for _, name := range servers {
 			sv := s.servers[name]
-			est := core.NewServerEstimate(name, sv.matched, len(sv.domains), sv.walk, first, last)
+			est := core.NewServerEstimate(name, sv.matched, sv.walk, first, last)
 			land.Servers = append(land.Servers, est)
 			land.Total += est.Population
 			land.MatchedLookups += est.MatchedLookups
