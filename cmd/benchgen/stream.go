@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"time"
 
 	"botmeter/internal/core"
 	"botmeter/internal/dga"
@@ -94,12 +95,14 @@ func streamBench(g genOpts, checkpoint bool) error {
 			return err
 		}
 	}
+	trig := ck.NewTrigger(1)
 	for i, rec := range delivered {
 		if err := eng.Observe(rec); err != nil {
 			return err
 		}
-		if ck != nil {
-			if err := ck.Maybe(eng, uint64(i+1)); err != nil {
+		if now := time.Now(); trig.Tick(now) {
+			trig.Rearm(now)
+			if err := ck.Try(eng, uint64(i+1)); err != nil {
 				return err
 			}
 		}

@@ -38,6 +38,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -103,11 +104,10 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 	if err != nil {
 		return err
 	}
-	format, err := obs.ParseFormat(*logFormat)
+	logger, err := obs.NewLogger(logw, level, *logFormat, "landscape-server")
 	if err != nil {
 		return err
 	}
-	logger := obs.NewLogger(logw, obs.LogConfig{Level: level, Format: format, Component: "landscape-server"})
 
 	var urls []string
 	for _, u := range strings.Split(*vantagesFlag, ",") {
@@ -184,7 +184,7 @@ type vantageStatus struct {
 
 type coordinatorConfig struct {
 	Registry     *obs.Registry
-	Logger       *obs.Logger
+	Logger       *slog.Logger
 	Store        *series.Store
 	Vantages     []string
 	FreshnessSLO time.Duration
@@ -197,7 +197,7 @@ type coordinatorConfig struct {
 type coordinator struct {
 	merger  *stream.Merger
 	client  *http.Client
-	log     *obs.Logger
+	log     *slog.Logger
 	reg     *obs.Registry
 	rules   *rules.Engine
 	store   *series.Store

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -125,6 +126,7 @@ func testCoordinator(t *testing.T, reg *obs.Registry, urls []string, slo time.Du
 		FreshnessSLO: slo,
 		SLOFor:       1,
 		HTTPTimeout:  5 * time.Second,
+		Logger:       slog.New(slog.DiscardHandler),
 	})
 	t.Cleanup(c.close)
 	return c

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"os"
 	"os/signal"
@@ -90,11 +91,10 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 	if err != nil {
 		return err
 	}
-	format, err := obs.ParseFormat(*logFormat)
+	logger, err := obs.NewLogger(logw, level, *logFormat, "resolver")
 	if err != nil {
 		return err
 	}
-	logger := obs.NewLogger(logw, obs.LogConfig{Level: level, Format: format, Component: "resolver"})
 	rates, err := faults.ParseSpec(*chaosSpec)
 	if err != nil {
 		return err
@@ -206,11 +206,12 @@ type forwarderConfig struct {
 	// seed seeds the backoff jitter: worker 0 draws from it directly, so a
 	// single listener replays one schedule.
 	seed uint64
-	// reg, tracer and log enable metrics, query-lifecycle spans and error
-	// logs; all may be nil (the default in tests), which disables them.
+	// reg and tracer enable metrics and query-lifecycle spans; either may
+	// be nil (the default in tests), which disables it. log takes the error
+	// logs and must be set.
 	reg    *obs.Registry
 	tracer *obs.Tracer
-	log    *obs.Logger
+	log    *slog.Logger
 }
 
 func (c forwarderConfig) withDefaults() forwarderConfig {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"log/slog"
 	"net"
 	"testing"
 	"time"
@@ -70,6 +71,7 @@ func testConfig(upstream string) forwarderConfig {
 		posTTL:   sim.Day,
 		negTTL:   2 * sim.Hour,
 		seed:     1,
+		log:      slog.New(slog.DiscardHandler),
 	}
 }
 

@@ -31,6 +31,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"os"
 	"os/signal"
@@ -133,11 +134,10 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 	if err != nil {
 		return err
 	}
-	format, err := obs.ParseFormat(*logFormat)
+	logger, err := obs.NewLogger(logw, level, *logFormat, "vantage")
 	if err != nil {
 		return err
 	}
-	logger := obs.NewLogger(logw, obs.LogConfig{Level: level, Format: format, Component: "vantage"})
 	rates, err := faults.ParseSpec(*chaosSpec)
 	if err != nil {
 		return err
@@ -416,7 +416,7 @@ type sink struct {
 	est     *stream.Engine
 	ck      *stream.Checkpointer
 	crash   *faults.Crasher
-	log     *obs.Logger
+	log     *slog.Logger
 	m       sinkMetrics
 	workers []*vantageWorker
 

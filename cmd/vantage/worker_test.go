@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"os"
 	"path/filepath"
@@ -45,7 +46,7 @@ func newTestSink(t *testing.T, zoneLines string) (*sink, *os.File) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { f.Close() })
-	return &sink{zone: buildZoneAnswers(zone), ttl: 60}, f
+	return &sink{zone: buildZoneAnswers(zone), ttl: 60, log: slog.New(slog.DiscardHandler)}, f
 }
 
 // newTestEngine starts a newgoz engine that the test's cleanup kills.

@@ -125,10 +125,3 @@ func ExecuteBarrel(pool *Pool, positions []int) []int {
 	}
 	return positions
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

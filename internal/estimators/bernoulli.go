@@ -384,13 +384,13 @@ func (mb *Bernoulli) expectationForLTilde(lt, thetaQ int) (float64, bool) {
 	const tailTol = 1e-9
 	for n := 1; n <= mb.maxN; n++ {
 		// One draw: update occupancy distribution in place (descending m).
-		for m := minInt(n, lt); m >= 1; m-- {
+		for m := min(n, lt); m >= 1; m-- {
 			p[m] = p[m]*float64(m)/float64(lt) + p[m-1]*float64(lt-m+1)/float64(lt)
 		}
 		p[0] = 0
 		// E_n[g].
 		var eg float64
-		for m := 1; m <= minInt(n, lt); m++ {
+		for m := 1; m <= min(n, lt); m++ {
 			eg += p[m] * g[m]
 		}
 		h := eg - prevEg
@@ -504,11 +504,4 @@ func clamp01(v float64) float64 {
 		return 1
 	}
 	return v
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

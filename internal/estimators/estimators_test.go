@@ -402,11 +402,11 @@ func TestOccupancyMatchesStirling(t *testing.T) {
 		p := make([]float64, lt+1)
 		p[0] = 1
 		for n := 1; n <= 12; n++ {
-			for m := minInt(n, lt); m >= 1; m-- {
+			for m := min(n, lt); m >= 1; m-- {
 				p[m] = p[m]*float64(m)/float64(lt) + p[m-1]*float64(lt-m+1)/float64(lt)
 			}
 			p[0] = 0
-			for m := 1; m <= minInt(n, lt); m++ {
+			for m := 1; m <= min(n, lt); m++ {
 				want := math.Exp(stats.LogBinomial(lt, m) + stats.LogFactorial(m) +
 					st.Log(n, m) - float64(n)*math.Log(float64(lt)))
 				if math.Abs(p[m]-want) > 1e-9 {

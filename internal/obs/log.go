@@ -3,263 +3,54 @@ package obs
 import (
 	"fmt"
 	"io"
-	"strconv"
+	"log/slog"
 	"strings"
-	"sync"
 	"time"
 )
 
-// Level is a log severity.
-type Level int8
-
-// Severities, lowest to highest.
-const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-)
-
-// String returns the lowercase level name.
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	default:
-		return fmt.Sprintf("level(%d)", int(l))
-	}
-}
-
 // ParseLevel parses a level name ("debug", "info", "warn"/"warning",
-// "error"), case-insensitively.
-func ParseLevel(s string) (Level, error) {
+// "error"), case-insensitively; the empty string is info.
+func ParseLevel(s string) (slog.Level, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "debug":
-		return LevelDebug, nil
+		return slog.LevelDebug, nil
 	case "info", "":
-		return LevelInfo, nil
+		return slog.LevelInfo, nil
 	case "warn", "warning":
-		return LevelWarn, nil
+		return slog.LevelWarn, nil
 	case "error":
-		return LevelError, nil
+		return slog.LevelError, nil
 	default:
-		return LevelInfo, fmt.Errorf("obs: unknown log level %q (want debug, info, warn or error)", s)
+		return slog.LevelInfo, fmt.Errorf("obs: unknown log level %q (want debug, info, warn or error)", s)
 	}
 }
 
-// Format selects the structured log encoding.
-type Format int8
-
-// Encodings.
-const (
-	FormatLogfmt Format = iota
-	FormatJSON
-)
-
-// ParseFormat parses "logfmt" or "json", case-insensitively.
-func ParseFormat(s string) (Format, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
+// NewLogger returns the daemons' structured logger: lines at level or above,
+// encoded as logfmt (format "logfmt" or "") or JSON (format "json"), with
+// the fields ts (UTC, RFC 3339 nano), level (lower case), msg, component
+// and then the call's key/value pairs. The handler serialises writes, so
+// concurrent callers interleave whole lines.
+func NewLogger(w io.Writer, level slog.Level, format, component string) (*slog.Logger, error) {
+	opts := &slog.HandlerOptions{Level: level, ReplaceAttr: func(groups []string, a slog.Attr) slog.Attr {
+		if len(groups) > 0 {
+			return a
+		}
+		switch a.Key {
+		case slog.TimeKey:
+			return slog.String("ts", a.Value.Time().UTC().Format(time.RFC3339Nano))
+		case slog.LevelKey:
+			return slog.String(slog.LevelKey, strings.ToLower(a.Value.String()))
+		}
+		return a
+	}}
+	var h slog.Handler
+	switch strings.ToLower(strings.TrimSpace(format)) {
 	case "logfmt", "":
-		return FormatLogfmt, nil
+		h = slog.NewTextHandler(w, opts)
 	case "json":
-		return FormatJSON, nil
+		h = slog.NewJSONHandler(w, opts)
 	default:
-		return FormatLogfmt, fmt.Errorf("obs: unknown log format %q (want logfmt or json)", s)
+		return nil, fmt.Errorf("obs: unknown log format %q (want logfmt or json)", format)
 	}
-}
-
-// LogConfig configures a Logger.
-type LogConfig struct {
-	// Level is the minimum severity emitted.
-	Level Level
-	// Format selects logfmt (default) or JSON encoding.
-	Format Format
-	// Component tags every line with component=<name>.
-	Component string
-	// Now overrides the timestamp source (tests). Nil means time.Now.
-	Now func() time.Time
-}
-
-// Logger is a leveled, structured logger. Lines carry a UTC RFC 3339
-// timestamp, the level, the component and alternating key/value fields.
-// Writes are serialised by an internal mutex (shared across derived
-// loggers) so concurrent components interleave whole lines. A nil *Logger
-// discards everything.
-type Logger struct {
-	mu        *sync.Mutex
-	w         io.Writer
-	level     Level
-	format    Format
-	component string
-	now       func() time.Time
-	base      []any // bound key/value pairs from With
-}
-
-// NewLogger builds a logger writing to w.
-func NewLogger(w io.Writer, cfg LogConfig) *Logger {
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
-	}
-	return &Logger{
-		mu:        &sync.Mutex{},
-		w:         w,
-		level:     cfg.Level,
-		format:    cfg.Format,
-		component: cfg.Component,
-		now:       now,
-	}
-}
-
-// Component returns a derived logger tagged with a different component,
-// sharing the writer, mutex, level and format. Nil-safe.
-func (l *Logger) Component(name string) *Logger {
-	if l == nil {
-		return nil
-	}
-	dup := *l
-	dup.component = name
-	return &dup
-}
-
-// With returns a derived logger with extra key/value pairs bound to every
-// line. Nil-safe.
-func (l *Logger) With(kv ...any) *Logger {
-	if l == nil {
-		return nil
-	}
-	dup := *l
-	dup.base = append(append([]any(nil), l.base...), kv...)
-	return &dup
-}
-
-// Enabled reports whether a line at lv would be emitted.
-func (l *Logger) Enabled(lv Level) bool {
-	return l != nil && lv >= l.level
-}
-
-// Debug logs at debug level.
-func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv) }
-
-// Info logs at info level.
-func (l *Logger) Info(msg string, kv ...any) { l.log(LevelInfo, msg, kv) }
-
-// Warn logs at warn level.
-func (l *Logger) Warn(msg string, kv ...any) { l.log(LevelWarn, msg, kv) }
-
-// Error logs at error level.
-func (l *Logger) Error(msg string, kv ...any) { l.log(LevelError, msg, kv) }
-
-func (l *Logger) log(lv Level, msg string, kv []any) {
-	if !l.Enabled(lv) {
-		return
-	}
-	ts := l.now().UTC().Format(time.RFC3339Nano)
-	var b strings.Builder
-	switch l.format {
-	case FormatJSON:
-		b.WriteString(`{"ts":`)
-		b.WriteString(strconv.Quote(ts))
-		b.WriteString(`,"level":`)
-		b.WriteString(strconv.Quote(lv.String()))
-		if l.component != "" {
-			b.WriteString(`,"component":`)
-			b.WriteString(strconv.Quote(l.component))
-		}
-		b.WriteString(`,"msg":`)
-		b.WriteString(strconv.Quote(msg))
-		writePairs(&b, l.base, jsonPair)
-		writePairs(&b, kv, jsonPair)
-		b.WriteString("}\n")
-	default: // logfmt
-		b.WriteString("ts=")
-		b.WriteString(ts)
-		b.WriteString(" level=")
-		b.WriteString(lv.String())
-		if l.component != "" {
-			b.WriteString(" component=")
-			b.WriteString(logfmtValue(l.component))
-		}
-		b.WriteString(" msg=")
-		b.WriteString(logfmtValue(msg))
-		writePairs(&b, l.base, logfmtPair)
-		writePairs(&b, kv, logfmtPair)
-		b.WriteByte('\n')
-	}
-	l.mu.Lock()
-	io.WriteString(l.w, b.String()) //nolint:errcheck // logging is best-effort
-	l.mu.Unlock()
-}
-
-// writePairs encodes alternating key/value fields; an odd trailing key gets
-// a null/empty value so the mistake is visible rather than silent.
-func writePairs(b *strings.Builder, kv []any, enc func(b *strings.Builder, k string, v any)) {
-	for i := 0; i < len(kv); i += 2 {
-		k := fmt.Sprint(kv[i])
-		var v any
-		if i+1 < len(kv) {
-			v = kv[i+1]
-		}
-		enc(b, k, v)
-	}
-}
-
-func jsonPair(b *strings.Builder, k string, v any) {
-	b.WriteByte(',')
-	b.WriteString(strconv.Quote(k))
-	b.WriteByte(':')
-	switch x := v.(type) {
-	case nil:
-		b.WriteString("null")
-	case bool:
-		b.WriteString(strconv.FormatBool(x))
-	case int:
-		b.WriteString(strconv.Itoa(x))
-	case int64:
-		b.WriteString(strconv.FormatInt(x, 10))
-	case uint64:
-		b.WriteString(strconv.FormatUint(x, 10))
-	case float64:
-		b.WriteString(strconv.FormatFloat(x, 'g', -1, 64))
-	case error:
-		b.WriteString(strconv.Quote(x.Error()))
-	case string:
-		b.WriteString(strconv.Quote(x))
-	default:
-		b.WriteString(strconv.Quote(fmt.Sprint(x)))
-	}
-}
-
-func logfmtPair(b *strings.Builder, k string, v any) {
-	b.WriteByte(' ')
-	b.WriteString(k)
-	b.WriteByte('=')
-	switch x := v.(type) {
-	case nil:
-		// leave empty
-	case error:
-		b.WriteString(logfmtValue(x.Error()))
-	case string:
-		b.WriteString(logfmtValue(x))
-	default:
-		b.WriteString(logfmtValue(fmt.Sprint(x)))
-	}
-}
-
-// logfmtValue quotes a value when it contains spaces, quotes or equals
-// signs; bare tokens stay bare for readability.
-func logfmtValue(s string) string {
-	if s == "" {
-		return `""`
-	}
-	if strings.ContainsAny(s, " \t\n\"=") {
-		return strconv.Quote(s)
-	}
-	return s
+	return slog.New(h).With("component", component), nil
 }

@@ -200,15 +200,4 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil StageSet.Time: %v", err)
 	}
 
-	var lg *Logger
-	lg.Debug("a")
-	lg.Info("b", "k", "v")
-	lg.Warn("c")
-	lg.Error("d")
-	if lg.Component("x") != nil || lg.With("k", "v") != nil {
-		t.Fatal("nil logger derived a non-nil logger")
-	}
-	if lg.Enabled(LevelError) {
-		t.Fatal("nil logger enabled")
-	}
 }

@@ -5,8 +5,8 @@
 //   - a lock-cheap metrics Registry — atomic Counters, Gauges and
 //     fixed-bucket Histograms — exposed in Prometheus text format
 //     (WritePrometheus) and over HTTP (NewMux);
-//   - leveled, structured logging (Logger) in logfmt or JSON, replacing the
-//     daemons' ad-hoc log.Printf calls;
+//   - the daemons' structured logger (NewLogger): log/slog in logfmt or
+//     JSON with a fixed field schema;
 //   - span-style query-lifecycle tracing (Tracer/Span): a sampled lookup is
 //     followed from client through cache (hit/miss/stale) to the upstream
 //     (attempts, retries, injected faults), and completed spans land in a
@@ -15,7 +15,7 @@
 //     -verbose and benchgen -timings.
 //
 // Every handle is nil-safe: a nil *Registry hands out nil instruments, and
-// nil *Counter/*Gauge/*Histogram/*Logger/*Tracer/*Span/*StageSet methods
+// nil *Counter/*Gauge/*Histogram/*Tracer/*Span/*StageSet methods
 // are single-branch no-ops. Instrumented hot paths therefore pay only a
 // predictable nil check when observability is disabled — the overhead is
 // bounded by BenchmarkObs* in bench_test.go and the dnssim benchmarks.

@@ -290,8 +290,8 @@ type CheckpointConfig struct {
 	// since the last one (0 = no time trigger).
 	Interval time.Duration
 	// EveryRecords triggers a checkpoint every N consumed records
-	// (0 = no count trigger). At least one trigger must be set for Maybe
-	// to ever fire; Checkpoint always fires.
+	// (0 = no count trigger). At least one trigger must be set for a
+	// Trigger to ever fire; Checkpoint always fires.
 	EveryRecords uint64
 	// Keep is how many generations to retain (0 = 2: the latest plus the
 	// fallback the corrupt-recovery path needs).
@@ -336,20 +336,19 @@ type CheckpointStats struct {
 }
 
 // Checkpointer writes generation-numbered checkpoints of one engine on a
-// record-count and/or wall-clock cadence. A single feeding goroutine calls
-// Maybe after each record; several feeders (cmd/vantage's socket workers)
-// each keep a Trigger and the one that trips calls Try once it has stopped
-// the others. Either way the state export is a brief synchronous barrier
-// (it copies in-memory state), while file encoding and I/O happen on a
-// background goroutine so ingest never waits on disk. A checkpoint that
-// comes due while the previous write is still in flight is skipped and
-// counted, not queued.
+// record-count and/or wall-clock cadence. Each feeder keeps a Trigger and
+// ticks it per record; the one that trips re-arms it and calls Try (where
+// several feed one engine, as cmd/vantage's socket workers do, it stops the
+// others first). The state export is a brief synchronous barrier (it copies
+// in-memory state), while file encoding and I/O happen on a background
+// goroutine so ingest never waits on disk. A checkpoint that comes due
+// while the previous write is still in flight is skipped and counted, not
+// queued.
 type Checkpointer struct {
 	cfg CheckpointConfig
 
 	mu      sync.Mutex
 	nextGen uint64
-	trig    Trigger // Maybe's single-feeder cadence
 	writing bool
 	// frame is the encode buffer, kept between generations; the one write
 	// in flight (writing) owns it.
@@ -390,7 +389,6 @@ func NewCheckpointer(cfg CheckpointConfig) (*Checkpointer, error) {
 		cfg.Clock = time.Now
 	}
 	c := &Checkpointer{cfg: cfg, created: cfg.Clock()}
-	c.trig = c.NewTrigger(1)
 	entries, err := os.ReadDir(cfg.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("stream: reading checkpoint dir: %w", err)
@@ -472,29 +470,14 @@ func (t *Trigger) Rearm(now time.Time) {
 	t.next = now.Add(t.interval)
 }
 
-// Maybe checkpoints e if a trigger is due. records is the absolute source
-// position (well-formed records consumed, including any skipped during
-// resume replay) — it becomes SourcePos.Records, the offset a later resume
-// replays from. Call it from the one feeding goroutine after each record; it
-// returns nil when nothing is due.
-func (c *Checkpointer) Maybe(e *Engine, records uint64) error {
-	now := time.Now()
-	c.mu.Lock()
-	due := c.trig.Tick(now)
-	c.mu.Unlock()
-	if !due {
-		return nil
-	}
-	return c.Try(e, records)
-}
-
-// Try checkpoints e now unless the previous write is still in flight — the
-// due half of Maybe, for feeders that keep their own Triggers. A skipped
-// attempt is counted once and waits a full period, instead of busy-polling
-// the in-flight write.
+// Try checkpoints e now unless the previous write is still in flight; call
+// it when a Trigger trips, after re-arming it. records is the absolute
+// source position (well-formed records consumed, including any skipped
+// during resume replay) — it becomes SourcePos.Records, the offset a later
+// resume replays from. A skipped attempt is counted once and waits the
+// caller's next period instead of busy-polling the in-flight write.
 func (c *Checkpointer) Try(e *Engine, records uint64) error {
 	c.mu.Lock()
-	c.trig.Rearm(time.Now())
 	if c.writing {
 		c.stats.Skipped++
 		c.mu.Unlock()

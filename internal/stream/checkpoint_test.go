@@ -95,12 +95,16 @@ func runKilledAndResumed(tb testing.TB, cfg stream.Config, delivered trace.Obser
 	if err != nil {
 		tb.Fatalf("NewCheckpointer: %v", err)
 	}
+	trig := ck.NewTrigger(1)
 	for i := 0; i < killAt; i++ {
 		if err := eng.Observe(delivered[i]); err != nil {
 			tb.Fatalf("Observe: %v", err)
 		}
-		if err := ck.Maybe(eng, uint64(i+1)); err != nil {
-			tb.Fatalf("Maybe: %v", err)
+		if now := time.Now(); trig.Tick(now) {
+			trig.Rearm(now)
+			if err := ck.Try(eng, uint64(i+1)); err != nil {
+				tb.Fatalf("Try: %v", err)
+			}
 		}
 	}
 	eng.Kill()
@@ -245,12 +249,16 @@ func TestKillMidCheckpoint(t *testing.T) {
 						died = true
 					}
 				}()
+				trig := ck.NewTrigger(1)
 				for i, rec := range delivered {
 					if err := eng.Observe(rec); err != nil {
 						t.Fatalf("Observe: %v", err)
 					}
-					if err := ck.Maybe(eng, uint64(i+1)); err != nil {
-						t.Fatalf("Maybe: %v", err)
+					if now := time.Now(); trig.Tick(now) {
+						trig.Rearm(now)
+						if err := ck.Try(eng, uint64(i+1)); err != nil {
+							t.Fatalf("Try: %v", err)
+						}
 					}
 				}
 				return false
@@ -403,7 +411,7 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewCheckpointer: %v", err)
 			}
-			// Synchronous checkpoints: Maybe skips a trigger that comes due
+			// Synchronous checkpoints: Try skips a trigger that comes due
 			// while the previous write is in flight, so how many generations
 			// it leaves behind depends on the scheduler, and this test needs
 			// two.
@@ -883,7 +891,7 @@ func TestCheckpointerGenerations(t *testing.T) {
 		t.Fatalf("NewCheckpointer: %v", err)
 	}
 	// Synchronous checkpoints so each call deterministically writes one
-	// generation (Maybe may skip triggers while a background write is in
+	// generation (Try may skip triggers while a background write is in
 	// flight — that path is covered by the differential tests).
 	for i, rec := range delivered[:400] {
 		if err := eng.Observe(rec); err != nil {

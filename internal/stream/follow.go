@@ -40,6 +40,7 @@ type FollowOptions struct {
 // and render the final landscape.
 func (e *Engine) Follow(r io.Reader, opt FollowOptions) (trace.ReadResult, error) {
 	var consumed uint64
+	trig := opt.Checkpoint.NewTrigger(1)
 	return trace.StreamObserved(r, trace.ReadOptions{Lenient: opt.Lenient}, func(rec trace.ObservedRecord) error {
 		consumed++
 		if consumed <= opt.SkipRecords {
@@ -48,8 +49,9 @@ func (e *Engine) Follow(r io.Reader, opt FollowOptions) (trace.ReadResult, error
 		if err := e.Observe(rec); err != nil {
 			return err
 		}
-		if opt.Checkpoint != nil {
-			return opt.Checkpoint.Maybe(e, consumed)
+		if now := time.Now(); trig.Tick(now) {
+			trig.Rearm(now)
+			return opt.Checkpoint.Try(e, consumed)
 		}
 		return nil
 	})

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"botmeter/internal/core"
 	"botmeter/internal/dga"
@@ -328,12 +329,16 @@ func TestNWayMergeKillResume(t *testing.T) {
 				died = true
 			}
 		}()
+		trig := ck.NewTrigger(1)
 		for i, rec := range parts[1] {
 			if err := eng.Observe(rec); err != nil {
 				t.Fatalf("Observe(vantage-1): %v", err)
 			}
-			if err := ck.Maybe(eng, uint64(i+1)); err != nil {
-				t.Fatalf("Maybe: %v", err)
+			if now := time.Now(); trig.Tick(now) {
+				trig.Rearm(now)
+				if err := ck.Try(eng, uint64(i+1)); err != nil {
+					t.Fatalf("Try: %v", err)
+				}
 			}
 		}
 		return false

@@ -26,8 +26,10 @@ package stream
 import (
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"math"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -67,7 +69,7 @@ type ObservatoryConfig struct {
 	// already exported by the engine); nil disables them.
 	Registry *obs.Registry
 	// Logger receives rule-transition events; nil silences them.
-	Logger *obs.Logger
+	Logger *slog.Logger
 	// Interval is the ingest-plane sampling cadence (0 = 1 s).
 	Interval time.Duration
 	// HistoryInterval is the landscape sampling cadence (0 = 10 s).
@@ -100,6 +102,9 @@ func (c ObservatoryConfig) withDefaults() ObservatoryConfig {
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
+	}
+	if c.Logger == nil {
+		c.Logger = slog.New(slog.DiscardHandler)
 	}
 	return c
 }
@@ -408,20 +413,9 @@ func (o *Observatory) StatusLine() string {
 			for i, v := range firing {
 				parts[i] = v.Rule
 			}
-			drift = "DEGRADED(" + joinComma(parts) + ")"
+			drift = "DEGRADED(" + strings.Join(parts, ",") + ")"
 		}
 	}
 	return fmt.Sprintf("lag %.1fs | %.0f rec/s | %d matched | %d epochs | %s",
 		lag, rate, stats.Matched, stats.EpochsClosed, drift)
-}
-
-func joinComma(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += ","
-		}
-		out += p
-	}
-	return out
 }

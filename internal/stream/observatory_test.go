@@ -81,7 +81,9 @@ func waitStats(t *testing.T, eng *stream.Engine, cond func(stream.Stats) bool) {
 // stalls, the wall clock advances past the SLO — the freshness rule must
 // fire, Health must degrade and /healthz must flip to 503. Un-stalling
 // the shard must clear it again (hysteresis: lag has to drop below half
-// the SLO, which a fresh watermark achieves at once).
+// the SLO, which a fresh watermark achieves at once). The observatory has
+// no Logger, as under botmeter -follow, so both transitions log to the
+// discard default.
 func TestFreshnessSLOStalledShard(t *testing.T) {
 	spec, coreCfg := testConfig()
 	// Live mode: record timestamps are Unix ms on the fake clock's epoch.

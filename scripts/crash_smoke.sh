@@ -5,7 +5,8 @@
 # that the recovered /landscape is exactly what a batch botmeter run
 # computes over the durable observed dataset. Then verify a clean shutdown
 # writes a final checkpoint generation. The vantage runs two listeners, so
-# every checkpoint is a cut across more than one socket worker.
+# every checkpoint is a cut across more than one socket worker. Both runs log
+# JSON, and every line of the log must carry the logger's field schema.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -36,6 +37,7 @@ start_vantage() {
     -checkpoint-dir "$WORK/ckpt" -checkpoint-every 500 -checkpoint-interval 5s \
     -listeners 2 \
     -obs-addr "$OBS_ADDR" \
+    -log-format json \
     >>"$WORK/vantage.log" 2>&1 &
   VPID=$!
 }
@@ -121,5 +123,26 @@ if [ -z "$gen_after_shutdown" ] || [ "$gen_after_shutdown" = "$gen_before_kill" 
   cat "$WORK/vantage.log" >&2
   exit 1
 fi
+
+# The log schema, on a real daemon: each line of both runs is one JSON
+# object with ts, level, msg and component, and the restarted run logged
+# its restore.
+python3 - "$WORK/vantage.log" <<'PY'
+import json, sys
+restored = 0
+with open(sys.argv[1]) as f:
+    for n, line in enumerate(f, 1):
+        try:
+            rec = json.loads(line)
+        except ValueError as err:
+            sys.exit(f"vantage.log:{n}: not a JSON line ({err}): {line!r}")
+        if not isinstance(rec, dict) or not {"ts", "level", "msg", "component"} <= rec.keys() \
+                or rec["component"] != "vantage":
+            sys.exit(f"vantage.log:{n}: missing ts/level/msg/component=vantage: {line!r}")
+        restored += rec["msg"] == "restored checkpoint"
+if not restored:
+    sys.exit("vantage.log: the restarted run never logged msg=\"restored checkpoint\"")
+print(f"OK: vantage.log is {n} JSON lines with the log schema, restore logged")
+PY
 
 echo "OK: crash-recovery smoke passed (final generation ${gen_after_shutdown##*/})"
