@@ -207,9 +207,10 @@ func (r *Runner) Pool(epoch int) *dga.Pool {
 	return p
 }
 
-// Run simulates the window w and returns the ground truth. Observable and
-// raw traces accumulate on the bound network (call net.ResetTraces between
-// runs).
+// Run simulates the window w and returns the ground truth. The border's
+// records go to its Sink, or accumulate in its dataset, and raw records
+// accumulate on the bound network, across runs: a caller that wants one
+// run's records alone builds one network per run.
 func (r *Runner) Run(w sim.Window) (*Result, error) {
 	if w.Len() <= 0 {
 		return nil, fmt.Errorf("botnet: empty window %+v", w)

@@ -11,7 +11,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -65,8 +64,9 @@ type Config struct {
 	// value yields identical landscapes.
 	Workers int
 	// Stages, when non-nil, records per-stage wall/alloc timings of every
-	// Analyze call ("match", "estimate", plus "estimate:<Name>" wall times,
-	// one observation per (server, epoch) evaluation) — the source of
+	// chart, and so of every Analyze call ("match" from NewChart to
+	// Landscape, "estimate", plus "estimate:<Name>" wall times, one
+	// observation per (server, epoch) evaluation) — the source of
 	// `botmeter -verbose` and `benchgen -timings` tables.
 	Stages *obs.StageSet
 }
@@ -265,78 +265,144 @@ type IngestStats struct {
 	ReorderEvictions uint64
 }
 
-// serverRecords is one forwarding server's matched records in a window: the
-// index of each in the analysed dataset and the pool position its epoch's
-// matcher resolved it to, in dataset order.
-type serverRecords struct {
-	server string
-	refs   []matchRef
+// Chart is one landscape being charted over a window. NewChart starts it,
+// Observe matches one record at a time into its forwarding server's bucket,
+// and Landscape runs every server's bucket through one walk. Analyze is a
+// chart fed from a dataset; a simulated trial feeds one from its border as
+// the records are emitted, so no trace is built (dnssim.Border.Sink). A
+// Chart is not safe for concurrent use.
+type Chart struct {
+	bm       *BotMeter
+	w        sim.Window
+	epochLen sim.Time
+	// Records arrive overwhelmingly in server runs, so the last server's
+	// bucket is memoised.
+	buckets  []*serverRecords
+	byServer map[string]*serverRecords
+	last     *serverRecords
+	// match spans the chart's intake, from NewChart to Landscape: the
+	// "match" stage, filed once per chart.
+	match *obs.StageSpan
+	// err says why the first record the chart could not keep was refused;
+	// Landscape reports it in place of a figure.
+	err error
 }
 
-type matchRef struct{ idx, pos int32 }
+// serverRecords is one forwarding server's matched records in arrival
+// order, and whether that order is also time order.
+type serverRecords struct {
+	server   string
+	refs     []matchRef
+	unsorted bool
+}
 
-// Analyze charts the landscape from an observable dataset over a window.
-// One pass matches every record in the window and buckets the matched ones
-// by forwarding server; then each server's records, stably time-sorted when
-// the dataset was not, go through one walk that carries every estimator of
-// the set. A stable sort commutes with the per-server filter, so every
-// stream sees the records a sort of the whole dataset would give it.
-func (bm *BotMeter) Analyze(obs trace.Observed, w sim.Window) (*Landscape, error) {
+// matchRef is one matched record as the walk reads it: its time offset in
+// the window in the high refOffsetBits bits, its pool position in the low
+// refPosBits. It indexes no dataset, so a chart fed record by record keeps
+// no trace, and it holds no pointer for the collector to scan.
+type matchRef uint64
+
+const (
+	refPosBits    = 24
+	refOffsetBits = 64 - refPosBits
+	// maxChartWindow is the longest window a chart takes, 2^40 ms (about
+	// 34.8 years), and maxRefPos the highest pool position it keeps.
+	maxChartWindow = sim.Time(1) << refOffsetBits
+	maxRefPos      = 1<<refPosBits - 1
+)
+
+// newMatchRef packs a record at offset off into the window and pool
+// position pos; ok is false for a position the ref cannot hold. NewChart
+// bounds the offset.
+func newMatchRef(off sim.Time, pos int32) (ref matchRef, ok bool) {
+	if pos < 0 || pos > maxRefPos {
+		return 0, false
+	}
+	return matchRef(off)<<refPosBits | matchRef(pos), true
+}
+
+func (r matchRef) offset() sim.Time { return sim.Time(r >> refPosBits) }
+func (r matchRef) pos() int32       { return int32(r & maxRefPos) }
+
+// NewChart starts charting the window w, with no record yet.
+func (bm *BotMeter) NewChart(w sim.Window) (*Chart, error) {
 	if w.Len() <= 0 {
 		return nil, fmt.Errorf("core: empty analysis window")
 	}
-	cfg := bm.cfg
-	if len(obs) > math.MaxInt32 {
-		return nil, fmt.Errorf("core: %d records exceed one analysis", len(obs))
+	if w.Len() > maxChartWindow {
+		return nil, fmt.Errorf("core: analysis window of %v exceeds the %v a chart takes", w.Len(), maxChartWindow)
 	}
+	return &Chart{
+		bm:       bm,
+		w:        w,
+		epochLen: bm.cfg.EpochLen,
+		byServer: make(map[string]*serverRecords),
+		match:    bm.cfg.Stages.Start("match"),
+	}, nil
+}
 
-	// Steps 3-4: match the stream per epoch (pools rotate across epochs).
-	// Records arrive overwhelmingly in server runs, so the last server's
-	// bucket is memoised locally.
-	matchStage := cfg.Stages.Start("match")
-	var (
-		buckets  []*serverRecords
-		byServer = make(map[string]*serverRecords)
-		last     *serverRecords
-	)
-	for i := range obs {
-		rec := &obs[i]
-		if !w.Contains(rec.T) {
-			continue
-		}
-		pos, ok := bm.Matcher(int(rec.T / cfg.EpochLen)).Resolve(*rec)
-		if !ok {
-			continue
-		}
-		if last == nil || last.server != rec.Server {
-			if last = byServer[rec.Server]; last == nil {
-				last = &serverRecords{server: rec.Server}
-				byServer[rec.Server] = last
-				buckets = append(buckets, last)
-			}
-		}
-		last.refs = append(last.refs, matchRef{idx: int32(i), pos: pos})
+// Observe matches one record against its epoch's matcher (paper Figure 2,
+// steps 3-4: pools rotate across epochs) and keeps it in its forwarding
+// server's bucket when it is in the window and matches. The record is only
+// read.
+func (c *Chart) Observe(rec *trace.ObservedRecord) {
+	if !c.w.Contains(rec.T) {
+		return
 	}
-	matchStage.End()
+	pos, ok := c.bm.Matcher(int(rec.T / c.epochLen)).Resolve(*rec)
+	if !ok {
+		return
+	}
+	ref, ok := newMatchRef(rec.T-c.w.Start, pos)
+	if !ok {
+		if c.err == nil {
+			c.err = fmt.Errorf("core: pool position %d exceeds the %d a chart keeps", pos, maxRefPos)
+		}
+		return
+	}
+	b := c.last
+	if b == nil || b.server != rec.Server {
+		if b = c.byServer[rec.Server]; b == nil {
+			b = &serverRecords{server: rec.Server}
+			c.byServer[rec.Server] = b
+			c.buckets = append(c.buckets, b)
+		}
+		c.last = b
+	}
+	if n := len(b.refs); n > 0 && b.refs[n-1].offset() > ref.offset() {
+		b.unsorted = true
+	}
+	b.refs = append(b.refs, ref)
+}
 
+// Landscape charts what the chart has matched: each server's records,
+// stably time-sorted when they did not arrive in time order, go through one
+// walk that carries every estimator of the set. A stable sort commutes with
+// the per-server filter, so every stream sees the records a sort of the
+// whole input would give it.
+func (c *Chart) Landscape() (*Landscape, error) {
+	c.match.End()
+	c.match = nil
+	if c.err != nil {
+		return nil, c.err
+	}
 	// Steps 5-7: per-server estimation. Servers are independent, so they
 	// run concurrently on a bounded worker pool, in sorted order.
+	bm, buckets := c.bm, c.buckets
 	sort.Slice(buckets, func(i, j int) bool { return buckets[i].server < buckets[j].server })
-	first, lastEpoch := int(w.Start/cfg.EpochLen), int((w.End-1)/cfg.EpochLen)
-	land := bm.NewLandscape(w)
-	estStage := cfg.Stages.Start("estimate")
+	first, lastEpoch := int(c.w.Start/c.epochLen), int((c.w.End-1)/c.epochLen)
+	land := bm.NewLandscape(c.w)
+	estStage := bm.cfg.Stages.Start("estimate")
 	results, err := parallel.Map(context.Background(), len(buckets), bm.workers(),
 		func(_ context.Context, k int) (ServerEstimate, error) {
 			b := buckets[k]
-			byTime := func(x, y matchRef) int { return cmp.Compare(obs[x.idx].T, obs[y.idx].T) }
-			if !slices.IsSortedFunc(b.refs, byTime) {
-				slices.SortStableFunc(b.refs, byTime)
+			if b.unsorted {
+				slices.SortStableFunc(b.refs, func(x, y matchRef) int { return cmp.Compare(x.offset(), y.offset()) })
+				b.unsorted = false
 			}
-			walk := bm.NewWalk(cfg.Stages)
+			walk := bm.NewWalk(bm.cfg.Stages)
 			for _, ref := range b.refs {
-				rec := obs[ref.idx]
-				rec.Pos = ref.pos
-				walk.Observe(rec)
+				walk.Observe(trace.ObservedRecord{T: c.w.Start + ref.offset(), Pos: ref.pos()})
 			}
 			walk.CloseThrough(lastEpoch)
 			return NewServerEstimate(b.server, len(b.refs), walk, first, lastEpoch), nil
@@ -352,6 +418,19 @@ func (bm *BotMeter) Analyze(obs trace.Observed, w sim.Window) (*Landscape, error
 	}
 	land.Rank()
 	return land, nil
+}
+
+// Analyze charts the landscape from an observable dataset, in any order,
+// over a window: a chart fed every record of the dataset.
+func (bm *BotMeter) Analyze(obs trace.Observed, w sim.Window) (*Landscape, error) {
+	c, err := bm.NewChart(w)
+	if err != nil {
+		return nil, err
+	}
+	for i := range obs {
+		c.Observe(&obs[i])
+	}
+	return c.Landscape()
 }
 
 // workers resolves the per-server estimation pool size: the configured

@@ -89,6 +89,39 @@ func TestAnalyzeEmptyWindow(t *testing.T) {
 	}
 }
 
+// TestChartBounds: a chart keeps a matched record in 8 bytes, its time
+// offset in the window and its pool position, so it takes windows up to
+// 2^40 ms and positions below 2^24. A longer window is an error, never a
+// figure, and a position past the bound is refused, never truncated.
+func TestChartBounds(t *testing.T) {
+	bm, err := New(Config{Family: smallAU(), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := sim.Window{Start: -5 * sim.Day, End: -5*sim.Day + maxChartWindow}
+	if _, err := bm.NewChart(w); err != nil {
+		t.Errorf("a window of %v: %v", w.Len(), err)
+	}
+	w.End++
+	if land, err := bm.Analyze(nil, w); err == nil || land != nil {
+		t.Errorf("a window of %v gave %v, %v; want an error", w.Len(), land, err)
+	}
+	for _, c := range []struct {
+		off sim.Time
+		pos int32
+	}{{0, 0}, {maxChartWindow - 1, maxRefPos}, {sim.Day + 7, 12345}} {
+		ref, ok := newMatchRef(c.off, c.pos)
+		if !ok || ref.offset() != c.off || ref.pos() != c.pos {
+			t.Errorf("ref(%v, %d) = (%v, %d), %v", c.off, c.pos, ref.offset(), ref.pos(), ok)
+		}
+	}
+	for _, pos := range []int32{-1, maxRefPos + 1} {
+		if _, ok := newMatchRef(0, pos); ok {
+			t.Errorf("ref at position %d accepted", pos)
+		}
+	}
+}
+
 func TestAnalyzeAUPopulation(t *testing.T) {
 	seed := uint64(77)
 	w := sim.Window{Start: 0, End: sim.Day}

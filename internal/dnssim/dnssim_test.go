@@ -6,6 +6,7 @@ import (
 	"botmeter/internal/obs"
 	"botmeter/internal/sim"
 	"botmeter/internal/symtab"
+	"botmeter/internal/trace"
 )
 
 // nameCache drives a Cache by domain string: names are interned into a
@@ -418,12 +419,20 @@ func TestBindTable(t *testing.T) {
 	}
 }
 
-func TestResetTraces(t *testing.T) {
+// TestBorderSink: a border with a Sink hands it every forwarded lookup, in
+// emission order, and keeps no dataset of its own.
+func TestBorderSink(t *testing.T) {
 	n := newTestNetwork(1)
+	var got []trace.ObservedRecord
+	n.Border.Sink = func(rec trace.ObservedRecord) { got = append(got, rec) }
 	n.ClientQuery(0, "c1", "nx.com")
-	n.ResetTraces()
-	if len(n.Raw()) != 0 || len(n.Border.Observed()) != 0 {
-		t.Error("ResetTraces should clear both datasets")
+	n.ClientQuery(1, "c1", "nx.com") // a cache hit: never forwarded
+	n.ClientQuery(2, "c2", "other.com")
+	if len(got) != 2 || got[0].Domain != "nx.com" || got[1].Domain != "other.com" || got[1].T != 2 || got[0].ID == symtab.None {
+		t.Errorf("sink got %+v, want nx.com at 0 then other.com at 2, with IDs", got)
+	}
+	if obs := n.Border.Observed(); len(obs) != 0 {
+		t.Errorf("a border with a sink kept %d records", len(obs))
 	}
 }
 

@@ -75,6 +75,11 @@ type Upstream interface {
 type Border struct {
 	ID          string
 	Granularity sim.Time
+	// Sink, when set, receives each observed record as the border records
+	// it, in emission order, in place of the border's own dataset: Observed
+	// stays empty. A simulated trial points it at its analysis, so the
+	// trace is never built.
+	Sink func(trace.ObservedRecord)
 
 	registry *Registry
 	// The observable dataset accumulates in fixed-size chunks
@@ -97,13 +102,18 @@ func NewBorder(id string, registry *Registry) *Border {
 // carries the ID for in-process consumers.
 func (b *Border) Resolve(now sim.Time, forwarder, domain string, id symtab.ID) Answer {
 	b.observedCtr.Inc()
-	b.observed.Append(trace.ObservedRecord{
+	rec := trace.ObservedRecord{
 		T:      now.Truncate(b.Granularity),
 		Server: forwarder,
 		Domain: domain,
 		ID:     id,
-	})
-	b.observedFlat = nil
+	}
+	if b.Sink != nil {
+		b.Sink(rec)
+	} else {
+		b.observed.Append(rec)
+		b.observedFlat = nil
+	}
 	return Answer{NX: !b.registry.ResolvesID(id)}
 }
 
@@ -116,11 +126,6 @@ func (b *Border) Observed() trace.Observed {
 		b.observedFlat = b.observed.Build()
 	}
 	return b.observedFlat
-}
-
-// ResetObserved clears the collected dataset (between experiment trials).
-func (b *Border) ResetObserved() {
-	b.observed, b.observedFlat = trace.Builder{}, nil
 }
 
 // Server is a caching-and-forwarding DNS server. It serves answers from its
@@ -442,17 +447,11 @@ func (n *Network) Query(now sim.Time, c Client, domain string, id symtab.ID) (An
 // Raw returns the recorded client-level dataset (empty unless RecordRaw).
 func (n *Network) Raw() trace.Raw { return n.rawRecorder }
 
-// ResetTraces clears both raw and observed datasets.
-func (n *Network) ResetTraces() {
-	n.rawRecorder = nil
-	n.Border.ResetObserved()
-}
-
 // ReleaseCaches returns every tier's cache storage to the shared pool.
 // Call it once a simulation is done and the hierarchy will not answer
 // further queries (the servers stay usable, but their caches start cold).
-// Experiment trials call this after capturing Border.Observed() so the
-// next trial's hierarchy reuses the grown tables instead of reallocating.
+// Experiment trials call this once the bots have run so the next trial's
+// hierarchy reuses the grown tables instead of reallocating.
 func (n *Network) ReleaseCaches() {
 	for _, id := range n.localOrder {
 		n.locals[id].cache.Release()

@@ -342,12 +342,14 @@ func TestBorderRecordsCarryIDs(t *testing.T) {
 		p := defaultTrialParams(spec, cfg6.Population, trialSeed(cfg6.Seed, "a"+model, 0))
 		tab := symtab.New()
 		p.pools = dga.NewPoolCache(spec.Pool, p.seed, tab)
-		p.observed = func(observed trace.Observed) trace.Observed {
-			check("figure 6(a) "+model, observed, tab)
-			return observed
+		var observed trace.Observed
+		p.observed = func(rec trace.ObservedRecord) (trace.ObservedRecord, bool) {
+			observed = append(observed, rec)
+			return rec, true
 		}
 		if _, err := runTrial(p, estimatorsFor(model, "a")); err != nil {
 			t.Fatal(err)
 		}
+		check("figure 6(a) "+model, observed, tab)
 	}
 }

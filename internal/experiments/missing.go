@@ -46,22 +46,15 @@ func MissingObservations(cfg SweepConfig) ([]SweepPoint, error) {
 }
 
 // dropRecords makes the trial lose each border record independently with
-// probability rate before the trace is analysed.
+// probability rate before the analysis sees it: one draw per record, in
+// emission order.
 func dropRecords(p *trialParams, rate float64) {
 	if rate <= 0 {
 		return
 	}
-	seed := p.seed ^ 0xbad
-	p.observed = func(obs trace.Observed) trace.Observed {
-		rng := sim.NewRNG(seed)
-		kept := make(trace.Observed, 0, len(obs))
-		for _, rec := range obs {
-			if rng.Float64() < rate {
-				continue
-			}
-			kept = append(kept, rec)
-		}
-		return kept
+	rng := sim.NewRNG(p.seed ^ 0xbad)
+	p.observed = func(rec trace.ObservedRecord) (trace.ObservedRecord, bool) {
+		return rec, rng.Float64() >= rate
 	}
 }
 

@@ -110,9 +110,10 @@ type trialParams struct {
 	// network, when non-nil, edits the hierarchy's configuration before the
 	// network is built (the chaos sweep's faulty link and hardening).
 	network func(*dnssim.NetworkConfig)
-	// observed, when non-nil, edits the border trace before it is analysed
-	// (record loss at the vantage point).
-	observed func(trace.Observed) trace.Observed
+	// observed, when non-nil, sees each border record, in emission order,
+	// before the analysis does, and returns the record the analysis gets, if
+	// it gets one (record loss at the vantage point).
+	observed func(trace.ObservedRecord) (trace.ObservedRecord, bool)
 }
 
 func defaultTrialParams(spec dga.Spec, population int, seed uint64) trialParams {
@@ -127,9 +128,31 @@ func defaultTrialParams(spec dga.Spec, population int, seed uint64) trialParams 
 }
 
 // runTrial is the one synthetic trial: it simulates a bot population behind
-// one local server, analyses the border trace with every estimator and
-// returns each estimator's ARE against the realised ground truth.
+// one local server, charts the border's records with every estimator as the
+// border emits them and returns each estimator's ARE against the realised
+// ground truth.
 func runTrial(p trialParams, ests []estimators.Estimator) (map[string]float64, error) {
+	land, truth, err := chartTrial(p, ests)
+	if err != nil {
+		return nil, err
+	}
+	return trialAREs(land, ests, truth), nil
+}
+
+// trialAREs maps each estimator of the set to the ARE of its figure for the
+// trial's one local server against truth.
+func trialAREs(land *core.Landscape, ests []estimators.Estimator, truth float64) map[string]float64 {
+	out := make(map[string]float64, len(ests))
+	for i, v := range land.Estimates("local-00") {
+		out[ests[i].Name()] = stats.ARE(v, truth)
+	}
+	return out
+}
+
+// chartTrial runs runTrial's simulation and analysis and returns the
+// landscape with the ground truth, the mean active-bot count over the
+// window's epochs.
+func chartTrial(p trialParams, ests []estimators.Estimator) (*core.Landscape, float64, error) {
 	// One intern table + pool cache per trial: the simulator, the matcher
 	// and every estimator below share the same symbolized pool objects, so
 	// records resolve by ID end-to-end and each epoch's pool is generated
@@ -141,7 +164,21 @@ func runTrial(p trialParams, ests []estimators.Estimator) (map[string]float64, e
 		defer tab.Release()
 		pools = dga.NewPoolCache(p.spec.Pool, p.seed, tab)
 	}
+	// One chart carries every estimator through one walk per server: each
+	// sees the same records in the same order as it would alone
+	// (TestSharedTrialEquivalences).
+	bm, err := p.meter(ests, pools)
+	if err != nil {
+		return nil, 0, err
+	}
+	w := sim.Window{Start: 0, End: sim.Time(p.windowEpochs) * sim.Day}
+	chart, err := bm.NewChart(w)
+	if err != nil {
+		return nil, 0, err
+	}
 
+	// The simulate stage matches each border record into the chart as the
+	// border emits it.
 	simStage := p.stages.Start(p.stage + ":simulate")
 	netCfg := dnssim.NetworkConfig{
 		LocalServers: 1,
@@ -153,6 +190,15 @@ func runTrial(p trialParams, ests []estimators.Estimator) (map[string]float64, e
 		p.network(&netCfg)
 	}
 	net := dnssim.NewNetwork(netCfg)
+	net.Border.Sink = func(rec trace.ObservedRecord) {
+		if p.observed != nil {
+			var keep bool
+			if rec, keep = p.observed(rec); !keep {
+				return
+			}
+		}
+		chart.Observe(&rec)
+	}
 	runner, err := botnet.NewRunner(botnet.Config{
 		Spec:          p.spec,
 		Seed:          p.seed,
@@ -162,13 +208,13 @@ func runTrial(p trialParams, ests []estimators.Estimator) (map[string]float64, e
 		Barrels:       p.barrels,
 	}, net)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	w := sim.Window{Start: 0, End: sim.Time(p.windowEpochs) * sim.Day}
 	res, err := runner.Run(w)
 	simStage.End()
+	net.ReleaseCaches()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	var truthSum float64
 	for _, n := range res.ActiveBots["local-00"] {
@@ -176,21 +222,23 @@ func runTrial(p trialParams, ests []estimators.Estimator) (map[string]float64, e
 	}
 	truth := truthSum / float64(len(res.ActiveBots["local-00"]))
 
+	estStage := p.stages.Start(p.stage + ":estimate")
+	defer estStage.End()
+	land, err := chart.Landscape()
+	if err != nil {
+		return nil, 0, err
+	}
+	return land, truth, nil
+}
+
+// meter is the trial's analysis: the family over the trial's pools with
+// the set ests, behind the trial's D³ front end.
+func (p trialParams) meter(ests []estimators.Estimator, pools *dga.PoolCache) (*core.BotMeter, error) {
 	var detection *d3.Window
 	if p.missRate > 0 {
 		detection = &d3.Window{MissRate: p.missRate, Seed: p.seed ^ 0xd3}
 	}
-	observed := net.Border.Observed()
-	net.ReleaseCaches()
-	if p.observed != nil {
-		observed = p.observed(observed)
-	}
-	estStage := p.stages.Start(p.stage + ":estimate")
-	defer estStage.End()
-	// One Analyze carries every estimator through one walk per server: each
-	// sees the same records in the same order as it would alone
-	// (TestSharedTrialEquivalences).
-	bm, err := core.New(core.Config{
+	return core.New(core.Config{
 		Family:      p.spec,
 		Seed:        p.seed,
 		Pools:       pools,
@@ -200,18 +248,6 @@ func runTrial(p trialParams, ests []estimators.Estimator) (map[string]float64, e
 		Detection:   detection,
 		Stages:      p.stages,
 	})
-	if err != nil {
-		return nil, err
-	}
-	land, err := bm.Analyze(observed, w)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]float64, len(ests))
-	for i, v := range land.Estimates("local-00") {
-		out[ests[i].Name()] = stats.ARE(v, truth)
-	}
-	return out, nil
 }
 
 // row is one model's row of an artifact: what every axis value of the row

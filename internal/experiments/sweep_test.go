@@ -7,6 +7,7 @@ import (
 
 	"botmeter/internal/botnet"
 	"botmeter/internal/dga"
+	"botmeter/internal/dnssim"
 	"botmeter/internal/enterprise"
 	"botmeter/internal/estimators"
 	"botmeter/internal/obs"
@@ -60,15 +61,12 @@ func TestSharedTrialEquivalences(t *testing.T) {
 				p.pools, p.barrels = pools, barrels
 				c.edit(&p)
 				if filter := p.observed; byName {
-					p.observed = func(observed trace.Observed) trace.Observed {
-						if filter != nil {
-							observed = filter(observed)
+					p.observed = func(rec trace.ObservedRecord) (trace.ObservedRecord, bool) {
+						rec.ID = symtab.None
+						if filter == nil {
+							return rec, true
 						}
-						named := append(trace.Observed(nil), observed...)
-						for i := range named {
-							named[i].ID = symtab.None
-						}
-						return named
+						return filter(rec)
 					}
 				}
 				out, err := runTrial(p, ests)
@@ -99,6 +97,85 @@ func TestSharedTrialEquivalences(t *testing.T) {
 			same("private pool cache", trial(ests, nil, barrels, false), full)
 			same("resolved by name", trial(ests, shared, barrels, true), full)
 			same("private barrel draws", trial(ests, shared, nil, false), full)
+
+			// The records the trial streamed into its chart, materialised as a
+			// trace and analysed in one batch, give the streamed figures.
+			p := defaultTrialParams(spec, 48, seed)
+			p.pools, p.barrels = shared, barrels
+			c.edit(&p)
+			var border trace.Observed
+			filter := p.observed
+			p.observed = func(rec trace.ObservedRecord) (trace.ObservedRecord, bool) {
+				if filter != nil {
+					var keep bool
+					if rec, keep = filter(rec); !keep {
+						return rec, false
+					}
+				}
+				border = append(border, rec)
+				return rec, true
+			}
+			land, truth, err := chartTrial(p, ests)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", model, c.name, err)
+			}
+			bm, err := p.meter(ests, shared)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch, err := bm.Analyze(border, land.Window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(border) == 0 || batch.MatchedLookups != land.MatchedLookups {
+				t.Errorf("%s, %s: batch matched %d of %d border records, the chart %d", model, c.name, batch.MatchedLookups, len(border), land.MatchedLookups)
+			}
+			same("streamed chart", trialAREs(land, ests, truth), full)
+			same("materialised border through Analyze", trialAREs(batch, ests, truth), full)
+		}
+	}
+}
+
+// countingUpstream counts the lookups that reach the border.
+type countingUpstream struct {
+	dnssim.Upstream
+	n *int
+}
+
+func (c countingUpstream) Resolve(now sim.Time, forwarder, domain string, id symtab.ID) dnssim.Answer {
+	*c.n++
+	return c.Upstream.Resolve(now, forwarder, domain, id)
+}
+
+// TestTrialKeepsNoBorderTrace: a Figure 6(a) trial hands each border record
+// to its chart as the border emits it, so after the trial the border holds
+// no dataset, though every model's bots reached it.
+func TestTrialKeepsNoBorderTrace(t *testing.T) {
+	cfg := quickCfg()
+	for _, model := range []string{"AU", "AS", "AR", "AP"} {
+		spec, err := modelSpec(model, cfg.Scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := defaultTrialParams(spec, cfg.Population, trialSeed(cfg.Seed, "a"+model, 0))
+		var (
+			border  *dnssim.Border
+			lookups int
+		)
+		p.network = func(nc *dnssim.NetworkConfig) {
+			nc.WrapUpstream = func(u dnssim.Upstream) dnssim.Upstream {
+				border = u.(*dnssim.Border)
+				return countingUpstream{u, &lookups}
+			}
+		}
+		if _, err := runTrial(p, estimatorsFor(model, "a")); err != nil {
+			t.Fatal(err)
+		}
+		if lookups == 0 {
+			t.Fatalf("%s: no lookup reached the border", model)
+		}
+		if n := len(border.Observed()); n != 0 {
+			t.Errorf("%s: the border kept %d of %d records after the trial", model, n, lookups)
 		}
 	}
 }

@@ -201,3 +201,39 @@ func TestNilSafety(t *testing.T) {
 	}
 
 }
+
+// TestGaugeFuncRegistry pins the GaugeFunc registry contract: first-wins
+// registration, conflict with a plain gauge, nil safety, and GaugeValue
+// consulting callbacks.
+func TestGaugeFuncRegistry(t *testing.T) {
+	r := NewRegistry()
+	calls := 0
+	g := r.GaugeFunc("cb", func() float64 { calls++; return 7 })
+	if g2 := r.GaugeFunc("cb", func() float64 { return 99 }); g2 != g {
+		t.Fatal("second registration must return the first GaugeFunc")
+	}
+	if v := r.GaugeValue("cb"); v != 7 {
+		t.Fatalf("GaugeValue(cb) = %v, want 7", v)
+	}
+	if calls == 0 {
+		t.Fatal("callback never evaluated")
+	}
+	r.Gauge("plain").Set(3)
+	if got := r.GaugeFunc("plain", func() float64 { return 1 }); got != nil {
+		t.Fatal("GaugeFunc over an existing plain gauge must be refused")
+	}
+	if v := r.GaugeValue("plain"); v != 3 {
+		t.Fatalf("plain gauge shadowed: %v", v)
+	}
+	if r.GaugeFunc("nilfn", nil) != nil {
+		t.Fatal("nil fn must be refused")
+	}
+	var nilReg *Registry
+	if nilReg.GaugeFunc("x", func() float64 { return 1 }) != nil {
+		t.Fatal("nil registry must hand out nil")
+	}
+	var nilGF *GaugeFunc
+	if nilGF.Value() != 0 {
+		t.Fatal("nil GaugeFunc must read 0")
+	}
+}

@@ -1,8 +1,11 @@
-package obs
+package obs_test
 
 import (
 	"strings"
 	"testing"
+
+	"botmeter/internal/obs"
+	"botmeter/internal/obs/obstest"
 )
 
 // TestValidateRegistryOutput round-trips a registry loaded with
@@ -10,7 +13,7 @@ import (
 // braces — through WritePrometheus and the strict validator: whatever the
 // exposition emits must parse.
 func TestValidateRegistryOutput(t *testing.T) {
-	r := NewRegistry()
+	r := obs.NewRegistry()
 	r.Help("evil_counter", "counter with hostile labels")
 	evil := []string{
 		`back\slash`,
@@ -25,12 +28,12 @@ func TestValidateRegistryOutput(t *testing.T) {
 	}
 	r.Gauge("plain_gauge", "shard", "3").Set(1.5)
 	r.GaugeFunc("callback_gauge", func() float64 { return 42 }, "shard", "0")
-	r.Histogram("lat_seconds", LatencyBuckets, "path", `a"b\c`).Observe(0.003)
+	r.Histogram("lat_seconds", obs.LatencyBuckets, "path", `a"b\c`).Observe(0.003)
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
-	if err := ValidatePrometheusText(strings.NewReader(b.String())); err != nil {
+	if err := obstest.ValidatePrometheusText(strings.NewReader(b.String())); err != nil {
 		t.Fatalf("exposition failed validation: %v\n---\n%s", err, b.String())
 	}
 	if !strings.Contains(b.String(), "callback_gauge{shard=\"0\"} 42") {
@@ -139,7 +142,7 @@ func TestValidateRejectsMalformed(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := ValidatePrometheusText(strings.NewReader(tc.input))
+			err := obstest.ValidatePrometheusText(strings.NewReader(tc.input))
 			if err == nil {
 				t.Fatalf("input accepted, want error containing %q:\n%s", tc.want, tc.input)
 			}
@@ -166,43 +169,7 @@ special{v="+Inf"} +Inf
 negative -2.5e-3
 stamped 4 1700000000000
 `
-	if err := ValidatePrometheusText(strings.NewReader(input)); err != nil {
+	if err := obstest.ValidatePrometheusText(strings.NewReader(input)); err != nil {
 		t.Fatalf("well-formed input rejected: %v", err)
-	}
-}
-
-// TestGaugeFuncRegistry pins the GaugeFunc registry contract: first-wins
-// registration, conflict with a plain gauge, nil safety, and GaugeValue
-// consulting callbacks.
-func TestGaugeFuncRegistry(t *testing.T) {
-	r := NewRegistry()
-	calls := 0
-	g := r.GaugeFunc("cb", func() float64 { calls++; return 7 })
-	if g2 := r.GaugeFunc("cb", func() float64 { return 99 }); g2 != g {
-		t.Fatal("second registration must return the first GaugeFunc")
-	}
-	if v := r.GaugeValue("cb"); v != 7 {
-		t.Fatalf("GaugeValue(cb) = %v, want 7", v)
-	}
-	if calls == 0 {
-		t.Fatal("callback never evaluated")
-	}
-	r.Gauge("plain").Set(3)
-	if got := r.GaugeFunc("plain", func() float64 { return 1 }); got != nil {
-		t.Fatal("GaugeFunc over an existing plain gauge must be refused")
-	}
-	if v := r.GaugeValue("plain"); v != 3 {
-		t.Fatalf("plain gauge shadowed: %v", v)
-	}
-	if r.GaugeFunc("nilfn", nil) != nil {
-		t.Fatal("nil fn must be refused")
-	}
-	var nilReg *Registry
-	if nilReg.GaugeFunc("x", func() float64 { return 1 }) != nil {
-		t.Fatal("nil registry must hand out nil")
-	}
-	var nilGF *GaugeFunc
-	if nilGF.Value() != 0 {
-		t.Fatal("nil GaugeFunc must read 0")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"botmeter/internal/obs"
+	"botmeter/internal/obs/obstest"
 	"botmeter/internal/obs/rules"
 	"botmeter/internal/obs/series"
 	"botmeter/internal/sim"
@@ -331,7 +332,7 @@ func TestConcurrentScrape(t *testing.T) {
 					rec := httptest.NewRecorder()
 					mux.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 					if path == "/metrics" {
-						if err := obs.ValidatePrometheusText(rec.Body); err != nil {
+						if err := obstest.ValidatePrometheusText(rec.Body); err != nil {
 							errs <- err
 							return
 						}
@@ -373,7 +374,7 @@ func TestConcurrentScrape(t *testing.T) {
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
-	if err := obs.ValidatePrometheusText(strings.NewReader(body)); err != nil {
+	if err := obstest.ValidatePrometheusText(strings.NewReader(body)); err != nil {
 		t.Fatalf("final /metrics invalid: %v", err)
 	}
 	for _, name := range []string{stream.MetricOpenCells, stream.MetricExpiryQueue} {
