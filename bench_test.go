@@ -190,7 +190,8 @@ func matched(spec dga.Spec, seed uint64, obs trace.Observed) trace.Observed {
 	names := matcher.NewAttribution(spec.Pool.PoolFor(seed, 0), nil, nil)
 	out := make(trace.Observed, 0, len(obs))
 	for _, rec := range obs {
-		if names.Attribute(&rec) {
+		if pos, ok := names.Resolve(rec); ok {
+			rec.Pos = pos
 			out = append(out, rec)
 		}
 	}

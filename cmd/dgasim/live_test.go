@@ -104,9 +104,11 @@ func TestLiveRunEndToEnd(t *testing.T) {
 	// positions MB estimates from.
 	names := matcher.NewAttribution(pool, nil, nil)
 	for i := range obs {
-		if !names.Attribute(&obs[i]) {
+		pos, ok := names.Resolve(obs[i])
+		if !ok {
 			t.Fatalf("live query outside pool: %q", obs[i].Domain)
 		}
+		obs[i].Pos = pos
 	}
 	mb := estimators.NewBernoulli()
 	got, err := estimators.EstimateEpoch(mb, obs, epoch, estimators.Config{Spec: spec, Seed: seed})

@@ -169,6 +169,34 @@ func TestPoolLookupMethods(t *testing.T) {
 	}
 }
 
+// TestPoolNameEntries checks the comparison a tag match ends in, which
+// Position reaches only when a name's hash bits agree with a slot's: every
+// position holds its own name and no name one byte shorter, one byte longer
+// or differing in its last byte, for names that fit their entry and names
+// that do not.
+func TestPoolNameEntries(t *testing.T) {
+	var domains []string
+	for _, n := range []int{0, 1, 7, 8, 15, 62, 63, 64, 200, 255, 256} {
+		domains = append(domains, strings.Repeat("m", n))
+	}
+	p := NewPool(domains, nil)
+	p.Position("") // builds the entries
+	for pos, d := range domains {
+		if !p.holds(uint32(pos), d) {
+			t.Fatalf("position %d does not hold its %d-byte name", pos, len(d))
+		}
+		others := []string{d + "m", d + "\x00"}
+		if d != "" {
+			others = append(others, d[:len(d)-1], d[:len(d)-1]+"n")
+		}
+		for _, o := range others {
+			if p.holds(uint32(pos), o) {
+				t.Fatalf("position %d (%d bytes) holds a %d-byte %q…", pos, len(d), len(o), o[:min(len(o), 8)])
+			}
+		}
+	}
+}
+
 func TestNewPoolIgnoresBadPositions(t *testing.T) {
 	p := NewPool([]string{"a.com"}, []int{-1, 5, 0, 0})
 	if len(p.ValidPositions) != 1 || p.ValidPositions[0] != 0 {
@@ -186,13 +214,6 @@ func testPool(n, c2 int) *Pool {
 		valid[i] = i * (n / max(c2, 1))
 	}
 	return NewPool(domains, valid)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func TestUniformBarrelOrder(t *testing.T) {

@@ -11,9 +11,11 @@ import (
 
 // TestPoolPositionIndex pins Position's name index to the map it replaced:
 // every name of every preset family's pool (scaled to 0.05) at epochs 0–2
-// is found at its position; noise names and other spellings of pool names
-// miss, as does every name against an empty pool; and a name a hand-built
-// pool holds twice is at its last position.
+// is found at its position; noise names, other spellings of pool names and
+// each pool name one byte shorter or one byte longer miss, as does every
+// name against an empty pool; a name a hand-built pool holds twice is at
+// its last position; and an empty name and names around and past the
+// longest a names entry holds are found, and their neighbours miss.
 func TestPoolPositionIndex(t *testing.T) {
 	for _, name := range dga.FamilyNames() {
 		preset, err := dga.Lookup(name)
@@ -38,6 +40,7 @@ func TestPoolPositionIndex(t *testing.T) {
 					}
 				}
 			}
+			requireNeighboursMiss(t, fmt.Sprintf("%s epoch %d", name, epoch), pool)
 		}
 	}
 
@@ -56,6 +59,50 @@ func TestPoolPositionIndex(t *testing.T) {
 	}
 	if got, ok := repeated.Position("d.com"); ok {
 		t.Fatalf("repeated pool: Position(%q) = %d, want a miss", "d.com", got)
+	}
+
+	// Entries are at most 64 bytes, a length byte and 63 of name: the
+	// longer names are compared with Domains. The second pool's longest
+	// name fits a 16-byte entry exactly.
+	var lengths []string
+	for _, n := range []int{0, 1, 62, 63, 64, 65, 254, 255, 256, 300} {
+		lengths = append(lengths, strings.Repeat("q", n))
+	}
+	for _, domains := range [][]string{
+		append([]string{"a.com"}, lengths...),
+		{"", "b.com", strings.Repeat("w", 15), "c.org"},
+	} {
+		pool := dga.NewPool(domains, nil)
+		for i, d := range domains {
+			if got, ok := pool.Position(d); !ok || got != i {
+				t.Fatalf("hand-built pool: Position(%d-byte name) = %d, %v; want %d", len(d), got, ok, i)
+			}
+		}
+		requireNeighboursMiss(t, "hand-built pool", pool)
+	}
+}
+
+// requireNeighboursMiss fails unless each pool name one byte shorter and
+// one byte longer misses, where the pool does not hold that name too.
+func requireNeighboursMiss(t *testing.T, what string, pool *dga.Pool) {
+	t.Helper()
+	held := make(map[string]bool, pool.Size())
+	for _, d := range pool.Domains {
+		held[d] = true
+	}
+	for _, d := range pool.Domains {
+		misses := []string{d + "x"}
+		if d != "" {
+			misses = append(misses, d[:len(d)-1])
+		}
+		for _, miss := range misses {
+			if held[miss] {
+				continue
+			}
+			if got, ok := pool.Position(miss); ok {
+				t.Fatalf("%s: Position(%q) = %d, want a miss", what, miss, got)
+			}
+		}
 	}
 }
 

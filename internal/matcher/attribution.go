@@ -73,17 +73,6 @@ func (a *Attribution) Resolve(rec trace.ObservedRecord) (pos int32, ok bool) {
 	return pos, ok
 }
 
-// Attribute resolves rec and, when the DGA is charged with it, stamps the
-// position and the canonical name on it: a name the trace spelled in upper
-// case or with a trailing dot then counts as the domain it is.
-func (a *Attribution) Attribute(rec *trace.ObservedRecord) bool {
-	pos, ok := a.Resolve(*rec)
-	if ok {
-		rec.Pos, rec.Domain = pos, a.Name(pos)
-	}
-	return ok
-}
-
 // Name is the way back: the canonical name at a position Resolve returned.
 func (a *Attribution) Name(pos int32) string {
 	if n := a.pool.Size(); int(pos) >= n {

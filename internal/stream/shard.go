@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"botmeter/internal/estimators"
+	"botmeter/internal/matcher"
 	"botmeter/internal/obs"
 	"botmeter/internal/sim"
 	"botmeter/internal/trace"
@@ -121,11 +122,11 @@ func (s *shard) lagSecondsLocked(now time.Time) float64 {
 	return lag
 }
 
-// loop takes the inbox a batch at a time until it is closed and empty, and
-// ingests each batch under one hold of the shard mutex: the records in
-// delivery order, each barrier request served at its queue position. The
-// batch it is done with goes back to the inbox as the next spare, so the
-// steady state allocates nothing.
+// loop takes the inbox a batch at a time until it is closed and empty,
+// attributes the batch's records, and ingests the batch under one hold of
+// the shard mutex: the records in delivery order, each barrier request
+// served at its queue position. The batch it is done with goes back to the
+// inbox as the next spare, so the steady state allocates nothing.
 func (s *shard) loop() {
 	var b inboxBatch
 	for {
@@ -133,20 +134,48 @@ func (s *shard) loop() {
 		if b, ok = s.in.take(b); !ok {
 			return
 		}
+		s.attribute(b.recs)
 		s.mu.Lock()
 		i := 0
 		for _, c := range b.ctls {
 			for ; i < c.at; i++ {
-				s.ingestLocked(b.recs[i])
+				s.ingestLocked(&b.recs[i])
 			}
 			s.serveLocked(c.req)
 		}
 		for ; i < len(b.recs); i++ {
-			s.ingestLocked(b.recs[i])
+			s.ingestLocked(&b.recs[i])
 		}
 		s.mu.Unlock()
 		clear(b.recs) // release the names
 		clear(b.ctls)
+	}
+}
+
+// attribute is the one name→position lookup of the engine: it sets Pos on
+// every record of a batch to the record's position in its epoch's pool, or
+// to -1 when the DGA is not charged with it. From here on a record is its
+// time, its server and that position. It runs in one pass over the batch,
+// outside the shard mutex, so the cache misses of consecutive lookups
+// overlap instead of sitting between heap and walk work, and a matcher
+// built for an epoch's first record is not built under the mutex. The
+// epoch's matcher is looked up once per run of same-epoch records.
+// Attribution is pure, so where the batch's barrier requests fall does not
+// matter.
+func (s *shard) attribute(recs []trace.ObservedRecord) {
+	bm, epochLen := s.eng.bm, s.eng.cfg.Core.EpochLen
+	var a *matcher.Attribution
+	epoch := 0
+	for i := range recs {
+		rec := &recs[i]
+		if ep := int(rec.T / epochLen); a == nil || ep != epoch {
+			a, epoch = bm.Matcher(ep), ep
+		}
+		pos, ok := a.Resolve(*rec)
+		if !ok {
+			pos = -1
+		}
+		rec.Pos = pos
 	}
 }
 
@@ -277,9 +306,10 @@ func (in *inbox) close() {
 	in.mu.Unlock()
 }
 
-// ingestLocked processes one record: span tracking, matching, reorder
-// buffering, watermark advance, emission and epoch closing.
-func (s *shard) ingestLocked(rec trace.ObservedRecord) {
+// ingestLocked processes one record attribute has resolved: span tracking,
+// the match tally, reorder buffering, watermark advance, emission and epoch
+// closing.
+func (s *shard) ingestLocked(rec *trace.ObservedRecord) {
 	e := s.eng
 	s.Stats.Ingested++
 	e.m.ingested.Inc()
@@ -300,9 +330,7 @@ func (s *shard) ingestLocked(rec trace.ObservedRecord) {
 		}
 	}
 
-	// The one name→position lookup: from here on the record is its time,
-	// its server and the pool position stamped on it.
-	if !e.bm.Matcher(int(rec.T / e.cfg.Core.EpochLen)).Attribute(&rec) {
+	if rec.Pos < 0 {
 		s.Stats.Unmatched++
 		e.m.unmatched.Inc()
 		return
@@ -315,7 +343,7 @@ func (s *shard) ingestLocked(rec trace.ObservedRecord) {
 		e.m.late.Inc()
 		return
 	}
-	s.buf.push(reorderEntry{t: rec.T, seq: s.Seq, rec: rec})
+	s.buf.push(reorderEntry{t: rec.T, seq: s.Seq, server: rec.Server, pos: rec.Pos})
 	s.Seq++
 	s.retainInc(1)
 	if wm := rec.T - e.cfg.ReorderWindow; wm > s.Watermark {
@@ -348,7 +376,7 @@ func (s *shard) emitOldestLocked() {
 	if entry.t > s.Watermark {
 		s.Watermark = entry.t
 	}
-	s.emitLocked(entry.rec)
+	s.emitLocked(entry)
 }
 
 // settleLocked applies the watermark: epochs wholly below it can never
@@ -369,22 +397,22 @@ func (s *shard) settleLocked() {
 
 // emitLocked hands one matched record, in non-decreasing timestamp order,
 // to its server's walk.
-func (s *shard) emitLocked(rec trace.ObservedRecord) {
+func (s *shard) emitLocked(en reorderEntry) {
 	e := s.eng
-	epoch := int(rec.T / e.cfg.Core.EpochLen)
+	epoch := int(en.t / e.cfg.Core.EpochLen)
 	if epoch > s.MaxEmittedEpoch {
 		if s.MaxEmittedEpoch != math.MinInt64 {
 			s.closeThroughLocked(epoch - 1)
 		}
 		s.MaxEmittedEpoch = epoch
 	}
-	sv, ok := s.servers[rec.Server]
+	sv, ok := s.servers[en.server]
 	if !ok {
 		sv = s.newServer()
-		s.servers[rec.Server] = sv
+		s.servers[en.server] = sv
 	}
 	sv.matched++
-	s.countClosed(sv.walk.Observe(rec))
+	s.countClosed(sv.walk.Observe(trace.ObservedRecord{T: en.t, Pos: en.pos}))
 	s.queueExpiryLocked(sv)
 }
 
@@ -548,13 +576,16 @@ func (h *expiryHeap) pop() expiryEntry {
 	}
 }
 
-// reorderEntry orders buffered records by (timestamp, arrival sequence) so
-// equal timestamps keep arrival order — the stability that makes in-order
-// input reproduce batch MT exactly.
+// reorderEntry is one buffered record: its time, server and pool position,
+// ordered by (timestamp, arrival sequence) so equal timestamps keep arrival
+// order — the stability that makes in-order input reproduce batch MT
+// exactly. It holds no name: an export names the position through the
+// epoch's matcher.
 type reorderEntry struct {
-	t   sim.Time
-	seq uint64
-	rec trace.ObservedRecord
+	t      sim.Time
+	seq    uint64
+	server string
+	pos    int32
 }
 
 func (a reorderEntry) less(b reorderEntry) bool {
@@ -591,7 +622,7 @@ func (h *reorderHeap) pop() reorderEntry {
 	top := h.entries[0]
 	last := len(h.entries) - 1
 	h.entries[0] = h.entries[last]
-	h.entries[last] = reorderEntry{} // release the record string refs
+	h.entries[last] = reorderEntry{} // release the server name
 	h.entries = h.entries[:last]
 	i := 0
 	for {

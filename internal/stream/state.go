@@ -306,8 +306,10 @@ func (s *shard) exportLocked() ShardState {
 	st := s.ShardState
 	if n := s.buf.len(); n > 0 {
 		st.Buffer = make([]RecordEntry, n)
+		epochLen := s.eng.cfg.Core.EpochLen
 		for i, en := range s.buf.entries {
-			st.Buffer[i] = RecordEntry{T: en.t, Seq: en.seq, Server: en.rec.Server, Domain: en.rec.Domain}
+			name := s.eng.bm.Matcher(int(en.t / epochLen)).Name(en.pos)
+			st.Buffer[i] = RecordEntry{T: en.t, Seq: en.seq, Server: en.server, Domain: name}
 		}
 	}
 	names := make([]string, 0, len(s.servers))
@@ -339,11 +341,11 @@ func (s *shard) importState(st ShardState) error {
 	s.expiry = nil
 	for _, en := range st.Buffer {
 		epoch := int(en.T / e.cfg.Core.EpochLen)
-		rec := trace.ObservedRecord{T: en.T, Server: en.Server, Domain: en.Domain}
-		if !e.bm.Matcher(epoch).Attribute(&rec) {
+		pos, ok := e.bm.Matcher(epoch).Resolve(trace.ObservedRecord{Domain: en.Domain})
+		if !ok {
 			return fmt.Errorf("reorder buffer: server %s epoch %d: domain %q is not one the epoch's matcher holds", en.Server, epoch, en.Domain)
 		}
-		s.buf.push(reorderEntry{t: en.T, seq: en.Seq, rec: rec})
+		s.buf.push(reorderEntry{t: en.T, seq: en.Seq, server: en.Server, pos: pos})
 	}
 	for _, ss := range st.Servers {
 		sv := s.newServer()
