@@ -40,8 +40,9 @@ type ObservedRecord struct {
 	ID symtab.ID `json:"-"`
 	// Pos is the pool position the matcher resolved the record to, within
 	// the pool of the record's epoch (collision names sit past the pool's
-	// end). Only matched records have one; the estimators read it and never
-	// the name or the ID. A position is a function of (family, seed, epoch),
+	// end). Only matched records have one (the stream engine's attribution
+	// pass sets −1 on the others); the estimators read it and never the
+	// name or the ID. A position is a function of (family, seed, epoch),
 	// so it needs no table. In-memory only.
 	Pos int32 `json:"-"`
 }
