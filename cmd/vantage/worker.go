@@ -1,10 +1,11 @@
 // The serve loop (DESIGN.md §19): one worker goroutine per SO_REUSEPORT
-// socket. Each worker owns a dnswire.Arena, an intern table stabilising
-// domain strings for the live engine, a private SafeWriter batch buffer over
-// the shared O_APPEND dataset file, a source-address string cache and reused
-// encode buffers — so the steady-state observe-and-answer path performs no
-// heap allocations. Cross-worker synchronisation is each writer's flush
-// mutex, the engine's sharded channels and, once per checkpoint, the cut
+// socket. Each worker owns a dnswire.Arena, a private SafeWriter batch
+// buffer over the shared O_APPEND dataset file, a source-address string
+// cache and reused encode buffers — so the steady-state observe-and-answer
+// path performs no heap allocations and keeps nothing per observed name:
+// the live engine is handed its own spelling of a name (Engine.Held), never
+// the arena's bytes. Cross-worker synchronisation is each writer's flush
+// mutex, the engine's shard inboxes and, once per checkpoint, the cut
 // (sink.checkpoint), which reaches a worker through the mutex it holds
 // around each record's append and observe.
 package main
@@ -14,7 +15,6 @@ import (
 	"io"
 	"net"
 	"net/netip"
-	"strings"
 	"sync"
 	"time"
 
@@ -22,7 +22,6 @@ import (
 	"botmeter/internal/faults"
 	"botmeter/internal/sim"
 	"botmeter/internal/stream"
-	"botmeter/internal/symtab"
 	"botmeter/internal/trace"
 )
 
@@ -86,7 +85,6 @@ type vantageWorker struct {
 
 	arena   dnswire.Arena
 	msg     dnswire.Message
-	tab     *symtab.Table         // stabilises arena names handed to the engine
 	out     *trace.SafeWriter     // private batch buffer over the shared O_APPEND file
 	servers map[netip.Addr]string // source address → forwarding-server identity
 	rbuf    []byte
@@ -113,7 +111,6 @@ func newVantageWorker(s *sink, conn net.PacketConn, out *trace.SafeWriter, n int
 	w := &vantageWorker{
 		s:       s,
 		conn:    conn,
-		tab:     symtab.New(),
 		out:     out,
 		servers: make(map[netip.Addr]string),
 		rbuf:    make([]byte, 65535),
@@ -219,21 +216,18 @@ func (w *vantageWorker) handle(pkt []byte, server string) []byte {
 	name := w.msg.Questions[0].Name // arena-backed, already lowercase
 	now := time.Now()
 	t := sim.Time(now.UnixMilli())
-	domain := name
+	// The engine's record waits in a shard inbox after this packet's arena
+	// is reused, so it carries the engine's own spelling of the name — ""
+	// for one the DGA is not charged with — never the arena's bytes. Held
+	// runs outside the cut's mutex: an epoch's first lookup builds its pool.
+	var held string
 	if s.est != nil {
-		// Records handed to the engine outlive this packet (sharded channel
-		// queues), so the arena-backed name must be stabilised: one clone on
-		// first sight, the interned string forever after.
-		id, ok := w.tab.Lookup(name)
-		if !ok {
-			id = w.tab.Intern(strings.Clone(name))
-		}
-		domain = w.tab.Resolve(id)
+		held = s.est.Held(t, name)
 	}
 	w.mu.Lock()
-	// AppendObserved copies into the writer's buffer before returning, so an
-	// arena-backed domain is safe here even without the engine's intern.
-	werr := w.out.AppendObserved(t, server, domain)
+	// AppendObserved copies the arena-backed name into the writer's buffer
+	// before returning: the dataset keeps every name the vantage saw.
+	werr := w.out.AppendObserved(t, server, name)
 	due := false
 	if werr == nil {
 		// Only a record that reached the writer advances the cut: counting
@@ -245,7 +239,7 @@ func (w *vantageWorker) handle(pkt []byte, server string) []byte {
 	if s.est != nil {
 		// Backpressure from the engine's shard inboxes bounds queuing; the
 		// only possible error is "engine closed" during shutdown.
-		oerr = s.est.Observe(trace.ObservedRecord{T: t, Server: server, Domain: domain})
+		oerr = s.est.Observe(trace.ObservedRecord{T: t, Server: server, Domain: held})
 	}
 	w.mu.Unlock()
 	if werr != nil {

@@ -323,7 +323,9 @@ func TestCutSimultaneousTrips(t *testing.T) {
 }
 
 // TestHandleZeroAllocs: with a live engine and an armed checkpointer the
-// steady-state datagram path allocates nothing.
+// steady-state datagram path allocates nothing — for a name from the
+// engine's pool, and for never-seen names no pool holds, which the worker
+// keeps nothing of.
 func TestHandleZeroAllocs(t *testing.T) {
 	spec, err := dga.Lookup("newgoz")
 	if err != nil {
@@ -353,6 +355,27 @@ func TestHandleZeroAllocs(t *testing.T) {
 	}
 	if w.consumed != 2001 {
 		t.Fatalf("recorded %d of 2001 datagrams", w.consumed)
+	}
+
+	// 20 000 distinct names of no pool: each is seen once, so anything kept
+	// per name would allocate on every datagram.
+	const distinct = 20000
+	pkts := make([][]byte, distinct)
+	for i := range pkts {
+		pkts[i] = encodeQuery(t, uint16(i), fmt.Sprintf("nx%05d.example.org", i))
+	}
+	next := 0
+	allocs = testing.AllocsPerRun(distinct-1, func() {
+		if w.handle(pkts[next], "10.0.0.5") == nil {
+			t.Fatal("no answer")
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("handle allocates %.3f times per never-seen datagram, want 0", allocs)
+	}
+	if w.consumed != 2001+distinct {
+		t.Fatalf("recorded %d of %d datagrams", w.consumed, 2001+distinct)
 	}
 }
 

@@ -277,12 +277,28 @@ func (e *Engine) EstimatorName() string { return e.bm.EstimatorName() }
 // Observe queues one observed record in its server's shard inbox. It blocks
 // while Config.ShardBuffer records are waiting there (backpressure) and
 // fails after Close or Kill; a record it accepted is ingested before the
-// shard stops.
+// shard stops. The record's strings must stay valid until the shard has
+// attributed it, after Observe returns: a caller whose name lives in a
+// reused buffer hands over Held's spelling instead.
 func (e *Engine) Observe(rec trace.ObservedRecord) error {
 	if !e.shards[shardIndex(rec.Server, len(e.shards))].in.put(rec) {
 		return fmt.Errorf("stream: engine closed")
 	}
 	return nil
+}
+
+// Held is name as the engine itself holds it at t: resolved through t's
+// epoch matcher, the string the pool or the collision list owns when the
+// DGA is charged with the lookup, and "" when it is not. A record carrying
+// Held's spelling attributes as one carrying name (no pool holds ""), and
+// the string never aliases name's bytes, so a caller may reuse them as
+// soon as Held returns.
+func (e *Engine) Held(t sim.Time, name string) string {
+	a := e.bm.Matcher(int(t / e.cfg.Core.EpochLen))
+	if pos, ok := a.Resolve(trace.ObservedRecord{Domain: name}); ok {
+		return a.Name(pos)
+	}
+	return ""
 }
 
 // shardIndex hashes a server name onto a shard (FNV-1a).
