@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,14 +17,15 @@ import (
 
 	"botmeter/internal/dnswire"
 	"botmeter/internal/faults"
+	"botmeter/internal/netx"
 	"botmeter/internal/sim"
 )
 
 // startChaoticUpstream runs a vantage-like authoritative sink on addr whose
 // socket is wrapped with the fault injector (see serveChaotic).
-func startChaoticUpstream(t *testing.T, addr string, inj *faults.Injector, registered map[string]bool) net.PacketConn {
+func startChaoticUpstream(t *testing.T, addr string, inj *faults.Injector, registered map[string]bool) *net.UDPConn {
 	t.Helper()
-	raw, err := net.ListenPacket("udp", addr)
+	raw, err := net.ListenUDP("udp", net.UDPAddrFromAddrPort(netip.MustParseAddrPort(addr)))
 	if err != nil {
 		t.Skipf("loopback UDP unavailable: %v", err)
 	}
@@ -36,10 +38,10 @@ func startChaoticUpstream(t *testing.T, addr string, inj *faults.Injector, regis
 // resolve, everything else is NXDOMAIN, and every datagram in either
 // direction may be dropped or duplicated per the injector's seeded decision
 // stream when conn is wrapped.
-func serveChaotic(conn net.PacketConn, registered map[string]bool) {
+func serveChaotic(conn netx.Conn, registered map[string]bool) {
 	buf := make([]byte, 65535)
 	for {
-		n, addr, err := conn.ReadFrom(buf)
+		n, addr, err := conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return
 		}
@@ -53,7 +55,7 @@ func serveChaotic(conn net.PacketConn, registered map[string]bool) {
 		}
 		wire, err := dnswire.NewResponse(msg, ip, 60).Encode()
 		if err == nil {
-			conn.WriteTo(wire, addr)
+			conn.WriteToUDPAddrPort(wire, addr)
 		}
 	}
 }
@@ -92,12 +94,14 @@ func (c pipeConn) Read(b []byte) (int, error) {
 // whole by one read of a large enough buffer.
 type pipePacketConn struct{ net.Conn }
 
-func (c pipePacketConn) ReadFrom(b []byte) (int, net.Addr, error) {
+func (c pipePacketConn) ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error) {
 	n, err := c.Read(b)
-	return n, c.RemoteAddr(), err
+	return n, netip.AddrPort{}, err
 }
 
-func (c pipePacketConn) WriteTo(b []byte, _ net.Addr) (int, error) { return c.Write(b) }
+func (c pipePacketConn) WriteToUDPAddrPort(b []byte, _ netip.AddrPort) (int, error) {
+	return c.Write(b)
+}
 
 // chaosScenario drives nDomains sequential lookups through a resolver whose
 // upstream sits behind 20% injected per-direction loss, and returns the
@@ -108,7 +112,7 @@ func (c pipePacketConn) WriteTo(b []byte, _ net.Addr) (int, error) { return c.Wr
 func chaosScenario(t *testing.T, seed uint64, retries int, serveStale sim.Time) (string, forwarderCounters, faults.Counters) {
 	t.Helper()
 	const queries = 12
-	sc := &scriptConn{from: &net.UDPAddr{IP: net.IPv4(10, 0, 0, 7), Port: 5353}}
+	sc := &scriptConn{from: netip.MustParseAddrPort("10.0.0.7:5353")}
 	for i := 0; i < queries; i++ {
 		domain := fmt.Sprintf("dga-%02d.chaos.example", i)
 		if i == 6 {
@@ -231,24 +235,24 @@ func TestChaosBlackoutServeStale(t *testing.T) {
 // worker sees one query at a time, as a loop that blocks on each would.
 type scriptConn struct {
 	in   [][]byte
-	from net.Addr
+	from netip.AddrPort
 	idle func()
 
 	mu  sync.Mutex
 	out [][]byte // what the worker wrote back, in order
 }
 
-func (c *scriptConn) ReadFrom(b []byte) (int, net.Addr, error) {
+func (c *scriptConn) ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error) {
 	c.idle()
 	if len(c.in) == 0 {
-		return 0, nil, net.ErrClosed
+		return 0, netip.AddrPort{}, net.ErrClosed
 	}
 	n := copy(b, c.in[0])
 	c.in = c.in[1:]
 	return n, c.from, nil
 }
 
-func (c *scriptConn) WriteTo(b []byte, _ net.Addr) (int, error) {
+func (c *scriptConn) WriteToUDPAddrPort(b []byte, _ netip.AddrPort) (int, error) {
 	c.mu.Lock()
 	c.out = append(c.out, bytes.Clone(b))
 	c.mu.Unlock()
@@ -266,11 +270,8 @@ func waitDrained(w *worker) func() {
 		w.mu.Unlock()
 	}
 }
-func (c *scriptConn) Close() error                     { return nil }
-func (c *scriptConn) LocalAddr() net.Addr              { return c.from }
-func (c *scriptConn) SetDeadline(time.Time) error      { return nil }
-func (c *scriptConn) SetReadDeadline(time.Time) error  { return nil }
-func (c *scriptConn) SetWriteDeadline(time.Time) error { return nil }
+func (c *scriptConn) Close() error        { return nil }
+func (c *scriptConn) LocalAddr() net.Addr { return net.UDPAddrFromAddrPort(c.from) }
 
 // TestChaosReplay: one listener under a fixed -chaos-seed, fed one query at
 // a time, makes exactly the fault decisions the classic single-socket loop
@@ -281,7 +282,7 @@ func TestChaosReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := &scriptConn{from: &net.UDPAddr{IP: net.IPv4(10, 0, 0, 5), Port: 4242}}
+	sc := &scriptConn{from: netip.MustParseAddrPort("10.0.0.5:4242")}
 	for i := 0; i < 300; i++ {
 		switch {
 		case i%50 == 49:
@@ -310,7 +311,7 @@ func TestChaosReplay(t *testing.T) {
 		}
 	}()
 
-	conns := faults.WrapPacketConns([]net.PacketConn{sc}, 42, rates, nil)
+	conns := faults.WrapPacketConns([]netx.Conn{sc}, 42, rates, nil)
 	f := newForwarder(testConfig(up.conn.LocalAddr().String()))
 	if err := f.attach(conns); err != nil {
 		t.Fatal(err)

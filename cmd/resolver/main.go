@@ -336,7 +336,7 @@ func newForwarder(cfg forwarderConfig) *forwarder {
 // attach gives every client socket a worker with a connected upstream
 // socket of its own. Call it once, before serve and before anything reads
 // the counters.
-func (f *forwarder) attach(conns []net.PacketConn) error {
+func (f *forwarder) attach(conns []netx.Conn) error {
 	for i, c := range conns {
 		up, err := net.Dial("udp", f.cfg.upstream)
 		if err != nil {

@@ -77,7 +77,7 @@ func testConfig(upstream string) forwarderConfig {
 
 // serveOn runs a forwarder over conns until the test ends and checks that
 // its workers then return cleanly.
-func serveOn(t *testing.T, cfg forwarderConfig, conns []net.PacketConn) *forwarder {
+func serveOn(t *testing.T, cfg forwarderConfig, conns []netx.Conn) *forwarder {
 	t.Helper()
 	f := newForwarder(cfg)
 	if err := f.attach(conns); err != nil {

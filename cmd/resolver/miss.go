@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"net/netip"
 	"strconv"
 	"time"
 
@@ -40,7 +41,7 @@ const (
 // waiter is one client query parked on an entry: what it takes to answer it
 // when the exchange completes.
 type waiter struct {
-	from          peer
+	from          netip.AddrPort
 	id            uint16 // the client's header ID, restored in its answer
 	rd            bool
 	qtype, qclass uint16
@@ -103,7 +104,7 @@ func (w *worker) miss(pkt []byte, name symtab.ID, stable string, wt waiter) {
 		w.f.m.coalesced.Inc()
 		wt.span.Event("coalesced")
 		for i := range e.waiters {
-			if o := &e.waiters[i]; o.id == wt.id && o.from.equal(wt.from) && o.qtype == wt.qtype && o.qclass == wt.qclass {
+			if o := &e.waiters[i]; o.id == wt.id && o.from == wt.from && o.qtype == wt.qtype && o.qclass == wt.qclass {
 				// A client's retransmission: the answer its first copy is
 				// waiting for is the answer to this one.
 				wt.span.SetAttr("outcome", "retransmission")
@@ -258,7 +259,7 @@ func (w *worker) finishOK(e *entry, resp []byte, rcode uint8) {
 			}
 			wt.span.SetAttr("outcome", "forwarded")
 		} else {
-			out = w.done.build(wt.id, wt.rd, e.question(wt), rcodeOf(nx), cachedAnswerTTL)
+			out = respond(&w.done, wt.id, wt.rd, w.question(e, wt), rcodeOf(nx), cachedAnswerTTL)
 			wt.span.SetAttr("outcome", "coalesced")
 		}
 		w.answer(wt, out)
@@ -287,14 +288,16 @@ func (w *worker) finishFailed(e *entry) {
 			f.m.servfails.Inc()
 		}
 		wt.span.SetAttr("outcome", outcome)
-		w.answer(wt, w.done.build(wt.id, wt.rd, e.question(wt), rcode, ttl))
+		w.answer(wt, respond(&w.done, wt.id, wt.rd, w.question(e, wt), rcode, ttl))
 	}
 	w.release(e)
 }
 
-// question is the entry's name under the waiter's own type and class.
-func (e *entry) question(wt *waiter) dnswire.Question {
-	return dnswire.Question{Name: e.q.Name, Type: wt.qtype, Class: wt.qclass}
+// question is the entry's name under the waiter's own type and class, as
+// the one question w.done echoes.
+func (w *worker) question(e *entry, wt *waiter) []dnswire.Question {
+	w.doneQ[0] = dnswire.Question{Name: e.q.Name, Type: wt.qtype, Class: wt.qclass}
+	return w.doneQ[:]
 }
 
 // answer sends a waiter its response and closes its books.

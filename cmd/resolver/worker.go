@@ -4,6 +4,8 @@
 // decode, canonicalise, intern, cache lookup, encode, send — performs zero
 // heap allocations and takes one lock, the worker's own. A miss is handed to
 // the pipeline in miss.go and the loop goes straight back to its socket.
+// Every socket, wrapped by -chaos or not, is served through the same two
+// netip.AddrPort calls of netx.Conn.
 package main
 
 import (
@@ -17,6 +19,7 @@ import (
 
 	"botmeter/internal/dnssim"
 	"botmeter/internal/dnswire"
+	"botmeter/internal/netx"
 	"botmeter/internal/sim"
 	"botmeter/internal/symtab"
 )
@@ -28,26 +31,11 @@ const cachedAnswerTTL = 60
 // itself; a production resolver would cache the full RRset.
 var sinkhole = [4]byte{192, 0, 2, 1}
 
-// peer is a client's return address: ap on the *net.UDPConn path, addr on a
-// wrapped socket (-chaos).
-type peer struct {
-	ap   netip.AddrPort
-	addr net.Addr
-}
-
-func (p peer) equal(o peer) bool {
-	if p.addr != nil && o.addr != nil {
-		return p.addr.String() == o.addr.String()
-	}
-	return p.ap == o.ap && p.addr == o.addr
-}
-
 // worker is one socket's pipeline: the client loop, the upstream reader and
 // the in-flight entries' timers.
 type worker struct {
-	f     *forwarder
-	conn  net.PacketConn
-	uconn *net.UDPConn // non-nil: the alloc-free netip.AddrPort read/write path
+	f    *forwarder
+	conn netx.Conn
 	// up is connected: one flow for the kernel to match, so datagrams from
 	// any other source are dropped before they reach validation, and the
 	// upstream's SO_REUSEPORT hash lands this worker on one socket there.
@@ -58,7 +46,7 @@ type worker struct {
 	msg   dnswire.Message
 	tab   *symtab.Table // arena name → stable ID for the cache shard
 	rbuf  []byte
-	hit   answerer
+	hit   dnswire.Responder
 
 	// mu orders the client loop, the upstream reader and the timers on
 	// everything below. It is this worker's alone: a hit takes it once,
@@ -73,12 +61,13 @@ type worker struct {
 	rng      *sim.RNG             // backoff jitter (seeded: schedules replay)
 	ids      [256]byte            // crypto/rand bytes, two per upstream ID
 	idsLeft  int                  // unread bytes at the end of ids
-	done     answerer             // answers built for waiters
+	done     dnswire.Responder    // answers built for waiters
+	doneQ    [1]dnswire.Question  // the one question done echoes
 	c        forwarderCounters    // this worker's share of forwarder.counters
 	closed   bool                 // serve is returning: timers stand down
 }
 
-func newWorker(f *forwarder, conn net.PacketConn, up net.Conn, seed uint64) *worker {
+func newWorker(f *forwarder, conn netx.Conn, up net.Conn, seed uint64) *worker {
 	cache := dnssim.NewCache(f.cfg.posTTL, f.cfg.negTTL)
 	cache.StaleTTL = f.cfg.serveStale
 	if f.cfg.reg != nil {
@@ -98,7 +87,6 @@ func newWorker(f *forwarder, conn net.PacketConn, up net.Conn, seed uint64) *wor
 		rng:    sim.NewRNG(seed),
 	}
 	w.slotFree = sync.NewCond(&w.mu)
-	w.uconn, _ = conn.(*net.UDPConn)
 	// Canonicalise during decode: label bytes are lowercased as they are
 	// copied into the arena, so cache keys need no per-query ToLower pass.
 	w.arena.LowerASCII = true
@@ -128,16 +116,7 @@ func (w *worker) serve() error {
 
 func (w *worker) serveClients() error {
 	for {
-		var (
-			n    int
-			from peer
-			err  error
-		)
-		if w.uconn != nil {
-			n, from.ap, err = w.uconn.ReadFromUDPAddrPort(w.rbuf)
-		} else {
-			n, from.addr, err = w.conn.ReadFrom(w.rbuf)
-		}
+		n, from, err := w.conn.ReadFromUDPAddrPort(w.rbuf)
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return nil
@@ -153,14 +132,8 @@ func (w *worker) serveClients() error {
 // send writes one response to a client. A closed socket is shutdown, which
 // the client loop sees at its next read; any other failure is counted and
 // the worker carries on.
-func (w *worker) send(resp []byte, to peer) {
-	var err error
-	if w.uconn != nil {
-		_, err = w.uconn.WriteToUDPAddrPort(resp, to.ap)
-	} else {
-		_, err = w.conn.WriteTo(resp, to.addr)
-	}
-	if err != nil && !errors.Is(err, net.ErrClosed) {
+func (w *worker) send(resp []byte, to netip.AddrPort) {
+	if _, err := w.conn.WriteToUDPAddrPort(resp, to); err != nil && !errors.Is(err, net.ErrClosed) {
 		w.f.sendFailed(err)
 	}
 }
@@ -169,7 +142,7 @@ func (w *worker) send(resp []byte, to peer) {
 // returned bytes are valid until the next call); a miss joins or starts an
 // upstream exchange and is answered when that completes, so handle returns
 // nil for it, as it does for anything that is not a query.
-func (w *worker) handle(pkt []byte, from peer) []byte {
+func (w *worker) handle(pkt []byte, from netip.AddrPort) []byte {
 	if err := dnswire.DecodeInto(pkt, &w.msg, &w.arena); err != nil ||
 		w.msg.Header.QR || len(w.msg.Questions) == 0 {
 		return nil
@@ -213,7 +186,7 @@ func (w *worker) handle(pkt []byte, from peer) []byte {
 		span.End()
 	}
 	f.observeQuery(t0)
-	return w.hit.build(hdr.ID, hdr.RD, q, rcodeOf(ans.NX), cachedAnswerTTL)
+	return respond(&w.hit, hdr.ID, hdr.RD, w.msg.Questions[:1], rcodeOf(ans.NX), cachedAnswerTTL)
 }
 
 func rcodeOf(nx bool) uint8 {
@@ -223,37 +196,14 @@ func rcodeOf(nx bool) uint8 {
 	return dnswire.RcodeNoError
 }
 
-// answerer builds the resolver's own responses — from the cache, stale, or
-// SERVFAIL — into a buffer it reuses, so building one allocates nothing. The
-// client loop has one for hits and the pipeline one, under the worker's
-// mutex, for waiters.
-type answerer struct {
-	resp dnswire.Message
-	q    [1]dnswire.Question
-	rr   [1]dnswire.ResourceRecord
-	enc  []byte
-}
-
-// build encodes the answer to q for the query with the given header ID and
-// RD bit: the sinkhole address with ttl for NOERROR, an empty authoritative
-// answer for NXDOMAIN; SERVFAIL is a relayed failure, so it is neither
-// authoritative nor a recursion offer. The bytes are valid until the next
-// build.
-func (a *answerer) build(id uint16, rd bool, q dnswire.Question, rcode uint8, ttl uint32) []byte {
-	auth := rcode != dnswire.RcodeServFail
-	a.resp.Header = dnswire.Header{ID: id, QR: true, RD: rd, RA: auth, AA: auth, Rcode: rcode}
-	a.q[0] = q
-	a.resp.Questions = a.q[:]
-	a.resp.Answers = nil
+// respond encodes one of the resolver's own answers — from the cache, stale,
+// or SERVFAIL — into r: the sinkhole address with ttl for NOERROR, no answer
+// otherwise. The client loop has a Responder for hits and the pipeline one,
+// under the worker's mutex, for waiters.
+func respond(r *dnswire.Responder, id uint16, rd bool, qs []dnswire.Question, rcode uint8, ttl uint32) []byte {
+	var data []byte
 	if rcode == dnswire.RcodeNoError {
-		a.rr[0] = dnswire.ResourceRecord{
-			Name: q.Name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: ttl, Data: sinkhole[:],
-		}
-		a.resp.Answers = a.rr[:]
+		data = sinkhole[:]
 	}
-	var err error
-	if a.enc, err = a.resp.AppendEncode(a.enc[:0]); err != nil {
-		return nil
-	}
-	return a.enc
+	return r.Respond(id, rd, qs, rcode, dnswire.TypeA, data, ttl)
 }

@@ -232,7 +232,7 @@ func TestHitPathZeroAllocs(t *testing.T) {
 	cfg.timeout, cfg.deadline = time.Minute, time.Minute
 	cfg.reg, cfg.tracer = obs.NewRegistry(), tracer
 	w := socketless(t, cfg)
-	from := peer{ap: netip.MustParseAddrPort("127.0.0.1:9")}
+	from := netip.MustParseAddrPort("127.0.0.1:9")
 
 	hot := encode(t, dnswire.NewQuery(7, "hot.example"))
 	w.cache.StoreID(w.f.now(), w.tab.Intern("hot.example"), false)
@@ -323,29 +323,29 @@ func TestSpansFollowQueries(t *testing.T) {
 
 // failingConn refuses its first send.
 type failingConn struct {
-	net.PacketConn
+	netx.Conn
 	failed atomic.Bool
 }
 
-func (c *failingConn) WriteTo(b []byte, addr net.Addr) (int, error) {
+func (c *failingConn) WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error) {
 	if c.failed.CompareAndSwap(false, true) {
 		return 0, errors.New("sendto: no buffer space available")
 	}
-	return c.PacketConn.WriteTo(b, addr)
+	return c.Conn.WriteToUDPAddrPort(b, addr)
 }
 
 // TestSendErrorKeepsServing: a response the socket refuses is counted, and
 // the worker goes on reading that socket.
 func TestSendErrorKeepsServing(t *testing.T) {
 	up := startFakeUpstream(t, "send.example")
-	raw, err := net.ListenPacket("udp", "127.0.0.1:0")
+	raw, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Skipf("loopback UDP unavailable: %v", err)
 	}
 	reg := obs.NewRegistry()
 	cfg := testConfig(up.conn.LocalAddr().String())
 	cfg.reg = reg
-	f := serveOn(t, cfg, []net.PacketConn{&failingConn{PacketConn: raw}})
+	f := serveOn(t, cfg, []netx.Conn{&failingConn{Conn: raw}})
 	client := dial(t, raw.LocalAddr().String())
 
 	sendQuery(t, client, 1, "send.example")

@@ -1,13 +1,15 @@
 // The serve loop (DESIGN.md §19): one worker goroutine per SO_REUSEPORT
 // socket. Each worker owns a dnswire.Arena, a private SafeWriter batch
 // buffer over the shared O_APPEND dataset file, a source-address string
-// cache and reused encode buffers — so the steady-state observe-and-answer
-// path performs no heap allocations and keeps nothing per observed name:
-// the live engine is handed its own spelling of a name (Engine.Held), never
-// the arena's bytes. Cross-worker synchronisation is each writer's flush
-// mutex, the engine's shard inboxes and, once per checkpoint, the cut
-// (sink.checkpoint), which reaches a worker through the mutex it holds
-// around each record's append and observe.
+// cache and a reused dnswire.Responder — so the steady-state
+// observe-and-answer path performs no heap allocations and keeps nothing per
+// observed name: the live engine is handed its own spelling of a name
+// (Engine.Held), never the arena's bytes. Cross-worker synchronisation is
+// each writer's flush mutex, the engine's shard inboxes and, once per
+// checkpoint, the cut (sink.checkpoint), which reaches a worker through the
+// mutex it holds around each record's append and observe. Every socket,
+// wrapped by -chaos or not, is served through the same two netip.AddrPort
+// calls of netx.Conn.
 package main
 
 import (
@@ -20,6 +22,7 @@ import (
 
 	"botmeter/internal/dnswire"
 	"botmeter/internal/faults"
+	"botmeter/internal/netx"
 	"botmeter/internal/sim"
 	"botmeter/internal/stream"
 	"botmeter/internal/trace"
@@ -48,7 +51,7 @@ func buildZoneAnswers(zone map[string]net.IP) map[string]zoneAnswer {
 // attach creates one worker per socket, each batching into its own
 // SafeWriter over the shared dataset file. /healthz covers every worker's
 // sticky error from here on.
-func (s *sink) attach(conns []net.PacketConn, file io.Writer, cfg trace.SafeWriterConfig) {
+func (s *sink) attach(conns []netx.Conn, file io.Writer, cfg trace.SafeWriterConfig) {
 	for _, c := range conns {
 		s.workers = append(s.workers, newVantageWorker(s, c, trace.NewSafeWriter(file, cfg), len(conns)))
 	}
@@ -78,19 +81,16 @@ func (s *sink) serve() error {
 
 // vantageWorker is the single-goroutine state of one socket's pipeline.
 type vantageWorker struct {
-	s     *sink
-	conn  net.PacketConn
-	uconn *net.UDPConn     // non-nil: the alloc-free netip.AddrPort read/write path
-	inj   *faults.Injector // non-nil under -chaos: this socket's SERVFAIL draw
+	s    *sink
+	conn netx.Conn
+	inj  *faults.Injector // non-nil under -chaos: this socket's SERVFAIL draw
 
 	arena   dnswire.Arena
 	msg     dnswire.Message
 	out     *trace.SafeWriter     // private batch buffer over the shared O_APPEND file
 	servers map[netip.Addr]string // source address → forwarding-server identity
 	rbuf    []byte
-	enc     []byte
-	resp    dnswire.Message
-	ans     [1]dnswire.ResourceRecord
+	resp    dnswire.Responder
 
 	// mu is held around each record's append and observe, so whoever holds
 	// every worker's mu sees a dataset and an engine that agree (the
@@ -107,17 +107,15 @@ type vantageWorker struct {
 const maxServerCache = 4096
 
 // newVantageWorker builds the worker for conn, one of n, appending to out.
-func newVantageWorker(s *sink, conn net.PacketConn, out *trace.SafeWriter, n int) *vantageWorker {
+func newVantageWorker(s *sink, conn netx.Conn, out *trace.SafeWriter, n int) *vantageWorker {
 	w := &vantageWorker{
 		s:       s,
 		conn:    conn,
 		out:     out,
 		servers: make(map[netip.Addr]string),
 		rbuf:    make([]byte, 65535),
-		enc:     make([]byte, 0, 512),
 		trig:    s.ck.NewTrigger(n),
 	}
-	w.uconn, _ = conn.(*net.UDPConn)
 	if fc, ok := conn.(*faults.PacketConn); ok {
 		w.inj = fc.Injector()
 	}
@@ -129,39 +127,18 @@ func newVantageWorker(s *sink, conn net.PacketConn, out *trace.SafeWriter, n int
 
 func (w *vantageWorker) serve() error {
 	for {
-		var (
-			n      int
-			ap     netip.AddrPort
-			addr   net.Addr
-			server string
-			err    error
-		)
-		if w.uconn != nil {
-			n, ap, err = w.uconn.ReadFromUDPAddrPort(w.rbuf)
-		} else {
-			n, addr, err = w.conn.ReadFrom(w.rbuf)
-		}
+		n, from, err := w.conn.ReadFromUDPAddrPort(w.rbuf)
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return nil
 			}
 			return err
 		}
-		if w.uconn != nil {
-			server = w.serverFor(ap)
-		} else {
-			server = hostOf(addr.String())
-		}
-		resp := w.handle(w.rbuf[:n], server)
+		resp := w.handle(w.rbuf[:n], w.serverFor(from))
 		if resp == nil {
 			continue
 		}
-		if w.uconn != nil {
-			_, err = w.uconn.WriteToUDPAddrPort(resp, ap)
-		} else {
-			_, err = w.conn.WriteTo(resp, addr)
-		}
-		if err != nil {
+		if _, err := w.conn.WriteToUDPAddrPort(resp, from); err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return nil
 			}
@@ -189,15 +166,6 @@ func (w *vantageWorker) serverFor(ap netip.AddrPort) string {
 	return s
 }
 
-// hostOf strips the port from a "host:port" address string (the fallback for
-// a wrapped conn, as under -chaos; the UDPConn path uses serverFor).
-func hostOf(addr string) string {
-	if host, _, err := net.SplitHostPort(addr); err == nil {
-		return host
-	}
-	return addr
-}
-
 // handle serves one datagram: decode into the arena, record the observation
 // (batched write + live engine), answer from the precomputed zone.
 func (w *vantageWorker) handle(pkt []byte, server string) []byte {
@@ -211,7 +179,7 @@ func (w *vantageWorker) handle(pkt []byte, server string) []byte {
 	// but resolution failed — nothing is recorded, mirroring a border server
 	// whose recursion is broken.
 	if w.inj != nil && w.inj.ServFail() {
-		return w.appendResponse(dnswire.RcodeServFail, 0, nil)
+		return w.respond(dnswire.RcodeServFail, zoneAnswer{})
 	}
 	name := w.msg.Questions[0].Name // arena-backed, already lowercase
 	now := time.Now()
@@ -261,33 +229,13 @@ func (w *vantageWorker) handle(pkt []byte, server string) []byte {
 	// engine state, any due checkpoint — precedes the crash.
 	s.crash.Record()
 	if za, ok := s.zone[name]; ok {
-		return w.appendResponse(dnswire.RcodeNoError, za.typ, za.data)
+		return w.respond(dnswire.RcodeNoError, za)
 	}
-	return w.appendResponse(dnswire.RcodeNXDomain, 0, nil)
+	return w.respond(dnswire.RcodeNXDomain, zoneAnswer{})
 }
 
-// appendResponse builds the answer into the worker's reused encode buffer —
-// the alloc-free twin of dnswire.NewResponse + Encode. data is the address
-// of a positive answer; SERVFAIL is a relayed failure, so it is neither
-// authoritative nor a recursion offer.
-func (w *vantageWorker) appendResponse(rcode uint8, typ uint16, data []byte) []byte {
-	auth := rcode != dnswire.RcodeServFail
-	w.resp.Header = dnswire.Header{
-		ID: w.msg.Header.ID, QR: true, RD: w.msg.Header.RD, RA: auth, AA: auth, Rcode: rcode,
-	}
-	w.resp.Questions = w.msg.Questions
-	w.resp.Answers = nil
-	if data != nil {
-		w.ans[0] = dnswire.ResourceRecord{
-			Name: w.msg.Questions[0].Name, Type: typ, Class: dnswire.ClassIN,
-			TTL: w.s.ttl, Data: data,
-		}
-		w.resp.Answers = w.ans[:]
-	}
-	var err error
-	w.enc, err = w.resp.AppendEncode(w.enc[:0])
-	if err != nil {
-		return nil
-	}
-	return w.enc
+// respond answers the decoded query with rcode and, for NOERROR, za.
+func (w *vantageWorker) respond(rcode uint8, za zoneAnswer) []byte {
+	h := w.msg.Header
+	return w.resp.Respond(h.ID, h.RD, w.msg.Questions, rcode, za.typ, za.data, w.s.ttl)
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"sync"
@@ -68,7 +69,7 @@ func newTestEngine(t *testing.T) *stream.Engine {
 // handle itself. Their writers are closed with the test.
 func socketless(t *testing.T, s *sink, f *os.File, n int, cfg trace.SafeWriterConfig) {
 	t.Helper()
-	s.attach(make([]net.PacketConn, n), f, cfg)
+	s.attach(make([]netx.Conn, n), f, cfg)
 	t.Cleanup(func() {
 		for _, w := range s.workers {
 			w.out.Close()
@@ -379,36 +380,33 @@ func TestHandleZeroAllocs(t *testing.T) {
 	}
 }
 
-// scriptConn is a PacketConn that delivers a fixed sequence of datagrams and
+// scriptConn is a netx.Conn that delivers a fixed sequence of datagrams and
 // then reports closed, so a worker's serve loop runs over it without sockets
 // or timing.
 type scriptConn struct {
 	in     [][]byte
-	from   net.Addr
+	from   netip.AddrPort
 	writes int
 	failAt int // this write is refused (1-based; 0 = none)
 }
 
-func (c *scriptConn) ReadFrom(b []byte) (int, net.Addr, error) {
+func (c *scriptConn) ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error) {
 	if len(c.in) == 0 {
-		return 0, nil, net.ErrClosed
+		return 0, netip.AddrPort{}, net.ErrClosed
 	}
 	n := copy(b, c.in[0])
 	c.in = c.in[1:]
 	return n, c.from, nil
 }
-func (c *scriptConn) WriteTo(b []byte, _ net.Addr) (int, error) {
+func (c *scriptConn) WriteToUDPAddrPort(b []byte, _ netip.AddrPort) (int, error) {
 	c.writes++
 	if c.writes == c.failAt {
 		return 0, errors.New("sendto: no buffer space available")
 	}
 	return len(b), nil
 }
-func (c *scriptConn) Close() error                     { return nil }
-func (c *scriptConn) LocalAddr() net.Addr              { return c.from }
-func (c *scriptConn) SetDeadline(time.Time) error      { return nil }
-func (c *scriptConn) SetReadDeadline(time.Time) error  { return nil }
-func (c *scriptConn) SetWriteDeadline(time.Time) error { return nil }
+func (c *scriptConn) Close() error        { return nil }
+func (c *scriptConn) LocalAddr() net.Addr { return net.UDPAddrFromAddrPort(c.from) }
 
 // TestChaosReplay: one listener under a fixed -chaos-seed makes exactly the
 // fault decisions the classic single-socket loop made. The expected tallies
@@ -419,7 +417,7 @@ func TestChaosReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := &scriptConn{from: &net.UDPAddr{IP: net.IPv4(10, 0, 0, 5), Port: 4242}}
+	sc := &scriptConn{from: netip.MustParseAddrPort("10.0.0.5:4242")}
 	for i := 0; i < 400; i++ {
 		d := fmt.Sprintf("q%d.example", i)
 		if i%7 == 0 {
@@ -428,7 +426,7 @@ func TestChaosReplay(t *testing.T) {
 		sc.in = append(sc.in, encodeQuery(t, uint16(i+1), d))
 	}
 	s, f := newTestSink(t, "c2.example 192.0.2.9\n")
-	s.attach(faults.WrapPacketConns([]net.PacketConn{sc}, 42, rates, nil), f, unbatched)
+	s.attach(faults.WrapPacketConns([]netx.Conn{sc}, 42, rates, nil), f, unbatched)
 	if err := s.serve(); err != nil {
 		t.Fatal(err)
 	}
@@ -439,23 +437,30 @@ func TestChaosReplay(t *testing.T) {
 	if sc.writes != 266 {
 		t.Errorf("%d datagrams written, the classic loop wrote 266", sc.writes)
 	}
-	// SERVFAIL'd and lost queries are not recorded; everything else is.
-	if recs := readDataset(t, f); uint64(len(recs)) != s.consumed || len(recs) == 0 || len(recs) >= 400 {
+	// SERVFAIL'd and lost queries are not recorded; everything else is,
+	// under the identity serverFor gives the unwrapped socket's peer.
+	recs := readDataset(t, f)
+	if uint64(len(recs)) != s.consumed || len(recs) == 0 || len(recs) >= 400 {
 		t.Errorf("dataset has %d records, the sink counted %d", len(recs), s.consumed)
+	}
+	for i, r := range recs {
+		if r.Server != "10.0.0.5" {
+			t.Fatalf("record %d has server %q, want 10.0.0.5", i, r.Server)
+		}
 	}
 }
 
 // TestSendErrorKeepsServing: a response the socket refuses is counted, and
 // the worker goes on reading that socket.
 func TestSendErrorKeepsServing(t *testing.T) {
-	sc := &scriptConn{from: &net.UDPAddr{IP: net.IPv4(10, 0, 0, 5), Port: 4242}, failAt: 1}
+	sc := &scriptConn{from: netip.MustParseAddrPort("10.0.0.5:4242"), failAt: 1}
 	for i := 0; i < 3; i++ {
 		sc.in = append(sc.in, encodeQuery(t, uint16(i+1), "q.example"))
 	}
 	s, f := newTestSink(t, "")
 	reg := obs.NewRegistry()
 	s.m = newSinkMetrics(reg)
-	s.attach([]net.PacketConn{sc}, f, unbatched)
+	s.attach([]netx.Conn{sc}, f, unbatched)
 	if err := s.serve(); err != nil {
 		t.Fatal(err)
 	}

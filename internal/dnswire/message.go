@@ -218,3 +218,33 @@ func NewResponse(q *Message, ip net.IP, ttl uint32) *Message {
 	}}
 	return resp
 }
+
+// Responder encodes a server's own responses into a buffer it reuses — the
+// allocation-free twin of NewResponse + Encode for socket workers. Like an
+// Arena it is single-goroutine state.
+type Responder struct {
+	msg Message
+	rr  [1]ResourceRecord
+	buf []byte
+}
+
+// Respond encodes the response to the query with header ID id and RD bit rd
+// that asked qs, echoing every question. A non-nil data is one answer of
+// type typ for qs[0] with ttl; without it the response has no answer, as an
+// NXDOMAIN does. SERVFAIL is a relayed failure, so it is neither
+// authoritative nor a recursion offer. The bytes are valid until the next
+// Respond; a name that does not encode gives nil.
+func (r *Responder) Respond(id uint16, rd bool, qs []Question, rcode uint8, typ uint16, data []byte, ttl uint32) []byte {
+	auth := rcode != RcodeServFail
+	r.msg = Message{Header: Header{ID: id, QR: true, RD: rd, RA: auth, AA: auth, Rcode: rcode}, Questions: qs}
+	if data != nil && len(qs) > 0 {
+		r.rr[0] = ResourceRecord{Name: qs[0].Name, Type: typ, Class: ClassIN, TTL: ttl, Data: data}
+		r.msg.Answers = r.rr[:]
+	}
+	b, err := r.msg.AppendEncode(r.buf[:0])
+	if err != nil {
+		return nil
+	}
+	r.buf = b
+	return b
+}

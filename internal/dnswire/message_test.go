@@ -215,3 +215,54 @@ func TestDecodeDoesNotPanicProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestResponder: Respond writes NewResponse's bytes for an A answer, an AAAA
+// answer and NXDOMAIN, echoing every question; SERVFAIL is neither
+// authoritative nor a recursion offer and carries no answer; and a warm
+// Responder allocates nothing.
+func TestResponder(t *testing.T) {
+	two := NewQuery(9, "two.example")
+	two.Questions = append(two.Questions, Question{Name: "second.example", Type: TypeAAAA, Class: ClassIN})
+	cases := []struct {
+		name  string
+		q     *Message
+		ip    net.IP
+		rcode uint8
+	}{
+		{"A", NewQuery(1, "a.example"), net.ParseIP("192.0.2.7"), RcodeNoError},
+		{"AAAA", NewQuery(2, "aaaa.example"), net.ParseIP("2001:db8::7"), RcodeNoError},
+		{"NXDOMAIN", NewQuery(3, "nx.example"), nil, RcodeNXDomain},
+		{"two questions", two, net.ParseIP("192.0.2.9"), RcodeNoError},
+	}
+	var r Responder
+	for _, c := range cases {
+		want, err := NewResponse(c.q, c.ip, 300).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		typ, data := TypeA, []byte(c.ip.To4())
+		if c.ip != nil && data == nil {
+			typ, data = TypeAAAA, c.ip.To16()
+		}
+		got := r.Respond(c.q.Header.ID, c.q.Header.RD, c.q.Questions, c.rcode, typ, data, 300)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: Respond = %x, NewResponse encodes %x", c.name, got, want)
+		}
+	}
+
+	q := NewQuery(4, "fail.example")
+	m, err := Decode(r.Respond(4, true, q.Questions, RcodeServFail, 0, nil, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := m.Header; h.ID != 4 || !h.QR || !h.RD || h.AA || h.RA || h.Rcode != RcodeServFail || len(m.Answers) != 0 || len(m.Questions) != 1 {
+		t.Errorf("SERVFAIL = %+v", m)
+	}
+
+	data := net.ParseIP("192.0.2.7").To4()
+	if allocs := testing.AllocsPerRun(100, func() {
+		r.Respond(5, true, q.Questions, RcodeNoError, TypeA, data, 60)
+	}); allocs != 0 {
+		t.Errorf("a warm Respond allocates %.1f times, want 0", allocs)
+	}
+}

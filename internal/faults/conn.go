@@ -1,16 +1,19 @@
 package faults
 
 import (
-	"net"
+	"net/netip"
 	"time"
 
+	"botmeter/internal/netx"
 	"botmeter/internal/obs"
 	"botmeter/internal/sim"
 )
 
-// PacketConn wraps a net.PacketConn with injected faults on the live UDP
-// path — the wire-level counterpart of FaultyUpstream, shared by
-// cmd/resolver and cmd/vantage behind their -chaos flags. Rates apply per
+// PacketConn wraps a netx.Conn with injected faults on the live UDP path —
+// the wire-level counterpart of FaultyUpstream, shared by cmd/resolver and
+// cmd/vantage behind their -chaos flags. The faults sit in the same two
+// netip.AddrPort calls the unwrapped socket serves, so -chaos runs the
+// daemons' one serve loop and adds no allocation to it. Rates apply per
 // datagram per direction:
 //
 //   - Blackout (relative to Injector creation): both directions swallowed.
@@ -23,17 +26,17 @@ import (
 // SERVFAIL injection is an application-layer fault and is handled by the
 // daemons themselves (they consult the same Injector), not by the socket.
 type PacketConn struct {
-	net.PacketConn
+	netx.Conn
 	inj *Injector
 }
 
 // WrapPacketConn decorates c with the injector's faults. A nil injector or
 // all-zero rates returns c unchanged.
-func WrapPacketConn(c net.PacketConn, inj *Injector) net.PacketConn {
+func WrapPacketConn(c netx.Conn, inj *Injector) netx.Conn {
 	if inj == nil || !inj.rates.Enabled() {
 		return c
 	}
-	return &PacketConn{PacketConn: c, inj: inj}
+	return &PacketConn{Conn: c, inj: inj}
 }
 
 // WrapPacketConns gives each socket of a listener group its own Injector, so
@@ -43,11 +46,11 @@ func WrapPacketConn(c net.PacketConn, inj *Injector) net.PacketConn {
 // WrapPacketConn(c, New(seed, rates)) does — and socket i with seed advanced
 // by i golden-ratio strides. The injectors share reg's counters, so the
 // exported tallies are the group's. Disabled rates return conns unchanged.
-func WrapPacketConns(conns []net.PacketConn, seed uint64, rates Rates, reg *obs.Registry) []net.PacketConn {
+func WrapPacketConns(conns []netx.Conn, seed uint64, rates Rates, reg *obs.Registry) []netx.Conn {
 	if !rates.Enabled() {
 		return conns
 	}
-	wrapped := make([]net.PacketConn, len(conns))
+	wrapped := make([]netx.Conn, len(conns))
 	for i, c := range conns {
 		inj := New(seed+uint64(i)*0x9e3779b97f4a7c15, rates)
 		inj.Instrument(reg)
@@ -60,10 +63,10 @@ func WrapPacketConns(conns []net.PacketConn, seed uint64, rates Rates, reg *obs.
 // application-level SERVFAIL draw).
 func (p *PacketConn) Injector() *Injector { return p.inj }
 
-// ReadFrom reads the next surviving datagram.
-func (p *PacketConn) ReadFrom(b []byte) (int, net.Addr, error) {
+// ReadFromUDPAddrPort reads the next surviving datagram.
+func (p *PacketConn) ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error) {
 	for {
-		n, addr, err := p.PacketConn.ReadFrom(b)
+		n, addr, err := p.Conn.ReadFromUDPAddrPort(b)
 		if err != nil {
 			return n, addr, err
 		}
@@ -75,21 +78,21 @@ func (p *PacketConn) ReadFrom(b []byte) (int, net.Addr, error) {
 	}
 }
 
-// WriteTo sends b unless the injector swallows it; duplication sends it
-// twice and delay sleeps first.
-func (p *PacketConn) WriteTo(b []byte, addr net.Addr) (int, error) {
+// WriteToUDPAddrPort sends b unless the injector swallows it; duplication
+// sends it twice and delay sleeps first.
+func (p *PacketConn) WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error) {
 	if p.inj.BlackoutNow() || p.inj.Drop() {
 		return len(b), nil // lost in transit, invisible to the sender
 	}
 	if d := p.inj.Delay(); d > 0 {
 		sleep(d)
 	}
-	n, err := p.PacketConn.WriteTo(b, addr)
+	n, err := p.Conn.WriteToUDPAddrPort(b, addr)
 	if err != nil {
 		return n, err
 	}
 	if p.inj.Duplicate() {
-		if _, err := p.PacketConn.WriteTo(b, addr); err != nil {
+		if _, err := p.Conn.WriteToUDPAddrPort(b, addr); err != nil {
 			return n, err
 		}
 	}

@@ -2,10 +2,12 @@ package faults
 
 import (
 	"net"
+	"net/netip"
 	"testing"
 	"time"
 
 	"botmeter/internal/dnssim"
+	"botmeter/internal/netx"
 	"botmeter/internal/sim"
 	"botmeter/internal/symtab"
 )
@@ -225,6 +227,22 @@ func TestFaultyUpstreamDelayAndDuplicate(t *testing.T) {
 	}
 }
 
+// loopbackPair opens two loopback UDP sockets and returns them with the
+// receiver's address.
+func loopbackPair(t *testing.T) (recv, send *net.UDPConn, to netip.AddrPort) {
+	t.Helper()
+	var conns [2]*net.UDPConn
+	for i := range conns {
+		c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Skipf("loopback UDP unavailable: %v", err)
+		}
+		t.Cleanup(func() { c.Close() })
+		conns[i] = c
+	}
+	return conns[0], conns[1], conns[0].LocalAddr().(*net.UDPAddr).AddrPort()
+}
+
 // TestPacketConnLoopback exercises the wire-level wrapper: with loss=1 on
 // the receiver every datagram is swallowed; with zero rates the wrapper is
 // elided entirely.
@@ -232,37 +250,27 @@ func TestPacketConnLoopback(t *testing.T) {
 	if c := WrapPacketConn(nil, nil); c != nil {
 		t.Error("nil injector should return conn unchanged")
 	}
+	recv, send, to := loopbackPair(t)
 
-	recv, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("loopback UDP unavailable: %v", err)
-	}
-	defer recv.Close()
-	send, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("loopback UDP unavailable: %v", err)
-	}
-	defer send.Close()
-
-	// Outbound loss: WriteTo claims success but nothing arrives.
+	// Outbound loss: the write claims success but nothing arrives.
 	lossy := WrapPacketConn(send, New(1, Rates{Loss: 1}))
-	if n, err := lossy.WriteTo([]byte("doomed"), recv.LocalAddr()); err != nil || n != 6 {
-		t.Fatalf("WriteTo = %d, %v (loss must be invisible to the sender)", n, err)
+	if n, err := lossy.WriteToUDPAddrPort([]byte("doomed"), to); err != nil || n != 6 {
+		t.Fatalf("WriteToUDPAddrPort = %d, %v (loss must be invisible to the sender)", n, err)
 	}
 	recv.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
 	buf := make([]byte, 64)
-	if n, _, err := recv.ReadFrom(buf); err == nil {
+	if n, _, err := recv.ReadFromUDPAddrPort(buf); err == nil {
 		t.Fatalf("swallowed datagram arrived: %q", buf[:n])
 	}
 
-	// Duplication: one WriteTo, two arrivals.
+	// Duplication: one write, two arrivals.
 	dup := WrapPacketConn(send, New(1, Rates{Duplicate: 1}))
-	if _, err := dup.WriteTo([]byte("twice"), recv.LocalAddr()); err != nil {
+	if _, err := dup.WriteToUDPAddrPort([]byte("twice"), to); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
 		recv.SetReadDeadline(time.Now().Add(time.Second))
-		n, _, err := recv.ReadFrom(buf)
+		n, _, err := recv.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			t.Fatalf("copy %d never arrived: %v", i+1, err)
 		}
@@ -274,12 +282,45 @@ func TestPacketConnLoopback(t *testing.T) {
 	// Inbound loss: the reader's wrapper swallows the datagram and keeps
 	// reading until the deadline.
 	deaf := WrapPacketConn(recv, New(1, Rates{Loss: 1}))
-	if _, err := send.WriteTo([]byte("unheard"), recv.LocalAddr()); err != nil {
+	if _, err := send.WriteToUDPAddrPort([]byte("unheard"), to); err != nil {
 		t.Fatal(err)
 	}
 	recv.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-	if n, _, err := deaf.ReadFrom(buf); err == nil {
+	if n, _, err := deaf.ReadFromUDPAddrPort(buf); err == nil {
 		t.Fatalf("dropped inbound datagram surfaced: %q", buf[:n])
+	}
+}
+
+// TestPacketConnZeroAllocs: a wrapped socket's write and read allocate
+// nothing, a duplicated write included, so -chaos serves on the same
+// allocation-free calls as the unwrapped socket.
+func TestPacketConnZeroAllocs(t *testing.T) {
+	recv, send, to := loopbackPair(t)
+	rates := Rates{Duplicate: 0.5}
+	dups := New(7, rates)
+	out, in := WrapPacketConn(send, dups), WrapPacketConn(recv, New(8, rates))
+	payload, buf := []byte("datagram"), make([]byte, 64)
+	// A duplicate's second copy is read before the next write, so every
+	// read finds a datagram waiting and the socket buffer never fills.
+	var drained uint64
+	allocs := testing.AllocsPerRun(200, func() {
+		for ; drained < dups.Counters().Duplicated; drained++ {
+			if _, _, err := in.ReadFromUDPAddrPort(buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := out.WriteToUDPAddrPort(payload, to); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := in.ReadFromUDPAddrPort(buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a wrapped write and read allocate %.2f times, want 0", allocs)
+	}
+	if drained == 0 {
+		t.Fatal("no write was duplicated")
 	}
 }
 
@@ -290,21 +331,11 @@ func TestPacketConnDelaySleeps(t *testing.T) {
 	orig := sleep
 	sleep = func(d sim.Time) { slept += d }
 	defer func() { sleep = orig }()
-
-	recv, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("loopback UDP unavailable: %v", err)
-	}
-	defer recv.Close()
-	send, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("loopback UDP unavailable: %v", err)
-	}
-	defer send.Close()
+	_, send, to := loopbackPair(t)
 
 	slow := WrapPacketConn(send, New(9, Rates{Delay: sim.Hour}))
 	for i := 0; i < 8 && slept == 0; i++ {
-		if _, err := slow.WriteTo([]byte("late"), recv.LocalAddr()); err != nil {
+		if _, err := slow.WriteToUDPAddrPort([]byte("late"), to); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -334,7 +365,7 @@ func TestWrapPacketConnsSeeds(t *testing.T) {
 		}
 		return s
 	}
-	conns := make([]net.PacketConn, 3)
+	conns := make([]netx.Conn, 3)
 	wrapped := WrapPacketConns(conns, 42, rates, nil)
 	alone := draw(New(42, rates))
 	seen := map[string]int{}

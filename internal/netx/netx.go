@@ -14,9 +14,20 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"net/netip"
 	"runtime"
 	"syscall"
 )
+
+// Conn is the datagram socket a daemon's worker serves: the *net.UDPConn
+// ListenUDP opens, or that socket behind faults.PacketConn under -chaos.
+// Both calls carry the peer as a netip.AddrPort, so neither allocates.
+type Conn interface {
+	ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error)
+	WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error)
+	LocalAddr() net.Addr
+	Close() error
+}
 
 // SocketCount maps a -listeners or -sockets flag onto a socket count: an
 // explicit count wins, 0 means one socket per scheduler thread, capped at 8
@@ -38,45 +49,35 @@ func SocketCount(n int) int {
 // returns a single plainly-bound socket and reuseport=false rather than an
 // error — the caller's worker pool simply runs with one shard. Any other
 // bind failure closes the sockets opened so far and returns the error.
-func ListenUDP(ctx context.Context, addr string, count int) (conns []net.PacketConn, reuseport bool, err error) {
-	if count < 1 {
+func ListenUDP(ctx context.Context, addr string, count int) (conns []Conn, reuseport bool, err error) {
+	var lc net.ListenConfig
+	if count > 1 && reusePortSupported {
+		lc.Control = controlReusePort
+	} else {
 		count = 1
 	}
-	if count == 1 || !reusePortSupported {
-		c, err := net.ListenPacket("udp", addr)
-		if err != nil {
-			return nil, false, err
-		}
-		return []net.PacketConn{c}, false, nil
-	}
-	lc := net.ListenConfig{Control: controlReusePort}
-	first, err := lc.ListenPacket(ctx, "udp", addr)
-	if err != nil {
-		// The kernel refused the socket option (or the bind): degrade to the
-		// single-socket slow shape instead of failing the daemon.
-		c, perr := net.ListenPacket("udp", addr)
-		if perr != nil {
-			return nil, false, fmt.Errorf("netx: listen %s: %w", addr, perr)
-		}
-		return []net.PacketConn{c}, false, nil
-	}
-	conns = append(conns, first)
-	// Subsequent sockets bind the RESOLVED address of the first, so an
-	// ephemeral-port request lands every socket on the same port.
-	resolved := first.LocalAddr().String()
 	for len(conns) < count {
-		c, err := lc.ListenPacket(ctx, "udp", resolved)
+		c, err := lc.ListenPacket(ctx, "udp", addr)
+		if err != nil && len(conns) == 0 && lc.Control != nil {
+			// The kernel refused the socket option (or the bind): degrade to
+			// the single-socket shape instead of failing the daemon.
+			lc.Control, count = nil, 1
+			continue
+		}
 		if err != nil {
 			closeAll(conns)
-			return nil, false, fmt.Errorf("netx: listen %s (socket %d of %d): %w", resolved, len(conns)+1, count, err)
+			return nil, false, fmt.Errorf("netx: listen %s (socket %d of %d): %w", addr, len(conns)+1, count, err)
 		}
-		conns = append(conns, c)
+		conns = append(conns, c.(*net.UDPConn))
+		// Every later socket binds the first one's RESOLVED address, so an
+		// ephemeral-port request lands them all on the same port.
+		addr = c.LocalAddr().String()
 	}
-	return conns, true, nil
+	return conns, lc.Control != nil, nil
 }
 
 // closeAll closes every socket in conns (best effort).
-func closeAll(conns []net.PacketConn) {
+func closeAll(conns []Conn) {
 	for _, c := range conns {
 		c.Close()
 	}

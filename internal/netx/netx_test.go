@@ -80,11 +80,11 @@ func TestListenUDPSharded(t *testing.T) {
 	var wg sync.WaitGroup
 	for i, c := range conns {
 		wg.Add(1)
-		go func(i int, c net.PacketConn) {
+		go func(i int, c Conn) {
 			defer wg.Done()
 			buf := make([]byte, 64)
 			for {
-				n, _, err := c.ReadFrom(buf)
+				n, _, err := c.ReadFromUDPAddrPort(buf)
 				if err != nil {
 					return
 				}
