@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +20,8 @@ import (
 	"botmeter/internal/dnswire"
 	"botmeter/internal/faults"
 	"botmeter/internal/netx"
+	"botmeter/internal/obs"
+	"botmeter/internal/obs/obstest"
 	"botmeter/internal/sim"
 )
 
@@ -311,8 +315,11 @@ func TestChaosReplay(t *testing.T) {
 		}
 	}()
 
-	conns := faults.WrapPacketConns([]netx.Conn{sc}, 42, rates, nil)
-	f := newForwarder(testConfig(up.conn.LocalAddr().String()))
+	reg := obs.NewRegistry()
+	conns := faults.WrapPacketConns([]netx.Conn{sc}, 42, rates, reg)
+	cfg := testConfig(up.conn.LocalAddr().String())
+	cfg.reg = reg
+	f := newForwarder(cfg)
 	if err := f.attach(conns); err != nil {
 		t.Fatal(err)
 	}
@@ -327,8 +334,38 @@ func TestChaosReplay(t *testing.T) {
 	if len(sc.out) != 197 {
 		t.Errorf("%d datagrams written, the classic loop wrote 197", len(sc.out))
 	}
-	if c := f.counters(); c.queries != 229 || c.forwarded != 192 || c.retried+c.mismatched+c.servfails != 0 {
+	c := f.counters()
+	if c.queries != 229 || c.forwarded != 192 || c.retried+c.mismatched+c.servfails != 0 {
 		t.Errorf("counters = %s, the classic loop's were queries=229 forwarded=192 and no failures", c)
+	}
+	// The registry reads each of these from its one owner.
+	for _, m := range []struct {
+		name  string
+		kind  string
+		tally uint64
+	}{
+		{faults.MetricPassed, "", want.Passed},
+		{faults.MetricInjected, "loss", want.Lost},
+		{faults.MetricInjected, "duplicate", want.Duplicated},
+		{faults.MetricInjected, "servfail", want.ServFails},
+		{faults.MetricInjected, "delay", want.Delayed},
+		{faults.MetricInjected, "blackout", want.Blackholed},
+		{metricQueries, "", uint64(c.queries)},
+		{metricForwarded, "", uint64(c.forwarded)},
+		{metricCoalesced, "", uint64(c.coalesced)},
+		{metricRetries, "", uint64(c.retried)},
+		{metricMismatched, "", uint64(c.mismatched)},
+		{metricStaleServed, "", uint64(c.staleServed)},
+		{metricServFails, "", uint64(c.servfails)},
+		{metricSendErrors, "", f.sendErrs.Load()},
+	} {
+		var labels []string
+		if m.kind != "" {
+			labels = []string{"kind", m.kind}
+		}
+		if got := reg.CounterValue(m.name, labels...); got != m.tally {
+			t.Errorf("%s%v = %d, its owner counted %d", m.name, labels, got, m.tally)
+		}
 	}
 }
 
@@ -382,5 +419,94 @@ func TestRunChaos(t *testing.T) {
 		if !strings.Contains(string(log), want) {
 			t.Errorf("log lacks %q:\n%s", want, log)
 		}
+	}
+}
+
+// TestMetricInventory pins every series a two-listener resolver under
+// -chaos exports: family, TYPE and label set.
+// The list was taken before the daemon's counts became callbacks over their
+// owners' tallies; how a series is fed must not rename, retype or relabel it.
+func TestMetricInventory(t *testing.T) {
+	up := startFakeUpstream(t, "inventory.example")
+	probe, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("loopback UDP unavailable: %v", err)
+	}
+	probe.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("loopback TCP unavailable: %v", err)
+	}
+	ln.Close()
+	addrs := [2]string{probe.LocalAddr().String(), ln.Addr().String()}
+	logf, err := os.Create(filepath.Join(t.TempDir(), "resolver.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer logf.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-listen", addrs[0], "-upstream", up.conn.LocalAddr().String(),
+			"-listeners", "2", "-chaos", "loss=0.1,dup=0.1,delay=1ms", "-obs-addr", addrs[1]}, logf)
+	}()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}()
+	client := dial(t, addrs[0])
+	eventually(t, "the daemon answers", func() bool {
+		sendQuery(t, client, 5, "inventory.example")
+		_, err := readResponse(t, client, 100*time.Millisecond)
+		return err == nil
+	})
+	resp, err := http.Get("http://" + addrs[1] + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obstest.ValidatePrometheusText(bytes.NewReader(body)); err != nil {
+		t.Fatalf("/metrics: %v", err)
+	}
+	got, err := obstest.Inventory(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		`dnssim_cache_entries gauge {level="resolver"}`,
+		`dnssim_cache_evictions_total counter {level="resolver"}`,
+		`dnssim_cache_hits_total counter {level="resolver"}`,
+		`dnssim_cache_lookups_total counter {level="resolver"}`,
+		`dnssim_cache_misses_total counter {level="resolver"}`,
+		`dnssim_cache_stale_hits_total counter {level="resolver"}`,
+		`dnssim_cache_stores_total counter {level="resolver"}`,
+		`faults_injected_total counter {kind="blackout"}`,
+		`faults_injected_total counter {kind="delay"}`,
+		`faults_injected_total counter {kind="duplicate"}`,
+		`faults_injected_total counter {kind="loss"}`,
+		`faults_injected_total counter {kind="servfail"}`,
+		`faults_passed_total counter {}`,
+		`resolver_coalesced_total counter {}`,
+		`resolver_forwarded_total counter {}`,
+		`resolver_inflight gauge {}`,
+		`resolver_inflight_full_total counter {}`,
+		`resolver_mismatched_total counter {}`,
+		`resolver_queries_total counter {}`,
+		`resolver_query_seconds histogram {}`,
+		`resolver_retries_total counter {}`,
+		`resolver_send_errors_total counter {}`,
+		`resolver_servfails_total counter {}`,
+		`resolver_stale_served_total counter {}`,
+		`resolver_upstream_attempt_seconds histogram {}`,
+		`resolver_upstream_consecutive_failures gauge {}`,
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("/metrics inventory:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -260,21 +260,13 @@ const (
 	metricFailStreak   = "resolver_upstream_consecutive_failures"
 )
 
-// resolverMetrics carries the forwarder's pre-resolved instruments; zero
-// value = disabled (obs instruments are nil-safe).
+// resolverMetrics carries the instruments no worker tally stands behind;
+// zero value = disabled (obs instruments are nil-safe). Every other
+// resolver_* series is a callback over the workers' state (see attach).
 type resolverMetrics struct {
-	queries      *obs.Counter
-	forwarded    *obs.Counter
-	retried      *obs.Counter
-	mismatched   *obs.Counter
-	staleServed  *obs.Counter
-	servfails    *obs.Counter
-	coalesced    *obs.Counter
 	inflightFull *obs.Counter
-	sendErrors   *obs.Counter
 	querySecs    *obs.Histogram
 	attemptSecs  *obs.Histogram
-	failStreak   *obs.Gauge
 }
 
 func newResolverMetrics(reg *obs.Registry) resolverMetrics {
@@ -292,18 +284,9 @@ func newResolverMetrics(reg *obs.Registry) resolverMetrics {
 	reg.Help(metricAttemptSecs, "Wall-clock seconds per upstream exchange attempt.")
 	reg.Help(metricFailStreak, "Consecutive upstream exchanges whose attempts all failed (0 = healthy).")
 	return resolverMetrics{
-		queries:      reg.Counter(metricQueries),
-		forwarded:    reg.Counter(metricForwarded),
-		retried:      reg.Counter(metricRetries),
-		mismatched:   reg.Counter(metricMismatched),
-		staleServed:  reg.Counter(metricStaleServed),
-		servfails:    reg.Counter(metricServFails),
-		coalesced:    reg.Counter(metricCoalesced),
 		inflightFull: reg.Counter(metricInflightFull),
-		sendErrors:   reg.Counter(metricSendErrors),
 		querySecs:    reg.Histogram(metricQuerySecs, obs.LatencyBuckets),
 		attemptSecs:  reg.Histogram(metricAttemptSecs, obs.LatencyBuckets),
-		failStreak:   reg.Gauge(metricFailStreak),
 	}
 }
 
@@ -328,14 +311,13 @@ func newForwarder(cfg forwarderConfig) *forwarder {
 	f := &forwarder{cfg: cfg.withDefaults(), started: time.Now()}
 	if cfg.reg != nil {
 		f.m = newResolverMetrics(cfg.reg)
-		cfg.reg.GaugeFunc(metricInflight, func() float64 { return float64(f.inflight()) })
 	}
 	return f
 }
 
 // attach gives every client socket a worker with a connected upstream
-// socket of its own. Call it once, before serve and before anything reads
-// the counters.
+// socket of its own, then exports the series the workers' tallies feed.
+// Call it once, before serve and before anything reads the counters.
 func (f *forwarder) attach(conns []netx.Conn) error {
 	for i, c := range conns {
 		up, err := net.Dial("udp", f.cfg.upstream)
@@ -346,6 +328,22 @@ func (f *forwarder) attach(conns []netx.Conn) error {
 		// Worker i's jitter stream is the seed advanced by i golden-ratio
 		// strides, like its chaos injector's (faults.WrapPacketConns).
 		f.workers = append(f.workers, newWorker(f, c, up, f.cfg.seed+uint64(i)*0x9e3779b97f4a7c15))
+	}
+	if reg := f.cfg.reg; reg != nil {
+		for name, get := range map[string]func(forwarderCounters) int{
+			metricQueries:     func(c forwarderCounters) int { return c.queries },
+			metricForwarded:   func(c forwarderCounters) int { return c.forwarded },
+			metricCoalesced:   func(c forwarderCounters) int { return c.coalesced },
+			metricRetries:     func(c forwarderCounters) int { return c.retried },
+			metricMismatched:  func(c forwarderCounters) int { return c.mismatched },
+			metricStaleServed: func(c forwarderCounters) int { return c.staleServed },
+			metricServFails:   func(c forwarderCounters) int { return c.servfails },
+		} {
+			reg.CounterFunc(name, func() uint64 { return uint64(get(f.counters())) })
+		}
+		reg.CounterFunc(metricSendErrors, f.sendErrs.Load)
+		reg.GaugeFunc(metricInflight, func() float64 { return float64(f.inflight()) })
+		reg.GaugeFunc(metricFailStreak, func() float64 { return float64(f.failStreak.Load()) })
 	}
 	return nil
 }
@@ -399,7 +397,6 @@ func (f *forwarder) observeQuery(t0 time.Time) {
 // outlive it — its socket would otherwise never be read again while
 // /healthz stays 200 — but loudly, so the first few are logged.
 func (f *forwarder) sendFailed(err error) {
-	f.m.sendErrors.Inc()
 	if n := f.sendErrs.Add(1); n <= 3 {
 		f.cfg.log.Error("client send failed", "count", n, "err", err)
 	}

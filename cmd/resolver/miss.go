@@ -101,7 +101,6 @@ func (w *worker) miss(pkt []byte, name symtab.ID, stable string, wt waiter) {
 		// a second query upstream while the first is in flight would be a
 		// lookup the simulator's cache model never produces.
 		w.c.coalesced++
-		w.f.m.coalesced.Inc()
 		wt.span.Event("coalesced")
 		for i := range e.waiters {
 			if o := &e.waiters[i]; o.id == wt.id && o.from == wt.from && o.qtype == wt.qtype && o.qclass == wt.qclass {
@@ -225,7 +224,6 @@ func (w *worker) failAttempt(e *entry, now time.Time, why string) {
 	}
 	e.attempt++
 	w.c.retried++
-	w.f.m.retried.Inc()
 	// Full-ish jitter: uniform in [backoff/2, backoff).
 	wait := e.backoff/2 + time.Duration(w.rng.Int64N(int64(e.backoff/2)+1))
 	e.backoff *= 2
@@ -242,10 +240,8 @@ func (w *worker) finishOK(e *entry, resp []byte, rcode uint8) {
 	f := w.f
 	w.endAttempt(e)
 	w.c.forwarded++
-	f.m.forwarded.Inc()
 	if f.failStreak.Load() != 0 {
 		f.failStreak.Store(0)
-		f.m.failStreak.Set(0)
 	}
 	nx := rcode == dnswire.RcodeNXDomain
 	w.cache.StoreID(f.now(), e.name, nx)
@@ -273,7 +269,7 @@ func (w *worker) finishOK(e *entry, resp []byte, rcode uint8) {
 func (w *worker) finishFailed(e *entry) {
 	f := w.f
 	w.endAttempt(e)
-	f.m.failStreak.Set(float64(f.failStreak.Add(1)))
+	f.failStreak.Add(1)
 	e.waiters[0].span.Event("upstream_failed")
 	stale, ok := w.cache.LookupStaleID(f.now(), e.name)
 	for i := range e.waiters {
@@ -282,10 +278,8 @@ func (w *worker) finishFailed(e *entry) {
 		if ok {
 			rcode, ttl, outcome = rcodeOf(stale.NX), staleAnswerTTL, "stale"
 			w.c.staleServed++
-			f.m.staleServed.Inc()
 		} else {
 			w.c.servfails++
-			f.m.servfails.Inc()
 		}
 		wt.span.SetAttr("outcome", outcome)
 		w.answer(wt, respond(&w.done, wt.id, wt.rd, w.question(e, wt), rcode, ttl))
@@ -361,7 +355,6 @@ func (w *worker) serveUpstream() {
 		switch {
 		case e == nil:
 			w.c.mismatched++
-			w.f.m.mismatched.Inc()
 		case msg.Header.Rcode == dnswire.RcodeServFail:
 			// Retried, never cached.
 			w.failAttempt(e, time.Now(), "upstream answered SERVFAIL")

@@ -148,7 +148,6 @@ func (w *worker) handle(pkt []byte, from netip.AddrPort) []byte {
 		return nil
 	}
 	f := w.f
-	f.m.queries.Inc()
 	var t0 time.Time
 	if f.m.querySecs != nil {
 		t0 = time.Now()
@@ -197,12 +196,13 @@ func rcodeOf(nx bool) uint8 {
 }
 
 // respond encodes one of the resolver's own answers — from the cache, stale,
-// or SERVFAIL — into r: the sinkhole address with ttl for NOERROR, no answer
-// otherwise. The client loop has a Responder for hits and the pipeline one,
-// under the worker's mutex, for waiters.
+// or SERVFAIL — into r: the sinkhole address with ttl for NOERROR to an A/IN
+// question, no answer otherwise (the cache knows a name exists, not which
+// records of another type it holds). The client loop has a Responder for
+// hits and the pipeline one, under the worker's mutex, for waiters.
 func respond(r *dnswire.Responder, id uint16, rd bool, qs []dnswire.Question, rcode uint8, ttl uint32) []byte {
 	var data []byte
-	if rcode == dnswire.RcodeNoError {
+	if q := qs[0]; rcode == dnswire.RcodeNoError && q.Type == dnswire.TypeA && q.Class == dnswire.ClassIN {
 		data = sinkhole[:]
 	}
 	return r.Respond(id, rd, qs, rcode, dnswire.TypeA, data, ttl)

@@ -262,6 +262,35 @@ func TestHitPathZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestCachedAnswerFollowsQuestionType: the sinkhole is an IPv4 address, so
+// a cached NOERROR name gets it only for an A question; any other type is
+// answered NOERROR with no answer records, under the question asked.
+func TestCachedAnswerFollowsQuestionType(t *testing.T) {
+	silent := startScriptedUpstream(t, func(*dnswire.Message, int) [][]byte { return nil })
+	w := socketless(t, testConfig(silent.conn.LocalAddr().String()))
+	w.cache.StoreID(w.f.now(), w.tab.Intern("hot.example"), false)
+	from := netip.MustParseAddrPort("127.0.0.1:9")
+	for _, typ := range []uint16{dnswire.TypeA, dnswire.TypeAAAA} {
+		q := dnswire.NewQuery(9, "hot.example")
+		q.Questions[0].Type = typ
+		m, err := dnswire.Decode(w.handle(encode(t, q), from))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantAnswers := 0
+		if typ == dnswire.TypeA {
+			wantAnswers = 1
+		}
+		if m.Header.Rcode != dnswire.RcodeNoError || len(m.Answers) != wantAnswers || m.Questions[0].Type != typ {
+			t.Errorf("type %d question: rcode %d, %d answers, question type %d; want 0, %d, %d",
+				typ, m.Header.Rcode, len(m.Answers), m.Questions[0].Type, wantAnswers, typ)
+		}
+		if wantAnswers == 1 && m.Answers[0].Type != dnswire.TypeA {
+			t.Errorf("A question answered with type %d", m.Answers[0].Type)
+		}
+	}
+}
+
 // eventNames flattens a span's events for comparison.
 func eventNames(s obs.SpanRecord) string {
 	var names []string

@@ -61,18 +61,10 @@ const (
 	metricZoneSize    = "vantage_zone_domains"
 )
 
-// sinkMetrics carries the vantage point's pre-resolved instruments; zero
-// value = disabled (obs instruments are nil-safe).
-type sinkMetrics struct {
-	queries       *obs.Counter
-	observed      *obs.Counter
-	writeErrors   *obs.Counter
-	stickyError   *obs.Gauge
-	observeErrors *obs.Counter
-	sendErrors    *obs.Counter
-}
-
-func newSinkMetrics(reg *obs.Registry) sinkMetrics {
+// instrument exports the vantage's series on reg. All but the query count
+// are callbacks over the tallies and writers the sink and its workers keep,
+// so call it after attach.
+func (s *sink) instrument(reg *obs.Registry) {
 	reg.Help(metricQueries, "Datagrams parsed as DNS queries.")
 	reg.Help(metricObserved, "Observations appended to the observable dataset.")
 	reg.Help(metricWriteErrors, "Observation appends that failed to persist.")
@@ -80,14 +72,25 @@ func newSinkMetrics(reg *obs.Registry) sinkMetrics {
 	reg.Help(metricObserveErrs, "Observations the live engine refused.")
 	reg.Help(metricSendErrors, "Responses the client socket refused to send.")
 	reg.Help(metricZoneSize, "Registered domains loaded from the zone file.")
-	return sinkMetrics{
-		queries:       reg.Counter(metricQueries),
-		observed:      reg.Counter(metricObserved),
-		writeErrors:   reg.Counter(metricWriteErrors),
-		stickyError:   reg.Gauge(metricStickyError),
-		observeErrors: reg.Counter(metricObserveErrs),
-		sendErrors:    reg.Counter(metricSendErrors),
-	}
+	s.queries = reg.Counter(metricQueries)
+	reg.GaugeFunc(metricStickyError, func() float64 {
+		if s.health() != nil {
+			return 1
+		}
+		return 0
+	})
+	reg.CounterFunc(metricObserved, func() uint64 {
+		var n uint64
+		for _, w := range s.workers {
+			w.mu.Lock()
+			n += w.consumed
+			w.mu.Unlock()
+		}
+		return n
+	})
+	reg.CounterFunc(metricWriteErrors, s.writeErrs.Load)
+	reg.CounterFunc(metricObserveErrs, s.observeErrs.Load)
+	reg.CounterFunc(metricSendErrors, s.sendErrs.Load)
 }
 
 func main() {
@@ -264,9 +267,6 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 		consumed: consumed,
 		log:      logger,
 	}
-	if reg != nil {
-		srv.m = newSinkMetrics(reg)
-	}
 	if *checkpointDir != "" {
 		srv.ck, err = stream.NewCheckpointer(stream.CheckpointConfig{
 			Dir:          *checkpointDir,
@@ -293,6 +293,9 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 		FlushEvery:    *flushEvery,
 		FsyncInterval: *fsyncInterval,
 	})
+	if reg != nil {
+		srv.instrument(reg)
+	}
 	// The Landscape Observatory samples the live engine into a bounded
 	// time-series store, keeps the /landscape/history ring and evaluates the
 	// SLO rules that degrade /healthz (DESIGN.md §16).
@@ -417,7 +420,7 @@ type sink struct {
 	ck      *stream.Checkpointer
 	crash   *faults.Crasher
 	log     *slog.Logger
-	m       sinkMetrics
+	queries *obs.Counter // nil unless instrumented
 	workers []*vantageWorker
 
 	// consumed counts well-formed records durably in the observed dataset:

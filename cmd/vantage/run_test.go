@@ -24,6 +24,7 @@ import (
 	"botmeter/internal/core"
 	"botmeter/internal/dga"
 	"botmeter/internal/dnswire"
+	"botmeter/internal/obs/obstest"
 	"botmeter/internal/sim"
 	"botmeter/internal/trace"
 )
@@ -542,5 +543,108 @@ func TestResolveListeners(t *testing.T) {
 		if !strings.Contains(log, fmt.Sprintf(" listeners=%d ", want)) {
 			t.Fatalf("-listeners %s: want %d sockets, log:\n%s", tc.flag, want, log)
 		}
+	}
+}
+
+// scrape reads /metrics, checks it against the exposition format and
+// returns its inventory.
+func scrape(t *testing.T, obsAddr string) []string {
+	t.Helper()
+	resp, err := http.Get("http://" + obsAddr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obstest.ValidatePrometheusText(bytes.NewReader(body)); err != nil {
+		t.Fatalf("/metrics: %v", err)
+	}
+	inv, err := obstest.Inventory(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inv
+}
+
+// TestMetricInventory pins every series a live-estimating, checkpointing
+// vantage exports: family, TYPE and label set.
+// The list was taken before the daemon's counts became callbacks over their
+// owners' tallies; how a series is fed must not rename, retype or relabel it.
+func TestMetricInventory(t *testing.T) {
+	dir := t.TempDir()
+	logf, err := os.Create(filepath.Join(dir, "vantage.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer logf.Close()
+	dnsAddr := freeAddr(t, "udp")
+	obsAddr := freeAddr(t, "tcp")
+	args := []string{
+		"-listen", dnsAddr,
+		"-observed", filepath.Join(dir, "obs.jsonl"),
+		"-flush-interval", "20ms", "-flush-every", "1",
+		"-live-estimate", "newgoz", "-live-seed", "7",
+		"-checkpoint-dir", filepath.Join(dir, "ckpt"), "-checkpoint-every", "2",
+		"-obs-addr", obsAddr,
+		"-log-level", "error",
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, args, logf) }()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}()
+	waitHealthz(t, obsAddr)
+	for i := 0; i < 4; i++ {
+		queryVantage(t, dnsAddr, fmt.Sprintf("inv-%d.example.com", i), uint16(300+i))
+	}
+	want := []string{
+		`dga_pools_built_total gauge {}`,
+		`dga_pools_live gauge {}`,
+		`landscape_disagreement gauge {}`,
+		`landscape_servers gauge {}`,
+		`landscape_total gauge {}`,
+		`landscape_total_delta gauge {}`,
+		`stream_checkpoint_age_seconds gauge {}`,
+		`stream_checkpoint_bytes gauge {}`,
+		`stream_checkpoint_duration_ms gauge {}`,
+		`stream_checkpoint_errors_total counter {}`,
+		`stream_checkpoint_generation gauge {}`,
+		`stream_checkpoint_last_unix_ms gauge {}`,
+		`stream_checkpoint_skipped_total counter {}`,
+		`stream_checkpoints_total counter {}`,
+		`stream_dropped_late_total counter {}`,
+		`stream_epoch_close_seconds histogram {}`,
+		`stream_epochs_closed_total counter {}`,
+		`stream_expiry_queue gauge {shard="*"}`,
+		`stream_ingested_records_total counter {}`,
+		`stream_loss_rate gauge {}`,
+		`stream_matched_records_total counter {}`,
+		`stream_open_cells gauge {shard="*"}`,
+		`stream_records_per_second gauge {}`,
+		`stream_reorder_depth gauge {shard="*"}`,
+		`stream_reorder_evictions_total counter {}`,
+		`stream_retained_records gauge {}`,
+		`stream_snapshots_total counter {}`,
+		`stream_source_rotations_total counter {}`,
+		`stream_unmatched_records_total counter {}`,
+		`stream_watermark_lag_seconds gauge {shard="*"}`,
+		`stream_watermark_ms gauge {shard="*"}`,
+		`vantage_engine_observe_errors_total counter {}`,
+		`vantage_observed_records_total counter {}`,
+		`vantage_observed_sticky_error gauge {}`,
+		`vantage_observed_write_errors_total counter {}`,
+		`vantage_queries_total counter {}`,
+		`vantage_send_errors_total counter {}`,
+		`vantage_zone_domains gauge {}`,
+	}
+	if got := scrape(t, obsAddr); !reflect.DeepEqual(got, want) {
+		t.Errorf("/metrics inventory:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

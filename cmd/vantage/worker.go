@@ -144,7 +144,6 @@ func (w *vantageWorker) serve() error {
 			}
 			// The observation is recorded; only its answer is lost. Returning
 			// would leave this socket unread while /healthz stays 200.
-			w.s.m.sendErrors.Inc()
 			w.s.report(&w.s.sendErrs, "client send failed", err)
 		}
 	}
@@ -174,7 +173,7 @@ func (w *vantageWorker) handle(pkt []byte, server string) []byte {
 		return nil
 	}
 	s := w.s
-	s.m.queries.Inc()
+	s.queries.Inc()
 	// Application-level chaos: a SERVFAIL burst means the query was received
 	// but resolution failed — nothing is recorded, mirroring a border server
 	// whose recursion is broken.
@@ -211,14 +210,9 @@ func (w *vantageWorker) handle(pkt []byte, server string) []byte {
 	}
 	w.mu.Unlock()
 	if werr != nil {
-		s.m.writeErrors.Inc()
-		s.m.stickyError.Set(1)
 		s.report(&s.writeErrs, "observation write error", werr)
-	} else {
-		s.m.observed.Inc()
 	}
 	if oerr != nil {
-		s.m.observeErrors.Inc()
 		s.report(&s.observeErrs, "engine observe error", oerr)
 	}
 	if due {

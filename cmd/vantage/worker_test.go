@@ -172,6 +172,8 @@ func TestStickyWriterError(t *testing.T) {
 		t.Fatal(err)
 	}
 	socketless(t, s, f, 2, unbatched)
+	reg := obs.NewRegistry()
+	s.instrument(reg)
 	good, bad := s.workers[0], s.workers[1]
 	bad.out.Close()
 	bad.out = trace.NewSafeWriter(brokenWriter{}, unbatched)
@@ -192,6 +194,10 @@ func TestStickyWriterError(t *testing.T) {
 	}
 	if err := s.health(); err == nil {
 		t.Error("health is fine with a sticky writer error")
+	}
+	if reg.GaugeValue(metricStickyError) != 1 || reg.CounterValue(metricWriteErrors) != 5 || reg.CounterValue(metricObserved) != 5 {
+		t.Errorf("%s = %v, %s = %d, %s = %d; want 1, 5 and 5", metricStickyError, reg.GaugeValue(metricStickyError),
+			metricWriteErrors, reg.CounterValue(metricWriteErrors), metricObserved, reg.CounterValue(metricObserved))
 	}
 	// The good worker tripped the count trigger twice (2 of its own records
 	// each time); both attempts must have been refused.
@@ -426,13 +432,40 @@ func TestChaosReplay(t *testing.T) {
 		sc.in = append(sc.in, encodeQuery(t, uint16(i+1), d))
 	}
 	s, f := newTestSink(t, "c2.example 192.0.2.9\n")
-	s.attach(faults.WrapPacketConns([]netx.Conn{sc}, 42, rates, nil), f, unbatched)
+	reg := obs.NewRegistry()
+	s.attach(faults.WrapPacketConns([]netx.Conn{sc}, 42, rates, reg), f, unbatched)
+	s.instrument(reg)
 	if err := s.serve(); err != nil {
 		t.Fatal(err)
 	}
 	want := faults.Counters{Passed: 569, Lost: 153, Duplicated: 19, ServFails: 65, Delayed: 169}
 	if got := s.workers[0].inj.Counters(); got != want {
 		t.Errorf("chaos counters = %v, the classic loop's were %v", got, want)
+	}
+	// The registry reads each of these from its one owner.
+	for _, c := range []struct {
+		name  string
+		kind  string
+		tally uint64
+	}{
+		{faults.MetricPassed, "", want.Passed},
+		{faults.MetricInjected, "loss", want.Lost},
+		{faults.MetricInjected, "duplicate", want.Duplicated},
+		{faults.MetricInjected, "servfail", want.ServFails},
+		{faults.MetricInjected, "delay", want.Delayed},
+		{faults.MetricInjected, "blackout", want.Blackholed},
+		{metricObserved, "", s.workers[0].consumed},
+		{metricWriteErrors, "", s.writeErrs.Load()},
+		{metricObserveErrs, "", s.observeErrs.Load()},
+		{metricSendErrors, "", s.sendErrs.Load()},
+	} {
+		var labels []string
+		if c.kind != "" {
+			labels = []string{"kind", c.kind}
+		}
+		if got := reg.CounterValue(c.name, labels...); got != c.tally {
+			t.Errorf("%s%v = %d, its owner counted %d", c.name, labels, got, c.tally)
+		}
 	}
 	if sc.writes != 266 {
 		t.Errorf("%d datagrams written, the classic loop wrote 266", sc.writes)
@@ -459,8 +492,8 @@ func TestSendErrorKeepsServing(t *testing.T) {
 	}
 	s, f := newTestSink(t, "")
 	reg := obs.NewRegistry()
-	s.m = newSinkMetrics(reg)
 	s.attach([]netx.Conn{sc}, f, unbatched)
+	s.instrument(reg)
 	if err := s.serve(); err != nil {
 		t.Fatal(err)
 	}

@@ -99,6 +99,7 @@ func NewCache(positiveTTL, negativeTTL sim.Time) *Cache {
 // replacement arrays.
 func (c *Cache) Release() {
 	if c.ids.pooled {
+		c.m.entries.Add(-float64(c.Len()))
 		giveSlots(c.ids.slots)
 		c.ids = idTable{}
 	}
@@ -146,12 +147,17 @@ func (c *Cache) StoreID(now sim.Time, id symtab.ID, nx bool) {
 	if ttl <= 0 {
 		return
 	}
+	before := c.Len()
 	if dropped := c.ids.put(idEntry{id: id, nx: nx, expires: now + ttl}, now-max(c.StaleTTL, 0)); dropped > 0 {
 		c.m.evictions.Add(uint64(dropped))
 	}
 	if c.m.stores != nil {
 		c.m.stores.Inc()
-		c.m.entries.Set(float64(c.Len()))
+		// Caches under one label set share the gauge, so each adds its own
+		// change: one more slot, less what a rehash left behind.
+		if d := c.Len() - before; d != 0 {
+			c.m.entries.Add(float64(d))
+		}
 	}
 }
 

@@ -127,6 +127,36 @@ func TestCacheGrowEvicts(t *testing.T) {
 	}
 }
 
+// TestCacheEntriesGaugeSums: caches instrumented under one label set share
+// one entries gauge, which reads their summed Len — through inserts,
+// overwrites, an evicting rehash and a Release.
+func TestCacheEntriesGaugeSums(t *testing.T) {
+	reg := obs.NewRegistry()
+	a, b := NewCache(sim.Second, sim.Second), NewCache(sim.Second, sim.Second)
+	defer b.Release()
+	a.Instrument(reg, "level", "shared")
+	b.Instrument(reg, "level", "shared")
+	entries := func() float64 { return reg.GaugeValue(MetricCacheEntries, "level", "shared") }
+	for i := 1; i <= 3; i++ {
+		a.StoreID(0, symtab.ID(i), false)
+	}
+	a.StoreID(0, 1, true) // an overwrite holds no new slot
+	b.StoreID(0, 1, false)
+	if got := entries(); got != 4 {
+		t.Fatalf("entries = %v with 3 + 1 cached, want 4", got)
+	}
+	for i := 1; i <= 1000; i++ { // the rehash leaves b's expired entry behind
+		b.StoreID(10*sim.Second, symtab.ID(100+i), false)
+	}
+	if want := float64(a.Len() + b.Len()); entries() != want || b.Len() != 1000 {
+		t.Fatalf("entries = %v after b's rehash, Len %d + %d", entries(), a.Len(), b.Len())
+	}
+	a.Release()
+	if got := entries(); got != float64(b.Len()) {
+		t.Fatalf("entries = %v after a's Release, want b's %d", got, b.Len())
+	}
+}
+
 // TestCacheNegativeStaleTTL: a negative StaleTTL (cmd/resolver passes its
 // -serve-stale flag through unchecked) means "no stale window", not an
 // eviction horizon in the future that would take live entries with it.

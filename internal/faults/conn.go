@@ -44,18 +44,36 @@ func WrapPacketConn(c netx.Conn, inj *Injector) netx.Conn {
 // stays deterministic per socket however the kernel spreads the flows.
 // Socket 0 is seeded with seed itself — a single socket replays exactly what
 // WrapPacketConn(c, New(seed, rates)) does — and socket i with seed advanced
-// by i golden-ratio strides. The injectors share reg's counters, so the
-// exported tallies are the group's. Disabled rates return conns unchanged.
+// by i golden-ratio strides. reg, when non-nil, exports the group's tallies:
+// each series sums the injectors' Counters at scrape time. Disabled rates
+// return conns unchanged.
 func WrapPacketConns(conns []netx.Conn, seed uint64, rates Rates, reg *obs.Registry) []netx.Conn {
 	if !rates.Enabled() {
 		return conns
 	}
 	wrapped := make([]netx.Conn, len(conns))
+	injs := make([]*Injector, len(conns))
 	for i, c := range conns {
-		inj := New(seed+uint64(i)*0x9e3779b97f4a7c15, rates)
-		inj.Instrument(reg)
-		wrapped[i] = WrapPacketConn(c, inj)
+		injs[i] = New(seed+uint64(i)*0x9e3779b97f4a7c15, rates)
+		wrapped[i] = WrapPacketConn(c, injs[i])
 	}
+	reg.Help(MetricInjected, "Injected fault events, by kind.")
+	reg.Help(MetricPassed, "Datagrams that traversed the injector unharmed.")
+	sum := func(get func(Counters) uint64) func() uint64 {
+		return func() uint64 {
+			var n uint64
+			for _, inj := range injs {
+				n += get(inj.Counters())
+			}
+			return n
+		}
+	}
+	reg.CounterFunc(MetricPassed, sum(func(c Counters) uint64 { return c.Passed }))
+	reg.CounterFunc(MetricInjected, sum(func(c Counters) uint64 { return c.Lost }), "kind", "loss")
+	reg.CounterFunc(MetricInjected, sum(func(c Counters) uint64 { return c.Duplicated }), "kind", "duplicate")
+	reg.CounterFunc(MetricInjected, sum(func(c Counters) uint64 { return c.ServFails }), "kind", "servfail")
+	reg.CounterFunc(MetricInjected, sum(func(c Counters) uint64 { return c.Delayed }), "kind", "delay")
+	reg.CounterFunc(MetricInjected, sum(func(c Counters) uint64 { return c.Blackholed }), "kind", "blackout")
 	return wrapped
 }
 

@@ -26,7 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"botmeter/internal/obs"
 	"botmeter/internal/sim"
 )
 
@@ -182,46 +181,15 @@ type Injector struct {
 	seed    uint64
 	started time.Time
 	c       Counters
-	m       injectorMetrics
 }
 
-// Metric families exported by the injector (see Injector.Instrument). The
-// injected counter is labelled kind=loss|duplicate|servfail|delay|blackout
+// Metric families exported by the injectors of one WrapPacketConns call.
+// The injected counter is labelled kind=loss|duplicate|servfail|delay|blackout
 // so chaos sweeps can correlate fault dose with estimator accuracy.
 const (
 	MetricInjected = "faults_injected_total"
 	MetricPassed   = "faults_passed_total"
 )
-
-// injectorMetrics carries the optional obs counters; zero value = disabled
-// (obs instruments are nil-safe).
-type injectorMetrics struct {
-	passed     *obs.Counter
-	lost       *obs.Counter
-	duplicated *obs.Counter
-	servfails  *obs.Counter
-	delayed    *obs.Counter
-	blackholed *obs.Counter
-}
-
-// Instrument registers per-kind injected-fault counters on reg. A nil
-// registry disables instrumentation. Call before serving traffic; the
-// instruments themselves are atomic. Instrumentation never touches the
-// RNG, so the deterministic decision stream is unchanged.
-func (i *Injector) Instrument(reg *obs.Registry) {
-	reg.Help(MetricInjected, "Injected fault events, by kind.")
-	reg.Help(MetricPassed, "Datagrams that traversed the injector unharmed.")
-	i.mu.Lock()
-	i.m = injectorMetrics{
-		passed:     reg.Counter(MetricPassed),
-		lost:       reg.Counter(MetricInjected, "kind", "loss"),
-		duplicated: reg.Counter(MetricInjected, "kind", "duplicate"),
-		servfails:  reg.Counter(MetricInjected, "kind", "servfail"),
-		delayed:    reg.Counter(MetricInjected, "kind", "delay"),
-		blackholed: reg.Counter(MetricInjected, "kind", "blackout"),
-	}
-	i.mu.Unlock()
-}
 
 // New builds an injector whose decision stream is fully determined by seed
 // and rates. The wall clock for live blackout windows starts now.
@@ -267,7 +235,6 @@ func (i *Injector) Drop() bool {
 	defer i.mu.Unlock()
 	if i.coin(i.rates.Loss) {
 		i.c.Lost++
-		i.m.lost.Inc()
 		return true
 	}
 	return false
@@ -288,7 +255,6 @@ func (i *Injector) Duplicate() bool {
 	defer i.mu.Unlock()
 	if i.coin(i.rates.Duplicate) {
 		i.c.Duplicated++
-		i.m.duplicated.Inc()
 		return true
 	}
 	return false
@@ -300,7 +266,6 @@ func (i *Injector) ServFail() bool {
 	defer i.mu.Unlock()
 	if i.coin(i.rates.ServFail) {
 		i.c.ServFails++
-		i.m.servfails.Inc()
 		return true
 	}
 	return false
@@ -317,7 +282,6 @@ func (i *Injector) Delay() sim.Time {
 	d := sim.Time(i.rng.Int64N(int64(i.rates.Delay) + 1))
 	if d > 0 {
 		i.c.Delayed++
-		i.m.delayed.Inc()
 	}
 	return d
 }
@@ -329,7 +293,6 @@ func (i *Injector) Blackout(at sim.Time) bool {
 		if w.Contains(at) {
 			i.mu.Lock()
 			i.c.Blackholed++
-			i.m.blackholed.Inc()
 			i.mu.Unlock()
 			return true
 		}
@@ -347,6 +310,5 @@ func (i *Injector) BlackoutNow() bool {
 func (i *Injector) countPassed() {
 	i.mu.Lock()
 	i.c.Passed++
-	i.m.passed.Inc()
 	i.mu.Unlock()
 }

@@ -6,10 +6,13 @@ import (
 	"time"
 )
 
-// Counter is a monotonically increasing uint64. All methods are nil-safe
-// no-ops, so disabled instrumentation costs one predictable branch.
+// Counter is a monotonically increasing uint64. A counter the registry made
+// with CounterFunc holds no value of its own: it reads its owner's tally at
+// exposition time, and Inc and Add do not show through it. All methods are
+// nil-safe no-ops, so disabled instrumentation costs one predictable branch.
 type Counter struct {
 	v      atomic.Uint64
+	fn     func() uint64
 	name   string
 	labels []string
 }
@@ -30,19 +33,26 @@ func (c *Counter) Add(n uint64) {
 	c.v.Add(n)
 }
 
-// Value returns the current count (0 for nil).
+// Value returns the current count, evaluating a callback counter's
+// function (0 for nil).
 func (c *Counter) Value() uint64 {
-	if c == nil {
+	switch {
+	case c == nil:
 		return 0
+	case c.fn != nil:
+		return c.fn()
 	}
 	return c.v.Load()
 }
 
 func (c *Counter) sortKey() string { return seriesName(c.name, c.labels) }
 
-// Gauge is a float64 that can go up and down, stored as atomic bits.
+// Gauge is a float64 that can go up and down, stored as atomic bits, or, made
+// with GaugeFunc, a function evaluated at exposition time whose value Set and
+// Add do not change.
 type Gauge struct {
 	bits   atomic.Uint64
+	fn     func() float64
 	name   string
 	labels []string
 }
@@ -72,34 +82,19 @@ func (g *Gauge) Add(d float64) {
 // Inc adds one.
 func (g *Gauge) Inc() { g.Add(1) }
 
-// Value returns the current value (0 for nil).
+// Value returns the current value, evaluating a callback gauge's function
+// (0 for nil).
 func (g *Gauge) Value() float64 {
-	if g == nil {
+	switch {
+	case g == nil:
 		return 0
+	case g.fn != nil:
+		return g.fn()
 	}
 	return math.Float64frombits(g.bits.Load())
 }
 
 func (g *Gauge) sortKey() string { return seriesName(g.name, g.labels) }
-
-// GaugeFunc is a callback gauge: its value is computed by a function at
-// exposition time (see Registry.GaugeFunc). The function is evaluated
-// outside the registry lock.
-type GaugeFunc struct {
-	fn     func() float64
-	name   string
-	labels []string
-}
-
-// Value evaluates the callback. Nil-safe (0).
-func (g *GaugeFunc) Value() float64 {
-	if g == nil || g.fn == nil {
-		return 0
-	}
-	return g.fn()
-}
-
-func (g *GaugeFunc) sortKey() string { return seriesName(g.name, g.labels) }
 
 // Default bucket bounds. LatencyBuckets are seconds (Prometheus
 // convention); SizeBuckets are powers of four, suiting both byte sizes and

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -210,7 +211,7 @@ func TestGaugeFuncRegistry(t *testing.T) {
 	calls := 0
 	g := r.GaugeFunc("cb", func() float64 { calls++; return 7 })
 	if g2 := r.GaugeFunc("cb", func() float64 { return 99 }); g2 != g {
-		t.Fatal("second registration must return the first GaugeFunc")
+		t.Fatal("second registration must return the first callback gauge")
 	}
 	if v := r.GaugeValue("cb"); v != 7 {
 		t.Fatalf("GaugeValue(cb) = %v, want 7", v)
@@ -232,8 +233,54 @@ func TestGaugeFuncRegistry(t *testing.T) {
 	if nilReg.GaugeFunc("x", func() float64 { return 1 }) != nil {
 		t.Fatal("nil registry must hand out nil")
 	}
-	var nilGF *GaugeFunc
-	if nilGF.Value() != 0 {
-		t.Fatal("nil GaugeFunc must read 0")
+	var nilG *Gauge
+	if nilG.Value() != 0 {
+		t.Fatal("nil Gauge must read 0")
+	}
+}
+
+// TestCounterFuncRegistry pins CounterFunc's contract, GaugeFunc's for
+// counters: first-wins, a plain counter's name refused, CounterValue
+// consulting the callback, and an exposition line byte-identical to a
+// plain counter's at the same value.
+func TestCounterFuncRegistry(t *testing.T) {
+	r := NewRegistry()
+	var tally uint64 = 41
+	c := r.CounterFunc("cb_total", func() uint64 { return tally }, "k", "v")
+	if c2 := r.CounterFunc("cb_total", func() uint64 { return 99 }, "k", "v"); c2 != c {
+		t.Fatal("second registration must return the first callback counter")
+	}
+	if r.Counter("cb_total", "k", "v") != c {
+		t.Fatal("Counter must hand out the callback counter under its key")
+	}
+	tally++
+	if v := r.CounterValue("cb_total", "k", "v"); v != 42 {
+		t.Fatalf("CounterValue(cb_total) = %d, want 42", v)
+	}
+	r.Counter("plain_total").Add(3)
+	if r.CounterFunc("plain_total", func() uint64 { return 1 }) != nil {
+		t.Fatal("CounterFunc over an existing plain counter must be refused")
+	}
+	if v := r.CounterValue("plain_total"); v != 3 {
+		t.Fatalf("plain counter shadowed: %d", v)
+	}
+	var nilReg *Registry
+	if r.CounterFunc("nilfn_total", nil) != nil || nilReg.CounterFunc("x", func() uint64 { return 1 }) != nil {
+		t.Fatal("nil fn and nil registry must hand out nil")
+	}
+
+	expose := func(r *Registry) string {
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	plain := NewRegistry()
+	plain.Help("cb_total", "A count.").Counter("cb_total", "k", "v").Add(42)
+	r.Help("cb_total", "A count.")
+	want := expose(plain)
+	if got := expose(r); !strings.HasPrefix(got, want) {
+		t.Fatalf("callback counter exposition:\n%s\nplain counter's:\n%s", got, want)
 	}
 }

@@ -2,9 +2,10 @@
 // simulator, the live UDP daemons (cmd/resolver, cmd/vantage) and the
 // analysis pipeline (cmd/botmeter, cmd/benchgen). It provides:
 //
-//   - a lock-cheap metrics Registry — atomic Counters, Gauges and
-//     fixed-bucket Histograms — exposed in Prometheus text format
-//     (WritePrometheus) and over HTTP (NewMux);
+//   - a lock-cheap metrics Registry — Counters and Gauges, each an atomic
+//     value or a callback over a tally its owner keeps, and fixed-bucket
+//     Histograms — exposed in Prometheus text format (WritePrometheus) and
+//     over HTTP (NewMux);
 //   - the daemons' structured logger (NewLogger): log/slog in logfmt or
 //     JSON with a fixed field schema;
 //   - span-style query-lifecycle tracing (Tracer/Span): a sampled lookup is
@@ -37,7 +38,6 @@ type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
-	gaugeFuncs map[string]*GaugeFunc
 	histograms map[string]*Histogram
 	help       map[string]string // metric family name → HELP text
 }
@@ -47,7 +47,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
-		gaugeFuncs: make(map[string]*GaugeFunc),
 		histograms: make(map[string]*Histogram),
 		help:       make(map[string]string),
 	}
@@ -130,6 +129,24 @@ func escapeLabelValue(v string) string {
 // Counter returns (creating on first use) the counter for name plus
 // alternating label key/value pairs. Nil registry → nil counter.
 func (r *Registry) Counter(name string, labels ...string) *Counter {
+	return r.counter(name, nil, labels)
+}
+
+// CounterFunc registers a callback counter: fn is evaluated at exposition
+// time, so a count its owner already keeps, under the lock that guards it,
+// is exported without a second tally beside it. fn runs outside the
+// registry lock, must be safe for concurrent calls and must never decrease.
+// Registration is first-wins: a name+labels key already held by a callback
+// counter returns that counter, and one held by a plain counter is refused
+// (nil). Nil registry or nil fn is a no-op.
+func (r *Registry) CounterFunc(name string, fn func() uint64, labels ...string) *Counter {
+	if fn == nil {
+		return nil
+	}
+	return r.counter(name, fn, labels)
+}
+
+func (r *Registry) counter(name string, fn func() uint64, labels []string) *Counter {
 	if r == nil {
 		return nil
 	}
@@ -137,9 +154,12 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c, ok := r.counters[key]; ok {
+		if fn != nil && c.fn == nil {
+			return nil
+		}
 		return c
 	}
-	c := &Counter{name: name, labels: append([]string(nil), labels...)}
+	c := &Counter{fn: fn, name: name, labels: append([]string(nil), labels...)}
 	r.counters[key] = c
 	return c
 }
@@ -147,6 +167,25 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 // Gauge returns (creating on first use) the gauge for name plus labels.
 // Nil registry → nil gauge.
 func (r *Registry) Gauge(name string, labels ...string) *Gauge {
+	return r.gauge(name, nil, labels)
+}
+
+// GaugeFunc registers a callback gauge: fn is evaluated at exposition
+// time, so values that age between samples — watermark lag vs. wall clock,
+// checkpoint age — are always fresh at scrape instead of as stale as the
+// last Set, and a level its owner already keeps needs no copy. fn runs
+// outside the registry lock and must be safe for concurrent calls.
+// Registration is first-wins as for CounterFunc: a callback gauge already
+// under the key is returned, a plain one refuses (nil). Nil registry or nil
+// fn is a no-op.
+func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...string) *Gauge {
+	if fn == nil {
+		return nil
+	}
+	return r.gauge(name, fn, labels)
+}
+
+func (r *Registry) gauge(name string, fn func() float64, labels []string) *Gauge {
 	if r == nil {
 		return nil
 	}
@@ -154,35 +193,13 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if g, ok := r.gauges[key]; ok {
+		if fn != nil && g.fn == nil {
+			return nil
+		}
 		return g
 	}
-	g := &Gauge{name: name, labels: append([]string(nil), labels...)}
+	g := &Gauge{fn: fn, name: name, labels: append([]string(nil), labels...)}
 	r.gauges[key] = g
-	return g
-}
-
-// GaugeFunc registers a callback gauge: fn is evaluated at exposition
-// time, so values that age between samples — watermark lag vs. wall clock,
-// checkpoint age — are always fresh at scrape instead of as stale as the
-// last Set. fn runs outside the registry lock and must be safe for
-// concurrent calls. Registration is first-wins: a name+labels key already
-// held by a callback or plain gauge keeps its first registration. Nil
-// registry or nil fn is a no-op.
-func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...string) *GaugeFunc {
-	if r == nil || fn == nil {
-		return nil
-	}
-	key := metricKey(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gaugeFuncs[key]; ok {
-		return g
-	}
-	if _, ok := r.gauges[key]; ok {
-		return nil
-	}
-	g := &GaugeFunc{fn: fn, name: name, labels: append([]string(nil), labels...)}
-	r.gaugeFuncs[key] = g
 	return g
 }
 
@@ -206,8 +223,9 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *H
 	return h
 }
 
-// CounterValue reports the current value of the named counter series (0
-// when absent) — a test and health-check convenience, not a hot-path API.
+// CounterValue reports the current value of the named counter series —
+// plain or callback — (0 when absent): a test and health-check convenience,
+// not a hot-path API. A callback is evaluated outside the registry lock.
 func (r *Registry) CounterValue(name string, labels ...string) uint64 {
 	if r == nil {
 		return 0
@@ -219,27 +237,22 @@ func (r *Registry) CounterValue(name string, labels ...string) uint64 {
 }
 
 // GaugeValue reports the current value of the named gauge series — plain
-// or callback — (0 when absent). Callback gauges are evaluated outside the
+// or callback — (0 when absent). A callback is evaluated outside the
 // registry lock.
 func (r *Registry) GaugeValue(name string, labels ...string) float64 {
 	if r == nil {
 		return 0
 	}
-	key := metricKey(name, labels)
 	r.mu.Lock()
-	g := r.gauges[key]
-	gf := r.gaugeFuncs[key]
+	g := r.gauges[metricKey(name, labels)]
 	r.mu.Unlock()
-	if g != nil {
-		return g.Value()
-	}
-	return gf.Value()
+	return g.Value()
 }
 
 // snapshot returns the instruments sorted by (family, label block) for
-// deterministic exposition. Callback gauges are returned unevaluated —
-// the caller evaluates them outside the registry lock.
-func (r *Registry) snapshot() (counters []*Counter, gauges []*Gauge, gaugeFuncs []*GaugeFunc, histograms []*Histogram, help map[string]string) {
+// deterministic exposition. Callbacks are not evaluated here: the caller
+// reads every value outside the registry lock.
+func (r *Registry) snapshot() (counters []*Counter, gauges []*Gauge, histograms []*Histogram, help map[string]string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, c := range r.counters {
@@ -247,9 +260,6 @@ func (r *Registry) snapshot() (counters []*Counter, gauges []*Gauge, gaugeFuncs 
 	}
 	for _, g := range r.gauges {
 		gauges = append(gauges, g)
-	}
-	for _, g := range r.gaugeFuncs {
-		gaugeFuncs = append(gaugeFuncs, g)
 	}
 	for _, h := range r.histograms {
 		histograms = append(histograms, h)
@@ -260,9 +270,8 @@ func (r *Registry) snapshot() (counters []*Counter, gauges []*Gauge, gaugeFuncs 
 	}
 	sort.Slice(counters, func(i, j int) bool { return counters[i].sortKey() < counters[j].sortKey() })
 	sort.Slice(gauges, func(i, j int) bool { return gauges[i].sortKey() < gauges[j].sortKey() })
-	sort.Slice(gaugeFuncs, func(i, j int) bool { return gaugeFuncs[i].sortKey() < gaugeFuncs[j].sortKey() })
 	sort.Slice(histograms, func(i, j int) bool { return histograms[i].sortKey() < histograms[j].sortKey() })
-	return counters, gauges, gaugeFuncs, histograms, help
+	return counters, gauges, histograms, help
 }
 
 // seriesName renders "name{labels}" for exposition.

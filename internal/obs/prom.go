@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 )
 
@@ -18,27 +17,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	counters, gauges, gaugeFuncs, histograms, help := r.snapshot()
+	counters, gauges, histograms, help := r.snapshot()
 	bw := bufio.NewWriter(w)
-
-	// Evaluate callback gauges outside the registry lock and merge them
-	// with the plain gauges into one sorted sample list, so a family can mix
-	// both kinds and still get a single TYPE header.
-	type gaugeSample struct {
-		name   string
-		labels []string
-		value  float64
-	}
-	samples := make([]gaugeSample, 0, len(gauges)+len(gaugeFuncs))
-	for _, g := range gauges {
-		samples = append(samples, gaugeSample{g.name, g.labels, g.Value()})
-	}
-	for _, g := range gaugeFuncs {
-		samples = append(samples, gaugeSample{g.name, g.labels, g.Value()})
-	}
-	sort.Slice(samples, func(i, j int) bool {
-		return seriesName(samples[i].name, samples[i].labels) < seriesName(samples[j].name, samples[j].labels)
-	})
 
 	lastFamily := ""
 	header := func(name, typ string) {
@@ -57,9 +37,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(bw, "%s %d\n", seriesName(c.name, c.labels), c.Value())
 	}
 	lastFamily = ""
-	for _, g := range samples {
+	for _, g := range gauges {
 		header(g.name, "gauge")
-		fmt.Fprintf(bw, "%s %s\n", seriesName(g.name, g.labels), formatFloat(g.value))
+		fmt.Fprintf(bw, "%s %s\n", seriesName(g.name, g.labels), formatFloat(g.Value()))
 	}
 	lastFamily = ""
 	for _, h := range histograms {

@@ -360,16 +360,6 @@ type Checkpointer struct {
 	// the last successful checkpoint (zero before the first).
 	created  time.Time
 	lastDone time.Time
-
-	m struct {
-		written  *obs.Counter
-		errors   *obs.Counter
-		skipped  *obs.Counter
-		gen      *obs.Gauge
-		bytes    *obs.Gauge
-		duration *obs.Gauge
-		lastUnix *obs.Gauge
-	}
 }
 
 // NewCheckpointer prepares dir (creating it if needed) and numbers the
@@ -408,13 +398,21 @@ func NewCheckpointer(cfg CheckpointConfig) (*Checkpointer, error) {
 		reg.Help(MetricCheckpointAge, "Completion time of the last checkpoint (Unix ms).")
 		reg.Help(MetricCheckpointAgeSeconds, "Seconds since the last successful checkpoint (since start before the first).")
 		reg.GaugeFunc(MetricCheckpointAgeSeconds, c.AgeSeconds)
-		c.m.written = reg.Counter(MetricCheckpoints)
-		c.m.errors = reg.Counter(MetricCheckpointErrors)
-		c.m.skipped = reg.Counter(MetricCheckpointSkipped)
-		c.m.gen = reg.Gauge(MetricCheckpointGen)
-		c.m.bytes = reg.Gauge(MetricCheckpointBytes)
-		c.m.duration = reg.Gauge(MetricCheckpointDuration)
-		c.m.lastUnix = reg.Gauge(MetricCheckpointAge)
+		// Every other series reads the tally Stats reports.
+		reg.CounterFunc(MetricCheckpoints, func() uint64 { return c.Stats().Written })
+		reg.CounterFunc(MetricCheckpointErrors, func() uint64 { return c.Stats().Errors })
+		reg.CounterFunc(MetricCheckpointSkipped, func() uint64 { return c.Stats().Skipped })
+		reg.GaugeFunc(MetricCheckpointGen, func() float64 { return float64(c.Stats().Gen) })
+		reg.GaugeFunc(MetricCheckpointBytes, func() float64 { return float64(c.Stats().LastBytes) })
+		reg.GaugeFunc(MetricCheckpointDuration, func() float64 { return float64(c.Stats().LastDuration.Milliseconds()) })
+		reg.GaugeFunc(MetricCheckpointAge, func() float64 {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			if c.lastDone.IsZero() {
+				return 0
+			}
+			return float64(c.lastDone.UnixMilli())
+		})
 	}
 	return c, nil
 }
@@ -481,7 +479,6 @@ func (c *Checkpointer) Try(e *Engine, records uint64) error {
 	if c.writing {
 		c.stats.Skipped++
 		c.mu.Unlock()
-		c.m.skipped.Inc()
 		return nil
 	}
 	c.writing = true
@@ -516,7 +513,6 @@ func (c *Checkpointer) run(e *Engine, records uint64) error {
 		c.lastErr = err
 		c.stats.Errors++
 		c.mu.Unlock()
-		c.m.errors.Inc()
 		return err
 	}
 	if c.cfg.PreSync != nil {
@@ -560,7 +556,6 @@ func (c *Checkpointer) write(gen uint64, st *EngineState, records uint64, start 
 		c.lastErr = err
 		c.stats.Errors++
 		c.mu.Unlock()
-		c.m.errors.Inc()
 		return
 	}
 	c.lastErr = nil
@@ -570,10 +565,6 @@ func (c *Checkpointer) write(gen uint64, st *EngineState, records uint64, start 
 	c.stats.LastRecords = records
 	c.stats.LastDuration = time.Since(start)
 	c.mu.Unlock()
-	c.m.written.Inc()
-	c.m.gen.Set(float64(gen))
-	c.m.duration.Set(float64(time.Since(start).Milliseconds()))
-	c.m.lastUnix.Set(float64(time.Now().UnixMilli()))
 }
 
 func (c *Checkpointer) writeFile(gen uint64, st *EngineState) error {
@@ -582,7 +573,6 @@ func (c *Checkpointer) writeFile(gen uint64, st *EngineState) error {
 	c.mu.Lock()
 	c.stats.LastBytes = len(data)
 	c.mu.Unlock()
-	c.m.bytes.Set(float64(len(data)))
 	tmp := filepath.Join(c.cfg.Dir, fmt.Sprintf("%scheckpoint-%08d", checkpointTmpPre, gen))
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {

@@ -599,6 +599,83 @@ func TestRestoreLatestStaleSource(t *testing.T) {
 	unchecked.Kill()
 }
 
+// TestMetricsReadStats: the engine's stream_* counters and its retained
+// gauge are read from the shards' own tallies. On a fresh engine each
+// counter is its Stats field; after a Restore each counts this process's
+// work — Stats less what the checkpoint put in — and the retained gauge is
+// Stats().Retained throughout.
+func TestMetricsReadStats(t *testing.T) {
+	tc := diffCases()[1]
+	// A shuffle wider than the reorder window makes late drops, and a small
+	// reorder buffer makes evictions: every tally moves.
+	delivered := chunkShuffle(synthTrace(t, tc.spec, 7, 6, 3, tc.activations), 10*sim.Minute, sim.NewRNG(3))
+	half := len(delivered) / 2
+	coreCfg := core.Config{Family: tc.spec, Seed: 7, EpochLen: testEpochLen}
+	check := func(reg *obs.Registry, eng *stream.Engine, base stream.ShardStats) {
+		t.Helper()
+		st := eng.Stats()
+		for name, want := range map[string]uint64{
+			stream.MetricIngested:  st.Ingested - base.Ingested,
+			stream.MetricMatched:   st.Matched - base.Matched,
+			stream.MetricUnmatched: st.Unmatched - base.Unmatched,
+			stream.MetricLate:      st.DroppedLate - base.DroppedLate,
+			stream.MetricEvictions: st.ReorderEvictions - base.ReorderEvictions,
+			stream.MetricEpochs:    st.EpochsClosed - base.EpochsClosed,
+		} {
+			if got := reg.CounterValue(name); got != want {
+				t.Errorf("%s = %d, want %d", name, got, want)
+			}
+		}
+		if got := reg.GaugeValue(stream.MetricRetained); got != float64(st.Retained) {
+			t.Errorf("%s = %v, Stats().Retained = %d", stream.MetricRetained, got, st.Retained)
+		}
+	}
+	feed := func(eng *stream.Engine, recs trace.Observed) {
+		t.Helper()
+		for _, rec := range recs {
+			if err := eng.Observe(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	reg := obs.NewRegistry()
+	eng, err := stream.New(stream.Config{Core: coreCfg, Shards: 2, ReorderWindow: 5 * sim.Minute, MaxReorder: 16, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(eng, delivered[:half])
+	st, err := eng.ExportState() // a barrier: every record fed is ingested
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(reg, eng, stream.ShardStats{})
+	restored := eng.Stats().ShardStats
+	eng.Kill()
+	if restored.DroppedLate == 0 || restored.ReorderEvictions == 0 || restored.EpochsClosed == 0 || restored.Unmatched == 0 {
+		t.Fatalf("first half tallies %+v: every counter should have moved", restored)
+	}
+
+	reg = obs.NewRegistry()
+	eng, err = stream.Restore(stream.Config{Core: coreCfg, ReorderWindow: 5 * sim.Minute, MaxReorder: 16, Registry: reg}, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Kill()
+	check(reg, eng, restored)
+	if reg.GaugeValue(stream.MetricRetained) == 0 {
+		t.Error("the restored reorder buffers are not in the retained gauge")
+	}
+	feed(eng, delivered[half:])
+	if err := eng.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	check(reg, eng, restored)
+	if reg.CounterValue(stream.MetricIngested) != uint64(len(delivered)-half) {
+		t.Errorf("%s = %d after %d records fed to the restored engine", stream.MetricIngested, reg.CounterValue(stream.MetricIngested), len(delivered)-half)
+	}
+}
+
 // TestRestoreFingerprintMismatch: estimator state under one configuration
 // must not silently seed an engine with another.
 func TestRestoreFingerprintMismatch(t *testing.T) {

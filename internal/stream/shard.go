@@ -8,7 +8,6 @@ import (
 
 	"botmeter/internal/estimators"
 	"botmeter/internal/matcher"
-	"botmeter/internal/obs"
 	"botmeter/internal/sim"
 	"botmeter/internal/trace"
 )
@@ -46,10 +45,6 @@ type shard struct {
 	servers map[string]*serverState
 
 	retained int // records currently held: the reorder buffer's
-
-	// wmGauge is the shard's exported watermark (nil-safe when metrics
-	// are disabled).
-	wmGauge *obs.Gauge
 }
 
 func newShard(e *Engine, idx int) *shard {
@@ -61,22 +56,25 @@ func newShard(e *Engine, idx int) *shard {
 		servers:       make(map[string]*serverState),
 	}
 	s.in.init(e.cfg.ShardBuffer)
-	if reg := e.cfg.Registry; reg != nil {
-		s.wmGauge = reg.Gauge(MetricWatermark, "shard", fmt.Sprint(idx))
-	}
 	return s
 }
 
-// startMetrics exports the shard's callback gauges — watermark lag and
-// reorder depth age between samples, so they are computed at scrape time
-// instead of written on the ingest path. The registry keeps the first
-// callback registered under a name, so this waits until the engine starts:
-// an engine whose Restore failed must not leave its shards behind them, nor
-// its records in the retained gauge.
+// startMetrics exports the shard's gauges. Each is a callback over state
+// the shard keeps under its mutex, computed at scrape time instead of
+// written on the ingest path. The registry keeps the first callback
+// registered under a name, so this waits until the engine starts: an engine
+// whose Restore failed must not leave its shards behind them.
 func (s *shard) startMetrics() {
 	e, idx := s.eng, s.idx
-	e.m.retained.Add(float64(s.retained)) // what a restore put in the shard
 	if reg := e.cfg.Registry; reg != nil {
+		reg.GaugeFunc(MetricWatermark, func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			if s.Watermark == math.MinInt64 {
+				return 0
+			}
+			return float64(s.Watermark)
+		}, "shard", fmt.Sprint(idx))
 		reg.GaugeFunc(MetricWatermarkLag, func() float64 {
 			now := e.cfg.Clock()
 			s.mu.Lock()
@@ -312,7 +310,6 @@ func (in *inbox) close() {
 func (s *shard) ingestLocked(rec *trace.ObservedRecord) {
 	e := s.eng
 	s.Stats.Ingested++
-	e.m.ingested.Inc()
 	// MinT/MaxT track the span of EVERY ingested record (matched or not) —
 	// the derived analysis window mirrors cmd/botmeter, which epoch-aligns
 	// around the whole trace. The watermark, by contrast, only advances on
@@ -332,15 +329,12 @@ func (s *shard) ingestLocked(rec *trace.ObservedRecord) {
 
 	if rec.Pos < 0 {
 		s.Stats.Unmatched++
-		e.m.unmatched.Inc()
 		return
 	}
 	s.Stats.Matched++
-	e.m.matched.Inc()
 
 	if s.Watermark != math.MinInt64 && rec.T < s.Watermark {
 		s.Stats.DroppedLate++
-		e.m.late.Inc()
 		return
 	}
 	s.buf.push(reorderEntry{t: rec.T, seq: s.Seq, server: rec.Server, pos: rec.Pos})
@@ -355,7 +349,6 @@ func (s *shard) ingestLocked(rec *trace.ObservedRecord) {
 	// than it become late drops).
 	for s.buf.len() > e.cfg.MaxReorder {
 		s.Stats.ReorderEvictions++
-		e.m.evictions.Inc()
 		s.emitOldestLocked()
 	}
 	// Normal drain: everything strictly below the watermark is safe to
@@ -381,17 +374,11 @@ func (s *shard) emitOldestLocked() {
 
 // settleLocked applies the watermark: epochs wholly below it can never
 // receive another record, even for idle servers, so they close, and open
-// cells expire candidates up to it. Then the gauge follows.
+// cells expire candidates up to it.
 func (s *shard) settleLocked() {
-	if s.Watermark == math.MinInt64 {
-		return
-	}
 	if s.Watermark >= 0 {
 		s.closeThroughLocked(int(s.Watermark/s.eng.cfg.Core.EpochLen) - 1)
 		s.advanceOpenLocked(s.Watermark)
-	}
-	if s.wmGauge != nil {
-		s.wmGauge.Set(float64(s.Watermark))
 	}
 }
 
@@ -412,7 +399,7 @@ func (s *shard) emitLocked(en reorderEntry) {
 		s.servers[en.server] = sv
 	}
 	sv.matched++
-	s.countClosed(sv.walk.Observe(trace.ObservedRecord{T: en.t, Pos: en.pos}))
+	s.Stats.EpochsClosed += uint64(sv.walk.Observe(trace.ObservedRecord{T: en.t, Pos: en.pos}))
 	s.queueExpiryLocked(sv)
 }
 
@@ -459,15 +446,7 @@ func (s *shard) closeThroughLocked(ep int) {
 				e.m.epochClose.Observe(per)
 			}
 		}
-		s.countClosed(n)
-	}
-}
-
-// countClosed tallies n finalised (server, epoch) cells.
-func (s *shard) countClosed(n int) {
-	if n > 0 {
 		s.Stats.EpochsClosed += uint64(n)
-		s.eng.m.epochs.Add(uint64(n))
 	}
 }
 
@@ -511,13 +490,12 @@ func (s *shard) quiesceLocked() {
 	s.settleLocked()
 }
 
-// retainInc adjusts the retained-record gauge and its peak.
+// retainInc adjusts the retained-record count and its peak.
 func (s *shard) retainInc(d int) {
 	s.retained += d
 	if s.retained > s.PeakRetained {
 		s.PeakRetained = s.retained
 	}
-	s.eng.m.retained.Add(float64(d))
 }
 
 // serverState is one forwarding server's accumulated landscape state: its

@@ -295,6 +295,7 @@ func Restore(cfg Config, st *EngineState) (*Engine, error) {
 		if err := s.importState(st.Shards[i]); err != nil {
 			return nil, fmt.Errorf("stream: shard %d: %w", i, err)
 		}
+		e.restored.add(st.Shards[i].Stats)
 	}
 	e.start()
 	return e, nil
@@ -358,12 +359,5 @@ func (s *shard) importState(st ShardState) error {
 	}
 	s.retained = s.buf.len()
 	s.PeakRetained = max(s.PeakRetained, s.retained)
-	// Counters (ingested, matched, …) are NOT replayed into the registry —
-	// metrics count this process's work, Stats() stays cumulative across
-	// restores. The retained gauge, which tracks this process's holdings,
-	// takes the restored records on when the engine starts.
-	if s.wmGauge != nil && s.Watermark != math.MinInt64 {
-		s.wmGauge.Set(float64(s.Watermark))
-	}
 	return nil
 }

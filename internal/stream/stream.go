@@ -173,21 +173,18 @@ type Engine struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	m engineMetrics
+	// restored is what Restore put in the shards' tallies. The registry's
+	// counters read Stats less it: they count this process's work.
+	restored ShardStats
+	m        engineMetrics
 }
 
-// engineMetrics carries pre-resolved instruments; zero value = disabled
-// (obs instruments are nil-safe).
+// engineMetrics carries the instruments no shard tally stands behind; zero
+// value = disabled (obs instruments are nil-safe). Every other stream_*
+// series is a callback over the shards' state (see Engine.start).
 type engineMetrics struct {
-	ingested   *obs.Counter
-	matched    *obs.Counter
-	unmatched  *obs.Counter
-	late       *obs.Counter
-	evictions  *obs.Counter
-	epochs     *obs.Counter
 	snapshots  *obs.Counter
 	rotations  *obs.Counter
-	retained   *obs.Gauge
 	epochClose *obs.Histogram
 }
 
@@ -239,15 +236,8 @@ func newEngine(cfg Config) (*Engine, error) {
 		reg.Help(MetricExpiryQueue, "Cells queued on the shard's candidate-expiry heap.")
 		reg.Help(MetricEpochClose, "Wall seconds spent finalising one (server, epoch) cell.")
 		e.m = engineMetrics{
-			ingested:   reg.Counter(MetricIngested),
-			matched:    reg.Counter(MetricMatched),
-			unmatched:  reg.Counter(MetricUnmatched),
-			late:       reg.Counter(MetricLate),
-			evictions:  reg.Counter(MetricEvictions),
-			epochs:     reg.Counter(MetricEpochs),
 			snapshots:  reg.Counter(MetricSnapshots),
 			rotations:  reg.Counter(MetricRotations),
-			retained:   reg.Gauge(MetricRetained),
 			epochClose: reg.Histogram(MetricEpochClose, obs.LatencyBuckets),
 		}
 	}
@@ -258,8 +248,23 @@ func newEngine(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// start spins up the shard goroutines.
+// start spins up the shard goroutines and exports the engine's series:
+// callbacks over the shards' tallies, registered only now so that an engine
+// whose Restore failed leaves none behind.
 func (e *Engine) start() {
+	if reg := e.cfg.Registry; reg != nil {
+		for name, get := range map[string]func(ShardStats) uint64{
+			MetricIngested:  func(t ShardStats) uint64 { return t.Ingested },
+			MetricMatched:   func(t ShardStats) uint64 { return t.Matched },
+			MetricUnmatched: func(t ShardStats) uint64 { return t.Unmatched },
+			MetricLate:      func(t ShardStats) uint64 { return t.DroppedLate },
+			MetricEvictions: func(t ShardStats) uint64 { return t.ReorderEvictions },
+			MetricEpochs:    func(t ShardStats) uint64 { return t.EpochsClosed },
+		} {
+			reg.CounterFunc(name, func() uint64 { return get(e.Stats().ShardStats) - get(e.restored) })
+		}
+		reg.GaugeFunc(MetricRetained, func() float64 { return float64(e.Stats().Retained) })
+	}
 	for _, s := range e.shards {
 		s := s
 		s.startMetrics()

@@ -45,7 +45,6 @@ type TailFile struct {
 	f         *os.File
 	offset    int64
 	pendingNL bool
-	rotations uint64
 }
 
 // NewTailFile opens path for tailing from the start. poll <= 0 defaults to
@@ -63,9 +62,6 @@ func NewTailFile(ctx context.Context, path string, poll time.Duration) (*TailFil
 	}
 	return &TailFile{ctx: ctx, path: path, poll: poll, f: f}, nil
 }
-
-// Rotations reports how many truncations/replacements have been survived.
-func (t *TailFile) Rotations() uint64 { return t.rotations }
 
 // Close releases the current file descriptor.
 func (t *TailFile) Close() error {
@@ -169,9 +165,8 @@ func (t *TailFile) check() error {
 	return nil
 }
 
-// rotated records one survived rotation and arms the resync newline.
+// rotated arms the resync newline and reports one survived rotation.
 func (t *TailFile) rotated() {
-	t.rotations++
 	t.pendingNL = true
 	if t.OnRotate != nil {
 		t.OnRotate()

@@ -72,6 +72,8 @@ func TestTailFileFollowsAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tf.Close()
+	rotations := 0
+	tf.OnRotate = func() { rotations++ }
 	next, stop := tailLines(t, tf)
 	if got := next(); got != "one" {
 		t.Fatalf("first line = %q", got)
@@ -82,8 +84,8 @@ func TestTailFileFollowsAppends(t *testing.T) {
 	}
 	cancel()
 	stop() // cancellation must surface EOF and end the scanner
-	if tf.Rotations() != 0 {
-		t.Errorf("rotations = %d for a plain append stream", tf.Rotations())
+	if rotations != 0 {
+		t.Errorf("rotations = %d for a plain append stream", rotations)
 	}
 }
 
@@ -97,6 +99,8 @@ func TestTailFileSurvivesTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tf.Close()
+	rotations := 0
+	tf.OnRotate = func() { rotations++ }
 	next, stop := tailLines(t, tf)
 	if next() != "old-1" || next() != "old-2" {
 		t.Fatal("did not read the pre-truncation lines")
@@ -111,8 +115,8 @@ func TestTailFileSurvivesTruncation(t *testing.T) {
 	}
 	cancel()
 	stop()
-	if tf.Rotations() != 1 {
-		t.Errorf("rotations = %d, want 1", tf.Rotations())
+	if rotations != 1 {
+		t.Errorf("rotations = %d, want 1", rotations)
 	}
 }
 
@@ -147,9 +151,6 @@ func TestTailFileSurvivesRename(t *testing.T) {
 	}
 	cancel()
 	stop()
-	if tf.Rotations() == 0 {
-		t.Error("rotation not counted")
-	}
 }
 
 // readFull drives tf.Read from the calling goroutine until want bytes have
@@ -190,6 +191,8 @@ func TestTailFileResyncsMidLineRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tf.Close()
+	rotations := 0
+	tf.OnRotate = func() { rotations++ }
 	if got := readFull(t, tf, len("complete\ntorn-head")); got != "complete\ntorn-head" {
 		t.Fatalf("pre-rotation bytes = %q", got)
 	}
@@ -202,7 +205,7 @@ func TestTailFileResyncsMidLineRotation(t *testing.T) {
 	if got := readFull(t, tf, len("\nfirst-new-line\n")); got != "\nfirst-new-line\n" {
 		t.Fatalf("post-rotation bytes = %q, want the resync newline first", got)
 	}
-	if tf.Rotations() == 0 {
+	if rotations == 0 {
 		t.Error("rotation not counted")
 	}
 }
