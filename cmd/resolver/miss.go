@@ -14,11 +14,11 @@ import (
 	"net"
 	"net/netip"
 	"strconv"
+	"strings"
 	"time"
 
 	"botmeter/internal/dnswire"
 	"botmeter/internal/obs"
-	"botmeter/internal/symtab"
 )
 
 const (
@@ -53,10 +53,9 @@ type waiter struct {
 // the clients waiting on the outcome. All of it is guarded by the worker's
 // mutex.
 type entry struct {
-	w    *worker
-	name symtab.ID
-	q    dnswire.Question // what a response must echo; Name is the intern table's copy
-	pkt  []byte           // the first waiter's datagram; the ID bytes are rewritten per attempt
+	w   *worker
+	q   dnswire.Question // what a response must echo; Name is the entry's own copy, its key in byName
+	pkt []byte           // the first waiter's datagram; the ID bytes are rewritten per attempt
 
 	live       bool   // in the table (not on the free list)
 	attempting bool   // an attempt is outstanding under upID; otherwise backing off
@@ -75,10 +74,11 @@ type entry struct {
 	next    *entry // free list
 }
 
-// miss parks wt on the exchange for its name, starting one from the query's
-// datagram if none is in flight. Called with w.mu held by the client loop,
-// which it blocks while the table is full.
-func (w *worker) miss(pkt []byte, name symtab.ID, stable string, wt waiter) {
+// miss parks wt on the exchange for name, starting one from the query's
+// datagram if none is in flight. name is the packet's (arena-backed); a new
+// entry keeps a copy, which outlives the packet. Called with w.mu held by
+// the client loop, which it blocks while the table is full.
+func (w *worker) miss(pkt []byte, name string, wt waiter) {
 	wt.span.Event("cache_miss")
 	now := time.Now()
 	e := w.byName[name]
@@ -90,12 +90,12 @@ func (w *worker) miss(pkt []byte, name symtab.ID, stable string, wt waiter) {
 		} else {
 			w.free = e.next
 		}
-		e.live, e.name = true, name
-		e.q = dnswire.Question{Name: stable, Type: wt.qtype, Class: wt.qclass}
+		e.live = true
+		e.q = dnswire.Question{Name: strings.Clone(name), Type: wt.qtype, Class: wt.qclass}
 		e.pkt = append(e.pkt[:0], pkt...)
 		e.attempt, e.backoff = 0, w.f.cfg.backoff
 		e.overall = now.Add(w.f.cfg.deadline)
-		w.byName[name] = e
+		w.byName[e.q.Name] = e
 	} else {
 		// The paper's estimators count one forwarded lookup per name per TTL;
 		// a second query upstream while the first is in flight would be a
@@ -244,7 +244,7 @@ func (w *worker) finishOK(e *entry, resp []byte, rcode uint8) {
 		f.failStreak.Store(0)
 	}
 	nx := rcode == dnswire.RcodeNXDomain
-	w.cache.StoreID(f.now(), e.name, nx)
+	w.cache.Store(f.now(), e.q.Name, nx)
 	for i := range e.waiters {
 		wt := &e.waiters[i]
 		out := resp
@@ -271,7 +271,7 @@ func (w *worker) finishFailed(e *entry) {
 	w.endAttempt(e)
 	f.failStreak.Add(1)
 	e.waiters[0].span.Event("upstream_failed")
-	stale, ok := w.cache.LookupStaleID(f.now(), e.name)
+	stale, ok := w.cache.LookupStale(f.now(), e.q.Name)
 	for i := range e.waiters {
 		wt := &e.waiters[i]
 		rcode, ttl, outcome := uint8(dnswire.RcodeServFail), uint32(0), "servfail"
@@ -308,7 +308,7 @@ func (w *worker) release(e *entry) {
 	if e.timer != nil {
 		e.timer.Stop()
 	}
-	delete(w.byName, e.name)
+	delete(w.byName, e.q.Name)
 	w.pending -= len(e.waiters)
 	clear(e.waiters) // drop the spans and addresses
 	e.waiters = e.waiters[:0]
@@ -331,7 +331,7 @@ func (w *worker) release(e *entry) {
 func (w *worker) serveUpstream() {
 	var (
 		buf   = make([]byte, 65535)
-		arena = dnswire.Arena{LowerASCII: true} // names compare equal to the table's canonical ones
+		arena = dnswire.Arena{LowerASCII: true} // names compare equal to the entries' canonical ones
 		msg   dnswire.Message
 	)
 	for {

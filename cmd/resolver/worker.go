@@ -1,11 +1,13 @@
 // The serve loop (DESIGN.md §19): one worker per SO_REUSEPORT socket, each
-// owning a dnswire.Arena, a symtab intern table, a cache shard, an in-flight
-// table and a connected upstream socket. The steady-state cache-hit path —
-// decode, canonicalise, intern, cache lookup, encode, send — performs zero
-// heap allocations and takes one lock, the worker's own. A miss is handed to
-// the pipeline in miss.go and the loop goes straight back to its socket.
-// Every socket, wrapped by -chaos or not, is served through the same two
-// netip.AddrPort calls of netx.Conn.
+// owning a dnswire.Arena, a name-keyed cache shard, an in-flight table and a
+// connected upstream socket. The steady-state cache-hit path — decode,
+// canonicalise, cache lookup by the arena's name, encode, send — performs
+// zero heap allocations and takes one lock, the worker's own. The worker
+// keeps nothing per name but the shard's entry, which goes when the shard
+// evicts it, and an in-flight exchange's copy while it lasts. A miss is
+// handed to the pipeline in miss.go and the loop goes straight back to its
+// socket. Every socket, wrapped by -chaos or not, is served through the same
+// two netip.AddrPort calls of netx.Conn.
 package main
 
 import (
@@ -21,7 +23,6 @@ import (
 	"botmeter/internal/dnswire"
 	"botmeter/internal/netx"
 	"botmeter/internal/sim"
-	"botmeter/internal/symtab"
 )
 
 // cachedAnswerTTL is the TTL on answers built from the cache shard.
@@ -44,7 +45,6 @@ type worker struct {
 	// The client loop's own; no other goroutine touches these.
 	arena dnswire.Arena
 	msg   dnswire.Message
-	tab   *symtab.Table // arena name → stable ID for the cache shard
 	rbuf  []byte
 	hit   dnswire.Responder
 
@@ -52,23 +52,23 @@ type worker struct {
 	// everything below. It is this worker's alone: a hit takes it once,
 	// uncontended unless a response for this very socket is being handled.
 	mu       sync.Mutex
-	cache    *dnssim.Cache        // private shard
-	byName   map[symtab.ID]*entry // exchanges in flight; a second miss for the name joins
-	byID     map[uint16]*entry    // upstream ID of each outstanding attempt
-	pending  int                  // waiters over all entries, at most maxInflight
-	slotFree *sync.Cond           // signalled when pending drops
-	free     *entry               // recycled entries
-	rng      *sim.RNG             // backoff jitter (seeded: schedules replay)
-	ids      [256]byte            // crypto/rand bytes, two per upstream ID
-	idsLeft  int                  // unread bytes at the end of ids
-	done     dnswire.Responder    // answers built for waiters
-	doneQ    [1]dnswire.Question  // the one question done echoes
-	c        forwarderCounters    // this worker's share of forwarder.counters
-	closed   bool                 // serve is returning: timers stand down
+	cache    *dnssim.NameCache   // private shard
+	byName   map[string]*entry   // exchanges in flight, by e.q.Name; a second miss for the name joins
+	byID     map[uint16]*entry   // upstream ID of each outstanding attempt
+	pending  int                 // waiters over all entries, at most maxInflight
+	slotFree *sync.Cond          // signalled when pending drops
+	free     *entry              // recycled entries
+	rng      *sim.RNG            // backoff jitter (seeded: schedules replay)
+	ids      [256]byte           // crypto/rand bytes, two per upstream ID
+	idsLeft  int                 // unread bytes at the end of ids
+	done     dnswire.Responder   // answers built for waiters
+	doneQ    [1]dnswire.Question // the one question done echoes
+	c        forwarderCounters   // this worker's share of forwarder.counters
+	closed   bool                // serve is returning: timers stand down
 }
 
 func newWorker(f *forwarder, conn netx.Conn, up net.Conn, seed uint64) *worker {
-	cache := dnssim.NewCache(f.cfg.posTTL, f.cfg.negTTL)
+	cache := dnssim.NewNameCache(f.cfg.posTTL, f.cfg.negTTL)
 	cache.StaleTTL = f.cfg.serveStale
 	if f.cfg.reg != nil {
 		// The obs counters are atomics shared by name, so the shards
@@ -79,10 +79,9 @@ func newWorker(f *forwarder, conn netx.Conn, up net.Conn, seed uint64) *worker {
 		f:      f,
 		conn:   conn,
 		up:     up,
-		tab:    symtab.New(),
 		cache:  cache,
 		rbuf:   make([]byte, 65535),
-		byName: make(map[symtab.ID]*entry),
+		byName: make(map[string]*entry),
 		byID:   make(map[uint16]*entry),
 		rng:    sim.NewRNG(seed),
 	}
@@ -152,29 +151,23 @@ func (w *worker) handle(pkt []byte, from netip.AddrPort) []byte {
 	if f.m.querySecs != nil {
 		t0 = time.Now()
 	}
-	// The arena decoded the name already lowercased; Lookup works with the
-	// arena-backed string directly, and only a first sight pays for the
-	// stable copy the intern table keeps.
+	// The arena decoded the name already lowercased; the shard and the
+	// in-flight table are looked up with the arena-backed string directly.
 	q := w.msg.Questions[0]
-	id, ok := w.tab.Lookup(q.Name)
-	if !ok {
-		id = w.tab.Intern(strings.Clone(q.Name))
-	}
 	// A sampled query is followed from here to its answer, across the
 	// hand-off to the upstream reader if it misses. Only a sampled one pays
-	// for the span and reads the name's stable copy.
+	// for the span and for a copy of the name that outlives the packet.
 	span := f.cfg.tracer.Start("resolver.query")
 	if span != nil {
-		span.SetAttr("domain", w.tab.Resolve(id))
+		span.SetAttr("domain", strings.Clone(q.Name))
 	}
 	hdr := w.msg.Header
 
 	w.mu.Lock()
 	w.c.queries++
-	ans, hit := w.cache.LookupID(f.now(), id)
+	ans, hit := w.cache.Lookup(f.now(), q.Name)
 	if !hit {
-		// The entry outlives this packet's arena: it gets the table's copy.
-		w.miss(pkt, id, w.tab.Resolve(id), waiter{from: from, id: hdr.ID, rd: hdr.RD, qtype: q.Type, qclass: q.Class, t0: t0, span: span})
+		w.miss(pkt, q.Name, waiter{from: from, id: hdr.ID, rd: hdr.RD, qtype: q.Type, qclass: q.Class, t0: t0, span: span})
 		w.mu.Unlock()
 		return nil
 	}

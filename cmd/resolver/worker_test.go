@@ -235,7 +235,7 @@ func TestHitPathZeroAllocs(t *testing.T) {
 	from := netip.MustParseAddrPort("127.0.0.1:9")
 
 	hot := encode(t, dnswire.NewQuery(7, "hot.example"))
-	w.cache.StoreID(w.f.now(), w.tab.Intern("hot.example"), false)
+	w.cache.Store(w.f.now(), "hot.example", false)
 	if resp := w.handle(encode(t, dnswire.NewQuery(8, "pending.example")), from); resp != nil || len(w.byName) != 1 {
 		t.Fatalf("the miss was not parked: response %x, %d in flight", resp, len(w.byName))
 	}
@@ -260,6 +260,54 @@ func TestHitPathZeroAllocs(t *testing.T) {
 	if len(spans) != 1 || spans[0].Attrs["domain"] != "hot.example" || spans[0].Attrs["outcome"] != "cache_hit" {
 		t.Fatalf("sampled hit's span = %+v", spans)
 	}
+
+	// A miss → store → hit cycle over 20 000 distinct names, on a worker
+	// with metrics and no tracer: each name misses and parks an exchange,
+	// which completes as an upstream NXDOMAIN would and stores the name; then
+	// every name of the batch is answered from the shard, allocating nothing.
+	// Its upstream is a socket nobody reads, so that no other goroutine
+	// allocates while the hits are counted.
+	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Skipf("loopback UDP unavailable: %v", err)
+	}
+	t.Cleanup(func() { sink.Close() })
+	cfg = testConfig(sink.LocalAddr().String())
+	cfg.timeout, cfg.deadline, cfg.reg = time.Minute, time.Minute, obs.NewRegistry()
+	w = socketless(t, cfg)
+	const names, batch = 20000, 1000
+	pkts := make([][]byte, batch)
+	for base := 0; base < names; base += batch {
+		for i := range pkts {
+			name := fmt.Sprintf("n%d.cycle.example", base+i)
+			pkts[i] = encode(t, dnswire.NewQuery(uint16(i), name))
+			if resp := w.handle(pkts[i], from); resp != nil {
+				t.Fatalf("%s answered before it was stored: %x", name, resp)
+			}
+			w.mu.Lock()
+			e := w.byName[name]
+			if e != nil {
+				w.finishOK(e, append([]byte(nil), pkts[i]...), dnswire.RcodeNXDomain)
+			}
+			w.mu.Unlock()
+			if e == nil {
+				t.Fatalf("the miss for %s was not parked", name)
+			}
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(batch-1, func() { // plus one warm-up: each name once
+			if w.handle(pkts[next], from) == nil {
+				t.Fatal("no answer")
+			}
+			next++
+		})
+		if allocs != 0 {
+			t.Fatalf("names %d–%d: a hit after the cycle allocates %.2f times, want 0", base, base+batch-1, allocs)
+		}
+	}
+	if n := w.cache.Len(); n != names {
+		t.Errorf("the shard holds %d names, want %d", n, names)
+	}
 }
 
 // TestCachedAnswerFollowsQuestionType: the sinkhole is an IPv4 address, so
@@ -268,7 +316,7 @@ func TestHitPathZeroAllocs(t *testing.T) {
 func TestCachedAnswerFollowsQuestionType(t *testing.T) {
 	silent := startScriptedUpstream(t, func(*dnswire.Message, int) [][]byte { return nil })
 	w := socketless(t, testConfig(silent.conn.LocalAddr().String()))
-	w.cache.StoreID(w.f.now(), w.tab.Intern("hot.example"), false)
+	w.cache.Store(w.f.now(), "hot.example", false)
 	from := netip.MustParseAddrPort("127.0.0.1:9")
 	for _, typ := range []uint16{dnswire.TypeA, dnswire.TypeAAAA} {
 		q := dnswire.NewQuery(9, "hot.example")

@@ -605,7 +605,7 @@ func TestMetricInventory(t *testing.T) {
 		queryVantage(t, dnsAddr, fmt.Sprintf("inv-%d.example.com", i), uint16(300+i))
 	}
 	want := []string{
-		`dga_pools_built_total gauge {}`,
+		`dga_pools_built_total counter {}`,
 		`dga_pools_live gauge {}`,
 		`landscape_disagreement gauge {}`,
 		`landscape_servers gauge {}`,

@@ -151,12 +151,13 @@ const (
 	MetricPoolsBuilt = "dga_pools_built_total"
 )
 
-// ExportPoolMetrics puts the process-wide pool counts on reg. Both read at
-// scrape time; the build count is a callback too because the pools belong to
-// the process, not to a registry.
+// ExportPoolMetrics puts the process-wide pool counts on reg: the live count
+// as a gauge and the build count, which only grows, as a counter. Both are
+// callbacks read at scrape time because the pools belong to the process, not
+// to a registry.
 func ExportPoolMetrics(reg *obs.Registry) {
 	reg.Help(MetricPoolsLive, "Shared DGA pools alive in the process, one per (model, seed, epoch) some cache still holds.")
 	reg.Help(MetricPoolsBuilt, "DGA pools generated since start; flat while live engines and refreshes share them.")
 	reg.GaugeFunc(MetricPoolsLive, func() float64 { return float64(PoolsLive()) })
-	reg.GaugeFunc(MetricPoolsBuilt, func() float64 { return float64(PoolsBuilt()) })
+	reg.CounterFunc(MetricPoolsBuilt, PoolsBuilt)
 }

@@ -36,15 +36,23 @@ type Answer struct {
 // The zero value is unusable; construct with NewCache. Expired entries miss
 // on lookup and are dropped for good the next time the table rehashes (see
 // idTable.grow), which is what bounds memory. A key of symtab.None misses on
-// lookup and is ignored on store.
+// lookup and is ignored on store. The simulator's caches are Caches; a live
+// resolver, which has names and no intern table, keeps a NameCache.
 type Cache struct {
+	rule
+	ids idTable
+}
+
+// rule is what every cache shares: the TTL of each answer class, the
+// serve-stale window, the hit tallies and the instruments. A cache finds an
+// entry and keeps it; what the entry answers, whether an answer is stored
+// and when an entry can be dropped are decided here, once for both caches.
+type rule struct {
 	positiveTTL sim.Time
 	negativeTTL sim.Time
 
-	ids idTable
-
 	// StaleTTL, when positive, keeps expired entries servable for that long
-	// past their expiry so LookupStaleID can answer from them while the
+	// past their expiry so a stale lookup can answer from them while the
 	// upstream is unreachable (RFC 8767 serve-stale). Zero disables it.
 	StaleTTL sim.Time
 
@@ -54,6 +62,60 @@ type Cache struct {
 	// m holds the optional obs instruments (see Instrument); the zero
 	// value is disabled and costs one branch per event.
 	m cacheMetrics
+}
+
+// fresh answers a lookup at now from the entry found (ok) with the given
+// expiry: a hit until the entry expires, a miss from then on.
+func (r *rule) fresh(now, expires sim.Time, nx, ok bool) (Answer, bool) {
+	r.lookups++
+	r.m.lookups.Inc()
+	if !ok || now >= expires {
+		r.m.misses.Inc()
+		return Answer{}, false
+	}
+	r.hits++
+	r.m.hits.Inc()
+	return Answer{NX: nx, CacheHit: true}, true
+}
+
+// stale answers a serve-stale lookup from the entry found: only past its
+// expiry and within StaleTTL of it; a fresh entry is the fresh lookup's job.
+func (r *rule) stale(now, expires sim.Time, nx, ok bool) (Answer, bool) {
+	if !ok || r.StaleTTL <= 0 || now < expires || now >= expires+r.StaleTTL {
+		return Answer{}, false
+	}
+	r.m.staleHits.Inc()
+	return Answer{NX: nx, CacheHit: true, Stale: true}, true
+}
+
+// expiry is when an answer stored at now expires, under the TTL of its
+// class; ok is false when that class is not cached.
+func (r *rule) expiry(now sim.Time, nx bool) (expires sim.Time, ok bool) {
+	ttl := r.positiveTTL
+	if nx {
+		ttl = r.negativeTTL
+	}
+	return now + ttl, ttl > 0
+}
+
+// horizon is the expiry at and before which an entry can no longer be
+// served at now, fresh or stale: a rehash leaves such entries behind.
+func (r *rule) horizon(now sim.Time) sim.Time { return now - max(r.StaleTTL, 0) }
+
+// stored counts one store that changed the cache's Len by grew, dropped of
+// its entries in a rehash included. Uninstrumented, it is one branch.
+func (r *rule) stored(grew, dropped int) {
+	if r.m.stores != nil {
+		r.m.store(grew, dropped)
+	}
+}
+
+// HitRate returns the fraction of lookups served from cache.
+func (r *rule) HitRate() float64 {
+	if r.lookups == 0 {
+		return 0
+	}
+	return float64(r.hits) / float64(r.lookups)
 }
 
 // idSlots recycles slot arrays across simulations and across one cache's
@@ -86,7 +148,7 @@ func giveSlots(s []idEntry) {
 // NewCache builds a cache with the given TTLs. Non-positive TTLs disable
 // caching for that answer class.
 func NewCache(positiveTTL, negativeTTL sim.Time) *Cache {
-	c := &Cache{positiveTTL: positiveTTL, negativeTTL: negativeTTL}
+	c := &Cache{rule: rule{positiveTTL: positiveTTL, negativeTTL: negativeTTL}}
 	c.ids.adopt(takeSlots(minSlots), true)
 	return c
 }
@@ -109,16 +171,8 @@ func (c *Cache) Release() {
 // cached answer. Expired entries miss; they stay in the table (LookupStaleID
 // may still serve them) until a rehash finds them past the stale horizon.
 func (c *Cache) LookupID(now sim.Time, id symtab.ID) (Answer, bool) {
-	c.lookups++
-	c.m.lookups.Inc()
 	e, ok := c.ids.get(id)
-	if !ok || now >= e.expires {
-		c.m.misses.Inc()
-		return Answer{}, false
-	}
-	c.hits++
-	c.m.hits.Inc()
-	return Answer{NX: e.nx, CacheHit: true}, true
+	return c.fresh(now, e.expires, e.nx, ok)
 }
 
 // LookupStaleID serves an expired-but-retained entry — the graceful
@@ -126,52 +180,25 @@ func (c *Cache) LookupID(now sim.Time, id symtab.ID) (Answer, bool) {
 // returns ok only for entries past their TTL but within StaleTTL of it;
 // fresh entries are LookupID's job.
 func (c *Cache) LookupStaleID(now sim.Time, id symtab.ID) (Answer, bool) {
-	if c.StaleTTL <= 0 {
-		return Answer{}, false
-	}
 	e, ok := c.ids.get(id)
-	if !ok || now < e.expires || now >= e.expires+c.StaleTTL {
-		return Answer{}, false
-	}
-	c.m.staleHits.Inc()
-	return Answer{NX: e.nx, CacheHit: true, Stale: true}, true
+	return c.stale(now, e.expires, e.nx, ok)
 }
 
 // StoreID records an answer at virtual time now, using the TTL matching its
 // class. Answers whose class has caching disabled are not stored.
 func (c *Cache) StoreID(now sim.Time, id symtab.ID, nx bool) {
-	ttl := c.positiveTTL
-	if nx {
-		ttl = c.negativeTTL
-	}
-	if ttl <= 0 {
+	expires, ok := c.expiry(now, nx)
+	if !ok {
 		return
 	}
 	before := c.Len()
-	if dropped := c.ids.put(idEntry{id: id, nx: nx, expires: now + ttl}, now-max(c.StaleTTL, 0)); dropped > 0 {
-		c.m.evictions.Add(uint64(dropped))
-	}
-	if c.m.stores != nil {
-		c.m.stores.Inc()
-		// Caches under one label set share the gauge, so each adds its own
-		// change: one more slot, less what a rehash left behind.
-		if d := c.Len() - before; d != 0 {
-			c.m.entries.Add(float64(d))
-		}
-	}
+	dropped := c.ids.put(idEntry{id: id, nx: nx, expires: expires}, c.horizon(now))
+	c.stored(c.Len()-before, dropped)
 }
 
 // Len returns the number of cached entries, including expired ones no
 // rehash has dropped yet.
 func (c *Cache) Len() int { return c.ids.used }
-
-// HitRate returns the fraction of lookups served from cache.
-func (c *Cache) HitRate() float64 {
-	if c.lookups == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(c.lookups)
-}
 
 // idEntry is one slot of the table: a cached answer keyed by interned domain
 // ID. id == symtab.None marks an empty slot.

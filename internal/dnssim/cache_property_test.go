@@ -1,6 +1,8 @@
 package dnssim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -8,11 +10,11 @@ import (
 	"botmeter/internal/symtab"
 )
 
-// referenceCache is a trivially-correct model of the ID-keyed Cache: a map
-// holding every answer with its expiry, which never drops anything.
+// referenceCache is a trivially-correct model of both caches: a map holding
+// every answer with its expiry, which never drops anything.
 type referenceCache struct {
 	posTTL, negTTL, staleTTL sim.Time
-	entries                  map[symtab.ID]refEntry
+	entries                  map[string]refEntry
 }
 
 type refEntry struct {
@@ -21,26 +23,26 @@ type refEntry struct {
 }
 
 func newReferenceCache(pos, neg, stale sim.Time) *referenceCache {
-	return &referenceCache{posTTL: pos, negTTL: neg, staleTTL: stale, entries: make(map[symtab.ID]refEntry)}
+	return &referenceCache{posTTL: pos, negTTL: neg, staleTTL: stale, entries: make(map[string]refEntry)}
 }
 
-func (r *referenceCache) lookup(now sim.Time, id symtab.ID) (Answer, bool) {
-	e, ok := r.entries[id]
+func (r *referenceCache) lookup(now sim.Time, name string) (Answer, bool) {
+	e, ok := r.entries[name]
 	if !ok || now >= e.expires {
 		return Answer{}, false
 	}
 	return Answer{NX: e.nx, CacheHit: true}, true
 }
 
-func (r *referenceCache) lookupStale(now sim.Time, id symtab.ID) (Answer, bool) {
-	e, ok := r.entries[id]
+func (r *referenceCache) lookupStale(now sim.Time, name string) (Answer, bool) {
+	e, ok := r.entries[name]
 	if !ok || r.staleTTL <= 0 || now < e.expires || now >= e.expires+r.staleTTL {
 		return Answer{}, false
 	}
 	return Answer{NX: e.nx, CacheHit: true, Stale: true}, true
 }
 
-func (r *referenceCache) store(now sim.Time, id symtab.ID, nx bool) {
+func (r *referenceCache) store(now sim.Time, name string, nx bool) {
 	ttl := r.posTTL
 	if nx {
 		ttl = r.negTTL
@@ -48,65 +50,109 @@ func (r *referenceCache) store(now sim.Time, id symtab.ID, nx bool) {
 	if ttl <= 0 {
 		return
 	}
-	r.entries[id] = refEntry{expires: now + ttl, nx: nx}
+	r.entries[name] = refEntry{expires: now + ttl, nx: nx}
 }
+
+// byName is a cache driven by domain string, as the model is: the ID cache
+// through its intern table, or a NameCache.
+type byName interface {
+	lookup(now sim.Time, name string) (Answer, bool)
+	lookupStale(now sim.Time, name string) (Answer, bool)
+	store(now sim.Time, name string, nx bool)
+}
+
+// keyedCache adapts a NameCache to byName.
+type keyedCache struct{ *NameCache }
+
+func (c keyedCache) lookup(now sim.Time, name string) (Answer, bool) { return c.Lookup(now, name) }
+func (c keyedCache) lookupStale(now sim.Time, name string) (Answer, bool) {
+	return c.LookupStale(now, name)
+}
+func (c keyedCache) store(now sim.Time, name string, nx bool) { c.Store(now, name, nx) }
+
+// cacheKinds builds each cache over an 8-slot array with the given TTLs and
+// stale window, so that it rehashes — and leaves expired entries behind —
+// after a handful of stores.
+var cacheKinds = []struct {
+	name string
+	make func(pos, neg, stale sim.Time) byName
+}{
+	{"id", func(pos, neg, stale sim.Time) byName {
+		c := newSlotCache(pos, neg, 8)
+		c.StaleTTL = stale
+		return internedCache{Cache: c, tab: symtab.New()}
+	}},
+	{"name", func(pos, neg, stale sim.Time) byName {
+		c := newNameCache(pos, neg, 8)
+		c.StaleTTL = stale
+		return keyedCache{c}
+	}},
+}
+
+// modelNames are the names the model test draws from: ordinary ones, and
+// the edges of a name-keyed cache — 1-byte names, the longest names it
+// holds, and names that differ only in their last byte or only in length.
+var modelNames = func() []string {
+	long := strings.Repeat("x", 252)
+	names := []string{"a", "b", "ab", long + "a", long + "b", long + "abc", long + "abd", long + "ab", long + "a.", long[:250] + "a"}
+	for len(names) < 61 {
+		names = append(names, fmt.Sprintf("n%d.example", len(names)))
+	}
+	return names
+}()
 
 // TestCacheMatchesReferenceModel drives random operation sequences (with
 // monotonically advancing time, as the simulator guarantees within a run)
-// through both implementations and requires identical fresh and stale
-// answers. The cache starts on an 8-slot array, so it rehashes — and leaves
-// expired entries behind — many times per sequence; the model never does.
+// through each cache and the model and requires identical fresh and stale
+// answers. Both caches rehash many times per sequence; the model never does.
 func TestCacheMatchesReferenceModel(t *testing.T) {
-	f := func(ops []uint16) bool {
-		c := newSlotCache(sim.Day, 2*sim.Hour, 8)
-		c.StaleTTL = 3 * sim.Hour
-		ref := newReferenceCache(sim.Day, 2*sim.Hour, 3*sim.Hour)
-		now := sim.Time(0)
-		for _, op := range ops {
-			now += sim.Time(op % 4096 * uint16(sim.Minute/64))
-			id := symtab.ID(op%61 + 1)
-			switch op % 3 {
-			case 0:
-				nx := op%2 == 0
-				c.StoreID(now, id, nx)
-				ref.store(now, id, nx)
-			case 1:
-				got, gotOK := c.LookupID(now, id)
-				want, wantOK := ref.lookup(now, id)
-				if gotOK != wantOK || got != want {
-					return false
+	for _, kind := range cacheKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			f := func(ops []uint16) bool {
+				c := kind.make(sim.Day, 2*sim.Hour, 3*sim.Hour)
+				ref := newReferenceCache(sim.Day, 2*sim.Hour, 3*sim.Hour)
+				now := sim.Time(0)
+				for _, op := range ops {
+					now += sim.Time(op % 4096 * uint16(sim.Minute/64))
+					name := modelNames[op%61]
+					switch op % 3 {
+					case 0:
+						nx := op%2 == 0
+						c.store(now, name, nx)
+						ref.store(now, name, nx)
+					case 1:
+						got, gotOK := c.lookup(now, name)
+						want, wantOK := ref.lookup(now, name)
+						if gotOK != wantOK || got != want {
+							return false
+						}
+					default:
+						got, gotOK := c.lookupStale(now, name)
+						want, wantOK := ref.lookupStale(now, name)
+						if gotOK != wantOK || got != want {
+							return false
+						}
+					}
 				}
-			default:
-				got, gotOK := c.LookupStaleID(now, id)
-				want, wantOK := ref.lookupStale(now, id)
-				if gotOK != wantOK || got != want {
-					return false
-				}
+				return true
 			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+			if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 
 // TestCacheExpirySchedule walks one name through store, expiry, the stale
-// window and a negative re-store: fixed expectations, checked on the cache
+// window and a negative re-store: fixed expectations, checked on each cache
 // and on the model the property test trusts.
 func TestCacheExpirySchedule(t *testing.T) {
-	c := NewCache(100, 10)
-	c.StaleTTL = 50
-	defer c.Release()
-	ref := newReferenceCache(100, 10, 50)
-	const id = symtab.ID(3)
-
 	hit := func(nx, stale bool) Answer { return Answer{NX: nx, CacheHit: true, Stale: stale} }
 	steps := []struct {
 		at     sim.Time
 		store  bool
 		nx     bool
-		stale  bool // LookupStaleID instead of LookupID
+		stale  bool // a stale lookup instead of a fresh one
 		want   Answer
 		wantOK bool
 	}{
@@ -122,23 +168,35 @@ func TestCacheExpirySchedule(t *testing.T) {
 		{at: 210}, // negative TTL over -> miss
 		{at: 211, stale: true, want: hit(true, true), wantOK: true},
 	}
+	const name = "schedule.example"
+	ref := newReferenceCache(100, 10, 50)
 	for i, st := range steps {
 		if st.store {
-			c.StoreID(st.at, id, st.nx)
-			ref.store(st.at, id, st.nx)
+			ref.store(st.at, name, st.nx)
 			continue
 		}
-		got, ok := c.LookupID(st.at, id)
-		model, modelOK := ref.lookup(st.at, id)
+		model, modelOK := ref.lookup(st.at, name)
 		if st.stale {
-			got, ok = c.LookupStaleID(st.at, id)
-			model, modelOK = ref.lookupStale(st.at, id)
-		}
-		if got != st.want || ok != st.wantOK {
-			t.Errorf("step %d (t=%d): cache answered (%+v, %v), want (%+v, %v)", i, st.at, got, ok, st.want, st.wantOK)
+			model, modelOK = ref.lookupStale(st.at, name)
 		}
 		if model != st.want || modelOK != st.wantOK {
 			t.Errorf("step %d (t=%d): model answered (%+v, %v), want (%+v, %v)", i, st.at, model, modelOK, st.want, st.wantOK)
+		}
+	}
+	for _, kind := range cacheKinds {
+		c := kind.make(100, 10, 50)
+		for i, st := range steps {
+			if st.store {
+				c.store(st.at, name, st.nx)
+				continue
+			}
+			got, ok := c.lookup(st.at, name)
+			if st.stale {
+				got, ok = c.lookupStale(st.at, name)
+			}
+			if got != st.want || ok != st.wantOK {
+				t.Errorf("%s cache, step %d (t=%d): answered (%+v, %v), want (%+v, %v)", kind.name, i, st.at, got, ok, st.want, st.wantOK)
+			}
 		}
 	}
 }

@@ -9,26 +9,26 @@ import (
 	"botmeter/internal/trace"
 )
 
-// nameCache drives a Cache by domain string: names are interned into a
+// internedCache drives a Cache by domain string: names are interned into a
 // private table first, as Network.ClientQuery does at the boundary.
-type nameCache struct {
+type internedCache struct {
 	*Cache
 	tab *symtab.Table
 }
 
-func newNameCache(positiveTTL, negativeTTL sim.Time) nameCache {
-	return nameCache{Cache: NewCache(positiveTTL, negativeTTL), tab: symtab.New()}
+func newInternedCache(positiveTTL, negativeTTL sim.Time) internedCache {
+	return internedCache{Cache: NewCache(positiveTTL, negativeTTL), tab: symtab.New()}
 }
 
-func (c nameCache) lookup(now sim.Time, domain string) (Answer, bool) {
+func (c internedCache) lookup(now sim.Time, domain string) (Answer, bool) {
 	return c.LookupID(now, c.tab.Intern(domain))
 }
 
-func (c nameCache) lookupStale(now sim.Time, domain string) (Answer, bool) {
+func (c internedCache) lookupStale(now sim.Time, domain string) (Answer, bool) {
 	return c.LookupStaleID(now, c.tab.Intern(domain))
 }
 
-func (c nameCache) store(now sim.Time, domain string, nx bool) {
+func (c internedCache) store(now sim.Time, domain string, nx bool) {
 	c.StoreID(now, c.tab.Intern(domain), nx)
 }
 
@@ -36,13 +36,13 @@ func (c nameCache) store(now sim.Time, domain string, nx bool) {
 // (power-of-two) size, so a test can make the table rehash after a handful
 // of stores instead of the 768 a NewCache table takes.
 func newSlotCache(positiveTTL, negativeTTL sim.Time, slots int) *Cache {
-	c := &Cache{positiveTTL: positiveTTL, negativeTTL: negativeTTL}
+	c := &Cache{rule: rule{positiveTTL: positiveTTL, negativeTTL: negativeTTL}}
 	c.ids.adopt(make([]idEntry, slots), false)
 	return c
 }
 
 func TestCacheMissHitExpiry(t *testing.T) {
-	c := newNameCache(sim.Day, 2*sim.Hour)
+	c := newInternedCache(sim.Day, 2*sim.Hour)
 	if _, ok := c.lookup(0, "a.com"); ok {
 		t.Fatal("empty cache should miss")
 	}
@@ -64,7 +64,7 @@ func TestCacheMissHitExpiry(t *testing.T) {
 }
 
 func TestCacheDisabledTTL(t *testing.T) {
-	c := newNameCache(0, sim.Hour)
+	c := newInternedCache(0, sim.Hour)
 	c.store(0, "a.com", false)
 	if _, ok := c.lookup(1, "a.com"); ok {
 		t.Error("positive caching disabled: should miss")
@@ -76,7 +76,7 @@ func TestCacheDisabledTTL(t *testing.T) {
 }
 
 func TestCacheHitRate(t *testing.T) {
-	c := newNameCache(sim.Day, sim.Day)
+	c := newInternedCache(sim.Day, sim.Day)
 	c.store(0, "a.com", false)
 	c.lookup(1, "a.com")
 	c.lookup(1, "b.com")

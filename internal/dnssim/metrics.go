@@ -45,7 +45,7 @@ type cacheMetrics struct {
 // alternating label key/value pairs (typically "level", <tier>). A nil
 // registry disables instrumentation. Safe to call before serving; not
 // synchronised against concurrent cache use.
-func (c *Cache) Instrument(reg *obs.Registry, labels ...string) {
+func (r *rule) Instrument(reg *obs.Registry, labels ...string) {
 	reg.Help(MetricCacheLookups, "Cache lookups, by hierarchy level.")
 	reg.Help(MetricCacheHits, "Cache hits (fresh entries).")
 	reg.Help(MetricCacheMisses, "Cache misses, including expired entries.")
@@ -53,7 +53,7 @@ func (c *Cache) Instrument(reg *obs.Registry, labels ...string) {
 	reg.Help(MetricCacheStores, "Answers written to the cache.")
 	reg.Help(MetricCacheEvictions, "Expired entries left behind when the cache table rehashed.")
 	reg.Help(MetricCacheEntries, "Current cached entries, including expired ones no rehash has dropped yet.")
-	c.m = cacheMetrics{
+	r.m = cacheMetrics{
 		lookups:   reg.Counter(MetricCacheLookups, labels...),
 		hits:      reg.Counter(MetricCacheHits, labels...),
 		misses:    reg.Counter(MetricCacheMisses, labels...),
@@ -61,6 +61,19 @@ func (c *Cache) Instrument(reg *obs.Registry, labels ...string) {
 		stores:    reg.Counter(MetricCacheStores, labels...),
 		evictions: reg.Counter(MetricCacheEvictions, labels...),
 		entries:   reg.Gauge(MetricCacheEntries, labels...),
+	}
+}
+
+// store counts one store (see rule.stored).
+func (m *cacheMetrics) store(grew, dropped int) {
+	m.stores.Inc()
+	if dropped > 0 {
+		m.evictions.Add(uint64(dropped))
+	}
+	// Caches under one label set share the gauge, so each adds its own
+	// change: one more entry, less what a rehash left behind.
+	if grew != 0 {
+		m.entries.Add(float64(grew))
 	}
 }
 

@@ -114,7 +114,7 @@ func TestServerServeStale(t *testing.T) {
 }
 
 func TestCacheLookupStale(t *testing.T) {
-	c := newNameCache(sim.Second, sim.Second)
+	c := newInternedCache(sim.Second, sim.Second)
 	c.StaleTTL = sim.Minute
 	c.store(0, "a.example", false)
 	c.store(0, "nx.example", true)

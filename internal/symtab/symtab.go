@@ -11,6 +11,11 @@
 // position arrays, the DNS cache's open-addressed table, the registry and
 // matcher bitsets — index by ID.
 //
+// Tables are the simulator's alone. A live daemon keeps none, so nothing on
+// the live path grows with the names it has ever seen: the resolver caches
+// by the name itself (dnssim.NameCache), whose eviction drops the name, and
+// the vantage hands its engine the matcher's own spelling of a name.
+//
 // IDs are dense and allocation-ordered: the first interned string gets ID 1,
 // the second ID 2, and so on. ID 0 is the reserved sentinel None meaning
 // "no ID". Inside the simulator (dnssim, botnet, faults) every name carries
