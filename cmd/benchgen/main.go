@@ -269,7 +269,9 @@ func appendBenchRecord(path, artifact string, workers int, note string, reg *obs
 		rec.NSPerTrial = wall.Nanoseconds() / int64(trials)
 		rec.AllocsPerTrial = (m1.Mallocs - m0.Mallocs) / trials
 	}
-	var records []BenchRecord
+	// The file is kept as raw records, so keys this struct does not know
+	// (another tool's, or a later schema's) survive the append.
+	var records []json.RawMessage
 	if data, err := os.ReadFile(path); err == nil {
 		if err := json.Unmarshal(data, &records); err != nil {
 			return fmt.Errorf("bench-json %s: %w", path, err)
@@ -277,18 +279,23 @@ func appendBenchRecord(path, artifact string, workers int, note string, reg *obs
 	} else if !os.IsNotExist(err) {
 		return err
 	}
-	if n := len(records); n > 0 && records[n-1].canonicalKey() == rec.canonicalKey() {
+	if n := len(records); n > 0 {
 		// Same batch, same resolved shape (e.g. -workers 0 after -workers 1
 		// on a 1-core host): latest measurement wins, one canonical record.
-		records[n-1] = rec
-	} else {
-		records = append(records, rec)
+		var last BenchRecord
+		if json.Unmarshal(records[n-1], &last) == nil && last.canonicalKey() == rec.canonicalKey() {
+			records = records[:n-1]
+		}
 	}
-	out, err := json.MarshalIndent(records, "", "  ")
+	out, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
+	data, err := json.MarshalIndent(append(records, out), "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func writeFig6CSV(dir, name string, pts []experiments.SweepPoint) error {

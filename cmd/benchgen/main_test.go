@@ -56,6 +56,36 @@ func TestRunUnknownArtifact(t *testing.T) {
 	}
 }
 
+// TestBenchJSONKeepsUnknownKeys: -bench-json appends to a trajectory file
+// other tools write too, so a record's keys that BenchRecord does not know
+// must survive the append.
+func TestBenchJSONKeepsUnknownKeys(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.json")
+	old := `[{"artifact":"resolver-hit","commit":"abc1234","variant":"name-keyed","bytes_per_name":41.5}]`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-artifact", "table1", "-bench-json", path}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []map[string]any
+	if err := json.Unmarshal(data, &recs); err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[1]["artifact"] != "table1" {
+		t.Fatalf("want the old record and a table1 one, got %s", data)
+	}
+	for key, want := range map[string]any{"artifact": "resolver-hit", "commit": "abc1234", "variant": "name-keyed", "bytes_per_name": 41.5} {
+		if got := recs[0][key]; got != want {
+			t.Errorf("old record's %s = %v after the append, want %v", key, got, want)
+		}
+	}
+}
+
 // TestBenchJSONCanonicalWorkers is the regression for the redundant
 // workers=0 vs workers=1 trajectory records: on a host where both resolve
 // to one worker, back-to-back -bench-json emissions must leave ONE

@@ -339,32 +339,40 @@ func TestChaosReplay(t *testing.T) {
 		t.Errorf("counters = %s, the classic loop's were queries=229 forwarded=192 and no failures", c)
 	}
 	// The registry reads each of these from its one owner.
+	cache, entries := f.cache()
+	if got := reg.GaugeValue(metricCacheEntries, "level", "resolver"); got != float64(entries) || entries == 0 {
+		t.Errorf("%s = %v, the shard holds %d", metricCacheEntries, got, entries)
+	}
+	kind := func(k string) []string { return []string{"kind", k} }
+	level := []string{"level", "resolver"}
 	for _, m := range []struct {
-		name  string
-		kind  string
-		tally uint64
+		name   string
+		labels []string
+		tally  uint64
 	}{
-		{faults.MetricPassed, "", want.Passed},
-		{faults.MetricInjected, "loss", want.Lost},
-		{faults.MetricInjected, "duplicate", want.Duplicated},
-		{faults.MetricInjected, "servfail", want.ServFails},
-		{faults.MetricInjected, "delay", want.Delayed},
-		{faults.MetricInjected, "blackout", want.Blackholed},
-		{metricQueries, "", uint64(c.queries)},
-		{metricForwarded, "", uint64(c.forwarded)},
-		{metricCoalesced, "", uint64(c.coalesced)},
-		{metricRetries, "", uint64(c.retried)},
-		{metricMismatched, "", uint64(c.mismatched)},
-		{metricStaleServed, "", uint64(c.staleServed)},
-		{metricServFails, "", uint64(c.servfails)},
-		{metricSendErrors, "", f.sendErrs.Load()},
+		{faults.MetricPassed, nil, want.Passed},
+		{faults.MetricInjected, kind("loss"), want.Lost},
+		{faults.MetricInjected, kind("duplicate"), want.Duplicated},
+		{faults.MetricInjected, kind("servfail"), want.ServFails},
+		{faults.MetricInjected, kind("delay"), want.Delayed},
+		{faults.MetricInjected, kind("blackout"), want.Blackholed},
+		{metricQueries, nil, uint64(c.queries)},
+		{metricForwarded, nil, uint64(c.forwarded)},
+		{metricCoalesced, nil, uint64(c.coalesced)},
+		{metricRetries, nil, uint64(c.retried)},
+		{metricMismatched, nil, uint64(c.mismatched)},
+		{metricStaleServed, nil, uint64(c.staleServed)},
+		{metricServFails, nil, uint64(c.servfails)},
+		{metricSendErrors, nil, f.sendErrs.Load()},
+		{metricCacheLookups, level, uint64(cache.Lookups)},
+		{metricCacheHits, level, uint64(cache.Hits)},
+		{metricCacheMisses, level, uint64(cache.Misses())},
+		{metricCacheStaleHits, level, uint64(cache.StaleHits)},
+		{metricCacheStores, level, uint64(cache.Stores)},
+		{metricCacheEvictions, level, uint64(cache.Evictions)},
 	} {
-		var labels []string
-		if m.kind != "" {
-			labels = []string{"kind", m.kind}
-		}
-		if got := reg.CounterValue(m.name, labels...); got != m.tally {
-			t.Errorf("%s%v = %d, its owner counted %d", m.name, labels, got, m.tally)
+		if got := reg.CounterValue(m.name, m.labels...); got != m.tally {
+			t.Errorf("%s%v = %d, its owner counted %d", m.name, m.labels, got, m.tally)
 		}
 	}
 }

@@ -41,6 +41,7 @@ import (
 	"syscall"
 	"time"
 
+	"botmeter/internal/dnssim"
 	"botmeter/internal/faults"
 	"botmeter/internal/netx"
 	"botmeter/internal/obs"
@@ -258,6 +259,16 @@ const (
 	metricQuerySecs    = "resolver_query_seconds"
 	metricAttemptSecs  = "resolver_upstream_attempt_seconds"
 	metricFailStreak   = "resolver_upstream_consecutive_failures"
+
+	// The cache shards' families keep their dnssim_ names and level label:
+	// scrapers, bench/wire.go among them, read them by these.
+	metricCacheLookups   = "dnssim_cache_lookups_total"
+	metricCacheHits      = "dnssim_cache_hits_total"
+	metricCacheMisses    = "dnssim_cache_misses_total"
+	metricCacheStaleHits = "dnssim_cache_stale_hits_total"
+	metricCacheStores    = "dnssim_cache_stores_total"
+	metricCacheEvictions = "dnssim_cache_evictions_total"
+	metricCacheEntries   = "dnssim_cache_entries"
 )
 
 // resolverMetrics carries the instruments no worker tally stands behind;
@@ -283,6 +294,13 @@ func newResolverMetrics(reg *obs.Registry) resolverMetrics {
 	reg.Help(metricQuerySecs, "Wall-clock seconds from a client query's arrival to its answer.")
 	reg.Help(metricAttemptSecs, "Wall-clock seconds per upstream exchange attempt.")
 	reg.Help(metricFailStreak, "Consecutive upstream exchanges whose attempts all failed (0 = healthy).")
+	reg.Help(metricCacheLookups, "Cache lookups, by hierarchy level.")
+	reg.Help(metricCacheHits, "Cache hits (fresh entries).")
+	reg.Help(metricCacheMisses, "Cache misses, including expired entries.")
+	reg.Help(metricCacheStaleHits, "Answers served from expired entries (RFC 8767 serve-stale).")
+	reg.Help(metricCacheStores, "Answers written to the cache.")
+	reg.Help(metricCacheEvictions, "Expired entries left behind when the cache table rehashed.")
+	reg.Help(metricCacheEntries, "Current cached entries, including expired ones no rehash has dropped yet.")
 	return resolverMetrics{
 		inflightFull: reg.Counter(metricInflightFull),
 		querySecs:    reg.Histogram(metricQuerySecs, obs.LatencyBuckets),
@@ -344,6 +362,17 @@ func (f *forwarder) attach(conns []netx.Conn) error {
 		reg.CounterFunc(metricSendErrors, f.sendErrs.Load)
 		reg.GaugeFunc(metricInflight, func() float64 { return float64(f.inflight()) })
 		reg.GaugeFunc(metricFailStreak, func() float64 { return float64(f.failStreak.Load()) })
+		for name, get := range map[string]func(dnssim.CacheTallies) int{
+			metricCacheLookups:   func(t dnssim.CacheTallies) int { return t.Lookups },
+			metricCacheHits:      func(t dnssim.CacheTallies) int { return t.Hits },
+			metricCacheMisses:    func(t dnssim.CacheTallies) int { return t.Misses() },
+			metricCacheStaleHits: func(t dnssim.CacheTallies) int { return t.StaleHits },
+			metricCacheStores:    func(t dnssim.CacheTallies) int { return t.Stores },
+			metricCacheEvictions: func(t dnssim.CacheTallies) int { return t.Evictions },
+		} {
+			reg.CounterFunc(name, func() uint64 { t, _ := f.cache(); return uint64(get(t)) }, "level", "resolver")
+		}
+		reg.GaugeFunc(metricCacheEntries, func() float64 { _, n := f.cache(); return float64(n) }, "level", "resolver")
 	}
 	return nil
 }
@@ -417,6 +446,22 @@ func (f *forwarder) counters() forwarderCounters {
 		w.mu.Unlock()
 	}
 	return c
+}
+
+// cache sums the workers' cache shards: their tallies and their entries.
+func (f *forwarder) cache() (sum dnssim.CacheTallies, entries int) {
+	for _, w := range f.workers {
+		w.mu.Lock()
+		t := w.cache.Tallies()
+		entries += w.cache.Len()
+		w.mu.Unlock()
+		sum.Lookups += t.Lookups
+		sum.Hits += t.Hits
+		sum.StaleHits += t.StaleHits
+		sum.Stores += t.Stores
+		sum.Evictions += t.Evictions
+	}
+	return sum, entries
 }
 
 // inflight is how many names have an upstream exchange in flight.

@@ -2,13 +2,16 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"log/slog"
 	"net"
+	"net/netip"
 	"testing"
 	"time"
 
 	"botmeter/internal/dnswire"
 	"botmeter/internal/netx"
+	"botmeter/internal/obs"
 	"botmeter/internal/sim"
 )
 
@@ -318,5 +321,46 @@ func TestMultiSocket(t *testing.T) {
 	}
 	if c.forwarded < 1 || c.forwarded > maxMisses {
 		t.Fatalf("forwarded = %d, want 1..%d (one miss per shard at most)", c.forwarded, maxMisses)
+	}
+}
+
+// TestCacheEntriesGaugeSums: the dnssim_cache_* series read the workers'
+// shards at scrape time and sum them — entries through inserts, an
+// overwrite and an evicting rehash, and the counters beside them.
+func TestCacheEntriesGaugeSums(t *testing.T) {
+	cfg := testConfig("127.0.0.1:9") // the workers are never served, so nothing goes upstream
+	cfg.posTTL, cfg.negTTL = sim.Second, sim.Second
+	cfg.reg = obs.NewRegistry()
+	f := newForwarder(cfg)
+	from := netip.MustParseAddrPort("10.0.0.1:53")
+	if err := f.attach([]netx.Conn{&scriptConn{from: from}, &scriptConn{from: from}}); err != nil {
+		t.Fatal(err)
+	}
+	defer f.close()
+	a, b := f.workers[0].cache, f.workers[1].cache
+	entries := func() float64 { return cfg.reg.GaugeValue(metricCacheEntries, "level", "resolver") }
+	for i := 0; i < 3; i++ {
+		a.Store(0, fmt.Sprintf("a%d.example", i), false)
+	}
+	a.Store(0, "a0.example", true) // an overwrite holds no new entry
+	b.Store(0, "b.example", false)
+	if got := entries(); got != 4 {
+		t.Fatalf("entries = %v with 3 + 1 cached, want 4", got)
+	}
+	for i := 0; i < 1000; i++ { // the rehash leaves b's expired entry behind
+		b.Store(10*sim.Second, fmt.Sprintf("n%d.example", i), false)
+	}
+	a.Lookup(1, "a1.example")
+	b.Lookup(1, "b.example")
+	if want := float64(a.Len() + b.Len()); entries() != want || b.Len() != 1000 {
+		t.Fatalf("entries = %v after b's rehash, Len %d + %d", entries(), a.Len(), b.Len())
+	}
+	for name, want := range map[string]uint64{
+		metricCacheLookups: 2, metricCacheHits: 1, metricCacheMisses: 1,
+		metricCacheStaleHits: 0, metricCacheStores: 1005, metricCacheEvictions: 1,
+	} {
+		if got := cfg.reg.CounterValue(name, "level", "resolver"); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }

@@ -52,7 +52,7 @@ type worker struct {
 	// everything below. It is this worker's alone: a hit takes it once,
 	// uncontended unless a response for this very socket is being handled.
 	mu       sync.Mutex
-	cache    *dnssim.NameCache   // private shard
+	cache    *dnssim.NameCache   // private shard; its tallies are read by forwarder.cache
 	byName   map[string]*entry   // exchanges in flight, by e.q.Name; a second miss for the name joins
 	byID     map[uint16]*entry   // upstream ID of each outstanding attempt
 	pending  int                 // waiters over all entries, at most maxInflight
@@ -70,11 +70,6 @@ type worker struct {
 func newWorker(f *forwarder, conn netx.Conn, up net.Conn, seed uint64) *worker {
 	cache := dnssim.NewNameCache(f.cfg.posTTL, f.cfg.negTTL)
 	cache.StaleTTL = f.cfg.serveStale
-	if f.cfg.reg != nil {
-		// The obs counters are atomics shared by name, so the shards
-		// aggregate into one level="resolver" series.
-		cache.Instrument(f.cfg.reg, "level", "resolver")
-	}
 	w := &worker{
 		f:      f,
 		conn:   conn,

@@ -132,10 +132,6 @@ func TestRunLiveCheckpointLifecycle(t *testing.T) {
 		"-live-estimate", "newgoz", "-live-seed", "7",
 		"-checkpoint-dir", ckDir, "-checkpoint-every", "3",
 		"-obs-addr", obsAddr,
-		// A -crash spec that never fires still arms the injector, which
-		// makes checkpoint writes synchronous — deterministic for the
-		// generation assertions below.
-		"-crash", "records=1000000",
 		"-log-level", "error",
 	}
 	boot := func() (context.CancelFunc, chan error) {

@@ -258,13 +258,13 @@ func checkCuts(t *testing.T, dir, dataset string) []uint64 {
 // every record of every worker trips it, so the workers race for the cut all
 // the time. None may deadlock, every generation must satisfy the cut
 // invariant, and later generations must cut at strictly later records. Run
-// under -race. With background writes most attempts are skipped behind the
-// write in flight; an armed crasher that never fires makes the writes
-// synchronous, so every attempt leaves a generation.
+// under -race. Most attempts are skipped behind the write in flight. An
+// armed crasher that never fires changes nothing of that: its points are
+// passed on the same background writer.
 func TestCutSimultaneousTrips(t *testing.T) {
 	const workers, perWorker = 4, 30
 	never := faults.NewCrasher(faults.CrashSpec{Point: "never"})
-	for name, crash := range map[string]*faults.Crasher{"background-writes": nil, "synchronous-writes": never} {
+	for name, crash := range map[string]*faults.Crasher{"background-writes": nil, "armed-crasher": never} {
 		t.Run(name, func(t *testing.T) {
 			s, f := newTestSink(t, "")
 			s.est = newTestEngine(t)
@@ -306,7 +306,7 @@ func TestCutSimultaneousTrips(t *testing.T) {
 				t.Fatal(err)
 			}
 			st := s.ck.Stats()
-			if st.Written == 0 || st.Errors != 0 || (crash != nil && st.Skipped != 0) {
+			if st.Written == 0 || st.Errors != 0 {
 				t.Fatalf("checkpoints: %+v", st)
 			}
 			t.Logf("%d generations, %d attempts skipped", st.Written, st.Skipped)

@@ -44,9 +44,9 @@ type Cache struct {
 }
 
 // rule is what every cache shares: the TTL of each answer class, the
-// serve-stale window, the hit tallies and the instruments. A cache finds an
-// entry and keeps it; what the entry answers, whether an answer is stored
-// and when an entry can be dropped are decided here, once for both caches.
+// serve-stale window and the tallies. A cache finds an entry and keeps it;
+// what the entry answers, whether an answer is stored and when an entry can
+// be dropped are decided here, once for both caches.
 type rule struct {
 	positiveTTL sim.Time
 	negativeTTL sim.Time
@@ -56,25 +56,33 @@ type rule struct {
 	// upstream is unreachable (RFC 8767 serve-stale). Zero disables it.
 	StaleTTL sim.Time
 
-	lookups int
-	hits    int
-
-	// m holds the optional obs instruments (see Instrument); the zero
-	// value is disabled and costs one branch per event.
-	m cacheMetrics
+	t CacheTallies
 }
+
+// CacheTallies counts what a cache has done since it was built. Its owner
+// reads them (Tallies); the cache keeps no other copy.
+type CacheTallies struct {
+	Lookups   int // fresh lookups (stale lookups are not counted here)
+	Hits      int // fresh lookups answered from the cache
+	StaleHits int // answers served from expired entries (RFC 8767 serve-stale)
+	Stores    int // answers written to the cache
+	Evictions int // expired entries left behind when the table rehashed
+}
+
+// Misses is the lookups that found no fresh entry, expired ones included.
+func (t CacheTallies) Misses() int { return t.Lookups - t.Hits }
+
+// Tallies returns the cache's tallies.
+func (r *rule) Tallies() CacheTallies { return r.t }
 
 // fresh answers a lookup at now from the entry found (ok) with the given
 // expiry: a hit until the entry expires, a miss from then on.
 func (r *rule) fresh(now, expires sim.Time, nx, ok bool) (Answer, bool) {
-	r.lookups++
-	r.m.lookups.Inc()
+	r.t.Lookups++
 	if !ok || now >= expires {
-		r.m.misses.Inc()
 		return Answer{}, false
 	}
-	r.hits++
-	r.m.hits.Inc()
+	r.t.Hits++
 	return Answer{NX: nx, CacheHit: true}, true
 }
 
@@ -84,7 +92,7 @@ func (r *rule) stale(now, expires sim.Time, nx, ok bool) (Answer, bool) {
 	if !ok || r.StaleTTL <= 0 || now < expires || now >= expires+r.StaleTTL {
 		return Answer{}, false
 	}
-	r.m.staleHits.Inc()
+	r.t.StaleHits++
 	return Answer{NX: nx, CacheHit: true, Stale: true}, true
 }
 
@@ -102,20 +110,18 @@ func (r *rule) expiry(now sim.Time, nx bool) (expires sim.Time, ok bool) {
 // served at now, fresh or stale: a rehash leaves such entries behind.
 func (r *rule) horizon(now sim.Time) sim.Time { return now - max(r.StaleTTL, 0) }
 
-// stored counts one store that changed the cache's Len by grew, dropped of
-// its entries in a rehash included. Uninstrumented, it is one branch.
-func (r *rule) stored(grew, dropped int) {
-	if r.m.stores != nil {
-		r.m.store(grew, dropped)
-	}
+// stored counts one store, of which a rehash left dropped entries behind.
+func (r *rule) stored(dropped int) {
+	r.t.Stores++
+	r.t.Evictions += dropped
 }
 
 // HitRate returns the fraction of lookups served from cache.
 func (r *rule) HitRate() float64 {
-	if r.lookups == 0 {
+	if r.t.Lookups == 0 {
 		return 0
 	}
-	return float64(r.hits) / float64(r.lookups)
+	return float64(r.t.Hits) / float64(r.t.Lookups)
 }
 
 // idSlots recycles slot arrays across simulations and across one cache's
@@ -161,7 +167,6 @@ func NewCache(positiveTTL, negativeTTL sim.Time) *Cache {
 // replacement arrays.
 func (c *Cache) Release() {
 	if c.ids.pooled {
-		c.m.entries.Add(-float64(c.Len()))
 		giveSlots(c.ids.slots)
 		c.ids = idTable{}
 	}
@@ -191,9 +196,7 @@ func (c *Cache) StoreID(now sim.Time, id symtab.ID, nx bool) {
 	if !ok {
 		return
 	}
-	before := c.Len()
-	dropped := c.ids.put(idEntry{id: id, nx: nx, expires: expires}, c.horizon(now))
-	c.stored(c.Len()-before, dropped)
+	c.stored(c.ids.put(idEntry{id: id, nx: nx, expires: expires}, c.horizon(now)))
 }
 
 // Len returns the number of cached entries, including expired ones no

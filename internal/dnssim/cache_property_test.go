@@ -11,10 +11,12 @@ import (
 )
 
 // referenceCache is a trivially-correct model of both caches: a map holding
-// every answer with its expiry, which never drops anything.
+// every answer with its expiry, which never drops anything, and the tallies
+// a cache keeps (it never evicts, so it counts no evictions).
 type referenceCache struct {
 	posTTL, negTTL, staleTTL sim.Time
 	entries                  map[string]refEntry
+	t                        CacheTallies
 }
 
 type refEntry struct {
@@ -27,10 +29,12 @@ func newReferenceCache(pos, neg, stale sim.Time) *referenceCache {
 }
 
 func (r *referenceCache) lookup(now sim.Time, name string) (Answer, bool) {
+	r.t.Lookups++
 	e, ok := r.entries[name]
 	if !ok || now >= e.expires {
 		return Answer{}, false
 	}
+	r.t.Hits++
 	return Answer{NX: e.nx, CacheHit: true}, true
 }
 
@@ -39,6 +43,7 @@ func (r *referenceCache) lookupStale(now sim.Time, name string) (Answer, bool) {
 	if !ok || r.staleTTL <= 0 || now < e.expires || now >= e.expires+r.staleTTL {
 		return Answer{}, false
 	}
+	r.t.StaleHits++
 	return Answer{NX: e.nx, CacheHit: true, Stale: true}, true
 }
 
@@ -50,6 +55,7 @@ func (r *referenceCache) store(now sim.Time, name string, nx bool) {
 	if ttl <= 0 {
 		return
 	}
+	r.t.Stores++
 	r.entries[name] = refEntry{expires: now + ttl, nx: nx}
 }
 
@@ -59,6 +65,8 @@ type byName interface {
 	lookup(now sim.Time, name string) (Answer, bool)
 	lookupStale(now sim.Time, name string) (Answer, bool)
 	store(now sim.Time, name string, nx bool)
+	Tallies() CacheTallies
+	Len() int
 }
 
 // keyedCache adapts a NameCache to byName.
@@ -104,7 +112,8 @@ var modelNames = func() []string {
 // TestCacheMatchesReferenceModel drives random operation sequences (with
 // monotonically advancing time, as the simulator guarantees within a run)
 // through each cache and the model and requires identical fresh and stale
-// answers. Both caches rehash many times per sequence; the model never does.
+// answers, and the same tallies. Both caches rehash many times per sequence;
+// the model never does.
 func TestCacheMatchesReferenceModel(t *testing.T) {
 	for _, kind := range cacheKinds {
 		t.Run(kind.name, func(t *testing.T) {
@@ -134,7 +143,9 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 						}
 					}
 				}
-				return true
+				tallies := c.Tallies()
+				tallies.Evictions = 0
+				return tallies == ref.t
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 				t.Error(err)

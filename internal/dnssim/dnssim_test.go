@@ -3,7 +3,6 @@ package dnssim
 import (
 	"testing"
 
-	"botmeter/internal/obs"
 	"botmeter/internal/sim"
 	"botmeter/internal/symtab"
 	"botmeter/internal/trace"
@@ -93,16 +92,13 @@ func TestCacheGrowEvicts(t *testing.T) {
 	c := NewCache(sim.Second, sim.Second)
 	defer c.Release()
 	c.StaleTTL = sim.Minute
-	reg := obs.NewRegistry()
-	c.Instrument(reg, "level", "test")
-	evictions := reg.Counter(MetricCacheEvictions, "level", "test")
 
 	for i := 1; i <= n; i++ {
 		c.StoreID(0, symtab.ID(i), true)
 	}
 	slots := len(c.ids.slots)
-	if c.Len() != n || evictions.Value() != 0 {
-		t.Fatalf("first batch: Len %d, evictions %d; want %d, 0 (nothing has expired)", c.Len(), evictions.Value(), n)
+	if c.Len() != n || c.Tallies().Evictions != 0 {
+		t.Fatalf("first batch: Len %d, evictions %d; want %d, 0 (nothing has expired)", c.Len(), c.Tallies().Evictions, n)
 	}
 	later := 10 * sim.Minute // past expiry and the stale horizon
 	for i := n + 1; i <= 2*n; i++ {
@@ -111,7 +107,7 @@ func TestCacheGrowEvicts(t *testing.T) {
 	if got := c.Len(); got != n {
 		t.Errorf("Len = %d after the second batch, want %d (the first batch evicted)", got, n)
 	}
-	if got := evictions.Value(); got != n {
+	if got := c.Tallies().Evictions; got != n {
 		t.Errorf("evictions = %d, want %d", got, n)
 	}
 	if got := len(c.ids.slots); got != slots {
@@ -124,36 +120,6 @@ func TestCacheGrowEvicts(t *testing.T) {
 	}
 	if _, ok := c.LookupID(later, 1); ok {
 		t.Error("evicted entry still served")
-	}
-}
-
-// TestCacheEntriesGaugeSums: caches instrumented under one label set share
-// one entries gauge, which reads their summed Len — through inserts,
-// overwrites, an evicting rehash and a Release.
-func TestCacheEntriesGaugeSums(t *testing.T) {
-	reg := obs.NewRegistry()
-	a, b := NewCache(sim.Second, sim.Second), NewCache(sim.Second, sim.Second)
-	defer b.Release()
-	a.Instrument(reg, "level", "shared")
-	b.Instrument(reg, "level", "shared")
-	entries := func() float64 { return reg.GaugeValue(MetricCacheEntries, "level", "shared") }
-	for i := 1; i <= 3; i++ {
-		a.StoreID(0, symtab.ID(i), false)
-	}
-	a.StoreID(0, 1, true) // an overwrite holds no new slot
-	b.StoreID(0, 1, false)
-	if got := entries(); got != 4 {
-		t.Fatalf("entries = %v with 3 + 1 cached, want 4", got)
-	}
-	for i := 1; i <= 1000; i++ { // the rehash leaves b's expired entry behind
-		b.StoreID(10*sim.Second, symtab.ID(100+i), false)
-	}
-	if want := float64(a.Len() + b.Len()); entries() != want || b.Len() != 1000 {
-		t.Fatalf("entries = %v after b's rehash, Len %d + %d", entries(), a.Len(), b.Len())
-	}
-	a.Release()
-	if got := entries(); got != float64(b.Len()) {
-		t.Fatalf("entries = %v after a's Release, want b's %d", got, b.Len())
 	}
 }
 
@@ -403,11 +369,11 @@ func TestRegistryUnregister(t *testing.T) {
 	const a, b = symtab.ID(1), symtab.ID(200)
 	r := NewRegistry()
 	r.RegisterIDs([]symtab.ID{a, b, a, symtab.None})
-	if r.Size() != 2 || !r.ResolvesID(a) || r.ResolvesID(symtab.None) {
+	if r.Size() != 2 || !r.resolvesID(a) || r.resolvesID(symtab.None) {
 		t.Fatal("register failed")
 	}
 	r.UnregisterIDs([]symtab.ID{a, a, 999})
-	if r.ResolvesID(a) || !r.ResolvesID(b) || r.Size() != 1 {
+	if r.resolvesID(a) || !r.resolvesID(b) || r.Size() != 1 {
 		t.Error("unregister failed")
 	}
 }

@@ -2,9 +2,7 @@ package dnssim
 
 import (
 	"fmt"
-	"time"
 
-	"botmeter/internal/obs"
 	"botmeter/internal/sim"
 	"botmeter/internal/symtab"
 	"botmeter/internal/trace"
@@ -28,7 +26,7 @@ func NewRegistry() *Registry { return &Registry{} }
 // ignored.
 func (r *Registry) RegisterIDs(ids []symtab.ID) {
 	for _, id := range ids {
-		if id == symtab.None || r.ResolvesID(id) {
+		if id == symtab.None || r.resolvesID(id) {
 			continue
 		}
 		w := int(id >> 6)
@@ -43,15 +41,15 @@ func (r *Registry) RegisterIDs(ids []symtab.ID) {
 // UnregisterIDs removes domains (a takedown or expiry).
 func (r *Registry) UnregisterIDs(ids []symtab.ID) {
 	for _, id := range ids {
-		if r.ResolvesID(id) {
+		if r.resolvesID(id) {
 			r.bits[id>>6] &^= 1 << (id & 63)
 			r.size--
 		}
 	}
 }
 
-// ResolvesID reports whether the domain behind id currently resolves.
-func (r *Registry) ResolvesID(id symtab.ID) bool {
+// resolvesID reports whether the domain behind id currently resolves.
+func (r *Registry) resolvesID(id symtab.ID) bool {
 	w := int(id >> 6)
 	return w < len(r.bits) && r.bits[w]&(1<<(id&63)) != 0
 }
@@ -89,11 +87,10 @@ type Border struct {
 	// and caches the result until the next record arrives.
 	observed     trace.Builder
 	observedFlat trace.Observed // cached flatten; nil after any append
-	observedCtr  *obs.Counter
 }
 
-// NewBorder builds a border server over the given registry.
-func NewBorder(id string, registry *Registry) *Border {
+// newBorder builds a border server over the given registry.
+func newBorder(id string, registry *Registry) *Border {
 	return &Border{ID: id, registry: registry}
 }
 
@@ -101,7 +98,6 @@ func NewBorder(id string, registry *Registry) *Border {
 // observed record keeps the real domain string (what a trace file holds) and
 // carries the ID for in-process consumers.
 func (b *Border) Resolve(now sim.Time, forwarder, domain string, id symtab.ID) Answer {
-	b.observedCtr.Inc()
 	rec := trace.ObservedRecord{
 		T:      now.Truncate(b.Granularity),
 		Server: forwarder,
@@ -114,7 +110,7 @@ func (b *Border) Resolve(now sim.Time, forwarder, domain string, id symtab.ID) A
 		b.observed.Append(rec)
 		b.observedFlat = nil
 	}
-	return Answer{NX: !b.registry.ResolvesID(id)}
+	return Answer{NX: !b.registry.resolvesID(id)}
 }
 
 // Observed returns the vantage-point dataset collected so far as one
@@ -151,14 +147,10 @@ type Server struct {
 	retried     int
 	servfails   int
 	staleServed int
-
-	// m holds the optional obs instruments (see Instrument); the zero
-	// value is disabled and costs one branch per event.
-	m serverMetrics
 }
 
-// NewServer builds a caching server with the given TTLs and upstream.
-func NewServer(id string, positiveTTL, negativeTTL sim.Time, upstream Upstream) *Server {
+// newServer builds a caching server with the given TTLs and upstream.
+func newServer(id string, positiveTTL, negativeTTL sim.Time, upstream Upstream) *Server {
 	return &Server{ID: id, cache: NewCache(positiveTTL, negativeTTL), upstream: upstream}
 }
 
@@ -171,33 +163,23 @@ func (s *Server) Cache() *Cache { return s.cache }
 // string is only forwarded.
 func (s *Server) Query(now sim.Time, domain string, id symtab.ID) Answer {
 	s.queries++
-	s.m.queries.Inc()
-	// The latency histogram is the one instrument that would make the
-	// disabled path pay for a clock read, so it is guarded explicitly.
-	if s.m.latency != nil {
-		defer s.m.observeLatency(time.Now())
-	}
 	if ans, ok := s.cache.LookupID(now, id); ok {
 		return ans
 	}
 	s.forwarded++
-	s.m.forwarded.Inc()
 	ans := s.upstream.Resolve(now, s.ID, domain, id)
 	for attempt := 0; ans.ServFail && attempt < s.MaxRetries; attempt++ {
 		s.retried++
-		s.m.retried.Inc()
 		ans = s.upstream.Resolve(now, s.ID, domain, id)
 	}
 	if ans.ServFail {
 		if s.ServeStale {
 			if stale, ok := s.cache.LookupStaleID(now, id); ok {
 				s.staleServed++
-				s.m.staleServed.Inc()
 				return stale
 			}
 		}
 		s.servfails++
-		s.m.servfails.Inc()
 		return Answer{ServFail: true}
 	}
 	s.cache.StoreID(now, id, ans.NX)
@@ -215,9 +197,9 @@ func (s *Server) Resolve(now sim.Time, _ string, domain string, id symtab.ID) An
 // Stats reports query and forward counters.
 func (s *Server) Stats() (queries, forwarded int) { return s.queries, s.forwarded }
 
-// ResilienceStats reports the degradation counters: upstream retries,
+// resilienceStats reports the degradation counters: upstream retries,
 // client-visible SERVFAILs and stale answers served.
-func (s *Server) ResilienceStats() (retried, servfails, staleServed int) {
+func (s *Server) resilienceStats() (retried, servfails, staleServed int) {
 	return s.retried, s.servfails, s.staleServed
 }
 
@@ -267,11 +249,6 @@ type NetworkConfig struct {
 	MaxRetries int
 	ServeStale bool
 	StaleTTL   sim.Time
-	// Obs, when non-nil, instruments every tier of the hierarchy on the
-	// registry: per-level query/cache/degradation counters, per-level
-	// wall-latency histograms and the border's observed-lookup counter.
-	// Nil (the default) keeps the query hot path instrument-free.
-	Obs *obs.Registry
 }
 
 // NewNetwork builds the hierarchy. Local servers are named "local-00",
@@ -281,11 +258,8 @@ func NewNetwork(cfg NetworkConfig) *Network {
 		cfg.LocalServers = 1
 	}
 	registry := NewRegistry()
-	border := NewBorder("border", registry)
+	border := newBorder("border", registry)
 	border.Granularity = cfg.Granularity
-	if cfg.Obs != nil {
-		border.Instrument(cfg.Obs)
-	}
 	n := &Network{
 		Border:    border,
 		Registry:  registry,
@@ -307,11 +281,7 @@ func NewNetwork(cfg NetworkConfig) *Network {
 	if cfg.MidTierFanIn > 0 {
 		numMid := (cfg.LocalServers + cfg.MidTierFanIn - 1) / cfg.MidTierFanIn
 		for i := 0; i < numMid; i++ {
-			mid := harden(NewServer(fmt.Sprintf("mid-%02d", i), cfg.PositiveTTL, cfg.NegativeTTL, upstreamBorder))
-			if cfg.Obs != nil {
-				mid.Instrument(cfg.Obs, "mid")
-			}
-			mids = append(mids, mid)
+			mids = append(mids, harden(newServer(fmt.Sprintf("mid-%02d", i), cfg.PositiveTTL, cfg.NegativeTTL, upstreamBorder)))
 		}
 	}
 	n.mids = mids
@@ -321,11 +291,7 @@ func NewNetwork(cfg NetworkConfig) *Network {
 		if len(mids) > 0 {
 			up = mids[i/cfg.MidTierFanIn]
 		}
-		local := harden(NewServer(id, cfg.PositiveTTL, cfg.NegativeTTL, up))
-		if cfg.Obs != nil {
-			local.Instrument(cfg.Obs, "local")
-		}
-		n.locals[id] = local
+		n.locals[id] = harden(newServer(id, cfg.PositiveTTL, cfg.NegativeTTL, up))
 		n.localOrder = append(n.localOrder, id)
 	}
 	return n

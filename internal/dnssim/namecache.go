@@ -8,10 +8,9 @@ import (
 )
 
 // NameCache is the answer cache of a live resolver's worker shard: the
-// same answers, TTLs, serve-stale window and dnssim_cache_* instruments as
-// Cache, keyed by the query name itself rather than by an interned ID. It
-// holds each name once, in its own entry, so what it evicts is everything
-// it held of the name — a resolver that caches this way keeps nothing per
+// same answers, TTLs, serve-stale window and tallies as Cache, keyed by the
+// query name itself rather than by an interned ID. It holds each name once,
+// in its own entry, so what it evicts is everything it held of the name — a resolver that caches this way keeps nothing per
 // name past the name's expiry. Not safe for concurrent use; a shard's owner
 // serialises its calls.
 //
@@ -99,7 +98,7 @@ func (c *NameCache) Store(now sim.Time, name string, nx bool) {
 	i, found := c.probe(h, name)
 	if found {
 		putStamp(c.entry(c.slots[i]), expires, nx)
-		c.stored(0, 0)
+		c.stored(0)
 		return
 	}
 	ref, ok := c.append(name, expires, nx)
@@ -112,7 +111,7 @@ func (c *NameCache) Store(now sim.Time, name string, nx bool) {
 	if c.used*4 > len(c.slots)*3 {
 		dropped = c.rehash(c.horizon(now))
 	}
-	c.stored(1-dropped, dropped)
+	c.stored(dropped)
 }
 
 // Len returns the number of cached entries, including expired ones no

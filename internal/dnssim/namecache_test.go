@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"botmeter/internal/obs"
 	"botmeter/internal/sim"
 	"botmeter/internal/symtab"
 )
@@ -98,8 +97,6 @@ func TestNameCacheFlat(t *testing.T) {
 	)
 	c := NewNameCache(sim.Second, sim.Second)
 	c.StaleTTL = sim.Second
-	reg := obs.NewRegistry()
-	c.Instrument(reg, "level", "test")
 
 	var firstEviction int
 	var early, late struct{ entries, bytes int }
@@ -108,7 +105,7 @@ func TestNameCacheFlat(t *testing.T) {
 		buf = strconv.AppendInt(buf[:1], int64(i), 10)
 		buf = append(buf, ".flat.test"...)
 		c.Store(sim.Time(i)*sim.Second/rate, string(buf), true)
-		if firstEviction == 0 && reg.CounterValue(MetricCacheEvictions, "level", "test") > 0 {
+		if firstEviction == 0 && c.Tallies().Evictions > 0 {
 			firstEviction = i
 		}
 		if firstEviction == 0 {
@@ -132,36 +129,31 @@ func TestNameCacheFlat(t *testing.T) {
 		t.Errorf("not flat: the second half held up to %d entries on %d page bytes, the first %d on %d",
 			late.entries, late.bytes, early.entries, early.bytes)
 	}
-	if got := reg.GaugeValue(MetricCacheEntries, "level", "test"); got != float64(c.Len()) {
-		t.Errorf("entries gauge %v, Len %d", got, c.Len())
+	// Every name is new, so each store added an entry and each eviction
+	// took one.
+	if tl := c.Tallies(); tl.Stores-tl.Evictions != c.Len() {
+		t.Errorf("%d stores less %d evictions, Len %d", tl.Stores, tl.Evictions, c.Len())
 	}
 }
 
-// TestNameCacheInstruments: a NameCache feeds the same dnssim_cache_*
-// families as a Cache, event for event.
-func TestNameCacheInstruments(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := newNameCache(sim.Second, sim.Second, 8)
-	c.StaleTTL = sim.Second
-	c.Instrument(reg, "level", "resolver")
-	c.Store(0, "a.example", true)
-	c.Store(0, "a.example", false) // an overwrite holds no new entry
-	c.Lookup(1, "a.example")
-	c.Lookup(1, "b.example")
-	c.LookupStale(sim.Second+1, "a.example")
-	for i := 0; i < 6; i++ { // the sixth fills the 8 slots past three quarters
-		c.Store(3*sim.Second, fmt.Sprintf("n%d.example", i), true)
-	}
-	for name, want := range map[string]uint64{
-		MetricCacheLookups: 2, MetricCacheHits: 1, MetricCacheMisses: 1,
-		MetricCacheStaleHits: 1, MetricCacheStores: 8, MetricCacheEvictions: 1,
-	} {
-		if got := reg.CounterValue(name, "level", "resolver"); got != want {
-			t.Errorf("%s = %d, want %d", name, got, want)
+// TestNameCacheTallies: both caches keep the same tallies, event for event,
+// over one script: hits, a miss, a stale hit, an overwrite, and a rehash
+// that leaves an expired entry behind.
+func TestNameCacheTallies(t *testing.T) {
+	want := CacheTallies{Lookups: 2, Hits: 1, StaleHits: 1, Stores: 8, Evictions: 1}
+	for _, kind := range cacheKinds {
+		c := kind.make(sim.Second, sim.Second, sim.Second)
+		c.store(0, "a.example", true)
+		c.store(0, "a.example", false) // an overwrite holds no new entry
+		c.lookup(1, "a.example")
+		c.lookup(1, "b.example")
+		c.lookupStale(sim.Second+1, "a.example")
+		for i := 0; i < 6; i++ { // the sixth fills the 8 slots past three quarters
+			c.store(3*sim.Second, fmt.Sprintf("n%d.example", i), true)
 		}
-	}
-	if got := reg.GaugeValue(MetricCacheEntries, "level", "resolver"); got != 6 || c.Len() != 6 {
-		t.Errorf("entries gauge %v, Len %d; want 6", got, c.Len())
+		if got := c.Tallies(); got != want || got.Misses() != 1 || c.Len() != 6 {
+			t.Errorf("%s cache: tallies %+v (misses %d), Len %d; want %+v, 1 miss, Len 6", kind.name, got, got.Misses(), c.Len(), want)
+		}
 	}
 }
 

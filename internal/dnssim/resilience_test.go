@@ -36,7 +36,7 @@ const (
 
 func TestServerRetriesAbsorbTransientFailure(t *testing.T) {
 	up := &flakyUpstream{failsLeft: 2, registered: map[string]bool{"c2.example": true}}
-	s := NewServer("local-00", sim.Day, sim.Hour, up)
+	s := newServer("local-00", sim.Day, sim.Hour, up)
 	s.MaxRetries = 3
 
 	ans := s.Query(0, "c2.example", c2ID)
@@ -46,7 +46,7 @@ func TestServerRetriesAbsorbTransientFailure(t *testing.T) {
 	if up.resolves != 3 {
 		t.Errorf("upstream saw %d resolves, want 3 (1 + 2 retries)", up.resolves)
 	}
-	retried, servfails, _ := s.ResilienceStats()
+	retried, servfails, _ := s.resilienceStats()
 	if retried != 2 || servfails != 0 {
 		t.Errorf("retried=%d servfails=%d, want 2, 0", retried, servfails)
 	}
@@ -58,7 +58,7 @@ func TestServerRetriesAbsorbTransientFailure(t *testing.T) {
 
 func TestServerExhaustedRetriesServFailUncached(t *testing.T) {
 	up := &flakyUpstream{failing: true}
-	s := NewServer("local-00", sim.Day, sim.Hour, up)
+	s := newServer("local-00", sim.Day, sim.Hour, up)
 	s.MaxRetries = 2
 
 	if ans := s.Query(0, "gone.example", goneID); !ans.ServFail {
@@ -67,7 +67,7 @@ func TestServerExhaustedRetriesServFailUncached(t *testing.T) {
 	if up.resolves != 3 {
 		t.Errorf("upstream saw %d resolves, want 3", up.resolves)
 	}
-	_, servfails, _ := s.ResilienceStats()
+	_, servfails, _ := s.resilienceStats()
 	if servfails != 1 {
 		t.Errorf("servfails = %d, want 1", servfails)
 	}
@@ -80,7 +80,7 @@ func TestServerExhaustedRetriesServFailUncached(t *testing.T) {
 
 func TestServerServeStale(t *testing.T) {
 	up := &flakyUpstream{registered: map[string]bool{"c2.example": true}}
-	s := NewServer("local-00", sim.Second, sim.Second, up)
+	s := newServer("local-00", sim.Second, sim.Second, up)
 	s.ServeStale = true
 	s.cache.StaleTTL = sim.Hour
 
@@ -93,7 +93,7 @@ func TestServerServeStale(t *testing.T) {
 	if ans.ServFail || !ans.Stale || !ans.CacheHit || ans.NX {
 		t.Fatalf("stale answer = %+v, want Stale positive CacheHit", ans)
 	}
-	_, servfails, staleServed := s.ResilienceStats()
+	_, servfails, staleServed := s.resilienceStats()
 	if staleServed != 1 || servfails != 0 {
 		t.Errorf("staleServed=%d servfails=%d, want 1, 0", staleServed, servfails)
 	}
@@ -104,7 +104,7 @@ func TestServerServeStale(t *testing.T) {
 	}
 
 	// With serve-stale off, the same expiry surfaces the failure at once.
-	s2 := NewServer("local-01", sim.Second, sim.Second, up)
+	s2 := newServer("local-01", sim.Second, sim.Second, up)
 	up.failing = false
 	s2.Query(0, "c2.example", c2ID)
 	up.failing = true

@@ -22,11 +22,12 @@ import (
 type Crasher struct {
 	spec CrashSpec
 
-	// Die is invoked exactly once when a crash point fires. The default
-	// exits with status 137 — the status a SIGKILLed process reports — so
-	// supervisors and the shell smoke treat it like a real kill. Tests
-	// substitute a panic (recovered by the harness) to simulate the crash
-	// in-process.
+	// Die is invoked exactly once when a crash point fires, on whichever
+	// goroutine reached it (a checkpoint's points fire on its writer). The
+	// default exits with status 137 — the status a SIGKILLed process
+	// reports — so supervisors and the shell smoke treat it like a real
+	// kill. In-process tests substitute a hook that records the crash and
+	// ends that goroutine (runtime.Goexit).
 	Die func(reason string)
 
 	mu      sync.Mutex

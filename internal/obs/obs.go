@@ -1,5 +1,5 @@
-// Package obs is the stdlib-only observability layer shared by the
-// simulator, the live UDP daemons (cmd/resolver, cmd/vantage) and the
+// Package obs is the stdlib-only observability layer shared by the live
+// UDP daemons (cmd/resolver, cmd/vantage), the experiment harness and the
 // analysis pipeline (cmd/botmeter, cmd/benchgen). It provides:
 //
 //   - a lock-cheap metrics Registry — Counters and Gauges, each an atomic
@@ -18,8 +18,8 @@
 // Every handle is nil-safe: a nil *Registry hands out nil instruments, and
 // nil *Counter/*Gauge/*Histogram/*Tracer/*Span/*StageSet methods
 // are single-branch no-ops. Instrumented hot paths therefore pay only a
-// predictable nil check when observability is disabled — the overhead is
-// bounded by BenchmarkObs* in bench_test.go and the dnssim benchmarks.
+// predictable nil check when observability is disabled — priced by
+// BenchmarkObs* in obs_bench_test.go.
 package obs
 
 import (

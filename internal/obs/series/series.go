@@ -4,9 +4,10 @@
 // downsampling — samples landing in the same step bucket overwrite the
 // bucket (last value wins), so a series covers capacity × step of history
 // regardless of how fast it is fed. The store is the backing of the
-// /debug/series and /landscape/history endpoints and of the freshness/
-// drift rule evaluation; it is NOT a general TSDB — no persistence, no
-// aggregation functions, no out-of-order inserts.
+// /debug/series endpoint and of the freshness/drift rule evaluation
+// (/landscape/history is the observatory's own ring, not this store); it
+// is NOT a general TSDB — no persistence, no aggregation functions, no
+// out-of-order inserts.
 //
 // Handles follow the internal/obs idiom: a nil *Store hands out nil
 // *Series, and nil handles no-op, so disabled instrumentation costs one

@@ -313,8 +313,8 @@ type CheckpointConfig struct {
 	Clock func() time.Time
 	// Crash wires deterministic crash-point injection ("checkpoint-write",
 	// "checkpoint-rename") for the kill–resume tests and the CI crash
-	// smoke. When set, checkpoints are written synchronously so the crash
-	// fires on the triggering record's call stack.
+	// smoke. The points fire on the background writer, the goroutine that
+	// writes every checkpoint, armed or not.
 	Crash *faults.Crasher
 }
 
@@ -502,9 +502,7 @@ func (c *Checkpointer) Checkpoint(e *Engine, records uint64) error {
 }
 
 // run exports the state on the caller's goroutine (the consistent cut),
-// then hands the write to a background goroutine — unless crash injection
-// is active, in which case the write is synchronous so the crash fires
-// deterministically on this call stack.
+// then hands the write to a background goroutine.
 func (c *Checkpointer) run(e *Engine, records uint64) error {
 	start := time.Now()
 	fail := func(err error) error {
@@ -535,10 +533,6 @@ func (c *Checkpointer) run(e *Engine, records uint64) error {
 	gen := c.nextGen
 	c.nextGen++
 	c.mu.Unlock()
-	if c.cfg.Crash != nil {
-		c.write(gen, st, records, start)
-		return c.Err()
-	}
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -227,8 +229,13 @@ func TestKillMidCheckpoint(t *testing.T) {
 		t.Run(fmt.Sprintf("occurrence=%d", nth), func(t *testing.T) {
 			dir := t.TempDir()
 			crash := faults.NewCrasher(faults.CrashSpec{Point: "checkpoint-write", PointNth: nth})
-			type crashed struct{ reason string }
-			crash.Die = func(reason string) { panic(crashed{reason}) }
+			// The crash fires on the checkpointer's writer goroutine: record it
+			// and end that goroutine there, as a kill would.
+			var died atomic.Bool
+			crash.Die = func(string) {
+				died.Store(true)
+				runtime.Goexit()
+			}
 
 			eng, err := stream.New(streamCfg)
 			if err != nil {
@@ -240,30 +247,24 @@ func TestKillMidCheckpoint(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewCheckpointer: %v", err)
 			}
-			died := func() (died bool) {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(crashed); !ok {
-							panic(r)
-						}
-						died = true
+			// Checkpoint waits out the write in flight, so every due checkpoint
+			// is written and the nth write is reached.
+			trig := ck.NewTrigger(1)
+			for i, rec := range delivered {
+				if err := eng.Observe(rec); err != nil {
+					t.Fatalf("Observe: %v", err)
+				}
+				if now := time.Now(); trig.Tick(now) {
+					trig.Rearm(now)
+					if err := ck.Checkpoint(eng, uint64(i+1)); err != nil {
+						t.Fatalf("Checkpoint: %v", err)
 					}
-				}()
-				trig := ck.NewTrigger(1)
-				for i, rec := range delivered {
-					if err := eng.Observe(rec); err != nil {
-						t.Fatalf("Observe: %v", err)
-					}
-					if now := time.Now(); trig.Tick(now) {
-						trig.Rearm(now)
-						if err := ck.Try(eng, uint64(i+1)); err != nil {
-							t.Fatalf("Try: %v", err)
-						}
+					if died.Load() {
+						break
 					}
 				}
-				return false
-			}()
-			if !died {
+			}
+			if !died.Load() {
 				t.Fatalf("crash point never fired (fewer than %d checkpoints?)", nth)
 			}
 			eng.Kill()

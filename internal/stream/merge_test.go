@@ -8,8 +8,10 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -309,8 +311,13 @@ func TestNWayMergeKillResume(t *testing.T) {
 	dir := t.TempDir()
 	source := writeJSONL(t, filepath.Join(t.TempDir(), "obs.jsonl"), parts[1])
 	crash := faults.NewCrasher(faults.CrashSpec{Point: "checkpoint-write", PointNth: 2})
-	type crashed struct{ reason string }
-	crash.Die = func(reason string) { panic(crashed{reason}) }
+	// The crash fires on the checkpointer's writer goroutine: record it
+	// and end that goroutine there, as a kill would.
+	var died atomic.Bool
+	crash.Die = func(string) {
+		died.Store(true)
+		runtime.Goexit()
+	}
 	cfg1 := mkCfg("vantage-1")
 	eng, err := stream.New(cfg1)
 	if err != nil {
@@ -320,30 +327,24 @@ func TestNWayMergeKillResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewCheckpointer: %v", err)
 	}
-	died := func() (died bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(crashed); !ok {
-					panic(r)
-				}
-				died = true
+	// Checkpoint waits out the write in flight, so every due checkpoint
+	// is written and the second write is reached.
+	trig := ck.NewTrigger(1)
+	for i, rec := range parts[1] {
+		if err := eng.Observe(rec); err != nil {
+			t.Fatalf("Observe(vantage-1): %v", err)
+		}
+		if now := time.Now(); trig.Tick(now) {
+			trig.Rearm(now)
+			if err := ck.Checkpoint(eng, uint64(i+1)); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
 			}
-		}()
-		trig := ck.NewTrigger(1)
-		for i, rec := range parts[1] {
-			if err := eng.Observe(rec); err != nil {
-				t.Fatalf("Observe(vantage-1): %v", err)
-			}
-			if now := time.Now(); trig.Tick(now) {
-				trig.Rearm(now)
-				if err := ck.Try(eng, uint64(i+1)); err != nil {
-					t.Fatalf("Try: %v", err)
-				}
+			if died.Load() {
+				break
 			}
 		}
-		return false
-	}()
-	if !died {
+	}
+	if !died.Load() {
 		t.Fatalf("crash point never fired (partition shorter than %d records?)", 2*checkpointEvery)
 	}
 	eng.Kill()

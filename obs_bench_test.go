@@ -1,65 +1,17 @@
 package botmeter_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
-	"botmeter/internal/dnssim"
 	"botmeter/internal/experiments"
 	"botmeter/internal/obs"
-	"botmeter/internal/sim"
 )
 
-// The BenchmarkObs* family bounds the observability layer's cost, in both
-// states: enabled (atomic instruments on the dnssim query hot path) and
-// disabled (nil registry — the default for every simulation run). CI runs
-// them as a smoke test (`go test -bench=Obs -benchtime=100x`); compare
-// BenchmarkObsQueryDisabled against BenchmarkObsQueryBaseline locally to
-// verify the <5% disabled-overhead budget from DESIGN.md §11.
-
-// benchHierarchy builds the standard benchmark hierarchy, optionally
-// instrumented.
-func benchHierarchy(reg *obs.Registry) *dnssim.Network {
-	return dnssim.NewNetwork(dnssim.NetworkConfig{
-		LocalServers: 8,
-		MidTierFanIn: 4,
-		PositiveTTL:  sim.Day,
-		NegativeTTL:  2 * sim.Hour,
-		Obs:          reg,
-	})
-}
-
-func benchQueries(b *testing.B, n *dnssim.Network) {
-	b.Helper()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		client := fmt.Sprintf("10.0.0.%d", i%200)
-		domain := fmt.Sprintf("q%05d.com", i%5000)
-		if _, err := n.ClientQuery(sim.Time(i), client, domain); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkObsQueryBaseline is the uninstrumented hot path (no Obs field at
-// all would behave identically: a nil registry hands out nil instruments).
-func BenchmarkObsQueryBaseline(b *testing.B) {
-	benchQueries(b, benchHierarchy(nil))
-}
-
-// BenchmarkObsQueryDisabled is the instrument-wired hot path with a nil
-// registry: every metric call is a single nil-check branch. This must stay
-// within 5% of BenchmarkObsQueryBaseline.
-func BenchmarkObsQueryDisabled(b *testing.B) {
-	var reg *obs.Registry
-	benchQueries(b, benchHierarchy(reg))
-}
-
-// BenchmarkObsQueryEnabled prices full metric collection on the same path.
-func BenchmarkObsQueryEnabled(b *testing.B) {
-	benchQueries(b, benchHierarchy(obs.NewRegistry()))
-}
+// The BenchmarkObs* family prices the observability layer's own pieces:
+// an instrument update, enabled and nil (the disabled state), a histogram
+// observation and a span, sampled and not. CI runs them as a smoke test
+// (`go test -bench=Obs -benchtime=100x`).
 
 // BenchmarkParallelFig6a prices the parallel trial engine itself on a small
 // Figure 6(a) configuration. The workers-1 sub-benchmark takes the engine's
