@@ -258,9 +258,12 @@ func checkCuts(t *testing.T, dir, dataset string) []uint64 {
 // every record of every worker trips it, so the workers race for the cut all
 // the time. None may deadlock, every generation must satisfy the cut
 // invariant, and later generations must cut at strictly later records. Run
-// under -race. Most attempts are skipped behind the write in flight. An
-// armed crasher that never fires changes nothing of that: its points are
-// passed on the same background writer.
+// under -race. Most attempts are skipped behind the write in flight, so the
+// queries go in two bursts with the write in flight waited out between them:
+// each burst's first trip writes, and at least two generations must be on
+// disk for the ordering check to compare anything. An armed crasher that
+// never fires changes nothing of that: its points are passed on the same
+// background writer.
 func TestCutSimultaneousTrips(t *testing.T) {
 	const workers, perWorker = 4, 30
 	never := faults.NewCrasher(faults.CrashSpec{Point: "never"})
@@ -280,42 +283,48 @@ func TestCutSimultaneousTrips(t *testing.T) {
 			// Batched writers: the cut itself has to flush them.
 			socketless(t, s, f, workers, trace.SafeWriterConfig{FlushInterval: -1, FlushEvery: 16})
 
-			start := make(chan struct{})
-			var wg sync.WaitGroup
-			for i, w := range s.workers {
-				wg.Add(1)
-				go func(i int, w *vantageWorker) {
-					defer wg.Done()
-					pkt, err := dnswire.NewQuery(uint16(i+1), fmt.Sprintf("trip-%d.example", i)).Encode()
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					<-start
-					for q := 0; q < perWorker; q++ {
-						if w.handle(pkt, fmt.Sprintf("10.0.0.%d", i+1)) == nil {
-							t.Errorf("worker %d query %d: no answer", i, q)
+			burst := func(queries int) {
+				start := make(chan struct{})
+				var wg sync.WaitGroup
+				for i, w := range s.workers {
+					wg.Add(1)
+					go func(i int, w *vantageWorker) {
+						defer wg.Done()
+						pkt, err := dnswire.NewQuery(uint16(i+1), fmt.Sprintf("trip-%d.example", i)).Encode()
+						if err != nil {
+							t.Error(err)
 							return
 						}
-					}
-				}(i, w)
+						<-start
+						for q := 0; q < queries; q++ {
+							if w.handle(pkt, fmt.Sprintf("10.0.0.%d", i+1)) == nil {
+								t.Errorf("worker %d query %d: no answer", i, q)
+								return
+							}
+						}
+					}(i, w)
+				}
+				close(start)
+				wg.Wait()
+				// Close only waits out the write in flight; the
+				// checkpointer stays usable for the next burst.
+				if err := s.ck.Close(); err != nil {
+					t.Fatal(err)
+				}
 			}
-			close(start)
-			wg.Wait()
-			if err := s.ck.Close(); err != nil {
-				t.Fatal(err)
-			}
+			burst(perWorker / 2)
+			burst(perWorker - perWorker/2)
 			st := s.ck.Stats()
-			if st.Written == 0 || st.Errors != 0 {
-				t.Fatalf("checkpoints: %+v", st)
+			if st.Written < 2 || st.Errors != 0 {
+				t.Fatalf("checkpoints: %+v, want at least one generation a burst", st)
 			}
 			t.Logf("%d generations, %d attempts skipped", st.Written, st.Skipped)
 			if err := s.flush(); err != nil {
 				t.Fatal(err)
 			}
 			cuts := checkCuts(t, ckDir, f.Name())
-			if uint64(len(cuts)) != st.Written {
-				t.Fatalf("%d generations on disk, %d written", len(cuts), st.Written)
+			if uint64(len(cuts)) != st.Written || len(cuts) < 2 {
+				t.Fatalf("%d generations on disk, %d written, want at least 2", len(cuts), st.Written)
 			}
 			for i := 1; i < len(cuts); i++ {
 				if cuts[i] <= cuts[i-1] {

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"botmeter/internal/sim"
 )
 
 // FuzzReadObserved hardens the JSON-lines reader and pins its writers to
@@ -46,6 +48,38 @@ func FuzzReadObserved(f *testing.F) {
 		back, _, err := ReadObserved(&batch, ReadOptions{})
 		if err != nil || !slices.Equal(back, recs) {
 			t.Fatalf("re-read = %+v, %v; want %+v", back, err, recs)
+		}
+	})
+}
+
+// FuzzSortMatchesStableSort feeds arbitrary timestamps, several records to
+// a timestamp, through Observed.Sort and the stable comparison sort.
+func FuzzSortMatchesStableSort(f *testing.F) {
+	f.Add([]byte{3, 1, 2, 1, 0, 9, 9, 0})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ts []sim.Time
+		for len(data) > 0 {
+			var word [8]byte
+			m := copy(word[:], data)
+			data = data[m:]
+			v := sim.Time(0)
+			for k := 7; k >= 0; k-- {
+				v = v<<8 | sim.Time(word[k])
+			}
+			// The word's low bits pick how many records share the time,
+			// its high byte how wide the span is, so small spans with
+			// many ties are as common as the int64 extremes.
+			shift := uint(word[7]) % 64
+			for k := 0; k <= int(word[0]%3); k++ {
+				ts = append(ts, v>>shift)
+			}
+		}
+		o, want := tagObserved(ts), tagObserved(ts)
+		o.Sort()
+		stableObserved(want)
+		if i := firstDiff(o, want); i >= 0 {
+			t.Fatalf("record %d = %+v, want %+v", i, o[i], want[i])
 		}
 	})
 }

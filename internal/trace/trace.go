@@ -9,6 +9,7 @@
 package trace
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
@@ -53,36 +54,22 @@ type Raw []RawRecord
 // Observed is an ordered observable dataset.
 type Observed []ObservedRecord
 
-// Sort orders the dataset by timestamp (stable, preserving insertion order
-// of simultaneous records). A stable sort's output is uniquely determined by
-// the input, so the generic slices.SortStableFunc here produces the exact
-// record order the earlier reflect-based sort.SliceStable did — just without
-// reflect's per-swap overhead, which dominated multi-million-record trace
-// normalisation.
+// Sort orders the dataset by timestamp, stably: simultaneous records keep
+// their order. Sorted input is only scanned; otherwise one LSD radix sort
+// over packed (time, index) keys finds the order and each record moves at
+// most once (sortByTime). A dataset whose time span is too wide to pack
+// beside its indices in 64 bits takes slices.SortStableFunc instead.
 func (r Raw) Sort() {
-	slices.SortStableFunc(r, func(a, b RawRecord) int {
-		switch {
-		case a.T < b.T:
-			return -1
-		case a.T > b.T:
-			return 1
-		}
-		return 0
-	})
+	if !sortByTime(r, func(rec *RawRecord) sim.Time { return rec.T }) {
+		slices.SortStableFunc(r, func(a, b RawRecord) int { return cmp.Compare(a.T, b.T) })
+	}
 }
 
-// Sort orders the dataset by timestamp (stable; see Raw.Sort on why the
-// generic sort is order-identical to the reflect-based one it replaced).
+// Sort orders the dataset by timestamp, stably (see Raw.Sort).
 func (o Observed) Sort() {
-	slices.SortStableFunc(o, func(a, b ObservedRecord) int {
-		switch {
-		case a.T < b.T:
-			return -1
-		case a.T > b.T:
-			return 1
-		}
-		return 0
-	})
+	if !sortByTime(o, func(rec *ObservedRecord) sim.Time { return rec.T }) {
+		slices.SortStableFunc(o, func(a, b ObservedRecord) int { return cmp.Compare(a.T, b.T) })
+	}
 }
 
 // IsSorted reports whether the dataset is in non-decreasing timestamp order
