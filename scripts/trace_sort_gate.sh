@@ -3,8 +3,8 @@
 # well ahead of the stable comparison sort it replaced. Runs
 # BenchmarkTraceSort on the shuffled 10^6-record day and fails when the
 # reference's ns/record is less than three times the kernel's — a ratio
-# taken inside one process, so it holds on a loud box. (The kernel read
-# 6.8x when it was introduced.)
+# taken inside one process, so it holds on a loud box. (The ratio read 6
+# to 7 on two vCPUs when the kernel was introduced.)
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
